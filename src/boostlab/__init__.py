@@ -5,15 +5,10 @@ from .boost import (
     ALGORITHMS,
     AdaBoostModel,
     BoostParams,
-    CatBoostModel,
-    GbmModel,
-    XgbModel,
+    TreeEnsemble,
     default_params,
     fit,
     fit_adaboost,
-    fit_catboost,
-    fit_gbm,
-    fit_xgb,
     load_model,
     paper_preset,
     predict_labels,

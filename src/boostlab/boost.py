@@ -1,8 +1,13 @@
 """The four boosting algorithms behind one binary-classifier interface.
 
-All models emit per-row scores in [0, 1]: AdaBoost maps twice its additive
-margin through a sigmoid, the tree boosters map their raw log-odds score.
-Labels are 1 when score >= threshold.
+Two model types: AdaBoostModel (alpha-weighted stumps) maps twice its additive
+margin through a sigmoid; TreeEnsemble (GBM, XGBoost-style and CatBoost-style,
+fitted by one boosting loop on binomial deviance) maps its raw log-odds score.
+All models emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
+
+load_model raises MalformedModel for bad JSON, a format_version other than
+MODEL_FORMAT_VERSION, a missing key, a value of the wrong type or a split on a
+column the model does not have.
 """
 
 from __future__ import annotations
@@ -10,11 +15,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
-from .dataset import Dataset, FeatureSchema
-from .errors import SchemaMismatch, SingleClassDataset
+from .dataset import Dataset, FeatureKind, FeatureSchema
+from .errors import MalformedModel, SchemaMismatch, SingleClassDataset
 from .tree import (
     ObliviousTree,
     RegressionTree,
@@ -96,23 +102,6 @@ class AdaBoostModel:
     algorithm = "adaboost"
 
 
-@dataclass
-class GbmModel:
-    base_score: float
-    trees: list[RegressionTree]
-    learning_rate: float
-    schema: FeatureSchema
-    params: BoostParams
-    train_loss: list[float] = field(default_factory=list, repr=False)
-
-    algorithm = "gbm"
-
-
-@dataclass
-class XgbModel(GbmModel):
-    algorithm = "xgboost"
-
-
 @dataclass(frozen=True)
 class CategoricalEncoding:
     """Prediction-time treatment of one categorical feature."""
@@ -124,19 +113,21 @@ class CategoricalEncoding:
 
 
 @dataclass
-class CatBoostModel:
+class TreeEnsemble:
+    """GBM, XGBoost-style or CatBoost-style model. The log-odds score is
+    base_score plus params.learning_rate times the sum of the trees' outputs;
+    the trees read the features through cat_encoding_state (CatBoost only)."""
+
+    algorithm: str
     base_score: float
-    trees: list[ObliviousTree]
-    learning_rate: float
-    cat_encoding_state: tuple[CategoricalEncoding, ...]
+    trees: list[RegressionTree] | list[ObliviousTree]
     schema: FeatureSchema
     params: BoostParams
+    cat_encoding_state: tuple[CategoricalEncoding, ...] = ()
     train_loss: list[float] = field(default_factory=list, repr=False)
 
-    algorithm = "catboost"
 
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     out = np.empty_like(z)
     pos = z >= 0
@@ -199,50 +190,6 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> AdaBoostM
         w = w / w.sum()
         losses.append(float(np.mean(np.exp(-y * margins))))
     return AdaBoostModel(stumps, train.schema, params, losses)
-
-
-def _fit_tree_boost(train: Dataset, params: BoostParams, *, second_order: bool):
-    """Shared GBM/XGB loop; GBM uses unit hessians, XGB uses p(1-p)."""
-    _check_two_classes(train)
-    X = train.values
-    kinds = train.schema.kinds
-    y = train.labels.astype(np.float64)
-    base = _base_score(train.labels)
-    F = np.full(train.n_rows, base)
-    trees: list[RegressionTree] = []
-    losses: list[float] = []
-    for _ in range(params.n_rounds):
-        p = _sigmoid(F)
-        g = p - y
-        h = p * (1.0 - p) if second_order else np.ones_like(p)
-        tree = fit_regression_tree(
-            X,
-            g,
-            h,
-            kinds,
-            max_depth=params.max_depth,
-            min_child_weight=params.min_child_weight,
-            reg_lambda=params.reg_lambda,
-            gamma=params.gamma,
-        )
-        F = F + params.learning_rate * tree.predict(X)
-        trees.append(tree)
-        losses.append(deviance(train.labels, F))
-    return base, trees, losses
-
-
-def fit_gbm(train: Dataset, params: BoostParams | None = None) -> GbmModel:
-    """Gradient boosting on binomial deviance with first-order residual trees."""
-    params = params if params is not None else default_params("gbm")
-    base, trees, losses = _fit_tree_boost(train, params, second_order=False)
-    return GbmModel(base, trees, params.learning_rate, train.schema, params, losses)
-
-
-def fit_xgb(train: Dataset, params: BoostParams | None = None) -> XgbModel:
-    """Second-order boosting with regularized trees and learned missing directions."""
-    params = params if params is not None else default_params("xgboost")
-    base, trees, losses = _fit_tree_boost(train, params, second_order=True)
-    return XgbModel(base, trees, params.learning_rate, train.schema, params, losses)
 
 
 def ordered_target_stats(
@@ -318,47 +265,70 @@ def _encode_matrix(
     return np.column_stack(cols)
 
 
-def fit_catboost(train: Dataset, params: BoostParams | None = None) -> CatBoostModel:
-    """Oblivious-tree boosting with CatBoost-style categorical handling.
+def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) -> TreeEnsemble:
+    """The boosting loop of GBM, XGBoost-style and CatBoost-style boosting.
 
-    Categoricals with cardinality <= cat_one_hot_max are one-hot expanded;
-    the rest are replaced by ordered target statistics under one seeded
-    permutation during training and by full-training-set statistics at
-    prediction time.
+    GBM uses unit hessians (first-order residual trees), the others p(1-p).
+    CatBoost fits oblivious trees on an encoded matrix: categoricals with
+    cardinality <= cat_one_hot_max are one-hot expanded, the rest replaced by
+    ordered target statistics under one seeded permutation during training
+    and by full-training-set statistics at prediction time. GBM and XGBoost
+    fit regression trees, with learned missing directions, on the raw values.
     """
-    params = params if params is not None else default_params("catboost")
+    params = params if params is not None else default_params(algorithm)
     _check_two_classes(train)
-    encodings = _plan_encodings(train, params)
-    ordered_codes = None
-    target_features = [e.feature_index for e in encodings if e.mode == "target"]
-    if target_features:
-        permutation = np.random.default_rng(params.seed).permutation(train.n_rows)
-        ordered_codes = {
-            j: ordered_target_stats(train.values[:, j], train.labels, permutation, params.cat_prior)
-            for j in target_features
-        }
-    Xe = _encode_matrix(train.values, train.schema, encodings, ordered_codes)
+    encodings: tuple[CategoricalEncoding, ...] = ()
+    X = train.values
+    if algorithm == "catboost":
+        encodings = _plan_encodings(train, params)
+        ordered_codes = None
+        target_features = [e.feature_index for e in encodings if e.mode == "target"]
+        if target_features:
+            permutation = np.random.default_rng(params.seed).permutation(train.n_rows)
+            ordered_codes = {
+                j: ordered_target_stats(
+                    train.values[:, j], train.labels, permutation, params.cat_prior
+                )
+                for j in target_features
+            }
+        X = _encode_matrix(train.values, train.schema, encodings, ordered_codes)
     y = train.labels.astype(np.float64)
     base = _base_score(train.labels)
     F = np.full(train.n_rows, base)
-    trees: list[ObliviousTree] = []
+    trees = []
     losses: list[float] = []
     for _ in range(params.n_rounds):
-        p = _sigmoid(F)
+        p = sigmoid(F)
         g = p - y
-        h = p * (1.0 - p)
-        tree = fit_oblivious_tree(
-            Xe, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda
-        )
-        F = F + params.learning_rate * tree.predict(Xe)
+        h = np.ones_like(p) if algorithm == "gbm" else p * (1.0 - p)
+        if algorithm == "catboost":
+            tree = fit_oblivious_tree(X, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda)
+        else:
+            tree = fit_regression_tree(
+                X,
+                g,
+                h,
+                train.schema.kinds,
+                max_depth=params.max_depth,
+                min_child_weight=params.min_child_weight,
+                reg_lambda=params.reg_lambda,
+                gamma=params.gamma,
+            )
+        F = F + params.learning_rate * tree.predict(X)
         trees.append(tree)
         losses.append(deviance(train.labels, F))
-    return CatBoostModel(
-        base, trees, params.learning_rate, encodings, train.schema, params, losses
-    )
+    return TreeEnsemble(algorithm, base, trees, train.schema, params, encodings, losses)
+
+
+# The per-algorithm entry points fit() dispatches through; the benchmark's
+# tracer (perfbench/spans.py) times each algorithm's fit under these names.
+fit_gbm = partial(_fit_ensemble, "gbm")
+fit_xgb = partial(_fit_ensemble, "xgboost")
+fit_catboost = partial(_fit_ensemble, "catboost")
 
 
 def fit(algorithm: str, train: Dataset, params: BoostParams | None = None):
+    """Fit one of ALGORITHMS; params default to default_params(algorithm)."""
     fitters = {
         "adaboost": fit_adaboost,
         "gbm": fit_gbm,
@@ -383,13 +353,12 @@ def raw_scores(model, data: Dataset) -> np.ndarray:
         for stump, alpha in model.stumps:
             margins = margins + alpha * predict_stump(stump, data.values)
         return margins
-    if isinstance(model, CatBoostModel):
+    Xe = data.values
+    if model.cat_encoding_state:
         Xe = _encode_matrix(data.values, model.schema, model.cat_encoding_state)
-    else:
-        Xe = data.values
     F = np.full(data.n_rows, model.base_score)
     for tree in model.trees:
-        F = F + model.learning_rate * tree.predict(Xe)
+        F = F + model.params.learning_rate * tree.predict(Xe)
     return F
 
 
@@ -397,8 +366,8 @@ def predict_scores(model, data: Dataset) -> np.ndarray:
     """Per-row probability-like scores in [0, 1]."""
     raw = raw_scores(model, data)
     if isinstance(model, AdaBoostModel):
-        return _sigmoid(2.0 * raw)
-    return _sigmoid(raw)
+        return sigmoid(2.0 * raw)
+    return sigmoid(raw)
 
 
 def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.ndarray:
@@ -419,51 +388,62 @@ def model_to_dict(model) -> dict:
         envelope["stumps"] = [
             {"stump": tree_to_dict(stump), "alpha": alpha} for stump, alpha in model.stumps
         ]
-        envelope["cat_encoding_state"] = None
-        return envelope
-    envelope["base_score"] = model.base_score
-    envelope["trees"] = [tree_to_dict(t) for t in model.trees]
-    if isinstance(model, CatBoostModel):
-        envelope["cat_encoding_state"] = [
-            {
-                "feature_index": e.feature_index,
-                "mode": e.mode,
-                "cardinality": e.cardinality,
-                "stats": list(e.stats) if e.stats is not None else None,
-            }
-            for e in model.cat_encoding_state
-        ]
     else:
-        envelope["cat_encoding_state"] = None
+        envelope["base_score"] = model.base_score
+        envelope["trees"] = [tree_to_dict(t) for t in model.trees]
+    envelope["cat_encoding_state"] = None
+    if model.algorithm == "catboost":
+        envelope["cat_encoding_state"] = [asdict(e) for e in model.cat_encoding_state]
     return envelope
 
 
+def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: FeatureSchema) -> None:
+    """Each encoding names a distinct categorical column of its cardinality,
+    and a target encoding carries one statistic per level."""
+    kinds = dict(enumerate(schema.kinds))
+    for e in encodings:
+        if (
+            kinds.pop(e.feature_index, None) != FeatureKind("categorical", e.cardinality)
+            or e.mode not in ("onehot", "target")
+            or (e.mode == "target" and len(e.stats or ()) != e.cardinality)
+        ):
+            raise MalformedModel(f"cat_encoding_state: bad entry for column {e.feature_index!r}")
+
+
 def model_from_dict(d: dict):
-    algorithm = d["algorithm"]
-    params = BoostParams(**d["params"])
-    schema = FeatureSchema.from_dict(d["schema"])
-    if algorithm == "adaboost":
-        stumps = [(tree_from_dict(s["stump"]), float(s["alpha"])) for s in d["stumps"]]
-        return AdaBoostModel(stumps, schema, params)
-    trees = [tree_from_dict(t) for t in d["trees"]]
-    if algorithm == "gbm":
-        return GbmModel(d["base_score"], trees, params.learning_rate, schema, params)
-    if algorithm == "xgboost":
-        return XgbModel(d["base_score"], trees, params.learning_rate, schema, params)
-    if algorithm == "catboost":
+    """Rebuild a model from its dict form; raises MalformedModel on any defect."""
+    try:
+        if d["format_version"] != MODEL_FORMAT_VERSION:
+            raise MalformedModel(f"unsupported format_version {d['format_version']!r}")
+        algorithm = d["algorithm"]
+        params = BoostParams(**d["params"])
+        schema = FeatureSchema.from_dict(d["schema"])
+        if algorithm == "adaboost":
+            stumps = [
+                (tree_from_dict(s["stump"], schema.n_features), float(s["alpha"]))
+                for s in d["stumps"]
+            ]
+            return AdaBoostModel(stumps, schema, params)
+        if algorithm not in ALGORITHMS:
+            raise MalformedModel(f"unknown algorithm {algorithm!r}")
         encodings = tuple(
             CategoricalEncoding(
                 e["feature_index"],
                 e["mode"],
                 e["cardinality"],
-                tuple(e["stats"]) if e["stats"] is not None else None,
+                tuple(float(s) for s in e["stats"]) if e["stats"] is not None else None,
             )
-            for e in d["cat_encoding_state"]
+            for e in d["cat_encoding_state"] or ()
         )
-        return CatBoostModel(
-            d["base_score"], trees, params.learning_rate, encodings, schema, params
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+        _check_encodings(encodings, schema)
+        # the trees read _encode_matrix's output: one-hot columns widen it
+        width = schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
+        trees = [tree_from_dict(t, width) for t in d["trees"]]
+        return TreeEnsemble(algorithm, float(d["base_score"]), trees, schema, params, encodings)
+    except KeyError as exc:
+        raise MalformedModel(f"missing key {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError, RecursionError) as exc:
+        raise MalformedModel(f"bad value: {exc}") from None
 
 
 def model_to_json(model) -> str:
@@ -477,5 +457,9 @@ def save_model(model, path) -> None:
 
 
 def load_model(path):
-    with open(path, encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+    """Read a model file; bad JSON or content raises MalformedModel naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return model_from_dict(json.load(fh))
+    except (ValueError, MalformedModel) as exc:  # ValueError: bad JSON or bad UTF-8
+        raise MalformedModel(f"{path}: {exc}") from None

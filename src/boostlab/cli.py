@@ -1,9 +1,13 @@
 """Command-line entry point: train / predict / eval / compare / synth.
 
-Exit codes: 0 success, 1 usage error, 2 data or model error. Output files are
-written atomically (temp file + rename), so a failing run never leaves a
-half-written file behind. The BOOSTLAB_SEED environment variable overrides
-the default seed wherever --seed is not given explicitly.
+Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
+unknown or missing flag, or a value BoostParams or SplitSpec rejects, such as
+--seed -1, --rounds -1, --test-fraction 2 or --threshold 7; 2 data or model
+error, on one stderr line: a missing file or a malformed CSV, schema or model
+file. Output files are written atomically (temp file + rename), so a failing
+run never leaves a half-written file behind. The BOOSTLAB_SEED environment
+variable sets the seed wherever --seed is not given, and is checked as --seed
+is: BOOSTLAB_SEED=abc or -1 exits 1.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,12 +37,13 @@ from .boost import (
 from .dataset import (
     Dataset,
     FeatureSchema,
-    dataset_to_csv_text,
+    SplitSpec,
     infer_schema,
     load_csv,
     load_features_csv,
     pcos_default_schema,
     synthesize,
+    write_csv,
 )
 from .errors import BoostlabError, LengthMismatch, MalformedCsv
 from .metrics import (
@@ -64,22 +69,11 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(self, message)
 
 
-def _resolve_seed(explicit: int | None) -> int:
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("BOOSTLAB_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise MalformedCsv(f"BOOSTLAB_SEED is not an integer: {env!r}") from None
-    return DEFAULT_SEED
-
-
 def _add_param_flags(p: argparse.ArgumentParser):
-    p.add_argument("--rounds", type=int, default=None, help="boosting rounds")
+    # Each dest is the BoostParams field the flag overrides (see _overrides).
+    p.add_argument("--rounds", dest="n_rounds", type=int, default=None, help="boosting rounds")
     p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--depth", type=int, default=None, help="tree depth")
+    p.add_argument("--depth", dest="max_depth", type=int, default=None, help="tree depth")
     p.add_argument("--lambda", dest="reg_lambda", type=float, default=None, help="L2 leaf penalty")
     p.add_argument("--gamma", type=float, default=None, help="minimum split gain")
     p.add_argument("--min-child-weight", type=float, default=None)
@@ -90,22 +84,33 @@ def _add_param_flags(p: argparse.ArgumentParser):
     p.add_argument("--preset", choices=["paper"], default=None)
 
 
-def _build_params(args, algorithm: str, seed: int) -> BoostParams:
-    params = paper_preset(algorithm) if args.preset == "paper" else default_params(algorithm)
-    params = replace(params, seed=seed)
-    overrides = {
-        "n_rounds": args.rounds,
-        "learning_rate": args.learning_rate,
-        "max_depth": args.depth,
-        "reg_lambda": args.reg_lambda,
-        "gamma": args.gamma,
-        "min_child_weight": args.min_child_weight,
-        "cat_one_hot_max": args.cat_one_hot_max,
-        "cat_prior": args.cat_prior,
-        "threshold": args.threshold,
-    }
-    set_fields = {k: v for k, v in overrides.items() if v is not None}
-    return replace(params, **set_fields)
+def _given(args, cls) -> dict:
+    """The flags given on the command line whose dest is a field of dataclass cls."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(cls)}
+    return {name: value for name, value in given.items() if value is not None}
+
+
+def _overrides(args) -> dict:
+    """The BoostParams fields the command line sets, checked at the boundary.
+
+    The seed, for commands that take one, is --seed, else BOOSTLAB_SEED, else
+    42. Every value must pass BoostParams' own checks, and --test-fraction
+    SplitSpec's; a value that fails is a usage error (exit 1).
+    """
+    overrides = _given(args, BoostParams)
+    if hasattr(args, "seed") and args.seed is None:
+        env = os.environ.get("BOOSTLAB_SEED", str(DEFAULT_SEED))
+        try:
+            overrides["seed"] = int(env)
+        except ValueError:
+            args.parser.error(f"BOOSTLAB_SEED: invalid int value: {env!r}")
+    try:
+        BoostParams(**overrides)
+        if getattr(args, "test_fraction", None) is not None:
+            SplitSpec(args.test_fraction, 0)
+    except ValueError as exc:
+        args.parser.error(str(exc))
+    return overrides
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -127,54 +132,38 @@ def _load_dataset(args, path) -> Dataset:
     return load_csv(path, schema)
 
 
-def _read_scores_csv(path) -> np.ndarray:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != ["score"]:
-            raise MalformedCsv(f"{path}: expected a single-column header 'score'")
-        try:
-            values = [float(row[0]) for row in reader if row]
-        except (ValueError, IndexError):
-            raise MalformedCsv(f"{path}: unparsable score cell") from None
-    scores = np.asarray(values, dtype=np.float64)
-    if scores.size == 0:
-        raise MalformedCsv(f"{path}: no scores")
-    if not np.isfinite(scores).all():
-        raise MalformedCsv(f"{path}: scores must be finite")
-    return scores
+def _binary_label(cell: str) -> int:
+    if cell.strip() not in ("0", "1"):
+        raise ValueError(cell)
+    return int(cell)
 
 
-def _read_label_csv(path) -> np.ndarray:
+def _read_column(path, name: str, parse) -> np.ndarray:
+    """The cells of a one-column CSV headed `name`, each converted by parse.
+
+    Blank lines are skipped. A wrong header, a cell that parse rejects with
+    ValueError, a non-finite value and an empty column are MalformedCsv.
+    """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, [])] != [name]:
+            raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedCsv(f"{path}: file is empty") from None
-        if [h.strip() for h in header] != ["label"]:
-            raise MalformedCsv(f"{path}: expected a single-column header 'label'")
-        values = []
-        for row in reader:
-            if not row:
-                continue
-            cell = row[0].strip()
-            if cell not in ("0", "1"):
-                raise MalformedCsv(f"{path}: label {cell!r} is not 0/1")
-            values.append(int(cell))
-    if not values:
-        raise MalformedCsv(f"{path}: no labels")
-    return np.asarray(values, dtype=np.int64)
+            column = np.asarray([parse(row[0]) for row in reader if row])
+        except ValueError:
+            raise MalformedCsv(f"{path}: unparsable {name} cell") from None
+    if column.size == 0:
+        raise MalformedCsv(f"{path}: no {name} rows")
+    if not np.isfinite(column).all():
+        raise MalformedCsv(f"{path}: {name} cells must be finite")
+    return column
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args.seed)
+    overrides = _overrides(args)
     data = _load_dataset(args, args.data)
-    params = _build_params(args, args.algo, seed)
-    model = fit(args.algo, data, params)
+    base = paper_preset(args.algo) if args.preset == "paper" else default_params(args.algo)
+    model = fit(args.algo, data, replace(base, **overrides))
     save_model(model, args.model_out)
     print(f"trained {args.algo} on {data.n_rows} rows -> {args.model_out}")
     return 0
@@ -192,9 +181,10 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    scores = _read_scores_csv(args.scores)
+    _overrides(args)  # checks --threshold
+    scores = _read_column(args.scores, "score", float)
     if args.truth is not None:
-        truth = _read_label_csv(args.truth)
+        truth = _read_column(args.truth, "label", _binary_label)
     else:
         truth = _load_dataset(args, args.data).labels
     if scores.shape != truth.shape:
@@ -220,63 +210,27 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    seed = _resolve_seed(args.seed)
+    overrides = _overrides(args)
     if args.preset == "paper":
-        config = paper_preset_config(seed)
-        base_params = dict(config.params)
+        config = paper_preset_config(overrides["seed"])
     else:
-        config = None
-        base_params = {algo: default_params(algo) for algo in ALGORITHMS}
-
-    overrides = {
-        "n_rounds": args.rounds,
-        "learning_rate": args.learning_rate,
-        "max_depth": args.depth,
-        "reg_lambda": args.reg_lambda,
-        "gamma": args.gamma,
-        "min_child_weight": args.min_child_weight,
-        "cat_one_hot_max": args.cat_one_hot_max,
-        "cat_prior": args.cat_prior,
-        "threshold": args.threshold,
-    }
-    set_fields = {k: v for k, v in overrides.items() if v is not None}
-    params = {
-        algo: replace(p, seed=seed, **set_fields) for algo, p in base_params.items()
-    }
-
-    if args.synthetic:
-        defaults = config.synthetic if config is not None else SyntheticSpec(n=500)
-        synthetic = SyntheticSpec(
-            n=args.n if args.n is not None else defaults.n,
-            signal_strength=(
-                args.signal_strength
-                if args.signal_strength is not None
-                else defaults.signal_strength
-            ),
-            missing_rate=(
-                args.missing_rate if args.missing_rate is not None else defaults.missing_rate
-            ),
+        config = BenchmarkConfig(
+            synthetic=SyntheticSpec(n=500),
+            params={algo: default_params(algo) for algo in ALGORITHMS},
         )
-        csv_path = None
-    else:
-        synthetic = None
-        csv_path = args.data
-
-    test_fraction = args.test_fraction
-    if test_fraction is None:
-        test_fraction = config.test_fraction if config is not None else 0.2
-
-    bench_config = BenchmarkConfig(
-        csv_path=csv_path,
-        synthetic=synthetic,
+    synthetic = replace(config.synthetic, **_given(args, SyntheticSpec))
+    config = replace(
+        config,
+        csv_path=None if args.synthetic else args.data,
+        synthetic=synthetic if args.synthetic else None,
         schema=_load_schema_arg(args),
         label_column=args.label,
-        test_fraction=test_fraction,
-        seed=seed,
-        threshold=args.threshold if args.threshold is not None else 0.5,
-        params=params,
+        test_fraction=config.test_fraction if args.test_fraction is None else args.test_fraction,
+        seed=overrides["seed"],
+        threshold=overrides.get("threshold", config.threshold),
+        params={algo: replace(p, **overrides) for algo, p in config.params.items()},
     )
-    report = run_benchmark(bench_config, args.out)
+    report = run_benchmark(config, args.out)
     print(f"benchmark complete: report.json, table.txt, table.csv, 8 curve CSVs -> {args.out}")
     for algo, r in report.results.items():
         print(f"  {algo}: test_acc={r.test_accuracy:.4f} auc={r.auc:.4f}")
@@ -284,12 +238,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _resolve_seed(args.seed)
+    seed = _overrides(args)["seed"]
     schema = _load_schema_arg(args)
     if schema is None:
         schema = pcos_default_schema()
     data = synthesize(schema, args.n, seed, args.signal_strength, args.missing_rate)
-    atomic_write_text(args.out, dataset_to_csv_text(data))
+    write_csv(args.out, data)
     print(f"wrote {data.n_rows} rows -> {args.out}")
     return 0
 
@@ -339,6 +293,8 @@ def build_parser() -> _Parser:
     p_synth.add_argument("--schema", default=None, help="schema JSON file")
     p_synth.add_argument("--out", required=True, help="output CSV path")
 
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)  # for usage errors found after parsing
     return parser
 
 
@@ -355,14 +311,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         exc.parser.print_usage(sys.stderr)
         print(f"{exc.parser.prog}: error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return _COMMANDS[args.command](args)
     except BoostlabError as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -224,22 +224,28 @@ def _parse_cell(text: str, kind: FeatureKind, column: str, row_no: int) -> float
     return float(value)
 
 
-def load_csv(path, schema: FeatureSchema) -> Dataset:
-    """Load a UTF-8 comma-separated file whose header matches the schema (any order).
+def _read_header(reader, path) -> list[str]:
+    """The stripped header cells of a CSV; empty files and repeated names are errors."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise EmptyDataset(f"{path}: file is empty") from None
+    if len(set(header)) != len(header):
+        raise MalformedCsv(f"{path}: duplicate header columns")
+    return header
 
-    Empty cells and the literal token "NA" become missing values; the label
-    column must contain exactly "0" or "1".
+
+def _read_table(path, schema: FeatureSchema, *, label_required: bool):
+    """Feature matrix and 0/1 labels of a CSV with the schema's columns in any order.
+
+    Without label_required the label column may be absent, its cells are not
+    read, and the labels come back as None.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-        if len(set(header)) != len(header):
-            raise MalformedCsv(f"{path}: duplicate header columns")
+        header = _read_header(reader, path)
         expected = set(schema.feature_names) | {schema.label_column}
-        got = set(header)
+        got = set(header) if label_required else set(header) | {schema.label_column}
         if got != expected:
             missing = sorted(expected - got)
             extra = sorted(got - expected)
@@ -249,8 +255,8 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
             if extra:
                 parts.append(f"unexpected {extra}")
             raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
-        col_pos = {name: header.index(name) for name in header}
-        label_pos = col_pos[schema.label_column]
+        columns = [(header.index(name), kind, name) for name, kind in schema.columns]
+        label_pos = header.index(schema.label_column) if label_required else None
 
         rows = []
         labels = []
@@ -259,19 +265,25 @@ def load_csv(path, schema: FeatureSchema) -> Dataset:
                 raise MalformedCsv(
                     f"{path}: row {row_no} has {len(raw)} cells, expected {len(header)}"
                 )
-            label_text = raw[label_pos].strip()
-            if label_text not in ("0", "1"):
-                raise LabelNotBinary(f"{path}: row {row_no} label {label_text!r} is not 0/1")
-            labels.append(int(label_text))
-            rows.append(
-                [
-                    _parse_cell(raw[col_pos[name]], kind, name, row_no)
-                    for name, kind in schema.columns
-                ]
-            )
+            if label_pos is not None:
+                label_text = raw[label_pos].strip()
+                if label_text not in ("0", "1"):
+                    raise LabelNotBinary(f"{path}: row {row_no} label {label_text!r} is not 0/1")
+                labels.append(int(label_text))
+            rows.append([_parse_cell(raw[pos], kind, name, row_no) for pos, kind, name in columns])
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")
-    return Dataset(schema, np.array(rows, dtype=np.float64), np.array(labels))
+    return np.array(rows, dtype=np.float64), np.array(labels) if label_required else None
+
+
+def load_csv(path, schema: FeatureSchema) -> Dataset:
+    """Load a UTF-8 comma-separated file whose header matches the schema (any order).
+
+    Empty cells and the literal token "NA" become missing values; the label
+    column must contain exactly "0" or "1".
+    """
+    values, labels = _read_table(path, schema, label_required=True)
+    return Dataset(schema, values, labels)
 
 
 def dataset_to_csv_text(data: Dataset) -> str:
@@ -303,37 +315,7 @@ def write_csv(path, data: Dataset) -> None:
 
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
     """Parse only the feature columns of a CSV; the label column may be absent."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-        if len(set(header)) != len(header):
-            raise MalformedCsv(f"{path}: duplicate header columns")
-        expected = set(schema.feature_names)
-        got = set(header) - {schema.label_column}
-        if got != expected:
-            raise UnknownColumn(
-                f"{path}: header mismatch: missing {sorted(expected - got)}, "
-                f"unexpected {sorted(got - expected)}"
-            )
-        col_pos = {name: header.index(name) for name in schema.feature_names}
-        rows = []
-        for row_no, raw in enumerate(reader, start=2):
-            if len(raw) != len(header):
-                raise MalformedCsv(
-                    f"{path}: row {row_no} has {len(raw)} cells, expected {len(header)}"
-                )
-            rows.append(
-                [
-                    _parse_cell(raw[col_pos[name]], kind, name, row_no)
-                    for name, kind in schema.columns
-                ]
-            )
-    if not rows:
-        raise EmptyDataset(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64)
+    return _read_table(path, schema, label_required=False)[0]
 
 
 def infer_schema(path, label_column: str) -> FeatureSchema:
@@ -345,10 +327,7 @@ def infer_schema(path, label_column: str) -> FeatureSchema:
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
+        header = _read_header(reader, path)
         if label_column not in header:
             raise UnknownColumn(f"{path}: no column named {label_column!r}")
         texts = {name: [] for name in header if name != label_column}
@@ -385,15 +364,6 @@ def infer_schema(path, label_column: str) -> FeatureSchema:
     return FeatureSchema(columns, label_column)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 # Logit gain and per-feature weight decay: earlier schema columns carry most of
 # the signal, so shallow trees can rank well at moderate signal_strength while
 # signal_strength = 0 still means label/feature independence.
@@ -416,6 +386,8 @@ def synthesize(
     labels independent of the features. Missing values (NaN) are injected into
     numeric columns at missing_rate.
     """
+    from .boost import sigmoid
+
     if schema.n_features == 0:
         raise DegenerateSchema("schema has no feature columns")
     if n < 2:
@@ -450,7 +422,7 @@ def synthesize(
     scale = _WEIGHT_DECAY ** np.arange(d)
     norm = math.sqrt(float((scale * scale).sum()))
     logits = _SIGNAL_GAIN * signal_strength * (contrib * scale).sum(axis=1) / norm
-    p1 = _sigmoid(logits)
+    p1 = sigmoid(logits)
     for _ in range(_LABEL_RESAMPLE_TRIES):
         labels = (rng.random(n) < p1).astype(np.int64)
         if labels.any() and not labels.all():

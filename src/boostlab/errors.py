@@ -33,6 +33,10 @@ class EmptyData(BoostlabError):
     """A fit was called on zero rows."""
 
 
+class MalformedModel(BoostlabError):
+    """A model file is not JSON or does not match the model format it claims."""
+
+
 class SchemaMismatch(BoostlabError):
     """Prediction input does not conform to the training schema."""
 

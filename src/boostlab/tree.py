@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import FeatureKind
-from .errors import EmptyData, SchemaMismatch
+from .errors import EmptyData, MalformedModel, SchemaMismatch
 
 _ORIENTATIONS = ((-1, 1), (1, -1))
 
@@ -542,14 +542,24 @@ def tree_to_dict(tree) -> dict:
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
 
-def tree_from_dict(d: dict):
+def tree_from_dict(d: dict, n_features: int):
+    """Rebuild a learner that reads an n_features-column matrix; a tree that
+    records another width or splits outside [0, n_features) is MalformedModel."""
     kind = d["kind"]
+    if kind != "stump" and d["n_features"] != n_features:
+        raise MalformedModel(f"{kind} tree reads {d['n_features']!r} columns, not {n_features}")
+
+    def feature(index):
+        if not (isinstance(index, int) and 0 <= index < n_features):
+            raise MalformedModel(f"feature_index {index!r} is outside [0, {n_features})")
+        return index
+
     if kind == "stump":
         return Stump(
-            d["feature_index"],
+            feature(d["feature_index"]),
             _threshold_from_json(d["threshold"]),
-            d["left_class"],
-            d["right_class"],
+            int(d["left_class"]),
+            int(d["right_class"]),
         )
     if kind == "regression":
         nodes = d["nodes"]
@@ -558,28 +568,30 @@ def tree_from_dict(d: dict):
             entry = nodes[i]
             if "value" in entry:
                 return TreeNode(
-                    value=entry["value"],
-                    grad_sum=entry.get("grad_sum", 0.0),
-                    hess_sum=entry.get("hess_sum", 0.0),
+                    value=float(entry["value"]),
+                    grad_sum=float(entry.get("grad_sum", 0.0)),
+                    hess_sum=float(entry.get("hess_sum", 0.0)),
                 )
             return TreeNode(
                 is_leaf=False,
-                feature_index=entry["feature_index"],
+                feature_index=feature(entry["feature_index"]),
                 threshold=_threshold_from_json(entry["threshold"]),
                 default_left=entry["default_direction"] == "left",
                 left=rec(entry["left"]),
                 right=rec(entry["right"]),
             )
 
-        return RegressionTree(rec(0), d["n_features"])
+        return RegressionTree(rec(0), n_features)
     if kind == "oblivious":
-        return ObliviousTree(
-            tuple(
-                (lv["feature_index"], _threshold_from_json(lv["threshold"])) for lv in d["levels"]
-            ),
-            np.array(d["leaf_values"], dtype=np.float64),
-            np.array(d["leaf_grad_sums"], dtype=np.float64),
-            np.array(d["leaf_hess_sums"], dtype=np.float64),
-            d["n_features"],
+        levels = tuple(
+            (feature(lv["feature_index"]), _threshold_from_json(lv["threshold"]))
+            for lv in d["levels"]
         )
-    raise ValueError(f"unknown tree kind {kind!r}")
+        leaves = [
+            np.array(d[key], dtype=np.float64)
+            for key in ("leaf_values", "leaf_grad_sums", "leaf_hess_sums")
+        ]
+        if any(a.shape != (2 ** len(levels),) for a in leaves):
+            raise MalformedModel(f"oblivious tree of depth {len(levels)} with wrong leaf count")
+        return ObliviousTree(levels, *leaves, n_features)
+    raise MalformedModel(f"unknown tree kind {kind!r}")

@@ -8,14 +8,11 @@ import pytest
 from boostlab.boost import (
     AdaBoostModel,
     BoostParams,
-    _fit_tree_boost,
+    _fit_ensemble,
     default_params,
     deviance,
     fit,
     fit_adaboost,
-    fit_catboost,
-    fit_gbm,
-    fit_xgb,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -26,6 +23,7 @@ from boostlab.boost import (
     predict_scores,
     raw_scores,
     save_model,
+    sigmoid,
 )
 from boostlab.dataset import (
     BINARY,
@@ -36,8 +34,8 @@ from boostlab.dataset import (
     pcos_default_schema,
     synthesize,
 )
-from boostlab.errors import SchemaMismatch, SingleClassDataset
-from boostlab.tree import predict_stump, tree_to_dict
+from boostlab.errors import MalformedModel, SchemaMismatch, SingleClassDataset
+from boostlab.tree import fit_regression_tree, predict_stump, tree_to_dict
 
 ONE_NUMERIC = FeatureSchema((("x", NUMERIC),), "y")
 
@@ -150,17 +148,17 @@ class TestAdaBoost:
 class TestGbm:
     def test_balanced_base_score_zero(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
-        model = fit_gbm(data)
+        model = fit("gbm", data)
         assert model.base_score == 0.0
 
     def test_unbalanced_base_score(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 1, 1, 1])
-        model = fit_gbm(data)
+        model = fit("gbm", data)
         assert model.base_score == pytest.approx(math.log(3.0))
 
     def test_zero_rounds_predicts_base_rate(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 1, 1, 1])
-        model = fit_gbm(data, replace(default_params("gbm"), n_rounds=0))
+        model = fit("gbm", data, replace(default_params("gbm"), n_rounds=0))
         assert predict_scores(model, data) == pytest.approx([0.75] * 4)
 
     def test_default_learning_rate_is_paper_value(self):
@@ -168,7 +166,7 @@ class TestGbm:
 
     def test_deviance_non_increasing(self):
         data = synthesize(pcos_default_schema(), 150, 8, 1.5)
-        model = fit_gbm(data, replace(default_params("gbm"), n_rounds=30))
+        model = fit("gbm", data, replace(default_params("gbm"), n_rounds=30))
         losses = model.train_loss
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -177,13 +175,13 @@ class TestXgb:
     def test_huge_lambda_collapses_to_base_rate(self):
         data = synthesize(pcos_default_schema(), 100, 9, 1.5)
         params = replace(default_params("xgboost"), reg_lambda=1e12, n_rounds=10)
-        model = fit_xgb(data, params)
+        model = fit("xgboost", data, params)
         base_rate = data.labels.mean()
         assert np.allclose(predict_scores(model, data), base_rate, atol=1e-6)
 
     def test_missing_values_fit_and_predict(self):
         data = synthesize(pcos_default_schema(), 200, 10, 1.5, missing_rate=0.3)
-        model = fit_xgb(data, replace(default_params("xgboost"), n_rounds=20))
+        model = fit("xgboost", data, replace(default_params("xgboost"), n_rounds=20))
         scores = predict_scores(model, data)
         assert np.isfinite(scores).all()
         assert ((scores >= 0) & (scores <= 1)).all()
@@ -191,17 +189,30 @@ class TestXgb:
     def test_unit_hessians_reproduce_gbm_trees(self):
         data = synthesize(pcos_default_schema(), 120, 11, 1.5)
         params = replace(default_params("xgboost"), n_rounds=8, reg_lambda=0.0, gamma=0.0)
-        base_first, trees_first, _ = _fit_tree_boost(data, params, second_order=False)
-        gbm = fit_gbm(data, params)
-        assert base_first == gbm.base_score
-        assert [tree_to_dict(t) for t in trees_first] == [tree_to_dict(t) for t in gbm.trees]
+        gbm = _fit_ensemble("gbm", data, params)
+        # replay first-order boosting: residual trees fitted with unit hessians
+        y = data.labels.astype(float)
+        F = np.full(data.n_rows, gbm.base_score)
+        for tree in gbm.trees:
+            replayed = fit_regression_tree(
+                data.values,
+                sigmoid(F) - y,
+                np.ones(data.n_rows),
+                data.schema.kinds,
+                max_depth=params.max_depth,
+                min_child_weight=params.min_child_weight,
+                reg_lambda=params.reg_lambda,
+                gamma=params.gamma,
+            )
+            assert tree_to_dict(replayed) == tree_to_dict(tree)
+            F = F + params.learning_rate * replayed.predict(data.values)
         # and the genuine second-order fit differs structurally on this data
-        xgb = fit_xgb(data, params)
+        xgb = _fit_ensemble("xgboost", data, params)
         assert [tree_to_dict(t) for t in xgb.trees] != [tree_to_dict(t) for t in gbm.trees]
 
     def test_deviance_non_increasing(self):
         data = synthesize(pcos_default_schema(), 150, 12, 1.5)
-        model = fit_xgb(data, replace(default_params("xgboost"), n_rounds=30))
+        model = fit("xgboost", data, replace(default_params("xgboost"), n_rounds=30))
         losses = model.train_loss
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
@@ -256,7 +267,7 @@ class TestOrderedTargetStats:
 class TestCatBoost:
     def test_one_hot_and_target_modes(self):
         data = cat_dataset()
-        model = fit_catboost(data, replace(default_params("catboost"), n_rounds=5))
+        model = fit("catboost", data, replace(default_params("catboost"), n_rounds=5))
         modes = {e.feature_index: e.mode for e in model.cat_encoding_state}
         assert modes == {0: "target", 2: "onehot"}  # cardinality 5 vs 2
         target = [e for e in model.cat_encoding_state if e.mode == "target"][0]
@@ -268,7 +279,7 @@ class TestCatBoost:
         values = data.values.copy()
         values[values[:, 0] == 4.0, 0] = 3.0
         train = Dataset(CAT_SCHEMA, values, data.labels)
-        model = fit_catboost(train, replace(default_params("catboost"), n_rounds=3))
+        model = fit("catboost", train, replace(default_params("catboost"), n_rounds=3))
         target = [e for e in model.cat_encoding_state if e.mode == "target"][0]
         assert target.stats[4] == pytest.approx(model.params.cat_prior / 1.0)
 
@@ -276,19 +287,19 @@ class TestCatBoost:
         data = synthesize(
             FeatureSchema((("a", BINARY), ("b", BINARY), ("c", BINARY)), "y"), 80, 3, 1.0
         )
-        model = fit_catboost(data, replace(default_params("catboost"), n_rounds=5))
+        model = fit("catboost", data, replace(default_params("catboost"), n_rounds=5))
         assert model.cat_encoding_state == ()
 
     def test_deviance_non_increasing(self):
         data = cat_dataset(150, 2)
-        model = fit_catboost(data, replace(default_params("catboost"), n_rounds=30))
+        model = fit("catboost", data, replace(default_params("catboost"), n_rounds=30))
         losses = model.train_loss
         assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
     def test_single_class_raises(self):
         data = numeric_dataset([1, 2], [1, 1])
         with pytest.raises(SingleClassDataset):
-            fit_catboost(data)
+            fit("catboost", data)
 
 
 class TestPredictInterface:
@@ -307,7 +318,7 @@ class TestPredictInterface:
 
     def test_row_order_invariance(self):
         data = synthesize(pcos_default_schema(), 60, 4, 1.5)
-        model = fit_xgb(data, replace(default_params("xgboost"), n_rounds=5))
+        model = fit("xgboost", data, replace(default_params("xgboost"), n_rounds=5))
         perm = np.random.default_rng(0).permutation(60)
         permuted = data.subset(perm)
         assert predict_scores(model, permuted) == pytest.approx(
@@ -317,7 +328,7 @@ class TestPredictInterface:
     def test_schema_mismatch(self):
         data = synthesize(pcos_default_schema(), 30, 4, 1.0)
         other = numeric_dataset([1, 2], [0, 1])
-        model = fit_gbm(data, replace(default_params("gbm"), n_rounds=2))
+        model = fit("gbm", data, replace(default_params("gbm"), n_rounds=2))
         with pytest.raises(SchemaMismatch):
             predict_scores(model, other)
 
@@ -335,7 +346,7 @@ class TestSerialization:
 
     def test_envelope_fields(self):
         data = cat_dataset(40, 6)
-        model = fit_catboost(data, replace(default_params("catboost"), n_rounds=2))
+        model = fit("catboost", data, replace(default_params("catboost"), n_rounds=2))
         d = model_to_dict(model)
         assert set(d) == {
             "format_version",
@@ -355,3 +366,56 @@ class TestSerialization:
             a = model_to_json(fit(algorithm, data, params))
             b = model_to_json(fit(algorithm, data, params))
             assert a == b
+
+
+def _set_path(d, path, value):
+    """d with the entry at the key/index path replaced by value (in place)."""
+    for key in path[:-1]:
+        d = d[key]
+    d[path[-1]] = value
+
+
+class TestMalformedModel:
+    def model_dict(self, algorithm):
+        data = synthesize(pcos_default_schema(), 60, 14, 1.5)
+        params = replace(default_params(algorithm), n_rounds=2, max_depth=2)
+        return model_to_dict(fit(algorithm, data, params))
+
+    def test_other_format_version_rejected(self):
+        d = self.model_dict("gbm")
+        d["format_version"] = 99
+        with pytest.raises(MalformedModel, match="format_version 99"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "algorithm, path, value",
+        [
+            ("adaboost", ("stumps", 0, "stump", "feature_index"), 12),
+            ("adaboost", ("stumps", 0, "stump", "feature_index"), -1),
+            ("gbm", ("trees", 0, "n_features"), 13),
+            ("gbm", ("params", "n_rounds"), "many"),
+            ("xgboost", ("schema", "columns", 0, "kind"), "ordinal"),
+            ("catboost", ("trees", 0, "levels", 0, "feature_index"), 12),
+            ("catboost", ("trees", 0, "leaf_values"), [0.0]),
+            ("catboost", ("cat_encoding_state", 0, "mode"), "bogus"),
+            ("catboost", ("cat_encoding_state", 0, "stats"), [0.5]),
+            ("catboost", ("cat_encoding_state", 0, "feature_index"), 0),
+        ],
+    )
+    def test_bad_entry_rejected(self, algorithm, path, value):
+        d = self.model_dict(algorithm)
+        _set_path(d, path, value)
+        with pytest.raises(MalformedModel):
+            model_from_dict(d)
+
+    def test_missing_key_named(self):
+        d = self.model_dict("catboost")
+        del d["trees"]
+        with pytest.raises(MalformedModel, match="missing key 'trees'"):
+            model_from_dict(d)
+
+    def test_bad_json_names_the_file(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text("{")
+        with pytest.raises(MalformedModel, match="model.json"):
+            load_model(path)

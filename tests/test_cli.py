@@ -1,0 +1,238 @@
+"""The command line through cli.main: every subcommand and the exit-code contract.
+
+0 is success (and --help), 1 a usage error with a usage line, 2 a data or
+model error reported on exactly one stderr line.
+"""
+
+import json
+
+import pytest
+
+from boostlab import cli
+
+ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
+
+
+@pytest.fixture(autouse=True)
+def _no_env_seed(monkeypatch):
+    monkeypatch.delenv("BOOSTLAB_SEED", raising=False)
+
+
+def run(capsys, *argv):
+    code = cli.main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def train(capsys, algo, data, model, *extra):
+    return run(capsys, "train", "--algo", algo, "--data", data, "--model-out", model, *extra)
+
+
+@pytest.fixture
+def data_csv(tmp_path, capsys):
+    path = tmp_path / "data.csv"
+    assert run(capsys, "synth", "--n", 80, "--seed", 3, "--out", path)[0] == 0
+    return path
+
+
+@pytest.fixture
+def model_file(tmp_path, capsys, data_csv):
+    path = tmp_path / "model.json"
+    assert train(capsys, "xgboost", data_csv, path, "--rounds", 3)[0] == 0
+    return path
+
+
+@pytest.fixture
+def scores_csv(tmp_path, capsys, data_csv, model_file):
+    path = tmp_path / "scores.csv"
+    code, _, _ = run(
+        capsys, "predict", "--model", model_file, "--data", data_csv, "--scores-out", path
+    )
+    assert code == 0
+    return path
+
+
+def read_column(path):
+    lines = path.read_text().splitlines()
+    return lines[0], lines[1:]
+
+
+class TestSuccess:
+    def test_help_exits_zero(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0 and "train" in out
+        code, out, _ = run(capsys, "compare", "--help")
+        assert code == 0 and "--test-fraction" in out
+
+    def test_synth_writes_rows(self, data_csv):
+        header, rows = read_column(data_csv)
+        assert header.endswith(",pcos") and len(rows) == 80
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_train_writes_model(self, tmp_path, capsys, data_csv, algo):
+        path = tmp_path / f"{algo}.json"
+        code, out, _ = train(capsys, algo, data_csv, path, "--rounds", 2)
+        assert code == 0 and "trained" in out
+        saved = json.loads(path.read_text())
+        assert saved["algorithm"] == algo and saved["params"]["n_rounds"] == 2
+
+    def test_predict_writes_one_score_per_row(self, scores_csv):
+        header, rows = read_column(scores_csv)
+        assert header == "score" and len(rows) == 80
+        assert all(0.0 <= float(s) <= 1.0 for s in rows)
+
+    def test_eval_with_data_and_with_truth_agree(self, tmp_path, capsys, data_csv, scores_csv):
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        code, _, _ = run(capsys, "eval", "--scores", scores_csv, "--data", data_csv, "--out", out_a)
+        assert code == 0
+        truth = tmp_path / "truth.csv"
+        labels = [line.rsplit(",", 1)[1] for line in data_csv.read_text().splitlines()[1:]]
+        truth.write_text("label\n" + "\n".join(labels) + "\n")
+        code, _, _ = run(capsys, "eval", "--scores", scores_csv, "--truth", truth, "--out", out_b)
+        assert code == 0
+        for name in ("metrics.json", "roc.csv", "pr.csv"):
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
+        metrics = json.loads((out_a / "metrics.json").read_text())
+        assert metrics["n"] == 80 and 0.0 <= metrics["auc"] <= 1.0
+
+    def test_compare_writes_every_report_file(self, tmp_path, capsys):
+        out_dir = tmp_path / "cmp"
+        code, out, _ = run(
+            capsys, "compare", "--synthetic", "--n", 80, "--rounds", 2, "--out", out_dir
+        )
+        assert code == 0 and "catboost" in out
+        curves = {f"{kind}_{algo}.csv" for kind in ("roc", "pr") for algo in ALGOS}
+        expected = {"report.json", "table.txt", "table.csv"} | curves
+        assert {p.name for p in out_dir.iterdir()} == expected
+
+    def test_env_seed_is_the_default_seed(self, tmp_path, capsys, monkeypatch):
+        run(capsys, "synth", "--n", 30, "--seed", 9, "--out", tmp_path / "flag.csv")
+        monkeypatch.setenv("BOOSTLAB_SEED", "9")
+        run(capsys, "synth", "--n", 30, "--out", tmp_path / "env.csv")
+        assert (tmp_path / "flag.csv").read_bytes() == (tmp_path / "env.csv").read_bytes()
+
+
+def assert_usage_error(code, err, message):
+    assert code == 1
+    assert "usage:" in err and message in err
+    assert "Traceback" not in err
+
+
+class TestUsageErrors:
+    def test_unknown_flag(self, capsys):
+        code, _, err = run(capsys, "synth", "--n", 5, "--out", "x.csv", "--bogus")
+        assert_usage_error(code, err, "unrecognized arguments")
+
+    def test_missing_required_flag(self, capsys):
+        code, _, err = run(capsys, "train", "--algo", "gbm")
+        assert_usage_error(code, err, "--data")
+
+    def test_negative_seed(self, tmp_path, capsys, data_csv):
+        code, _, err = train(capsys, "gbm", data_csv, tmp_path / "m.json", "--seed", -1)
+        assert_usage_error(code, err, "seed must be non-negative")
+
+    def test_negative_rounds(self, tmp_path, capsys, data_csv):
+        code, _, err = train(capsys, "gbm", data_csv, tmp_path / "m.json", "--rounds", -1)
+        assert_usage_error(code, err, "n_rounds must be >= 0")
+
+    def test_test_fraction_outside_unit_interval(self, tmp_path, capsys):
+        code, _, err = run(
+            capsys, "compare", "--synthetic", "--test-fraction", 2, "--out", tmp_path
+        )
+        assert_usage_error(code, err, "test_fraction must lie in (0, 1)")
+
+    def test_eval_threshold_outside_unit_interval(self, tmp_path, capsys, data_csv, scores_csv):
+        code, _, err = run(
+            capsys, "eval", "--scores", scores_csv, "--data", data_csv, "--out", tmp_path,
+            "--threshold", 7,
+        )
+        assert_usage_error(code, err, "threshold must lie in (0, 1)")
+
+    def test_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BOOSTLAB_SEED", "abc")
+        code, _, err = run(capsys, "synth", "--n", 30, "--out", tmp_path / "d.csv")
+        assert_usage_error(code, err, "BOOSTLAB_SEED: invalid int value: 'abc'")
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_env_seed_negative(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("BOOSTLAB_SEED", "-1")
+        code, _, err = run(capsys, "compare", "--synthetic", "--out", tmp_path)
+        assert_usage_error(code, err, "seed must be non-negative")
+
+
+def assert_data_error(code, err):
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1, err
+
+
+def split_on_column(model: dict, index: int) -> dict:
+    """The model with its first split node redirected to column index."""
+    node = next(n for n in model["trees"][0]["nodes"] if "feature_index" in n)
+    node["feature_index"] = index
+    return model
+
+
+class TestDataErrors:
+    def test_missing_data_file(self, tmp_path, capsys):
+        code, _, err = train(capsys, "gbm", tmp_path / "nope.csv", tmp_path / "m.json")
+        assert_data_error(code, err)
+        assert "nope.csv" in err
+
+    def test_malformed_csv(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("age,pcos\n25,1\n30\n")
+        code, _, err = train(capsys, "gbm", path, tmp_path / "m.json")
+        assert_data_error(code, err)
+
+    def test_eval_length_mismatch(self, tmp_path, capsys, data_csv):
+        scores = tmp_path / "s.csv"
+        scores.write_text("score\n0.5\n")
+        code, _, err = run(
+            capsys, "eval", "--scores", scores, "--data", data_csv, "--out", tmp_path
+        )
+        assert_data_error(code, err)
+
+    @pytest.mark.parametrize(
+        "name, text",
+        [
+            ("score", "scores\n0.5\n"),
+            ("score", "score\nabc\n"),
+            ("score", "score\nnan\n"),
+            ("score", "score\n\n"),
+            ("label", "label\n2\n"),
+        ],
+    )
+    def test_eval_bad_column_file(self, tmp_path, capsys, name, text):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_text(text)
+        good.write_text("score\n0.5\n" if name == "label" else "label\n1\n")
+        scores, truth = (good, bad) if name == "label" else (bad, good)
+        code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path)
+        assert_data_error(code, err)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: {"algorithm": "gbm"}, id="missing-keys"),
+            pytest.param(lambda d: {**d, "format_version": 99}, id="format-version-99"),
+            pytest.param(lambda d: split_on_column(d, 999), id="feature-index-999"),
+            pytest.param(lambda d: {**d, "base_score": "high"}, id="wrong-type"),
+        ],
+    )
+    def test_malformed_model_file(self, tmp_path, capsys, data_csv, edit):
+        model = tmp_path / "gbm.json"
+        assert train(capsys, "gbm", data_csv, model, "--rounds", 2)[0] == 0
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        scores = tmp_path / "s.csv"
+        code, _, err = run(
+            capsys, "predict", "--model", model, "--data", data_csv, "--scores-out", scores
+        )
+        assert_data_error(code, err)
+        assert not scores.exists()
+
+    def test_model_file_not_json(self, tmp_path, capsys, data_csv):
+        path = tmp_path / "broken.json"
+        path.write_text("{")
+        code, _, err = run(capsys, "predict", "--model", path, "--data", data_csv)
+        assert_data_error(code, err)
+        assert "broken.json" in err

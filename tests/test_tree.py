@@ -349,7 +349,7 @@ class TestPredictAndSerialize:
         obl = fit_oblivious_tree(X, grads, np.ones(30), kinds, depth=3, reg_lambda=1.0)
 
         for tree in (stump, reg, obl):
-            back = tree_from_dict(tree_to_dict(tree))
+            back = tree_from_dict(tree_to_dict(tree), X.shape[1])
             if isinstance(tree, Stump):
                 assert back == tree
             else:
