@@ -1,6 +1,6 @@
 """boostlab: boosting ensembles and binary-classification metrics from scratch."""
 
-from .bench import BenchmarkConfig, BenchmarkReport, SyntheticSpec, paper_preset_config, run_benchmark
+from .bench import BenchmarkConfig, BenchmarkReport, paper_preset_config, run_benchmark
 from .boost import (
     ALGORITHMS,
     AdaBoostModel,
@@ -22,6 +22,7 @@ from .dataset import (
     FeatureKind,
     FeatureSchema,
     SplitSpec,
+    SyntheticSpec,
     categorical,
     load_csv,
     pcos_default_schema,

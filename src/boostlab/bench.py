@@ -18,6 +18,7 @@ from .dataset import (
     Dataset,
     FeatureSchema,
     SplitSpec,
+    SyntheticSpec,
     infer_schema,
     load_csv,
     pcos_default_schema,
@@ -36,13 +37,6 @@ ALGO_LABELS = {
 PAPER_PRESET_N = 250
 PAPER_PRESET_TEST_ROWS = 48
 PAPER_PRESET_SIGNAL = 2.0
-
-
-@dataclass(frozen=True)
-class SyntheticSpec:
-    n: int
-    signal_strength: float = 2.0
-    missing_rate: float = 0.0
 
 
 @dataclass(frozen=True)

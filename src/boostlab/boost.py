@@ -38,6 +38,12 @@ ALGORITHMS = ("adaboost", "gbm", "xgboost", "catboost")
 MODEL_FORMAT_VERSION = 1
 
 
+def _check_threshold(threshold: float) -> None:
+    """A label threshold lies in (0, 1); NaN does not."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+
+
 @dataclass(frozen=True)
 class BoostParams:
     n_rounds: int = 100
@@ -68,8 +74,7 @@ class BoostParams:
             raise ValueError("cat_one_hot_max must be >= 1")
         if not 0.0 < self.cat_prior < 1.0:
             raise ValueError("cat_prior must lie in (0, 1)")
-        if not 0.0 < self.threshold < 1.0:
-            raise ValueError("threshold must lie in (0, 1)")
+        _check_threshold(self.threshold)
 
 
 _DEPTH_DEFAULTS = {"adaboost": 1, "gbm": 3, "xgboost": 3, "catboost": 6}
@@ -371,8 +376,10 @@ def predict_scores(model, data: Dataset) -> np.ndarray:
 
 
 def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.ndarray:
-    """Hard 0/1 labels; a score exactly at the threshold maps to 1."""
+    """Hard 0/1 labels; a score exactly at the threshold maps to 1. A threshold
+    outside (0, 1), or NaN, is a ValueError."""
     th = model.params.threshold if threshold is None else threshold
+    _check_threshold(th)
     return (predict_scores(model, data) >= th).astype(np.int64)
 
 

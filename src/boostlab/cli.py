@@ -1,13 +1,13 @@
 """Command-line entry point: train / predict / eval / compare / synth.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
-unknown or missing flag, or a value BoostParams or SplitSpec rejects, such as
---seed -1, --rounds -1, --test-fraction 2 or --threshold 7; 2 data or model
-error, on one stderr line: a missing file or a malformed CSV, schema or model
-file. Output files are written atomically (temp file + rename), so a failing
-run never leaves a half-written file behind. The BOOSTLAB_SEED environment
-variable sets the seed wherever --seed is not given, and is checked as --seed
-is: BOOSTLAB_SEED=abc or -1 exits 1.
+unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
+rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
+--n 1; 2 data or model error, on one stderr line: a missing file or a
+malformed CSV, schema or model file. Output files are written atomically
+(temp file + rename), so a failing run never leaves a half-written file
+behind. The BOOSTLAB_SEED environment variable sets the seed wherever --seed
+is not given, and is checked as --seed is: BOOSTLAB_SEED=abc or -1 exits 1.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fileio import atomic_write_text
-from .bench import BenchmarkConfig, SyntheticSpec, paper_preset_config, run_benchmark
+from .bench import BenchmarkConfig, paper_preset_config, run_benchmark
 from .boost import (
     ALGORITHMS,
     BoostParams,
@@ -38,6 +38,7 @@ from .dataset import (
     Dataset,
     FeatureSchema,
     SplitSpec,
+    SyntheticSpec,
     infer_schema,
     load_csv,
     load_features_csv,
@@ -94,8 +95,9 @@ def _overrides(args) -> dict:
     """The BoostParams fields the command line sets, checked at the boundary.
 
     The seed, for commands that take one, is --seed, else BOOSTLAB_SEED, else
-    42. Every value must pass BoostParams' own checks, and --test-fraction
-    SplitSpec's; a value that fails is a usage error (exit 1).
+    42. Every value must pass BoostParams' own checks, --test-fraction
+    SplitSpec's, and --n, --signal-strength and --missing-rate SyntheticSpec's;
+    a value that fails is a usage error (exit 1).
     """
     overrides = _given(args, BoostParams)
     if hasattr(args, "seed") and args.seed is None:
@@ -108,6 +110,8 @@ def _overrides(args) -> dict:
         BoostParams(**overrides)
         if getattr(args, "test_fraction", None) is not None:
             SplitSpec(args.test_fraction, 0)
+        # the given synthetic fields, over a valid row count when --n is not given
+        SyntheticSpec(**{"n": 2, **_given(args, SyntheticSpec)})
     except ValueError as exc:
         args.parser.error(str(exc))
     return overrides

@@ -174,6 +174,23 @@ class SplitSpec:
             raise ValueError("seed must be non-negative")
 
 
+@dataclass(frozen=True)
+class SyntheticSpec:
+    """Synthetic dataset parameters (see synthesize)."""
+
+    n: int
+    signal_strength: float = 2.0
+    missing_rate: float = 0.0
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("n must be >= 2")
+        if not self.signal_strength >= 0:  # NaN too
+            raise ValueError("signal_strength must be >= 0")
+        if not 0.0 <= self.missing_rate < 1.0:
+            raise ValueError("missing_rate must lie in [0, 1)")
+
+
 def pcos_default_schema() -> FeatureSchema:
     """Default 12-feature PCOS-screening-style schema (2 numeric, 9 binary, 1 categorical)."""
     cols = (
@@ -390,12 +407,7 @@ def synthesize(
 
     if schema.n_features == 0:
         raise DegenerateSchema("schema has no feature columns")
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    if signal_strength < 0:
-        raise ValueError("signal_strength must be >= 0")
-    if not 0.0 <= missing_rate < 1.0:
-        raise ValueError("missing_rate must lie in [0, 1)")
+    SyntheticSpec(n, signal_strength, missing_rate)  # checks the ranges
     rng = np.random.default_rng(seed)
     d = schema.n_features
     cols = []

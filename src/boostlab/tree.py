@@ -10,6 +10,16 @@ Missing values (NaN): stumps route them left on numeric columns; regression
 trees route them along a learned per-node default direction; oblivious trees
 always route them left.
 
+All three learners enumerate their candidates through one kernel,
+_candidates. A fit sorts each non-categorical column once (_sorted_rows): its
+non-missing rows in stable (value, row) order. Any subset of the rows, such as
+a tree node, keeps that order, so the kernel filters the presorted rows instead
+of sorting again and its prefix sums add up the same numbers in the same order
+as a sort of the subset would. Each learner passes its own per-row statistics
+(stump: the weight each leaf class misclassifies; regression tree: gradient and
+hessian; oblivious tree: gradient and hessian one-hot by leaf bucket) and keeps
+its own missing-value routing, gain or error formula and tie rule.
+
 Candidate enumeration order is feature index ascending, then threshold
 ascending, then orientation / default direction, and ties keep the earliest
 candidate, so fits are fully deterministic.
@@ -162,8 +172,64 @@ def _boundaries(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return change + 1, (sorted_values[change] + sorted_values[change + 1]) / 2.0
 
 
-def _is_categorical(kinds, f: int) -> bool:
-    return kinds is not None and kinds[f].is_categorical
+def _fit_inputs(X, learner: str, names: str, *vectors) -> tuple[np.ndarray, ...]:
+    """X as a float matrix with at least one row, and each per-row vector as a
+    float array of one entry per row."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ValueError("X must be 2-D")
+    if X.shape[0] == 0:
+        raise EmptyData(f"cannot fit a {learner} on zero rows")
+    vectors = tuple(np.asarray(v, dtype=np.float64) for v in vectors)
+    if any(v.shape != (X.shape[0],) for v in vectors):
+        raise ValueError(f"{names} must match the row count")
+    return (X, *vectors)
+
+
+def _sorted_rows(X: np.ndarray, kinds) -> list[np.ndarray | None]:
+    """Per column, its non-missing rows in stable (value, row) order; None for a
+    categorical column. A subset of the rows keeps this order."""
+    order = np.argsort(X.T, axis=1, kind="stable")  # NaN sorts last
+    n_observed = X.shape[0] - np.isnan(X).sum(axis=0)
+    return [
+        None if kinds is not None and kinds[f].is_categorical else order[f, : n_observed[f]]
+        for f in range(X.shape[1])
+    ]
+
+
+def _candidates(X: np.ndarray, sorted_rows, member: np.ndarray, stats: np.ndarray):
+    """Yield (feature, thresholds, left) for each feature that offers a split of
+    the member rows (a boolean row mask), in feature order.
+
+    stats holds k per-row statistics, shape (n, k), and left has one row of k
+    sums per threshold. Numeric and binary features: thresholds are the
+    midpoints between consecutive distinct member values, ascending, and left
+    sums the member rows at or below each one. Categorical features: thresholds
+    are the single-level sets of the member levels, ascending, and left sums
+    each level's rows. Missing rows are in no sum. Prefix sums run sequentially
+    in (value, row) order and level sums are 1-D sums in row order, per column,
+    so their bits do not depend on k or on the rows outside member.
+    """
+    members = None
+    for f, order in enumerate(sorted_rows):
+        if order is not None:
+            rows = order[member[order]]
+            prefix, thresholds = _boundaries(X[rows, f])
+            if thresholds.size:
+                left = stats[rows]
+                np.cumsum(left, axis=0, out=left)  # in place: one (rows, k) copy
+                left = left[prefix - 1]
+                yield f, thresholds.tolist(), left
+            continue
+        if members is None:
+            members = np.flatnonzero(member)
+        col = X[members, f]
+        levels = np.unique(col[~np.isnan(col)])
+        if levels.size:
+            # a transposed copy makes each column contiguous, so each sum is
+            # the pairwise sum of a 1-D array
+            left = [stats[members[col == v]].T.copy().sum(axis=1) for v in levels]
+            yield f, [frozenset({int(v)}) for v in levels], np.array(left)
 
 
 def fit_stump(
@@ -178,18 +244,10 @@ def fit_stump(
     zero weight the constant majority predictor is returned. The returned
     error never exceeds 0.5 because both orientations are searched.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y)
-    w = np.asarray(weights, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    n, d = X.shape
-    if n == 0:
-        raise EmptyData("cannot fit a stump on zero rows")
-    if y.shape != (n,) or w.shape != (n,):
-        raise ValueError("y and weights must match the row count")
+    X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("labels must be -1 or +1")
+    n = X.shape[0]
 
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
@@ -201,44 +259,34 @@ def fit_stump(
     if w_pos == 0.0 or w_neg == 0.0:
         return constant()
 
+    # stats column missed[c] is the weight a leaf of class c gets wrong
+    missed = {-1: 0, 1: 1}
+    stats = np.column_stack([w * (y != -1), w * (y != 1)])
+    sorted_rows = _sorted_rows(X, kinds)
     best_err = np.inf
     best: Stump | None = None
-    for f in range(d):
-        col = X[:, f]
-        missing = np.isnan(col)
-        if _is_categorical(kinds, f):
-            for lvl in np.unique(col[~missing]):
-                in_set = col == lvl
-                for lc, rc in _ORIENTATIONS:
-                    err = float(w[np.where(in_set, y != lc, y != rc)].sum())
-                    if err < best_err - _TIE_TOL:
-                        best_err = err
-                        best = Stump(f, frozenset({int(lvl)}), lc, rc)
-            continue
-        obs = ~missing
-        if not obs.any():
-            continue
-        order = np.argsort(col[obs], kind="stable")
-        vs = col[obs][order]
-        ys = y[obs][order]
-        ws = w[obs][order]
-        prefix, thresholds = _boundaries(vs)
-        if thresholds.size == 0:
-            continue
-        errs = np.empty((thresholds.size, 2))
-        for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-            left_mis = np.cumsum(ws * (ys != lc))[prefix - 1]
-            right_all = ws * (ys != rc)
-            right_mis = right_all.sum() - np.cumsum(right_all)[prefix - 1]
-            miss_mis = float(w[missing][y[missing] != lc].sum())
-            errs[:, oi] = left_mis + right_mis + miss_mis
+    for f, thresholds, left in _candidates(X, sorted_rows, np.ones(n, dtype=bool), stats):
+        errs = np.empty((len(thresholds), 2))
+        if sorted_rows[f] is None:
+            # Categorical, missing rows go right. Each error is one sum over the
+            # misclassified rows in row order: a total minus the level sums in
+            # left would round differently and move AdaBoost's alphas by an ulp.
+            for ti, level in enumerate(thresholds):
+                in_set = _split_mask(X[:, f], level, missing_left=False)
+                for oi, (lc, rc) in enumerate(_ORIENTATIONS):
+                    errs[ti, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
+        else:  # missing rows go left
+            order, missing = sorted_rows[f], np.isnan(X[:, f])
+            for oi, (lc, rc) in enumerate(_ORIENTATIONS):
+                right_mis = stats[order, missed[rc]].sum() - left[:, missed[rc]]
+                errs[:, oi] = left[:, missed[lc]] + right_mis + w[missing & (y != lc)].sum()
         flat = errs.reshape(-1)
         k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
         if flat[k] < best_err - _TIE_TOL:
             ti, oi = divmod(k, 2)
             lc, rc = _ORIENTATIONS[oi]
             best_err = float(flat[k])
-            best = Stump(f, float(thresholds[ti]), lc, rc)
+            best = Stump(f, thresholds[ti], lc, rc)
     if best is None:
         return constant()
     return best, best_err
@@ -287,58 +335,38 @@ def fit_regression_tree(
     default direction that maximizes gain (left on ties). Leaf values are
     -G/(H+lam).
     """
-    X = np.asarray(X, dtype=np.float64)
-    g = np.asarray(grads, dtype=np.float64)
-    h = np.asarray(hessians, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
-    n, d = X.shape
-    if n == 0:
-        raise EmptyData("cannot fit a tree on zero rows")
-    if g.shape != (n,) or h.shape != (n,):
-        raise ValueError("grads and hessians must match the row count")
+    X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     if (h < 0).any():
         raise ValueError("hessians must be non-negative")
+    n, d = X.shape
+    stats = np.column_stack([g, h])
+    sorted_rows = _sorted_rows(X, kinds)
 
-    def best_split(idx, G, H):
+    # A work list rather than a recursive closure, which would be a reference
+    # cycle keeping the presorted rows alive until the garbage collector ran.
+    root = TreeNode()
+    todo = [(root, np.arange(n), 0)]
+    while todo:
+        node, idx, depth = todo.pop()
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        node.value, node.grad_sum, node.hess_sum = _leaf_value(G, H, reg_lambda), G, H
+        if depth >= max_depth or idx.size < 2:
+            continue
         parent_denom = H + reg_lambda
         parent = G * G / parent_denom if parent_denom > 0 else 0.0
+        member = np.zeros(n, dtype=bool)
+        member[idx] = True
         best_gain = 0.0
-        best = None  # (feature, threshold, default_left, left_mask)
-        for f in range(d):
-            col = X[idx, f]
-            missing = np.isnan(col)
+        best = None  # (feature, threshold, default_left)
+        for f, thresholds, left in _candidates(X, sorted_rows, member, stats):
+            missing = np.isnan(X[idx, f])
             gm = float(g[idx][missing].sum())
             hm = float(h[idx][missing].sum())
-            cand: list[tuple[float, object]] = []
-            if _is_categorical(kinds, f):
-                gl_list, hl_list, thr_list = [], [], []
-                for lvl in np.unique(col[~missing]):
-                    sel = col == lvl
-                    gl_list.append(float(g[idx][sel].sum()))
-                    hl_list.append(float(h[idx][sel].sum()))
-                    thr_list.append(frozenset({int(lvl)}))
-                if not thr_list:
-                    continue
-                GLo = np.array(gl_list)
-                HLo = np.array(hl_list)
-                thresholds = thr_list
-            else:
-                obs = ~missing
-                if not obs.any():
-                    continue
-                order = np.argsort(col[obs], kind="stable")
-                vs = col[obs][order]
-                prefix, thr = _boundaries(vs)
-                if thr.size == 0:
-                    continue
-                GLo = np.cumsum(g[idx][obs][order])[prefix - 1]
-                HLo = np.cumsum(h[idx][obs][order])[prefix - 1]
-                thresholds = [float(t) for t in thr]
             gains = np.full((len(thresholds), 2), -np.inf)
             for di, default_left in enumerate((True, False)):
-                GL = GLo + (gm if default_left else 0.0)
-                HL = HLo + (hm if default_left else 0.0)
+                GL = left[:, 0] + (gm if default_left else 0.0)
+                HL = left[:, 1] + (hm if default_left else 0.0)
                 GR = G - GL
                 HR = H - HL
                 valid = (HL >= min_child_weight) & (HR >= min_child_weight)
@@ -351,30 +379,13 @@ def fit_regression_tree(
                 best_gain = float(flat[k])
                 best = (f, thresholds[ti], di == 0)
         if best is None:
-            return None
-        f, thr, default_left = best
-        left_mask = _split_mask(X[idx, f], thr, missing_left=default_left)
-        return f, thr, default_left, left_mask
-
-    def grow(idx, depth):
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
-        node = TreeNode(value=_leaf_value(G, H, reg_lambda), grad_sum=G, hess_sum=H)
-        if depth >= max_depth or idx.size < 2:
-            return node
-        found = best_split(idx, G, H)
-        if found is None:
-            return node
-        f, thr, default_left, left_mask = found
+            continue
         node.is_leaf = False
-        node.feature_index = f
-        node.threshold = thr
-        node.default_left = default_left
-        node.left = grow(idx[left_mask], depth + 1)
-        node.right = grow(idx[~left_mask], depth + 1)
-        return node
-
-    return RegressionTree(grow(np.arange(n), 0), d)
+        node.feature_index, node.threshold, node.default_left = best
+        left_mask = _split_mask(X[idx, node.feature_index], node.threshold, missing_left=node.default_left)
+        node.left, node.right = TreeNode(), TreeNode()
+        todo += [(node.left, idx[left_mask], depth + 1), (node.right, idx[~left_mask], depth + 1)]
+    return RegressionTree(root, d)
 
 
 def fit_oblivious_tree(
@@ -393,16 +404,11 @@ def fit_oblivious_tree(
     without a strictly positive gain, so the recorded depth may be shallower
     than requested. Missing rows always go left.
     """
-    X = np.asarray(X, dtype=np.float64)
-    g = np.asarray(grads, dtype=np.float64)
-    h = np.asarray(hessians, dtype=np.float64)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-D")
+    X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     n, d = X.shape
-    if n == 0:
-        raise EmptyData("cannot fit a tree on zero rows")
-    if g.shape != (n,) or h.shape != (n,):
-        raise ValueError("grads and hessians must match the row count")
+    sorted_rows = _sorted_rows(X, kinds)
+    everyone = np.ones(n, dtype=bool)
+    rows = np.arange(n)
 
     bucket = np.zeros(n, dtype=np.int64)
     levels: list[tuple[int, float | frozenset[int]]] = []
@@ -412,37 +418,15 @@ def fit_oblivious_tree(
         Gb = np.bincount(dense, weights=g, minlength=B)
         Hb = np.bincount(dense, weights=h, minlength=B)
         parent = float(_safe_score(Gb, Hb, reg_lambda).sum())
+        # gradients one-hot by bucket in columns [0, B), hessians in [B, 2B)
+        stats = np.zeros((n, 2 * B))
+        stats[rows, dense] = g
+        stats[rows, B + dense] = h
         best_gain = 0.0
         best = None
-        for f in range(d):
-            col = X[:, f]
-            missing = np.isnan(col)
-            if _is_categorical(kinds, f):
-                for lvl in np.unique(col[~missing]):
-                    left = (col == lvl) | missing
-                    GL = np.bincount(dense[left], weights=g[left], minlength=B)
-                    HL = np.bincount(dense[left], weights=h[left], minlength=B)
-                    child = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb - GL, Hb - HL, reg_lambda)
-                    gain = 0.5 * (float(child.sum()) - parent)
-                    if gain > best_gain:
-                        best_gain = gain
-                        best = (f, frozenset({int(lvl)}))
-                continue
-            obs = np.flatnonzero(~missing)
-            if obs.size == 0:
-                continue
-            order = obs[np.argsort(col[obs], kind="stable")]
-            prefix, thresholds = _boundaries(col[order])
-            if thresholds.size == 0:
-                continue
-            m = order.size
-            Gmat = np.zeros((m, B))
-            Hmat = np.zeros((m, B))
-            rows = np.arange(m)
-            Gmat[rows, dense[order]] = g[order]
-            Hmat[rows, dense[order]] = h[order]
-            GL = np.cumsum(Gmat, axis=0)[prefix - 1]
-            HL = np.cumsum(Hmat, axis=0)[prefix - 1]
+        for f, thresholds, left in _candidates(X, sorted_rows, everyone, stats):
+            GL, HL = left[:, :B], left[:, B:]
+            missing = np.isnan(X[:, f])
             if missing.any():
                 GL = GL + np.bincount(dense[missing], weights=g[missing], minlength=B)
                 HL = HL + np.bincount(dense[missing], weights=h[missing], minlength=B)
@@ -451,7 +435,7 @@ def fit_oblivious_tree(
             k = int(np.argmax(gains))
             if gains[k] > best_gain:
                 best_gain = float(gains[k])
-                best = (f, float(thresholds[k]))
+                best = (f, thresholds[k])
         if best is None:
             break
         f, thr = best
@@ -459,12 +443,9 @@ def fit_oblivious_tree(
         left = _split_mask(X[:, f], thr, missing_left=True)
         bucket = bucket * 2 + (~left)
 
-    D = len(levels)
-    n_leaves = 1 << D
-    leaf_g = np.zeros(n_leaves)
-    leaf_h = np.zeros(n_leaves)
-    np.add.at(leaf_g, bucket, g)
-    np.add.at(leaf_h, bucket, h)
+    n_leaves = 1 << len(levels)
+    leaf_g = np.bincount(bucket, weights=g, minlength=n_leaves)
+    leaf_h = np.bincount(bucket, weights=h, minlength=n_leaves)
     denom = leaf_h + reg_lambda
     leaf_values = np.zeros(n_leaves)
     np.divide(-leaf_g, denom, out=leaf_values, where=denom > 0)

@@ -310,6 +310,13 @@ class TestPredictInterface:
         # boundary convention: score exactly at the threshold maps to label 1
         assert list(predict_labels(model, data, 0.5)) == [1, 1, 1, 1]
 
+    @pytest.mark.parametrize("threshold", [7.0, 1.0, 0.0, -0.5, math.nan])
+    def test_threshold_outside_unit_interval_rejected(self, threshold):
+        data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
+        model = fit_adaboost(data)
+        with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
+            predict_labels(model, data, threshold)
+
     def test_training_rows_on_correct_side(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
         model = fit_adaboost(data)

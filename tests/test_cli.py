@@ -148,6 +148,40 @@ class TestUsageErrors:
         )
         assert_usage_error(code, err, "threshold must lie in (0, 1)")
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(("synth", "--n", 1), "n must be >= 2", id="synth-n-1"),
+            pytest.param(("synth", "--n", 0), "n must be >= 2", id="synth-n-0"),
+            pytest.param(
+                ("synth", "--n", 30, "--signal-strength", -1),
+                "signal_strength must be >= 0",
+                id="synth-signal-strength--1",
+            ),
+            pytest.param(
+                ("synth", "--n", 30, "--signal-strength", "nan"),
+                "signal_strength must be >= 0",
+                id="synth-signal-strength-nan",
+            ),
+            pytest.param(
+                ("synth", "--n", 30, "--missing-rate", 2),
+                "missing_rate must lie in [0, 1)",
+                id="synth-missing-rate-2",
+            ),
+            pytest.param(("compare", "--synthetic", "--n", 1), "n must be >= 2", id="compare-n-1"),
+            pytest.param(
+                ("compare", "--synthetic", "--missing-rate", 2),
+                "missing_rate must lie in [0, 1)",
+                id="compare-missing-rate-2",
+            ),
+        ],
+    )
+    def test_synthetic_value_out_of_range(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        code, _, err = run(capsys, *argv, "--out", out)
+        assert_usage_error(code, err, message)
+        assert not out.exists()
+
     def test_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("BOOSTLAB_SEED", "abc")
         code, _, err = run(capsys, "synth", "--n", 30, "--out", tmp_path / "d.csv")

@@ -1,4 +1,5 @@
-"""Property tests on small random datasets: persistence, determinism and AUC."""
+"""Property tests on small random datasets: persistence, determinism, stump
+error and AUC."""
 
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from boostlab.boost import (
 )
 from boostlab.dataset import BINARY, NUMERIC, Dataset, FeatureSchema, categorical
 from boostlab.metrics import roc_curve
+from boostlab.tree import fit_stump, predict_stump
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -61,6 +63,19 @@ def test_refit_gives_identical_model_json(data, algorithm):
     params = small_params(algorithm)
     first = model_to_json(fit(algorithm, data, params))
     assert model_to_json(fit(algorithm, data, params)) == first
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=datasets(), weight_seed=st.integers(0, 2**32 - 1))
+def test_stump_error_is_misclassified_weight(data, weight_seed):
+    # NaN goes left on the numeric column and right on the categorical ones
+    X = data.values.copy()
+    rng = np.random.default_rng(weight_seed)
+    X[rng.random(data.n_rows) < 0.2, 2] = np.nan
+    y = 2 * data.labels - 1
+    w = rng.dirichlet(np.ones(data.n_rows))
+    stump, err = fit_stump(X, y, w, SCHEMA.kinds)
+    assert err == pytest.approx(w[predict_stump(stump, X) != y].sum(), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -60,6 +60,50 @@ def oracle_best_stump(X, y, w, kinds=None):
     return best, best_err
 
 
+def oracle_split_gains(X, g, h, kinds, lam, directions):
+    """Gain of every depth-1 split, with each side summed over a row mask.
+
+    Yields (gain, feature, threshold, default_left) in the documented
+    enumeration order; default_left says where missing rows go.
+    """
+    G, H = g.sum(), h.sum()
+
+    def score(gs, hs):
+        return gs * gs / (hs + lam) if hs + lam > 0 else 0.0
+
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        miss = np.isnan(col)
+        if kinds[f].is_categorical:
+            tests = [(frozenset({int(v)}), col == v) for v in np.unique(col[~miss])]
+        else:
+            vals = np.unique(col[~miss])
+            tests = [((a + b) / 2, col <= (a + b) / 2) for a, b in zip(vals, vals[1:])]
+        for thr, goes_left in tests:
+            for default_left in directions:
+                left = (goes_left & ~miss) | (miss & default_left)
+                GL, HL = g[left].sum(), h[left].sum()
+                gain = 0.5 * (score(GL, HL) + score(G - GL, H - HL) - score(G, H))
+                yield gain, f, thr, default_left
+
+
+def kernel_fixture(rng, n):
+    """Numeric, binary and categorical columns, with NaNs in the numeric and the
+    categorical one; gradients lean on the missing rows so either side can win."""
+    X = np.column_stack(
+        [
+            rng.normal(size=n).round(1),
+            rng.integers(0, 2, n).astype(float),
+            rng.integers(0, 3, n).astype(float),
+        ]
+    )
+    X[rng.random(n) < 0.25, 0] = np.nan
+    X[rng.random(n) < 0.25, 2] = np.nan
+    g = rng.normal(size=n) + rng.normal() * np.isnan(X).any(axis=1)
+    h = rng.uniform(0.1, 1.0, n)
+    return X, g, h, (NUMERIC, BINARY, categorical(3))
+
+
 class TestFitStump:
     def test_separable(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -229,6 +273,29 @@ class TestRegressionTree:
                 assert tree.root.threshold == stump.threshold
 
 
+    def test_depth_one_gain_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        directions_taken = set()
+        for _ in range(40):
+            n = int(rng.integers(4, 50))
+            X, g, h, kinds = kernel_fixture(rng, n)
+            tree = fit_regression_tree(X, g, h, kinds, max_depth=1, reg_lambda=0.5)
+            gains = {
+                (f, thr, dl): gain
+                for gain, f, thr, dl in oracle_split_gains(X, g, h, kinds, 0.5, (True, False))
+            }
+            best = max(gains.values(), default=0.0)
+            root = tree.root
+            if root.is_leaf:
+                assert best <= 1e-12
+                continue
+            key = (root.feature_index, root.threshold, root.default_left)
+            assert gains[key] == pytest.approx(best, abs=1e-12)
+            if np.isnan(X[:, root.feature_index]).any():
+                directions_taken.add(root.default_left)
+        assert directions_taken == {True, False}
+
+
 class TestObliviousTree:
     def test_depth_one_matches_regression_tree(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -306,6 +373,21 @@ class TestObliviousTree:
         tree = fit_oblivious_tree(X, grads, np.ones(5), depth=1, reg_lambda=1.0)
         row = np.array([[np.nan]])
         assert tree.leaf_index(row)[0] == 0
+
+    def test_depth_one_gain_matches_oracle(self):
+        rng = np.random.default_rng(9)
+        for _ in range(40):
+            n = int(rng.integers(4, 50))
+            X, g, h, kinds = kernel_fixture(rng, n)
+            tree = fit_oblivious_tree(X, g, h, kinds, depth=1, reg_lambda=0.5)
+            gains = {
+                (f, thr): gain for gain, f, thr, _ in oracle_split_gains(X, g, h, kinds, 0.5, (True,))
+            }
+            best = max(gains.values(), default=0.0)
+            if tree.depth == 0:
+                assert best <= 1e-12
+                continue
+            assert gains[tree.levels[0]] == pytest.approx(best, abs=1e-12)
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
