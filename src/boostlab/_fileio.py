@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import os
 import tempfile
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write text to a sibling temp file, then rename over the target."""
+@contextmanager
+def atomic_open(path):
+    """A text file to write that replaces path only when the block completes."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
+
+
+def atomic_write_text(path, text: str) -> None:
+    """Write text to a sibling temp file, then rename over the target."""
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -49,7 +49,6 @@ class BenchmarkConfig:
     label_column: str = "pcos"
     test_fraction: float = 0.2
     seed: int = 42
-    threshold: float = 0.5
     params: dict[str, BoostParams] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -89,12 +88,10 @@ class BenchmarkReport:
     n_test: int
     timestamp: str
 
-    def to_dict(self, include_timestamp: bool = True) -> dict:
+    def to_dict(self) -> dict:
         meta = {"seed": self.seed, "n_train": self.n_train, "n_test": self.n_test}
-        if include_timestamp:
-            meta["timestamp"] = self.timestamp
         return {
-            "metadata": meta,
+            "metadata": {**meta, "timestamp": self.timestamp},
             "algorithms": {
                 algo: {
                     "train_accuracy": r.train_accuracy,
@@ -128,8 +125,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
     for algo in ALGORITHMS:
         params = config.params.get(algo, default_params(algo))
         model = fit(algo, train, params)
-        train_pred = predict_labels(model, train, config.threshold)
-        test_pred = predict_labels(model, test, config.threshold)
+        train_pred = predict_labels(model, train)
+        test_pred = predict_labels(model, test)
         test_scores = predict_scores(model, test)
         cm = confusion(test_pred, test.labels)
         roc = roc_curve(test_scores, test.labels)

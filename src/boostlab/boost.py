@@ -6,8 +6,8 @@ fitted by one boosting loop on binomial deviance) maps its raw log-odds score.
 All models emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
 
 load_model raises MalformedModel for bad JSON, a format_version other than
-MODEL_FORMAT_VERSION, a missing key, a value of the wrong type or a split on a
-column the model does not have.
+MODEL_FORMAT_VERSION, a missing key, a value of the wrong type, a split on a
+column the model does not have, or a bad or repeated tree node index.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from functools import partial
 
 import numpy as np
 
+from ._fileio import atomic_open
 from .dataset import Dataset, FeatureKind, FeatureSchema
 from .errors import MalformedModel, SchemaMismatch, SingleClassDataset
 from .tree import (
@@ -449,18 +450,15 @@ def model_from_dict(d: dict):
         return TreeEnsemble(algorithm, float(d["base_score"]), trees, schema, params, encodings)
     except KeyError as exc:
         raise MalformedModel(f"missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError, RecursionError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise MalformedModel(f"bad value: {exc}") from None
 
 
-def model_to_json(model) -> str:
-    return json.dumps(model_to_dict(model), indent=2)
-
-
 def save_model(model, path) -> None:
-    from ._fileio import atomic_write_text
-
-    atomic_write_text(path, model_to_json(model) + "\n")
+    """Write the model as indented JSON, streamed into an atomically renamed file."""
+    with atomic_open(path) as fh:
+        json.dump(model_to_dict(model), fh, indent=2)
+        fh.write("\n")
 
 
 def load_model(path):

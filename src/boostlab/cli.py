@@ -231,7 +231,6 @@ def _cmd_compare(args) -> int:
         label_column=args.label,
         test_fraction=config.test_fraction if args.test_fraction is None else args.test_fraction,
         seed=overrides["seed"],
-        threshold=overrides.get("threshold", config.threshold),
         params={algo: replace(p, **overrides) for algo, p in config.params.items()},
     )
     report = run_benchmark(config, args.out)

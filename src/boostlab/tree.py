@@ -10,6 +10,11 @@ Missing values (NaN): stumps route them left on numeric columns; regression
 trees route them along a learned per-node default direction; oblivious trees
 always route them left.
 
+A regression tree is a set of parallel per-node arrays in pre-order, the node
+order of the v1 model file: node 0 is the root and a split node precedes its
+children, its left child right after it. One pass in index order therefore
+routes rows from the root down, and a dump writes the arrays as they are.
+
 All three learners enumerate their candidates through one kernel,
 _candidates. A fit sorts each non-categorical column once (_sorted_rows): its
 non-missing rows in stable (value, row) order. Any subset of the rows, such as
@@ -27,7 +32,7 @@ candidate, so fits are fully deterministic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,58 +67,48 @@ class Stump:
 
 
 @dataclass
-class TreeNode:
-    is_leaf: bool = True
-    feature_index: int = -1
-    threshold: float | frozenset[int] | None = None
-    default_left: bool = True
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: float = 0.0
-    grad_sum: float = 0.0
-    hess_sum: float = 0.0
-
-
-@dataclass
 class RegressionTree:
-    root: TreeNode
+    """Per-node arrays in pre-order (see the module docstring). feature is -1
+    at a leaf; split node i sends a row to left[i] or right[i]. value,
+    grad_sum and hess_sum are the node's -G/(H+lam), G and H."""
+
+    feature: np.ndarray
+    threshold: np.ndarray  # float or frozenset of levels; None at a leaf
+    default_left: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    grad_sum: np.ndarray
+    hess_sum: np.ndarray
     n_features: int
 
-    def leaves(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if node.is_leaf:
-                out.append(node)
-            else:
-                stack.append(node.right)
-                stack.append(node.left)
-        return out
+    def leaves(self) -> np.ndarray:
+        return np.flatnonzero(self.feature < 0)
 
     def depth(self) -> int:
-        def rec(node):
-            if node.is_leaf:
-                return 0
-            return 1 + max(rec(node.left), rec(node.right))
-
-        return rec(self.root)
+        depth = np.zeros(self.feature.size, dtype=np.int64)
+        for i in np.flatnonzero(self.feature >= 0):
+            depth[[self.left[i], self.right[i]]] = depth[i] + 1
+        return int(depth.max())
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, self.n_features)
-        out = np.empty(X.shape[0])
+        node = np.zeros(X.shape[0], dtype=np.int64)
+        for i in np.flatnonzero(self.feature >= 0):
+            rows = np.flatnonzero(node == i)
+            left = _split_mask(X[rows, self.feature[i]], self.threshold[i], missing_left=self.default_left[i])
+            node[rows] = np.where(left, self.left[i], self.right[i])
+        return self.value[node]
 
-        def rec(node, idx):
-            if node.is_leaf:
-                out[idx] = node.value
-                return
-            col = X[idx, node.feature_index]
-            left = _split_mask(col, node.threshold, missing_left=node.default_left)
-            rec(node.left, idx[left])
-            rec(node.right, idx[~left])
 
-        rec(self.root, np.arange(X.shape[0]))
-        return out
+# A node row as fit_regression_tree and tree_from_dict append it, in
+# RegressionTree's field order.
+_NODE_DTYPES = (np.int64, object, bool, np.int64, np.int64, np.float64, np.float64, np.float64)
+_RIGHT = 4  # the position of right in a node row
+
+
+def _regression_tree(nodes: list[list], n_features: int) -> RegressionTree:
+    return RegressionTree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), _NODE_DTYPES)), n_features)
 
 
 @dataclass
@@ -311,11 +306,6 @@ def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _leaf_value(G: float, H: float, lam: float) -> float:
-    denom = H + lam
-    return -G / denom if denom > 0 else 0.0
-
-
 def fit_regression_tree(
     X: np.ndarray,
     grads: np.ndarray,
@@ -344,17 +334,22 @@ def fit_regression_tree(
 
     # A work list rather than a recursive closure, which would be a reference
     # cycle keeping the presorted rows alive until the garbage collector ran.
-    root = TreeNode()
-    todo = [(root, np.arange(n), 0)]
+    # A left child is popped right after its parent, so nodes are appended in
+    # pre-order; a right child enters its index in its parent when popped.
+    nodes: list[list] = []
+    todo = [(np.arange(n), 0, -1)]  # (rows, depth, parent of a right child)
     while todo:
-        node, idx, depth = todo.pop()
+        idx, depth, right_of = todo.pop()
+        i = len(nodes)
+        if right_of >= 0:
+            nodes[right_of][_RIGHT] = i
         G = float(g[idx].sum())
         H = float(h[idx].sum())
-        node.value, node.grad_sum, node.hess_sum = _leaf_value(G, H, reg_lambda), G, H
+        denom = H + reg_lambda
+        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0, G, H])
         if depth >= max_depth or idx.size < 2:
             continue
-        parent_denom = H + reg_lambda
-        parent = G * G / parent_denom if parent_denom > 0 else 0.0
+        parent = G * G / denom if denom > 0 else 0.0
         member = np.zeros(n, dtype=bool)
         member[idx] = True
         best_gain = 0.0
@@ -380,12 +375,11 @@ def fit_regression_tree(
                 best = (f, thresholds[ti], di == 0)
         if best is None:
             continue
-        node.is_leaf = False
-        node.feature_index, node.threshold, node.default_left = best
-        left_mask = _split_mask(X[idx, node.feature_index], node.threshold, missing_left=node.default_left)
-        node.left, node.right = TreeNode(), TreeNode()
-        todo += [(node.left, idx[left_mask], depth + 1), (node.right, idx[~left_mask], depth + 1)]
-    return RegressionTree(root, d)
+        f, thr, default_left = best
+        nodes[i][:4] = [f, thr, default_left, i + 1]
+        left_mask = _split_mask(X[idx, f], thr, missing_left=default_left)
+        todo += [(idx[~left_mask], depth + 1, i), (idx[left_mask], depth + 1, -1)]
+    return _regression_tree(nodes, d)
 
 
 def fit_oblivious_tree(
@@ -488,26 +482,20 @@ def tree_to_dict(tree) -> dict:
             "right_class": tree.right_class,
         }
     if isinstance(tree, RegressionTree):
-        nodes: list[dict] = []
-
-        def rec(node) -> int:
-            i = len(nodes)
-            if node.is_leaf:
-                nodes.append(
-                    {"value": node.value, "grad_sum": node.grad_sum, "hess_sum": node.hess_sum}
-                )
-            else:
-                entry = {
-                    "feature_index": node.feature_index,
-                    "threshold": _threshold_to_json(node.threshold),
-                    "default_direction": "left" if node.default_left else "right",
+        nodes = []
+        for i, f in enumerate(tree.feature.tolist()):
+            if f < 0:
+                nodes.append({k: float(getattr(tree, k)[i]) for k in ("value", "grad_sum", "hess_sum")})
+                continue
+            nodes.append(
+                {
+                    "feature_index": f,
+                    "threshold": _threshold_to_json(tree.threshold[i]),
+                    "default_direction": "left" if tree.default_left[i] else "right",
+                    "left": int(tree.left[i]),
+                    "right": int(tree.right[i]),
                 }
-                nodes.append(entry)
-                entry["left"] = rec(node.left)
-                entry["right"] = rec(node.right)
-            return i
-
-        rec(tree.root)
+            )
         return {"kind": "regression", "n_features": tree.n_features, "nodes": nodes}
     if isinstance(tree, ObliviousTree):
         return {
@@ -516,56 +504,65 @@ def tree_to_dict(tree) -> dict:
             "levels": [
                 {"feature_index": f, "threshold": _threshold_to_json(t)} for f, t in tree.levels
             ],
-            "leaf_values": [float(v) for v in tree.leaf_values],
-            "leaf_grad_sums": [float(v) for v in tree.leaf_grad_sums],
-            "leaf_hess_sums": [float(v) for v in tree.leaf_hess_sums],
+            "leaf_values": tree.leaf_values.tolist(),
+            "leaf_grad_sums": tree.leaf_grad_sums.tolist(),
+            "leaf_hess_sums": tree.leaf_hess_sums.tolist(),
         }
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
 
+def _index(value, stop: int, what: str = "feature_index") -> int:
+    """value as an index in [0, stop); anything else, a bool too, is MalformedModel."""
+    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < stop:
+        raise MalformedModel(f"{what} {value!r} is not an int in [0, {stop})")
+    return value
+
+
 def tree_from_dict(d: dict, n_features: int):
     """Rebuild a learner that reads an n_features-column matrix; a tree that
-    records another width or splits outside [0, n_features) is MalformedModel."""
+    records another width or splits outside [0, n_features) is MalformedModel.
+    Regression nodes are renumbered into pre-order from node 0, so any layout
+    loads; a child index that is not a node, or a node reached twice, is not.
+    """
     kind = d["kind"]
     if kind != "stump" and d["n_features"] != n_features:
         raise MalformedModel(f"{kind} tree reads {d['n_features']!r} columns, not {n_features}")
 
-    def feature(index):
-        if not (isinstance(index, int) and 0 <= index < n_features):
-            raise MalformedModel(f"feature_index {index!r} is outside [0, {n_features})")
-        return index
-
     if kind == "stump":
         return Stump(
-            feature(d["feature_index"]),
+            _index(d["feature_index"], n_features),
             _threshold_from_json(d["threshold"]),
             int(d["left_class"]),
             int(d["right_class"]),
         )
     if kind == "regression":
-        nodes = d["nodes"]
-
-        def rec(i: int) -> TreeNode:
-            entry = nodes[i]
+        entries = d["nodes"]
+        seen: set[int] = set()
+        nodes: list[list] = []
+        todo = [(0, -1)]  # (entry index, parent of a right child), as in the fit
+        while todo:
+            j, right_of = todo.pop()
+            j = _index(j, len(entries), "node index")
+            if j in seen:
+                raise MalformedModel(f"node {j} is reached twice")
+            seen.add(j)
+            i = len(nodes)
+            if right_of >= 0:
+                nodes[right_of][_RIGHT] = i
+            entry = entries[j]
             if "value" in entry:
-                return TreeNode(
-                    value=float(entry["value"]),
-                    grad_sum=float(entry.get("grad_sum", 0.0)),
-                    hess_sum=float(entry.get("hess_sum", 0.0)),
-                )
-            return TreeNode(
-                is_leaf=False,
-                feature_index=feature(entry["feature_index"]),
-                threshold=_threshold_from_json(entry["threshold"]),
-                default_left=entry["default_direction"] == "left",
-                left=rec(entry["left"]),
-                right=rec(entry["right"]),
-            )
-
-        return RegressionTree(rec(0), n_features)
+                leaf_sums = (float(entry.get("grad_sum", 0.0)), float(entry.get("hess_sum", 0.0)))
+                nodes.append([-1, None, True, -1, -1, float(entry["value"]), *leaf_sums])
+            else:
+                f = _index(entry["feature_index"], n_features)
+                thr = _threshold_from_json(entry["threshold"])
+                default_left = entry["default_direction"] == "left"
+                nodes.append([f, thr, default_left, i + 1, -1, 0.0, 0.0, 0.0])
+                todo += [(entry["right"], i), (entry["left"], -1)]
+        return _regression_tree(nodes, n_features)
     if kind == "oblivious":
         levels = tuple(
-            (feature(lv["feature_index"]), _threshold_from_json(lv["threshold"]))
+            (_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
             for lv in d["levels"]
         )
         leaves = [

@@ -16,7 +16,6 @@ from boostlab.boost import (
     load_model,
     model_from_dict,
     model_to_dict,
-    model_to_json,
     ordered_target_stats,
     paper_preset,
     predict_labels,
@@ -370,8 +369,8 @@ class TestSerialization:
         data = synthesize(pcos_default_schema(), 100, 13, 1.5)
         for algorithm in ("adaboost", "gbm", "xgboost", "catboost"):
             params = replace(default_params(algorithm), n_rounds=4)
-            a = model_to_json(fit(algorithm, data, params))
-            b = model_to_json(fit(algorithm, data, params))
+            a = model_to_dict(fit(algorithm, data, params))
+            b = model_to_dict(fit(algorithm, data, params))
             assert a == b
 
 
@@ -407,6 +406,12 @@ class TestMalformedModel:
             ("catboost", ("cat_encoding_state", 0, "mode"), "bogus"),
             ("catboost", ("cat_encoding_state", 0, "stats"), [0.5]),
             ("catboost", ("cat_encoding_state", 0, "feature_index"), 0),
+            ("xgboost", ("trees", 0, "nodes", 0, "right"), -1),
+            ("xgboost", ("trees", 0, "nodes", 0, "right"), True),
+            ("xgboost", ("trees", 0, "nodes", 0, "right"), 0),
+            ("xgboost", ("trees", 0, "nodes", 0, "right"), 99),
+            ("xgboost", ("trees", 0, "nodes", 0, "feature_index"), True),
+            ("adaboost", ("stumps", 0, "stump", "feature_index"), True),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

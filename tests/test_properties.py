@@ -13,7 +13,7 @@ from boostlab.boost import (
     default_params,
     fit,
     load_model,
-    model_to_json,
+    model_to_dict,
     predict_scores,
     save_model,
 )
@@ -61,8 +61,8 @@ def test_save_load_gives_identical_scores(tmp_path_factory, data, algorithm):
 @given(data=datasets(), algorithm=st.sampled_from(ALGORITHMS))
 def test_refit_gives_identical_model_json(data, algorithm):
     params = small_params(algorithm)
-    first = model_to_json(fit(algorithm, data, params))
-    assert model_to_json(fit(algorithm, data, params)) == first
+    first = model_to_dict(fit(algorithm, data, params))
+    assert model_to_dict(fit(algorithm, data, params)) == first
 
 
 @settings(max_examples=60, deadline=None)

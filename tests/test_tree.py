@@ -174,8 +174,8 @@ class TestRegressionTree:
         tree = fit_regression_tree(
             X, np.zeros(3), np.zeros(3), max_depth=3, reg_lambda=1.0
         )
-        assert tree.root.is_leaf
-        assert tree.root.value == 0.0
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == 0.0
 
     def test_hand_arithmetic_leaves(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -183,12 +183,11 @@ class TestRegressionTree:
         tree = fit_regression_tree(
             X, grads, np.ones(4), max_depth=1, reg_lambda=1.0, gamma=0.0
         )
-        root = tree.root
-        assert not root.is_leaf
-        assert root.threshold == 2.5
-        assert root.left.value == pytest.approx(2.0 / 3.0)
-        assert root.right.value == pytest.approx(-2.0 / 3.0)
-        assert root.left.grad_sum == -2.0
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == 2.5
+        assert tree.value[tree.left[0]] == pytest.approx(2.0 / 3.0)
+        assert tree.value[tree.right[0]] == pytest.approx(-2.0 / 3.0)
+        assert tree.grad_sum[tree.left[0]] == -2.0
 
     def test_gamma_prunes_root(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -197,7 +196,7 @@ class TestRegressionTree:
         tree = fit_regression_tree(
             X, grads, np.ones(4), max_depth=3, reg_lambda=1.0, gamma=1.5
         )
-        assert tree.root.is_leaf
+        assert tree.feature.tolist() == [-1]
 
     def test_min_child_weight_blocks_split(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -205,7 +204,7 @@ class TestRegressionTree:
         tree = fit_regression_tree(
             X, grads, np.ones(4), max_depth=1, reg_lambda=0.0, min_child_weight=3.0
         )
-        assert tree.root.is_leaf
+        assert tree.feature.tolist() == [-1]
 
     def test_depth_limit(self):
         rng = np.random.default_rng(2)
@@ -219,11 +218,10 @@ class TestRegressionTree:
         X = np.array([[1.0], [2.0], [3.0], [4.0], [np.nan], [np.nan]])
         grads = np.array([1.0, 1.0, -1.0, -1.0, -1.0, -1.0])
         tree = fit_regression_tree(X, grads, np.ones(6), max_depth=1, reg_lambda=0.0)
-        root = tree.root
-        assert not root.is_leaf
-        assert root.default_left is False
+        assert tree.feature[0] == 0
+        assert not tree.default_left[0]
         missing_row = np.array([[np.nan]])
-        assert tree.predict(missing_row)[0] == root.right.value
+        assert tree.predict(missing_row)[0] == tree.value[tree.right[0]]
 
     def test_unseen_categorical_level_routes_right(self):
         kinds = (categorical(4),)
@@ -232,10 +230,9 @@ class TestRegressionTree:
         tree = fit_regression_tree(
             X, grads, np.ones(4), kinds, max_depth=1, reg_lambda=0.0
         )
-        root = tree.root
-        assert isinstance(root.threshold, frozenset)
+        assert isinstance(tree.threshold[0], frozenset)
         unseen = np.array([[3.0]])
-        assert tree.predict(unseen)[0] == root.right.value
+        assert tree.predict(unseen)[0] == tree.value[tree.right[0]]
 
     def test_leaf_identity(self):
         rng = np.random.default_rng(3)
@@ -248,8 +245,9 @@ class TestRegressionTree:
             X, grads, hess, max_depth=4, reg_lambda=lam, min_child_weight=0.0
         )
         for leaf in tree.leaves():
-            resid = leaf.value * (leaf.hess_sum + lam) + leaf.grad_sum
-            assert abs(resid) <= 1e-12 * max(1.0, abs(leaf.grad_sum))
+            g_sum = tree.grad_sum[leaf]
+            resid = tree.value[leaf] * (tree.hess_sum[leaf] + lam) + g_sum
+            assert abs(resid) <= 1e-12 * max(1.0, abs(g_sum))
 
     def test_matches_stump_split_on_signed_labels(self):
         # unit hessians, lambda = gamma = 0: depth-1 tree and stump pick the same split
@@ -268,9 +266,8 @@ class TestRegressionTree:
             )
             if err == 0.0:
                 # separable data: both must find a clean split at the same place
-                assert not tree.root.is_leaf
-                assert tree.root.feature_index == stump.feature_index
-                assert tree.root.threshold == stump.threshold
+                assert tree.feature[0] == stump.feature_index
+                assert tree.threshold[0] == stump.threshold
 
 
     def test_depth_one_gain_matches_oracle(self):
@@ -285,14 +282,14 @@ class TestRegressionTree:
                 for gain, f, thr, dl in oracle_split_gains(X, g, h, kinds, 0.5, (True, False))
             }
             best = max(gains.values(), default=0.0)
-            root = tree.root
-            if root.is_leaf:
+            f = int(tree.feature[0])
+            if f < 0:
                 assert best <= 1e-12
                 continue
-            key = (root.feature_index, root.threshold, root.default_left)
+            key = (f, tree.threshold[0], bool(tree.default_left[0]))
             assert gains[key] == pytest.approx(best, abs=1e-12)
-            if np.isnan(X[:, root.feature_index]).any():
-                directions_taken.add(root.default_left)
+            if np.isnan(X[:, f]).any():
+                directions_taken.add(key[2])
         assert directions_taken == {True, False}
 
 
@@ -303,8 +300,8 @@ class TestObliviousTree:
         reg = fit_regression_tree(X, grads, np.ones(4), max_depth=1, reg_lambda=1.0)
         obl = fit_oblivious_tree(X, grads, np.ones(4), depth=1, reg_lambda=1.0)
         assert obl.levels == ((0, 2.5),)
-        assert obl.leaf_values[0] == pytest.approx(reg.root.left.value)
-        assert obl.leaf_values[1] == pytest.approx(reg.root.right.value)
+        assert obl.leaf_values[0] == pytest.approx(reg.value[reg.left[0]])
+        assert obl.leaf_values[1] == pytest.approx(reg.value[reg.right[0]])
 
     def xor_fixture(self):
         # quadrant counts 3/2/1/2 keep every level's gain strictly positive
@@ -409,8 +406,8 @@ class TestPredictAndSerialize:
         grads = rng.normal(size=40)
         tree = fit_regression_tree(X, grads, np.ones(40), max_depth=3, reg_lambda=1.0)
         preds = tree.predict(X)
-        leaf_values = {id(l): l.value for l in tree.leaves()}
-        assert set(np.round(preds, 12)) <= set(np.round(list(leaf_values.values()), 12))
+        leaf_values = tree.value[tree.leaves()]
+        assert set(np.round(preds, 12)) <= set(np.round(leaf_values, 12))
 
     def test_schema_mismatch(self):
         X = np.array([[1.0, 2.0]])
@@ -439,3 +436,20 @@ class TestPredictAndSerialize:
                     [rng.normal(size=20).round(1), rng.integers(0, 3, 20).astype(float)]
                 )
                 assert np.array_equal(back.predict(probe), tree.predict(probe))
+
+    def test_regression_nodes_in_any_order_load_into_pre_order(self):
+        rng = np.random.default_rng(9)
+        X = rng.normal(size=(60, 3)).round(1)
+        tree = fit_regression_tree(X, rng.normal(size=60), np.ones(60), max_depth=3)
+        d = tree_to_dict(tree)
+        assert len(d["nodes"]) > 3
+        # keep the root first, reverse the others and renumber the child links
+        order = [0] + list(range(len(d["nodes"]) - 1, 0, -1))
+        new = {old: i for i, old in enumerate(order)}
+        shuffled = [dict(d["nodes"][old]) for old in order]
+        for node in shuffled:
+            if "left" in node:
+                node["left"], node["right"] = new[node["left"]], new[node["right"]]
+        back = tree_from_dict({**d, "nodes": shuffled}, 3)
+        assert tree_to_dict(back) == d
+        assert np.array_equal(back.predict(X), tree.predict(X))
