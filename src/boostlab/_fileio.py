@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
 
 @contextmanager
 def atomic_open(path):
-    """A text file to write that replaces path only when the block completes."""
+    """A text file to write that replaces path only when the block completes.
+
+    The temp file is created by open() in exclusive mode, so the output gets
+    the permissions open() would give it under the umask.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+        with fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -5,9 +5,18 @@ margin through a sigmoid; TreeEnsemble (GBM, XGBoost-style and CatBoost-style,
 fitted by one boosting loop on binomial deviance) maps its raw log-odds score.
 All models emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
 
-load_model raises MalformedModel for bad JSON, a format_version other than
-MODEL_FORMAT_VERSION, a missing key, a value of the wrong type, a split on a
-column the model does not have, or a bad or repeated tree node index.
+Model files are format v2, JSON. An oblivious tree lists only its non-zero
+leaves, as leaf_index (ascending) and leaf_values; every other leaf is 0. v1
+files, which list every leaf of an oblivious tree plus gradient and hessian
+sums that prediction never read, still load: each v1 oblivious tree is read as
+a v2 one whose leaf_index lists every leaf, and its sums are ignored.
+
+load_model raises MalformedModel for bad JSON, a format_version other than 1
+or 2, a missing key, a value of the wrong type (a bool is not a number) or
+outside its set (default_direction "left" or "right", stump classes -1 or 1),
+a split on a column the model does not have, a bad or repeated tree node
+index, or an oblivious leaf_index that is not strictly increasing ints in
+[0, 2**depth), one per leaf value.
 """
 
 from __future__ import annotations
@@ -36,7 +45,7 @@ from .tree import (
 
 ALGORITHMS = ("adaboost", "gbm", "xgboost", "catboost")
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2
 
 
 def _check_threshold(threshold: float) -> None:
@@ -421,8 +430,9 @@ def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: Feature
 def model_from_dict(d: dict):
     """Rebuild a model from its dict form; raises MalformedModel on any defect."""
     try:
-        if d["format_version"] != MODEL_FORMAT_VERSION:
-            raise MalformedModel(f"unsupported format_version {d['format_version']!r}")
+        version = d["format_version"]
+        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+            raise MalformedModel(f"unsupported format_version {version!r}")
         algorithm = d["algorithm"]
         params = BoostParams(**d["params"])
         schema = FeatureSchema.from_dict(d["schema"])
@@ -446,11 +456,20 @@ def model_from_dict(d: dict):
         _check_encodings(encodings, schema)
         # the trees read _encode_matrix's output: one-hot columns widen it
         width = schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
-        trees = [tree_from_dict(t, width) for t in d["trees"]]
+        trees = d["trees"]
+        if version == 1:
+            # a v1 oblivious tree lists every leaf; its leaf_grad_sums and
+            # leaf_hess_sums are ignored
+            trees = [
+                {**t, "leaf_index": range(2 ** len(t["levels"]))} if t["kind"] == "oblivious" else t
+                for t in trees
+            ]
+        trees = [tree_from_dict(t, width) for t in trees]
         return TreeEnsemble(algorithm, float(d["base_score"]), trees, schema, params, encodings)
     except KeyError as exc:
         raise MalformedModel(f"missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+    except (TypeError, ValueError, AttributeError, IndexError, MemoryError) as exc:
+        # MemoryError: the dense leaves of a stated oblivious depth do not fit
         raise MalformedModel(f"bad value: {exc}") from None
 
 

@@ -11,7 +11,7 @@ trees route them along a learned per-node default direction; oblivious trees
 always route them left.
 
 A regression tree is a set of parallel per-node arrays in pre-order, the node
-order of the v1 model file: node 0 is the root and a split node precedes its
+order of the model file: node 0 is the root and a split node precedes its
 children, its left child right after it. One pass in index order therefore
 routes rows from the root down, and a dump writes the arrays as they are.
 
@@ -32,6 +32,7 @@ candidate, so fits are fully deterministic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,13 +117,12 @@ class ObliviousTree:
     """Symmetric tree: one (feature, threshold) test per level.
 
     A row's leaf index is the bit string of its per-level comparisons, earlier
-    levels in higher bits, with bit 1 meaning "went right".
+    levels in higher bits, with bit 1 meaning "went right". A model file lists
+    only the non-zero leaf_values: an unlisted leaf predicts 0.
     """
 
     levels: tuple[tuple[int, float | frozenset[int]], ...]
     leaf_values: np.ndarray
-    leaf_grad_sums: np.ndarray
-    leaf_hess_sums: np.ndarray
     n_features: int
 
     @property
@@ -443,7 +443,7 @@ def fit_oblivious_tree(
     denom = leaf_h + reg_lambda
     leaf_values = np.zeros(n_leaves)
     np.divide(-leaf_g, denom, out=leaf_values, where=denom > 0)
-    return ObliviousTree(tuple(levels), leaf_values, leaf_g, leaf_h, d)
+    return ObliviousTree(tuple(levels), leaf_values, d)
 
 
 def predict_tree(tree, rows: np.ndarray):
@@ -468,8 +468,8 @@ def _threshold_to_json(thr):
 
 def _threshold_from_json(obj):
     if isinstance(obj, dict):
-        return frozenset(int(v) for v in obj["levels"])
-    return float(obj)
+        return frozenset(_index(v, math.inf, "categorical level") for v in obj["levels"])
+    return _number(obj, "threshold")
 
 
 def tree_to_dict(tree) -> dict:
@@ -504,9 +504,8 @@ def tree_to_dict(tree) -> dict:
             "levels": [
                 {"feature_index": f, "threshold": _threshold_to_json(t)} for f, t in tree.levels
             ],
-            "leaf_values": tree.leaf_values.tolist(),
-            "leaf_grad_sums": tree.leaf_grad_sums.tolist(),
-            "leaf_hess_sums": tree.leaf_hess_sums.tolist(),
+            "leaf_index": np.flatnonzero(tree.leaf_values).tolist(),
+            "leaf_values": tree.leaf_values[tree.leaf_values != 0].tolist(),
         }
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
@@ -515,6 +514,20 @@ def _index(value, stop: int, what: str = "feature_index") -> int:
     """value as an index in [0, stop); anything else, a bool too, is MalformedModel."""
     if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < stop:
         raise MalformedModel(f"{what} {value!r} is not an int in [0, {stop})")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """value as a float; a bool or anything but an int or a float is MalformedModel."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedModel(f"{what} {value!r} is not a number")
+    return float(value)
+
+
+def _one_of(value, allowed: tuple, what: str):
+    """value if it is one of allowed, of the same type (so True is not 1)."""
+    if not any(type(value) is type(a) and value == a for a in allowed):
+        raise MalformedModel(f"{what} {value!r} is not one of {allowed}")
     return value
 
 
@@ -532,8 +545,8 @@ def tree_from_dict(d: dict, n_features: int):
         return Stump(
             _index(d["feature_index"], n_features),
             _threshold_from_json(d["threshold"]),
-            int(d["left_class"]),
-            int(d["right_class"]),
+            _one_of(d["left_class"], (-1, 1), "left_class"),
+            _one_of(d["right_class"], (-1, 1), "right_class"),
         )
     if kind == "regression":
         entries = d["nodes"]
@@ -551,13 +564,13 @@ def tree_from_dict(d: dict, n_features: int):
                 nodes[right_of][_RIGHT] = i
             entry = entries[j]
             if "value" in entry:
-                leaf_sums = (float(entry.get("grad_sum", 0.0)), float(entry.get("hess_sum", 0.0)))
-                nodes.append([-1, None, True, -1, -1, float(entry["value"]), *leaf_sums])
+                sums = [_number(entry.get(k, 0.0), k) for k in ("value", "grad_sum", "hess_sum")]
+                nodes.append([-1, None, True, -1, -1, *sums])
             else:
                 f = _index(entry["feature_index"], n_features)
                 thr = _threshold_from_json(entry["threshold"])
-                default_left = entry["default_direction"] == "left"
-                nodes.append([f, thr, default_left, i + 1, -1, 0.0, 0.0, 0.0])
+                direction = _one_of(entry["default_direction"], ("left", "right"), "default_direction")
+                nodes.append([f, thr, direction == "left", i + 1, -1, 0.0, 0.0, 0.0])
                 todo += [(entry["right"], i), (entry["left"], -1)]
         return _regression_tree(nodes, n_features)
     if kind == "oblivious":
@@ -565,11 +578,12 @@ def tree_from_dict(d: dict, n_features: int):
             (_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
             for lv in d["levels"]
         )
-        leaves = [
-            np.array(d[key], dtype=np.float64)
-            for key in ("leaf_values", "leaf_grad_sums", "leaf_hess_sums")
-        ]
-        if any(a.shape != (2 ** len(levels),) for a in leaves):
-            raise MalformedModel(f"oblivious tree of depth {len(levels)} with wrong leaf count")
-        return ObliviousTree(levels, *leaves, n_features)
+        leaf_values = np.zeros(2 ** len(levels))
+        if len(d["leaf_index"]) != len(d["leaf_values"]):
+            raise MalformedModel("leaf_index and leaf_values differ in length")
+        index = [_index(i, leaf_values.size, "leaf_index") for i in d["leaf_index"]]
+        if any(a >= b for a, b in zip(index, index[1:])):
+            raise MalformedModel("leaf_index is not strictly increasing")
+        leaf_values[index] = [_number(v, "leaf value") for v in d["leaf_values"]]
+        return ObliviousTree(levels, leaf_values, n_features)
     raise MalformedModel(f"unknown tree kind {kind!r}")

@@ -348,7 +348,22 @@ class TestSerialization:
         path = tmp_path / "model.json"
         save_model(model, path)
         back = load_model(path)
+        assert np.array_equal(raw_scores(back, data), raw_scores(model, data))
         assert np.array_equal(predict_scores(back, data), predict_scores(model, data))
+
+    def test_oblivious_file_lists_only_nonzero_leaves(self, tmp_path):
+        data = synthesize(pcos_default_schema(), 60, 21, 1.5, missing_rate=0.1)
+        model = fit("catboost", data, replace(paper_preset("catboost"), n_rounds=2))
+        assert max(tree.depth for tree in model.trees) > 8  # most of 2**depth leaves are empty
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        written = json.loads(path.read_text())["trees"]
+        for tree, d in zip(model.trees, written, strict=True):
+            index = np.flatnonzero(tree.leaf_values)
+            assert d["leaf_index"] == index.tolist()
+            assert d["leaf_values"] == tree.leaf_values[index].tolist()
+        assert path.stat().st_size < 100_000
+        assert np.array_equal(raw_scores(load_model(path), data), raw_scores(model, data))
 
     def test_envelope_fields(self):
         data = cat_dataset(40, 6)
@@ -412,6 +427,20 @@ class TestMalformedModel:
             ("xgboost", ("trees", 0, "nodes", 0, "right"), 99),
             ("xgboost", ("trees", 0, "nodes", 0, "feature_index"), True),
             ("adaboost", ("stumps", 0, "stump", "feature_index"), True),
+            ("xgboost", ("trees", 0, "nodes", 0, "default_direction"), "up"),
+            ("xgboost", ("trees", 0, "nodes", 0, "threshold"), True),
+            ("xgboost", ("trees", 0, "nodes", 2, "value"), True),
+            ("xgboost", ("trees", 0, "nodes", 0, "threshold"), {"levels": [True]}),
+            ("xgboost", ("trees", 0, "nodes", 0, "threshold"), {"levels": [1.5]}),
+            ("adaboost", ("stumps", 0, "stump", "left_class"), 5),
+            # tree 0 of this catboost model has depth 2 and leaf_index [0, 1, 2, 3]
+            ("catboost", ("trees", 0, "leaf_index", 0), 4),
+            ("catboost", ("trees", 0, "leaf_index", 1), 0),
+            ("catboost", ("trees", 0, "leaf_index"), [0, 2, 1, 3]),
+            ("catboost", ("trees", 0, "leaf_index", 0), True),
+            ("catboost", ("trees", 0, "leaf_index"), [0, 1, 2]),
+            # 2**55 dense leaves are more than any address space holds
+            ("catboost", ("trees", 0, "levels"), [{"feature_index": 0, "threshold": 0.5}] * 55),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

@@ -5,6 +5,8 @@ model error reported on exactly one stderr line.
 """
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -67,6 +69,16 @@ class TestSuccess:
     def test_synth_writes_rows(self, data_csv):
         header, rows = read_column(data_csv)
         assert header.endswith(",pcos") and len(rows) == 80
+
+    def test_output_mode_follows_umask(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        old = os.umask(0o022)
+        try:
+            assert run(capsys, "synth", "--n", 20, "--out", path)[0] == 0
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
 
     @pytest.mark.parametrize("algo", ALGOS)
     def test_train_writes_model(self, tmp_path, capsys, data_csv, algo):

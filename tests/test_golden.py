@@ -1,9 +1,11 @@
-"""Byte-identity gates: the paper comparison and the v1 model file format.
+"""Byte-identity gates: the paper comparison and the model file formats.
 
 The paper digests are the benchmark's own (perfbench/golden.json, seed 42),
 hashed the way perfbench/checks.py hashes them: report.json without its
-timestamp line. The model digests were recorded when the format was pinned;
-a change to either is a change of output and must be deliberate.
+timestamp line. The model digests were recorded when each format was pinned:
+MODEL_SHA256 for the v2 files that train writes today, V1_MODEL_SHA256 for the
+v1 files of the same fits, kept in tests/data and still read. A change to any
+of them is a change of output and must be deliberate.
 """
 
 import contextlib
@@ -12,14 +14,24 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from boostlab import cli
+from boostlab.boost import load_model, raw_scores
 from boostlab.dataset import pcos_default_schema, synthesize, write_csv
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+V1_MODELS = Path(__file__).resolve().parent / "data"
 
 MODEL_SHA256 = {
+    "adaboost": "e718022c21a755e3f355081b0b184c9da44f5d02cfca8728f931b426034bdfb0",
+    "gbm": "4af4068fb50575353c105b00b78d1652ba2081e7dec8bf399e028ea1d7df1928",
+    "xgboost": "53d6401d13f1f2c91c4adb7b36fa005895310a1d8cd08a12914fde13da816a57",
+    "catboost": "8de1747b3217991f0c1d99abdbcf9bf02b30b4c60c0b7231c336263db670304f",
+}
+
+V1_MODEL_SHA256 = {
     "adaboost": "2b80d7774c4939756c5cdf29fd222224f13520cae68a465d3aa4e2cec70ce59c",
     "gbm": "c6898cf48e9564d56500032f948f97b0633e5a4c1f82b6aba52d09b9e72fdb40",
     "xgboost": "c79eaabe6302850d126986606e3b287702d1709b4a484f9e66659d1e5d582a44",
@@ -50,8 +62,8 @@ def test_compare_paper_preset_matches_golden(tmp_path):
     assert {name: digest(tmp_path / name) for name in expected} == expected
 
 
-@pytest.mark.parametrize("algo", sorted(MODEL_SHA256))
-def test_train_model_file_is_pinned(tmp_path, algo):
+def train(tmp_path, algo):
+    """The training table and the 5-round model file that train writes from it."""
     # 120 rows with 10% missing numeric cells and a 3-level categorical, so
     # XGBoost learns missing directions and CatBoost uses target statistics.
     data = synthesize(pcos_default_schema(), 120, 7, 1.5, missing_rate=0.1)
@@ -66,4 +78,19 @@ def test_train_model_file_is_pinned(tmp_path, algo):
         ]
     )
     assert code == 0
+    return data, model
+
+
+@pytest.mark.parametrize("algo", sorted(MODEL_SHA256))
+def test_train_model_file_is_pinned(tmp_path, algo):
+    _, model = train(tmp_path, algo)
     assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_SHA256[algo]
+
+
+@pytest.mark.parametrize("algo", sorted(V1_MODEL_SHA256))
+def test_v1_model_file_scores_like_v2(tmp_path, algo):
+    v1 = V1_MODELS / f"model_v1_{algo}.json"
+    assert hashlib.sha256(v1.read_bytes()).hexdigest() == V1_MODEL_SHA256[algo]
+    data, model = train(tmp_path, algo)
+    assert json.loads(model.read_text())["format_version"] == 2
+    assert np.array_equal(raw_scores(load_model(v1), data), raw_scores(load_model(model), data))
