@@ -12,18 +12,18 @@ sums that prediction never read, still load: each v1 oblivious tree is read as
 a v2 one whose leaf_index lists every leaf, and its sums are ignored.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
-or 2, a missing key, a value of the wrong type (a bool is not a number) or
-outside its set (default_direction "left" or "right", stump classes -1 or 1),
-a split on a column the model does not have, a bad or repeated tree node
-index, or an oblivious leaf_index that is not strictly increasing ints in
-[0, 2**depth), one per leaf value.
+or 2, a missing key, a value of the wrong type (a bool is not a number, a
+float is not an int) or outside its set (default_direction "left" or "right",
+stump classes -1 or 1), a split on a column the model does not have, a bad or
+repeated tree node index, or an oblivious leaf_index that is not strictly
+increasing ints in [0, 2**depth), one per leaf value.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -35,6 +35,8 @@ from .tree import (
     ObliviousTree,
     RegressionTree,
     Stump,
+    _index,
+    _number,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
@@ -427,6 +429,20 @@ def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: Feature
             raise MalformedModel(f"cat_encoding_state: bad entry for column {e.feature_index!r}")
 
 
+def _params_from_dict(entry: dict) -> BoostParams:
+    """BoostParams from a model file: an int field takes a non-negative int, a
+    float field an int or a float, and a bool is neither."""
+    types = {f.name: f.type for f in fields(BoostParams)}
+    checked = {}
+    for name, value in entry.items():
+        what = f"params.{name}"
+        if types.get(name) == "int":
+            checked[name] = _index(value, math.inf, what)
+        else:
+            checked[name] = _number(value, what)
+    return BoostParams(**checked)
+
+
 def model_from_dict(d: dict):
     """Rebuild a model from its dict form; raises MalformedModel on any defect."""
     try:
@@ -434,11 +450,11 @@ def model_from_dict(d: dict):
         if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
             raise MalformedModel(f"unsupported format_version {version!r}")
         algorithm = d["algorithm"]
-        params = BoostParams(**d["params"])
+        params = _params_from_dict(d["params"])
         schema = FeatureSchema.from_dict(d["schema"])
         if algorithm == "adaboost":
             stumps = [
-                (tree_from_dict(s["stump"], schema.n_features), float(s["alpha"]))
+                (tree_from_dict(s["stump"], schema.n_features), _number(s["alpha"], "alpha"))
                 for s in d["stumps"]
             ]
             return AdaBoostModel(stumps, schema, params)
@@ -446,10 +462,10 @@ def model_from_dict(d: dict):
             raise MalformedModel(f"unknown algorithm {algorithm!r}")
         encodings = tuple(
             CategoricalEncoding(
-                e["feature_index"],
+                _index(e["feature_index"], schema.n_features),
                 e["mode"],
-                e["cardinality"],
-                tuple(float(s) for s in e["stats"]) if e["stats"] is not None else None,
+                _index(e["cardinality"], math.inf, "cardinality"),
+                tuple(_number(s, "stats") for s in e["stats"]) if e["stats"] is not None else None,
             )
             for e in d["cat_encoding_state"] or ()
         )
@@ -465,7 +481,8 @@ def model_from_dict(d: dict):
                 for t in trees
             ]
         trees = [tree_from_dict(t, width) for t in trees]
-        return TreeEnsemble(algorithm, float(d["base_score"]), trees, schema, params, encodings)
+        base = _number(d["base_score"], "base_score")
+        return TreeEnsemble(algorithm, base, trees, schema, params, encodings)
     except KeyError as exc:
         raise MalformedModel(f"missing key {exc}") from None
     except (TypeError, ValueError, AttributeError, IndexError, MemoryError) as exc:

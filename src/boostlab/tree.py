@@ -15,15 +15,16 @@ order of the model file: node 0 is the root and a split node precedes its
 children, its left child right after it. One pass in index order therefore
 routes rows from the root down, and a dump writes the arrays as they are.
 
-All three learners enumerate their candidates through one kernel,
+Stumps and regression trees enumerate their candidates through one kernel,
 _candidates. A fit sorts each non-categorical column once (_sorted_rows): its
 non-missing rows in stable (value, row) order. Any subset of the rows, such as
 a tree node, keeps that order, so the kernel filters the presorted rows instead
 of sorting again and its prefix sums add up the same numbers in the same order
 as a sort of the subset would. Each learner passes its own per-row statistics
 (stump: the weight each leaf class misclassifies; regression tree: gradient and
-hessian; oblivious tree: gradient and hessian one-hot by leaf bucket) and keeps
-its own missing-value routing, gain or error formula and tie rule.
+hessian) and keeps its own missing-value routing, gain or error formula and tie
+rule. Oblivious trees use a bucket-partitioned search instead, since a level's
+gain sums over every leaf bucket (see fit_oblivious_tree).
 
 Candidate enumeration order is feature index ascending, then threshold
 ascending, then orientation / default direction, and ties keep the earliest
@@ -46,6 +47,11 @@ _ORIENTATIONS = ((-1, 1), (1, -1))
 # by an ulp depending on summation order; ties within this margin keep the
 # earliest candidate (lowest feature, lowest threshold, first orientation).
 _TIE_TOL = 1e-12
+
+# An oblivious level's gain sums one term per bucket, so its rounding grows
+# with the bucket count; candidates within this fraction of (1 + the parent
+# score) of the best gain tie, and the earliest one wins.
+_LEVEL_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -382,6 +388,99 @@ def fit_regression_tree(
     return _regression_tree(nodes, d)
 
 
+def _level_candidates(X: np.ndarray, kinds):
+    """Every candidate split of an oblivious level, in enumeration order, as
+    parallel lists of features and thresholds, and how the search finds their
+    gains: masked lists (candidate, its left rows, missing rows included) for
+    categorical and single-threshold columns, swept lists (first candidate,
+    rows in value order with the missing rows first, position of the last
+    left row at each threshold) for the columns of several thresholds."""
+    n, d = X.shape
+    missing = np.isnan(X)
+    features: list[int] = []
+    thresholds: list[float | frozenset[int]] = []
+    masked: list[tuple[int, np.ndarray]] = []
+    swept: list[tuple[int, np.ndarray, np.ndarray]] = []
+    for f in range(d):
+        col, skipped = X[:, f], missing[:, f]
+        values, counts = np.unique(col[~skipped], return_counts=True)
+        if kinds is not None and kinds[f].is_categorical:
+            levels = [frozenset({int(v)}) for v in values]
+            for i, v in enumerate(values):
+                masked.append((len(features) + i, np.flatnonzero((col == v) | skipped)))
+        else:
+            levels = ((values[:-1] + values[1:]) / 2).tolist()
+            if len(levels) == 1:
+                masked.append((len(features), np.flatnonzero((col <= levels[0]) | skipped)))
+            elif levels:  # argsort puts NaN last
+                n_missing = int(skipped.sum())
+                order = np.argsort(col, kind="stable")[: n - n_missing]
+                rows = np.concatenate([np.flatnonzero(skipped), order])
+                swept.append((len(features), rows, n_missing + np.cumsum(counts[:-1]) - 1))
+        features += [f] * len(levels)
+        thresholds += levels
+    return features, thresholds, masked, swept
+
+
+class _SweptColumns:
+    """The columns of several thresholds, searched together.
+
+    order lists each column's rows in value order, missing rows first, one
+    column after another, so flat position j * n + i names the i-th row of
+    column j. at lists those positions in (bucket, value, row) order, one row
+    of at per column. Every column holds every row, so bucket b fills the same
+    span of each row of at.
+    """
+
+    def __init__(self, swept, g: np.ndarray, h: np.ndarray):
+        n = g.size
+        self.candidates = np.concatenate([c + np.arange(b.size) for c, _, b in swept])
+        self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)])
+        self.order = np.concatenate([r for _, r, _ in swept])
+        self.g, self.h = g[self.order], h[self.order]
+        self.at = np.arange(self.order.size).reshape(len(swept), n)
+
+    def gains(self, size, start, Gb, Hb, parent_b, reg_lambda: float):
+        """Gain and "splits a bucket" of each candidate. Moving a bucket's rows
+        left one at a time in value order, each row changes only its bucket's
+        term and its bucket's "is split" flag; put back in value order, the
+        changes' prefix sums at each threshold are the gain and the count of
+        split buckets."""
+        at = self.at
+        pos = np.repeat(np.arange(size.size), size)  # the bucket at each position
+        end = start + size - 1
+        # a bucket's sums up to each position: the running sum minus the sums
+        # of the buckets before it
+        GL = np.cumsum(self.g[at], axis=1) - (np.cumsum(Gb) - Gb)[pos]
+        HL = np.cumsum(self.h[at], axis=1) - (np.cumsum(Hb) - Hb)[pos]
+        term = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb[pos] - GL, Hb[pos] - HL, reg_lambda)
+        change = np.empty_like(term)
+        change[:, 1:] = term[:, 1:] - term[:, :-1]
+        change[:, start] = term[:, start] - parent_b  # from all rows on the right
+        moved = np.empty(at.size)
+        moved[at] = change
+        gains = 0.5 * np.cumsum(moved.reshape(at.shape), axis=1).ravel()[self.reads]
+        # a bucket is split while its first row is left and its last is not
+        flips = np.zeros(at.size, dtype=np.int32)
+        two = size > 1
+        flips[at[:, start[two]]] = 1
+        flips[at[:, end[two]]] = -1
+        splits = np.cumsum(flips.reshape(at.shape), axis=1, dtype=np.int32).ravel()[self.reads] > 0
+        return gains, splits
+
+    def partition(self, right, n_right, size, start) -> None:
+        """Stable partition of each bucket's span, its left rows first. A
+        bucket has as many left rows in every column, so the rows of one side
+        keep their order, and bucket b's go to first[b] onward."""
+        bits = right[self.order[self.at]]
+        n_left = size - n_right
+        parted = np.empty_like(self.at)
+        for side, count, first in ((~bits, n_left, start), (bits, n_right, start + n_left)):
+            to = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
+            parted[:, to] = self.at[side].reshape(self.at.shape[0], -1)
+        self.at = parted
+
+
 def fit_oblivious_tree(
     X: np.ndarray,
     grads: np.ndarray,
@@ -394,52 +493,75 @@ def fit_oblivious_tree(
     """Level-by-level greedy symmetric tree.
 
     Each level picks the single (feature, threshold) maximizing the gain
-    summed over all current leaf buckets; growth stops at the first level
-    without a strictly positive gain, so the recorded depth may be shallower
-    than requested. Missing rows always go left.
+    summed over all current leaf buckets. Missing rows always go left.
+    Split rule: a candidate counts only if it splits at least one bucket into
+    two non-empty parts, an exact row count with the missing rows on the
+    left. Tie rule: of the candidates that count, the earliest in enumeration
+    order whose gain is within _LEVEL_TIE_TOL * (1 + |parent score|) of the
+    best wins. Growth stops at the first level where no candidate counts or
+    the best gain is not strictly positive, so the recorded depth may be
+    shallower than requested, and every level splits a bucket of the rows.
+
+    The search is bucket-partitioned and sorts each column once. For a
+    categorical or single-threshold column, one bincount by bucket of each
+    candidate's left rows gives its sums. The columns of several thresholds
+    are swept (_SweptColumns): their rows stay in (bucket, value) order, a
+    stable partition on each chosen level's bit carrying that order to the
+    next level.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     n, d = X.shape
-    sorted_rows = _sorted_rows(X, kinds)
-    everyone = np.ones(n, dtype=bool)
-    rows = np.arange(n)
+    features, thresholds, masked, swept = _level_candidates(X, kinds)
+    masked_at = np.array([c for c, _ in masked], dtype=np.int64)
+    left_rows = np.concatenate([r for _, r in masked]) if masked else np.empty(0, dtype=np.int64)
+    left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])
+    left_g, left_h = g[left_rows], h[left_rows]
+    sweep = _SweptColumns(swept, g, h) if swept else None
 
-    bucket = np.zeros(n, dtype=np.int64)
+    leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
+    bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
     levels: list[tuple[int, float | frozenset[int]]] = []
     for _ in range(depth):
-        uniq, dense = np.unique(bucket, return_inverse=True)
-        B = uniq.size
-        Gb = np.bincount(dense, weights=g, minlength=B)
-        Hb = np.bincount(dense, weights=h, minlength=B)
-        parent = float(_safe_score(Gb, Hb, reg_lambda).sum())
-        # gradients one-hot by bucket in columns [0, B), hessians in [B, 2B)
-        stats = np.zeros((n, 2 * B))
-        stats[rows, dense] = g
-        stats[rows, B + dense] = h
-        best_gain = 0.0
-        best = None
-        for f, thresholds, left in _candidates(X, sorted_rows, everyone, stats):
-            GL, HL = left[:, :B], left[:, B:]
-            missing = np.isnan(X[:, f])
-            if missing.any():
-                GL = GL + np.bincount(dense[missing], weights=g[missing], minlength=B)
-                HL = HL + np.bincount(dense[missing], weights=h[missing], minlength=B)
+        size = np.bincount(bucket)
+        B = size.size
+        start = np.cumsum(size) - size
+        Gb = np.bincount(bucket, weights=g, minlength=B)
+        Hb = np.bincount(bucket, weights=h, minlength=B)
+        parent_b = _safe_score(Gb, Hb, reg_lambda)
+        parent = float(parent_b.sum())
+        gains = np.empty(len(features))
+        splits = np.empty(len(features), dtype=bool)
+        if masked:
+            cell = left_of * B + bucket[left_rows]
+            GL, HL, CL = (
+                np.bincount(cell, weights=w, minlength=len(masked) * B).reshape(-1, B)
+                for w in (left_g, left_h, None)
+            )
             child = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb - GL, Hb - HL, reg_lambda)
-            gains = 0.5 * (child.sum(axis=1) - parent)
-            k = int(np.argmax(gains))
-            if gains[k] > best_gain:
-                best_gain = float(gains[k])
-                best = (f, thresholds[k])
-        if best is None:
+            gains[masked_at] = 0.5 * (child.sum(axis=1) - parent)
+            splits[masked_at] = ((CL > 0) & (CL < size)).any(axis=1)
+        if sweep is not None:
+            gains[sweep.candidates], splits[sweep.candidates] = sweep.gains(
+                size, start, Gb, Hb, parent_b, reg_lambda
+            )
+        if not splits.any():
             break
-        f, thr = best
-        levels.append((f, thr))
-        left = _split_mask(X[:, f], thr, missing_left=True)
-        bucket = bucket * 2 + (~left)
+        best = gains[splits].max()
+        if best <= 0:
+            break
+        tol = _LEVEL_TIE_TOL * (1.0 + abs(parent))
+        k = int(np.flatnonzero(splits & (gains >= best - tol))[0])
+        levels.append((features[k], thresholds[k]))
+        right = ~_split_mask(X[:, features[k]], thresholds[k], missing_left=True)
+        leaf = leaf * 2 + right
+        if sweep is not None:
+            sweep.partition(right, np.bincount(bucket[right], minlength=B), size, start)
+        split_bucket = bucket * 2 + right
+        bucket = (np.cumsum(np.bincount(split_bucket) > 0) - 1)[split_bucket]
 
     n_leaves = 1 << len(levels)
-    leaf_g = np.bincount(bucket, weights=g, minlength=n_leaves)
-    leaf_h = np.bincount(bucket, weights=h, minlength=n_leaves)
+    leaf_g = np.bincount(leaf, weights=g, minlength=n_leaves)
+    leaf_h = np.bincount(leaf, weights=h, minlength=n_leaves)
     denom = leaf_h + reg_lambda
     leaf_values = np.zeros(n_leaves)
     np.divide(-leaf_g, denom, out=leaf_values, where=denom > 0)

@@ -441,6 +441,15 @@ class TestMalformedModel:
             ("catboost", ("trees", 0, "leaf_index"), [0, 1, 2]),
             # 2**55 dense leaves are more than any address space holds
             ("catboost", ("trees", 0, "levels"), [{"feature_index": 0, "threshold": 0.5}] * 55),
+            # envelope fields: a bool is not a number, a float is not an int
+            ("adaboost", ("stumps", 0, "alpha"), True),
+            ("gbm", ("base_score",), "0.5"),
+            ("gbm", ("params", "learning_rate"), True),
+            ("xgboost", ("params", "n_rounds"), 2.5),
+            ("catboost", ("cat_encoding_state", 0, "feature_index"), 11.0),
+            ("catboost", ("cat_encoding_state", 0, "cardinality"), 3.0),
+            ("catboost", ("cat_encoding_state", 0, "stats"), ["0.5", 0.5, 0.5]),
+            ("catboost", ("cat_encoding_state", 0, "stats"), [True, 0.5, 0.5]),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

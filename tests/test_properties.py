@@ -1,5 +1,5 @@
 """Property tests on small random datasets: persistence, determinism, stump
-error and AUC."""
+error, oblivious levels and AUC."""
 
 from dataclasses import replace
 
@@ -19,7 +19,7 @@ from boostlab.boost import (
 )
 from boostlab.dataset import BINARY, NUMERIC, Dataset, FeatureSchema, categorical
 from boostlab.metrics import roc_curve
-from boostlab.tree import fit_stump, predict_stump
+from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -76,6 +76,21 @@ def test_stump_error_is_misclassified_weight(data, weight_seed):
     w = rng.dirichlet(np.ones(data.n_rows))
     stump, err = fit_stump(X, y, w, SCHEMA.kinds)
     assert err == pytest.approx(w[predict_stump(stump, X) != y].sum(), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=datasets(), grad_seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 10))
+def test_every_oblivious_level_splits_a_bucket(data, grad_seed, depth):
+    # gradients and hessians of one logistic boosting round; deep trees run
+    # out of buckets to split long before their depth
+    p = np.random.default_rng(grad_seed).uniform(0.05, 0.95, data.n_rows)
+    g, h = p - data.labels, p * (1 - p)
+    tree = fit_oblivious_tree(data.values, g, h, SCHEMA.kinds, depth=depth, reg_lambda=1.0)
+    leaf = tree.leaf_index(data.values)
+    for level in range(tree.depth):
+        bucket = leaf >> (tree.depth - level)  # the row's bucket above this level
+        right = (leaf >> (tree.depth - level - 1)) & 1
+        assert any(np.unique(right[bucket == b]).size == 2 for b in np.unique(bucket))
 
 
 @settings(max_examples=60, deadline=None)

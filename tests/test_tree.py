@@ -60,6 +60,21 @@ def oracle_best_stump(X, y, w, kinds=None):
     return best, best_err
 
 
+def candidate_tests(X, kinds):
+    """(feature, threshold, rows the test sends left before missing rows are
+    routed) of every candidate split, in the documented enumeration order."""
+    for f in range(X.shape[1]):
+        col = X[:, f]
+        miss = np.isnan(col)
+        if kinds[f].is_categorical:
+            for v in np.unique(col[~miss]):
+                yield f, frozenset({int(v)}), col == v
+        else:
+            vals = np.unique(col[~miss])
+            for a, b in zip(vals, vals[1:]):
+                yield f, (a + b) / 2, col <= (a + b) / 2
+
+
 def oracle_split_gains(X, g, h, kinds, lam, directions):
     """Gain of every depth-1 split, with each side summed over a row mask.
 
@@ -71,20 +86,13 @@ def oracle_split_gains(X, g, h, kinds, lam, directions):
     def score(gs, hs):
         return gs * gs / (hs + lam) if hs + lam > 0 else 0.0
 
-    for f in range(X.shape[1]):
-        col = X[:, f]
-        miss = np.isnan(col)
-        if kinds[f].is_categorical:
-            tests = [(frozenset({int(v)}), col == v) for v in np.unique(col[~miss])]
-        else:
-            vals = np.unique(col[~miss])
-            tests = [((a + b) / 2, col <= (a + b) / 2) for a, b in zip(vals, vals[1:])]
-        for thr, goes_left in tests:
-            for default_left in directions:
-                left = (goes_left & ~miss) | (miss & default_left)
-                GL, HL = g[left].sum(), h[left].sum()
-                gain = 0.5 * (score(GL, HL) + score(G - GL, H - HL) - score(G, H))
-                yield gain, f, thr, default_left
+    for f, thr, goes_left in candidate_tests(X, kinds):
+        miss = np.isnan(X[:, f])
+        for default_left in directions:
+            left = (goes_left & ~miss) | (miss & default_left)
+            GL, HL = g[left].sum(), h[left].sum()
+            gain = 0.5 * (score(GL, HL) + score(G - GL, H - HL) - score(G, H))
+            yield gain, f, thr, default_left
 
 
 def kernel_fixture(rng, n):
@@ -385,6 +393,58 @@ class TestObliviousTree:
                 assert best <= 1e-12
                 continue
             assert gains[tree.levels[0]] == pytest.approx(best, abs=1e-12)
+
+    def test_split_rule_outranks_the_tie_rule(self):
+        # {0} sends both rows left, a gain of exactly 0 that is earlier than the
+        # numeric split and within the tie margin of its gain of 1e-12
+        X = np.array([[0.0, 1.0], [0.0, 2.0]])
+        kinds = (categorical(2), NUMERIC)
+        tree = fit_oblivious_tree(X, np.array([1e-6, -1e-6]), np.ones(2), kinds, depth=1)
+        assert tree.levels == ((1, 1.5),)
+
+    def test_levels_match_row_mask_oracle(self):
+        # Each level against every candidate that splits some bucket of the
+        # levels above, summed over row masks with NaN on the left: the level
+        # is the earliest candidate within the tie margin of the best gain. A
+        # tree that stops early has no candidate left with a positive gain.
+        rng = np.random.default_rng(11)
+        lam = 0.5
+        for _ in range(30):
+            n = int(rng.integers(4, 60))
+            X, g, h, kinds = kernel_fixture(rng, n)
+            # and a numeric column of one threshold, with NaNs
+            flag = np.where(rng.random(n) < 0.25, np.nan, rng.integers(0, 2, n))
+            X, kinds = np.column_stack([X, flag]), (*kinds, NUMERIC)
+            depth = int(rng.integers(2, 5))
+            tree = fit_oblivious_tree(X, g, h, kinds, depth=depth, reg_lambda=lam)
+
+            def score(rows):
+                return g[rows].sum() ** 2 / (h[rows].sum() + lam)
+
+            bucket = np.zeros(n, dtype=int)
+            for level in range(tree.depth + 1):
+                groups = [bucket == b for b in np.unique(bucket)]
+                parent = sum(score(rows) for rows in groups)
+                cands = []
+                for f, thr, goes_left in candidate_tests(X, kinds):
+                    left = goes_left | np.isnan(X[:, f])
+                    if any((rows & left).any() and (rows & ~left).any() for rows in groups):
+                        child = sum(score(rows & left) + score(rows & ~left) for rows in groups)
+                        cands.append((0.5 * (child - parent), (f, thr)))
+                tol = 1e-9 * (1 + parent)
+                best = max((gain for gain, _ in cands), default=0.0)
+                if level == tree.depth:
+                    assert depth == tree.depth or best <= tol
+                    break
+                assert best > 0
+                assert tree.levels[level] == next(c for gain, c in cands if gain >= best - tol)
+                f, thr = tree.levels[level]
+                goes_left = X[:, f] == min(thr) if isinstance(thr, frozenset) else X[:, f] <= thr
+                bucket = bucket * 2 + ~(goes_left | np.isnan(X[:, f]))
+            for b in np.unique(bucket):
+                rows = bucket == b
+                value = -g[rows].sum() / (h[rows].sum() + lam)
+                assert tree.leaf_values[b] == pytest.approx(value, abs=1e-12)
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
