@@ -19,7 +19,6 @@ from .dataset import (
     FeatureSchema,
     SplitSpec,
     SyntheticSpec,
-    infer_schema,
     load_csv,
     pcos_default_schema,
     split,
@@ -107,10 +106,7 @@ class BenchmarkReport:
 
 def _load_source(config: BenchmarkConfig) -> Dataset:
     if config.csv_path is not None:
-        schema = config.schema
-        if schema is None:
-            schema = infer_schema(config.csv_path, config.label_column)
-        return load_csv(config.csv_path, schema)
+        return load_csv(config.csv_path, config.schema, config.label_column)
     schema = config.schema if config.schema is not None else pcos_default_schema()
     spec = config.synthetic
     return synthesize(schema, spec.n, config.seed, spec.signal_strength, spec.missing_rate)

@@ -12,11 +12,12 @@ sums that prediction never read, still load: each v1 oblivious tree is read as
 a v2 one whose leaf_index lists every leaf, and its sums are ignored.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
-or 2, a missing key, a value of the wrong type (a bool is not a number, a
-float is not an int) or outside its set (default_direction "left" or "right",
-stump classes -1 or 1), a split on a column the model does not have, a bad or
-repeated tree node index, or an oblivious leaf_index that is not strictly
-increasing ints in [0, 2**depth), one per leaf value.
+or 2, a missing key (every params field must be given), a value of the wrong
+type (a bool is not a number, a float is not an int) or outside its set
+(default_direction "left" or "right", stump classes -1 or 1), a split on a
+column the model does not have, a bad or repeated tree node index, or an
+oblivious leaf_index that is not strictly increasing ints in [0, 2**depth),
+one per leaf value.
 """
 
 from __future__ import annotations
@@ -430,13 +431,16 @@ def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: Feature
 
 
 def _params_from_dict(entry: dict) -> BoostParams:
-    """BoostParams from a model file: an int field takes a non-negative int, a
-    float field an int or a float, and a bool is neither."""
+    """BoostParams from a model file, which must give every field: an int field
+    takes a non-negative int, a float field an int or a float, and a bool is
+    neither."""
     types = {f.name: f.type for f in fields(BoostParams)}
+    if entry.keys() != types.keys():  # a default would change the model's scores silently
+        raise MalformedModel(f"params: missing or unknown {sorted(types.keys() ^ entry.keys())}")
     checked = {}
     for name, value in entry.items():
         what = f"params.{name}"
-        if types.get(name) == "int":
+        if types[name] == "int":
             checked[name] = _index(value, math.inf, what)
         else:
             checked[name] = _number(value, what)

@@ -4,7 +4,7 @@ Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
 rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
 --n 1; 2 data or model error, on one stderr line: a missing file or a
-malformed CSV, schema or model file. Output files are written atomically
+malformed CSV, --schema or model file. Output files are written atomically
 (temp file + rename), so a failing run never leaves a half-written file
 behind. The BOOSTLAB_SEED environment variable sets the seed wherever --seed
 is not given, and is checked as --seed is: BOOSTLAB_SEED=abc or -1 exits 1.
@@ -39,14 +39,14 @@ from .dataset import (
     FeatureSchema,
     SplitSpec,
     SyntheticSpec,
-    infer_schema,
     load_csv,
     load_features_csv,
+    parse_label,
     pcos_default_schema,
     synthesize,
     write_csv,
 )
-from .errors import BoostlabError, LengthMismatch, MalformedCsv
+from .errors import BoostlabError, LengthMismatch, MalformedCsv, MalformedSchema
 from .metrics import (
     MetricScores,
     confusion,
@@ -123,23 +123,14 @@ def _add_data_flags(p: argparse.ArgumentParser):
 
 
 def _load_schema_arg(args) -> FeatureSchema | None:
+    """The --schema file's schema, None without --schema; a bad file is MalformedSchema."""
     if args.schema is None:
         return None
     with open(args.schema, encoding="utf-8") as fh:
-        return FeatureSchema.from_dict(json.load(fh))
-
-
-def _load_dataset(args, path) -> Dataset:
-    schema = _load_schema_arg(args)
-    if schema is None:
-        schema = infer_schema(path, args.label)
-    return load_csv(path, schema)
-
-
-def _binary_label(cell: str) -> int:
-    if cell.strip() not in ("0", "1"):
-        raise ValueError(cell)
-    return int(cell)
+        try:
+            return FeatureSchema.from_dict(json.load(fh))
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8 too
+            raise MalformedSchema(f"{args.schema}: not a schema: {exc!r}") from None
 
 
 def _read_column(path, name: str, parse) -> np.ndarray:
@@ -165,7 +156,7 @@ def _read_column(path, name: str, parse) -> np.ndarray:
 
 def _cmd_train(args) -> int:
     overrides = _overrides(args)
-    data = _load_dataset(args, args.data)
+    data = load_csv(args.data, _load_schema_arg(args), args.label)
     base = paper_preset(args.algo) if args.preset == "paper" else default_params(args.algo)
     model = fit(args.algo, data, replace(base, **overrides))
     save_model(model, args.model_out)
@@ -188,9 +179,9 @@ def _cmd_eval(args) -> int:
     _overrides(args)  # checks --threshold
     scores = _read_column(args.scores, "score", float)
     if args.truth is not None:
-        truth = _read_column(args.truth, "label", _binary_label)
+        truth = _read_column(args.truth, "label", parse_label)
     else:
-        truth = _load_dataset(args, args.data).labels
+        truth = load_csv(args.data, _load_schema_arg(args), args.label).labels
     if scores.shape != truth.shape:
         raise LengthMismatch(f"length mismatch: {scores.size} scores vs {truth.size} labels")
     pred = (scores >= args.threshold).astype(np.int64)

@@ -2,11 +2,16 @@
 
 Feature tables are stored as float64 matrices in schema column order, with NaN
 standing for a missing cell. Missing cells are only legal in numeric columns.
+
+A CSV file is read once, by one reader, and each column's stripped cells are
+mapped to their distinct texts: a schema is inferred from those texts, and
+each distinct text is parsed once.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -38,8 +43,8 @@ class FeatureKind:
         if self.kind not in ("numeric", "binary", "categorical"):
             raise ValueError(f"unknown feature kind {self.kind!r}")
         if self.kind == "categorical":
-            if self.cardinality is None or self.cardinality < 2:
-                raise ValueError("categorical cardinality must be >= 2")
+            if type(self.cardinality) is not int or self.cardinality < 2:  # not a bool or float
+                raise ValueError("categorical cardinality must be an int >= 2")
         elif self.cardinality is not None:
             raise ValueError(f"{self.kind} columns take no cardinality")
 
@@ -94,10 +99,7 @@ class FeatureSchema:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FeatureSchema":
-        cols = []
-        for entry in d["columns"]:
-            kind = FeatureKind(entry["kind"], entry.get("cardinality"))
-            cols.append((entry["name"], kind))
+        cols = ((e["name"], FeatureKind(e["kind"], e.get("cardinality"))) for e in d["columns"])
         return cls(tuple(cols), d["label_column"])
 
 
@@ -210,97 +212,141 @@ def pcos_default_schema() -> FeatureSchema:
     return FeatureSchema(cols, "pcos")
 
 
-def _parse_cell(text: str, kind: FeatureKind, column: str, row_no: int) -> float:
-    text = text.strip()
+def _parse_cell(text: str, kind: FeatureKind, column: str) -> float:
+    """The value of one stripped cell; a ValueError gives the reason it has none."""
     if text in MISSING_TOKENS:
         if kind.kind != "numeric":
-            raise MalformedCsv(
-                f"row {row_no}: missing cell in non-numeric column {column!r}"
-            )
+            raise ValueError(f"missing cell in non-numeric column {column!r}")
         return math.nan
-    if kind.kind == "numeric":
-        try:
-            value = float(text)
-        except ValueError:
-            raise MalformedCsv(f"row {row_no}: cannot parse {text!r} in column {column!r}") from None
-        if not math.isfinite(value):
-            raise MalformedCsv(f"row {row_no}: non-finite value in column {column!r}")
-        return value
     try:
-        value = int(text)
+        value = float(text) if kind.kind == "numeric" else int(text)
     except ValueError:
-        raise MalformedCsv(f"row {row_no}: cannot parse {text!r} in column {column!r}") from None
-    if kind.kind == "binary":
-        if value not in (0, 1):
-            raise MalformedCsv(f"row {row_no}: binary column {column!r} has value {text!r}")
-    else:
-        if not 0 <= value < kind.cardinality:
-            raise MalformedCsv(
-                f"row {row_no}: categorical column {column!r} has out-of-range level {text!r}"
-            )
+        raise ValueError(f"cannot parse {text!r} in column {column!r}") from None
+    if kind.kind == "numeric" and not math.isfinite(value):
+        raise ValueError(f"non-finite value in column {column!r}")
+    if kind.kind == "binary" and value not in (0, 1):
+        raise ValueError(f"binary column {column!r} has value {text!r}")
+    if kind.is_categorical and not 0 <= value < kind.cardinality:
+        raise ValueError(f"categorical column {column!r} has out-of-range level {text!r}")
     return float(value)
 
 
-def _read_header(reader, path) -> list[str]:
-    """The stripped header cells of a CSV; empty files and repeated names are errors."""
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise EmptyDataset(f"{path}: file is empty") from None
-    if len(set(header)) != len(header):
-        raise MalformedCsv(f"{path}: duplicate header columns")
-    return header
+def parse_label(text: str) -> int:
+    """A label cell's class: the cell must be "0" or "1" once stripped."""
+    text = text.strip()
+    if text not in ("0", "1"):
+        raise ValueError(f"label {text!r} is not 0/1")
+    return int(text)
 
 
-def _read_table(path, schema: FeatureSchema, *, label_required: bool):
-    """Feature matrix and 0/1 labels of a CSV with the schema's columns in any order.
+def _kind_of(texts) -> FeatureKind:
+    """The kind of a column, from the set of its distinct stripped texts (see infer_schema)."""
+    ints = set()
+    for text in texts:
+        try:
+            value = float(text)
+        except ValueError:
+            return NUMERIC  # a missing token, or text the parser rejects precisely
+        if not value.is_integer():  # nor inf or nan
+            return NUMERIC
+        ints.add(int(value))
+    if not ints or min(ints) < 0 or max(ints) > 9:
+        return NUMERIC
+    return BINARY if ints <= {0, 1} else categorical(max(ints) + 1)
 
-    Without label_required the label column may be absent, its cells are not
-    read, and the labels come back as None.
-    """
+
+def _read_csv(path, schema, label_column, *, with_labels, infer_only=False):
+    """(schema, values, labels) of a CSV read once and checked as load_csv says.
+    Without a schema one is inferred with label_column as the label; labels is
+    None unless with_labels, and infer_only returns (schema, None, None)."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        expected = set(schema.feature_names) | {schema.label_column}
-        got = set(header) if label_required else set(header) | {schema.label_column}
-        if got != expected:
-            missing = sorted(expected - got)
-            extra = sorted(got - expected)
-            parts = []
-            if missing:
-                parts.append(f"missing {missing}")
-            if extra:
-                parts.append(f"unexpected {extra}")
-            raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
-        columns = [(header.index(name), kind, name) for name, kind in schema.columns]
-        label_pos = header.index(schema.label_column) if label_required else None
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise EmptyDataset(f"{path}: file is empty") from None
+        if len(set(header)) != len(header):
+            raise MalformedCsv(f"{path}: duplicate header columns")
+        if schema is None:
+            if label_column not in header:
+                raise UnknownColumn(f"{path}: no column named {label_column!r}")
+            names = tuple(name for name in header if name != label_column)
+        else:
+            label_column, names = schema.label_column, schema.feature_names
+            expected = set(names) | {label_column}
+            got = set(header) if with_labels else set(header) | {label_column}
+            missing, extra = sorted(expected - got), sorted(got - expected)
+            if missing or extra:
+                parts = [f"missing {missing}"] if missing else []
+                parts += [f"unexpected {extra}"] if extra else []
+                raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
+        rows = list(reader)
 
-        rows = []
-        labels = []
-        for row_no, raw in enumerate(reader, start=2):
-            if len(raw) != len(header):
-                raise MalformedCsv(
-                    f"{path}: row {row_no} has {len(raw)} cells, expected {len(header)}"
-                )
-            if label_pos is not None:
-                label_text = raw[label_pos].strip()
-                if label_text not in ("0", "1"):
-                    raise LabelNotBinary(f"{path}: row {row_no} label {label_text!r} is not 0/1")
-                labels.append(int(label_text))
-            rows.append([_parse_cell(raw[pos], kind, name, row_no) for pos, kind, name in columns])
-    if not rows:
+    # A row of the wrong width is left out, and its error loses to any error
+    # of an earlier row; the rows before it are numbered from 2 without gaps.
+    failures = []  # (row number, place in the row's order of checks, error)
+    i = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
+    if i is not None:
+        message = f"{path}: row {i + 2} has {len(rows[i])} cells, expected {len(header)}"
+        failures.append((i + 2, -1, MalformedCsv(message)))
+        rows = [row for row in rows if len(row) == len(header)]
+
+    # Each column as its distinct stripped texts, in first-seen order, and the
+    # index of each row's text. Inference and parsing see only the texts, and
+    # a column's cells are freed once mapped.
+    n_rows = len(rows)
+    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
+    del rows
+    columns = {}
+    for name in names + (label_column,) if with_labels else names:
+        index: dict[str, int] = {}
+        inverse = [index.setdefault(cell.strip(), len(index)) for cell in cells.pop(name)]
+        columns[name] = list(index), np.array(inverse, dtype=np.intp)
+    if schema is None:
+        schema = FeatureSchema(tuple((n, _kind_of(columns[n][0])) for n in names), label_column)
+    if infer_only:
+        if failures:
+            raise failures[0][2]
+        return schema, None, None
+
+    values = np.empty((n_rows, schema.n_features))
+    labels = np.empty(n_rows, dtype=np.int64) if with_labels else None
+    checks = []  # (column, parser of one text, error type, message, output), in a row's order
+    if with_labels:
+        checks.append((label_column, parse_label, LabelNotBinary, "{path}: row {row} {why}", labels))
+    for j, (name, kind) in enumerate(schema.columns):
+        parse = functools.partial(_parse_cell, kind=kind, column=name)
+        checks.append((name, parse, MalformedCsv, "row {row}: {why}", values[:, j]))
+    for place, (name, parse, error, message, out) in enumerate(checks):
+        texts, inverse = columns.pop(name)
+        parsed = []
+        try:
+            for text in texts:
+                parsed.append(parse(text))
+        except ValueError as exc:
+            row_no = int(np.argmax(inverse == len(parsed))) + 2  # the text's first row
+            failures.append((row_no, place, error(message.format(path=path, row=row_no, why=exc))))
+            continue
+        out[:] = np.asarray(parsed)[inverse]
+    if failures:
+        raise min(failures, key=lambda f: f[:2])[2]
+    if not n_rows:
         raise EmptyDataset(f"{path}: no data rows")
-    return np.array(rows, dtype=np.float64), np.array(labels) if label_required else None
+    return schema, values, labels
 
 
-def load_csv(path, schema: FeatureSchema) -> Dataset:
-    """Load a UTF-8 comma-separated file whose header matches the schema (any order).
+def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pcos") -> Dataset:
+    """Load a UTF-8 comma-separated file, reading it once.
 
-    Empty cells and the literal token "NA" become missing values; the label
-    column must contain exactly "0" or "1".
+    The header must hold the schema's columns in any order. Without a schema
+    one is inferred as infer_schema does, with label_column as the label.
+    Empty cells and "NA" become missing values; labels must be exactly "0" or
+    "1". The header is checked first (an empty file, repeated names, the label
+    or the schema's columns), then each row's cell count, then that there is a
+    data row. Of the rows' defects the earliest row's is raised: within a row
+    the cell count, then the label, then the feature columns in schema order.
     """
-    values, labels = _read_table(path, schema, label_required=True)
-    return Dataset(schema, values, labels)
+    return Dataset(*_read_csv(path, schema, label_column, with_labels=True))
 
 
 def dataset_to_csv_text(data: Dataset) -> str:
@@ -309,18 +355,9 @@ def dataset_to_csv_text(data: Dataset) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(list(schema.feature_names) + [schema.label_column])
-    for i in range(data.n_rows):
-        cells = []
-        for j, (_, kind) in enumerate(schema.columns):
-            v = data.values[i, j]
-            if math.isnan(v):
-                cells.append("")
-            elif kind.kind == "numeric":
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(int(v)))
-        cells.append(str(int(data.labels[i])))
-        writer.writerow(cells)
+    formats = [repr if k.kind == "numeric" else (lambda v: str(int(v))) for k in schema.kinds]
+    for row, label in zip(data.values.tolist(), data.labels.tolist()):
+        writer.writerow(["" if math.isnan(v) else f(v) for v, f in zip(row, formats)] + [str(label)])
     return buf.getvalue()
 
 
@@ -332,7 +369,7 @@ def write_csv(path, data: Dataset) -> None:
 
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
     """Parse only the feature columns of a CSV; the label column may be absent."""
-    return _read_table(path, schema, label_required=False)[0]
+    return _read_csv(path, schema, schema.label_column, with_labels=False)[1]
 
 
 def infer_schema(path, label_column: str) -> FeatureSchema:
@@ -340,45 +377,12 @@ def infer_schema(path, label_column: str) -> FeatureSchema:
 
     Columns whose non-missing cells are all 0/1 become binary; integer columns
     with every value in 0..9 become categorical (cardinality = max + 1);
-    anything else, and any column containing missing cells, is numeric.
+    anything else, and any column containing missing cells, is numeric. A
+    column's kind depends only on its set of distinct stripped cells. The
+    header and cell counts are checked as load_csv checks them, so a short row
+    raises MalformedCsv; the cells themselves are not checked.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader, path)
-        if label_column not in header:
-            raise UnknownColumn(f"{path}: no column named {label_column!r}")
-        texts = {name: [] for name in header if name != label_column}
-        for raw in reader:
-            if len(raw) != len(header):
-                continue  # load_csv reports the precise error later
-            for name, cell in zip(header, raw):
-                if name != label_column:
-                    texts[name].append(cell.strip())
-
-    def kind_of(cells: list[str]) -> FeatureKind:
-        seen_missing = False
-        ints: list[int] = []
-        for c in cells:
-            if c in MISSING_TOKENS:
-                seen_missing = True
-                continue
-            try:
-                f = float(c)
-            except ValueError:
-                return NUMERIC  # load_csv will reject it with a precise message
-            if f != int(f):
-                return NUMERIC
-            ints.append(int(f))
-        if seen_missing or not ints:
-            return NUMERIC
-        if all(v in (0, 1) for v in ints):
-            return BINARY
-        if all(0 <= v <= 9 for v in ints):
-            return categorical(max(ints) + 1)
-        return NUMERIC
-
-    columns = tuple((name, kind_of(texts[name])) for name in header if name != label_column)
-    return FeatureSchema(columns, label_column)
+    return _read_csv(path, None, label_column, with_labels=False, infer_only=True)[0]
 
 
 # Logit gain and per-feature weight decay: earlier schema columns carry most of

@@ -37,6 +37,10 @@ class MalformedModel(BoostlabError):
     """A model file is not JSON or does not match the model format it claims."""
 
 
+class MalformedSchema(BoostlabError):
+    """A schema file is not JSON or does not describe a valid schema."""
+
+
 class SchemaMismatch(BoostlabError):
     """Prediction input does not conform to the training schema."""
 

@@ -389,11 +389,18 @@ class TestSerialization:
             assert a == b
 
 
+DELETED = object()
+
+
 def _set_path(d, path, value):
-    """d with the entry at the key/index path replaced by value (in place)."""
+    """d with the entry at the key/index path replaced by value, or deleted
+    when value is DELETED (in place)."""
     for key in path[:-1]:
         d = d[key]
-    d[path[-1]] = value
+    if value is DELETED:
+        del d[path[-1]]
+    else:
+        d[path[-1]] = value
 
 
 class TestMalformedModel:
@@ -450,6 +457,10 @@ class TestMalformedModel:
             ("catboost", ("cat_encoding_state", 0, "cardinality"), 3.0),
             ("catboost", ("cat_encoding_state", 0, "stats"), ["0.5", 0.5, 0.5]),
             ("catboost", ("cat_encoding_state", 0, "stats"), [True, 0.5, 0.5]),
+            # column 11 of the default schema is the categorical activity_level
+            ("xgboost", ("schema", "columns", 11, "cardinality"), 2.5),
+            # a default learning_rate would change the scores without an error
+            ("gbm", ("params", "learning_rate"), DELETED),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

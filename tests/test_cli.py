@@ -4,6 +4,7 @@
 model error reported on exactly one stderr line.
 """
 
+import builtins
 import json
 import os
 import stat
@@ -117,6 +118,26 @@ class TestSuccess:
         expected = {"report.json", "table.txt", "table.csv"} | curves
         assert {p.name for p in out_dir.iterdir()} == expected
 
+    def test_each_data_csv_is_opened_once(self, tmp_path, capsys, data_csv, scores_csv, monkeypatch):
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(os.fspath(file) if isinstance(file, (str, os.PathLike)) else file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        commands = {
+            "train": ["train", "--algo", "gbm", "--data", data_csv, "--rounds", 2,
+                      "--model-out", tmp_path / "m.json"],
+            "eval": ["eval", "--scores", scores_csv, "--data", data_csv, "--out", tmp_path / "ev"],
+            "compare": ["compare", "--data", data_csv, "--rounds", 2, "--out", tmp_path / "cmp"],
+        }
+        for name, argv in commands.items():
+            opened.clear()
+            assert run(capsys, *argv)[0] == 0, name
+            assert opened.count(str(data_csv)) == 1, name
+
     def test_env_seed_is_the_default_seed(self, tmp_path, capsys, monkeypatch):
         run(capsys, "synth", "--n", 30, "--seed", 9, "--out", tmp_path / "flag.csv")
         monkeypatch.setenv("BOOSTLAB_SEED", "9")
@@ -229,6 +250,34 @@ class TestDataErrors:
         path.write_text("age,pcos\n25,1\n30\n")
         code, _, err = train(capsys, "gbm", path, tmp_path / "m.json")
         assert_data_error(code, err)
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_cell_with_inferred_schema(self, tmp_path, capsys, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"age,pcos\n25,1\n{cell},0\n")
+        code, _, err = train(capsys, "gbm", path, tmp_path / "m.json")
+        assert_data_error(code, err)
+        assert "row 3: non-finite value in column 'age'" in err
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "{",
+            json.dumps({"label_column": "pcos"}),
+            json.dumps({"columns": [{"name": "age", "kind": "bogus"}], "label_column": "pcos"}),
+            json.dumps(
+                {"columns": [{"name": "act", "kind": "categorical", "cardinality": 2.5}], "label_column": "pcos"}
+            ),
+        ],
+        ids=["bad-json", "no-columns-key", "kind-bogus", "cardinality-2.5"],
+    )
+    def test_malformed_schema_file(self, tmp_path, capsys, data_csv, text):
+        schema = tmp_path / "schema.json"
+        schema.write_text(text)
+        code, _, err = train(capsys, "gbm", data_csv, tmp_path / "m.json", "--schema", schema)
+        assert_data_error(code, err)
+        assert "schema.json" in err
+        assert not (tmp_path / "m.json").exists()
 
     def test_eval_length_mismatch(self, tmp_path, capsys, data_csv):
         scores = tmp_path / "s.csv"

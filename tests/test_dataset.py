@@ -8,6 +8,7 @@ from boostlab.dataset import (
     BINARY,
     NUMERIC,
     Dataset,
+    FeatureKind,
     FeatureSchema,
     SplitSpec,
     categorical,
@@ -46,6 +47,11 @@ class TestSchema:
     def test_categorical_cardinality(self):
         with pytest.raises(ValueError):
             categorical(1)
+
+    @pytest.mark.parametrize("cardinality", [2.5, 3.0, True, "3", None])
+    def test_cardinality_must_be_an_int(self, cardinality):
+        with pytest.raises(ValueError, match="cardinality"):
+            FeatureKind("categorical", cardinality)
 
     def test_round_trip_dict(self):
         schema = pcos_default_schema()
@@ -170,6 +176,136 @@ class TestInferSchema:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(UnknownColumn):
             infer_schema(path, "pcos")
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
+    def test_non_finite_text_is_numeric(self, tmp_path, cell):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x,pcos\n1,1\n{cell},0\n")
+        assert infer_schema(path, "pcos").kinds == (NUMERIC,)
+
+    def test_short_row_raises_as_in_load_csv(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,pcos\n1,1\n0\n")
+        with pytest.raises(MalformedCsv, match=r"row 3 has 1 cells, expected 2"):
+            infer_schema(path, "pcos")
+
+    def test_cells_are_not_checked(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x,pcos\n1,2\n0,yes\n")
+        assert infer_schema(path, "pcos").kinds == (BINARY,)
+        with pytest.raises(LabelNotBinary):
+            load_csv(path, label_column="pcos")
+
+
+HEADER = "age,weight_gain,act,pcos\n"
+# defect -> (file text, the error's type and message with a given schema, and
+# with an inferred one; None where the inferred schema admits the file)
+SINGLE_DEFECTS = {
+    "short-row": (
+        HEADER + "25,1,2,1\n30,0,0\n41,1,1,1\n",
+        (MalformedCsv, "{path}: row 3 has 3 cells, expected 4"),
+        (MalformedCsv, "{path}: row 3 has 3 cells, expected 4"),
+    ),
+    # a repeated text before the defect: the row is not the text's rank
+    "label-2": (
+        HEADER + "25,1,2,1\n30,0,0,1\n41,0,1,2\n",
+        (LabelNotBinary, "{path}: row 4 label '2' is not 0/1"),
+        (LabelNotBinary, "{path}: row 4 label '2' is not 0/1"),
+    ),
+    "empty-binary-cell": (
+        HEADER + "25,1,2,1\n30, ,0,0\n",
+        (MalformedCsv, "row 3: missing cell in non-numeric column 'weight_gain'"),
+        None,  # weight_gain infers as numeric
+    ),
+    "unparsable-number": (
+        HEADER + "25,1,2,1\n25,0,0,0\n3o,0,1,0\n",
+        (MalformedCsv, "row 4: cannot parse '3o' in column 'age'"),
+        (MalformedCsv, "row 4: cannot parse '3o' in column 'age'"),
+    ),
+    "inf": (
+        HEADER + "25,1,2,1\ninf,0,0,0\n",
+        (MalformedCsv, "row 3: non-finite value in column 'age'"),
+        (MalformedCsv, "row 3: non-finite value in column 'age'"),
+    ),
+    "level-out-of-range": (
+        HEADER + "25,1,2,1\n30,0,3,0\n",
+        (MalformedCsv, "row 3: categorical column 'act' has out-of-range level '3'"),
+        None,  # act infers as categorical(4)
+    ),
+    "repeated-header": (
+        "age,age,act,pcos\n25,1,2,1\n",
+        (MalformedCsv, "{path}: duplicate header columns"),
+        (MalformedCsv, "{path}: duplicate header columns"),
+    ),
+    "unknown-column": (
+        "age,bmi,act,pcos\n25,1,2,1\n",
+        (UnknownColumn, "{path}: header mismatch: missing ['weight_gain'], unexpected ['bmi']"),
+        None,  # bmi is one more feature
+    ),
+    "no-label-column": (
+        "age,weight_gain,act\n25,1,2\n",
+        (UnknownColumn, "{path}: header mismatch: missing ['pcos']"),
+        (UnknownColumn, "{path}: no column named 'pcos'"),
+    ),
+    "empty-file": ("", (EmptyDataset, "{path}: file is empty"), (EmptyDataset, "{path}: file is empty")),
+    "header-only": (
+        HEADER,
+        (EmptyDataset, "{path}: no data rows"),
+        (EmptyDataset, "{path}: no data rows"),
+    ),
+}
+
+
+def read_schema():
+    return FeatureSchema((("age", NUMERIC), ("weight_gain", BINARY), ("act", categorical(3))), "pcos")
+
+
+def load_as(path, mode):
+    return load_csv(path, read_schema()) if mode == "given" else load_csv(path, label_column="pcos")
+
+
+class TestReaderErrors:
+    @pytest.mark.parametrize("mode", ["given", "inferred"])
+    @pytest.mark.parametrize("defect", sorted(SINGLE_DEFECTS))
+    def test_single_defect(self, tmp_path, defect, mode):
+        text, given, inferred = SINGLE_DEFECTS[defect]
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        expected = given if mode == "given" else inferred
+        if expected is None:
+            assert load_as(path, mode).n_rows == text.count("\n") - 1
+            return
+        error, message = expected
+        with pytest.raises(error) as info:
+            load_as(path, mode)
+        assert type(info.value) is error
+        assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("mode", ["given", "inferred"])
+    @pytest.mark.parametrize(
+        "text, error, message",
+        [
+            # the short row is found first but is not the earliest defect
+            (HEADER + "25,1,2,1\n3o,0,0,0\n30,0\n", MalformedCsv, "row 3: cannot parse '3o' in column 'age'"),
+            # within one row the label comes before the feature columns
+            (HEADER + "3o,1,2,2\n30,0\n", LabelNotBinary, "{path}: row 2 label '2' is not 0/1"),
+        ],
+        ids=["cell-before-short-row", "label-before-cell"],
+    )
+    def test_earliest_row_wins(self, tmp_path, mode, text, error, message):
+        path = tmp_path / "d.csv"
+        path.write_text(text)
+        with pytest.raises(error) as info:
+            load_as(path, mode)
+        assert str(info.value) == message.format(path=path)
+
+    def test_rows_after_a_short_row_still_infer(self, tmp_path):
+        # "1.0" alone would infer binary and then fail to parse as one; the
+        # "2.5" after the short row keeps the column numeric
+        path = tmp_path / "d.csv"
+        path.write_text("x,pcos\n1.0,1\n0\n2.5,0\n")
+        with pytest.raises(MalformedCsv, match="row 3 has 1 cells"):
+            load_csv(path, label_column="pcos")
 
 
 class TestSynthesize:

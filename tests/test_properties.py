@@ -1,5 +1,5 @@
 """Property tests on small random datasets: persistence, determinism, stump
-error, oblivious levels and AUC."""
+error, oblivious levels, AUC and CSV schema inference."""
 
 from dataclasses import replace
 
@@ -17,7 +17,18 @@ from boostlab.boost import (
     predict_scores,
     save_model,
 )
-from boostlab.dataset import BINARY, NUMERIC, Dataset, FeatureSchema, categorical
+from boostlab.dataset import (
+    BINARY,
+    NUMERIC,
+    Dataset,
+    FeatureSchema,
+    categorical,
+    infer_schema,
+    load_csv,
+    pcos_default_schema,
+    synthesize,
+    write_csv,
+)
 from boostlab.metrics import roc_curve
 from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump
 
@@ -106,3 +117,19 @@ def test_roc_auc_is_mann_whitney_with_half_ties(pairs):
     pos, neg = scores[truth == 1], scores[truth == 0]
     wins = (pos[:, None] > neg[None, :]).sum() + 0.5 * (pos[:, None] == neg[None, :]).sum()
     assert roc_curve(scores, truth).auc == pytest.approx(wins / (pos.size * neg.size), abs=1e-12)
+
+
+@FEW
+@given(
+    n=st.integers(20, 80),
+    seed=st.integers(0, 2**32 - 1),
+    missing_rate=st.sampled_from([0.0, 0.1, 0.5]),
+)
+def test_inferring_while_loading_equals_inferring_first(tmp_path_factory, n, seed, missing_rate):
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
+    write_csv(path, synthesize(pcos_default_schema(), n, seed, 1.0, missing_rate))
+    one_pass = load_csv(path, label_column="pcos")
+    two_pass = load_csv(path, infer_schema(path, "pcos"))
+    assert one_pass.schema == two_pass.schema
+    assert np.array_equal(one_pass.values, two_pass.values, equal_nan=True)
+    assert np.array_equal(one_pass.labels, two_pass.labels, equal_nan=True)
