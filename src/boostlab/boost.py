@@ -34,6 +34,7 @@ from .dataset import Dataset, FeatureKind, FeatureSchema
 from .errors import MalformedModel, SchemaMismatch, SingleClassDataset
 from .tree import (
     ObliviousTree,
+    Presort,
     RegressionTree,
     Stump,
     _index,
@@ -190,8 +191,9 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> AdaBoostM
     stumps: list[tuple[Stump, float]] = []
     losses: list[float] = []
     eps0 = 1.0 / (2.0 * n)
+    presort = Presort(X, kinds)
     for _ in range(params.n_rounds):
-        stump, eps = fit_stump(X, y, w, kinds)
+        stump, eps = fit_stump(X, y, w, kinds, presort=presort)
         if eps <= 0.0:
             alpha = 0.5 * math.log((1.0 - eps0) / eps0)
             stumps.append((stump, alpha))
@@ -310,6 +312,8 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
                 for j in target_features
             }
         X = _encode_matrix(train.values, train.schema, encodings, ordered_codes)
+    kinds = None if algorithm == "catboost" else train.schema.kinds
+    presort = Presort(X, kinds)
     y = train.labels.astype(np.float64)
     base = _base_score(train.labels)
     F = np.full(train.n_rows, base)
@@ -320,17 +324,20 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
         g = p - y
         h = np.ones_like(p) if algorithm == "gbm" else p * (1.0 - p)
         if algorithm == "catboost":
-            tree = fit_oblivious_tree(X, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda)
+            tree = fit_oblivious_tree(
+                X, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda, presort=presort
+            )
         else:
             tree = fit_regression_tree(
                 X,
                 g,
                 h,
-                train.schema.kinds,
+                kinds,
                 max_depth=params.max_depth,
                 min_child_weight=params.min_child_weight,
                 reg_lambda=params.reg_lambda,
                 gamma=params.gamma,
+                presort=presort,
             )
         F = F + params.learning_rate * tree.predict(X)
         trees.append(tree)

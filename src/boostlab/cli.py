@@ -13,7 +13,6 @@ is not given, and is checked as --seed is: BOOSTLAB_SEED=abc or -1 exits 1.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -39,6 +38,7 @@ from .dataset import (
     FeatureSchema,
     SplitSpec,
     SyntheticSpec,
+    csv_reader,
     load_csv,
     load_features_csv,
     parse_label,
@@ -136,17 +136,18 @@ def _load_schema_arg(args) -> FeatureSchema | None:
 def _read_column(path, name: str, parse) -> np.ndarray:
     """The cells of a one-column CSV headed `name`, each converted by parse.
 
-    Blank lines are skipped. A wrong header, a cell that parse rejects with
-    ValueError, a non-finite value and an empty column are MalformedCsv.
+    Blank lines are skipped. A file that is not UTF-8 or not CSV, a wrong
+    header, a cell that parse rejects with ValueError, a non-finite value and
+    an empty column are MalformedCsv.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         if [h.strip() for h in next(reader, [])] != [name]:
             raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
-        try:
-            column = np.asarray([parse(row[0]) for row in reader if row])
-        except ValueError:
-            raise MalformedCsv(f"{path}: unparsable {name} cell") from None
+        cells = [row[0] for row in reader if row]
+    try:
+        column = np.asarray([parse(cell) for cell in cells])
+    except ValueError:
+        raise MalformedCsv(f"{path}: unparsable {name} cell") from None
     if column.size == 0:
         raise MalformedCsv(f"{path}: no {name} rows")
     if not np.isfinite(column).all():

@@ -10,6 +10,7 @@ each distinct text is parsed once.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import io
@@ -240,27 +241,39 @@ def parse_label(text: str) -> int:
 
 
 def _kind_of(texts) -> FeatureKind:
-    """The kind of a column, from the set of its distinct stripped texts (see infer_schema)."""
+    """The kind of a column, from the set of its distinct stripped texts (see
+    infer_schema). Integers are read by int(), as _parse_cell reads binary and
+    categorical cells, so every inferred schema parses its own file."""
     ints = set()
     for text in texts:
         try:
-            value = float(text)
+            ints.add(int(text))
         except ValueError:
-            return NUMERIC  # a missing token, or text the parser rejects precisely
-        if not value.is_integer():  # nor inf or nan
-            return NUMERIC
-        ints.add(int(value))
+            return NUMERIC  # a missing token, "0.0", or text the parser rejects precisely
     if not ints or min(ints) < 0 or max(ints) > 9:
         return NUMERIC
     return BINARY if ints <= {0, 1} else categorical(max(ints) + 1)
+
+
+@contextlib.contextmanager
+def csv_reader(path):
+    """A csv.reader over a UTF-8 file. A file that is not UTF-8 text, or a row
+    the csv module cannot read (such as an over-long field), is MalformedCsv
+    naming the file."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield csv.reader(fh)
+    except UnicodeDecodeError:
+        raise MalformedCsv(f"{path}: not UTF-8 text") from None
+    except csv.Error as exc:
+        raise MalformedCsv(f"{path}: {exc}") from None
 
 
 def _read_csv(path, schema, label_column, *, with_labels, infer_only=False):
     """(schema, values, labels) of a CSV read once and checked as load_csv says.
     Without a schema one is inferred with label_column as the label; labels is
     None unless with_labels, and infer_only returns (schema, None, None)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with csv_reader(path) as reader:
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
@@ -341,7 +354,8 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     The header must hold the schema's columns in any order. Without a schema
     one is inferred as infer_schema does, with label_column as the label.
     Empty cells and "NA" become missing values; labels must be exactly "0" or
-    "1". The header is checked first (an empty file, repeated names, the label
+    "1". A file that is not UTF-8 text, or a row the csv module cannot read,
+    is MalformedCsv (see csv_reader). The header is checked first (an empty file, repeated names, the label
     or the schema's columns), then each row's cell count, then that there is a
     data row. Of the rows' defects the earliest row's is raised: within a row
     the cell count, then the label, then the feature columns in schema order.
@@ -378,6 +392,8 @@ def infer_schema(path, label_column: str) -> FeatureSchema:
     Columns whose non-missing cells are all 0/1 become binary; integer columns
     with every value in 0..9 become categorical (cardinality = max + 1);
     anything else, and any column containing missing cells, is numeric. A
+    cell counts as an integer only when written as one: a column of "0.0" and
+    "1.0" is numeric. A
     column's kind depends only on its set of distinct stripped cells. The
     header and cell counts are checked as load_csv checks them, so a short row
     raises MalformedCsv; the cells themselves are not checked.

@@ -15,16 +15,25 @@ order of the model file: node 0 is the root and a split node precedes its
 children, its left child right after it. One pass in index order therefore
 routes rows from the root down, and a dump writes the arrays as they are.
 
-Stumps and regression trees enumerate their candidates through one kernel,
-_candidates. A fit sorts each non-categorical column once (_sorted_rows): its
-non-missing rows in stable (value, row) order. Any subset of the rows, such as
-a tree node, keeps that order, so the kernel filters the presorted rows instead
-of sorting again and its prefix sums add up the same numbers in the same order
-as a sort of the subset would. Each learner passes its own per-row statistics
-(stump: the weight each leaf class misclassifies; regression tree: gradient and
-hessian) and keeps its own missing-value routing, gain or error formula and tie
-rule. Oblivious trees use a bucket-partitioned search instead, since a level's
-gain sums over every leaf bucket (see fit_oblivious_tree).
+A fit sorts its matrix once (Presort): each column's rows in stable (value,
+row) order with the missing rows last, and the candidate splits each column
+offers over all rows. A boosting loop builds one Presort per fit and passes it
+to every round's fitter, since X does not change between rounds.
+
+Stumps and regression trees score their candidates through one kernel, _scan,
+which returns every candidate of a set of rows with its left sums in one pass:
+stumps call it once on all rows, a regression tree once per node. Each learner
+passes its own per-row statistics (stump: the weight each leaf class
+misclassifies; regression tree: gradient and hessian) and keeps its own
+missing-value routing, gain or error formula and tie rule. A node's rows of
+the sorted columns of several thresholds are its block; a stable partition on
+the chosen split hands each child its block in the same order, so no node
+sorts. Oblivious trees use a bucket-partitioned search instead, since a
+level's gain sums over every leaf bucket (see fit_oblivious_tree).
+
+Thresholds lie between consecutive distinct values lo < hi: their midpoint,
+computed without overflow, or lo where the midpoint rounds to hi (_midpoints).
+So a split routes the rows as its gain or error was scored.
 
 Candidate enumeration order is feature index ascending, then threshold
 ascending, then orientation / default direction, and ties keep the earliest
@@ -35,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -167,10 +177,13 @@ def _split_mask(col: np.ndarray, threshold, *, missing_left: bool) -> np.ndarray
     return left
 
 
-def _boundaries(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Prefix sizes and midpoint thresholds between consecutive distinct values."""
-    change = np.flatnonzero(sorted_values[1:] > sorted_values[:-1])
-    return change + 1, (sorted_values[change] + sorted_values[change + 1]) / 2.0
+def _midpoints(lo, hi):
+    """Thresholds between consecutive distinct values lo < hi: the midpoint,
+    computed without overflow (for normal values lo/2 + hi/2 has the bits of
+    (lo + hi)/2), or lo where it does not lie in [lo, hi), as between two
+    adjacent floats. So a threshold sends lo left and hi right."""
+    mid = lo / 2 + hi / 2
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
 def _fit_inputs(X, learner: str, names: str, *vectors) -> tuple[np.ndarray, ...]:
@@ -187,50 +200,139 @@ def _fit_inputs(X, learner: str, names: str, *vectors) -> tuple[np.ndarray, ...]
     return (X, *vectors)
 
 
-def _sorted_rows(X: np.ndarray, kinds) -> list[np.ndarray | None]:
-    """Per column, its non-missing rows in stable (value, row) order; None for a
-    categorical column. A subset of the rows keeps this order."""
-    order = np.argsort(X.T, axis=1, kind="stable")  # NaN sorts last
-    n_observed = X.shape[0] - np.isnan(X).sum(axis=0)
-    return [
-        None if kinds is not None and kinds[f].is_categorical else order[f, : n_observed[f]]
-        for f in range(X.shape[1])
-    ]
+class Presort:
+    """A training matrix with each column sorted and its candidate splits
+    listed, built once per fit.
 
+    Row j of order lists the rows of column j: its non-missing rows in stable
+    (value, row) order, then its missing rows in row order; values[j] holds
+    their values, NaN last, and n_observed[j] counts the non-missing ones.
+    kinds marks the categorical columns, as the fitters' kinds argument does.
 
-def _candidates(X: np.ndarray, sorted_rows, member: np.ndarray, stats: np.ndarray):
-    """Yield (feature, thresholds, left) for each feature that offers a split of
-    the member rows (a boolean row mask), in feature order.
+    The columns fall in three groups by the candidates they offer over all
+    rows. A numeric column of several thresholds is swept: block holds the
+    swept columns' rows of order and values, the block of a tree's root. A
+    column of a single threshold, such as a binary one, is kept as the side
+    each row takes (single_code). A categorical column offers its levels
+    (cat_levels). A column of one distinct value offers nothing.
 
-    stats holds k per-row statistics, shape (n, k), and left has one row of k
-    sums per threshold. Numeric and binary features: thresholds are the
-    midpoints between consecutive distinct member values, ascending, and left
-    sums the member rows at or below each one. Categorical features: thresholds
-    are the single-level sets of the member levels, ascending, and left sums
-    each level's rows. Missing rows are in no sum. Prefix sums run sequentially
-    in (value, row) order and level sums are 1-D sums in row order, per column,
-    so their bits do not depend on k or on the rows outside member.
+    Every fitter in this module takes a Presort as presort= and builds one
+    itself without it; a boosting loop builds one per fit, since X does not
+    change between its rounds.
     """
-    members = None
-    for f, order in enumerate(sorted_rows):
-        if order is not None:
-            rows = order[member[order]]
-            prefix, thresholds = _boundaries(X[rows, f])
-            if thresholds.size:
-                left = stats[rows]
-                np.cumsum(left, axis=0, out=left)  # in place: one (rows, k) copy
-                left = left[prefix - 1]
-                yield f, thresholds.tolist(), left
-            continue
-        if members is None:
-            members = np.flatnonzero(member)
-        col = X[members, f]
-        levels = np.unique(col[~np.isnan(col)])
-        if levels.size:
-            # a transposed copy makes each column contiguous, so each sum is
-            # the pairwise sum of a 1-D array
-            left = [stats[members[col == v]].T.copy().sum(axis=1) for v in levels]
-            yield f, [frozenset({int(v)}) for v in levels], np.array(left)
+
+    def __init__(self, X, kinds: tuple[FeatureKind, ...] | None = None):
+        self.X = X = np.asarray(X, dtype=np.float64)
+        if X.ndim != 2:
+            raise ValueError("X must be 2-D")
+        n, d = X.shape
+        categorical = [kinds is not None and kinds[j].is_categorical for j in range(d)]
+        self.categorical = np.array(categorical, dtype=bool)
+        self.order = np.argsort(X.T, axis=1, kind="stable")  # NaN sorts last
+        self.values = np.take_along_axis(X.T, self.order, axis=1)
+        self.n_observed = n - np.isnan(X).sum(axis=0)
+        n_thresholds = np.count_nonzero(self.values[:, :-1] < self.values[:, 1:], axis=1)
+        self.swept = np.flatnonzero(~self.categorical & (n_thresholds > 1))
+        self.block = (self.order[self.swept], self.values[self.swept])
+        self.single = np.flatnonzero(~self.categorical & (n_thresholds == 1))
+        lo = self.values[self.single, 0]  # a single threshold lies above the least value
+        hi = np.array([v[v > v[0]][0] for v in self.values[self.single]])
+        self.single_threshold = _midpoints(lo, hi)
+        # per row and single-threshold column r: 3 * r, plus 1 above the
+        # threshold or 2 when missing
+        cells = X[:, self.single]
+        self.single_code = 3 * np.arange(self.single.size) + np.where(
+            np.isnan(cells), 2, cells > self.single_threshold
+        )
+        self.cat_levels = [
+            (j, np.unique(self.values[j, : self.n_observed[j]]), X[:, j].copy())
+            for j in np.flatnonzero(self.categorical)
+        ]
+
+    @cached_property
+    def level_candidates(self) -> _LevelCandidates:
+        """The candidates of an oblivious level (see _LevelCandidates)."""
+        return _LevelCandidates(self)
+
+
+def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
+    """presort, or X sorted now; a presort of a matrix of another shape is a
+    ValueError."""
+    if presort is None:
+        return Presort(X, kinds)
+    if presort.X.shape != X.shape:
+        raise ValueError(f"presort is of a {presort.X.shape} matrix, X is {X.shape}")
+    return presort
+
+
+def _scan(presort: Presort, idx: np.ndarray, block, stats: np.ndarray):
+    """Every candidate split of the rows idx (ascending) and its sums: the
+    split kernel of stumps and regression trees.
+
+    block is those rows' part of presort.block, in its order; stats holds k
+    per-row statistics, shape (k, n). Returns, per candidate in enumeration
+    order, its column, its threshold (a float, or the level of a categorical
+    column) and, shape (k, candidates), each statistic summed over the rows
+    it sends left; and, shape (k, columns), each statistic summed over each
+    column's missing rows, for every column with a candidate. Missing rows
+    are in no left sum. Each sum adds its numbers in one fixed order, so a
+    fit's bits do not depend on the rows outside a node: a swept column's
+    left sums by one sequential cumsum along each block row, in (value, row)
+    order; a single-threshold column's by one sequential bincount of its left
+    rows, in row order; a level's and the missing rows' by np.sum's pairwise
+    sum in row order.
+    """
+    order, values = block
+    m = idx.size
+    at = stats[:, idx]
+    cols, thresholds, lefts = [], [], []
+    missing = np.zeros((len(stats), presort.X.shape[1]))
+
+    # swept columns
+    swept = stats[:, order]
+    row, end = np.nonzero(values[:, :-1] < values[:, 1:])  # False next to NaN
+    cols.append(presort.swept[row])
+    thresholds.append(_midpoints(values[row, end], values[row, end + 1]))
+    lefts.append(np.cumsum(swept, axis=2)[:, row, end])
+    n_observed = m - np.count_nonzero(np.isnan(values), axis=1)
+    for r in np.flatnonzero(n_observed < m):
+        missing[:, presort.swept[r]] = [b[r, n_observed[r] :].sum() for b in swept]
+
+    # single-threshold columns: a candidate where both sides hold a row
+    s = presort.single.size
+    code = np.take(presort.single_code, idx, axis=0).reshape(-1)  # each bin's rows in row order
+    count = np.bincount(code, minlength=3 * s).reshape(s, 3)
+    sums = [np.bincount(code, weights=np.repeat(a, s), minlength=3 * s).reshape(s, 3) for a in at]
+    offered = np.flatnonzero((count[:, 0] > 0) & (count[:, 1] > 0))
+    cols.append(presort.single[offered])
+    thresholds.append(presort.single_threshold[offered])
+    lefts.append(np.array([x[offered, 0] for x in sums]))
+    for r in offered[count[offered, 2] > 0]:
+        skipped = code[r::s] == 3 * r + 2
+        missing[:, presort.single[r]] = [a[skipped].sum() for a in at]
+
+    # categorical columns: each level present
+    for j, levels, column in presort.cat_levels:
+        col = column[idx]
+        for v in levels:
+            in_level = col == v
+            if in_level.any():
+                cols.append([j])
+                thresholds.append([v])
+                lefts.append([[a[in_level].sum()] for a in at])
+        skipped = np.isnan(col)
+        if skipped.any():
+            missing[:, j] = [a[skipped].sum() for a in at]
+
+    col = np.concatenate(cols).astype(np.int64)
+    ranked = np.argsort(col, kind="stable")  # each group is in enumeration order
+    left = np.concatenate([np.asarray(x, dtype=np.float64).reshape(len(stats), -1) for x in lefts], axis=1)
+    return col[ranked], np.concatenate(thresholds)[ranked], left[:, ranked], missing
+
+
+def _threshold(presort: Presort, j: int, threshold: float):
+    """A split test as stumps and trees store it."""
+    return frozenset({int(threshold)}) if presort.categorical[j] else float(threshold)
 
 
 def fit_stump(
@@ -238,12 +340,15 @@ def fit_stump(
     y: np.ndarray,
     weights: np.ndarray,
     kinds: tuple[FeatureKind, ...] | None = None,
+    *,
+    presort: Presort | None = None,
 ) -> tuple[Stump, float]:
     """Exhaustive greedy stump minimizing weighted 0/1 error over all candidates.
 
     y must be ±1 and weights non-negative summing to 1. If one class carries
     zero weight the constant majority predictor is returned. The returned
     error never exceeds 0.5 because both orientations are searched.
+    presort, if given, is Presort(X, kinds).
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
@@ -260,37 +365,51 @@ def fit_stump(
     if w_pos == 0.0 or w_neg == 0.0:
         return constant()
 
-    # stats column missed[c] is the weight a leaf of class c gets wrong
+    presort = _presorted(X, kinds, presort)
+    # stats[missed[c]] is the weight a leaf of class c gets wrong
     missed = {-1: 0, 1: 1}
-    stats = np.column_stack([w * (y != -1), w * (y != 1)])
-    sorted_rows = _sorted_rows(X, kinds)
+    stats = np.stack([w * (y != -1), w * (y != 1)])
+    col, thresholds, left, _ = _scan(presort, np.arange(n), presort.block, stats)
+    errs = np.empty((col.size, 2))
+    categorical = presort.categorical[col]
+    # Numeric, missing rows go left. A right side's error is the column's
+    # total over its non-missing rows, summed in (value, row) order, minus the
+    # left sum; the missing rows add their own sum in row order.
+    num = np.flatnonzero(~categorical)
+    total = np.zeros((2, X.shape[1]))
+    missing = np.zeros((2, X.shape[1]))  # per orientation
+    for j in np.unique(col[num]):
+        n_obs = presort.n_observed[j]
+        total[:, j] = [s[presort.order[j, :n_obs]].sum() for s in stats]
+        tail = presort.order[j, n_obs:]
+        missing[:, j] = [w[tail][y[tail] != lc].sum() for lc, _ in _ORIENTATIONS]
+    for oi, (lc, rc) in enumerate(_ORIENTATIONS):
+        right_mis = total[missed[rc], col[num]] - left[missed[rc], num]
+        errs[num, oi] = left[missed[lc], num] + right_mis + missing[oi, col[num]]
+    # Categorical, missing rows go right. Each error is one sum over the
+    # misclassified rows in row order: a total minus the level sums would
+    # round differently and move AdaBoost's alphas by an ulp.
+    for c in np.flatnonzero(categorical):
+        in_set = X[:, col[c]] == thresholds[c]
+        for oi, (lc, rc) in enumerate(_ORIENTATIONS):
+            errs[c, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
+
+    # Per feature, the first candidate within _TIE_TOL of its least error; it
+    # replaces the best so far only if it beats it by more than _TIE_TOL.
     best_err = np.inf
-    best: Stump | None = None
-    for f, thresholds, left in _candidates(X, sorted_rows, np.ones(n, dtype=bool), stats):
-        errs = np.empty((len(thresholds), 2))
-        if sorted_rows[f] is None:
-            # Categorical, missing rows go right. Each error is one sum over the
-            # misclassified rows in row order: a total minus the level sums in
-            # left would round differently and move AdaBoost's alphas by an ulp.
-            for ti, level in enumerate(thresholds):
-                in_set = _split_mask(X[:, f], level, missing_left=False)
-                for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-                    errs[ti, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
-        else:  # missing rows go left
-            order, missing = sorted_rows[f], np.isnan(X[:, f])
-            for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-                right_mis = stats[order, missed[rc]].sum() - left[:, missed[rc]]
-                errs[:, oi] = left[:, missed[lc]] + right_mis + w[missing & (y != lc)].sum()
-        flat = errs.reshape(-1)
+    best = None  # (candidate, orientation)
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    for a, b in zip(starts, [*starts[1:], col.size]):
+        flat = errs[a:b].reshape(-1)
         k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
         if flat[k] < best_err - _TIE_TOL:
-            ti, oi = divmod(k, 2)
-            lc, rc = _ORIENTATIONS[oi]
             best_err = float(flat[k])
-            best = Stump(f, thresholds[ti], lc, rc)
+            best = divmod(2 * a + k, 2)
     if best is None:
         return constant()
-    return best, best_err
+    c, oi = best
+    lc, rc = _ORIENTATIONS[oi]
+    return Stump(int(col[c]), _threshold(presort, col[c], thresholds[c]), lc, rc), best_err
 
 
 def predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
@@ -322,6 +441,7 @@ def fit_regression_tree(
     min_child_weight: float = 0.0,
     reg_lambda: float = 0.0,
     gamma: float = 0.0,
+    presort: Presort | None = None,
 ) -> RegressionTree:
     """Greedy top-down tree on gradient/hessian sums.
 
@@ -329,23 +449,29 @@ def fit_regression_tree(
     and a split is kept only when the gain is strictly positive and both
     children reach min_child_weight hessian mass. Missing rows follow the
     default direction that maximizes gain (left on ties). Leaf values are
-    -G/(H+lam).
+    -G/(H+lam). Of equal gains the earliest candidate wins. presort, if
+    given, is Presort(X, kinds).
+
+    Each node scores all its candidates at once (_scan). A node's block, its
+    rows of presort.block, is split between its children by a stable
+    partition on the chosen split, so no node sorts.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     if (h < 0).any():
         raise ValueError("hessians must be non-negative")
     n, d = X.shape
-    stats = np.column_stack([g, h])
-    sorted_rows = _sorted_rows(X, kinds)
+    presort = _presorted(X, kinds, presort)
+    stats = np.stack([g, h])
+    side = np.zeros(n, dtype=bool)  # at a split, whether each of its rows goes left
 
     # A work list rather than a recursive closure, which would be a reference
-    # cycle keeping the presorted rows alive until the garbage collector ran.
-    # A left child is popped right after its parent, so nodes are appended in
+    # cycle keeping the blocks alive until the garbage collector ran. A left
+    # child is popped right after its parent, so nodes are appended in
     # pre-order; a right child enters its index in its parent when popped.
     nodes: list[list] = []
-    todo = [(np.arange(n), 0, -1)]  # (rows, depth, parent of a right child)
+    todo = [(np.arange(n), presort.block, 0, -1)]  # (rows, block, depth, parent of a right child)
     while todo:
-        idx, depth, right_of = todo.pop()
+        idx, block, depth, right_of = todo.pop()
         i = len(nodes)
         if right_of >= 0:
             nodes[right_of][_RIGHT] = i
@@ -355,71 +481,82 @@ def fit_regression_tree(
         nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0, G, H])
         if depth >= max_depth or idx.size < 2:
             continue
+        col, thresholds, left, missing = _scan(presort, idx, block, stats)
+        # one column per default direction: missing rows left, then right
+        GL, HL = left[:, :, None] + np.stack([missing[:, col], np.zeros_like(left)], axis=2)
+        GR = G - GL
+        HR = H - HL
+        valid = (HL >= min_child_weight) & (HR >= min_child_weight)
         parent = G * G / denom if denom > 0 else 0.0
-        member = np.zeros(n, dtype=bool)
-        member[idx] = True
-        best_gain = 0.0
-        best = None  # (feature, threshold, default_left)
-        for f, thresholds, left in _candidates(X, sorted_rows, member, stats):
-            missing = np.isnan(X[idx, f])
-            gm = float(g[idx][missing].sum())
-            hm = float(h[idx][missing].sum())
-            gains = np.full((len(thresholds), 2), -np.inf)
-            for di, default_left in enumerate((True, False)):
-                GL = left[:, 0] + (gm if default_left else 0.0)
-                HL = left[:, 1] + (hm if default_left else 0.0)
-                GR = G - GL
-                HR = H - HL
-                valid = (HL >= min_child_weight) & (HR >= min_child_weight)
-                score = 0.5 * (_safe_score(GL, HL, reg_lambda) + _safe_score(GR, HR, reg_lambda) - parent) - gamma
-                gains[:, di] = np.where(valid, score, -np.inf)
-            flat = gains.reshape(-1)
-            k = int(np.argmax(flat))
-            if flat[k] > best_gain:
-                ti, di = divmod(k, 2)
-                best_gain = float(flat[k])
-                best = (f, thresholds[ti], di == 0)
-        if best is None:
+        score = 0.5 * (_safe_score(GL, HL, reg_lambda) + _safe_score(GR, HR, reg_lambda) - parent) - gamma
+        gains = np.where(valid, score, -np.inf).reshape(-1)  # (feature, threshold, direction) order
+        if not (gains > 0).any():
             continue
-        f, thr, default_left = best
+        c, di = divmod(int(np.argmax(gains)), 2)
+        f, thr, default_left = int(col[c]), _threshold(presort, col[c], thresholds[c]), di == 0
         nodes[i][:4] = [f, thr, default_left, i + 1]
-        left_mask = _split_mask(X[idx, f], thr, missing_left=default_left)
-        todo += [(idx[~left_mask], depth + 1, i), (idx[left_mask], depth + 1, -1)]
+        goes_left = _split_mask(X[idx, f], thr, missing_left=default_left)
+        blocks = [None, None]  # a leaf searches nothing
+        if depth + 1 < max_depth:
+            side[idx] = goes_left
+            bits = side[block[0]]
+            n_left = int(goes_left.sum())
+            blocks = [
+                tuple(a[b].reshape(len(a), size) for a in block)
+                for b, size in ((~bits, idx.size - n_left), (bits, n_left))
+            ]
+        todo += [(idx[~goes_left], blocks[0], depth + 1, i), (idx[goes_left], blocks[1], depth + 1, -1)]
     return _regression_tree(nodes, d)
 
 
-def _level_candidates(X: np.ndarray, kinds):
-    """Every candidate split of an oblivious level, in enumeration order, as
-    parallel lists of features and thresholds, and how the search finds their
-    gains: masked lists (candidate, its left rows, missing rows included) for
-    categorical and single-threshold columns, swept lists (first candidate,
-    rows in value order with the missing rows first, position of the last
-    left row at each threshold) for the columns of several thresholds."""
-    n, d = X.shape
-    missing = np.isnan(X)
-    features: list[int] = []
-    thresholds: list[float | frozenset[int]] = []
-    masked: list[tuple[int, np.ndarray]] = []
-    swept: list[tuple[int, np.ndarray, np.ndarray]] = []
-    for f in range(d):
-        col, skipped = X[:, f], missing[:, f]
-        values, counts = np.unique(col[~skipped], return_counts=True)
-        if kinds is not None and kinds[f].is_categorical:
-            levels = [frozenset({int(v)}) for v in values]
-            for i, v in enumerate(values):
-                masked.append((len(features) + i, np.flatnonzero((col == v) | skipped)))
-        else:
-            levels = ((values[:-1] + values[1:]) / 2).tolist()
-            if len(levels) == 1:
-                masked.append((len(features), np.flatnonzero((col <= levels[0]) | skipped)))
-            elif levels:  # argsort puts NaN last
-                n_missing = int(skipped.sum())
-                order = np.argsort(col, kind="stable")[: n - n_missing]
-                rows = np.concatenate([np.flatnonzero(skipped), order])
-                swept.append((len(features), rows, n_missing + np.cumsum(counts[:-1]) - 1))
-        features += [f] * len(levels)
-        thresholds += levels
-    return features, thresholds, masked, swept
+class _LevelCandidates:
+    """Every candidate split of an oblivious level, in enumeration order, and
+    how the search finds their gains; built once per Presort.
+
+    features and thresholds list the candidates. The candidates of
+    categorical and single-threshold columns are masked: masked_at lists their
+    places, left_rows the rows each sends left (missing rows included, in row
+    order), one candidate after another, and left_of each such row's masked
+    candidate. The columns of several thresholds are swept (_SweptColumns):
+    swept_at lists their candidates, rows each column's rows in value order
+    with the missing rows first, one column after another, and reads the
+    flat position in rows of each candidate's last left row.
+    """
+
+    def __init__(self, presort: Presort):
+        n = presort.X.shape[0]
+        self.features: list[int] = []
+        self.thresholds: list[float | frozenset[int]] = []
+        masked: list[tuple[int, np.ndarray]] = []
+        swept: list[tuple[int, np.ndarray, np.ndarray]] = []
+        cat_levels = {j: levels for j, levels, _ in presort.cat_levels}
+        for f, col in enumerate(presort.X.T):
+            skipped = np.isnan(col)
+            at = len(self.features)
+            if f in cat_levels:
+                levels = [frozenset({int(v)}) for v in cat_levels[f]]
+                for i, v in enumerate(cat_levels[f]):
+                    masked.append((at + i, np.flatnonzero((col == v) | skipped)))
+            elif f in presort.single:
+                r = int(np.searchsorted(presort.single, f))
+                levels = [float(presort.single_threshold[r])]
+                masked.append((at, np.flatnonzero((col <= levels[0]) | skipped)))
+            elif f in presort.swept:
+                n_obs = presort.n_observed[f]
+                order, values = presort.order[f], presort.values[f]
+                end = np.flatnonzero(values[:-1] < values[1:])  # False next to NaN
+                levels = _midpoints(values[end], values[end + 1]).tolist()
+                swept.append((at, np.concatenate([order[n_obs:], order[:n_obs]]), n - n_obs + end))
+            else:
+                levels = []
+            self.features += [f] * len(levels)
+            self.thresholds += levels
+        self.masked_at = np.array([c for c, _ in masked], dtype=np.int64)
+        self.left_rows = np.concatenate([r for _, r in masked]) if masked else np.empty(0, dtype=np.int64)
+        self.left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])
+        self.swept_at = np.concatenate([c + np.arange(b.size) for c, _, b in swept]) if swept else None
+        self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)]) if swept else None
+        self.rows = np.concatenate([r for _, r, _ in swept]) if swept else None
 
 
 class _SweptColumns:
@@ -432,13 +569,10 @@ class _SweptColumns:
     span of each row of at.
     """
 
-    def __init__(self, swept, g: np.ndarray, h: np.ndarray):
-        n = g.size
-        self.candidates = np.concatenate([c + np.arange(b.size) for c, _, b in swept])
-        self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)])
-        self.order = np.concatenate([r for _, r, _ in swept])
+    def __init__(self, candidates: _LevelCandidates, g: np.ndarray, h: np.ndarray):
+        self.candidates, self.reads, self.order = candidates.swept_at, candidates.reads, candidates.rows
         self.g, self.h = g[self.order], h[self.order]
-        self.at = np.arange(self.order.size).reshape(len(swept), n)
+        self.at = np.arange(self.order.size).reshape(-1, g.size)
 
     def gains(self, size, start, Gb, Hb, parent_b, reg_lambda: float):
         """Gain and "splits a bucket" of each candidate. Moving a bucket's rows
@@ -489,6 +623,7 @@ def fit_oblivious_tree(
     *,
     depth: int,
     reg_lambda: float = 0.0,
+    presort: Presort | None = None,
 ) -> ObliviousTree:
     """Level-by-level greedy symmetric tree.
 
@@ -502,21 +637,20 @@ def fit_oblivious_tree(
     the best gain is not strictly positive, so the recorded depth may be
     shallower than requested, and every level splits a bucket of the rows.
 
-    The search is bucket-partitioned and sorts each column once. For a
-    categorical or single-threshold column, one bincount by bucket of each
-    candidate's left rows gives its sums. The columns of several thresholds
+    The search is bucket-partitioned, and its candidates are listed once per
+    Presort (_LevelCandidates). For a categorical or single-threshold column,
+    one bincount by bucket of each candidate's left rows gives its sums. The columns of several thresholds
     are swept (_SweptColumns): their rows stay in (bucket, value) order, a
     stable partition on each chosen level's bit carrying that order to the
     next level.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     n, d = X.shape
-    features, thresholds, masked, swept = _level_candidates(X, kinds)
-    masked_at = np.array([c for c, _ in masked], dtype=np.int64)
-    left_rows = np.concatenate([r for _, r in masked]) if masked else np.empty(0, dtype=np.int64)
-    left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])
+    candidates = _presorted(X, kinds, presort).level_candidates
+    features, thresholds = candidates.features, candidates.thresholds
+    masked_at, left_rows, left_of = candidates.masked_at, candidates.left_rows, candidates.left_of
     left_g, left_h = g[left_rows], h[left_rows]
-    sweep = _SweptColumns(swept, g, h) if swept else None
+    sweep = _SweptColumns(candidates, g, h) if candidates.swept_at is not None else None
 
     leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
     bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
@@ -531,10 +665,10 @@ def fit_oblivious_tree(
         parent = float(parent_b.sum())
         gains = np.empty(len(features))
         splits = np.empty(len(features), dtype=bool)
-        if masked:
+        if masked_at.size:
             cell = left_of * B + bucket[left_rows]
             GL, HL, CL = (
-                np.bincount(cell, weights=w, minlength=len(masked) * B).reshape(-1, B)
+                np.bincount(cell, weights=w, minlength=masked_at.size * B).reshape(-1, B)
                 for w in (left_g, left_h, None)
             )
             child = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb - GL, Hb - HL, reg_lambda)

@@ -1,0 +1,147 @@
+"""The split search that stumps and regression trees used before the node
+kernel, kept as an oracle: the new fitters must return the same learners bit
+for bit. Each fit sorts every column, and each tree node filters the presorted
+rows of the whole matrix and cumsums its statistics per feature."""
+
+import numpy as np
+
+from boostlab.tree import (
+    _ORIENTATIONS,
+    _RIGHT,
+    _TIE_TOL,
+    Stump,
+    _fit_inputs,
+    _regression_tree,
+    _safe_score,
+    _split_mask,
+)
+
+
+def _boundaries(sorted_values):
+    change = np.flatnonzero(sorted_values[1:] > sorted_values[:-1])
+    return change + 1, (sorted_values[change] + sorted_values[change + 1]) / 2.0
+
+
+def _sorted_rows(X, kinds):
+    order = np.argsort(X.T, axis=1, kind="stable")  # NaN sorts last
+    n_observed = X.shape[0] - np.isnan(X).sum(axis=0)
+    return [
+        None if kinds is not None and kinds[f].is_categorical else order[f, : n_observed[f]]
+        for f in range(X.shape[1])
+    ]
+
+
+def _candidates(X, sorted_rows, member, stats):
+    members = None
+    for f, order in enumerate(sorted_rows):
+        if order is not None:
+            rows = order[member[order]]
+            prefix, thresholds = _boundaries(X[rows, f])
+            if thresholds.size:
+                left = stats[rows]
+                np.cumsum(left, axis=0, out=left)
+                left = left[prefix - 1]
+                yield f, thresholds.tolist(), left
+            continue
+        if members is None:
+            members = np.flatnonzero(member)
+        col = X[members, f]
+        levels = np.unique(col[~np.isnan(col)])
+        if levels.size:
+            left = [stats[members[col == v]].T.copy().sum(axis=1) for v in levels]
+            yield f, [frozenset({int(v)}) for v in levels], np.array(left)
+
+
+def fit_stump(X, y, weights, kinds=None):
+    X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
+    n = X.shape[0]
+    w_pos = float(w[y == 1].sum())
+    w_neg = float(w[y == -1].sum())
+
+    def constant():
+        c = 1 if w_pos >= w_neg else -1
+        return Stump(0, 0.0, c, c), min(w_pos, w_neg)
+
+    if w_pos == 0.0 or w_neg == 0.0:
+        return constant()
+    missed = {-1: 0, 1: 1}
+    stats = np.column_stack([w * (y != -1), w * (y != 1)])
+    sorted_rows = _sorted_rows(X, kinds)
+    best_err = np.inf
+    best = None
+    for f, thresholds, left in _candidates(X, sorted_rows, np.ones(n, dtype=bool), stats):
+        errs = np.empty((len(thresholds), 2))
+        if sorted_rows[f] is None:
+            for ti, level in enumerate(thresholds):
+                in_set = _split_mask(X[:, f], level, missing_left=False)
+                for oi, (lc, rc) in enumerate(_ORIENTATIONS):
+                    errs[ti, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
+        else:
+            order, missing = sorted_rows[f], np.isnan(X[:, f])
+            for oi, (lc, rc) in enumerate(_ORIENTATIONS):
+                right_mis = stats[order, missed[rc]].sum() - left[:, missed[rc]]
+                errs[:, oi] = left[:, missed[lc]] + right_mis + w[missing & (y != lc)].sum()
+        flat = errs.reshape(-1)
+        k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
+        if flat[k] < best_err - _TIE_TOL:
+            ti, oi = divmod(k, 2)
+            lc, rc = _ORIENTATIONS[oi]
+            best_err = float(flat[k])
+            best = Stump(f, thresholds[ti], lc, rc)
+    if best is None:
+        return constant()
+    return best, best_err
+
+
+def fit_regression_tree(
+    X, grads, hessians, kinds=None, *, max_depth, min_child_weight=0.0, reg_lambda=0.0, gamma=0.0
+):
+    X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
+    n, d = X.shape
+    stats = np.column_stack([g, h])
+    sorted_rows = _sorted_rows(X, kinds)
+    nodes = []
+    todo = [(np.arange(n), 0, -1)]
+    while todo:
+        idx, depth, right_of = todo.pop()
+        i = len(nodes)
+        if right_of >= 0:
+            nodes[right_of][_RIGHT] = i
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        denom = H + reg_lambda
+        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0, G, H])
+        if depth >= max_depth or idx.size < 2:
+            continue
+        parent = G * G / denom if denom > 0 else 0.0
+        member = np.zeros(n, dtype=bool)
+        member[idx] = True
+        best_gain = 0.0
+        best = None
+        for f, thresholds, left in _candidates(X, sorted_rows, member, stats):
+            missing = np.isnan(X[idx, f])
+            gm = float(g[idx][missing].sum())
+            hm = float(h[idx][missing].sum())
+            gains = np.full((len(thresholds), 2), -np.inf)
+            for di, default_left in enumerate((True, False)):
+                GL = left[:, 0] + (gm if default_left else 0.0)
+                HL = left[:, 1] + (hm if default_left else 0.0)
+                GR = G - GL
+                HR = H - HL
+                valid = (HL >= min_child_weight) & (HR >= min_child_weight)
+                child = _safe_score(GL, HL, reg_lambda) + _safe_score(GR, HR, reg_lambda)
+                score = 0.5 * (child - parent) - gamma
+                gains[:, di] = np.where(valid, score, -np.inf)
+            flat = gains.reshape(-1)
+            k = int(np.argmax(flat))
+            if flat[k] > best_gain:
+                ti, di = divmod(k, 2)
+                best_gain = float(flat[k])
+                best = (f, thresholds[ti], di == 0)
+        if best is None:
+            continue
+        f, thr, default_left = best
+        nodes[i][:4] = [f, thr, default_left, i + 1]
+        left_mask = _split_mask(X[idx, f], thr, missing_left=default_left)
+        todo += [(idx[~left_mask], depth + 1, i), (idx[left_mask], depth + 1, -1)]
+    return _regression_tree(nodes, d)

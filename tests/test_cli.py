@@ -138,6 +138,22 @@ class TestSuccess:
             assert run(capsys, *argv)[0] == 0, name
             assert opened.count(str(data_csv)) == 1, name
 
+    def test_integer_valued_decimals_train(self, tmp_path, capsys):
+        path = tmp_path / "d.csv"
+        path.write_text("a,pcos\n0.0,1\n1.0,0\n")
+        assert train(capsys, "gbm", path, tmp_path / "m.json", "--rounds", 2)[0] == 0
+
+    def test_huge_values_split_between_them(self, tmp_path, capsys):
+        # their midpoint, computed as (lo + hi) / 2, overflowed to inf and
+        # sent every row left, which AdaBoost took for a zero-error stump
+        data, model, scores = tmp_path / "d.csv", tmp_path / "m.json", tmp_path / "s.csv"
+        data.write_text("a,pcos\n" + "1e308,0\n1.7e308,1\n" * 3)
+        assert train(capsys, "adaboost", data, model)[0] == 0
+        code, _, _ = run(capsys, "predict", "--model", model, "--data", data, "--scores-out", scores)
+        assert code == 0
+        by_row = [float(s) for s in read_column(scores)[1]]
+        assert max(by_row[0::2]) < 0.5 < min(by_row[1::2])
+
     def test_env_seed_is_the_default_seed(self, tmp_path, capsys, monkeypatch):
         run(capsys, "synth", "--n", 30, "--seed", 9, "--out", tmp_path / "flag.csv")
         monkeypatch.setenv("BOOSTLAB_SEED", "9")
@@ -260,6 +276,18 @@ class TestDataErrors:
         assert "row 3: non-finite value in column 'age'" in err
 
     @pytest.mark.parametrize(
+        "data",
+        [b"a,pcos\n1,1\n\xff\xfe,0\n", b"a,pcos\n1,1\n" + b"2" * 200_000 + b",0\n"],
+        ids=["not-utf-8", "field-too-long"],
+    )
+    def test_unreadable_data_file(self, tmp_path, capsys, data):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(data)
+        code, _, err = train(capsys, "gbm", path, tmp_path / "m.json")
+        assert_data_error(code, err)
+        assert "bad.csv" in err
+
+    @pytest.mark.parametrize(
         "text",
         [
             "{",
@@ -304,6 +332,24 @@ class TestDataErrors:
         scores, truth = (good, bad) if name == "label" else (bad, good)
         code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path)
         assert_data_error(code, err)
+
+    @pytest.mark.parametrize(
+        "name, data",
+        [
+            ("score", b"score\n\xff\xfe\n"),
+            ("label", b"\xff\xfe\n1\n"),
+            ("score", b"score\n" + b"1" * 200_000 + b"\n"),
+        ],
+        ids=["score-not-utf-8", "label-not-utf-8", "field-too-long"],
+    )
+    def test_eval_unreadable_column_file(self, tmp_path, capsys, name, data):
+        bad, good = tmp_path / "bad.csv", tmp_path / "good.csv"
+        bad.write_bytes(data)
+        good.write_text("score\n0.5\n" if name == "label" else "label\n1\n")
+        scores, truth = (good, bad) if name == "label" else (bad, good)
+        code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path)
+        assert_data_error(code, err)
+        assert "bad.csv" in err
 
     @pytest.mark.parametrize(
         "edit",

@@ -189,6 +189,13 @@ class TestInferSchema:
         with pytest.raises(MalformedCsv, match=r"row 3 has 1 cells, expected 2"):
             infer_schema(path, "pcos")
 
+    def test_integer_valued_decimals_are_numeric(self, tmp_path):
+        # int() reads binary and categorical cells, and cannot read "0.0"
+        path = tmp_path / "d.csv"
+        path.write_text("a,pcos\n0.0,1\n1.0,0\n")
+        assert infer_schema(path, "pcos").kinds == (NUMERIC,)
+        assert load_csv(path, label_column="pcos").values.tolist() == [[0.0], [1.0]]
+
     def test_cells_are_not_checked(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,pcos\n1,2\n0,yes\n")
@@ -300,12 +307,31 @@ class TestReaderErrors:
         assert str(info.value) == message.format(path=path)
 
     def test_rows_after_a_short_row_still_infer(self, tmp_path):
-        # "1.0" alone would infer binary and then fail to parse as one; the
-        # "2.5" after the short row keeps the column numeric
+        # "1" alone would infer binary and then "2.5" would fail to parse as
+        # one; the "2.5" after the short row keeps the column numeric
         path = tmp_path / "d.csv"
-        path.write_text("x,pcos\n1.0,1\n0\n2.5,0\n")
+        path.write_text("x,pcos\n1,1\n0\n2.5,0\n")
         with pytest.raises(MalformedCsv, match="row 3 has 1 cells"):
             load_csv(path, label_column="pcos")
+
+    @pytest.mark.parametrize("mode", ["given", "inferred"])
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"age,weight_gain,act,pcos\n25,1,2,1\n\xff\xfe,0,1,0\n", "{path}: not UTF-8 text"),
+            (
+                b"age,weight_gain,act,pcos\n25,1,2,1\n" + b"1" * 200_000 + b",0,1,0\n",
+                "{path}: field larger than field limit (131072)",
+            ),
+        ],
+        ids=["not-utf-8", "field-too-long"],
+    )
+    def test_unreadable_file(self, tmp_path, mode, data, message):
+        path = tmp_path / "d.csv"
+        path.write_bytes(data)
+        with pytest.raises(MalformedCsv) as info:
+            load_as(path, mode)
+        assert str(info.value) == message.format(path=path)
 
 
 class TestSynthesize:

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+import split_search_oracle as oracle
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boostlab.dataset import BINARY, NUMERIC, categorical
 from boostlab.errors import EmptyData, SchemaMismatch
 from boostlab.tree import (
     ObliviousTree,
+    Presort,
     RegressionTree,
     Stump,
     fit_oblivious_tree,
@@ -451,6 +455,43 @@ class TestObliviousTree:
             fit_oblivious_tree(np.empty((0, 2)), np.empty(0), np.empty(0), depth=1)
 
 
+# (lo, hi) pairs whose midpoint (lo + hi) / 2 overflows or rounds up to hi
+WIDE_OR_ADJACENT = [
+    (1e308, 1.7e308),
+    (-1.7e308, -1e308),
+    (math.nextafter(1.0, 2.0), math.nextafter(math.nextafter(1.0, 2.0), 2.0)),
+    (5e-324, 1e-323),
+]
+
+
+class TestThresholds:
+    """A threshold t between consecutive values lo < hi has lo <= t < hi, so
+    the split routes the rows as its gain or error was scored."""
+
+    @pytest.mark.parametrize("lo, hi", WIDE_OR_ADJACENT)
+    def test_stump(self, lo, hi):
+        X = np.array([[lo], [hi], [lo], [hi]])
+        y = np.array([-1, 1, -1, 1])
+        stump, err = fit_stump(X, y, np.full(4, 0.25))
+        assert lo <= stump.threshold < hi
+        assert err == 0.0
+        assert predict_stump(stump, X).tolist() == y.tolist()
+
+    @pytest.mark.parametrize("lo, hi", WIDE_OR_ADJACENT)
+    def test_regression_tree(self, lo, hi):
+        X = np.array([[lo], [hi], [lo], [hi]])
+        tree = fit_regression_tree(X, np.array([1.0, -1.0, 1.0, -1.0]), np.ones(4), max_depth=1)
+        assert lo <= tree.threshold[0] < hi
+        assert tree.predict(X).tolist() == [-1.0, 1.0, -1.0, 1.0]
+
+    @pytest.mark.parametrize("lo, hi", WIDE_OR_ADJACENT)
+    def test_oblivious_tree(self, lo, hi):
+        X = np.array([[lo], [hi], [lo], [hi]])
+        tree = fit_oblivious_tree(X, np.array([1.0, -1.0, 1.0, -1.0]), np.ones(4), depth=1)
+        assert lo <= tree.levels[0][1] < hi
+        assert tree.predict(X).tolist() == [-1.0, 1.0, -1.0, 1.0]
+
+
 class TestPredictAndSerialize:
     def test_predict_tree_row_and_matrix(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -513,3 +554,128 @@ class TestPredictAndSerialize:
         back = tree_from_dict({**d, "nodes": shuffled}, 3)
         assert tree_to_dict(back) == d
         assert np.array_equal(back.predict(X), tree.predict(X))
+
+
+# Cell values whose midpoints are exact, so no threshold lands on a value (a
+# defect of the old search, which the oracle keeps).
+GRID = (-2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 7.25)
+
+
+@st.composite
+def split_inputs(draw):
+    """A small matrix of numeric, binary, categorical and constant columns
+    with missing cells and repeated values, and gradient statistics."""
+    n = draw(st.integers(1, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kinds, cols = [], []
+    for kind in draw(st.lists(st.sampled_from(["numeric", "binary", "categorical", "constant"]), max_size=4)):
+        if kind == "numeric":
+            col = rng.choice(GRID, n)
+            kinds.append(NUMERIC)
+        elif kind == "binary":
+            col = rng.integers(0, 2, n).astype(float)
+            kinds.append(BINARY)
+        elif kind == "categorical":
+            col = rng.integers(0, 4, n).astype(float)
+            kinds.append(categorical(4))
+        else:
+            col = np.full(n, rng.choice(GRID))
+            kinds.append(NUMERIC)
+        col[rng.random(n) < draw(st.sampled_from([0.0, 0.2, 0.6]))] = np.nan
+        cols.append(col)
+    X = np.column_stack(cols) if cols else np.empty((n, 0))
+    g = rng.normal(size=n).round(draw(st.sampled_from([1, 8])))
+    h = draw(st.sampled_from([np.ones(n), rng.uniform(0.0, 1.0, n), np.zeros(n)]))
+    return X, g, h, tuple(kinds)
+
+
+# Inputs the properties always see: no non-categorical column (categorical
+# ones only, or none at all), and one or two rows.
+EDGE_INPUTS = [
+    (
+        np.array([[0.0, 1.0], [2.0, np.nan], [0.0, 1.0], [1.0, 0.0], [np.nan, 1.0]]),
+        np.array([1.0, -2.0, 0.5, -1.0, 3.0]),
+        np.ones(5),
+        (categorical(3), categorical(2)),
+    ),
+    (np.empty((3, 0)), np.array([1.0, -1.0, 0.5]), np.ones(3), ()),
+    (np.array([[1.0, 0.0]]), np.array([0.5]), np.ones(1), (NUMERIC, BINARY)),
+    (np.array([[1.0, np.nan], [3.0, 1.0]]), np.array([0.5, -0.5]), np.ones(2), (NUMERIC, categorical(2))),
+]
+
+
+def with_edge_inputs(*rest):
+    """Run a property on each of EDGE_INPUTS too, with the other arguments rest."""
+
+    def decorate(test):
+        for inputs in EDGE_INPUTS:
+            test = example(inputs, *rest)(test)
+        return test
+
+    return decorate
+
+
+def assert_same_tree(got, want):
+    assert tree_to_dict(got) == tree_to_dict(want)
+    for name in ("value", "grad_sum", "hess_sum"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
+class TestSplitKernelMatchesOracle:
+    """The node kernel against the search it replaced (split_search_oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @with_edge_inputs(3, 0.0, 0.0, 1.0)
+    @given(
+        split_inputs(),
+        st.integers(1, 4),
+        st.sampled_from([0.0, 0.5]),
+        st.sampled_from([0.0, 0.3]),
+        st.sampled_from([0.0, 1.0]),
+    )
+    def test_regression_tree(self, inputs, max_depth, min_child_weight, gamma, reg_lambda):
+        X, g, h, kinds = inputs
+        params = dict(
+            max_depth=max_depth, min_child_weight=min_child_weight, gamma=gamma, reg_lambda=reg_lambda
+        )
+        want = oracle.fit_regression_tree(X, g, h, kinds, **params)
+        assert_same_tree(fit_regression_tree(X, g, h, kinds, **params), want)
+
+    @settings(max_examples=300, deadline=None)
+    @with_edge_inputs(True)
+    @given(split_inputs(), st.booleans())
+    def test_stump(self, inputs, uniform):
+        X, g, _, kinds = inputs
+        n = X.shape[0]
+        y = np.where(g > 0, 1, -1)
+        rng = np.random.default_rng(n)
+        w = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+        got, got_err = fit_stump(X, y, w, kinds)
+        want, want_err = oracle.fit_stump(X, y, w, kinds)
+        assert got == want
+        assert got_err == want_err
+
+    @settings(max_examples=60, deadline=None)
+    @with_edge_inputs()
+    @given(split_inputs())
+    def test_a_given_presort_changes_nothing(self, inputs):
+        X, g, h, kinds = inputs
+        presort = Presort(X, kinds)
+        assert_same_tree(
+            fit_regression_tree(X, g, h, kinds, max_depth=3, presort=presort),
+            fit_regression_tree(X, g, h, kinds, max_depth=3),
+        )
+        y = np.where(g > 0, 1, -1)
+        w = np.full(X.shape[0], 1.0 / X.shape[0])
+        assert fit_stump(X, y, w, kinds, presort=presort) == fit_stump(X, y, w, kinds)
+        numeric = Presort(X)
+        for depth in (1, 3):
+            a = fit_oblivious_tree(X, g, h, depth=depth, presort=numeric)
+            b = fit_oblivious_tree(X, g, h, depth=depth)
+            assert tree_to_dict(a) == tree_to_dict(b)
+            assert a.leaf_values.tobytes() == b.leaf_values.tobytes()
+
+    def test_presort_of_another_matrix_is_rejected(self):
+        presort = Presort(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="presort"):
+            fit_regression_tree(np.zeros((4, 2)), np.zeros(4), np.ones(4), max_depth=2, presort=presort)
