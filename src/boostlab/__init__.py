@@ -53,7 +53,6 @@ from .tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
-    predict_tree,
 )
 
 __version__ = "0.1.0"

@@ -5,19 +5,24 @@ margin through a sigmoid; TreeEnsemble (GBM, XGBoost-style and CatBoost-style,
 fitted by one boosting loop on binomial deviance) maps its raw log-odds score.
 All models emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
 
-Model files are format v2, JSON. An oblivious tree lists only its non-zero
-leaves, as leaf_index (ascending) and leaf_values; every other leaf is 0. v1
-files, which list every leaf of an oblivious tree plus gradient and hessian
-sums that prediction never read, still load: each v1 oblivious tree is read as
-a v2 one whose leaf_index lists every leaf, and its sums are ignored.
+Model files are format v2, JSON, and hold only what prediction reads: the
+params, the schema, and AdaBoost's alpha-weighted stumps or a tree ensemble's
+base_score, trees and cat_encoding_state (CatBoost's encodings, else null). A
+regression tree stores a value at its leaves only; an oblivious tree lists
+only its non-zero leaves, as leaf_index (ascending) and leaf_values. Older
+files load too, and their extra keys are ignored: the leaf gradient and
+hessian sums of v1 files and of earlier v2 GBM and XGBoost files, and the
+base_score and cat_encoding_state of earlier AdaBoost files. A v1 oblivious
+tree, which lists every leaf, reads as one whose leaf_index lists every leaf.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
 or 2, a missing key (every params field must be given), a value of the wrong
-type (a bool is not a number, a float is not an int) or outside its set
-(default_direction "left" or "right", stump classes -1 or 1), a split on a
-column the model does not have, a bad or repeated tree node index, or an
-oblivious leaf_index that is not strictly increasing ints in [0, 2**depth),
-one per leaf value.
+type (a bool is not a number, a float is not an int, a name must be a
+string) or outside its set (default_direction "left" or "right", stump
+classes -1 or 1), a split on a column the model does not have, a bad or
+repeated tree node index, an oblivious leaf_index that is not strictly
+increasing ints in [0, 2**depth), one per leaf value, or a cat_encoding_state
+other than CatBoost's one encoding per categorical column, or null otherwise.
 """
 
 from __future__ import annotations
@@ -411,13 +416,12 @@ def model_to_dict(model) -> dict:
         "schema": model.schema.to_dict(),
     }
     if isinstance(model, AdaBoostModel):
-        envelope["base_score"] = 0.0
         envelope["stumps"] = [
             {"stump": tree_to_dict(stump), "alpha": alpha} for stump, alpha in model.stumps
         ]
-    else:
-        envelope["base_score"] = model.base_score
-        envelope["trees"] = [tree_to_dict(t) for t in model.trees]
+        return envelope
+    envelope["base_score"] = model.base_score
+    envelope["trees"] = [tree_to_dict(t) for t in model.trees]
     envelope["cat_encoding_state"] = None
     if model.algorithm == "catboost":
         envelope["cat_encoding_state"] = [asdict(e) for e in model.cat_encoding_state]
@@ -425,16 +429,19 @@ def model_to_dict(model) -> dict:
 
 
 def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: FeatureSchema) -> None:
-    """Each encoding names a distinct categorical column of its cardinality,
-    and a target encoding carries one statistic per level."""
+    """Each categorical column has exactly one encoding, of its cardinality; a
+    target encoding carries one statistic per level, a one-hot one none."""
     kinds = dict(enumerate(schema.kinds))
     for e in encodings:
         if (
             kinds.pop(e.feature_index, None) != FeatureKind("categorical", e.cardinality)
             or e.mode not in ("onehot", "target")
-            or (e.mode == "target" and len(e.stats or ()) != e.cardinality)
+            or (e.stats is None) != (e.mode == "onehot")
+            or (e.mode == "target" and len(e.stats) != e.cardinality)
         ):
             raise MalformedModel(f"cat_encoding_state: bad entry for column {e.feature_index!r}")
+    if any(kind.is_categorical for kind in kinds.values()):
+        raise MalformedModel("cat_encoding_state: a categorical column has no encoding")
 
 
 def _params_from_dict(entry: dict) -> BoostParams:
@@ -471,6 +478,10 @@ def model_from_dict(d: dict):
             return AdaBoostModel(stumps, schema, params)
         if algorithm not in ALGORITHMS:
             raise MalformedModel(f"unknown algorithm {algorithm!r}")
+        state = d["cat_encoding_state"]
+        if not (isinstance(state, list) if algorithm == "catboost" else state is None):
+            takes = "a list" if algorithm == "catboost" else "null"
+            raise MalformedModel(f"cat_encoding_state of a {algorithm} model must be {takes}")
         encodings = tuple(
             CategoricalEncoding(
                 _index(e["feature_index"], schema.n_features),
@@ -478,15 +489,15 @@ def model_from_dict(d: dict):
                 _index(e["cardinality"], math.inf, "cardinality"),
                 tuple(_number(s, "stats") for s in e["stats"]) if e["stats"] is not None else None,
             )
-            for e in d["cat_encoding_state"] or ()
+            for e in state or ()
         )
-        _check_encodings(encodings, schema)
+        if algorithm == "catboost":
+            _check_encodings(encodings, schema)
         # the trees read _encode_matrix's output: one-hot columns widen it
         width = schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
         trees = d["trees"]
         if version == 1:
-            # a v1 oblivious tree lists every leaf; its leaf_grad_sums and
-            # leaf_hess_sums are ignored
+            # a v1 oblivious tree lists every leaf (and sums, which are ignored)
             trees = [
                 {**t, "leaf_index": range(2 ** len(t["levels"]))} if t["kind"] == "oblivious" else t
                 for t in trees

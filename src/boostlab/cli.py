@@ -55,6 +55,7 @@ from .metrics import (
     roc_curve,
     roc_to_csv,
 )
+from .tree import MAX_OBLIVIOUS_DEPTH
 
 DEFAULT_SEED = 42
 
@@ -74,7 +75,8 @@ def _add_param_flags(p: argparse.ArgumentParser):
     # Each dest is the BoostParams field the flag overrides (see _overrides).
     p.add_argument("--rounds", dest="n_rounds", type=int, default=None, help="boosting rounds")
     p.add_argument("--learning-rate", type=float, default=None)
-    p.add_argument("--depth", dest="max_depth", type=int, default=None, help="tree depth")
+    depth_help = f"tree depth; catboost trees stop at {MAX_OBLIVIOUS_DEPTH} levels"
+    p.add_argument("--depth", dest="max_depth", type=int, default=None, help=depth_help)
     p.add_argument("--lambda", dest="reg_lambda", type=float, default=None, help="L2 leaf penalty")
     p.add_argument("--gamma", type=float, default=None, help="minimum split gain")
     p.add_argument("--min-child-weight", type=float, default=None)

@@ -72,6 +72,8 @@ class FeatureSchema:
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple((n, k) for n, k in self.columns))
         names = self.feature_names
+        if not all(isinstance(name, str) for name in (*names, self.label_column)):
+            raise ValueError("column names and the label column must be strings")
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature column names")
         if self.label_column in names:

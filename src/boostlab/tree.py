@@ -63,6 +63,10 @@ _TIE_TOL = 1e-12
 # score) of the best gain tie, and the earliest one wins.
 _LEVEL_TIE_TOL = 1e-9
 
+# The most levels an oblivious tree grows, as in CatBoost on CPU: a tree holds
+# 2**levels leaf values, 0.5 MiB at 16 levels and 1 TiB at 37.
+MAX_OBLIVIOUS_DEPTH = 16
+
 
 @dataclass(frozen=True)
 class Stump:
@@ -86,8 +90,9 @@ class Stump:
 @dataclass
 class RegressionTree:
     """Per-node arrays in pre-order (see the module docstring). feature is -1
-    at a leaf; split node i sends a row to left[i] or right[i]. value,
-    grad_sum and hess_sum are the node's -G/(H+lam), G and H."""
+    at a leaf; split node i sends a row to left[i] or right[i]. value is the
+    node's -G/(H+lam) over its training rows; prediction reads it at leaves
+    only, and a model file holds only those (split nodes load as 0)."""
 
     feature: np.ndarray
     threshold: np.ndarray  # float or frozenset of levels; None at a leaf
@@ -95,18 +100,10 @@ class RegressionTree:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray
-    grad_sum: np.ndarray
-    hess_sum: np.ndarray
     n_features: int
 
     def leaves(self) -> np.ndarray:
         return np.flatnonzero(self.feature < 0)
-
-    def depth(self) -> int:
-        depth = np.zeros(self.feature.size, dtype=np.int64)
-        for i in np.flatnonzero(self.feature >= 0):
-            depth[[self.left[i], self.right[i]]] = depth[i] + 1
-        return int(depth.max())
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, self.n_features)
@@ -120,7 +117,7 @@ class RegressionTree:
 
 # A node row as fit_regression_tree and tree_from_dict append it, in
 # RegressionTree's field order.
-_NODE_DTYPES = (np.int64, object, bool, np.int64, np.int64, np.float64, np.float64, np.float64)
+_NODE_DTYPES = (np.int64, object, bool, np.int64, np.int64, np.float64)
 _RIGHT = 4  # the position of right in a node row
 
 
@@ -478,7 +475,7 @@ def fit_regression_tree(
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         denom = H + reg_lambda
-        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0, G, H])
+        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0])
         if depth >= max_depth or idx.size < 2:
             continue
         col, thresholds, left, missing = _scan(presort, idx, block, stats)
@@ -633,9 +630,10 @@ def fit_oblivious_tree(
     two non-empty parts, an exact row count with the missing rows on the
     left. Tie rule: of the candidates that count, the earliest in enumeration
     order whose gain is within _LEVEL_TIE_TOL * (1 + |parent score|) of the
-    best wins. Growth stops at the first level where no candidate counts or
-    the best gain is not strictly positive, so the recorded depth may be
-    shallower than requested, and every level splits a bucket of the rows.
+    best wins. Stop rule: growth stops at the first level where no candidate
+    counts or the best gain is not strictly positive, and after
+    MAX_OBLIVIOUS_DEPTH levels, so the recorded depth may be shallower than
+    requested, and every level splits a bucket of the rows.
 
     The search is bucket-partitioned, and its candidates are listed once per
     Presort (_LevelCandidates). For a categorical or single-threshold column,
@@ -655,7 +653,7 @@ def fit_oblivious_tree(
     leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
     bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
     levels: list[tuple[int, float | frozenset[int]]] = []
-    for _ in range(depth):
+    for _ in range(min(depth, MAX_OBLIVIOUS_DEPTH)):
         size = np.bincount(bucket)
         B = size.size
         start = np.cumsum(size) - size
@@ -702,20 +700,6 @@ def fit_oblivious_tree(
     return ObliviousTree(tuple(levels), leaf_values, d)
 
 
-def predict_tree(tree, rows: np.ndarray):
-    """Route one row (1-D) or a matrix (2-D) through a fitted learner."""
-    rows = np.asarray(rows, dtype=np.float64)
-    single = rows.ndim == 1
-    X = rows[None, :] if single else rows
-    if isinstance(tree, Stump):
-        if X.ndim != 2 or (not tree.is_constant and X.shape[1] <= tree.feature_index):
-            raise SchemaMismatch(f"row shape {rows.shape} does not fit the stump")
-        out = predict_stump(tree, X)
-        return int(out[0]) if single else out
-    out = tree.predict(X)
-    return float(out[0]) if single else out
-
-
 def _threshold_to_json(thr):
     if isinstance(thr, frozenset):
         return {"levels": sorted(int(v) for v in thr)}
@@ -741,7 +725,7 @@ def tree_to_dict(tree) -> dict:
         nodes = []
         for i, f in enumerate(tree.feature.tolist()):
             if f < 0:
-                nodes.append({k: float(getattr(tree, k)[i]) for k in ("value", "grad_sum", "hess_sum")})
+                nodes.append({"value": float(tree.value[i])})
                 continue
             nodes.append(
                 {
@@ -794,7 +778,7 @@ def tree_from_dict(d: dict, n_features: int):
     loads; a child index that is not a node, or a node reached twice, is not.
     """
     kind = d["kind"]
-    if kind != "stump" and d["n_features"] != n_features:
+    if kind != "stump" and _index(d["n_features"], math.inf, "n_features") != n_features:
         raise MalformedModel(f"{kind} tree reads {d['n_features']!r} columns, not {n_features}")
 
     if kind == "stump":
@@ -819,14 +803,13 @@ def tree_from_dict(d: dict, n_features: int):
             if right_of >= 0:
                 nodes[right_of][_RIGHT] = i
             entry = entries[j]
-            if "value" in entry:
-                sums = [_number(entry.get(k, 0.0), k) for k in ("value", "grad_sum", "hess_sum")]
-                nodes.append([-1, None, True, -1, -1, *sums])
+            if "value" in entry:  # the gradient and hessian sums of older files are ignored
+                nodes.append([-1, None, True, -1, -1, _number(entry["value"], "value")])
             else:
                 f = _index(entry["feature_index"], n_features)
                 thr = _threshold_from_json(entry["threshold"])
                 direction = _one_of(entry["default_direction"], ("left", "right"), "default_direction")
-                nodes.append([f, thr, direction == "left", i + 1, -1, 0.0, 0.0, 0.0])
+                nodes.append([f, thr, direction == "left", i + 1, -1, 0.0])
                 todo += [(entry["right"], i), (entry["left"], -1)]
         return _regression_tree(nodes, n_features)
     if kind == "oblivious":

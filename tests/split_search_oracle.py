@@ -110,7 +110,7 @@ def fit_regression_tree(
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         denom = H + reg_lambda
-        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0, G, H])
+        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0])
         if depth >= max_depth or idx.size < 2:
             continue
         parent = G * G / denom if denom > 0 else 0.0

@@ -391,6 +391,9 @@ class TestSerialization:
 
 DELETED = object()
 
+# the encoding of the default schema's activity_level (column 11) in a catboost file
+CATBOOST_ENCODING = {"feature_index": 11, "mode": "target", "cardinality": 3, "stats": [0.5, 0.5, 0.5]}
+
 
 def _set_path(d, path, value):
     """d with the entry at the key/index path replaced by value, or deleted
@@ -461,6 +464,15 @@ class TestMalformedModel:
             ("xgboost", ("schema", "columns", 11, "cardinality"), 2.5),
             # a default learning_rate would change the scores without an error
             ("gbm", ("params", "learning_rate"), DELETED),
+            # a catboost model has one encoding per categorical column, any other none
+            ("catboost", ("cat_encoding_state",), []),
+            ("catboost", ("cat_encoding_state",), None),
+            ("gbm", ("cat_encoding_state",), [CATBOOST_ENCODING]),
+            ("xgboost", ("cat_encoding_state",), []),
+            ("catboost", ("cat_encoding_state", 0, "stats"), None),
+            ("gbm", ("schema", "columns", 0, "name"), 5),
+            ("gbm", ("schema", "label_column"), 5),
+            ("gbm", ("trees", 0, "n_features"), 12.0),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

@@ -154,6 +154,14 @@ class TestSuccess:
         by_row = [float(s) for s in read_column(scores)[1]]
         assert max(by_row[0::2]) < 0.5 < min(by_row[1::2])
 
+    def test_catboost_depth_past_the_cap_trains(self, tmp_path, capsys):
+        # the first tree of this fit would grow 37 levels, 2**37 leaves
+        data = tmp_path / "d.csv"
+        assert run(capsys, "synth", "--n", 2000, "--seed", 5, "--missing-rate", 0.1, "--out", data)[0] == 0
+        model = tmp_path / "m.json"
+        assert train(capsys, "catboost", data, model, "--depth", 40, "--rounds", 2)[0] == 0
+        assert max(len(t["levels"]) for t in json.loads(model.read_text())["trees"]) == 16
+
     def test_env_seed_is_the_default_seed(self, tmp_path, capsys, monkeypatch):
         run(capsys, "synth", "--n", 30, "--seed", 9, "--out", tmp_path / "flag.csv")
         monkeypatch.setenv("BOOSTLAB_SEED", "9")
@@ -296,8 +304,13 @@ class TestDataErrors:
             json.dumps(
                 {"columns": [{"name": "act", "kind": "categorical", "cardinality": 2.5}], "label_column": "pcos"}
             ),
+            # the CSV lacks the column "nope", so a header check would compare 5 with it
+            json.dumps(
+                {"columns": [{"name": 5, "kind": "numeric"}, {"name": "nope", "kind": "numeric"}], "label_column": "pcos"}
+            ),
+            json.dumps({"columns": [{"name": "nope", "kind": "numeric"}], "label_column": 1}),
         ],
-        ids=["bad-json", "no-columns-key", "kind-bogus", "cardinality-2.5"],
+        ids=["bad-json", "no-columns-key", "kind-bogus", "cardinality-2.5", "name-5", "label-column-1"],
     )
     def test_malformed_schema_file(self, tmp_path, capsys, data_csv, text):
         schema = tmp_path / "schema.json"
@@ -370,6 +383,28 @@ class TestDataErrors:
         )
         assert_data_error(code, err)
         assert not scores.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda schema: schema["columns"][0].update(name=5), id="column-name-5"),
+            pytest.param(lambda schema: schema.update(label_column=7), id="label-column-7"),
+        ],
+    )
+    def test_non_string_name_in_model_file(self, tmp_path, capsys, data_csv, edit):
+        model = tmp_path / "gbm.json"
+        assert train(capsys, "gbm", data_csv, model, "--rounds", 2)[0] == 0
+        saved = json.loads(model.read_text())
+        edit(saved["schema"])
+        model.write_text(json.dumps(saved))
+        # without the weight column, a header check would compare 5 with "weight"
+        rows = [line.split(",") for line in data_csv.read_text().splitlines()]
+        drop = rows[0].index("weight")
+        short = tmp_path / "short.csv"
+        short.write_text("".join(",".join(r[:drop] + r[drop + 1 :]) + "\n" for r in rows))
+        code, _, err = run(capsys, "predict", "--model", model, "--data", short)
+        assert_data_error(code, err)
+        assert "gbm.json" in err
 
     def test_model_file_not_json(self, tmp_path, capsys, data_csv):
         path = tmp_path / "broken.json"

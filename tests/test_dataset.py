@@ -40,6 +40,11 @@ class TestSchema:
         with pytest.raises(ValueError):
             FeatureSchema((("a", NUMERIC), ("a", BINARY)), "y")
 
+    @pytest.mark.parametrize("columns, label", [(((5, NUMERIC),), "y"), ((("a", NUMERIC),), 5)])
+    def test_names_must_be_strings(self, columns, label):
+        with pytest.raises(ValueError, match="strings"):
+            FeatureSchema(columns, label)
+
     def test_label_must_not_be_feature(self):
         with pytest.raises(ValueError):
             FeatureSchema((("a", NUMERIC),), "a")

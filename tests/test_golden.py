@@ -2,10 +2,13 @@
 
 The paper digests are the benchmark's own (perfbench/golden.json, seed 42),
 hashed the way perfbench/checks.py hashes them: report.json without its
-timestamp line. The model digests were recorded when each format was pinned:
-MODEL_SHA256 for the v2 files that train writes today, V1_MODEL_SHA256 for the
-v1 files of the same fits, kept in tests/data and still read. A change to any
-of them is a change of output and must be deliberate.
+timestamp line. The model digests were recorded when each file form was
+pinned: MODEL_SHA256 for the files that train writes today, LEGACY_SHA256 for
+the older files of the same fits, kept in tests/data and still read: the v1
+files, and the v2 files written before regression leaves dropped their
+gradient and hessian sums and AdaBoost files their base_score and
+cat_encoding_state. A change to any of them is a change of output and must be
+deliberate.
 """
 
 import contextlib
@@ -18,24 +21,28 @@ import numpy as np
 import pytest
 
 from boostlab import cli
-from boostlab.boost import load_model, raw_scores
+from boostlab.boost import load_model, raw_scores, save_model
 from boostlab.dataset import pcos_default_schema, synthesize, write_csv
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-V1_MODELS = Path(__file__).resolve().parent / "data"
+LEGACY_MODELS = Path(__file__).resolve().parent / "data"
 
 MODEL_SHA256 = {
-    "adaboost": "e718022c21a755e3f355081b0b184c9da44f5d02cfca8728f931b426034bdfb0",
-    "gbm": "4af4068fb50575353c105b00b78d1652ba2081e7dec8bf399e028ea1d7df1928",
-    "xgboost": "53d6401d13f1f2c91c4adb7b36fa005895310a1d8cd08a12914fde13da816a57",
+    "adaboost": "230427bcc4bc04112aa0280b920293c0d4865469fed5503aa24c030c6124f2a9",
+    "gbm": "7bd80d9afbd3c84bf1f66784f7ec6ea6c38f7df797c30ef417be02981fb2a24c",
+    "xgboost": "b7a889422b8cc57c6c3f94855530405a88a938e6e23fe11202f504b5c1f906d8",
     "catboost": "8de1747b3217991f0c1d99abdbcf9bf02b30b4c60c0b7231c336263db670304f",
 }
 
-V1_MODEL_SHA256 = {
-    "adaboost": "2b80d7774c4939756c5cdf29fd222224f13520cae68a465d3aa4e2cec70ce59c",
-    "gbm": "c6898cf48e9564d56500032f948f97b0633e5a4c1f82b6aba52d09b9e72fdb40",
-    "xgboost": "c79eaabe6302850d126986606e3b287702d1709b4a484f9e66659d1e5d582a44",
-    "catboost": "879fb1a2c07ac2c9235c7228c36c7484e3407542fdbdd7d51748f95cbfb45a55",
+LEGACY_SHA256 = {
+    "model_v1_adaboost.json": "2b80d7774c4939756c5cdf29fd222224f13520cae68a465d3aa4e2cec70ce59c",
+    "model_v1_gbm.json": "c6898cf48e9564d56500032f948f97b0633e5a4c1f82b6aba52d09b9e72fdb40",
+    "model_v1_xgboost.json": "c79eaabe6302850d126986606e3b287702d1709b4a484f9e66659d1e5d582a44",
+    "model_v1_catboost.json": "879fb1a2c07ac2c9235c7228c36c7484e3407542fdbdd7d51748f95cbfb45a55",
+    # v2 with leaf sums (GBM, XGBoost) or base_score and cat_encoding_state (AdaBoost)
+    "model_v2_adaboost.json": "e718022c21a755e3f355081b0b184c9da44f5d02cfca8728f931b426034bdfb0",
+    "model_v2_gbm.json": "4af4068fb50575353c105b00b78d1652ba2081e7dec8bf399e028ea1d7df1928",
+    "model_v2_xgboost.json": "53d6401d13f1f2c91c4adb7b36fa005895310a1d8cd08a12914fde13da816a57",
 }
 
 
@@ -87,10 +94,23 @@ def test_train_model_file_is_pinned(tmp_path, algo):
     assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_SHA256[algo]
 
 
-@pytest.mark.parametrize("algo", sorted(V1_MODEL_SHA256))
+@pytest.mark.parametrize("algo", sorted(MODEL_SHA256))
 def test_v1_model_file_scores_like_v2(tmp_path, algo):
-    v1 = V1_MODELS / f"model_v1_{algo}.json"
-    assert hashlib.sha256(v1.read_bytes()).hexdigest() == V1_MODEL_SHA256[algo]
+    v1 = LEGACY_MODELS / f"model_v1_{algo}.json"
+    assert hashlib.sha256(v1.read_bytes()).hexdigest() == LEGACY_SHA256[v1.name]
     data, model = train(tmp_path, algo)
     assert json.loads(model.read_text())["format_version"] == 2
     assert np.array_equal(raw_scores(load_model(v1), data), raw_scores(load_model(model), data))
+
+
+def test_every_legacy_model_file_is_pinned():
+    assert sorted(p.name for p in LEGACY_MODELS.glob("*.json")) == sorted(LEGACY_SHA256)
+
+
+@pytest.mark.parametrize("name", sorted(LEGACY_SHA256))
+def test_legacy_model_file_saves_as_train_writes(tmp_path, name):
+    legacy = LEGACY_MODELS / name
+    assert hashlib.sha256(legacy.read_bytes()).hexdigest() == LEGACY_SHA256[name]
+    _, model = train(tmp_path, json.loads(legacy.read_text())["algorithm"])
+    save_model(load_model(legacy), tmp_path / "again.json")
+    assert (tmp_path / "again.json").read_bytes() == model.read_bytes()

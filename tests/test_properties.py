@@ -1,7 +1,9 @@
-"""Property tests on small random datasets: persistence, determinism, stump
-error, oblivious levels, AUC and CSV schema inference."""
+"""Property tests on small random datasets: persistence, determinism, typed
+model reading, stump error, oblivious levels, AUC and CSV schema inference."""
 
+import json
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from boostlab.boost import (
     default_params,
     fit,
     load_model,
+    model_from_dict,
     model_to_dict,
     predict_scores,
     save_model,
@@ -29,6 +32,7 @@ from boostlab.dataset import (
     synthesize,
     write_csv,
 )
+from boostlab.errors import MalformedModel
 from boostlab.metrics import roc_curve
 from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump
 
@@ -74,6 +78,53 @@ def test_refit_gives_identical_model_json(data, algorithm):
     params = small_params(algorithm)
     first = model_to_dict(fit(algorithm, data, params))
     assert model_to_dict(fit(algorithm, data, params)) == first
+
+
+def json_leaves(node, path=()):
+    """(path, value) of every scalar in a JSON document, path the keys and
+    indices that lead to it."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_leaves(child, (*path, key))
+    else:
+        yield path, node
+
+
+# Values of another JSON type: a bool, a string or null for a number; a
+# number, a bool or null for a string; anything else for a (documented) null.
+NUMBERS, STRINGS = [0, 1, -1, 2.5], ["", "1", "left"]
+OTHER_TYPES = {
+    "number": [True, False, *STRINGS, None],
+    "string": [*NUMBERS, True, False, None],
+    "null": [*NUMBERS, *STRINGS, True, False],
+}
+
+
+@cache
+def saved_model(tmp_dir, algorithm):
+    """The text of a small saved model and every scalar in it. The data have
+    missing cells, and a categorical column that AdaBoost, GBM and XGBoost
+    split on at this seed."""
+    data = synthesize(pcos_default_schema(), 60, 32, 1.5, missing_rate=0.1)
+    path = tmp_dir / f"{algorithm}.json"
+    save_model(fit(algorithm, data, small_params(algorithm)), path)
+    text = path.read_text()
+    return text, list(json_leaves(json.loads(text)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS), draw=st.data())
+def test_a_leaf_of_another_type_is_malformed(tmp_path_factory, algorithm, draw):
+    text, leaves = saved_model(tmp_path_factory.getbasetemp(), algorithm)
+    path, value = draw.draw(st.sampled_from(leaves), label="leaf")
+    kind = "null" if value is None else "string" if isinstance(value, str) else "number"
+    d = json.loads(text)
+    entry = d
+    for key in path[:-1]:
+        entry = entry[key]
+    entry[path[-1]] = draw.draw(st.sampled_from(OTHER_TYPES[kind]), label="replacement")
+    with pytest.raises(MalformedModel):
+        model_from_dict(d)
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import split_search_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boostlab import tree as tree_module
 from boostlab.dataset import BINARY, NUMERIC, categorical
 from boostlab.errors import EmptyData, SchemaMismatch
 from boostlab.tree import (
+    MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
     Presort,
     RegressionTree,
@@ -17,12 +20,16 @@ from boostlab.tree import (
     fit_regression_tree,
     fit_stump,
     predict_stump,
-    predict_tree,
     tree_from_dict,
     tree_to_dict,
 )
 
 ORIENTATIONS = ((-1, 1), (1, -1))
+
+
+def node_of(tree, X):
+    """The leaf each row of X reaches in a regression tree."""
+    return replace(tree, value=np.arange(tree.feature.size, dtype=np.float64)).predict(X).astype(int)
 
 
 def oracle_best_stump(X, y, w, kinds=None):
@@ -199,7 +206,7 @@ class TestRegressionTree:
         assert tree.threshold[0] == 2.5
         assert tree.value[tree.left[0]] == pytest.approx(2.0 / 3.0)
         assert tree.value[tree.right[0]] == pytest.approx(-2.0 / 3.0)
-        assert tree.grad_sum[tree.left[0]] == -2.0
+        assert grads[node_of(tree, X) == tree.left[0]].sum() == -2.0
 
     def test_gamma_prunes_root(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -223,7 +230,10 @@ class TestRegressionTree:
         X = rng.normal(size=(64, 3))
         grads = rng.normal(size=64)
         tree = fit_regression_tree(X, grads, np.ones(64), max_depth=2, reg_lambda=1.0)
-        assert tree.depth() <= 2
+        depth = np.zeros(tree.feature.size, dtype=int)
+        for i in np.flatnonzero(tree.feature >= 0):  # a parent precedes its children
+            depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+        assert depth.max() <= 2
 
     def test_missing_takes_learned_direction(self):
         # missing rows carry strong negative gradient: best routed right with x>=3 rows
@@ -256,9 +266,10 @@ class TestRegressionTree:
         tree = fit_regression_tree(
             X, grads, hess, max_depth=4, reg_lambda=lam, min_child_weight=0.0
         )
+        node = node_of(tree, X)
         for leaf in tree.leaves():
-            g_sum = tree.grad_sum[leaf]
-            resid = tree.value[leaf] * (tree.hess_sum[leaf] + lam) + g_sum
+            g_sum = grads[node == leaf].sum()
+            resid = tree.value[leaf] * (hess[node == leaf].sum() + lam) + g_sum
             assert abs(resid) <= 1e-12 * max(1.0, abs(g_sum))
 
     def test_matches_stump_split_on_signed_labels(self):
@@ -454,6 +465,16 @@ class TestObliviousTree:
         with pytest.raises(EmptyData):
             fit_oblivious_tree(np.empty((0, 2)), np.empty(0), np.empty(0), depth=1)
 
+    def test_growth_stops_at_max_depth(self, monkeypatch):
+        # random gradients on 3 000 distinct rows keep a positive gain past 16 levels
+        rng = np.random.default_rng(0)
+        X, g = rng.normal(size=(3000, 3)), rng.normal(size=3000)
+        tree = fit_oblivious_tree(X, g, np.ones(3000), depth=40)
+        assert tree.depth == MAX_OBLIVIOUS_DEPTH == 16
+        assert tree.leaf_values.size == 2**16
+        monkeypatch.setattr(tree_module, "MAX_OBLIVIOUS_DEPTH", 18)
+        assert fit_oblivious_tree(X, g, np.ones(3000), depth=40).depth == 18
+
 
 # (lo, hi) pairs whose midpoint (lo + hi) / 2 overflows or rounds up to hi
 WIDE_OR_ADJACENT = [
@@ -497,9 +518,11 @@ class TestPredictAndSerialize:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         grads = np.array([-1.0, -1.0, 1.0, 1.0])
         tree = fit_regression_tree(X, grads, np.ones(4), max_depth=1, reg_lambda=1.0)
-        assert predict_tree(tree, np.array([1.0])) == pytest.approx(2.0 / 3.0)
-        out = predict_tree(tree, X)
-        assert out == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
+        assert tree.predict(X[:1]) == pytest.approx([2 / 3])
+        assert tree.predict(X) == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
+        stump, _ = fit_stump(X, -grads, np.full(4, 0.25))
+        assert predict_stump(stump, X[:1]).tolist() == [1]
+        assert predict_stump(stump, X).tolist() == [1, 1, -1, -1]
 
     def test_training_rows_hit_training_leaves(self):
         rng = np.random.default_rng(6)
@@ -617,8 +640,7 @@ def with_edge_inputs(*rest):
 
 def assert_same_tree(got, want):
     assert tree_to_dict(got) == tree_to_dict(want)
-    for name in ("value", "grad_sum", "hess_sum"):
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    assert got.value.tobytes() == want.value.tobytes()  # split nodes' values too
 
 
 class TestSplitKernelMatchesOracle:
