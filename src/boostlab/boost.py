@@ -9,20 +9,22 @@ Model files are format v2, JSON, and hold only what prediction reads: the
 params, the schema, and AdaBoost's alpha-weighted stumps or a tree ensemble's
 base_score, trees and cat_encoding_state (CatBoost's encodings, else null). A
 regression tree stores a value at its leaves only; an oblivious tree lists
-only its non-zero leaves, as leaf_index (ascending) and leaf_values. Older
-files load too, and their extra keys are ignored: the leaf gradient and
-hessian sums of v1 files and of earlier v2 GBM and XGBoost files, and the
-base_score and cat_encoding_state of earlier AdaBoost files. A v1 oblivious
-tree, which lists every leaf, reads as one whose leaf_index lists every leaf.
+only its non-zero leaves, as leaf_index (ascending) and leaf_values, which is
+also all that ObliviousTree holds in memory. Older files load too, and their
+extra keys are ignored: the leaf gradient and hessian sums of v1 files and of
+earlier v2 GBM and XGBoost files, and the base_score and cat_encoding_state
+of earlier AdaBoost files. A v1 oblivious tree lists every leaf; its zero
+leaves are dropped on load.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
 or 2, a missing key (every params field must be given), a value of the wrong
 type (a bool is not a number, a float is not an int, a name must be a
 string) or outside its set (default_direction "left" or "right", stump
 classes -1 or 1), a split on a column the model does not have, a bad or
-repeated tree node index, an oblivious leaf_index that is not strictly
-increasing ints in [0, 2**depth), one per leaf value, or a cat_encoding_state
-other than CatBoost's one encoding per categorical column, or null otherwise.
+repeated tree node index, an oblivious tree deeper than 16 levels or whose
+leaf_index is not strictly increasing ints in [0, 2**depth), one per leaf
+value, or a cat_encoding_state other than CatBoost's one encoding per
+categorical column, or null otherwise.
 """
 
 from __future__ import annotations
@@ -495,20 +497,12 @@ def model_from_dict(d: dict):
             _check_encodings(encodings, schema)
         # the trees read _encode_matrix's output: one-hot columns widen it
         width = schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
-        trees = d["trees"]
-        if version == 1:
-            # a v1 oblivious tree lists every leaf (and sums, which are ignored)
-            trees = [
-                {**t, "leaf_index": range(2 ** len(t["levels"]))} if t["kind"] == "oblivious" else t
-                for t in trees
-            ]
-        trees = [tree_from_dict(t, width) for t in trees]
+        trees = [tree_from_dict(t, width, version) for t in d["trees"]]
         base = _number(d["base_score"], "base_score")
         return TreeEnsemble(algorithm, base, trees, schema, params, encodings)
     except KeyError as exc:
         raise MalformedModel(f"missing key {exc}") from None
-    except (TypeError, ValueError, AttributeError, IndexError, MemoryError) as exc:
-        # MemoryError: the dense leaves of a stated oblivious depth do not fit
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
         raise MalformedModel(f"bad value: {exc}") from None
 
 

@@ -63,8 +63,8 @@ _TIE_TOL = 1e-12
 # score) of the best gain tie, and the earliest one wins.
 _LEVEL_TIE_TOL = 1e-9
 
-# The most levels an oblivious tree grows, as in CatBoost on CPU: a tree holds
-# 2**levels leaf values, 0.5 MiB at 16 levels and 1 TiB at 37.
+# The most levels an oblivious tree has, as in CatBoost on CPU: a fit stops there
+# and a model file may not exceed it, so a lookup of 2**levels leaves stays small.
 MAX_OBLIVIOUS_DEPTH = 16
 
 
@@ -130,11 +130,13 @@ class ObliviousTree:
     """Symmetric tree: one (feature, threshold) test per level.
 
     A row's leaf index is the bit string of its per-level comparisons, earlier
-    levels in higher bits, with bit 1 meaning "went right". A model file lists
-    only the non-zero leaf_values: an unlisted leaf predicts 0.
+    levels in higher bits, with bit 1 meaning "went right". As in a model file,
+    only the non-zero leaves are held: leaf_ids (int64, strictly ascending) and
+    their leaf_values. Any other leaf predicts 0.
     """
 
     levels: tuple[tuple[int, float | frozenset[int]], ...]
+    leaf_ids: np.ndarray
     leaf_values: np.ndarray
     n_features: int
 
@@ -151,7 +153,9 @@ class ObliviousTree:
         return idx
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        return self.leaf_values[self.leaf_index(X)]
+        leaves = np.zeros(1 << self.depth)  # per call: a gather beats a search of leaf_ids
+        leaves[self.leaf_ids] = self.leaf_values
+        return leaves[self.leaf_index(X)]
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -162,16 +166,10 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
 
 
 def _split_mask(col: np.ndarray, threshold, *, missing_left: bool) -> np.ndarray:
-    """Boolean mask of rows routed left by a split test."""
-    missing = np.isnan(col)
-    if isinstance(threshold, frozenset):
-        left = np.isin(col, list(threshold))
-    else:
-        left = col <= threshold
-    left = left & ~missing
-    if missing_left:
-        left |= missing
-    return left
+    """Boolean mask of rows routed left by a split test. NaN is in no level set
+    and not <= any threshold, so a missing row goes left only if missing_left."""
+    left = np.isin(col, list(threshold)) if isinstance(threshold, frozenset) else col <= threshold
+    return left | np.isnan(col) if missing_left else left
 
 
 def _midpoints(lo, hi):
@@ -691,13 +689,12 @@ def fit_oblivious_tree(
         split_bucket = bucket * 2 + right
         bucket = (np.cumsum(np.bincount(split_bucket) > 0) - 1)[split_bucket]
 
-    n_leaves = 1 << len(levels)
-    leaf_g = np.bincount(leaf, weights=g, minlength=n_leaves)
-    leaf_h = np.bincount(leaf, weights=h, minlength=n_leaves)
-    denom = leaf_h + reg_lambda
-    leaf_values = np.zeros(n_leaves)
-    np.divide(-leaf_g, denom, out=leaf_values, where=denom > 0)
-    return ObliviousTree(tuple(levels), leaf_values, d)
+    leaf_ids = np.unique(leaf)  # bucket ranks these; each bin sums its rows in row order
+    denom = np.bincount(bucket, weights=h) + reg_lambda
+    leaf_values = np.zeros(leaf_ids.size)
+    np.divide(-np.bincount(bucket, weights=g), denom, out=leaf_values, where=denom > 0)
+    kept = leaf_values != 0
+    return ObliviousTree(tuple(levels), leaf_ids[kept], leaf_values[kept], d)
 
 
 def _threshold_to_json(thr):
@@ -744,8 +741,8 @@ def tree_to_dict(tree) -> dict:
             "levels": [
                 {"feature_index": f, "threshold": _threshold_to_json(t)} for f, t in tree.levels
             ],
-            "leaf_index": np.flatnonzero(tree.leaf_values).tolist(),
-            "leaf_values": tree.leaf_values[tree.leaf_values != 0].tolist(),
+            "leaf_index": tree.leaf_ids.tolist(),
+            "leaf_values": tree.leaf_values.tolist(),
         }
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
@@ -771,11 +768,12 @@ def _one_of(value, allowed: tuple, what: str):
     return value
 
 
-def tree_from_dict(d: dict, n_features: int):
+def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
     """Rebuild a learner that reads an n_features-column matrix; a tree that
     records another width or splits outside [0, n_features) is MalformedModel.
     Regression nodes are renumbered into pre-order from node 0, so any layout
     loads; a child index that is not a node, or a node reached twice, is not.
+    An oblivious tree of format_version 1 lists every leaf and no leaf_index.
     """
     kind = d["kind"]
     if kind != "stump" and _index(d["n_features"], math.inf, "n_features") != n_features:
@@ -817,12 +815,18 @@ def tree_from_dict(d: dict, n_features: int):
             (_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
             for lv in d["levels"]
         )
-        leaf_values = np.zeros(2 ** len(levels))
-        if len(d["leaf_index"]) != len(d["leaf_values"]):
+        if len(levels) > MAX_OBLIVIOUS_DEPTH:
+            raise MalformedModel(f"an oblivious tree of {len(levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
+        if format_version == 1:  # every leaf, zeros too (and sums, which are ignored)
+            leaf_ids = np.arange(1 << len(levels), dtype=np.int64)
+        else:
+            index = [_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
+            leaf_ids = np.array(index, dtype=np.int64)
+            if (leaf_ids[1:] <= leaf_ids[:-1]).any():
+                raise MalformedModel("leaf_index is not strictly increasing")
+        if leaf_ids.size != len(d["leaf_values"]):
             raise MalformedModel("leaf_index and leaf_values differ in length")
-        index = [_index(i, leaf_values.size, "leaf_index") for i in d["leaf_index"]]
-        if any(a >= b for a, b in zip(index, index[1:])):
-            raise MalformedModel("leaf_index is not strictly increasing")
-        leaf_values[index] = [_number(v, "leaf value") for v in d["leaf_values"]]
-        return ObliviousTree(levels, leaf_values, n_features)
+        leaf_values = np.array([_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
+        kept = leaf_values != 0
+        return ObliviousTree(levels, leaf_ids[kept], leaf_values[kept], n_features)
     raise MalformedModel(f"unknown tree kind {kind!r}")

@@ -1,10 +1,12 @@
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from boostlab.bench import PAPER_PRESET_N, PAPER_PRESET_SIGNAL
 from boostlab.boost import (
     AdaBoostModel,
     BoostParams,
@@ -34,7 +36,7 @@ from boostlab.dataset import (
     synthesize,
 )
 from boostlab.errors import MalformedModel, SchemaMismatch, SingleClassDataset
-from boostlab.tree import fit_regression_tree, predict_stump, tree_to_dict
+from boostlab.tree import MAX_OBLIVIOUS_DEPTH, fit_regression_tree, predict_stump, tree_to_dict
 
 ONE_NUMERIC = FeatureSchema((("x", NUMERIC),), "y")
 
@@ -359,11 +361,18 @@ class TestSerialization:
         save_model(model, path)
         written = json.loads(path.read_text())["trees"]
         for tree, d in zip(model.trees, written, strict=True):
-            index = np.flatnonzero(tree.leaf_values)
-            assert d["leaf_index"] == index.tolist()
-            assert d["leaf_values"] == tree.leaf_values[index].tolist()
+            assert (tree.leaf_values != 0).all()
+            assert (np.diff(tree.leaf_ids) > 0).all()
+            assert d["leaf_index"] == tree.leaf_ids.tolist()
+            assert d["leaf_values"] == tree.leaf_values.tolist()
         assert path.stat().st_size < 100_000
         assert np.array_equal(raw_scores(load_model(path), data), raw_scores(model, data))
+
+    def test_paper_preset_trees_hold_a_leaf_per_row_at_most(self):
+        data = synthesize(pcos_default_schema(), PAPER_PRESET_N, 42, PAPER_PRESET_SIGNAL)
+        model = fit("catboost", data, paper_preset("catboost"))
+        assert max(tree.depth for tree in model.trees) == 16
+        assert all(tree.leaf_ids.size <= data.n_rows for tree in model.trees)
 
     def test_envelope_fields(self):
         data = cat_dataset(40, 6)
@@ -449,7 +458,7 @@ class TestMalformedModel:
             ("catboost", ("trees", 0, "leaf_index"), [0, 2, 1, 3]),
             ("catboost", ("trees", 0, "leaf_index", 0), True),
             ("catboost", ("trees", 0, "leaf_index"), [0, 1, 2]),
-            # 2**55 dense leaves are more than any address space holds
+            # deeper than MAX_OBLIVIOUS_DEPTH
             ("catboost", ("trees", 0, "levels"), [{"feature_index": 0, "threshold": 0.5}] * 55),
             # envelope fields: a bool is not a number, a float is not an int
             ("adaboost", ("stumps", 0, "alpha"), True),
@@ -478,6 +487,31 @@ class TestMalformedModel:
     def test_bad_entry_rejected(self, algorithm, path, value):
         d = self.model_dict(algorithm)
         _set_path(d, path, value)
+        with pytest.raises(MalformedModel):
+            model_from_dict(d)
+
+    def test_oblivious_trees_load_up_to_max_depth(self):
+        d = self.model_dict("catboost")
+        level = d["trees"][0]["levels"][0]
+        d["trees"][0]["levels"] = [level] * MAX_OBLIVIOUS_DEPTH
+        assert model_from_dict(d).trees[0].depth == MAX_OBLIVIOUS_DEPTH == 16
+        d["trees"][0]["levels"] = [level] * (MAX_OBLIVIOUS_DEPTH + 1)
+        with pytest.raises(MalformedModel, match="17 levels"):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda tree: tree["leaf_values"].pop(), id="one-leaf-short"),
+            pytest.param(lambda tree: tree["leaf_values"].__setitem__(0, True), id="bool-leaf"),
+            pytest.param(lambda tree: tree.update(levels=tree["levels"][:1] * 55), id="55-levels"),
+        ],
+    )
+    def test_bad_v1_oblivious_tree_rejected(self, edit):
+        # a v1 tree lists every leaf and no leaf_index: its leaf count and
+        # values are still checked
+        d = json.loads((Path(__file__).parent / "data" / "model_v1_catboost.json").read_text())
+        edit(d["trees"][0])
         with pytest.raises(MalformedModel):
             model_from_dict(d)
 

@@ -406,6 +406,17 @@ class TestDataErrors:
         assert_data_error(code, err)
         assert "gbm.json" in err
 
+    def test_oblivious_tree_past_max_depth(self, tmp_path, capsys, data_csv):
+        model = tmp_path / "catboost.json"
+        assert train(capsys, "catboost", data_csv, model, "--rounds", 2)[0] == 0
+        saved = json.loads(model.read_text())
+        tree = saved["trees"][0]
+        tree["levels"] = tree["levels"][:1] * 17  # one level past the 16-level cap
+        model.write_text(json.dumps(saved))
+        code, _, err = run(capsys, "predict", "--model", model, "--data", data_csv)
+        assert_data_error(code, err)
+        assert "catboost.json" in err and "17 levels" in err
+
     def test_model_file_not_json(self, tmp_path, capsys, data_csv):
         path = tmp_path / "broken.json"
         path.write_text("{")

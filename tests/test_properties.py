@@ -1,9 +1,14 @@
 """Property tests on small random datasets: persistence, determinism, typed
-model reading, stump error, oblivious levels, AUC and CSV schema inference."""
+model reading, stump error, oblivious levels and leaves, AUC and CSV schema
+inference; and that a failing property is reported under this repository's
+pytest settings."""
 
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +39,7 @@ from boostlab.dataset import (
 )
 from boostlab.errors import MalformedModel
 from boostlab.metrics import roc_curve
-from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump
+from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -156,6 +161,19 @@ def test_every_oblivious_level_splits_a_bucket(data, grad_seed, depth):
 
 
 @settings(max_examples=60, deadline=None)
+@given(data=datasets(), grad_seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 10))
+def test_oblivious_tree_loads_as_fitted(data, grad_seed, depth):
+    p = np.random.default_rng(grad_seed).uniform(0.05, 0.95, data.n_rows)
+    g, h = p - data.labels, p * (1 - p)
+    tree = fit_oblivious_tree(data.values, g, h, SCHEMA.kinds, depth=depth, reg_lambda=1.0)
+    back = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))), SCHEMA.n_features)
+    assert back.levels == tree.levels
+    assert back.leaf_ids.dtype == tree.leaf_ids.dtype == np.int64
+    assert back.leaf_ids.tobytes() == tree.leaf_ids.tobytes()
+    assert back.leaf_values.tobytes() == tree.leaf_values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
 @given(
     pairs=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=2, max_size=40).filter(
         lambda ps: {t for _, t in ps} == {0, 1}
@@ -184,3 +202,33 @@ def test_inferring_while_loading_equals_inferring_first(tmp_path_factory, n, see
     assert one_pass.schema == two_pass.schema
     assert np.array_equal(one_pass.values, two_pass.values, equal_nan=True)
     assert np.array_equal(one_pass.labels, two_pass.labels, equal_nan=True)
+
+
+FAILING_PAIR = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_is_reported_and_the_run_goes_on(tmp_path):
+    # hypothesis' failure report raises a DeprecationWarning, which the
+    # filterwarnings setting must not turn into an INTERNALERROR
+    (tmp_path / "test_pair.py").write_text(FAILING_PAIR)
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    argv = ["-c", config, "--rootdir", tmp_path, "-p", "no:cacheprovider", "test_pair.py"]
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", *argv],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "Falsifying example: test_fails(" in run.stdout

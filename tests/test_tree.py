@@ -16,6 +16,7 @@ from boostlab.tree import (
     Presort,
     RegressionTree,
     Stump,
+    _split_mask,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
@@ -456,10 +457,13 @@ class TestObliviousTree:
                 f, thr = tree.levels[level]
                 goes_left = X[:, f] == min(thr) if isinstance(thr, frozenset) else X[:, f] <= thr
                 bucket = bucket * 2 + ~(goes_left | np.isnan(X[:, f]))
+            # the tree holds the non-zero leaves of the occupied buckets, by id
+            assert set(tree.leaf_ids.tolist()) <= set(np.unique(bucket).tolist())
+            leaves = dict(zip(tree.leaf_ids.tolist(), tree.leaf_values))
             for b in np.unique(bucket):
                 rows = bucket == b
                 value = -g[rows].sum() / (h[rows].sum() + lam)
-                assert tree.leaf_values[b] == pytest.approx(value, abs=1e-12)
+                assert leaves.get(b, 0.0) == pytest.approx(value, abs=1e-12)
 
     def test_empty_data(self):
         with pytest.raises(EmptyData):
@@ -471,7 +475,7 @@ class TestObliviousTree:
         X, g = rng.normal(size=(3000, 3)), rng.normal(size=3000)
         tree = fit_oblivious_tree(X, g, np.ones(3000), depth=40)
         assert tree.depth == MAX_OBLIVIOUS_DEPTH == 16
-        assert tree.leaf_values.size == 2**16
+        assert 0 < tree.leaf_ids.size <= 3000 and tree.leaf_ids[-1] < 2**16
         monkeypatch.setattr(tree_module, "MAX_OBLIVIOUS_DEPTH", 18)
         assert fit_oblivious_tree(X, g, np.ones(3000), depth=40).depth == 18
 
@@ -560,6 +564,21 @@ class TestPredictAndSerialize:
                     [rng.normal(size=20).round(1), rng.integers(0, 3, 20).astype(float)]
                 )
                 assert np.array_equal(back.predict(probe), tree.predict(probe))
+
+    @pytest.mark.parametrize("missing_left", [True, False])
+    @pytest.mark.parametrize(
+        "threshold", [-math.inf, -1.0, 0.0, 2.5, math.inf, frozenset(), frozenset({0}), frozenset({1, 3})]
+    )
+    def test_split_mask_is_the_written_rule(self, threshold, missing_left):
+        # a missing row goes left only if missing_left; any other row goes left
+        # when its value is in the level set, or is <= the threshold
+        col = np.array([np.nan, -math.inf, -1.0, 0.0, 1.0, 2.5, 3.0, math.inf, np.nan])
+        levels = isinstance(threshold, frozenset)
+        want = [
+            missing_left if math.isnan(v) else v in threshold if levels else v <= threshold
+            for v in col.tolist()
+        ]
+        assert _split_mask(col, threshold, missing_left=missing_left).tolist() == want
 
     def test_regression_nodes_in_any_order_load_into_pre_order(self):
         rng = np.random.default_rng(9)
