@@ -19,8 +19,9 @@ leaves are dropped on load.
 load_model raises MalformedModel for bad JSON, a format_version other than 1
 or 2, a missing key (every params field must be given), a value of the wrong
 type (a bool is not a number, a float is not an int, a name must be a
-string) or outside its set (default_direction "left" or "right", stump
-classes -1 or 1), a split on a column the model does not have, a bad or
+string), a number that is NaN, infinite or beyond the float range, a value
+outside its set (default_direction "left" or "right", stump classes -1 or
+1), a split on a column the model does not have, a bad or
 repeated tree node index, an oblivious tree deeper than 16 levels or whose
 leaf_index is not strictly increasing ints in [0, 2**depth), one per leaf
 value, or a cat_encoding_state other than CatBoost's one encoding per
@@ -49,6 +50,7 @@ from .tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
+    predict_oblivious,
     predict_stump,
     tree_from_dict,
     tree_to_dict,
@@ -378,7 +380,13 @@ def _check_schema(model, data: Dataset):
 
 
 def raw_scores(model, data: Dataset) -> np.ndarray:
-    """Additive margin (AdaBoost) or log-odds score (tree boosters)."""
+    """Additive margin (AdaBoost) or log-odds score (tree boosters).
+
+    A CatBoost ensemble is scored by predict_oblivious: each distinct
+    (feature, threshold) test of its trees is evaluated once per row, as one
+    row of a bit matrix, and the rows go in chunks that keep that matrix
+    within tree.MAX_BIT_MATRIX_BYTES. The sum is the same, in the same tree
+    order, as adding up tree.predict."""
     _check_schema(model, data)
     if isinstance(model, AdaBoostModel):
         margins = np.zeros(data.n_rows)
@@ -388,6 +396,8 @@ def raw_scores(model, data: Dataset) -> np.ndarray:
     Xe = data.values
     if model.cat_encoding_state:
         Xe = _encode_matrix(data.values, model.schema, model.cat_encoding_state)
+    if model.algorithm == "catboost":
+        return predict_oblivious(model.trees, Xe, model.base_score, model.params.learning_rate)
     F = np.full(data.n_rows, model.base_score)
     for tree in model.trees:
         F = F + model.params.learning_rate * tree.predict(Xe)

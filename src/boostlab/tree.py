@@ -133,6 +133,12 @@ class ObliviousTree:
     levels in higher bits, with bit 1 meaning "went right". As in a model file,
     only the non-zero leaves are held: leaf_ids (int64, strictly ascending) and
     their leaf_values. Any other leaf predicts 0.
+
+    Routing evaluates level tests as rows of a bit matrix (_split_bits) and
+    shifts a tree's leaf index in from its levels' rows (_leaf_index).
+    predict_oblivious routes a list of trees that way, each distinct test of
+    the list evaluated once, and scores the rows in chunks that keep the bit
+    matrix within MAX_BIT_MATRIX_BYTES.
     """
 
     levels: tuple[tuple[int, float | frozenset[int]], ...]
@@ -146,16 +152,72 @@ class ObliviousTree:
 
     def leaf_index(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, self.n_features)
-        idx = np.zeros(X.shape[0], dtype=np.int64)
-        for f, thr in self.levels:
-            left = _split_mask(X[:, f], thr, missing_left=True)
-            idx = idx * 2 + (~left)
-        return idx
+        return _leaf_index(_split_bits(self.levels, X), range(self.depth))
 
     def predict(self, X: np.ndarray) -> np.ndarray:
+        return self._lookup()[self.leaf_index(X)]
+
+    def _lookup(self) -> np.ndarray:
         leaves = np.zeros(1 << self.depth)  # per call: a gather beats a search of leaf_ids
         leaves[self.leaf_ids] = self.leaf_values
-        return leaves[self.leaf_index(X)]
+        return leaves
+
+
+# The most bytes predict_oblivious's bit matrix (one uint8 per row and distinct
+# test) holds at once; it scores the rows in chunks that stay under this.
+MAX_BIT_MATRIX_BYTES = 64 << 20
+
+
+def _distinct_tests(trees) -> tuple[list, list[list[int]]]:
+    """The distinct (feature, threshold) tests of the trees' levels in
+    first-seen order, and each tree's levels as positions in that list. Equal
+    thresholds route alike (0.0 and -0.0 too), so they share a position."""
+    position: dict = {}
+    paths = [[position.setdefault(level, len(position)) for level in tree.levels] for tree in trees]
+    return list(position), paths
+
+
+def _split_bits(tests, X: np.ndarray) -> np.ndarray:
+    """The "went right" bit of every test on every row of X, one uint8 row per
+    test; a missing cell goes left, as in every oblivious level."""
+    XT = np.ascontiguousarray(X.T)  # a feature's cells in one contiguous row
+    bits = np.empty((len(tests), X.shape[0]), dtype=np.uint8)
+    for k, (f, thr) in enumerate(tests):
+        bits[k] = ~_split_mask(XT[f], thr, missing_left=True)
+    return bits
+
+
+def _leaf_index(bits: np.ndarray, path) -> np.ndarray:
+    """A tree's leaf index from the bit rows of its levels, first level highest."""
+    idx = np.zeros(bits.shape[1], dtype=np.int32)  # MAX_OBLIVIOUS_DEPTH bits fit
+    for k in path:
+        idx <<= 1
+        idx |= bits[k]
+    return idx
+
+
+def predict_oblivious(
+    trees: list[ObliviousTree], X: np.ndarray, base_score: float, learning_rate: float
+) -> np.ndarray:
+    """base_score + learning_rate * tree.predict(X), summed over the trees in
+    order: the same float operations, so the same bits, as that loop.
+
+    Each distinct test of the ensemble is evaluated once per row. The rows go
+    in chunks small enough that the bit matrix, one uint8 per distinct test
+    and row, stays within MAX_BIT_MATRIX_BYTES.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    for width in {tree.n_features for tree in trees}:
+        X = _check_matrix(X, width)
+    tests, paths = _distinct_tests(trees)
+    F = np.full(X.shape[0], base_score)
+    step = max(1, MAX_BIT_MATRIX_BYTES // max(1, len(tests)))
+    for start in range(0, X.shape[0], step):
+        bits = _split_bits(tests, X[start : start + step])
+        chunk = F[start : start + step]
+        for tree, path in zip(trees, paths):
+            chunk += learning_rate * tree._lookup()[_leaf_index(bits, path)]
+    return F
 
 
 def _check_matrix(X, n_features: int) -> np.ndarray:
@@ -755,10 +817,17 @@ def _index(value, stop: int, what: str = "feature_index") -> int:
 
 
 def _number(value, what: str) -> float:
-    """value as a float; a bool or anything but an int or a float is MalformedModel."""
+    """value as a finite float; a bool, NaN, ±Infinity, an int beyond the float
+    range or anything but an int or a float is MalformedModel."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedModel(f"{what} {value!r} is not a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise MalformedModel(f"{what} {value!r} is not a finite number")
+    return number
 
 
 def _one_of(value, allowed: tuple, what: str):

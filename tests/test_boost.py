@@ -482,6 +482,11 @@ class TestMalformedModel:
             ("gbm", ("schema", "columns", 0, "name"), 5),
             ("gbm", ("schema", "label_column"), 5),
             ("gbm", ("trees", 0, "n_features"), 12.0),
+            # a number must be finite: JSON's NaN and Infinity, and an int
+            # literal beyond the float range
+            ("gbm", ("base_score",), math.inf),
+            ("catboost", ("trees", 0, "leaf_values", 0), math.nan),
+            pytest.param("gbm", ("base_score",), 10**400, id="gbm-int-base_score-beyond-float"),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

@@ -4,6 +4,7 @@ inference; and that a failing property is reported under this repository's
 pytest settings."""
 
 import json
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -97,9 +98,10 @@ def json_leaves(node, path=()):
 
 # Values of another JSON type: a bool, a string or null for a number; a
 # number, a bool or null for a string; anything else for a (documented) null.
+# A number may also become NaN or an infinity, which JSON's reader accepts.
 NUMBERS, STRINGS = [0, 1, -1, 2.5], ["", "1", "left"]
 OTHER_TYPES = {
-    "number": [True, False, *STRINGS, None],
+    "number": [True, False, *STRINGS, None, math.nan, math.inf, -math.inf],
     "string": [*NUMBERS, True, False, None],
     "null": [*NUMBERS, *STRINGS, True, False],
 }

@@ -20,6 +20,7 @@ from boostlab.tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
+    predict_oblivious,
     predict_stump,
     tree_from_dict,
     tree_to_dict,
@@ -596,6 +597,89 @@ class TestPredictAndSerialize:
         back = tree_from_dict({**d, "nodes": shuffled}, 3)
         assert tree_to_dict(back) == d
         assert np.array_equal(back.predict(X), tree.predict(X))
+
+
+# Cells and thresholds of the ensemble scorer's tests: signed zeros, NaN,
+# category levels, and values on either side of the float thresholds.
+CELLS = (np.nan, -0.0, 0.0, 1.0, 2.0, 3.0, -1.5, 0.75)
+FLOAT_THRESHOLDS = (-0.0, 0.0, 0.5, 1.0, -1.0, 2.5)
+
+
+@st.composite
+def oblivious_ensembles(draw):
+    """(trees, X): up to 5 oblivious trees of up to 5 levels drawn from a pool
+    of at most 4 tests, so tests are often shared across trees and repeated
+    within one; float and level-set thresholds; 0-30 rows with missing cells."""
+    d = draw(st.integers(1, 3))
+    thresholds = st.sampled_from(FLOAT_THRESHOLDS) | st.frozensets(st.integers(0, 3), max_size=3)
+    pool = draw(st.lists(st.tuples(st.integers(0, d - 1), thresholds), min_size=1, max_size=4))
+    trees = []
+    for _ in range(draw(st.integers(0, 5))):
+        levels = tuple(draw(st.lists(st.sampled_from(pool), max_size=5)))
+        slots = 1 << len(levels)
+        ids = sorted(draw(st.sets(st.integers(0, slots - 1), max_size=min(slots, 8))))
+        values = draw(st.lists(st.floats(-100, 100).filter(bool), min_size=len(ids), max_size=len(ids)))
+        trees.append(ObliviousTree(levels, np.array(ids, dtype=np.int64), np.array(values), d))
+    n = draw(st.integers(0, 30))
+    X = np.array(draw(st.lists(st.sampled_from(CELLS), min_size=n * d, max_size=n * d))).reshape(n, d)
+    return trees, X
+
+
+def per_level_predict(tree, X):
+    """ObliviousTree.predict as it was first written: every level of the tree
+    compared on its own column, and the dense leaf lookup."""
+    idx = np.zeros(X.shape[0], dtype=np.int64)
+    for f, thr in tree.levels:
+        idx = idx * 2 + (~_split_mask(X[:, f], thr, missing_left=True))
+    leaves = np.zeros(1 << tree.depth)
+    leaves[tree.leaf_ids] = tree.leaf_values
+    return leaves[idx]
+
+
+class TestPredictOblivious:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        ensemble=oblivious_ensembles(),
+        base=st.sampled_from((0.0, -0.0, 0.3, -1.25)),
+        lr=st.sampled_from((1.0, 0.1, 0.03)),
+    )
+    def test_equals_the_per_tree_sum_bit_for_bit(self, ensemble, base, lr):
+        trees, X = ensemble
+        want = np.full(X.shape[0], base)
+        for tree in trees:
+            want = want + lr * per_level_predict(tree, X)
+        got = predict_oblivious(trees, X, base, lr)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        for tree in trees:
+            assert tree.predict(X).tobytes() == per_level_predict(tree, X).tobytes()
+        if trees:
+            with pytest.raises(SchemaMismatch):
+                predict_oblivious(trees, np.zeros((X.shape[0], trees[0].n_features + 1)), base, lr)
+
+    def test_rows_are_scored_in_chunks_under_the_byte_limit(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(30, 3)).round(1)
+        X[rng.random(X.shape) < 0.1] = np.nan
+        trees = [
+            fit_oblivious_tree(X, rng.normal(size=30), np.ones(30), depth=3, reg_lambda=1.0)
+            for _ in range(4)
+        ]
+        n_tests = len({level for tree in trees for level in tree.levels})
+        assert n_tests > 1
+        whole = predict_oblivious(trees, X, 0.2, 0.1)
+
+        chunks = []
+        split_bits = tree_module._split_bits
+
+        def spy(tests, rows):
+            chunks.append(rows.shape[0])
+            return split_bits(tests, rows)
+
+        monkeypatch.setattr(tree_module, "_split_bits", spy)
+        monkeypatch.setattr(tree_module, "MAX_BIT_MATRIX_BYTES", 7 * n_tests)
+        chunked = predict_oblivious(trees, X, 0.2, 0.1)
+        assert chunks == [7, 7, 7, 7, 2]
+        assert chunked.tobytes() == whole.tobytes()
 
 
 # Cell values whose midpoints are exact, so no threshold lands on a value (a
