@@ -3,7 +3,6 @@
 from .bench import BenchmarkConfig, BenchmarkReport, paper_preset_config, run_benchmark
 from .boost import (
     ALGORITHMS,
-    AdaBoostModel,
     BoostParams,
     TreeEnsemble,
     default_params,
@@ -35,7 +34,6 @@ from .metrics import (
     ConfusionMatrix,
     CurveSeries,
     MetricScores,
-    accuracy,
     confusion,
     f_score,
     fpr,
@@ -44,7 +42,6 @@ from .metrics import (
     recall,
     roc_curve,
     specificity,
-    tpr,
 )
 from .tree import (
     ObliviousTree,

@@ -1,31 +1,38 @@
 """The four boosting algorithms behind one binary-classifier interface.
 
-Two model types: AdaBoostModel (alpha-weighted stumps) maps twice its additive
-margin through a sigmoid; TreeEnsemble (GBM, XGBoost-style and CatBoost-style,
-fitted by one boosting loop on binomial deviance) maps its raw log-odds score.
-All models emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
+One model type, TreeEnsemble: a base_score plus a weighted sum of tree
+outputs. GBM, XGBoost-style and CatBoost-style boosting share one boosting
+loop on binomial deviance and weight each tree by params.learning_rate; the
+score is sigmoid of the sum. Discrete AdaBoost's rounds are one-level
+oblivious trees with leaves alpha * left_class and alpha * right_class (a
+constant stump is a tree of no level and one leaf alpha * its class), summed
+unshrunk from base_score 0; the score is sigmoid(2 * sum). All models emit
+per-row scores in [0, 1]; labels are 1 when score >= threshold.
 
 Model files are format v2, JSON, and hold only what prediction reads: the
-params, the schema, and AdaBoost's alpha-weighted stumps or a tree ensemble's
-base_score, trees and cat_encoding_state (CatBoost's encodings, else null). A
-regression tree stores a value at its leaves only; an oblivious tree lists
-only its non-zero leaves, as leaf_index (ascending) and leaf_values, which is
-also all that ObliviousTree holds in memory. Older files load too, and their
-extra keys are ignored: the leaf gradient and hessian sums of v1 files and of
-earlier v2 GBM and XGBoost files, and the base_score and cat_encoding_state
-of earlier AdaBoost files. A v1 oblivious tree lists every leaf; its zero
-leaves are dropped on load.
+params, the schema, base_score, trees and cat_encoding_state (CatBoost's
+encodings, else null). A regression tree stores a value at its leaves only;
+an oblivious tree lists only its non-zero leaves, as leaf_index (ascending)
+and leaf_values, which is also all that ObliviousTree holds in memory. Older
+files load too, and their extra keys are ignored: the leaf gradient and
+hessian sums of v1 files and of earlier v2 GBM and XGBoost files. A v1
+oblivious tree lists every leaf; its zero leaves are dropped on load. An
+AdaBoost file written before its rounds were trees lists stumps, each a
+stump and its alpha; the reader turns them into trees once, and ignores that
+file's base_score and cat_encoding_state.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
 or 2, a missing key (every params field must be given), a value of the wrong
 type (a bool is not a number, a float is not an int, a name must be a
 string), a number that is NaN, infinite or beyond the float range, a value
 outside its set (default_direction "left" or "right", stump classes -1 or
-1), a split on a column the model does not have, a bad or
-repeated tree node index, an oblivious tree deeper than 16 levels or whose
-leaf_index is not strictly increasing ints in [0, 2**depth), one per leaf
-value, or a cat_encoding_state other than CatBoost's one encoding per
-categorical column, or null otherwise.
+1), a split on a column the model does not have, a tree of the wrong kind
+for its algorithm (oblivious for AdaBoost and CatBoost, regression for GBM
+and XGBoost; a stump only in a legacy stumps list), a bad or repeated tree
+node index, an oblivious tree deeper than 16 levels or whose leaf_index is
+not strictly increasing ints in [0, 2**depth), one per leaf value, or a
+cat_encoding_state other than CatBoost's one encoding per categorical
+column, or null otherwise.
 """
 
 from __future__ import annotations
@@ -120,16 +127,6 @@ def paper_preset(algorithm: str) -> BoostParams:
     return params
 
 
-@dataclass
-class AdaBoostModel:
-    stumps: list[tuple[Stump, float]]
-    schema: FeatureSchema
-    params: BoostParams
-    train_loss: list[float] = field(default_factory=list, repr=False)
-
-    algorithm = "adaboost"
-
-
 @dataclass(frozen=True)
 class CategoricalEncoding:
     """Prediction-time treatment of one categorical feature."""
@@ -142,9 +139,10 @@ class CategoricalEncoding:
 
 @dataclass
 class TreeEnsemble:
-    """GBM, XGBoost-style or CatBoost-style model. The log-odds score is
-    base_score plus params.learning_rate times the sum of the trees' outputs;
-    the trees read the features through cat_encoding_state (CatBoost only)."""
+    """A model of any of ALGORITHMS: base_score plus a weighted sum of its
+    trees' outputs (see raw_scores); the trees read the features through
+    cat_encoding_state (CatBoost only). AdaBoost and CatBoost hold oblivious
+    trees, GBM and XGBoost regression trees."""
 
     algorithm: str
     base_score: float
@@ -153,6 +151,10 @@ class TreeEnsemble:
     params: BoostParams
     cat_encoding_state: tuple[CategoricalEncoding, ...] = ()
     train_loss: list[float] = field(default_factory=list, repr=False)
+
+
+# The algorithms whose trees are oblivious; the others grow regression trees.
+_OBLIVIOUS = ("adaboost", "catboost")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -181,13 +183,28 @@ def _base_score(labels: np.ndarray) -> float:
     return math.log(pos / (labels.size - pos))
 
 
-def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> AdaBoostModel:
+def _stump_tree(stump: Stump, alpha: float, n_features: int) -> ObliviousTree:
+    """An AdaBoost round as an oblivious tree: one level, the stump's test,
+    with leaves alpha * left_class and alpha * right_class; or, for a constant
+    stump, no level and one leaf alpha * its class. Zero leaves are dropped,
+    as everywhere."""
+    if stump.is_constant:
+        levels, classes = (), [stump.left_class]
+    else:
+        levels, classes = ((stump.feature_index, stump.threshold),), [stump.left_class, stump.right_class]
+    values = alpha * np.array(classes, dtype=np.float64)
+    kept = values != 0
+    return ObliviousTree(levels, np.arange(len(classes), dtype=np.int64)[kept], values[kept], n_features)
+
+
+def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsemble:
     """Discrete AdaBoost over exact greedy decision stumps.
 
     Per round: eps = weighted error, alpha = 0.5*ln((1-eps)/eps), misclassified
     weights scale by e^alpha and the rest by e^-alpha, then renormalize. A
     zero-error round gets the capped alpha for eps0 = 1/(2n) and stops early;
-    a round at eps >= 0.5 stops without adding a stump.
+    a round at eps >= 0.5 stops without adding a stump. Each round is kept as
+    a one-level oblivious tree (_stump_tree), summed unshrunk from 0.
     """
     params = params if params is not None else default_params("adaboost")
     _check_two_classes(train)
@@ -197,28 +214,25 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> AdaBoostM
     n = train.n_rows
     w = np.full(n, 1.0 / n)
     margins = np.zeros(n)
-    stumps: list[tuple[Stump, float]] = []
+    trees: list[ObliviousTree] = []
     losses: list[float] = []
     eps0 = 1.0 / (2.0 * n)
     presort = Presort(X, kinds)
     for _ in range(params.n_rounds):
         stump, eps = fit_stump(X, y, w, kinds, presort=presort)
-        if eps <= 0.0:
-            alpha = 0.5 * math.log((1.0 - eps0) / eps0)
-            stumps.append((stump, alpha))
-            margins = margins + alpha * predict_stump(stump, X)
-            losses.append(float(np.mean(np.exp(-y * margins))))
-            break
         if eps >= 0.5:
             break
-        alpha = 0.5 * math.log((1.0 - eps) / eps)
-        stumps.append((stump, alpha))
+        e = eps0 if eps <= 0.0 else eps
+        alpha = 0.5 * math.log((1.0 - e) / e)
+        trees.append(_stump_tree(stump, alpha, train.schema.n_features))
         pred = predict_stump(stump, X)
         margins = margins + alpha * pred
+        losses.append(float(np.mean(np.exp(-y * margins))))
+        if eps <= 0.0:
+            break
         w = w * np.exp(-alpha * y * pred)
         w = w / w.sum()
-        losses.append(float(np.mean(np.exp(-y * margins))))
-    return AdaBoostModel(stumps, train.schema, params, losses)
+    return TreeEnsemble("adaboost", 0.0, trees, train.schema, params, (), losses)
 
 
 def ordered_target_stats(
@@ -379,37 +393,35 @@ def _check_schema(model, data: Dataset):
         raise SchemaMismatch("data does not conform to the model's training schema")
 
 
-def raw_scores(model, data: Dataset) -> np.ndarray:
-    """Additive margin (AdaBoost) or log-odds score (tree boosters).
+def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
+    """base_score plus the trees' outputs times params.learning_rate, or
+    unshrunk for AdaBoost: the additive margin of AdaBoost, the log-odds score
+    of the others.
 
-    A CatBoost ensemble is scored by predict_oblivious: each distinct
-    (feature, threshold) test of its trees is evaluated once per row, as one
-    row of a bit matrix, and the rows go in chunks that keep that matrix
-    within tree.MAX_BIT_MATRIX_BYTES. The sum is the same, in the same tree
-    order, as adding up tree.predict."""
+    Oblivious trees (AdaBoost, CatBoost) are scored by predict_oblivious: each
+    distinct (feature, threshold) test of the trees is evaluated once per row,
+    as one row of a bit matrix, and the rows go in chunks that keep that
+    matrix within tree.MAX_BIT_MATRIX_BYTES. The sum is the same, in the same
+    tree order, as adding up tree.predict; for AdaBoost it is the same as
+    adding alpha * predict_stump round by round, since alpha * ±1 is exact."""
     _check_schema(model, data)
-    if isinstance(model, AdaBoostModel):
-        margins = np.zeros(data.n_rows)
-        for stump, alpha in model.stumps:
-            margins = margins + alpha * predict_stump(stump, data.values)
-        return margins
+    rate = 1.0 if model.algorithm == "adaboost" else model.params.learning_rate
     Xe = data.values
     if model.cat_encoding_state:
         Xe = _encode_matrix(data.values, model.schema, model.cat_encoding_state)
-    if model.algorithm == "catboost":
-        return predict_oblivious(model.trees, Xe, model.base_score, model.params.learning_rate)
+    if model.algorithm in _OBLIVIOUS:
+        return predict_oblivious(model.trees, Xe, model.base_score, rate)
     F = np.full(data.n_rows, model.base_score)
     for tree in model.trees:
-        F = F + model.params.learning_rate * tree.predict(Xe)
+        F = F + rate * tree.predict(Xe)
     return F
 
 
-def predict_scores(model, data: Dataset) -> np.ndarray:
-    """Per-row probability-like scores in [0, 1]."""
+def predict_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
+    """Per-row probability-like scores in [0, 1]: sigmoid of the raw score,
+    of twice the margin for AdaBoost."""
     raw = raw_scores(model, data)
-    if isinstance(model, AdaBoostModel):
-        return sigmoid(2.0 * raw)
-    return sigmoid(raw)
+    return sigmoid(2.0 * raw if model.algorithm == "adaboost" else raw)
 
 
 def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.ndarray:
@@ -420,24 +432,18 @@ def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.n
     return (predict_scores(model, data) >= th).astype(np.int64)
 
 
-def model_to_dict(model) -> dict:
-    envelope = {
+def model_to_dict(model: TreeEnsemble) -> dict:
+    return {
         "format_version": MODEL_FORMAT_VERSION,
         "algorithm": model.algorithm,
         "params": asdict(model.params),
         "schema": model.schema.to_dict(),
+        "base_score": model.base_score,
+        "trees": [tree_to_dict(t) for t in model.trees],
+        "cat_encoding_state": (
+            [asdict(e) for e in model.cat_encoding_state] if model.algorithm == "catboost" else None
+        ),
     }
-    if isinstance(model, AdaBoostModel):
-        envelope["stumps"] = [
-            {"stump": tree_to_dict(stump), "alpha": alpha} for stump, alpha in model.stumps
-        ]
-        return envelope
-    envelope["base_score"] = model.base_score
-    envelope["trees"] = [tree_to_dict(t) for t in model.trees]
-    envelope["cat_encoding_state"] = None
-    if model.algorithm == "catboost":
-        envelope["cat_encoding_state"] = [asdict(e) for e in model.cat_encoding_state]
-    return envelope
 
 
 def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: FeatureSchema) -> None:
@@ -473,7 +479,7 @@ def _params_from_dict(entry: dict) -> BoostParams:
     return BoostParams(**checked)
 
 
-def model_from_dict(d: dict):
+def model_from_dict(d: dict) -> TreeEnsemble:
     """Rebuild a model from its dict form; raises MalformedModel on any defect."""
     try:
         version = d["format_version"]
@@ -482,14 +488,14 @@ def model_from_dict(d: dict):
         algorithm = d["algorithm"]
         params = _params_from_dict(d["params"])
         schema = FeatureSchema.from_dict(d["schema"])
-        if algorithm == "adaboost":
-            stumps = [
-                (tree_from_dict(s["stump"], schema.n_features), _number(s["alpha"], "alpha"))
-                for s in d["stumps"]
-            ]
-            return AdaBoostModel(stumps, schema, params)
         if algorithm not in ALGORITHMS:
             raise MalformedModel(f"unknown algorithm {algorithm!r}")
+        if algorithm == "adaboost" and "stumps" in d:  # an older file: its rounds as stumps
+            n = schema.n_features  # a tree that is not a stump fails in _stump_tree
+            trees = [
+                _stump_tree(tree_from_dict(s["stump"], n), _number(s["alpha"], "alpha"), n) for s in d["stumps"]
+            ]
+            return TreeEnsemble(algorithm, 0.0, trees, schema, params)
         state = d["cat_encoding_state"]
         if not (isinstance(state, list) if algorithm == "catboost" else state is None):
             takes = "a list" if algorithm == "catboost" else "null"
@@ -508,6 +514,9 @@ def model_from_dict(d: dict):
         # the trees read _encode_matrix's output: one-hot columns widen it
         width = schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
         trees = [tree_from_dict(t, width, version) for t in d["trees"]]
+        kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
+        if not all(isinstance(t, kind) for t in trees):
+            raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")
         base = _number(d["base_score"], "base_score")
         return TreeEnsemble(algorithm, base, trees, schema, params, encodings)
     except KeyError as exc:
@@ -516,7 +525,7 @@ def model_from_dict(d: dict):
         raise MalformedModel(f"bad value: {exc}") from None
 
 
-def save_model(model, path) -> None:
+def save_model(model: TreeEnsemble, path) -> None:
     """Write the model as indented JSON, streamed into an atomically renamed file."""
     with atomic_open(path) as fh:
         json.dump(model_to_dict(model), fh, indent=2)

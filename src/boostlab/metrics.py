@@ -55,11 +55,6 @@ def confusion(pred, truth) -> ConfusionMatrix:
     return ConfusionMatrix(tp, fp, tn, fn)
 
 
-def accuracy(pred, truth) -> float:
-    cm = confusion(pred, truth)
-    return (cm.tp + cm.tn) / cm.total
-
-
 def precision(cm: ConfusionMatrix) -> float | None:
     denom = cm.tp + cm.fp
     return cm.tp / denom if denom else None
@@ -81,10 +76,6 @@ def f_score(cm: ConfusionMatrix) -> float | None:
 def specificity(cm: ConfusionMatrix) -> float | None:
     denom = cm.tn + cm.fp
     return cm.tn / denom if denom else None
-
-
-def tpr(cm: ConfusionMatrix) -> float | None:
-    return recall(cm)
 
 
 def fpr(cm: ConfusionMatrix) -> float | None:
@@ -110,7 +101,7 @@ class MetricScores:
             recall=recall(cm),
             f_score=f_score(cm),
             specificity=specificity(cm),
-            tpr=tpr(cm),
+            tpr=recall(cm),
             fpr=fpr(cm),
         )
 
@@ -199,13 +190,3 @@ def roc_to_csv(series: CurveSeries) -> str:
 def pr_to_csv(series: CurveSeries) -> str:
     return curve_to_csv(series, "recall", "precision")
 
-
-def read_curve_csv(path) -> CurveSeries:
-    """Read back a curve CSV written by this module (auc is not stored)."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if len(header) != 2:
-            raise ValueError(f"{path}: expected a 2-column curve file")
-        points = tuple((float(x), float(y)) for x, y in reader)
-    return CurveSeries(points, None)

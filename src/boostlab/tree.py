@@ -6,9 +6,11 @@ Split tests are "value <= threshold goes left" for numeric and binary columns
 set goes left" for categorical columns (single-level sets only; levels not in
 the set, including levels unseen in training, go right).
 
-Missing values (NaN): stumps route them left on numeric columns; regression
-trees route them along a learned per-node default direction; oblivious trees
-always route them left.
+Missing values (NaN): oblivious trees always route them left; regression
+trees route them along a learned per-node default direction; stumps route
+them left on numeric columns and right on categorical ones. A fitted stump is
+kept as a one-level oblivious tree (an AdaBoost round), which scores every row
+of a Dataset as the stump does: a Dataset has no missing categorical cells.
 
 A regression tree is a set of parallel per-node arrays in pre-order, the node
 order of the model file: node 0 is the root and a split node precedes its
@@ -771,15 +773,7 @@ def _threshold_from_json(obj):
     return _number(obj, "threshold")
 
 
-def tree_to_dict(tree) -> dict:
-    if isinstance(tree, Stump):
-        return {
-            "kind": "stump",
-            "feature_index": tree.feature_index,
-            "threshold": _threshold_to_json(tree.threshold),
-            "left_class": tree.left_class,
-            "right_class": tree.right_class,
-        }
+def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
     if isinstance(tree, RegressionTree):
         nodes = []
         for i, f in enumerate(tree.feature.tolist()):
@@ -843,6 +837,7 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
     Regression nodes are renumbered into pre-order from node 0, so any layout
     loads; a child index that is not a node, or a node reached twice, is not.
     An oblivious tree of format_version 1 lists every leaf and no leaf_index.
+    A stump is the kind of the stumps list of an older AdaBoost file.
     """
     kind = d["kind"]
     if kind != "stump" and _index(d["n_features"], math.inf, "n_features") != n_features:

@@ -8,8 +8,8 @@ import pytest
 
 from boostlab.bench import PAPER_PRESET_N, PAPER_PRESET_SIGNAL
 from boostlab.boost import (
-    AdaBoostModel,
     BoostParams,
+    TreeEnsemble,
     _fit_ensemble,
     default_params,
     deviance,
@@ -36,7 +36,14 @@ from boostlab.dataset import (
     synthesize,
 )
 from boostlab.errors import MalformedModel, SchemaMismatch, SingleClassDataset
-from boostlab.tree import MAX_OBLIVIOUS_DEPTH, fit_regression_tree, predict_stump, tree_to_dict
+from boostlab.tree import (
+    MAX_OBLIVIOUS_DEPTH,
+    ObliviousTree,
+    fit_regression_tree,
+    predict_stump,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 ONE_NUMERIC = FeatureSchema((("x", NUMERIC),), "y")
 
@@ -46,14 +53,23 @@ def numeric_dataset(x, labels):
     return Dataset(ONE_NUMERIC, x, np.asarray(labels))
 
 
+def alpha_of(tree):
+    """An AdaBoost round's alpha: the size of each of its tree's leaves."""
+    assert isinstance(tree, ObliviousTree) and tree.depth <= 1
+    sizes = np.abs(tree.leaf_values)
+    assert (sizes == sizes[0]).all()
+    return float(sizes[0])
+
+
 def replay_adaboost_weights(model, data):
     """Independent reweighting replay; yields (eps, weights_after_round)."""
     y = data.signed_labels()
     n = data.n_rows
     w = np.full(n, 1.0 / n)
     out = []
-    for stump, alpha in model.stumps:
-        pred = predict_stump(stump, data.values)
+    for tree in model.trees:
+        alpha = alpha_of(tree)
+        pred = np.sign(tree.predict(data.values)).astype(np.int64)  # the round's stump
         eps = float(w[pred != y].sum())
         if eps > 0.0:
             w = w * np.exp(-alpha * y * pred)
@@ -89,10 +105,12 @@ class TestAdaBoost:
     def test_separable_stops_after_one_round(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
         model = fit_adaboost(data)
-        assert len(model.stumps) == 1
+        assert isinstance(model, TreeEnsemble) and model.base_score == 0.0
+        assert len(model.trees) == 1
+        assert model.trees[0].depth == 1
         # capped alpha for eps0 = 1/(2n)
         eps0 = 1.0 / 8.0
-        assert model.stumps[0][1] == pytest.approx(0.5 * math.log((1 - eps0) / eps0))
+        assert alpha_of(model.trees[0]) == pytest.approx(0.5 * math.log((1 - eps0) / eps0))
         assert np.array_equal(predict_labels(model, data), data.labels)
 
     def test_alpha_formula_at_eps_03(self):
@@ -101,8 +119,8 @@ class TestAdaBoost:
         model = fit_adaboost(data, replace(default_params("adaboost"), n_rounds=1))
         replay = replay_adaboost_weights(model, data)
         assert replay[0][0] == pytest.approx(0.3)
-        assert model.stumps[0][1] == pytest.approx(0.5 * math.log(0.7 / 0.3), abs=1e-4)
-        assert model.stumps[0][1] == pytest.approx(0.4236, abs=1e-4)
+        assert alpha_of(model.trees[0]) == pytest.approx(0.5 * math.log(0.7 / 0.3), abs=1e-4)
+        assert alpha_of(model.trees[0]) == pytest.approx(0.4236, abs=1e-4)
 
     def test_reweighted_error_is_half(self):
         rng = np.random.default_rng(0)
@@ -403,6 +421,14 @@ DELETED = object()
 # the encoding of the default schema's activity_level (column 11) in a catboost file
 CATBOOST_ENCODING = {"feature_index": 11, "mode": "target", "cardinality": 3, "stats": [0.5, 0.5, 0.5]}
 
+# one tree of each kind that reads the default schema's 12 columns
+REGRESSION_TREE = {"kind": "regression", "n_features": 12, "nodes": [{"value": 0.5}]}
+OBLIVIOUS_TREE = {"kind": "oblivious", "n_features": 12, "levels": [], "leaf_index": [0], "leaf_values": [0.5]}
+STUMP = {"kind": "stump", "feature_index": 0, "threshold": 0.5, "left_class": -1, "right_class": 1}
+
+# an AdaBoost file of format v2 that lists its rounds as stumps
+LEGACY_ADABOOST = Path(__file__).parent / "data" / "model_v2_adaboost.json"
+
 
 def _set_path(d, path, value):
     """d with the entry at the key/index path replaced by value, or deleted
@@ -430,8 +456,8 @@ class TestMalformedModel:
     @pytest.mark.parametrize(
         "algorithm, path, value",
         [
-            ("adaboost", ("stumps", 0, "stump", "feature_index"), 12),
-            ("adaboost", ("stumps", 0, "stump", "feature_index"), -1),
+            ("adaboost", ("trees", 0, "levels", 0, "feature_index"), 12),
+            ("adaboost", ("trees", 0, "levels", 0, "feature_index"), -1),
             ("gbm", ("trees", 0, "n_features"), 13),
             ("gbm", ("params", "n_rounds"), "many"),
             ("xgboost", ("schema", "columns", 0, "kind"), "ordinal"),
@@ -445,13 +471,14 @@ class TestMalformedModel:
             ("xgboost", ("trees", 0, "nodes", 0, "right"), 0),
             ("xgboost", ("trees", 0, "nodes", 0, "right"), 99),
             ("xgboost", ("trees", 0, "nodes", 0, "feature_index"), True),
-            ("adaboost", ("stumps", 0, "stump", "feature_index"), True),
+            ("adaboost", ("trees", 0, "levels", 0, "feature_index"), True),
             ("xgboost", ("trees", 0, "nodes", 0, "default_direction"), "up"),
             ("xgboost", ("trees", 0, "nodes", 0, "threshold"), True),
             ("xgboost", ("trees", 0, "nodes", 2, "value"), True),
             ("xgboost", ("trees", 0, "nodes", 0, "threshold"), {"levels": [True]}),
             ("xgboost", ("trees", 0, "nodes", 0, "threshold"), {"levels": [1.5]}),
-            ("adaboost", ("stumps", 0, "stump", "left_class"), 5),
+            # a one-level tree's leaves are 0 and 1
+            ("adaboost", ("trees", 0, "leaf_index", 0), 5),
             # tree 0 of this catboost model has depth 2 and leaf_index [0, 1, 2, 3]
             ("catboost", ("trees", 0, "leaf_index", 0), 4),
             ("catboost", ("trees", 0, "leaf_index", 1), 0),
@@ -461,7 +488,7 @@ class TestMalformedModel:
             # deeper than MAX_OBLIVIOUS_DEPTH
             ("catboost", ("trees", 0, "levels"), [{"feature_index": 0, "threshold": 0.5}] * 55),
             # envelope fields: a bool is not a number, a float is not an int
-            ("adaboost", ("stumps", 0, "alpha"), True),
+            ("adaboost", ("trees", 0, "leaf_values", 0), True),
             ("gbm", ("base_score",), "0.5"),
             ("gbm", ("params", "learning_rate"), True),
             ("xgboost", ("params", "n_rounds"), 2.5),
@@ -487,6 +514,15 @@ class TestMalformedModel:
             ("gbm", ("base_score",), math.inf),
             ("catboost", ("trees", 0, "leaf_values", 0), math.nan),
             pytest.param("gbm", ("base_score",), 10**400, id="gbm-int-base_score-beyond-float"),
+            # a tree of another kind than its algorithm's, which would load and
+            # then fail at predict
+            pytest.param("catboost", ("trees", 0), REGRESSION_TREE, id="catboost-regression-tree"),
+            pytest.param("adaboost", ("trees", 0), REGRESSION_TREE, id="adaboost-regression-tree"),
+            pytest.param("gbm", ("trees", 0), OBLIVIOUS_TREE, id="gbm-oblivious-tree"),
+            pytest.param("xgboost", ("trees", 0), OBLIVIOUS_TREE, id="xgboost-oblivious-tree"),
+            pytest.param("gbm", ("trees", 0), STUMP, id="gbm-stump"),
+            pytest.param("catboost", ("trees", 0), STUMP, id="catboost-stump"),
+            pytest.param("adaboost", ("trees", 0), STUMP, id="adaboost-stump"),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):
@@ -494,6 +530,47 @@ class TestMalformedModel:
         _set_path(d, path, value)
         with pytest.raises(MalformedModel):
             model_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("stumps", 0, "stump", "feature_index"), 12),
+            (("stumps", 0, "stump", "feature_index"), -1),
+            (("stumps", 0, "stump", "feature_index"), True),
+            (("stumps", 0, "stump", "left_class"), 5),
+            (("stumps", 0, "alpha"), True),
+            (("stumps", 0, "stump"), OBLIVIOUS_TREE),
+        ],
+    )
+    def test_bad_legacy_stump_rejected(self, path, value):
+        d = json.loads(LEGACY_ADABOOST.read_text())
+        model_from_dict(d)  # loads unedited
+        _set_path(d, path, value)
+        with pytest.raises(MalformedModel):
+            model_from_dict(d)
+
+    def test_legacy_stumps_load_as_one_level_trees(self):
+        d = json.loads(LEGACY_ADABOOST.read_text())
+        entry = d["stumps"][0]
+        entry["stump"]["right_class"] = entry["stump"]["left_class"]  # a constant stump
+        model = model_from_dict(d)
+        assert model.base_score == 0.0 and len(model.trees) == len(d["stumps"])
+        for tree, s in zip(model.trees, d["stumps"], strict=True):
+            stump = tree_from_dict(s["stump"], 12)
+            if stump.is_constant:
+                assert tree.levels == ()
+                assert tree.leaf_ids.tolist() == [0]
+                assert tree.leaf_values.tolist() == [s["alpha"] * stump.left_class]
+            else:
+                assert tree.levels == ((stump.feature_index, stump.threshold),)
+                assert tree.leaf_ids.tolist() == [0, 1]
+                assert tree.leaf_values.tolist() == [s["alpha"] * stump.left_class, s["alpha"] * stump.right_class]
+        assert model.trees[0].depth == 0
+        data = synthesize(pcos_default_schema(), 50, 3, 1.5, missing_rate=0.1)
+        margins = np.zeros(data.n_rows)
+        for s in d["stumps"]:
+            margins = margins + s["alpha"] * predict_stump(tree_from_dict(s["stump"], 12), data.values)
+        assert raw_scores(model, data).tobytes() == margins.tobytes()
 
     def test_oblivious_trees_load_up_to_max_depth(self):
         d = self.model_dict("catboost")

@@ -417,6 +417,18 @@ class TestDataErrors:
         assert_data_error(code, err)
         assert "catboost.json" in err and "17 levels" in err
 
+    def test_tree_of_another_kind(self, tmp_path, capsys, data_csv):
+        # a catboost file whose first tree is a gbm regression tree
+        gbm, catboost = tmp_path / "gbm.json", tmp_path / "catboost.json"
+        assert train(capsys, "gbm", data_csv, gbm, "--rounds", 2)[0] == 0
+        assert train(capsys, "catboost", data_csv, catboost, "--rounds", 2)[0] == 0
+        saved = json.loads(catboost.read_text())
+        saved["trees"][0] = json.loads(gbm.read_text())["trees"][0]
+        catboost.write_text(json.dumps(saved))
+        code, _, err = run(capsys, "predict", "--model", catboost, "--data", data_csv)
+        assert_data_error(code, err)
+        assert "catboost.json" in err and "ObliviousTree" in err
+
     def test_model_file_not_json(self, tmp_path, capsys, data_csv):
         path = tmp_path / "broken.json"
         path.write_text("{")

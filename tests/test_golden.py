@@ -5,10 +5,10 @@ hashed the way perfbench/checks.py hashes them: report.json without its
 timestamp line. The model digests were recorded when each file form was
 pinned: MODEL_SHA256 for the files that train writes today, LEGACY_SHA256 for
 the older files of the same fits, kept in tests/data and still read: the v1
-files, and the v2 files written before regression leaves dropped their
-gradient and hessian sums and AdaBoost files their base_score and
-cat_encoding_state. A change to any of them is a change of output and must be
-deliberate.
+files, the v2 GBM and XGBoost files written before regression leaves dropped
+their gradient and hessian sums, and the v2 AdaBoost file written before
+AdaBoost rounds were one-level oblivious trees, which lists them as stumps. A
+change to any of them is a change of output and must be deliberate.
 """
 
 import contextlib
@@ -28,7 +28,8 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 LEGACY_MODELS = Path(__file__).resolve().parent / "data"
 
 MODEL_SHA256 = {
-    "adaboost": "230427bcc4bc04112aa0280b920293c0d4865469fed5503aa24c030c6124f2a9",
+    # AdaBoost's rounds as one-level oblivious trees under "trees"
+    "adaboost": "ae64448c39db8e22f990496b4bbd106c1bfe3897cfbe0150cdc98269158b3f29",
     "gbm": "7bd80d9afbd3c84bf1f66784f7ec6ea6c38f7df797c30ef417be02981fb2a24c",
     "xgboost": "b7a889422b8cc57c6c3f94855530405a88a938e6e23fe11202f504b5c1f906d8",
     "catboost": "8de1747b3217991f0c1d99abdbcf9bf02b30b4c60c0b7231c336263db670304f",
@@ -39,7 +40,7 @@ LEGACY_SHA256 = {
     "model_v1_gbm.json": "c6898cf48e9564d56500032f948f97b0633e5a4c1f82b6aba52d09b9e72fdb40",
     "model_v1_xgboost.json": "c79eaabe6302850d126986606e3b287702d1709b4a484f9e66659d1e5d582a44",
     "model_v1_catboost.json": "879fb1a2c07ac2c9235c7228c36c7484e3407542fdbdd7d51748f95cbfb45a55",
-    # v2 with leaf sums (GBM, XGBoost) or base_score and cat_encoding_state (AdaBoost)
+    # v2 with leaf sums (GBM, XGBoost) or stumps (AdaBoost)
     "model_v2_adaboost.json": "e718022c21a755e3f355081b0b184c9da44f5d02cfca8728f931b426034bdfb0",
     "model_v2_gbm.json": "4af4068fb50575353c105b00b78d1652ba2081e7dec8bf399e028ea1d7df1928",
     "model_v2_xgboost.json": "53d6401d13f1f2c91c4adb7b36fa005895310a1d8cd08a12914fde13da816a57",

@@ -1,7 +1,7 @@
 """Property tests on small random datasets: persistence, determinism, typed
-model reading, stump error, oblivious levels and leaves, AUC and CSV schema
-inference; and that a failing property is reported under this repository's
-pytest settings."""
+model reading, stump error, AdaBoost scores as stump sums, oblivious levels
+and leaves, AUC and CSV schema inference; and that a failing property is
+reported under this repository's pytest settings."""
 
 import json
 import math
@@ -10,6 +10,7 @@ import sys
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from boostlab.boost import (
     model_from_dict,
     model_to_dict,
     predict_scores,
+    raw_scores,
     save_model,
 )
 from boostlab.dataset import (
@@ -145,6 +147,32 @@ def test_stump_error_is_misclassified_weight(data, weight_seed):
     w = rng.dirichlet(np.ones(data.n_rows))
     stump, err = fit_stump(X, y, w, SCHEMA.kinds)
     assert err == pytest.approx(w[predict_stump(stump, X) != y].sum(), abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=datasets(), held_out=datasets(), n_rounds=st.integers(0, 20))
+def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds):
+    # An AdaBoost round is scored as a one-level oblivious tree; its sum must
+    # be, bit for bit, that of alpha * predict_stump over the fit's stumps, on
+    # rows with missing numeric cells and on stumps of categorical columns.
+    rounds = []
+
+    def recording_fit_stump(*args, **kwargs):
+        stump, eps = fit_stump(*args, **kwargs)
+        rounds.append((stump, eps))
+        return stump, eps
+
+    with mock.patch("boostlab.boost.fit_stump", recording_fit_stump):
+        model = fit("adaboost", data, replace(default_params("adaboost"), n_rounds=n_rounds))
+    eps0 = 1.0 / (2.0 * data.n_rows)
+    for rows in (data, held_out):
+        margins = np.zeros(rows.n_rows)
+        for stump, eps in rounds:
+            if eps >= 0.5:  # the fit stops without this stump
+                break
+            e = eps0 if eps <= 0.0 else eps
+            margins = margins + 0.5 * math.log((1.0 - e) / e) * predict_stump(stump, rows.values)
+        assert raw_scores(model, rows).tobytes() == margins.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

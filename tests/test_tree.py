@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boostlab import tree as tree_module
+from boostlab.boost import _stump_tree
 from boostlab.dataset import BINARY, NUMERIC, categorical
 from boostlab.errors import EmptyData, SchemaMismatch
 from boostlab.tree import (
@@ -556,15 +557,16 @@ class TestPredictAndSerialize:
         reg = fit_regression_tree(X, grads, np.ones(30), kinds, max_depth=3, reg_lambda=1.0)
         obl = fit_oblivious_tree(X, grads, np.ones(30), kinds, depth=3, reg_lambda=1.0)
 
-        for tree in (stump, reg, obl):
+        probe = np.column_stack(
+            [rng.normal(size=20).round(1), rng.integers(0, 3, 20).astype(float)]
+        )
+        # a stump is written as the one-level tree of an AdaBoost round
+        round_tree = _stump_tree(stump, 0.5, X.shape[1])
+        assert np.array_equal(round_tree.predict(probe), 0.5 * predict_stump(stump, probe))
+        for tree in (round_tree, reg, obl):
             back = tree_from_dict(tree_to_dict(tree), X.shape[1])
-            if isinstance(tree, Stump):
-                assert back == tree
-            else:
-                probe = np.column_stack(
-                    [rng.normal(size=20).round(1), rng.integers(0, 3, 20).astype(float)]
-                )
-                assert np.array_equal(back.predict(probe), tree.predict(probe))
+            assert tree_to_dict(back) == tree_to_dict(tree)
+            assert np.array_equal(back.predict(probe), tree.predict(probe))
 
     @pytest.mark.parametrize("missing_left", [True, False])
     @pytest.mark.parametrize(
