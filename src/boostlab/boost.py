@@ -46,7 +46,7 @@ import numpy as np
 
 from ._fileio import atomic_open
 from .dataset import Dataset, FeatureKind, FeatureSchema
-from .errors import MalformedModel, SchemaMismatch, SingleClassDataset
+from .errors import MalformedModel, NonFiniteScores, SchemaMismatch, SingleClassDataset
 from .tree import (
     ObliviousTree,
     Presort,
@@ -308,6 +308,7 @@ def _encode_matrix(
     return np.column_stack(cols)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the finite check
 def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) -> TreeEnsemble:
     """The boosting loop of GBM, XGBoost-style and CatBoost-style boosting.
 
@@ -317,6 +318,8 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     ordered target statistics under one seeded permutation during training
     and by full-training-set statistics at prediction time. GBM and XGBoost
     fit regression trees, with learned missing directions, on the raw values.
+    The first round after which a training raw score is not finite (a learning
+    rate too large for the float range) raises NonFiniteScores.
     """
     params = params if params is not None else default_params(algorithm)
     _check_two_classes(train)
@@ -363,6 +366,11 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
                 presort=presort,
             )
         F = F + params.learning_rate * tree.predict(X)
+        if not np.isfinite(F).all():
+            raise NonFiniteScores(
+                f"{algorithm}: training raw scores are not finite after round {len(trees) + 1}"
+                f" at learning_rate {params.learning_rate!r}"
+            )
         trees.append(tree)
         losses.append(deviance(train.labels, F))
     return TreeEnsemble(algorithm, base, trees, train.schema, params, encodings, losses)
@@ -419,9 +427,14 @@ def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
 
 def predict_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
     """Per-row probability-like scores in [0, 1]: sigmoid of the raw score,
-    of twice the margin for AdaBoost."""
-    raw = raw_scores(model, data)
-    return sigmoid(2.0 * raw if model.algorithm == "adaboost" else raw)
+    of twice the margin for AdaBoost. A raw score that is not finite raises
+    NonFiniteScores."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        raw = raw_scores(model, data)
+        bad = np.count_nonzero(~np.isfinite(raw))
+        if bad:
+            raise NonFiniteScores(f"{model.algorithm} model gives non-finite raw scores for {bad} of {raw.size} rows")
+        return sigmoid(2.0 * raw if model.algorithm == "adaboost" else raw)
 
 
 def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.ndarray:

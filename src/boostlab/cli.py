@@ -1,13 +1,18 @@
 """Command-line entry point: train / predict / eval / compare / synth.
 
+eval --data reads only the labels of the data CSV, but checks every cell of
+it as train would, so a file train rejects is rejected by eval too.
+
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
 rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
 --n 1; 2 data or model error, on one stderr line: a missing file or a
-malformed CSV, --schema or model file. Output files are written atomically
-(temp file + rename), so a failing run never leaves a half-written file
-behind. The BOOSTLAB_SEED environment variable sets the seed wherever --seed
-is not given, and is checked as --seed is: BOOSTLAB_SEED=abc or -1 exits 1.
+malformed CSV, --schema or model file, or a fit or model whose raw scores
+are not finite (such as --learning-rate 1e308). Output files are written
+atomically (temp file + rename), so a failing run never leaves a
+half-written file behind. The BOOSTLAB_SEED environment variable sets the
+seed wherever --seed is not given, and is checked as --seed is:
+BOOSTLAB_SEED=abc or -1 exits 1.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .dataset import (
     csv_reader,
     load_csv,
     load_features_csv,
+    load_labels_csv,
     parse_label,
     pcos_default_schema,
     synthesize,
@@ -172,8 +178,7 @@ def _cmd_predict(args) -> int:
     values = load_features_csv(args.data, model.schema)
     data = Dataset(model.schema, values, np.zeros(values.shape[0], dtype=np.int64))
     scores = predict_scores(model, data)
-    lines = ["score"] + [f"{s:.6f}" for s in scores]
-    atomic_write_text(args.scores_out, "\n".join(lines) + "\n")
+    atomic_write_text(args.scores_out, "score\n" + ("%.6f\n" * scores.size) % tuple(scores.tolist()))
     print(f"wrote {scores.size} scores -> {args.scores_out}")
     return 0
 
@@ -184,7 +189,7 @@ def _cmd_eval(args) -> int:
     if args.truth is not None:
         truth = _read_column(args.truth, "label", parse_label)
     else:
-        truth = load_csv(args.data, _load_schema_arg(args), args.label).labels
+        truth = load_labels_csv(args.data, _load_schema_arg(args), args.label)
     if scores.shape != truth.shape:
         raise LengthMismatch(f"length mismatch: {scores.size} scores vs {truth.size} labels")
     pred = (scores >= args.threshold).astype(np.int64)

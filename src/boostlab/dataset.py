@@ -3,9 +3,11 @@
 Feature tables are stored as float64 matrices in schema column order, with NaN
 standing for a missing cell. Missing cells are only legal in numeric columns.
 
-A CSV file is read once, by one reader, and each column's stripped cells are
-mapped to their distinct texts: a schema is inferred from those texts, and
-each distinct text is parsed once.
+A CSV file is read once, by one reader, and each column's cells are mapped
+to their distinct raw texts: a schema is inferred from those texts, each
+distinct text is stripped and parsed once, and the values are gathered per
+cell in C. Every cell is checked, but values are built only for the columns
+the caller reads: load_labels_csv builds no feature matrix.
 """
 
 from __future__ import annotations
@@ -271,10 +273,11 @@ def csv_reader(path):
         raise MalformedCsv(f"{path}: {exc}") from None
 
 
-def _read_csv(path, schema, label_column, *, with_labels, infer_only=False):
+def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
     """(schema, values, labels) of a CSV read once and checked as load_csv says.
     Without a schema one is inferred with label_column as the label; labels is
-    None unless with_labels, and infer_only returns (schema, None, None)."""
+    None unless with_labels, values is None unless features (every feature
+    cell is checked either way), and infer_only returns (schema, None, None)."""
     with csv_reader(path) as reader:
         try:
             header = [h.strip() for h in next(reader)]
@@ -300,49 +303,53 @@ def _read_csv(path, schema, label_column, *, with_labels, infer_only=False):
     # A row of the wrong width is left out, and its error loses to any error
     # of an earlier row; the rows before it are numbered from 2 without gaps.
     failures = []  # (row number, place in the row's order of checks, error)
-    i = next((i for i, row in enumerate(rows) if len(row) != len(header)), None)
-    if i is not None:
+    if set(map(len, rows)) - {len(header)}:  # the widths in C; the row only when one is wrong
+        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
         message = f"{path}: row {i + 2} has {len(rows[i])} cells, expected {len(header)}"
         failures.append((i + 2, -1, MalformedCsv(message)))
         rows = [row for row in rows if len(row) == len(header)]
 
-    # Each column as its distinct stripped texts, in first-seen order, and the
-    # index of each row's text. Inference and parsing see only the texts, and
-    # a column's cells are freed once mapped.
+    # Each column as its cells and its distinct raw texts, in first-seen order:
+    # inference and parsing see only the texts, and the column's values are
+    # gathered from them in C.
     n_rows = len(rows)
     cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
     del rows
     columns = {}
     for name in names + (label_column,) if with_labels else names:
-        index: dict[str, int] = {}
-        inverse = [index.setdefault(cell.strip(), len(index)) for cell in cells.pop(name)]
-        columns[name] = list(index), np.array(inverse, dtype=np.intp)
+        col = cells.pop(name)
+        columns[name] = col, dict.fromkeys(col)
     if schema is None:
-        schema = FeatureSchema(tuple((n, _kind_of(columns[n][0])) for n in names), label_column)
+        kinds = (_kind_of({text.strip() for text in columns[n][1]}) for n in names)
+        schema = FeatureSchema(tuple(zip(names, kinds)), label_column)
     if infer_only:
         if failures:
             raise failures[0][2]
         return schema, None, None
 
-    values = np.empty((n_rows, schema.n_features))
+    values = np.empty((n_rows, schema.n_features)) if features else None
     labels = np.empty(n_rows, dtype=np.int64) if with_labels else None
     checks = []  # (column, parser of one text, error type, message, output), in a row's order
     if with_labels:
         checks.append((label_column, parse_label, LabelNotBinary, "{path}: row {row} {why}", labels))
     for j, (name, kind) in enumerate(schema.columns):
         parse = functools.partial(_parse_cell, kind=kind, column=name)
-        checks.append((name, parse, MalformedCsv, "row {row}: {why}", values[:, j]))
+        checks.append((name, parse, MalformedCsv, "row {row}: {why}", values[:, j] if features else None))
     for place, (name, parse, error, message, out) in enumerate(checks):
-        texts, inverse = columns.pop(name)
-        parsed = []
+        col, raw = columns.pop(name)
+        parsed = {}  # value by stripped text
         try:
-            for text in texts:
-                parsed.append(parse(text))
+            for text in raw:
+                key = text.strip()
+                if key not in parsed:
+                    parsed[key] = parse(key)
+                raw[text] = parsed[key]
         except ValueError as exc:
-            row_no = int(np.argmax(inverse == len(parsed))) + 2  # the text's first row
+            row_no = col.index(text) + 2  # the text's first row, the column's earliest failing one
             failures.append((row_no, place, error(message.format(path=path, row=row_no, why=exc))))
             continue
-        out[:] = np.asarray(parsed)[inverse]
+        if out is not None:
+            out[:] = np.fromiter(map(raw.__getitem__, col), out.dtype, count=n_rows)
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     if not n_rows:
@@ -386,6 +393,16 @@ def write_csv(path, data: Dataset) -> None:
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
     """Parse only the feature columns of a CSV; the label column may be absent."""
     return _read_csv(path, schema, schema.label_column, with_labels=False)[1]
+
+
+def load_labels_csv(path, schema: FeatureSchema | None = None, label_column: str = "pcos") -> np.ndarray:
+    """The 0/1 labels of a CSV that load_csv would load, as an int64 array.
+
+    Every cell is parsed and checked as load_csv checks it, so a file
+    load_csv rejects is rejected here with the same error type and message;
+    only the feature matrix is not built.
+    """
+    return _read_csv(path, schema, label_column, with_labels=True, features=False)[2]
 
 
 def infer_schema(path, label_column: str) -> FeatureSchema:

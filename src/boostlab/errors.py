@@ -41,6 +41,10 @@ class MalformedSchema(BoostlabError):
     """A schema file is not JSON or does not describe a valid schema."""
 
 
+class NonFiniteScores(BoostlabError):
+    """A fit or a model gave raw scores that are NaN or infinite."""
+
+
 class SchemaMismatch(BoostlabError):
     """Prediction input does not conform to the training schema."""
 

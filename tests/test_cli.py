@@ -12,6 +12,7 @@ import stat
 import pytest
 
 from boostlab import cli
+from boostlab.dataset import pcos_default_schema
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
 
@@ -320,6 +321,20 @@ class TestDataErrors:
         assert "schema.json" in err
         assert not (tmp_path / "m.json").exists()
 
+    @pytest.mark.parametrize("given", [False, True], ids=["inferred-schema", "given-schema"])
+    def test_eval_checks_the_feature_cells(self, tmp_path, capsys, data_csv, scores_csv, given):
+        # eval builds only the labels, but rejects what train rejects
+        header, *rows = data_csv.read_text().splitlines()
+        rows[5] = "x" + rows[5][rows[5].index(",") :]  # the age cell of row 7
+        bad, schema = tmp_path / "bad.csv", tmp_path / "schema.json"
+        bad.write_text("\n".join([header, *rows]) + "\n")
+        schema.write_text(json.dumps(pcos_default_schema().to_dict()))
+        flags = ["--schema", schema] if given else []
+        why = "row 7: cannot parse 'x' in column 'age'\n"
+        code, _, err = run(capsys, "eval", "--scores", scores_csv, "--data", bad, "--out", tmp_path / "ev", *flags)
+        assert (code, err) == (2, "eval: " + why)
+        assert train(capsys, "gbm", bad, tmp_path / "m.json", *flags) == (2, "", "train: " + why)
+
     def test_eval_length_mismatch(self, tmp_path, capsys, data_csv):
         scores = tmp_path / "s.csv"
         scores.write_text("score\n0.5\n")
@@ -428,6 +443,29 @@ class TestDataErrors:
         code, _, err = run(capsys, "predict", "--model", catboost, "--data", data_csv)
         assert_data_error(code, err)
         assert "catboost.json" in err and "ObliviousTree" in err
+
+    # A numpy RuntimeWarning would be raised as an error here (the pytest
+    # settings turn warnings into errors), and main() would not map it to 2.
+    @pytest.mark.parametrize("algo", ["xgboost", "catboost"])
+    def test_learning_rate_that_overflows_the_fit(self, tmp_path, capsys, algo):
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        assert run(capsys, "synth", "--n", 250, "--out", data)[0] == 0
+        code, _, err = train(capsys, algo, data, model, "--learning-rate", "1e308")
+        assert_data_error(code, err)
+        assert f"{algo}: training raw scores are not finite after round 1" in err
+        assert not model.exists()
+
+    def test_model_whose_raw_scores_overflow(self, tmp_path, capsys, data_csv):
+        # finite leaves, but a learning rate that takes their sums past the float range
+        model, scores = tmp_path / "catboost.json", tmp_path / "s.csv"
+        assert train(capsys, "catboost", data_csv, model, "--rounds", 5)[0] == 0
+        saved = json.loads(model.read_text())
+        saved["params"]["learning_rate"] = 1e308
+        model.write_text(json.dumps(saved))
+        code, _, err = run(capsys, "predict", "--model", model, "--data", data_csv, "--scores-out", scores)
+        assert_data_error(code, err)
+        assert "catboost model gives non-finite raw scores" in err
+        assert not scores.exists()
 
     def test_model_file_not_json(self, tmp_path, capsys, data_csv):
         path = tmp_path / "broken.json"

@@ -1,22 +1,28 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error, AdaBoost scores as stump sums, oblivious levels
-and leaves, AUC and CSV schema inference; and that a failing property is
-reported under this repository's pytest settings."""
+and leaves, AUC, CSV schema inference, the CSV readers against a row-by-row
+oracle and the bytes of the curve and score writers; and that a failing
+property is reported under this repository's pytest settings."""
 
+import csv
+import io
 import json
 import math
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
 from unittest import mock
 
+import csv_reader_oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boostlab import cli
 from boostlab.boost import (
     ALGORITHMS,
     default_params,
@@ -36,12 +42,14 @@ from boostlab.dataset import (
     categorical,
     infer_schema,
     load_csv,
+    load_features_csv,
+    load_labels_csv,
     pcos_default_schema,
     synthesize,
     write_csv,
 )
-from boostlab.errors import MalformedModel
-from boostlab.metrics import roc_curve
+from boostlab.errors import BoostlabError, MalformedModel
+from boostlab.metrics import CurveSeries, curve_to_csv, roc_curve
 from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
 SCHEMA = FeatureSchema(
@@ -232,6 +240,119 @@ def test_inferring_while_loading_equals_inferring_first(tmp_path_factory, n, see
     assert one_pass.schema == two_pass.schema
     assert np.array_equal(one_pass.values, two_pass.values, equal_nan=True)
     assert np.array_equal(one_pass.labels, two_pass.labels, equal_nan=True)
+
+
+# Cell texts: valid for each kind, then any text, valid or not: unparsable,
+# missing, non-finite or out of range for some kind.
+VALID_TOKENS = {"numeric": ("0", "1", "2.5", "-1", "1e3", "", "NA"), "binary": ("0", "1"), "categorical": ("0", "1", "2")}
+CELL_TOKENS = ("0", "1", "2", "9", "10", "-1", "+1", "0.5", "0.0", "1e3", "x", "", "NA", "inf", "nan", "-inf", "1e999")
+LABEL_TOKENS = ("0", "1", "2", "", "x")
+
+
+@st.composite
+def csv_texts(draw):
+    """(text, schema): a header of 1-3 feature columns and the label in any
+    order, and a schema with a drawn kind per feature column; then 0-6 rows,
+    some short or long. The cells suit the schema, but in one column in four
+    every other cell, at random, is any text. A cell may be padded with
+    spaces."""
+    kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY, categorical(3)]), min_size=1, max_size=3))
+    schema = FeatureSchema(tuple((f"c{j}", kind) for j, kind in enumerate(kinds)), "pcos")
+    header = draw(st.permutations([*schema.feature_names, "pcos"]))
+    valid = {name: VALID_TOKENS[kind.kind] for name, kind in schema.columns} | {"pcos": ("0", "1"), "c9": CELL_TOKENS}
+    noisy = {name: not draw(st.integers(0, 3)) for name in [*header, "c9"]}
+    pad = st.sampled_from(("", "", " "))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 6))):
+        width = len(header) if draw(st.integers(0, 9)) else draw(st.integers(1, len(header) + 1))
+        row = []
+        for name in (header + ["c9"])[:width]:
+            anything = LABEL_TOKENS if name == "pcos" else CELL_TOKENS
+            token = draw(st.sampled_from(anything if noisy[name] and draw(st.booleans()) else valid[name]))
+            row.append(draw(pad) + token + draw(pad))
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", schema
+
+
+def outcome(read):
+    """What a read gives: its arrays and schema, or its error's type and message."""
+    try:
+        result = read()
+    except BoostlabError as exc:
+        return type(exc), str(exc)
+    if isinstance(result, np.ndarray):
+        return result.dtype, result.tolist()
+    if isinstance(result, Dataset):
+        return result.schema, result.values.tolist(), result.labels.tolist()
+    return result
+
+
+@settings(max_examples=300, deadline=None)
+@given(drawn=csv_texts())
+def test_csv_readers_agree_with_a_row_by_row_oracle(tmp_path_factory, drawn):
+    text, schema = drawn
+    path = tmp_path_factory.mktemp("csv") / "d.csv"
+    path.write_text(text)
+    oracle = csv_reader_oracle
+    checks = {
+        "load_csv, given schema": (lambda: load_csv(path, schema), lambda: Dataset(*oracle.read(path, schema))),
+        "load_csv, inferred schema": (lambda: load_csv(path), lambda: Dataset(*oracle.read(path))),
+        "load_labels_csv, given schema": (lambda: load_labels_csv(path, schema), lambda: oracle.read(path, schema)[2]),
+        "load_labels_csv, inferred schema": (lambda: load_labels_csv(path), lambda: oracle.read(path)[2]),
+        "load_features_csv": (
+            lambda: load_features_csv(path, schema),
+            lambda: oracle.read(path, schema, with_labels=False)[1],
+        ),
+        "infer_schema": (lambda: infer_schema(path, "pcos"), lambda: oracle.infer(path, "pcos")),
+    }
+    for name, (read, reference) in checks.items():
+        # NaN != NaN, so the outcomes are compared through their reprs
+        assert repr(outcome(read)) == repr(outcome(reference)), (name, text)
+
+
+def csv_writer_curve(series, x_name, y_name):
+    """curve_to_csv as it was written with csv.writer, kept as the reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([x_name, y_name])
+    for x, y in series.points:
+        writer.writerow([f"{x:.6f}", f"{y:.6f}"])
+    return buf.getvalue()
+
+
+EDGE_VALUES = [0.0, 1.0, 5e-7, 0.9999995, 1e-300, 0.0000015, 0.1234565, 0.2500005, 0.4999995, 2 / 3]
+unit_floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(points=st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=30))
+@example(points=[(v, v) for v in EDGE_VALUES])
+@example(points=[(v, 1.0 - v) for v in EDGE_VALUES])
+def test_curve_csv_bytes_equal_the_csv_writer_rendering(points):
+    series = CurveSeries(tuple(points))
+    for names in (("fpr", "tpr"), ("recall", "precision")):
+        assert curve_to_csv(series, *names) == csv_writer_curve(series, *names)
+
+
+@cache
+def scoring_inputs(tmp_dir):
+    """A saved 1-round model and a 10-row CSV it can score."""
+    data = synthesize(pcos_default_schema(), 10, 0, 1.0)
+    write_csv(tmp_dir / "data.csv", data)
+    save_model(fit("gbm", data, replace(default_params("gbm"), n_rounds=1)), tmp_dir / "model.json")
+    return tmp_dir / "model.json", tmp_dir / "data.csv"
+
+
+@settings(max_examples=100, deadline=None)
+@given(scores=st.lists(unit_floats, min_size=1, max_size=30))
+@example(scores=EDGE_VALUES)
+def test_predict_scores_file_bytes(tmp_path_factory, scores):
+    model, data = scoring_inputs(tmp_path_factory.getbasetemp())
+    out = tmp_path_factory.mktemp("scores") / "scores.csv"
+    # the scores of any model, whatever the rows: the file is all that is tested
+    with mock.patch.object(cli, "predict_scores", return_value=np.array(scores)), redirect_stdout(io.StringIO()):
+        assert cli.main(["predict", "--model", str(model), "--data", str(data), "--scores-out", str(out)]) == 0
+    assert out.read_text() == "\n".join(["score"] + [f"{s:.6f}" for s in scores]) + "\n"
 
 
 FAILING_PAIR = """
