@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from ._fileio import atomic_write_text
 from .boost import ALGORITHMS, BoostParams, default_params, fit, paper_preset, predict_labels, predict_scores
 from .dataset import (
@@ -113,7 +115,10 @@ def _load_source(config: BenchmarkConfig) -> Dataset:
 
 
 def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
-    """Train the four boosters on one split; optionally write all report files."""
+    """Train the four boosters on one split; optionally write all report files.
+
+    Each test set is scored once: its labels are its scores at or above the
+    model's threshold, as predict_labels would compute them."""
     data = _load_source(config)
     train, test = split(data, SplitSpec(config.test_fraction, config.seed))
 
@@ -122,8 +127,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
         params = config.params.get(algo, default_params(algo))
         model = fit(algo, train, params)
         train_pred = predict_labels(model, train)
-        test_pred = predict_labels(model, test)
         test_scores = predict_scores(model, test)
+        test_pred = (test_scores >= params.threshold).astype(np.int64)
         cm = confusion(test_pred, test.labels)
         roc = roc_curve(test_scores, test.labels)
         results[algo] = AlgoResult(
@@ -151,7 +156,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
 def write_report_files(report: BenchmarkReport, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "report.json", json.dumps(report.to_dict(), indent=2) + "\n")
+    atomic_write_text(out / "report.json", json.dumps(report.to_dict(), indent=2, allow_nan=False) + "\n")
     atomic_write_text(out / "table.txt", render_table(report))
     atomic_write_text(out / "table.csv", render_table_csv(report))
     for algo, r in report.results.items():

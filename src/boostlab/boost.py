@@ -58,6 +58,7 @@ from .tree import (
     fit_regression_tree,
     fit_stump,
     predict_oblivious,
+    predict_regression,
     predict_stump,
     tree_from_dict,
     tree_to_dict,
@@ -318,8 +319,12 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     ordered target statistics under one seeded permutation during training
     and by full-training-set statistics at prediction time. GBM and XGBoost
     fit regression trees, with learned missing directions, on the raw values.
-    The first round after which a training raw score is not finite (a learning
-    rate too large for the float range) raises NonFiniteScores.
+    Each round adds learning_rate times its tree's outputs on the training
+    rows, which the fitter writes as it places the rows in leaves (fitted=):
+    the values tree.predict(X) would give, so the same sum as scoring the
+    training matrix again. The first round after which a training raw score
+    is not finite (a learning rate too large for the float range) raises
+    NonFiniteScores.
     """
     params = params if params is not None else default_params(algorithm)
     _check_two_classes(train)
@@ -343,6 +348,7 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     y = train.labels.astype(np.float64)
     base = _base_score(train.labels)
     F = np.full(train.n_rows, base)
+    fitted = np.empty(train.n_rows)  # each round's tree outputs on the training rows
     trees = []
     losses: list[float] = []
     for _ in range(params.n_rounds):
@@ -351,7 +357,7 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
         h = np.ones_like(p) if algorithm == "gbm" else p * (1.0 - p)
         if algorithm == "catboost":
             tree = fit_oblivious_tree(
-                X, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda, presort=presort
+                X, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda, presort=presort, fitted=fitted
             )
         else:
             tree = fit_regression_tree(
@@ -364,8 +370,9 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
                 reg_lambda=params.reg_lambda,
                 gamma=params.gamma,
                 presort=presort,
+                fitted=fitted,
             )
-        F = F + params.learning_rate * tree.predict(X)
+        F = F + params.learning_rate * fitted
         if not np.isfinite(F).all():
             raise NonFiniteScores(
                 f"{algorithm}: training raw scores are not finite after round {len(trees) + 1}"
@@ -408,21 +415,22 @@ def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
 
     Oblivious trees (AdaBoost, CatBoost) are scored by predict_oblivious: each
     distinct (feature, threshold) test of the trees is evaluated once per row,
-    as one row of a bit matrix, and the rows go in chunks that keep that
-    matrix within tree.MAX_BIT_MATRIX_BYTES. The sum is the same, in the same
-    tree order, as adding up tree.predict; for AdaBoost it is the same as
-    adding alpha * predict_stump round by round, since alpha * ±1 is exact."""
+    as one row of a bit matrix. Regression trees (GBM, XGBoost) are scored by
+    predict_regression: each distinct (feature, threshold, default direction)
+    test is evaluated once per row, as one row of a boolean matrix, and each
+    tree reduces its split nodes bottom-up to its leaf values. Either goes
+    through the rows in chunks that keep its matrix within
+    tree.MAX_BIT_MATRIX_BYTES. The sum is the same, in the same tree order, as
+    adding up tree.predict, so for GBM and XGBoost the training rows score as
+    the boosting loop summed them; for AdaBoost it is the same as adding
+    alpha * predict_stump round by round, since alpha * ±1 is exact."""
     _check_schema(model, data)
     rate = 1.0 if model.algorithm == "adaboost" else model.params.learning_rate
     Xe = data.values
     if model.cat_encoding_state:
         Xe = _encode_matrix(data.values, model.schema, model.cat_encoding_state)
-    if model.algorithm in _OBLIVIOUS:
-        return predict_oblivious(model.trees, Xe, model.base_score, rate)
-    F = np.full(data.n_rows, model.base_score)
-    for tree in model.trees:
-        F = F + rate * tree.predict(Xe)
-    return F
+    predict = predict_oblivious if model.algorithm in _OBLIVIOUS else predict_regression
+    return predict(model.trees, Xe, model.base_score, rate)
 
 
 def predict_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
@@ -539,9 +547,11 @@ def model_from_dict(d: dict) -> TreeEnsemble:
 
 
 def save_model(model: TreeEnsemble, path) -> None:
-    """Write the model as indented JSON, streamed into an atomically renamed file."""
+    """Write the model as indented JSON, streamed into an atomically renamed
+    file. A number that is not finite, which load_model would reject, is a
+    ValueError, and the file is not written."""
     with atomic_open(path) as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
+        json.dump(model_to_dict(model), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 

@@ -205,7 +205,7 @@ def _cmd_eval(args) -> int:
         "metrics": MetricScores.from_confusion(cm).to_dict(),
         "auc": roc.auc,
     }
-    atomic_write_text(out / "metrics.json", json.dumps(payload, indent=2) + "\n")
+    atomic_write_text(out / "metrics.json", json.dumps(payload, indent=2, allow_nan=False) + "\n")
     atomic_write_text(out / "roc.csv", roc_to_csv(roc))
     atomic_write_text(out / "pr.csv", pr_to_csv(pr))
     print(f"wrote metrics.json, roc.csv, pr.csv -> {out}")

@@ -14,13 +14,19 @@ of a Dataset as the stump does: a Dataset has no missing categorical cells.
 
 A regression tree is a set of parallel per-node arrays in pre-order, the node
 order of the model file: node 0 is the root and a split node precedes its
-children, its left child right after it. One pass in index order therefore
-routes rows from the root down, and a dump writes the arrays as they are.
+children, its left child right after it, and a dump writes the arrays as they
+are. predict_regression scores a list of trees bottom-up: each distinct
+(feature, threshold, default direction) test of the list is evaluated once per
+row as a left mask, and each tree's split nodes, taken in reverse pre-order so
+that children come before parents, choose per row between their children's
+outputs (np.where), so no row is routed node by node.
 
 A fit sorts its matrix once (Presort): each column's rows in stable (value,
 row) order with the missing rows last, and the candidate splits each column
 offers over all rows. A boosting loop builds one Presort per fit and passes it
-to every round's fitter, since X does not change between rounds.
+to every round's fitter, since X does not change between rounds; it takes each
+round's outputs on X from the fitter (fitted=), which knows each row's leaf,
+instead of scoring X again.
 
 Stumps and regression trees score their candidates through one kernel, _scan,
 which returns every candidate of a set of rows with its left sums in one pass:
@@ -32,6 +38,23 @@ the sorted columns of several thresholds are its block; a stable partition on
 the chosen split hands each child its block in the same order, so no node
 sorts. Oblivious trees use a bucket-partitioned search instead, since a
 level's gain sums over every leaf bucket (see fit_oblivious_tree).
+
+_scan returns its candidates in group order, the order it builds them: the
+swept columns', then the single-threshold columns', then the categorical
+levels. Each column's candidates are contiguous and in enumeration order, so
+the tie rule below needs no sort by column: a regression tree takes the
+greatest gain and, of exact ties, the least column and then the earliest
+candidate and direction (_first_best); a stump visits the columns' blocks in
+column order. _scan computes no midpoint: it keeps each swept candidate's
+place in the block, and the caller computes its winner's threshold alone (a
+single-threshold column's is computed once, in Presort; a level is its own).
+
+Every sum a fit takes adds its numbers in one fixed order, whatever the rows
+outside a node, so fits are bit-for-bit repeatable: sequential cumsums and
+bincounts in a fixed row order, and np.sum's pairwise sum of a 1-D array.
+That pairwise sum is kept on the 1-D array it has always been taken on: a
+reduction along an axis of a 2-D array (at[:, rows].sum(axis=1) for
+a[rows].sum()) groups the additions differently and moves results by an ulp.
 
 Thresholds lie between consecutive distinct values lo < hi: their midpoint,
 computed without overflow, or lo where the midpoint rounds to hi (_midpoints).
@@ -108,13 +131,9 @@ class RegressionTree:
         return np.flatnonzero(self.feature < 0)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = _check_matrix(X, self.n_features)
-        node = np.zeros(X.shape[0], dtype=np.int64)
-        for i in np.flatnonzero(self.feature >= 0):
-            rows = np.flatnonzero(node == i)
-            left = _split_mask(X[rows, self.feature[i]], self.threshold[i], missing_left=self.default_left[i])
-            node[rows] = np.where(left, self.left[i], self.right[i])
-        return self.value[node]
+        """Each row's leaf value, by predict_regression: -0.0 + v and 1.0 * v
+        are v bit for bit, so a -0.0 leaf keeps its sign."""
+        return predict_regression([self], X, -0.0, 1.0)
 
 
 # A node row as fit_regression_tree and tree_from_dict append it, in
@@ -222,6 +241,62 @@ def predict_oblivious(
     return F
 
 
+def _node_tests(trees: list[RegressionTree]) -> tuple[list, list[list[tuple[int, int]]]]:
+    """The distinct (feature, threshold, default_left) tests of the trees'
+    split nodes in first-seen order, and for each tree its split nodes in
+    pre-order, each as (node, position of its test in that list)."""
+    position: dict = {}
+    paths = []
+    for tree in trees:
+        tests = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.default_left.tolist())
+        paths.append([(i, position.setdefault(t, len(position))) for i, t in enumerate(tests) if t[0] >= 0])
+    return list(position), paths
+
+
+def _tree_output(tree: RegressionTree, masks: np.ndarray, path) -> np.ndarray:
+    """Each row's leaf value, from the left masks of the tree's tests: the
+    split nodes in reverse pre-order, so children before parents, each choose
+    per row between its children's outputs. A tree of one leaf gives its
+    value as a scalar."""
+    out = list(tree.value)  # a leaf's output is its value
+    left, right = tree.left.tolist(), tree.right.tolist()
+    for i, k in reversed(path):
+        out[i] = np.where(masks[k], out[left[i]], out[right[i]])
+        out[left[i]] = out[right[i]] = None  # read once; dropped to bound the live arrays
+    return out[0]
+
+
+def predict_regression(
+    trees: list[RegressionTree], X: np.ndarray, base_score: float, learning_rate: float
+) -> np.ndarray:
+    """base_score + learning_rate * tree.predict(X), summed over the trees in
+    order: the same float operations, so the same bits, as that loop.
+
+    Each distinct (feature, threshold, default_left) test of the ensemble is
+    evaluated once per row, as one row of a boolean matrix of left masks;
+    each tree then reduces its split nodes bottom-up (_tree_output), so no
+    row is routed node by node. The rows go in chunks small enough that the
+    masks, one bool per distinct test and row, stay within
+    MAX_BIT_MATRIX_BYTES.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    for width in {tree.n_features for tree in trees}:
+        X = _check_matrix(X, width)
+    tests, paths = _node_tests(trees)
+    XT = np.ascontiguousarray(X.T)  # a feature's cells in one contiguous row
+    F = np.full(X.shape[0], base_score)
+    step = max(1, MAX_BIT_MATRIX_BYTES // max(1, len(tests)))
+    for start in range(0, X.shape[0], step):
+        cells = XT[:, start : start + step]
+        masks = np.empty((len(tests), cells.shape[1]), dtype=bool)
+        for k, (f, thr, missing_left) in enumerate(tests):
+            masks[k] = _split_mask(cells[f], thr, missing_left=missing_left)
+        chunk = F[start : start + step]
+        for tree, path in zip(trees, paths):
+            chunk += learning_rate * _tree_output(tree, masks, path)
+    return F
+
+
 def _check_matrix(X, n_features: int) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != n_features:
@@ -297,11 +372,11 @@ class Presort:
         lo = self.values[self.single, 0]  # a single threshold lies above the least value
         hi = np.array([v[v > v[0]][0] for v in self.values[self.single]])
         self.single_threshold = _midpoints(lo, hi)
-        # per row and single-threshold column r: 3 * r, plus 1 above the
+        # per single-threshold column r and row: 3 * r, plus 1 above the
         # threshold or 2 when missing
-        cells = X[:, self.single]
-        self.single_code = 3 * np.arange(self.single.size) + np.where(
-            np.isnan(cells), 2, cells > self.single_threshold
+        cells = X.T[self.single]
+        self.single_code = 3 * np.arange(self.single.size)[:, None] + np.where(
+            np.isnan(cells), 2, cells > self.single_threshold[:, None]
         )
         self.cat_levels = [
             (j, np.unique(self.values[j, : self.n_observed[j]]), X[:, j].copy())
@@ -324,69 +399,99 @@ def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
     return presort
 
 
-def _scan(presort: Presort, idx: np.ndarray, block, stats: np.ndarray):
+@dataclass(frozen=True)
+class _Candidates:
+    """The candidate splits of a set of rows, as _scan returns them, in group
+    order: the swept columns' candidates, then the single-threshold columns',
+    then the categorical levels. Each column's candidates are contiguous and
+    in enumeration order.
+
+    col holds each candidate's column; left, shape (k, candidates), each
+    statistic summed over the rows it sends left; missing, shape (k, columns),
+    each statistic summed over each column's missing rows. A swept candidate
+    lies between values.flat[at] and values.flat[at + 1] of the block, at
+    being its entry in swept_at; fixed holds the others' thresholds (a float,
+    or the level of a categorical column), in order.
+    """
+
+    col: np.ndarray
+    left: np.ndarray
+    missing: np.ndarray
+    values: np.ndarray
+    swept_at: np.ndarray
+    fixed: np.ndarray
+
+    def threshold(self, c: int):
+        """Candidate c's threshold, computed for c alone."""
+        if c < self.swept_at.size:
+            at = self.swept_at[c]
+            return _midpoints(self.values.flat[at], self.values.flat[at + 1])
+        return self.fixed[c - self.swept_at.size]
+
+
+def _scan(presort: Presort, idx: np.ndarray, block, stats: np.ndarray) -> _Candidates:
     """Every candidate split of the rows idx (ascending) and its sums: the
     split kernel of stumps and regression trees.
 
     block is those rows' part of presort.block, in its order; stats holds k
-    per-row statistics, shape (k, n). Returns, per candidate in enumeration
-    order, its column, its threshold (a float, or the level of a categorical
-    column) and, shape (k, candidates), each statistic summed over the rows
-    it sends left; and, shape (k, columns), each statistic summed over each
-    column's missing rows, for every column with a candidate. Missing rows
-    are in no left sum. Each sum adds its numbers in one fixed order, so a
-    fit's bits do not depend on the rows outside a node: a swept column's
-    left sums by one sequential cumsum along each block row, in (value, row)
-    order; a single-threshold column's by one sequential bincount of its left
-    rows, in row order; a level's and the missing rows' by np.sum's pairwise
-    sum in row order.
+    per-row statistics, shape (k, n). Returns the candidates in group order
+    (see _Candidates) with every candidate's sums but no midpoint: a caller
+    computes only its winner's threshold. Missing rows are in no left
+    sum, and the missing sums are set for every column with a candidate. Each
+    sum adds its numbers in one fixed order, so a fit's bits do not depend on
+    the rows outside a node: a swept column's left sums by one sequential
+    cumsum along each block row, in (value, row) order; a single-threshold
+    column's by one sequential bincount of its left rows, in row order; a
+    level's and the missing rows' by np.sum's pairwise sum in row order, each
+    on its own 1-D array (a 2-D axis sum would round differently).
     """
     order, values = block
     m = idx.size
-    at = stats[:, idx]
-    cols, thresholds, lefts = [], [], []
+    at = np.take(stats, idx, axis=1)
+    lefts = []
     missing = np.zeros((len(stats), presort.X.shape[1]))
 
-    # swept columns
-    swept = stats[:, order]
-    row, end = np.nonzero(values[:, :-1] < values[:, 1:])  # False next to NaN
-    cols.append(presort.swept[row])
-    thresholds.append(_midpoints(values[row, end], values[row, end + 1]))
-    lefts.append(np.cumsum(swept, axis=2)[:, row, end])
+    # swept columns: a candidate between each two distinct neighbours of a
+    # block row (False next to NaN), at its flat place in the block
+    swept = np.take(stats, order, axis=1)
+    between = values[:, :-1] < values[:, 1:]
+    row = np.repeat(np.arange(len(order)), np.count_nonzero(between, axis=1))
+    swept_at = np.flatnonzero(between) + row  # a row of between is one shorter
+    lefts.append(np.take(np.cumsum(swept, axis=2).reshape(len(stats), -1), swept_at, axis=1))
     n_observed = m - np.count_nonzero(np.isnan(values), axis=1)
     for r in np.flatnonzero(n_observed < m):
         missing[:, presort.swept[r]] = [b[r, n_observed[r] :].sum() for b in swept]
 
     # single-threshold columns: a candidate where both sides hold a row
     s = presort.single.size
-    code = np.take(presort.single_code, idx, axis=0).reshape(-1)  # each bin's rows in row order
-    count = np.bincount(code, minlength=3 * s).reshape(s, 3)
-    sums = [np.bincount(code, weights=np.repeat(a, s), minlength=3 * s).reshape(s, 3) for a in at]
+    code = np.take(presort.single_code, idx, axis=1)
+    flat = code.reshape(-1)  # each bin's rows in row order
+    count = np.bincount(flat, minlength=3 * s).reshape(s, 3)
+    sums = [np.bincount(flat, weights=np.tile(a, s), minlength=3 * s).reshape(s, 3) for a in at]
     offered = np.flatnonzero((count[:, 0] > 0) & (count[:, 1] > 0))
-    cols.append(presort.single[offered])
-    thresholds.append(presort.single_threshold[offered])
     lefts.append(np.array([x[offered, 0] for x in sums]))
     for r in offered[count[offered, 2] > 0]:
-        skipped = code[r::s] == 3 * r + 2
+        skipped = code[r] == 3 * r + 2
         missing[:, presort.single[r]] = [a[skipped].sum() for a in at]
 
     # categorical columns: each level present
-    for j, levels, column in presort.cat_levels:
+    cat_cols, levels = [], []
+    for j, column_levels, column in presort.cat_levels:
         col = column[idx]
-        for v in levels:
+        for v in column_levels:
             in_level = col == v
             if in_level.any():
-                cols.append([j])
-                thresholds.append([v])
+                cat_cols.append(j)
+                levels.append(v)
                 lefts.append([[a[in_level].sum()] for a in at])
         skipped = np.isnan(col)
         if skipped.any():
             missing[:, j] = [a[skipped].sum() for a in at]
 
-    col = np.concatenate(cols).astype(np.int64)
-    ranked = np.argsort(col, kind="stable")  # each group is in enumeration order
+    col = np.concatenate([presort.swept[row], presort.single[offered], np.array(cat_cols, dtype=np.int64)])
     left = np.concatenate([np.asarray(x, dtype=np.float64).reshape(len(stats), -1) for x in lefts], axis=1)
-    return col[ranked], np.concatenate(thresholds)[ranked], left[:, ranked], missing
+    fixed = np.concatenate([presort.single_threshold[offered], np.array(levels, dtype=np.float64)])
+    return _Candidates(col, left, missing, values, swept_at, fixed)
 
 
 def _threshold(presort: Presort, j: int, threshold: float):
@@ -428,7 +533,8 @@ def fit_stump(
     # stats[missed[c]] is the weight a leaf of class c gets wrong
     missed = {-1: 0, 1: 1}
     stats = np.stack([w * (y != -1), w * (y != 1)])
-    col, thresholds, left, _ = _scan(presort, np.arange(n), presort.block, stats)
+    scan = _scan(presort, np.arange(n), presort.block, stats)
+    col, left = scan.col, scan.left
     errs = np.empty((col.size, 2))
     categorical = presort.categorical[col]
     # Numeric, missing rows go left. A right side's error is the column's
@@ -449,16 +555,19 @@ def fit_stump(
     # misclassified rows in row order: a total minus the level sums would
     # round differently and move AdaBoost's alphas by an ulp.
     for c in np.flatnonzero(categorical):
-        in_set = X[:, col[c]] == thresholds[c]
+        in_set = X[:, col[c]] == scan.threshold(c)
         for oi, (lc, rc) in enumerate(_ORIENTATIONS):
             errs[c, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
 
     # Per feature, the first candidate within _TIE_TOL of its least error; it
-    # replaces the best so far only if it beats it by more than _TIE_TOL.
+    # replaces the best so far only if it beats it by more than _TIE_TOL. A
+    # column's candidates are contiguous, so the features are its blocks,
+    # visited in column order.
     best_err = np.inf
     best = None  # (candidate, orientation)
     starts = np.flatnonzero(np.diff(col, prepend=-1))
-    for a, b in zip(starts, [*starts[1:], col.size]):
+    ends = np.append(starts[1:], col.size)
+    for a, b in sorted(zip(starts, ends), key=lambda block: col[block[0]]):
         flat = errs[a:b].reshape(-1)
         k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
         if flat[k] < best_err - _TIE_TOL:
@@ -468,7 +577,7 @@ def fit_stump(
         return constant()
     c, oi = best
     lc, rc = _ORIENTATIONS[oi]
-    return Stump(int(col[c]), _threshold(presort, col[c], thresholds[c]), lc, rc), best_err
+    return Stump(int(col[c]), _threshold(presort, col[c], scan.threshold(c)), lc, rc), best_err
 
 
 def predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
@@ -490,6 +599,38 @@ def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
+def _first_best(gains: np.ndarray, col: np.ndarray) -> int:
+    """The flat index into gains, shape (candidates, 2) raveled, that
+    np.argmax picks when the candidates are ranked by column: the greatest
+    gain (or, if any gain is NaN, a NaN), of exact ties the one of the least
+    column, then the earliest flat position. A column's candidates are
+    contiguous and in enumeration order, so this is the earliest in
+    (feature, threshold, direction) order."""
+    best = gains.max()
+    tied = np.flatnonzero(np.isnan(gains) if np.isnan(best) else gains == best)
+    return int(tied[np.argmin(col[tied // 2])])
+
+
+def _node_split(presort: Presort, idx, block, stats, G: float, H: float, min_child_weight, reg_lambda, gamma):
+    """The best split of a regression-tree node, as (feature, threshold,
+    default_left), or None when no split has a strictly positive gain."""
+    scan = _scan(presort, idx, block, stats)
+    col, left = scan.col, scan.left
+    # one column per default direction: missing rows left, then right
+    GL, HL = left[:, :, None] + np.stack([scan.missing[:, col], np.zeros_like(left)], axis=2)
+    GR = G - GL
+    HR = H - HL
+    valid = (HL >= min_child_weight) & (HR >= min_child_weight)
+    denom = H + reg_lambda
+    parent = G * G / denom if denom > 0 else 0.0
+    score = 0.5 * (_safe_score(GL, HL, reg_lambda) + _safe_score(GR, HR, reg_lambda) - parent) - gamma
+    gains = np.where(valid, score, -np.inf).reshape(-1)  # (candidate, direction) order
+    if not (gains > 0).any():
+        return None
+    c, di = divmod(_first_best(gains, col), 2)
+    return int(col[c]), _threshold(presort, col[c], scan.threshold(c)), di == 0
+
+
 def fit_regression_tree(
     X: np.ndarray,
     grads: np.ndarray,
@@ -501,6 +642,7 @@ def fit_regression_tree(
     reg_lambda: float = 0.0,
     gamma: float = 0.0,
     presort: Presort | None = None,
+    fitted: np.ndarray | None = None,
 ) -> RegressionTree:
     """Greedy top-down tree on gradient/hessian sums.
 
@@ -509,11 +651,13 @@ def fit_regression_tree(
     children reach min_child_weight hessian mass. Missing rows follow the
     default direction that maximizes gain (left on ties). Leaf values are
     -G/(H+lam). Of equal gains the earliest candidate wins. presort, if
-    given, is Presort(X, kinds).
+    given, is Presort(X, kinds). fitted, if given, an array of one float per
+    row, receives each row's leaf value: tree.predict(X), read off the fit.
 
-    Each node scores all its candidates at once (_scan). A node's block, its
-    rows of presort.block, is split between its children by a stable
-    partition on the chosen split, so no node sorts.
+    Each node scores all its candidates at once (_scan) and computes the
+    threshold of its winner only. A node's block, its rows of presort.block,
+    is split between its children by a stable partition on the chosen split,
+    so no node sorts.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     if (h < 0).any():
@@ -537,22 +681,16 @@ def fit_regression_tree(
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         denom = H + reg_lambda
-        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0])
-        if depth >= max_depth or idx.size < 2:
+        value = -G / denom if denom > 0 else 0.0
+        nodes.append([-1, None, True, -1, -1, value])
+        split = None
+        if depth < max_depth and idx.size >= 2:
+            split = _node_split(presort, idx, block, stats, G, H, min_child_weight, reg_lambda, gamma)
+        if split is None:
+            if fitted is not None:
+                fitted[idx] = value
             continue
-        col, thresholds, left, missing = _scan(presort, idx, block, stats)
-        # one column per default direction: missing rows left, then right
-        GL, HL = left[:, :, None] + np.stack([missing[:, col], np.zeros_like(left)], axis=2)
-        GR = G - GL
-        HR = H - HL
-        valid = (HL >= min_child_weight) & (HR >= min_child_weight)
-        parent = G * G / denom if denom > 0 else 0.0
-        score = 0.5 * (_safe_score(GL, HL, reg_lambda) + _safe_score(GR, HR, reg_lambda) - parent) - gamma
-        gains = np.where(valid, score, -np.inf).reshape(-1)  # (feature, threshold, direction) order
-        if not (gains > 0).any():
-            continue
-        c, di = divmod(int(np.argmax(gains)), 2)
-        f, thr, default_left = int(col[c]), _threshold(presort, col[c], thresholds[c]), di == 0
+        f, thr, default_left = split
         nodes[i][:4] = [f, thr, default_left, i + 1]
         goes_left = _split_mask(X[idx, f], thr, missing_left=default_left)
         blocks = [None, None]  # a leaf searches nothing
@@ -683,6 +821,7 @@ def fit_oblivious_tree(
     depth: int,
     reg_lambda: float = 0.0,
     presort: Presort | None = None,
+    fitted: np.ndarray | None = None,
 ) -> ObliviousTree:
     """Level-by-level greedy symmetric tree.
 
@@ -695,7 +834,9 @@ def fit_oblivious_tree(
     best wins. Stop rule: growth stops at the first level where no candidate
     counts or the best gain is not strictly positive, and after
     MAX_OBLIVIOUS_DEPTH levels, so the recorded depth may be shallower than
-    requested, and every level splits a bucket of the rows.
+    requested, and every level splits a bucket of the rows. fitted, if given,
+    an array of one float per row, receives each row's output: tree.predict(X),
+    read off the fit's final buckets.
 
     The search is bucket-partitioned, and its candidates are listed once per
     Presort (_LevelCandidates). For a categorical or single-threshold column,
@@ -758,6 +899,8 @@ def fit_oblivious_tree(
     leaf_values = np.zeros(leaf_ids.size)
     np.divide(-np.bincount(bucket, weights=g), denom, out=leaf_values, where=denom > 0)
     kept = leaf_values != 0
+    if fitted is not None:  # a dropped leaf predicts +0.0, whatever the sign of its zero
+        fitted[:] = np.where(kept, leaf_values, 0.0)[bucket]
     return ObliviousTree(tuple(levels), leaf_ids[kept], leaf_values[kept], d)
 
 

@@ -407,6 +407,18 @@ class TestSerialization:
         }
         assert d["algorithm"] == "catboost"
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_a_non_finite_leaf_is_not_saved(self, tmp_path, bad):
+        # load_model would reject the file, so save_model writes none
+        data = synthesize(pcos_default_schema(), 60, 14, 1.5)
+        model = fit("gbm", data, replace(default_params("gbm"), n_rounds=2))
+        tree = model.trees[-1]
+        tree.value[tree.leaves()[0]] = bad
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="JSON compliant"):
+            save_model(model, path)
+        assert list(tmp_path.iterdir()) == []
+
     def test_bit_identical_refit(self):
         data = synthesize(pcos_default_schema(), 100, 13, 1.5)
         for algorithm in ("adaboost", "gbm", "xgboost", "catboost"):

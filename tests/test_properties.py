@@ -1,8 +1,9 @@
 """Property tests on small random datasets: persistence, determinism, typed
-model reading, stump error, AdaBoost scores as stump sums, oblivious levels
-and leaves, AUC, CSV schema inference, the CSV readers against a row-by-row
-oracle and the bytes of the curve and score writers; and that a failing
-property is reported under this repository's pytest settings."""
+model reading, stump error, AdaBoost scores as stump sums, GBM and XGBoost
+scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
+schema inference, the CSV readers against a row-by-row oracle and the bytes
+of the curve and score writers; and that a failing property is reported
+under this repository's pytest settings."""
 
 import csv
 import io
@@ -18,6 +19,7 @@ from unittest import mock
 
 import csv_reader_oracle
 import numpy as np
+import regression_predict_oracle
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,6 +28,7 @@ from boostlab import cli
 from boostlab.boost import (
     ALGORITHMS,
     default_params,
+    deviance,
     fit,
     load_model,
     model_from_dict,
@@ -59,11 +62,9 @@ SCHEMA = FeatureSchema(
 FEW = settings(max_examples=12, deadline=None)
 
 
-@st.composite
-def datasets(draw):
-    """8-40 rows of every feature kind, some numeric cells missing, both classes present."""
-    n = draw(st.integers(8, 40))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def dataset_from(seed, n):
+    """n rows of every feature kind, some numeric cells missing, both classes present."""
+    rng = np.random.default_rng(seed)
     x = rng.normal(size=n).round(1)
     x[rng.random(n) < 0.15] = np.nan
     values = np.column_stack(
@@ -72,6 +73,13 @@ def datasets(draw):
     labels = rng.integers(0, 2, n)
     labels[:2] = (0, 1)
     return Dataset(SCHEMA, values, labels)
+
+
+@st.composite
+def datasets(draw):
+    """8-40 rows of dataset_from."""
+    n = draw(st.integers(8, 40))
+    return dataset_from(draw(st.integers(0, 2**32 - 1)), n)
 
 
 def small_params(algorithm):
@@ -181,6 +189,64 @@ def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds)
             e = eps0 if eps <= 0.0 else eps
             margins = margins + 0.5 * math.log((1.0 - e) / e) * predict_stump(stump, rows.values)
         assert raw_scores(model, rows).tobytes() == margins.tobytes()
+
+
+def assert_scores_equal_the_oracle(model, data, held_out, leaf_seed):
+    """raw_scores of model, and of model with a drawn leaf set to -0.0 and a
+    tree of one leaf -0.0 appended, equal the per-node oracle's tree-order sum
+    bit for bit, on the training rows and on held-out rows; and the training
+    rows score as the boosting loop summed them."""
+    if model.trees:
+        assert deviance(data.labels, raw_scores(model, data)) == model.train_loss[-1]
+    rng = np.random.default_rng(leaf_seed)
+    trees = [replace(tree, value=tree.value.copy()) for tree in model.trees]
+    if trees:
+        tree = trees[rng.integers(len(trees))]
+        tree.value[rng.choice(tree.leaves())] = -0.0
+    trees.append(tree_from_dict({"kind": "regression", "n_features": 4, "nodes": [{"value": -0.0}]}, 4))
+    for m in (model, replace(model, trees=trees)):
+        for rows in (data, held_out):
+            assert raw_scores(m, rows).tobytes() == regression_predict_oracle.raw_scores(m, rows).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=datasets(),
+    held_out=datasets(),
+    algorithm=st.sampled_from(("gbm", "xgboost")),
+    n_rounds=st.integers(0, 8),
+    max_depth=st.integers(1, 4),
+    gamma=st.sampled_from((0.0, 0.05, 50.0)),
+    leaf_seed=st.integers(0, 2**32 - 1),
+)
+def test_regression_scores_equal_the_per_node_oracle(
+    data, held_out, algorithm, n_rounds, max_depth, gamma, leaf_seed
+):
+    # a gamma of 50 leaves every tree a single leaf
+    params = replace(default_params(algorithm), n_rounds=n_rounds, max_depth=max_depth, gamma=gamma)
+    assert_scores_equal_the_oracle(fit(algorithm, data, params), data, held_out, leaf_seed)
+
+
+def test_the_oracle_property_meets_every_kind_of_node():
+    # what the property above draws: splits on a categorical column, both
+    # default directions on a column with missing rows, and trees of one leaf
+    seen = set()
+    for seed in range(8):
+        data, held_out = dataset_from(seed, 40), dataset_from(seed + 100, 25)
+        for algorithm in ("gbm", "xgboost"):
+            for gamma in (0.0, 50.0):
+                params = replace(default_params(algorithm), n_rounds=6, gamma=gamma)
+                model = fit(algorithm, data, params)
+                assert_scores_equal_the_oracle(model, data, held_out, seed)
+                for tree in model.trees:
+                    if tree.feature.size == 1:
+                        seen.add("one leaf")
+                    for f, default_left in zip(tree.feature, tree.default_left):
+                        if f == 0:  # the column with missing cells
+                            seen.add(f"missing {'left' if default_left else 'right'}")
+                        elif f >= 0 and SCHEMA.kinds[f].is_categorical:
+                            seen.add("categorical")
+    assert seen == {"one leaf", "categorical", "missing left", "missing right"}
 
 
 @settings(max_examples=60, deadline=None)

@@ -22,6 +22,7 @@ from boostlab.tree import (
     fit_regression_tree,
     fit_stump,
     predict_oblivious,
+    predict_regression,
     predict_stump,
     tree_from_dict,
     tree_to_dict,
@@ -491,6 +492,97 @@ WIDE_OR_ADJACENT = [
 ]
 
 
+COPY_CASES = {  # kinds and values of columns 0 and 2, whose best splits send the same rows left
+    "numeric copy": (NUMERIC, [0.1, 0.2, 0.3, 0.7, 0.8, 0.9], NUMERIC, [0.1, 0.2, 0.3, 0.7, 0.8, 0.9]),
+    "binary copy": (BINARY, [0, 0, 0, 1, 1, 1], BINARY, [0, 0, 0, 1, 1, 1]),
+    "categorical copy": (categorical(3), [0, 0, 0, 1, 1, 2], categorical(3), [0, 0, 0, 1, 1, 2]),
+    "binary, then swept": (BINARY, [0, 0, 0, 1, 1, 1], NUMERIC, [0.1, 0.2, 0.3, 0.7, 0.8, 0.9]),
+    "categorical, then swept": (categorical(3), [0, 0, 0, 1, 1, 2], NUMERIC, [0.1, 0.2, 0.3, 0.7, 0.8, 0.9]),
+}
+
+
+class TestTieRule:
+    """A node's candidates come from _scan in group order (swept columns,
+    single-threshold columns, categorical levels), not in column order; of
+    exactly equal gains or errors the least column and then the lowest
+    threshold still win."""
+
+    @pytest.mark.parametrize("case", COPY_CASES)
+    def test_an_exact_copy_of_a_column_loses_to_it(self, case):
+        kind0, col0, kind2, col2 = COPY_CASES[case]
+        X = np.column_stack([col0, [0, 1, 0, 1, 0, 1], col2]).astype(float)
+        kinds = (kind0, BINARY, kind2)
+        g = np.array([-1.0, -1.0, -1.0, 1.0, 1.0, 1.0])
+        tree = fit_regression_tree(X, g, np.ones(6), kinds, max_depth=1, reg_lambda=1.0)
+        assert tree.feature[0] == 0
+        stump, err = fit_stump(X, np.where(g < 0, 1, -1), np.full(6, 1 / 6), kinds)
+        assert (stump.feature_index, err) == (0, 0.0)
+
+    def test_an_exact_tie_within_a_column_takes_the_lower_threshold(self):
+        # the rows of 2.0 and 3.0 carry no gradient and no hessian, so the
+        # thresholds 1.5, 2.5 and 3.5 split with the same sums
+        X = np.array([[1.0], [2.0], [3.0], [4.0]])
+        tree = fit_regression_tree(
+            X, np.array([-1.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 1.0]), max_depth=1, reg_lambda=1.0
+        )
+        assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
+        stump, err = fit_stump(X, np.array([1, 1, -1, -1]), np.array([0.5, 0.0, 0.0, 0.5]))
+        assert (stump.feature_index, stump.threshold, err) == (0, 1.5, 0.0)
+
+    def test_a_column_without_missing_rows_at_a_node_sends_them_left(self):
+        # both directions give the same gain there, and left comes first
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(60, 3)).round(1)
+        X[rng.random(60) < 0.3, 1] = np.nan
+        X[:30, 2] = np.nan
+        g = rng.normal(size=60) + 2.0 * np.isnan(X[:, 1])
+        tree = fit_regression_tree(X, g, np.ones(60), max_depth=3, reg_lambda=1.0)
+        nodes = tree_to_dict(tree)["nodes"]
+        reach = {0: np.ones(60, dtype=bool)}
+        checked = 0
+        for i in np.flatnonzero(tree.feature >= 0):
+            f = tree.feature[i]
+            goes_left = _split_mask(X[:, f], tree.threshold[i], missing_left=tree.default_left[i])
+            reach[tree.left[i]], reach[tree.right[i]] = reach[i] & goes_left, reach[i] & ~goes_left
+            if not np.isnan(X[reach[i], f]).any():
+                assert nodes[i]["default_direction"] == "left"
+                checked += 1
+        assert checked > 0
+        assert not tree.default_left.all()  # a node with missing rows sent them right
+
+    def test_a_nan_gradient_gives_one_leaf_of_nan(self):
+        # no gain is positive (each is NaN or -inf), so the root stays a leaf; no warning
+        X = np.array([[1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [4.0, 1.0]])
+        tree = fit_regression_tree(X, np.array([1.0, np.nan, -1.0, 0.5]), np.ones(4), max_depth=3, reg_lambda=1.0)
+        assert tree.feature.tolist() == [-1]
+        assert np.isnan(tree.value[0])
+
+
+class TestFittedOutputs:
+    """fitted= receives each training row's output, as predict would give it."""
+
+    def test_regression_tree(self):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(80, 3)).round(1)
+        X[rng.random((80, 3)) < 0.2] = np.nan
+        kinds = (NUMERIC, NUMERIC, NUMERIC)
+        for g in (rng.normal(size=80), np.zeros(80)):  # zero gradients: one leaf of -0.0
+            fitted = np.full(80, np.nan)
+            tree = fit_regression_tree(X, g, np.ones(80), kinds, max_depth=3, reg_lambda=1.0, fitted=fitted)
+            assert fitted.tobytes() == tree.predict(X).tobytes()
+        assert np.signbit(fitted).all()
+
+    def test_oblivious_tree(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(80, 3)).round(1)
+        X[rng.random((80, 3)) < 0.2] = np.nan
+        for g in (rng.normal(size=80), np.zeros(80)):  # zero gradients: a dropped leaf of -0.0
+            fitted = np.full(80, np.nan)
+            tree = fit_oblivious_tree(X, g, np.ones(80), depth=3, reg_lambda=1.0, fitted=fitted)
+            assert fitted.tobytes() == tree.predict(X).tobytes()
+        assert tree.leaf_ids.size == 0 and not np.signbit(fitted).any()
+
+
 class TestThresholds:
     """A threshold t between consecutive values lo < hi has lo <= t < hi, so
     the split routes the rows as its gain or error was scored."""
@@ -682,6 +774,47 @@ class TestPredictOblivious:
         chunked = predict_oblivious(trees, X, 0.2, 0.1)
         assert chunks == [7, 7, 7, 7, 2]
         assert chunked.tobytes() == whole.tobytes()
+
+
+class TestPredictRegression:
+    def test_rows_are_scored_in_chunks_under_the_byte_limit(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 3)).round(1)
+        X[rng.random(X.shape) < 0.1] = np.nan
+        trees = [fit_regression_tree(X, rng.normal(size=30), np.ones(30), max_depth=3) for _ in range(4)]
+        n_tests = len(
+            {test for tree in trees for test in zip(tree.feature, tree.threshold, tree.default_left) if test[0] >= 0}
+        )
+        assert n_tests > 1
+        whole = predict_regression(trees, X, 0.2, 0.1)
+        want = np.full(30, 0.2)
+        for tree in trees:
+            want = want + 0.1 * tree.predict(X)
+        assert whole.tobytes() == want.tobytes()
+
+        chunks = []
+        tree_output = tree_module._tree_output
+
+        def spy(tree, masks, path):
+            chunks.append(masks.shape)
+            return tree_output(tree, masks, path)
+
+        monkeypatch.setattr(tree_module, "_tree_output", spy)
+        monkeypatch.setattr(tree_module, "MAX_BIT_MATRIX_BYTES", 7 * n_tests)
+        chunked = predict_regression(trees, X, 0.2, 0.1)
+        assert [rows for _, rows in chunks[::4]] == [7, 7, 7, 7, 2]
+        assert {tests for tests, _ in chunks} == {n_tests}
+        assert chunked.tobytes() == whole.tobytes()
+
+    def test_a_negative_zero_leaf_keeps_its_sign(self):
+        tree = tree_from_dict({"kind": "regression", "n_features": 1, "nodes": [{"value": -0.0}]}, 1)
+        assert np.signbit(tree.predict(np.zeros((3, 1)))).all()
+        assert predict_regression([], np.zeros((2, 1)), -0.0, 0.1).tobytes() == np.full(2, -0.0).tobytes()
+
+    def test_schema_mismatch(self):
+        tree = fit_regression_tree(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), np.ones(2), max_depth=1)
+        with pytest.raises(SchemaMismatch):
+            predict_regression([tree], np.zeros((2, 2)), 0.0, 0.1)
 
 
 # Cell values whose midpoints are exact, so no threshold lands on a value (a
