@@ -44,6 +44,7 @@ from functools import partial
 
 import numpy as np
 
+from ._fields import as_index, as_number
 from ._fileio import atomic_open
 from .dataset import Dataset, FeatureKind, FeatureSchema
 from .errors import MalformedModel, NonFiniteScores, SchemaMismatch, SingleClassDataset
@@ -52,14 +53,11 @@ from .tree import (
     Presort,
     RegressionTree,
     Stump,
-    _index,
-    _number,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
-    predict_oblivious,
-    predict_regression,
     predict_stump,
+    predict_trees,
     tree_from_dict,
     tree_to_dict,
 )
@@ -413,24 +411,20 @@ def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
     unshrunk for AdaBoost: the additive margin of AdaBoost, the log-odds score
     of the others.
 
-    Oblivious trees (AdaBoost, CatBoost) are scored by predict_oblivious: each
-    distinct (feature, threshold) test of the trees is evaluated once per row,
-    as one row of a bit matrix. Regression trees (GBM, XGBoost) are scored by
-    predict_regression: each distinct (feature, threshold, default direction)
-    test is evaluated once per row, as one row of a boolean matrix, and each
-    tree reduces its split nodes bottom-up to its leaf values. Either goes
-    through the rows in chunks that keep its matrix within
-    tree.MAX_BIT_MATRIX_BYTES. The sum is the same, in the same tree order, as
-    adding up tree.predict, so for GBM and XGBoost the training rows score as
-    the boosting loop summed them; for AdaBoost it is the same as adding
+    The trees of every algorithm are scored by tree.predict_trees: each
+    distinct split test of the trees is evaluated once per row, as one row of
+    a bool matrix, in chunks of rows that keep it within
+    tree.MAX_BIT_MATRIX_BYTES, and each tree turns its tests' rows into its
+    outputs. The sum is the same, in the same tree order, as adding up
+    tree.predict, so for GBM and XGBoost the training rows score as the
+    boosting loop summed them; for AdaBoost it is the same as adding
     alpha * predict_stump round by round, since alpha * ±1 is exact."""
     _check_schema(model, data)
     rate = 1.0 if model.algorithm == "adaboost" else model.params.learning_rate
     Xe = data.values
     if model.cat_encoding_state:
         Xe = _encode_matrix(data.values, model.schema, model.cat_encoding_state)
-    predict = predict_oblivious if model.algorithm in _OBLIVIOUS else predict_regression
-    return predict(model.trees, Xe, model.base_score, rate)
+    return predict_trees(model.trees, Xe, model.base_score, rate)
 
 
 def predict_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
@@ -494,9 +488,9 @@ def _params_from_dict(entry: dict) -> BoostParams:
     for name, value in entry.items():
         what = f"params.{name}"
         if types[name] == "int":
-            checked[name] = _index(value, math.inf, what)
+            checked[name] = as_index(value, math.inf, what)
         else:
-            checked[name] = _number(value, what)
+            checked[name] = as_number(value, what)
     return BoostParams(**checked)
 
 
@@ -514,7 +508,7 @@ def model_from_dict(d: dict) -> TreeEnsemble:
         if algorithm == "adaboost" and "stumps" in d:  # an older file: its rounds as stumps
             n = schema.n_features  # a tree that is not a stump fails in _stump_tree
             trees = [
-                _stump_tree(tree_from_dict(s["stump"], n), _number(s["alpha"], "alpha"), n) for s in d["stumps"]
+                _stump_tree(tree_from_dict(s["stump"], n), as_number(s["alpha"], "alpha"), n) for s in d["stumps"]
             ]
             return TreeEnsemble(algorithm, 0.0, trees, schema, params)
         state = d["cat_encoding_state"]
@@ -523,10 +517,10 @@ def model_from_dict(d: dict) -> TreeEnsemble:
             raise MalformedModel(f"cat_encoding_state of a {algorithm} model must be {takes}")
         encodings = tuple(
             CategoricalEncoding(
-                _index(e["feature_index"], schema.n_features),
+                as_index(e["feature_index"], schema.n_features),
                 e["mode"],
-                _index(e["cardinality"], math.inf, "cardinality"),
-                tuple(_number(s, "stats") for s in e["stats"]) if e["stats"] is not None else None,
+                as_index(e["cardinality"], math.inf, "cardinality"),
+                tuple(as_number(s, "stats") for s in e["stats"]) if e["stats"] is not None else None,
             )
             for e in state or ()
         )
@@ -538,7 +532,7 @@ def model_from_dict(d: dict) -> TreeEnsemble:
         kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
         if not all(isinstance(t, kind) for t in trees):
             raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")
-        base = _number(d["base_score"], "base_score")
+        base = as_number(d["base_score"], "base_score")
         return TreeEnsemble(algorithm, base, trees, schema, params, encodings)
     except KeyError as exc:
         raise MalformedModel(f"missing key {exc}") from None
@@ -556,9 +550,10 @@ def save_model(model: TreeEnsemble, path) -> None:
 
 
 def load_model(path):
-    """Read a model file; bad JSON or content raises MalformedModel naming the file."""
+    """Read a model file; bad JSON (nested too deep for the parser too) or
+    content raises MalformedModel naming the file."""
     try:
         with open(path, encoding="utf-8") as fh:
             return model_from_dict(json.load(fh))
-    except (ValueError, MalformedModel) as exc:  # ValueError: bad JSON or bad UTF-8
+    except (ValueError, RecursionError, MalformedModel) as exc:  # ValueError: bad JSON or bad UTF-8
         raise MalformedModel(f"{path}: {exc}") from None

@@ -137,7 +137,8 @@ def _load_schema_arg(args) -> FeatureSchema | None:
     with open(args.schema, encoding="utf-8") as fh:
         try:
             return FeatureSchema.from_dict(json.load(fh))
-        except (KeyError, TypeError, ValueError) as exc:  # ValueError: bad JSON or UTF-8 too
+        # ValueError: bad JSON or UTF-8 too; RecursionError: JSON nested past the parser's limit
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise MalformedSchema(f"{args.schema}: not a schema: {exc!r}") from None
 
 

@@ -15,11 +15,17 @@ of a Dataset as the stump does: a Dataset has no missing categorical cells.
 A regression tree is a set of parallel per-node arrays in pre-order, the node
 order of the model file: node 0 is the root and a split node precedes its
 children, its left child right after it, and a dump writes the arrays as they
-are. predict_regression scores a list of trees bottom-up: each distinct
-(feature, threshold, default direction) test of the list is evaluated once per
-row as a left mask, and each tree's split nodes, taken in reverse pre-order so
-that children come before parents, choose per row between their children's
-outputs (np.where), so no row is routed node by node.
+are.
+
+predict_trees scores a list of trees of either kind: base_score plus
+learning_rate times each tree's output, in tree order. Every tree lists its
+split tests as (feature, threshold, missing_left) (tests()); the distinct
+tests of the list are evaluated once per row, as the "went right" rows of one
+bool matrix, and each tree turns the rows of its tests into its outputs
+(output()). An oblivious tree shifts its leaf index in from its levels' rows;
+a regression tree's split nodes, taken in reverse pre-order so that children
+come before parents, choose per row between their children's outputs
+(np.where), so no row is routed node by node.
 
 A fit sorts its matrix once (Presort): each column's rows in stable (value,
 row) order with the missing rows last, and the candidate splits each column
@@ -73,6 +79,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._fields import as_index, as_number, one_of
 from .dataset import FeatureKind
 from .errors import EmptyData, MalformedModel, SchemaMismatch
 
@@ -130,10 +137,27 @@ class RegressionTree:
     def leaves(self) -> np.ndarray:
         return np.flatnonzero(self.feature < 0)
 
+    def tests(self) -> list[tuple]:
+        """The (feature, threshold, missing_left) test of each split node, in pre-order."""
+        tests = zip(self.feature.tolist(), self.threshold.tolist(), self.default_left.tolist())
+        return [t for t in tests if t[0] >= 0]
+
+    def output(self, right: np.ndarray, path) -> np.ndarray:
+        """Each row's leaf value, from the "went right" rows path names for
+        tests(): the split nodes in reverse pre-order, so children before
+        parents, each choose per row between its children's outputs. A tree of
+        one leaf gives its value as a scalar."""
+        out = list(self.value)  # a leaf's output is its value
+        lo, hi = self.left.tolist(), self.right.tolist()
+        for i, k in zip(reversed(np.flatnonzero(self.feature >= 0).tolist()), reversed(path)):
+            out[i] = np.where(right[k], out[hi[i]], out[lo[i]])
+            out[lo[i]] = out[hi[i]] = None  # read once; dropped to bound the live arrays
+        return out[0]
+
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Each row's leaf value, by predict_regression: -0.0 + v and 1.0 * v
-        are v bit for bit, so a -0.0 leaf keeps its sign."""
-        return predict_regression([self], X, -0.0, 1.0)
+        """Each row's leaf value, by predict_trees: -0.0 + v and 1.0 * v are v
+        bit for bit, so a -0.0 leaf keeps its sign."""
+        return predict_trees([self], X, -0.0, 1.0)
 
 
 # A node row as fit_regression_tree and tree_from_dict append it, in
@@ -148,18 +172,15 @@ def _regression_tree(nodes: list[list], n_features: int) -> RegressionTree:
 
 @dataclass
 class ObliviousTree:
-    """Symmetric tree: one (feature, threshold) test per level.
+    """Symmetric tree: one (feature, threshold) test per level, a missing cell
+    going left.
 
     A row's leaf index is the bit string of its per-level comparisons, earlier
     levels in higher bits, with bit 1 meaning "went right". As in a model file,
     only the non-zero leaves are held: leaf_ids (int64, strictly ascending) and
-    their leaf_values. Any other leaf predicts 0.
-
-    Routing evaluates level tests as rows of a bit matrix (_split_bits) and
-    shifts a tree's leaf index in from its levels' rows (_leaf_index).
-    predict_oblivious routes a list of trees that way, each distinct test of
-    the list evaluated once, and scores the rows in chunks that keep the bit
-    matrix within MAX_BIT_MATRIX_BYTES.
+    their leaf_values. Any other leaf predicts 0. output shifts the leaf index
+    in from the "went right" rows of its levels, as predict_trees evaluates
+    them, and looks up the leaves.
     """
 
     levels: tuple[tuple[int, float | frozenset[int]], ...]
@@ -171,129 +192,74 @@ class ObliviousTree:
     def depth(self) -> int:
         return len(self.levels)
 
+    def tests(self) -> list[tuple]:
+        """The (feature, threshold, missing_left) test of each level, in order."""
+        return [(f, thr, True) for f, thr in self.levels]
+
     def leaf_index(self, X: np.ndarray) -> np.ndarray:
         X = _check_matrix(X, self.n_features)
-        return _leaf_index(_split_bits(self.levels, X), range(self.depth))
+        return _leaf_index(_split_bits(self.tests(), X.T), range(self.depth))
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        return self._lookup()[self.leaf_index(X)]
-
-    def _lookup(self) -> np.ndarray:
+    def output(self, right: np.ndarray, path) -> np.ndarray:
         leaves = np.zeros(1 << self.depth)  # per call: a gather beats a search of leaf_ids
         leaves[self.leaf_ids] = self.leaf_values
-        return leaves
+        return leaves[_leaf_index(right, path)]
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Each row's leaf value, by predict_trees, as RegressionTree.predict."""
+        return predict_trees([self], X, -0.0, 1.0)
 
 
-# The most bytes predict_oblivious's bit matrix (one uint8 per row and distinct
+def _leaf_index(right: np.ndarray, path) -> np.ndarray:
+    """A tree's leaf index from the "went right" rows of its levels, first level highest."""
+    idx = np.zeros(right.shape[1], dtype=np.int32)  # MAX_OBLIVIOUS_DEPTH bits fit
+    for k in path:
+        idx <<= 1
+        idx |= right[k]
+    return idx
+
+
+# The most bytes predict_trees's matrix of tests (one bool per row and distinct
 # test) holds at once; it scores the rows in chunks that stay under this.
 MAX_BIT_MATRIX_BYTES = 64 << 20
 
 
-def _distinct_tests(trees) -> tuple[list, list[list[int]]]:
-    """The distinct (feature, threshold) tests of the trees' levels in
-    first-seen order, and each tree's levels as positions in that list. Equal
-    thresholds route alike (0.0 and -0.0 too), so they share a position."""
-    position: dict = {}
-    paths = [[position.setdefault(level, len(position)) for level in tree.levels] for tree in trees]
-    return list(position), paths
+def _split_bits(tests, XT: np.ndarray) -> np.ndarray:
+    """Whether each row went right at each (feature, threshold, missing_left)
+    test, one bool row per test, from XT, the matrix with one row per feature."""
+    right = np.empty((len(tests), XT.shape[1]), dtype=bool)
+    for k, (f, thr, missing_left) in enumerate(tests):
+        np.invert(_split_mask(XT[f], thr, missing_left=missing_left), out=right[k])
+    return right
 
 
-def _split_bits(tests, X: np.ndarray) -> np.ndarray:
-    """The "went right" bit of every test on every row of X, one uint8 row per
-    test; a missing cell goes left, as in every oblivious level."""
-    XT = np.ascontiguousarray(X.T)  # a feature's cells in one contiguous row
-    bits = np.empty((len(tests), X.shape[0]), dtype=np.uint8)
-    for k, (f, thr) in enumerate(tests):
-        bits[k] = ~_split_mask(XT[f], thr, missing_left=True)
-    return bits
-
-
-def _leaf_index(bits: np.ndarray, path) -> np.ndarray:
-    """A tree's leaf index from the bit rows of its levels, first level highest."""
-    idx = np.zeros(bits.shape[1], dtype=np.int32)  # MAX_OBLIVIOUS_DEPTH bits fit
-    for k in path:
-        idx <<= 1
-        idx |= bits[k]
-    return idx
-
-
-def predict_oblivious(
-    trees: list[ObliviousTree], X: np.ndarray, base_score: float, learning_rate: float
+def predict_trees(
+    trees: list[RegressionTree] | list[ObliviousTree], X: np.ndarray, base_score: float, learning_rate: float
 ) -> np.ndarray:
     """base_score + learning_rate * tree.predict(X), summed over the trees in
     order: the same float operations, so the same bits, as that loop.
 
-    Each distinct test of the ensemble is evaluated once per row. The rows go
-    in chunks small enough that the bit matrix, one uint8 per distinct test
-    and row, stays within MAX_BIT_MATRIX_BYTES.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    for width in {tree.n_features for tree in trees}:
-        X = _check_matrix(X, width)
-    tests, paths = _distinct_tests(trees)
-    F = np.full(X.shape[0], base_score)
-    step = max(1, MAX_BIT_MATRIX_BYTES // max(1, len(tests)))
-    for start in range(0, X.shape[0], step):
-        bits = _split_bits(tests, X[start : start + step])
-        chunk = F[start : start + step]
-        for tree, path in zip(trees, paths):
-            chunk += learning_rate * tree._lookup()[_leaf_index(bits, path)]
-    return F
-
-
-def _node_tests(trees: list[RegressionTree]) -> tuple[list, list[list[tuple[int, int]]]]:
-    """The distinct (feature, threshold, default_left) tests of the trees'
-    split nodes in first-seen order, and for each tree its split nodes in
-    pre-order, each as (node, position of its test in that list)."""
-    position: dict = {}
-    paths = []
-    for tree in trees:
-        tests = zip(tree.feature.tolist(), tree.threshold.tolist(), tree.default_left.tolist())
-        paths.append([(i, position.setdefault(t, len(position))) for i, t in enumerate(tests) if t[0] >= 0])
-    return list(position), paths
-
-
-def _tree_output(tree: RegressionTree, masks: np.ndarray, path) -> np.ndarray:
-    """Each row's leaf value, from the left masks of the tree's tests: the
-    split nodes in reverse pre-order, so children before parents, each choose
-    per row between its children's outputs. A tree of one leaf gives its
-    value as a scalar."""
-    out = list(tree.value)  # a leaf's output is its value
-    left, right = tree.left.tolist(), tree.right.tolist()
-    for i, k in reversed(path):
-        out[i] = np.where(masks[k], out[left[i]], out[right[i]])
-        out[left[i]] = out[right[i]] = None  # read once; dropped to bound the live arrays
-    return out[0]
-
-
-def predict_regression(
-    trees: list[RegressionTree], X: np.ndarray, base_score: float, learning_rate: float
-) -> np.ndarray:
-    """base_score + learning_rate * tree.predict(X), summed over the trees in
-    order: the same float operations, so the same bits, as that loop.
-
-    Each distinct (feature, threshold, default_left) test of the ensemble is
-    evaluated once per row, as one row of a boolean matrix of left masks;
-    each tree then reduces its split nodes bottom-up (_tree_output), so no
-    row is routed node by node. The rows go in chunks small enough that the
-    masks, one bool per distinct test and row, stay within
+    The distinct tests of the trees are listed once, in first-seen order
+    (equal thresholds route alike, 0.0 and -0.0 too, so they share one), and
+    each is evaluated once per row, as one row of a bool matrix (_split_bits).
+    Each tree turns the rows of its tests into its outputs (tree.output). The
+    rows go in chunks small enough that the matrix stays within
     MAX_BIT_MATRIX_BYTES.
     """
     X = np.asarray(X, dtype=np.float64)
     for width in {tree.n_features for tree in trees}:
         X = _check_matrix(X, width)
-    tests, paths = _node_tests(trees)
+    position: dict = {}
+    paths = [[position.setdefault(test, len(position)) for test in tree.tests()] for tree in trees]
+    tests = list(position)
     XT = np.ascontiguousarray(X.T)  # a feature's cells in one contiguous row
     F = np.full(X.shape[0], base_score)
     step = max(1, MAX_BIT_MATRIX_BYTES // max(1, len(tests)))
     for start in range(0, X.shape[0], step):
-        cells = XT[:, start : start + step]
-        masks = np.empty((len(tests), cells.shape[1]), dtype=bool)
-        for k, (f, thr, missing_left) in enumerate(tests):
-            masks[k] = _split_mask(cells[f], thr, missing_left=missing_left)
+        right = _split_bits(tests, XT[:, start : start + step])
         chunk = F[start : start + step]
         for tree, path in zip(trees, paths):
-            chunk += learning_rate * _tree_output(tree, masks, path)
+            chunk += learning_rate * tree.output(right, path)
     return F
 
 
@@ -832,7 +798,8 @@ def fit_oblivious_tree(
     left. Tie rule: of the candidates that count, the earliest in enumeration
     order whose gain is within _LEVEL_TIE_TOL * (1 + |parent score|) of the
     best wins. Stop rule: growth stops at the first level where no candidate
-    counts or the best gain is not strictly positive, and after
+    counts, the best gain is not strictly positive or is NaN, or the best
+    gain less the tie margin is NaN (an infinite gain and margin), and after
     MAX_OBLIVIOUS_DEPTH levels, so the recorded depth may be shallower than
     requested, and every level splits a bucket of the rows. fitted, if given,
     an array of one float per row, receives each row's output: tree.predict(X),
@@ -882,9 +849,9 @@ def fit_oblivious_tree(
         if not splits.any():
             break
         best = gains[splits].max()
-        if best <= 0:
-            break
         tol = _LEVEL_TIE_TOL * (1.0 + abs(parent))
+        if not best > 0 or np.isnan(best - tol):  # NaN: sums past the float range
+            break
         k = int(np.flatnonzero(splits & (gains >= best - tol))[0])
         levels.append((features[k], thresholds[k]))
         right = ~_split_mask(X[:, features[k]], thresholds[k], missing_left=True)
@@ -912,8 +879,8 @@ def _threshold_to_json(thr):
 
 def _threshold_from_json(obj):
     if isinstance(obj, dict):
-        return frozenset(_index(v, math.inf, "categorical level") for v in obj["levels"])
-    return _number(obj, "threshold")
+        return frozenset(as_index(v, math.inf, "categorical level") for v in obj["levels"])
+    return as_number(obj, "threshold")
 
 
 def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
@@ -946,34 +913,6 @@ def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
 
-def _index(value, stop: int, what: str = "feature_index") -> int:
-    """value as an index in [0, stop); anything else, a bool too, is MalformedModel."""
-    if isinstance(value, bool) or not isinstance(value, int) or not 0 <= value < stop:
-        raise MalformedModel(f"{what} {value!r} is not an int in [0, {stop})")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """value as a finite float; a bool, NaN, ±Infinity, an int beyond the float
-    range or anything but an int or a float is MalformedModel."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise MalformedModel(f"{what} {value!r} is not a number")
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise MalformedModel(f"{what} {value!r} is not a finite number")
-    return number
-
-
-def _one_of(value, allowed: tuple, what: str):
-    """value if it is one of allowed, of the same type (so True is not 1)."""
-    if not any(type(value) is type(a) and value == a for a in allowed):
-        raise MalformedModel(f"{what} {value!r} is not one of {allowed}")
-    return value
-
-
 def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
     """Rebuild a learner that reads an n_features-column matrix; a tree that
     records another width or splits outside [0, n_features) is MalformedModel.
@@ -983,15 +922,15 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
     A stump is the kind of the stumps list of an older AdaBoost file.
     """
     kind = d["kind"]
-    if kind != "stump" and _index(d["n_features"], math.inf, "n_features") != n_features:
+    if kind != "stump" and as_index(d["n_features"], math.inf, "n_features") != n_features:
         raise MalformedModel(f"{kind} tree reads {d['n_features']!r} columns, not {n_features}")
 
     if kind == "stump":
         return Stump(
-            _index(d["feature_index"], n_features),
+            as_index(d["feature_index"], n_features),
             _threshold_from_json(d["threshold"]),
-            _one_of(d["left_class"], (-1, 1), "left_class"),
-            _one_of(d["right_class"], (-1, 1), "right_class"),
+            one_of(d["left_class"], (-1, 1), "left_class"),
+            one_of(d["right_class"], (-1, 1), "right_class"),
         )
     if kind == "regression":
         entries = d["nodes"]
@@ -1000,7 +939,7 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
         todo = [(0, -1)]  # (entry index, parent of a right child), as in the fit
         while todo:
             j, right_of = todo.pop()
-            j = _index(j, len(entries), "node index")
+            j = as_index(j, len(entries), "node index")
             if j in seen:
                 raise MalformedModel(f"node {j} is reached twice")
             seen.add(j)
@@ -1009,17 +948,17 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
                 nodes[right_of][_RIGHT] = i
             entry = entries[j]
             if "value" in entry:  # the gradient and hessian sums of older files are ignored
-                nodes.append([-1, None, True, -1, -1, _number(entry["value"], "value")])
+                nodes.append([-1, None, True, -1, -1, as_number(entry["value"], "value")])
             else:
-                f = _index(entry["feature_index"], n_features)
+                f = as_index(entry["feature_index"], n_features)
                 thr = _threshold_from_json(entry["threshold"])
-                direction = _one_of(entry["default_direction"], ("left", "right"), "default_direction")
+                direction = one_of(entry["default_direction"], ("left", "right"), "default_direction")
                 nodes.append([f, thr, direction == "left", i + 1, -1, 0.0])
                 todo += [(entry["right"], i), (entry["left"], -1)]
         return _regression_tree(nodes, n_features)
     if kind == "oblivious":
         levels = tuple(
-            (_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
+            (as_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
             for lv in d["levels"]
         )
         if len(levels) > MAX_OBLIVIOUS_DEPTH:
@@ -1027,13 +966,13 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
         if format_version == 1:  # every leaf, zeros too (and sums, which are ignored)
             leaf_ids = np.arange(1 << len(levels), dtype=np.int64)
         else:
-            index = [_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
+            index = [as_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
             leaf_ids = np.array(index, dtype=np.int64)
             if (leaf_ids[1:] <= leaf_ids[:-1]).any():
                 raise MalformedModel("leaf_index is not strictly increasing")
         if leaf_ids.size != len(d["leaf_values"]):
             raise MalformedModel("leaf_index and leaf_values differ in length")
-        leaf_values = np.array([_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
+        leaf_values = np.array([as_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
         kept = leaf_values != 0
         return ObliviousTree(levels, leaf_ids[kept], leaf_values[kept], n_features)
     raise MalformedModel(f"unknown tree kind {kind!r}")

@@ -1,5 +1,5 @@
 """RegressionTree.predict as it was before ensembles were scored bottom-up,
-kept as an oracle: predict_regression and the boosting loop must give the same
+kept as an oracle: predict_trees and the boosting loop must give the same
 scores bit for bit. Rows are routed from the root down, one split node at a
 time in pre-order, each node testing only the rows that reached it."""
 

@@ -455,6 +455,16 @@ class TestDataErrors:
         assert f"{algo}: training raw scores are not finite after round 1" in err
         assert not model.exists()
 
+    def test_catboost_level_gain_that_overflows(self, tmp_path, capsys):
+        # zero hessians after round 1 and a subnormal lambda overflow a level's gain
+        data, model = tmp_path / "d.csv", tmp_path / "m.json"
+        assert run(capsys, "synth", "--n", 40, "--seed", 3, "--missing-rate", 0.2, "--out", data)[0] == 0
+        extra = ("--learning-rate", "1e132", "--lambda", "5e-324", "--rounds", 2, "--depth", 3)
+        code, _, err = train(capsys, "catboost", data, model, *extra)
+        assert_data_error(code, err)
+        assert "catboost: training raw scores are not finite after round 2" in err
+        assert not model.exists()
+
     def test_model_whose_raw_scores_overflow(self, tmp_path, capsys, data_csv):
         # finite leaves, but a learning rate that takes their sums past the float range
         model, scores = tmp_path / "catboost.json", tmp_path / "s.csv"
@@ -473,3 +483,14 @@ class TestDataErrors:
         code, _, err = run(capsys, "predict", "--model", path, "--data", data_csv)
         assert_data_error(code, err)
         assert "broken.json" in err
+
+    @pytest.mark.parametrize("command", ["predict", "compare"])
+    def test_json_nested_past_the_parser_limit(self, tmp_path, capsys, data_csv, command):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        if command == "predict":
+            code, _, err = run(capsys, "predict", "--model", deep, "--data", data_csv)
+        else:
+            code, _, err = run(capsys, "compare", "--synthetic", "--schema", deep, "--out", tmp_path / "out")
+        assert_data_error(code, err)
+        assert "deep.json" in err

@@ -1,9 +1,9 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error, AdaBoost scores as stump sums, GBM and XGBoost
 scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
-schema inference, the CSV readers against a row-by-row oracle and the bytes
-of the curve and score writers; and that a failing property is reported
-under this repository's pytest settings."""
+schema inference, the CSV readers against a row-by-row oracle, the bytes
+of the curve and score writers and fits at extreme params; and that a
+failing property is reported under this repository's pytest settings."""
 
 import csv
 import io
@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from boostlab import cli
 from boostlab.boost import (
     ALGORITHMS,
+    BoostParams,
     default_params,
     deviance,
     fit,
@@ -51,7 +52,7 @@ from boostlab.dataset import (
     synthesize,
     write_csv,
 )
-from boostlab.errors import BoostlabError, MalformedModel
+from boostlab.errors import BoostlabError, MalformedModel, NonFiniteScores
 from boostlab.metrics import CurveSeries, curve_to_csv, roc_curve
 from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
@@ -247,6 +248,42 @@ def test_the_oracle_property_meets_every_kind_of_node():
                         elif f >= 0 and SCHEMA.kinds[f].is_categorical:
                             seen.add("categorical")
     assert seen == {"one leaf", "categorical", "missing left", "missing right"}
+
+
+# Up to the float range, with 0 and the least subnormal as likely draws.
+EXTREMES = st.sampled_from((0.0, 5e-324, 1e308)) | st.floats(0.0, 1e308)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    algorithm=st.sampled_from(ALGORITHMS),
+    n_rounds=st.integers(1, 3),
+    learning_rate=st.sampled_from((5e-324, 1e132, sys.float_info.max)) | st.floats(5e-324, sys.float_info.max),
+    max_depth=st.integers(1, 16),
+    reg_lambda=EXTREMES,
+    gamma=EXTREMES,
+    min_child_weight=EXTREMES,
+)
+# zero hessians after round 1 and a subnormal lambda: a level gain overflowed
+# and the CatBoost fit failed with an IndexError
+@example(
+    algorithm="catboost",
+    n_rounds=2,
+    learning_rate=1e132,
+    max_depth=3,
+    reg_lambda=5e-324,
+    gamma=0.0,
+    min_child_weight=1.0,
+)
+def test_extreme_params_give_finite_scores_or_non_finite_scores(algorithm, **drawn):
+    # the data of `synth --n 40 --seed 3 --missing-rate 0.2`; a numpy warning
+    # fails the test too (the pytest settings turn warnings into errors)
+    data = synthesize(pcos_default_schema(), 40, 3, 2.0, 0.2)
+    try:
+        scores = predict_scores(fit(algorithm, data, BoostParams(**drawn)), data)
+    except NonFiniteScores:
+        return
+    assert np.isfinite(scores).all() and ((scores >= 0) & (scores <= 1)).all()
 
 
 @settings(max_examples=60, deadline=None)

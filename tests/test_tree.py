@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import regression_predict_oracle
 import split_search_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -21,9 +22,8 @@ from boostlab.tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
-    predict_oblivious,
-    predict_regression,
     predict_stump,
+    predict_trees,
     tree_from_dict,
     tree_to_dict,
 )
@@ -378,6 +378,14 @@ class TestObliviousTree:
         tree = fit_oblivious_tree(X, grads, np.ones(4), depth=3, reg_lambda=1.0)
         assert tree.depth == 0
         assert tree.leaf_values == pytest.approx([-8.0 / 5.0])
+
+    def test_a_level_whose_gain_is_not_a_number_stops_growth(self):
+        # zero hessians and a subnormal lambda: G^2 / 5e-324 overflows, so the
+        # best gain less the tie margin is NaN; the boosting loop fits under the
+        # same errstate
+        with np.errstate(over="ignore", invalid="ignore"):
+            tree = fit_oblivious_tree([[0], [1], [2], [3]], [1, -1, 1, -1], np.zeros(4), depth=2, reg_lambda=5e-324)
+        assert tree.depth == 0
 
     def test_leaf_index_is_comparison_bits(self):
         rng = np.random.default_rng(5)
@@ -742,79 +750,60 @@ class TestPredictOblivious:
         want = np.full(X.shape[0], base)
         for tree in trees:
             want = want + lr * per_level_predict(tree, X)
-        got = predict_oblivious(trees, X, base, lr)
+        got = predict_trees(trees, X, base, lr)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
         for tree in trees:
             assert tree.predict(X).tobytes() == per_level_predict(tree, X).tobytes()
         if trees:
             with pytest.raises(SchemaMismatch):
-                predict_oblivious(trees, np.zeros((X.shape[0], trees[0].n_features + 1)), base, lr)
+                predict_trees(trees, np.zeros((X.shape[0], trees[0].n_features + 1)), base, lr)
 
-    def test_rows_are_scored_in_chunks_under_the_byte_limit(self, monkeypatch):
+
+class TestPredictTrees:
+    @pytest.mark.parametrize("kind", ["oblivious", "regression"])
+    def test_rows_are_scored_in_chunks_under_the_byte_limit(self, monkeypatch, kind):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(30, 3)).round(1)
         X[rng.random(X.shape) < 0.1] = np.nan
-        trees = [
-            fit_oblivious_tree(X, rng.normal(size=30), np.ones(30), depth=3, reg_lambda=1.0)
-            for _ in range(4)
-        ]
-        n_tests = len({level for tree in trees for level in tree.levels})
+        g, h = rng.normal(size=(4, 30)), np.ones(30)
+        if kind == "oblivious":
+            trees = [fit_oblivious_tree(X, g[t], h, depth=3, reg_lambda=1.0) for t in range(4)]
+            predict = per_level_predict
+        else:
+            trees = [fit_regression_tree(X, g[t], h, max_depth=3) for t in range(4)]
+            predict = regression_predict_oracle.predict
+        n_tests = len({test for tree in trees for test in tree.tests()})
         assert n_tests > 1
-        whole = predict_oblivious(trees, X, 0.2, 0.1)
+        whole = predict_trees(trees, X, 0.2, 0.1)
+        want = np.full(30, 0.2)
+        for tree in trees:
+            want = want + 0.1 * predict(tree, X)
+        assert whole.tobytes() == want.tobytes()
 
         chunks = []
         split_bits = tree_module._split_bits
 
-        def spy(tests, rows):
-            chunks.append(rows.shape[0])
-            return split_bits(tests, rows)
+        def spy(tests, XT):
+            chunks.append((len(tests), XT.shape[1]))
+            return split_bits(tests, XT)
 
         monkeypatch.setattr(tree_module, "_split_bits", spy)
         monkeypatch.setattr(tree_module, "MAX_BIT_MATRIX_BYTES", 7 * n_tests)
-        chunked = predict_oblivious(trees, X, 0.2, 0.1)
-        assert chunks == [7, 7, 7, 7, 2]
+        chunked = predict_trees(trees, X, 0.2, 0.1)
+        assert chunks == [(n_tests, 7)] * 4 + [(n_tests, 2)]
         assert chunked.tobytes() == whole.tobytes()
 
 
 class TestPredictRegression:
-    def test_rows_are_scored_in_chunks_under_the_byte_limit(self, monkeypatch):
-        rng = np.random.default_rng(4)
-        X = rng.normal(size=(30, 3)).round(1)
-        X[rng.random(X.shape) < 0.1] = np.nan
-        trees = [fit_regression_tree(X, rng.normal(size=30), np.ones(30), max_depth=3) for _ in range(4)]
-        n_tests = len(
-            {test for tree in trees for test in zip(tree.feature, tree.threshold, tree.default_left) if test[0] >= 0}
-        )
-        assert n_tests > 1
-        whole = predict_regression(trees, X, 0.2, 0.1)
-        want = np.full(30, 0.2)
-        for tree in trees:
-            want = want + 0.1 * tree.predict(X)
-        assert whole.tobytes() == want.tobytes()
-
-        chunks = []
-        tree_output = tree_module._tree_output
-
-        def spy(tree, masks, path):
-            chunks.append(masks.shape)
-            return tree_output(tree, masks, path)
-
-        monkeypatch.setattr(tree_module, "_tree_output", spy)
-        monkeypatch.setattr(tree_module, "MAX_BIT_MATRIX_BYTES", 7 * n_tests)
-        chunked = predict_regression(trees, X, 0.2, 0.1)
-        assert [rows for _, rows in chunks[::4]] == [7, 7, 7, 7, 2]
-        assert {tests for tests, _ in chunks} == {n_tests}
-        assert chunked.tobytes() == whole.tobytes()
-
     def test_a_negative_zero_leaf_keeps_its_sign(self):
         tree = tree_from_dict({"kind": "regression", "n_features": 1, "nodes": [{"value": -0.0}]}, 1)
         assert np.signbit(tree.predict(np.zeros((3, 1)))).all()
-        assert predict_regression([], np.zeros((2, 1)), -0.0, 0.1).tobytes() == np.full(2, -0.0).tobytes()
+        assert predict_trees([], np.zeros((2, 1)), -0.0, 0.1).tobytes() == np.full(2, -0.0).tobytes()
 
     def test_schema_mismatch(self):
         tree = fit_regression_tree(np.array([[1.0], [2.0]]), np.array([1.0, -1.0]), np.ones(2), max_depth=1)
         with pytest.raises(SchemaMismatch):
-            predict_regression([tree], np.zeros((2, 2)), 0.0, 0.1)
+            predict_trees([tree], np.zeros((2, 2)), 0.0, 0.1)
 
 
 # Cell values whose midpoints are exact, so no threshold lands on a value (a
