@@ -13,19 +13,32 @@ def atomic_open(path):
     """A text file to write that replaces path only when the block completes.
 
     The temp file is created by open() in exclusive mode, so the output gets
-    the permissions open() would give it under the umask.
+    the permissions open() would give it under the umask. An OSError of that
+    open() or of the rename names path, the file the caller asked for, not
+    the temp file: a missing parent directory, or a path that is a directory.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        fh = open(tmp, "x", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _naming(exc, path) from exc
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise _naming(exc, path) from exc
     except BaseException:
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def _naming(exc: OSError, path: Path) -> OSError:
+    """exc as the same kind of OSError (errno and message), naming path."""
+    return OSError(exc.errno, exc.strerror, str(path))
 
 
 def atomic_write_text(path, text: str) -> None:

@@ -1,7 +1,9 @@
 """Command-line entry point: train / predict / eval / compare / synth.
 
 eval --data reads only the labels of the data CSV, but checks every cell of
-it as train would, so a file train rejects is rejected by eval too.
+it as train would, so a file train rejects is rejected by eval too. eval
+--scores takes scores in [0, 1], as predict writes them: a score cell
+outside [0, 1] is a malformed scores file (exit 2).
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
@@ -187,6 +189,8 @@ def _cmd_predict(args) -> int:
 def _cmd_eval(args) -> int:
     _overrides(args)  # checks --threshold
     scores = _read_column(args.scores, "score", float)
+    if ((scores < 0) | (scores > 1)).any():
+        raise MalformedCsv(f"{args.scores}: score cells must lie in [0, 1]")
     if args.truth is not None:
         truth = _read_column(args.truth, "label", parse_label)
     else:

@@ -22,10 +22,12 @@ learning_rate times each tree's output, in tree order. Every tree lists its
 split tests as (feature, threshold, missing_left) (tests()); the distinct
 tests of the list are evaluated once per row, as the "went right" rows of one
 bool matrix, and each tree turns the rows of its tests into its outputs
-(output()). An oblivious tree shifts its leaf index in from its levels' rows;
-a regression tree's split nodes, taken in reverse pre-order so that children
-come before parents, choose per row between their children's outputs
-(np.where), so no row is routed node by node.
+(output()). A float test is one compare per row. An oblivious tree shifts
+its leaf index in from its levels' rows; a regression tree's split nodes,
+taken in reverse pre-order so that children come before parents, choose per
+row between their children's integer node codes (lo + went_right * (hi -
+lo)), and the leaf values are gathered once by the root's codes, so no row is
+routed node by node.
 
 A fit sorts its matrix once (Presort): each column's rows in stable (value,
 row) order with the missing rows last, and the candidate splits each column
@@ -42,8 +44,10 @@ misclassifies; regression tree: gradient and hessian) and keeps its own
 missing-value routing, gain or error formula and tie rule. A node's rows of
 the sorted columns of several thresholds are its block; a stable partition on
 the chosen split hands each child its block in the same order, so no node
-sorts. Oblivious trees use a bucket-partitioned search instead, since a
-level's gain sums over every leaf bucket (see fit_oblivious_tree).
+sorts. Oblivious trees use a bucket-sorted search instead, since a level's
+gain sums over every leaf bucket: each level takes the rows of its swept
+columns in (bucket, value) order from one stable sort of their bucket ids
+(see fit_oblivious_tree).
 
 _scan returns its candidates in group order, the order it builds them: the
 swept columns', then the single-threshold columns', then the categorical
@@ -119,6 +123,9 @@ class Stump:
         return self.left_class == self.right_class
 
 
+_INT16_MAX = np.iinfo(np.int16).max  # the most nodes whose indices int16 codes hold
+
+
 @dataclass
 class RegressionTree:
     """Per-node arrays in pre-order (see the module docstring). feature is -1
@@ -144,15 +151,22 @@ class RegressionTree:
 
     def output(self, right: np.ndarray, path) -> np.ndarray:
         """Each row's leaf value, from the "went right" rows path names for
-        tests(): the split nodes in reverse pre-order, so children before
-        parents, each choose per row between its children's outputs. A tree of
-        one leaf gives its value as a scalar."""
-        out = list(self.value)  # a leaf's output is its value
+        tests(). Each row's leaf is found bottom-up as an integer node code:
+        a leaf's code is its index, and the split nodes in reverse pre-order,
+        so children before parents, each take per row lo + went_right * (hi -
+        lo) of their children's codes. value is then gathered once. Codes are
+        int16 while the node indices fit, int32 beyond. A tree of one leaf
+        gives its value as a scalar."""
+        dtype = np.int16 if self.feature.size <= _INT16_MAX else np.int32
+        code = list(np.arange(self.feature.size, dtype=dtype))  # a leaf's code is its index
         lo, hi = self.left.tolist(), self.right.tolist()
         for i, k in zip(reversed(np.flatnonzero(self.feature >= 0).tolist()), reversed(path)):
-            out[i] = np.where(right[k], out[hi[i]], out[lo[i]])
-            out[lo[i]] = out[hi[i]] = None  # read once; dropped to bound the live arrays
-        return out[0]
+            a, b = code[lo[i]], code[hi[i]]
+            # dtype= keeps the codes wide: numpy 1 would narrow a product with a scalar by its value
+            code[i] = np.multiply(right[k], b - a, dtype=dtype)
+            code[i] += a
+            code[lo[i]] = code[hi[i]] = None  # read once; dropped to bound the live arrays
+        return self.value[code[0]]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Each row's leaf value, by predict_trees: -0.0 + v and 1.0 * v are v
@@ -212,7 +226,7 @@ class ObliviousTree:
 
 def _leaf_index(right: np.ndarray, path) -> np.ndarray:
     """A tree's leaf index from the "went right" rows of its levels, first level highest."""
-    idx = np.zeros(right.shape[1], dtype=np.int32)  # MAX_OBLIVIOUS_DEPTH bits fit
+    idx = np.zeros(right.shape[1], dtype=np.uint16)  # MAX_OBLIVIOUS_DEPTH bits fit
     for k in path:
         idx <<= 1
         idx |= right[k]
@@ -226,10 +240,18 @@ MAX_BIT_MATRIX_BYTES = 64 << 20
 
 def _split_bits(tests, XT: np.ndarray) -> np.ndarray:
     """Whether each row went right at each (feature, threshold, missing_left)
-    test, one bool row per test, from XT, the matrix with one row per feature."""
+    test, one bool row per test, from XT, the matrix with one row per feature:
+    not _split_mask. A float test is one compare into its row: NaN > thr is
+    False, so x > thr sends a missing cell left; not x <= thr sends it right."""
     right = np.empty((len(tests), XT.shape[1]), dtype=bool)
     for k, (f, thr, missing_left) in enumerate(tests):
-        np.invert(_split_mask(XT[f], thr, missing_left=missing_left), out=right[k])
+        if isinstance(thr, frozenset):
+            np.invert(_split_mask(XT[f], thr, missing_left=missing_left), out=right[k])
+        elif missing_left:
+            np.greater(XT[f], thr, out=right[k])
+        else:
+            np.less_equal(XT[f], thr, out=right[k])
+            np.logical_not(right[k], out=right[k])
     return right
 
 
@@ -241,10 +263,12 @@ def predict_trees(
 
     The distinct tests of the trees are listed once, in first-seen order
     (equal thresholds route alike, 0.0 and -0.0 too, so they share one), and
-    each is evaluated once per row, as one row of a bool matrix (_split_bits).
-    Each tree turns the rows of its tests into its outputs (tree.output). The
-    rows go in chunks small enough that the matrix stays within
-    MAX_BIT_MATRIX_BYTES.
+    each is evaluated once per row, as one row of a bool matrix (_split_bits):
+    a float test by one compare, a level set by its mask. Each tree turns the
+    rows of its tests into its outputs (tree.output): an oblivious tree by its
+    uint16 leaf index, a regression tree by integer node codes and one gather
+    of its values. The rows go in chunks small enough that the matrix stays
+    within MAX_BIT_MATRIX_BYTES.
     """
     X = np.asarray(X, dtype=np.float64)
     for width in {tree.n_features for tree in trees}:
@@ -559,9 +583,15 @@ def predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
 
 
 def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
+    """G*G / (H + lam) where H + lam > 0, else 0."""
     denom = H + lam
-    out = np.zeros_like(np.asarray(G, dtype=np.float64))
-    np.divide(G * G, denom, out=out, where=denom > 0)
+    positive = denom > 0
+    out = G * G
+    if positive.all():
+        out /= denom
+    else:
+        np.divide(out, denom, out=out, where=positive)
+        np.copyto(out, 0.0, where=~positive)
     return out
 
 
@@ -727,55 +757,53 @@ class _SweptColumns:
 
     order lists each column's rows in value order, missing rows first, one
     column after another, so flat position j * n + i names the i-th row of
-    column j. at lists those positions in (bucket, value, row) order, one row
-    of at per column. Every column holds every row, so bucket b fills the same
-    span of each row of at.
+    column j. A level's search takes those positions in (bucket, value, row)
+    order, one row of at per column (positions): every column holds every
+    row, so bucket b fills the same span of each row of at.
     """
 
     def __init__(self, candidates: _LevelCandidates, g: np.ndarray, h: np.ndarray):
         self.candidates, self.reads, self.order = candidates.swept_at, candidates.reads, candidates.rows
         self.g, self.h = g[self.order], h[self.order]
-        self.at = np.arange(self.order.size).reshape(-1, g.size)
+        self.by_value = self.order.reshape(-1, g.size)
+        self.offset = np.arange(0, self.order.size, g.size)[:, None]
 
-    def gains(self, size, start, Gb, Hb, parent_b, reg_lambda: float):
+    def positions(self, bucket: np.ndarray, n_buckets: int) -> np.ndarray:
+        """at for the rows' buckets: one stable sort of each column's bucket
+        ids in value order, so each bucket's rows keep their value order. The
+        ids are uint8 or uint16 (at most 2**MAX_OBLIVIOUS_DEPTH buckets), which
+        numpy sorts by radix."""
+        key = bucket.astype(np.uint8 if n_buckets <= 256 else np.uint16)
+        at = np.argsort(key[self.by_value], axis=1, kind="stable")
+        at += self.offset
+        return at
+
+    def gains(self, at, size, start, Gb, Hb, parent_b, reg_lambda: float):
         """Gain and "splits a bucket" of each candidate. Moving a bucket's rows
         left one at a time in value order, each row changes only its bucket's
         term and its bucket's "is split" flag; put back in value order, the
         changes' prefix sums at each threshold are the gain and the count of
         split buckets."""
-        at = self.at
         pos = np.repeat(np.arange(size.size), size)  # the bucket at each position
         end = start + size - 1
         # a bucket's sums up to each position: the running sum minus the sums
         # of the buckets before it
-        GL = np.cumsum(self.g[at], axis=1) - (np.cumsum(Gb) - Gb)[pos]
-        HL = np.cumsum(self.h[at], axis=1) - (np.cumsum(Hb) - Hb)[pos]
+        GL = self.g[at].cumsum(axis=1) - (Gb.cumsum() - Gb)[pos]
+        HL = self.h[at].cumsum(axis=1) - (Hb.cumsum() - Hb)[pos]
         term = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb[pos] - GL, Hb[pos] - HL, reg_lambda)
         change = np.empty_like(term)
         change[:, 1:] = term[:, 1:] - term[:, :-1]
         change[:, start] = term[:, start] - parent_b  # from all rows on the right
         moved = np.empty(at.size)
         moved[at] = change
-        gains = 0.5 * np.cumsum(moved.reshape(at.shape), axis=1).ravel()[self.reads]
+        gains = 0.5 * moved.reshape(at.shape).cumsum(axis=1).ravel()[self.reads]
         # a bucket is split while its first row is left and its last is not
         flips = np.zeros(at.size, dtype=np.int32)
         two = size > 1
         flips[at[:, start[two]]] = 1
         flips[at[:, end[two]]] = -1
-        splits = np.cumsum(flips.reshape(at.shape), axis=1, dtype=np.int32).ravel()[self.reads] > 0
+        splits = flips.reshape(at.shape).cumsum(axis=1, dtype=np.int32).ravel()[self.reads] > 0
         return gains, splits
-
-    def partition(self, right, n_right, size, start) -> None:
-        """Stable partition of each bucket's span, its left rows first. A
-        bucket has as many left rows in every column, so the rows of one side
-        keep their order, and bucket b's go to first[b] onward."""
-        bits = right[self.order[self.at]]
-        n_left = size - n_right
-        parted = np.empty_like(self.at)
-        for side, count, first in ((~bits, n_left, start), (bits, n_right, start + n_left)):
-            to = np.repeat(first - (np.cumsum(count) - count), count) + np.arange(count.sum())
-            parted[:, to] = self.at[side].reshape(self.at.shape[0], -1)
-        self.at = parted
 
 
 def fit_oblivious_tree(
@@ -805,12 +833,14 @@ def fit_oblivious_tree(
     an array of one float per row, receives each row's output: tree.predict(X),
     read off the fit's final buckets.
 
-    The search is bucket-partitioned, and its candidates are listed once per
+    The search is bucket-sorted, and its candidates are listed once per
     Presort (_LevelCandidates). For a categorical or single-threshold column,
-    one bincount by bucket of each candidate's left rows gives its sums. The columns of several thresholds
-    are swept (_SweptColumns): their rows stay in (bucket, value) order, a
-    stable partition on each chosen level's bit carrying that order to the
-    next level.
+    one bincount by bucket of each candidate's left rows gives its sums. The
+    columns of several thresholds are swept (_SweptColumns): each level
+    takes their rows in (bucket, value) order from one stable sort of the
+    rows' bucket ids in value order, so no order is carried between levels.
+    A bucket is the rank of a row's leaf among the occupied leaves, so the
+    leaves' ids are found by placing each row's leaf at its bucket.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     n, d = X.shape
@@ -822,9 +852,9 @@ def fit_oblivious_tree(
 
     leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
     bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
+    size = np.array([n])  # the rows of each bucket
     levels: list[tuple[int, float | frozenset[int]]] = []
     for _ in range(min(depth, MAX_OBLIVIOUS_DEPTH)):
-        size = np.bincount(bucket)
         B = size.size
         start = np.cumsum(size) - size
         Gb = np.bincount(bucket, weights=g, minlength=B)
@@ -844,7 +874,7 @@ def fit_oblivious_tree(
             splits[masked_at] = ((CL > 0) & (CL < size)).any(axis=1)
         if sweep is not None:
             gains[sweep.candidates], splits[sweep.candidates] = sweep.gains(
-                size, start, Gb, Hb, parent_b, reg_lambda
+                sweep.positions(bucket, B), size, start, Gb, Hb, parent_b, reg_lambda
             )
         if not splits.any():
             break
@@ -853,16 +883,19 @@ def fit_oblivious_tree(
         if not best > 0 or np.isnan(best - tol):  # NaN: sums past the float range
             break
         k = int(np.flatnonzero(splits & (gains >= best - tol))[0])
-        levels.append((features[k], thresholds[k]))
-        right = ~_split_mask(X[:, features[k]], thresholds[k], missing_left=True)
+        f, thr = features[k], thresholds[k]
+        levels.append((f, thr))
+        right = _split_bits([(f, thr, True)], X.T)[0]
         leaf = leaf * 2 + right
-        if sweep is not None:
-            sweep.partition(right, np.bincount(bucket[right], minlength=B), size, start)
         split_bucket = bucket * 2 + right
-        bucket = (np.cumsum(np.bincount(split_bucket) > 0) - 1)[split_bucket]
+        count = np.bincount(split_bucket)
+        occupied = count > 0
+        size = count[occupied]
+        bucket = (np.cumsum(occupied) - 1)[split_bucket]
 
-    leaf_ids = np.unique(leaf)  # bucket ranks these; each bin sums its rows in row order
-    denom = np.bincount(bucket, weights=h) + reg_lambda
+    leaf_ids = np.empty(size.size, dtype=np.int64)  # bucket ranks the occupied leaves
+    leaf_ids[bucket] = leaf
+    denom = np.bincount(bucket, weights=h) + reg_lambda  # each bin sums its rows in row order
     leaf_values = np.zeros(leaf_ids.size)
     np.divide(-np.bincount(bucket, weights=g), denom, out=leaf_values, where=denom > 0)
     kept = leaf_values != 0

@@ -494,3 +494,39 @@ class TestDataErrors:
             code, _, err = run(capsys, "compare", "--synthetic", "--schema", deep, "--out", tmp_path / "out")
         assert_data_error(code, err)
         assert "deep.json" in err
+
+    def test_eval_score_outside_the_unit_interval(self, tmp_path, capsys):
+        # predict writes scores in [0, 1], and --threshold lies in (0, 1)
+        scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+        scores.write_text("score\n2\n0.1\n-3\n0.5\n")
+        truth.write_text("label\n1\n0\n0\n1\n")
+        code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")
+        assert_data_error(code, err)
+        assert err == f"eval: {scores}: score cells must lie in [0, 1]\n"
+        scores.write_text("score\n1\n0.1\n0\n0.5\n")  # the ends are scores
+        assert run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")[0] == 0
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+@pytest.mark.parametrize("flag", ["--model-out", "--scores-out", "synth --out"])
+def test_a_failed_output_write_names_the_given_path(tmp_path, capsys, data_csv, model_file, flag, where):
+    # the message names the path given, not the temp file written beside it
+    if where == "missing-parent":
+        target, parent = tmp_path / "missing" / "out.json", tmp_path / "missing"
+    else:
+        target, parent = tmp_path / "out-dir", tmp_path
+        target.mkdir()
+    before = set(os.listdir(tmp_path))
+    if flag == "--model-out":
+        code, _, err = train(capsys, "gbm", data_csv, target, "--rounds", 2)
+        command = "train"
+    elif flag == "--scores-out":
+        code, _, err = run(capsys, "predict", "--model", model_file, "--data", data_csv, "--scores-out", target)
+        command = "predict"
+    else:
+        code, _, err = run(capsys, "synth", "--n", 20, "--out", target)
+        command = "synth"
+    reason = "No such file or directory" if where == "missing-parent" else "Is a directory"
+    assert (code, err) == (2, f"{command}: {target}: {reason}\n")
+    assert set(os.listdir(tmp_path)) == before
+    assert not parent.is_dir() or not [f for f in os.listdir(parent) if f.endswith(".tmp")]

@@ -2,6 +2,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
+import oblivious_search_oracle
 import pytest
 import regression_predict_oracle
 import split_search_oracle as oracle
@@ -18,6 +19,7 @@ from boostlab.tree import (
     Presort,
     RegressionTree,
     Stump,
+    _split_bits,
     _split_mask,
     fit_oblivious_tree,
     fit_regression_tree,
@@ -683,6 +685,16 @@ class TestPredictAndSerialize:
         ]
         assert _split_mask(col, threshold, missing_left=missing_left).tolist() == want
 
+    @pytest.mark.parametrize("missing_left", [True, False])
+    @pytest.mark.parametrize("threshold", [-0.0, 0.0, 1.5, -math.inf, math.inf, frozenset({0, 2})])
+    def test_split_bits_are_the_negated_split_mask(self, threshold, missing_left):
+        # NaN, signed zeros, infinities, the threshold itself and its neighbours
+        edges = [] if isinstance(threshold, frozenset) else [threshold, *np.nextafter(threshold, [-math.inf, math.inf])]
+        col = np.array([np.nan, -0.0, 0.0, -math.inf, math.inf, 1.5, 2.0, *edges])
+        bits = _split_bits([(0, threshold, missing_left)], col[None])
+        assert bits.dtype == bool and bits.shape == (1, col.size)
+        assert bits[0].tolist() == (~_split_mask(col, threshold, missing_left=missing_left)).tolist()
+
     def test_regression_nodes_in_any_order_load_into_pre_order(self):
         rng = np.random.default_rng(9)
         X = rng.normal(size=(60, 3)).round(1)
@@ -792,6 +804,68 @@ class TestPredictTrees:
         chunked = predict_trees(trees, X, 0.2, 0.1)
         assert chunks == [(n_tests, 7)] * 4 + [(n_tests, 2)]
         assert chunked.tobytes() == whole.tobytes()
+
+
+def chain_tree(n_splits: int) -> RegressionTree:
+    """A right-leaning chain of n_splits split nodes: split i tests column 0
+    against i, with its missing rows going left at odd i, and has a leaf of
+    value i + 0.5 on its left; the last split's right child is a leaf of -1."""
+    nodes = []
+    for i in range(n_splits):
+        direction = "left" if i % 2 else "right"
+        nodes.append({"feature_index": 0, "threshold": float(i), "default_direction": direction,
+                      "left": 2 * i + 1, "right": 2 * i + 2})
+        nodes.append({"value": i + 0.5})
+    nodes.append({"value": -1.0})
+    return tree_from_dict({"kind": "regression", "n_features": 1, "nodes": nodes}, 1)
+
+
+def bit_string_predict(tree: ObliviousTree, X: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """Each row's leaf index and output, one row at a time: the leaf index is
+    the string of its levels' "went right" bits, read in base 2."""
+    leaves = dict(zip(tree.leaf_ids.tolist(), tree.leaf_values.tolist()))
+    index = []
+    for row in X.tolist():
+        bits = ""
+        for f, thr in tree.levels:
+            v = row[f]
+            left = math.isnan(v) or (v in thr if isinstance(thr, frozenset) else v <= thr)
+            bits += "0" if left else "1"
+        index.append(int(bits, 2))
+    return index, np.array([leaves.get(i, 0.0) for i in index])
+
+
+class TestScorerBoundaries:
+    @pytest.mark.parametrize("n_nodes", [32_767, 32_769])  # either side of the int16 node codes
+    def test_chain_regression_tree_against_the_per_node_oracle(self, n_nodes):
+        tree = chain_tree((n_nodes - 1) // 2)
+        assert tree.feature.size == n_nodes
+        rng = np.random.default_rng(4)
+        X = np.concatenate(
+            [[-1.0, np.nan, 0.0, -0.0, 1.0, 16_382.0, 16_382.5, 16_383.0, 16_384.0, math.inf, -math.inf],
+             rng.uniform(-2, n_nodes // 2 + 2, 200).round(1)]
+        )[:, None]
+        got = predict_trees([tree], X, 0.25, 0.5)
+        want = 0.25 + 0.5 * regression_predict_oracle.predict(tree, X)
+        assert got.tobytes() == want.tobytes()
+        assert (want == -0.25).any()  # some row reaches the last leaf
+
+    def test_depth_16_oblivious_tree_against_the_bit_strings(self):
+        # one level per column: a float test, or a level set on columns 3 and 9
+        levels = tuple((j, frozenset({1, 2}) if j in (3, 9) else 0.5) for j in range(MAX_OBLIVIOUS_DEPTH))
+        leaf_ids = np.array([0, 1, 12_345, 40_000, 65_534, 65_535])
+        tree = ObliviousTree(levels, leaf_ids, np.array([1.5, -2.0, 0.25, -0.0, 3.0, 7.0]), MAX_OBLIVIOUS_DEPTH)
+        rows = []
+        for target in [*leaf_ids.tolist(), 2, 65_533, 30_000]:
+            bits = [(target >> (15 - j)) & 1 for j in range(MAX_OBLIVIOUS_DEPTH)]
+            rows.append([(0.0 if b else 1.0) if j in (3, 9) else float(b) for j, b in enumerate(bits)])
+        rng = np.random.default_rng(8)
+        random_rows = rng.choice([np.nan, -0.0, 0.5, 1.0, 2.0, -1.0], size=(100, MAX_OBLIVIOUS_DEPTH))
+        X = np.vstack([rows, random_rows])
+        index, want = bit_string_predict(tree, X)
+        assert index[:9] == [*leaf_ids.tolist(), 2, 65_533, 30_000]
+        assert tree.leaf_index(X).tolist() == index
+        assert tree.predict(X).tobytes() == want.tobytes()
 
 
 class TestPredictRegression:
@@ -928,3 +1002,40 @@ class TestSplitKernelMatchesOracle:
         presort = Presort(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="presort"):
             fit_regression_tree(np.zeros((4, 2)), np.zeros(4), np.ones(4), max_depth=2, presort=presort)
+
+
+def wide_inputs():
+    """400 rows of 10 numeric columns of mostly distinct values: a depth-16
+    fit without regularisation passes 256 occupied buckets, so its bucket ids
+    no longer fit a byte."""
+    rng = np.random.default_rng(11)
+    X = rng.normal(size=(400, 10)).round(3)
+    return X, rng.normal(size=400).round(8), np.ones(400), (NUMERIC,) * 10
+
+
+class TestObliviousSearchMatchesOracle:
+    """The level search against the partitioning search it replaced
+    (oblivious_search_oracle)."""
+
+    @settings(max_examples=300, deadline=None)
+    @with_edge_inputs(True, 16, 0.0)
+    @example(wide_inputs(), True, 16, 0.0)
+    @given(split_inputs(), st.booleans(), st.integers(1, 16), st.sampled_from([0.0, 1.0, 5e-324]))
+    def test_oblivious_tree(self, inputs, with_kinds, depth, reg_lambda):
+        X, g, h, kinds = inputs
+        kinds = kinds if with_kinds else None
+        got_fitted, want_fitted = np.full((2, X.shape[0]), np.nan)
+        params = dict(depth=depth, reg_lambda=reg_lambda)
+        # zero hessians and a subnormal lambda overflow a gain; both searches stop there
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = fit_oblivious_tree(X, g, h, kinds, **params, fitted=got_fitted)
+            want = oblivious_search_oracle.fit_oblivious_tree(X, g, h, kinds, **params, fitted=want_fitted)
+        assert tree_to_dict(got) == tree_to_dict(want)
+        assert got.leaf_ids.tobytes() == want.leaf_ids.tobytes()
+        assert got.leaf_values.tobytes() == want.leaf_values.tobytes()
+        assert got_fitted.tobytes() == want_fitted.tobytes()
+
+    def test_the_wide_example_passes_256_buckets(self):
+        X, g, h, kinds = wide_inputs()
+        # the 16th level is searched over the 15-level tree's buckets
+        assert fit_oblivious_tree(X, g, h, kinds, depth=15).leaf_ids.size > 256
