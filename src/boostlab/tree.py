@@ -123,9 +123,6 @@ class Stump:
         return self.left_class == self.right_class
 
 
-_INT16_MAX = np.iinfo(np.int16).max  # the most nodes whose indices int16 codes hold
-
-
 @dataclass
 class RegressionTree:
     """Per-node arrays in pre-order (see the module docstring). feature is -1
@@ -155,15 +152,13 @@ class RegressionTree:
         a leaf's code is its index, and the split nodes in reverse pre-order,
         so children before parents, each take per row lo + went_right * (hi -
         lo) of their children's codes. value is then gathered once. Codes are
-        int16 while the node indices fit, int32 beyond. A tree of one leaf
-        gives its value as a scalar."""
-        dtype = np.int16 if self.feature.size <= _INT16_MAX else np.int32
-        code = list(np.arange(self.feature.size, dtype=dtype))  # a leaf's code is its index
+        int32. A tree of one leaf gives its value as a scalar."""
+        code = list(np.arange(self.feature.size, dtype=np.int32))  # a leaf's code is its index
         lo, hi = self.left.tolist(), self.right.tolist()
         for i, k in zip(reversed(np.flatnonzero(self.feature >= 0).tolist()), reversed(path)):
             a, b = code[lo[i]], code[hi[i]]
             # dtype= keeps the codes wide: numpy 1 would narrow a product with a scalar by its value
-            code[i] = np.multiply(right[k], b - a, dtype=dtype)
+            code[i] = np.multiply(right[k], b - a, dtype=np.int32)
             code[i] += a
             code[lo[i]] = code[hi[i]] = None  # read once; dropped to bound the live arrays
         return self.value[code[0]]
@@ -194,13 +189,18 @@ class ObliviousTree:
     only the non-zero leaves are held: leaf_ids (int64, strictly ascending) and
     their leaf_values. Any other leaf predicts 0. output shifts the leaf index
     in from the "went right" rows of its levels, as predict_trees evaluates
-    them, and looks up the leaves.
+    them, and looks up the leaves. A tree has at most MAX_OBLIVIOUS_DEPTH
+    levels.
     """
 
     levels: tuple[tuple[int, float | frozenset[int]], ...]
     leaf_ids: np.ndarray
     leaf_values: np.ndarray
     n_features: int
+
+    def __post_init__(self):
+        if len(self.levels) > MAX_OBLIVIOUS_DEPTH:  # _leaf_index holds that many bits
+            raise ValueError(f"an oblivious tree of {len(self.levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
 
     @property
     def depth(self) -> int:
@@ -240,18 +240,10 @@ MAX_BIT_MATRIX_BYTES = 64 << 20
 
 def _split_bits(tests, XT: np.ndarray) -> np.ndarray:
     """Whether each row went right at each (feature, threshold, missing_left)
-    test, one bool row per test, from XT, the matrix with one row per feature:
-    not _split_mask. A float test is one compare into its row: NaN > thr is
-    False, so x > thr sends a missing cell left; not x <= thr sends it right."""
+    test, one bool row per test, from XT, the matrix with one row per feature."""
     right = np.empty((len(tests), XT.shape[1]), dtype=bool)
     for k, (f, thr, missing_left) in enumerate(tests):
-        if isinstance(thr, frozenset):
-            np.invert(_split_mask(XT[f], thr, missing_left=missing_left), out=right[k])
-        elif missing_left:
-            np.greater(XT[f], thr, out=right[k])
-        else:
-            np.less_equal(XT[f], thr, out=right[k])
-            np.logical_not(right[k], out=right[k])
+        _went_right(XT[f], thr, missing_left=missing_left, out=right[k])
     return right
 
 
@@ -294,11 +286,27 @@ def _check_matrix(X, n_features: int) -> np.ndarray:
     return X
 
 
+def _went_right(col: np.ndarray, threshold, *, missing_left: bool, out=None) -> np.ndarray:
+    """Boolean mask of rows routed right by a split test, into out if given:
+    the one routing rule, which fits and scoring share. NaN is in no level set
+    and not <= any threshold, so a missing row goes left only if missing_left.
+    A float test is one compare: NaN > thr is False, so x > thr sends a
+    missing row left, and not x <= thr sends it right."""
+    if isinstance(threshold, frozenset):
+        left = np.isin(col, list(threshold))
+        if missing_left:
+            left |= np.isnan(col)
+        return np.logical_not(left, out=out)
+    if missing_left:
+        return np.greater(col, threshold, out=out)
+    out = np.less_equal(col, threshold, out=out)
+    return np.logical_not(out, out=out)
+
+
 def _split_mask(col: np.ndarray, threshold, *, missing_left: bool) -> np.ndarray:
-    """Boolean mask of rows routed left by a split test. NaN is in no level set
-    and not <= any threshold, so a missing row goes left only if missing_left."""
-    left = np.isin(col, list(threshold)) if isinstance(threshold, frozenset) else col <= threshold
-    return left | np.isnan(col) if missing_left else left
+    """Boolean mask of rows routed left by a split test: not _went_right."""
+    right = _went_right(col, threshold, missing_left=missing_left)
+    return np.logical_not(right, out=right)
 
 
 def _midpoints(lo, hi):
@@ -587,11 +595,8 @@ def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
     denom = H + lam
     positive = denom > 0
     out = G * G
-    if positive.all():
-        out /= denom
-    else:
-        np.divide(out, denom, out=out, where=positive)
-        np.copyto(out, 0.0, where=~positive)
+    np.divide(out, denom, out=out, where=positive)
+    out[~positive] = 0.0
     return out
 
 
@@ -768,12 +773,12 @@ class _SweptColumns:
         self.by_value = self.order.reshape(-1, g.size)
         self.offset = np.arange(0, self.order.size, g.size)[:, None]
 
-    def positions(self, bucket: np.ndarray, n_buckets: int) -> np.ndarray:
+    def positions(self, bucket: np.ndarray) -> np.ndarray:
         """at for the rows' buckets: one stable sort of each column's bucket
         ids in value order, so each bucket's rows keep their value order. The
-        ids are uint8 or uint16 (at most 2**MAX_OBLIVIOUS_DEPTH buckets), which
-        numpy sorts by radix."""
-        key = bucket.astype(np.uint8 if n_buckets <= 256 else np.uint16)
+        ids are uint16 (at most 2**MAX_OBLIVIOUS_DEPTH buckets), which numpy
+        sorts by radix."""
+        key = bucket.astype(np.uint16)
         at = np.argsort(key[self.by_value], axis=1, kind="stable")
         at += self.offset
         return at
@@ -874,7 +879,7 @@ def fit_oblivious_tree(
             splits[masked_at] = ((CL > 0) & (CL < size)).any(axis=1)
         if sweep is not None:
             gains[sweep.candidates], splits[sweep.candidates] = sweep.gains(
-                sweep.positions(bucket, B), size, start, Gb, Hb, parent_b, reg_lambda
+                sweep.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
             )
         if not splits.any():
             break
@@ -885,7 +890,7 @@ def fit_oblivious_tree(
         k = int(np.flatnonzero(splits & (gains >= best - tol))[0])
         f, thr = features[k], thresholds[k]
         levels.append((f, thr))
-        right = _split_bits([(f, thr, True)], X.T)[0]
+        right = _went_right(X[:, f], thr, missing_left=True)
         leaf = leaf * 2 + right
         split_bucket = bucket * 2 + right
         count = np.bincount(split_bucket)

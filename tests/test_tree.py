@@ -836,7 +836,7 @@ def bit_string_predict(tree: ObliviousTree, X: np.ndarray) -> tuple[list[int], n
 
 
 class TestScorerBoundaries:
-    @pytest.mark.parametrize("n_nodes", [32_767, 32_769])  # either side of the int16 node codes
+    @pytest.mark.parametrize("n_nodes", [32_767, 32_769])  # either side of what 16-bit node codes hold
     def test_chain_regression_tree_against_the_per_node_oracle(self, n_nodes):
         tree = chain_tree((n_nodes - 1) // 2)
         assert tree.feature.size == n_nodes
@@ -866,6 +866,11 @@ class TestScorerBoundaries:
         assert index[:9] == [*leaf_ids.tolist(), 2, 65_533, 30_000]
         assert tree.leaf_index(X).tolist() == index
         assert tree.predict(X).tobytes() == want.tobytes()
+
+    def test_an_oblivious_tree_deeper_than_16_levels_is_rejected(self):
+        levels = ((0, 0.5),) * (MAX_OBLIVIOUS_DEPTH + 1)
+        with pytest.raises(ValueError, match="17 levels"):
+            ObliviousTree(levels, np.array([0]), np.array([1.0]), 1)
 
 
 class TestPredictRegression:
@@ -1007,7 +1012,7 @@ class TestSplitKernelMatchesOracle:
 def wide_inputs():
     """400 rows of 10 numeric columns of mostly distinct values: a depth-16
     fit without regularisation passes 256 occupied buckets, so its bucket ids
-    no longer fit a byte."""
+    need both bytes of the sort keys."""
     rng = np.random.default_rng(11)
     X = rng.normal(size=(400, 10)).round(3)
     return X, rng.normal(size=400).round(8), np.ones(400), (NUMERIC,) * 10
