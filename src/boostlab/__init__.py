@@ -46,7 +46,6 @@ from .metrics import (
 from .tree import (
     ObliviousTree,
     RegressionTree,
-    Stump,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import os
 import secrets
 from contextlib import contextmanager, suppress
@@ -34,6 +35,20 @@ def atomic_open(path):
         with suppress(OSError):
             os.unlink(tmp)
         raise
+
+
+def check_destination(path) -> None:
+    """Raise, before any work, the OSError a write to path by atomic_open
+    would end in: its parent is missing or not a directory, or path is a
+    directory. The write keeps its own check."""
+    path = Path(path)
+    if path.is_dir():
+        code = errno.EISDIR
+    elif not path.parent.is_dir():
+        code = errno.ENOTDIR if path.parent.exists() else errno.ENOENT
+    else:
+        return
+    raise OSError(code, os.strerror(code), str(path))
 
 
 def _naming(exc: OSError, path: Path) -> OSError:

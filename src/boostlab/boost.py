@@ -3,11 +3,11 @@
 One model type, TreeEnsemble: a base_score plus a weighted sum of tree
 outputs. GBM, XGBoost-style and CatBoost-style boosting share one boosting
 loop on binomial deviance and weight each tree by params.learning_rate; the
-score is sigmoid of the sum. Discrete AdaBoost's rounds are one-level
-oblivious trees with leaves alpha * left_class and alpha * right_class (a
-constant stump is a tree of no level and one leaf alpha * its class), summed
-unshrunk from base_score 0; the score is sigmoid(2 * sum). All models emit
-per-row scores in [0, 1]; labels are 1 when score >= threshold.
+score is sigmoid of the sum. Discrete AdaBoost's rounds are the one-level
+oblivious trees fit_stump returns (a constant stump is a tree of no level and
+one leaf) with their leaves, the classes ±1, scaled by the round's alpha,
+summed unshrunk from base_score 0; the score is sigmoid(2 * sum). All models
+emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
 
 Model files are format v2, JSON, and hold only what prediction reads: the
 params, the schema, base_score, trees and cat_encoding_state (CatBoost's
@@ -18,7 +18,8 @@ files load too, and their extra keys are ignored: the leaf gradient and
 hessian sums of v1 files and of earlier v2 GBM and XGBoost files. A v1
 oblivious tree lists every leaf; its zero leaves are dropped on load. An
 AdaBoost file written before its rounds were trees lists stumps, each a
-stump and its alpha; the reader turns them into trees once, and ignores that
+stump and its alpha; the reader turns each into the tree fit_stump would have
+returned (tree.stump_from_dict) and scales it as a fit does, and ignores that
 file's base_score and cat_encoding_state.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
@@ -28,11 +29,11 @@ string), a number that is NaN, infinite or beyond the float range, a value
 outside its set (default_direction "left" or "right", stump classes -1 or
 1), a split on a column the model does not have, a tree of the wrong kind
 for its algorithm (oblivious for AdaBoost and CatBoost, regression for GBM
-and XGBoost; a stump only in a legacy stumps list), a bad or repeated tree
-node index, an oblivious tree deeper than 16 levels or whose leaf_index is
-not strictly increasing ints in [0, 2**depth), one per leaf value, or a
-cat_encoding_state other than CatBoost's one encoding per categorical
-column, or null otherwise.
+and XGBoost), an entry of a legacy stumps list that is not a stump, a bad or
+repeated tree node index, an oblivious tree deeper than 16 levels or whose
+leaf_index is not strictly increasing ints in [0, 2**depth), one per leaf
+value, or a cat_encoding_state other than CatBoost's one encoding per
+categorical column, or null otherwise.
 """
 
 from __future__ import annotations
@@ -52,12 +53,12 @@ from .tree import (
     ObliviousTree,
     Presort,
     RegressionTree,
-    Stump,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
     predict_stump,
     predict_trees,
+    stump_from_dict,
     tree_from_dict,
     tree_to_dict,
 )
@@ -182,18 +183,12 @@ def _base_score(labels: np.ndarray) -> float:
     return math.log(pos / (labels.size - pos))
 
 
-def _stump_tree(stump: Stump, alpha: float, n_features: int) -> ObliviousTree:
-    """An AdaBoost round as an oblivious tree: one level, the stump's test,
-    with leaves alpha * left_class and alpha * right_class; or, for a constant
-    stump, no level and one leaf alpha * its class. Zero leaves are dropped,
-    as everywhere."""
-    if stump.is_constant:
-        levels, classes = (), [stump.left_class]
-    else:
-        levels, classes = ((stump.feature_index, stump.threshold),), [stump.left_class, stump.right_class]
-    values = alpha * np.array(classes, dtype=np.float64)
+def _stump_tree(stump: ObliviousTree, alpha: float) -> ObliviousTree:
+    """An AdaBoost round: the stump's tree with its leaves, the classes,
+    scaled by alpha. Zero leaves are dropped, as everywhere."""
+    values = alpha * stump.leaf_values
     kept = values != 0
-    return ObliviousTree(levels, np.arange(len(classes), dtype=np.int64)[kept], values[kept], n_features)
+    return replace(stump, leaf_ids=stump.leaf_ids[kept], leaf_values=values[kept])
 
 
 def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsemble:
@@ -202,8 +197,9 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
     Per round: eps = weighted error, alpha = 0.5*ln((1-eps)/eps), misclassified
     weights scale by e^alpha and the rest by e^-alpha, then renormalize. A
     zero-error round gets the capped alpha for eps0 = 1/(2n) and stops early;
-    a round at eps >= 0.5 stops without adding a stump. Each round is kept as
-    a one-level oblivious tree (_stump_tree), summed unshrunk from 0.
+    a round at eps >= 0.5 stops without adding a stump. Each round keeps the
+    stump's one-level oblivious tree with its leaves scaled by alpha
+    (_stump_tree), summed unshrunk from 0.
     """
     params = params if params is not None else default_params("adaboost")
     _check_two_classes(train)
@@ -223,7 +219,7 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
             break
         e = eps0 if eps <= 0.0 else eps
         alpha = 0.5 * math.log((1.0 - e) / e)
-        trees.append(_stump_tree(stump, alpha, train.schema.n_features))
+        trees.append(_stump_tree(stump, alpha))
         pred = predict_stump(stump, X)
         margins = margins + alpha * pred
         losses.append(float(np.mean(np.exp(-y * margins))))
@@ -418,7 +414,7 @@ def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
     outputs. The sum is the same, in the same tree order, as adding up
     tree.predict, so for GBM and XGBoost the training rows score as the
     boosting loop summed them; for AdaBoost it is the same as adding
-    alpha * predict_stump round by round, since alpha * ±1 is exact."""
+    alpha * predict_stump round by round, since alpha * ±1.0 is exact."""
     _check_schema(model, data)
     rate = 1.0 if model.algorithm == "adaboost" else model.params.learning_rate
     Xe = data.values
@@ -506,10 +502,8 @@ def model_from_dict(d: dict) -> TreeEnsemble:
         if algorithm not in ALGORITHMS:
             raise MalformedModel(f"unknown algorithm {algorithm!r}")
         if algorithm == "adaboost" and "stumps" in d:  # an older file: its rounds as stumps
-            n = schema.n_features  # a tree that is not a stump fails in _stump_tree
-            trees = [
-                _stump_tree(tree_from_dict(s["stump"], n), as_number(s["alpha"], "alpha"), n) for s in d["stumps"]
-            ]
+            n = schema.n_features
+            trees = [_stump_tree(stump_from_dict(s["stump"], n), as_number(s["alpha"], "alpha")) for s in d["stumps"]]
             return TreeEnsemble(algorithm, 0.0, trees, schema, params)
         state = d["cat_encoding_state"]
         if not (isinstance(state, list) if algorithm == "catboost" else state is None):

@@ -3,7 +3,8 @@
 eval --data reads only the labels of the data CSV, but checks every cell of
 it as train would, so a file train rejects is rejected by eval too. eval
 --scores takes scores in [0, 1], as predict writes them: a score cell
-outside [0, 1] is a malformed scores file (exit 2).
+outside [0, 1] is a malformed scores file (exit 2), and so is a row of the
+scores or --truth file with more than one cell.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
@@ -12,7 +13,8 @@ rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
 malformed CSV, --schema or model file, or a fit or model whose raw scores
 are not finite (such as --learning-rate 1e308). Output files are written
 atomically (temp file + rename), so a failing run never leaves a
-half-written file behind. The BOOSTLAB_SEED environment variable sets the
+half-written file behind; train checks --model-out, and compare creates
+--out, before any fit. The BOOSTLAB_SEED environment variable sets the
 seed wherever --seed is not given, and is checked as --seed is:
 BOOSTLAB_SEED=abc or -1 exits 1.
 """
@@ -28,7 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._fileio import atomic_write_text
+from ._fileio import atomic_write_text, check_destination
 from .bench import BenchmarkConfig, paper_preset_config, run_benchmark
 from .boost import (
     ALGORITHMS,
@@ -148,13 +150,16 @@ def _read_column(path, name: str, parse) -> np.ndarray:
     """The cells of a one-column CSV headed `name`, each converted by parse.
 
     Blank lines are skipped. A file that is not UTF-8 or not CSV, a wrong
-    header, a cell that parse rejects with ValueError, a non-finite value and
-    an empty column are MalformedCsv.
+    header, a row of more than one cell, a cell that parse rejects with
+    ValueError, a non-finite value and an empty column are MalformedCsv.
     """
-    with csv_reader(path) as reader:
-        if [h.strip() for h in next(reader, [])] != [name]:
-            raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
-        cells = [row[0] for row in reader if row]
+    try:
+        with csv_reader(path) as reader:
+            if [h.strip() for h in next(reader, [])] != [name]:
+                raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
+            cells = [cell for (cell,) in filter(None, reader)]
+    except ValueError:  # a row of several cells does not unpack into one
+        raise MalformedCsv(f"{path}: line {reader.line_num} has more than one cell") from None
     try:
         column = np.asarray([parse(cell) for cell in cells])
     except ValueError:
@@ -170,6 +175,7 @@ def _cmd_train(args) -> int:
     overrides = _overrides(args)
     data = load_csv(args.data, _load_schema_arg(args), args.label)
     base = paper_preset(args.algo) if args.preset == "paper" else default_params(args.algo)
+    check_destination(args.model_out)  # before the fit, which the write would come after
     model = fit(args.algo, data, replace(base, **overrides))
     save_model(model, args.model_out)
     print(f"trained {args.algo} on {data.n_rows} rows -> {args.model_out}")
@@ -237,6 +243,7 @@ def _cmd_compare(args) -> int:
         seed=overrides["seed"],
         params={algo: replace(p, **overrides) for algo, p in config.params.items()},
     )
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # a file there ends the run before the fits
     report = run_benchmark(config, args.out)
     print(f"benchmark complete: report.json, table.txt, table.csv, 8 curve CSVs -> {args.out}")
     for algo, r in report.results.items():

@@ -1,16 +1,16 @@
 """Weak learners: weighted decision stumps, depth-limited regression trees with
-second-order split gain, and oblivious (symmetric) trees.
+second-order split gain, and oblivious (symmetric) trees. A stump is fit as a
+one-level oblivious tree whose leaves are its classes.
 
 Split tests are "value <= threshold goes left" for numeric and binary columns
 (thresholds are midpoints between consecutive distinct values) and "level in
 set goes left" for categorical columns (single-level sets only; levels not in
 the set, including levels unseen in training, go right).
 
-Missing values (NaN): oblivious trees always route them left; regression
-trees route them along a learned per-node default direction; stumps route
-them left on numeric columns and right on categorical ones. A fitted stump is
-kept as a one-level oblivious tree (an AdaBoost round), which scores every row
-of a Dataset as the stump does: a Dataset has no missing categorical cells.
+Missing values (NaN) follow one of two rules: a regression tree routes them
+along a default direction learned per node, and an oblivious tree, so a stump
+too, routes them left on every column. Fits and scoring route rows by one
+function, _went_right.
 
 A regression tree is a set of parallel per-node arrays in pre-order, the node
 order of the model file: node 0 is the root and a split node precedes its
@@ -41,7 +41,7 @@ which returns every candidate of a set of rows with its left sums in one pass:
 stumps call it once on all rows, a regression tree once per node. Each learner
 passes its own per-row statistics (stump: the weight each leaf class
 misclassifies; regression tree: gradient and hessian) and keeps its own
-missing-value routing, gain or error formula and tie rule. A node's rows of
+missing-value rule, gain or error formula and tie rule. A node's rows of
 the sorted columns of several thresholds are its block; a stable partition on
 the chosen split hands each child its block in the same order, so no node
 sorts. Oblivious trees use a bucket-sorted search instead, since a level's
@@ -102,25 +102,6 @@ _LEVEL_TIE_TOL = 1e-9
 # The most levels an oblivious tree has, as in CatBoost on CPU: a fit stops there
 # and a model file may not exceed it, so a lookup of 2**levels leaves stays small.
 MAX_OBLIVIOUS_DEPTH = 16
-
-
-@dataclass(frozen=True)
-class Stump:
-    """Single-split classifier with ±1 leaves.
-
-    threshold is a float for numeric/binary features or a frozenset of level
-    indices for categorical features. left_class == right_class marks the
-    degenerate constant predictor.
-    """
-
-    feature_index: int
-    threshold: float | frozenset[int]
-    left_class: int
-    right_class: int
-
-    @property
-    def is_constant(self) -> bool:
-        return self.left_class == self.right_class
 
 
 @dataclass
@@ -301,12 +282,6 @@ def _went_right(col: np.ndarray, threshold, *, missing_left: bool, out=None) -> 
         return np.greater(col, threshold, out=out)
     out = np.less_equal(col, threshold, out=out)
     return np.logical_not(out, out=out)
-
-
-def _split_mask(col: np.ndarray, threshold, *, missing_left: bool) -> np.ndarray:
-    """Boolean mask of rows routed left by a split test: not _went_right."""
-    right = _went_right(col, threshold, missing_left=missing_left)
-    return np.logical_not(right, out=right)
 
 
 def _midpoints(lo, hi):
@@ -504,25 +479,29 @@ def fit_stump(
     kinds: tuple[FeatureKind, ...] | None = None,
     *,
     presort: Presort | None = None,
-) -> tuple[Stump, float]:
-    """Exhaustive greedy stump minimizing weighted 0/1 error over all candidates.
+) -> tuple[ObliviousTree, float]:
+    """Exhaustive greedy stump minimizing weighted 0/1 error over all
+    candidates, and its error.
 
-    y must be ±1 and weights non-negative summing to 1. If one class carries
-    zero weight the constant majority predictor is returned. The returned
-    error never exceeds 0.5 because both orientations are searched.
+    The stump is a one-level ObliviousTree whose leaves are its classes, left
+    then right, as ±1.0; a missing cell goes left on every column, as in any
+    oblivious tree. y must be ±1 and weights non-negative summing to 1. If
+    one class carries zero weight, or no column offers a split, the constant
+    majority predictor is returned: a tree of no level and one leaf, its
+    class. The returned error never exceeds 0.5 because both orientations are
+    searched.
     presort, if given, is Presort(X, kinds).
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("labels must be -1 or +1")
-    n = X.shape[0]
+    n, d = X.shape
 
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
 
     def constant():
-        c = 1 if w_pos >= w_neg else -1
-        return Stump(0, 0.0, c, c), min(w_pos, w_neg)
+        return _stump((), (1 if w_pos >= w_neg else -1,), d), min(w_pos, w_neg)
 
     if w_pos == 0.0 or w_neg == 0.0:
         return constant()
@@ -535,12 +514,12 @@ def fit_stump(
     col, left = scan.col, scan.left
     errs = np.empty((col.size, 2))
     categorical = presort.categorical[col]
-    # Numeric, missing rows go left. A right side's error is the column's
-    # total over its non-missing rows, summed in (value, row) order, minus the
-    # left sum; the missing rows add their own sum in row order.
+    # Numeric: a right side's error is the column's total over its
+    # non-missing rows, summed in (value, row) order, minus the left sum; the
+    # missing rows, on the left, add their own sum in row order.
     num = np.flatnonzero(~categorical)
-    total = np.zeros((2, X.shape[1]))
-    missing = np.zeros((2, X.shape[1]))  # per orientation
+    total = np.zeros((2, d))
+    missing = np.zeros((2, d))  # per orientation
     for j in np.unique(col[num]):
         n_obs = presort.n_observed[j]
         total[:, j] = [s[presort.order[j, :n_obs]].sum() for s in stats]
@@ -549,13 +528,14 @@ def fit_stump(
     for oi, (lc, rc) in enumerate(_ORIENTATIONS):
         right_mis = total[missed[rc], col[num]] - left[missed[rc], num]
         errs[num, oi] = left[missed[lc], num] + right_mis + missing[oi, col[num]]
-    # Categorical, missing rows go right. Each error is one sum over the
-    # misclassified rows in row order: a total minus the level sums would
-    # round differently and move AdaBoost's alphas by an ulp.
+    # Categorical: the level's rows and the missing rows go left. Each error
+    # is one sum over the misclassified rows in row order: a total minus the
+    # level sums would round differently and move AdaBoost's alphas by an ulp.
     for c in np.flatnonzero(categorical):
-        in_set = X[:, col[c]] == scan.threshold(c)
+        cells = X[:, col[c]]
+        goes_left = (cells == scan.threshold(c)) | np.isnan(cells)
         for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-            errs[c, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
+            errs[c, oi] = w[np.where(goes_left, y != lc, y != rc)].sum()
 
     # Per feature, the first candidate within _TIE_TOL of its least error; it
     # replaces the best so far only if it beats it by more than _TIE_TOL. A
@@ -574,20 +554,18 @@ def fit_stump(
     if best is None:
         return constant()
     c, oi = best
-    lc, rc = _ORIENTATIONS[oi]
-    return Stump(int(col[c]), _threshold(presort, col[c], scan.threshold(c)), lc, rc), best_err
+    level = (int(col[c]), _threshold(presort, col[c], scan.threshold(c)))
+    return _stump((level,), _ORIENTATIONS[oi], d), best_err
 
 
-def predict_stump(stump: Stump, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if stump.is_constant:
-        return np.full(X.shape[0], stump.left_class, dtype=np.int64)
-    left = _split_mask(
-        X[:, stump.feature_index],
-        stump.threshold,
-        missing_left=not isinstance(stump.threshold, frozenset),
-    )
-    return np.where(left, stump.left_class, stump.right_class).astype(np.int64)
+def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
+    """A stump as fit_stump returns it: leaf i holds classes[i] as a float."""
+    return ObliviousTree(levels, np.arange(len(classes), dtype=np.int64), np.array(classes, float), n_features)
+
+
+def predict_stump(stump: ObliviousTree, X: np.ndarray) -> np.ndarray:
+    """Each row's class, ±1.0: stump.predict(X)."""
+    return stump.predict(X)
 
 
 def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
@@ -666,7 +644,7 @@ def fit_regression_tree(
     n, d = X.shape
     presort = _presorted(X, kinds, presort)
     stats = np.stack([g, h])
-    side = np.zeros(n, dtype=bool)  # at a split, whether each of its rows goes left
+    side = np.zeros(n, dtype=bool)  # at a split, whether each of its rows goes right
 
     # A work list rather than a recursive closure, which would be a reference
     # cycle keeping the blocks alive until the garbage collector ran. A left
@@ -693,17 +671,17 @@ def fit_regression_tree(
             continue
         f, thr, default_left = split
         nodes[i][:4] = [f, thr, default_left, i + 1]
-        goes_left = _split_mask(X[idx, f], thr, missing_left=default_left)
+        goes_right = _went_right(X[idx, f], thr, missing_left=default_left)
         blocks = [None, None]  # a leaf searches nothing
         if depth + 1 < max_depth:
-            side[idx] = goes_left
+            side[idx] = goes_right
             bits = side[block[0]]
-            n_left = int(goes_left.sum())
+            n_right = int(goes_right.sum())
             blocks = [
                 tuple(a[b].reshape(len(a), size) for a in block)
-                for b, size in ((~bits, idx.size - n_left), (bits, n_left))
+                for b, size in ((bits, n_right), (~bits, idx.size - n_right))
             ]
-        todo += [(idx[~goes_left], blocks[0], depth + 1, i), (idx[goes_left], blocks[1], depth + 1, -1)]
+        todo += [(idx[goes_right], blocks[0], depth + 1, i), (idx[~goes_right], blocks[1], depth + 1, -1)]
     return _regression_tree(nodes, d)
 
 
@@ -951,25 +929,19 @@ def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
 
-def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
-    """Rebuild a learner that reads an n_features-column matrix; a tree that
+def tree_from_dict(d: dict, n_features: int, format_version: int = 2) -> RegressionTree | ObliviousTree:
+    """Rebuild a tree that reads an n_features-column matrix; a tree that
     records another width or splits outside [0, n_features) is MalformedModel.
     Regression nodes are renumbered into pre-order from node 0, so any layout
     loads; a child index that is not a node, or a node reached twice, is not.
     An oblivious tree of format_version 1 lists every leaf and no leaf_index.
-    A stump is the kind of the stumps list of an older AdaBoost file.
     """
     kind = d["kind"]
-    if kind != "stump" and as_index(d["n_features"], math.inf, "n_features") != n_features:
+    if kind not in ("regression", "oblivious"):
+        raise MalformedModel(f"unknown tree kind {kind!r}")
+    if as_index(d["n_features"], math.inf, "n_features") != n_features:
         raise MalformedModel(f"{kind} tree reads {d['n_features']!r} columns, not {n_features}")
 
-    if kind == "stump":
-        return Stump(
-            as_index(d["feature_index"], n_features),
-            _threshold_from_json(d["threshold"]),
-            one_of(d["left_class"], (-1, 1), "left_class"),
-            one_of(d["right_class"], (-1, 1), "right_class"),
-        )
     if kind == "regression":
         entries = d["nodes"]
         seen: set[int] = set()
@@ -994,23 +966,34 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2):
                 nodes.append([f, thr, direction == "left", i + 1, -1, 0.0])
                 todo += [(entry["right"], i), (entry["left"], -1)]
         return _regression_tree(nodes, n_features)
-    if kind == "oblivious":
-        levels = tuple(
-            (as_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
-            for lv in d["levels"]
-        )
-        if len(levels) > MAX_OBLIVIOUS_DEPTH:
-            raise MalformedModel(f"an oblivious tree of {len(levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
-        if format_version == 1:  # every leaf, zeros too (and sums, which are ignored)
-            leaf_ids = np.arange(1 << len(levels), dtype=np.int64)
-        else:
-            index = [as_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
-            leaf_ids = np.array(index, dtype=np.int64)
-            if (leaf_ids[1:] <= leaf_ids[:-1]).any():
-                raise MalformedModel("leaf_index is not strictly increasing")
-        if leaf_ids.size != len(d["leaf_values"]):
-            raise MalformedModel("leaf_index and leaf_values differ in length")
-        leaf_values = np.array([as_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
-        kept = leaf_values != 0
-        return ObliviousTree(levels, leaf_ids[kept], leaf_values[kept], n_features)
-    raise MalformedModel(f"unknown tree kind {kind!r}")
+    levels = tuple(
+        (as_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
+        for lv in d["levels"]
+    )
+    if len(levels) > MAX_OBLIVIOUS_DEPTH:
+        raise MalformedModel(f"an oblivious tree of {len(levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
+    if format_version == 1:  # every leaf, zeros too (and sums, which are ignored)
+        leaf_ids = np.arange(1 << len(levels), dtype=np.int64)
+    else:
+        index = [as_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
+        leaf_ids = np.array(index, dtype=np.int64)
+        if (leaf_ids[1:] <= leaf_ids[:-1]).any():
+            raise MalformedModel("leaf_index is not strictly increasing")
+    if leaf_ids.size != len(d["leaf_values"]):
+        raise MalformedModel("leaf_index and leaf_values differ in length")
+    leaf_values = np.array([as_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
+    kept = leaf_values != 0
+    return ObliviousTree(levels, leaf_ids[kept], leaf_values[kept], n_features)
+
+
+def stump_from_dict(d: dict, n_features: int) -> ObliviousTree:
+    """A stump of the stumps list of an older AdaBoost file, as fit_stump
+    returns it: one level whose leaves are left_class and right_class, or no
+    level and one leaf when the two classes agree. An entry of another kind
+    is MalformedModel."""
+    if d["kind"] != "stump":
+        raise MalformedModel(f"a stumps entry of kind {d['kind']!r}, not 'stump'")
+    level = (as_index(d["feature_index"], n_features), _threshold_from_json(d["threshold"]))
+    lc = one_of(d["left_class"], (-1, 1), "left_class")
+    rc = one_of(d["right_class"], (-1, 1), "right_class")
+    return _stump((level,), (lc, rc), n_features) if lc != rc else _stump((), (lc,), n_features)

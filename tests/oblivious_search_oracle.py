@@ -13,7 +13,7 @@ from boostlab.tree import (
     _fit_inputs,
     _midpoints,
     _presorted,
-    _split_mask,
+    _went_right,
 )
 
 
@@ -146,7 +146,7 @@ def fit_oblivious_tree(X, grads, hessians, kinds=None, *, depth, reg_lambda=0.0,
             break
         k = int(np.flatnonzero(splits & (gains >= best - tol))[0])
         levels.append((features[k], thresholds[k]))
-        right = ~_split_mask(X[:, features[k]], thresholds[k], missing_left=True)
+        right = _went_right(X[:, features[k]], thresholds[k], missing_left=True)
         leaf = leaf * 2 + right
         if sweep is not None:
             sweep.partition(right, np.bincount(bucket[right], minlength=B), size, start)

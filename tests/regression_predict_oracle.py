@@ -5,7 +5,7 @@ time in pre-order, each node testing only the rows that reached it."""
 
 import numpy as np
 
-from boostlab.tree import _check_matrix, _split_mask
+from boostlab.tree import _check_matrix, _went_right
 
 
 def predict(tree, X):
@@ -14,8 +14,8 @@ def predict(tree, X):
     node = np.zeros(X.shape[0], dtype=np.int64)
     for i in np.flatnonzero(tree.feature >= 0):
         rows = np.flatnonzero(node == i)
-        left = _split_mask(X[rows, tree.feature[i]], tree.threshold[i], missing_left=tree.default_left[i])
-        node[rows] = np.where(left, tree.left[i], tree.right[i])
+        right = _went_right(X[rows, tree.feature[i]], tree.threshold[i], missing_left=tree.default_left[i])
+        node[rows] = np.where(right, tree.right[i], tree.left[i])
     return tree.value[node]
 
 

@@ -3,18 +3,22 @@ kernel, kept as an oracle: the new fitters must return the same learners bit
 for bit. Each fit sorts every column, and each tree node filters the presorted
 rows of the whole matrix and cumsums its statistics per feature."""
 
+from collections import namedtuple
+
 import numpy as np
 
 from boostlab.tree import (
     _ORIENTATIONS,
     _RIGHT,
     _TIE_TOL,
-    Stump,
     _fit_inputs,
     _regression_tree,
     _safe_score,
-    _split_mask,
+    _went_right,
 )
+
+# A stump as this oracle returns it; a constant one is (0, 0.0, c, c).
+Stump = namedtuple("Stump", "feature_index threshold left_class right_class")
 
 
 def _boundaries(sorted_values):
@@ -73,7 +77,7 @@ def fit_stump(X, y, weights, kinds=None):
         errs = np.empty((len(thresholds), 2))
         if sorted_rows[f] is None:
             for ti, level in enumerate(thresholds):
-                in_set = _split_mask(X[:, f], level, missing_left=False)
+                in_set = ~_went_right(X[:, f], level, missing_left=True)  # the level's rows and NaN
                 for oi, (lc, rc) in enumerate(_ORIENTATIONS):
                     errs[ti, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
         else:
@@ -142,6 +146,6 @@ def fit_regression_tree(
             continue
         f, thr, default_left = best
         nodes[i][:4] = [f, thr, default_left, i + 1]
-        left_mask = _split_mask(X[idx, f], thr, missing_left=default_left)
+        left_mask = ~_went_right(X[idx, f], thr, missing_left=default_left)
         todo += [(idx[~left_mask], depth + 1, i), (idx[left_mask], depth + 1, -1)]
     return _regression_tree(nodes, d)

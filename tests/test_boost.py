@@ -40,8 +40,6 @@ from boostlab.tree import (
     MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
     fit_regression_tree,
-    predict_stump,
-    tree_from_dict,
     tree_to_dict,
 )
 
@@ -552,6 +550,7 @@ class TestMalformedModel:
             (("stumps", 0, "stump", "left_class"), 5),
             (("stumps", 0, "alpha"), True),
             (("stumps", 0, "stump"), OBLIVIOUS_TREE),
+            (("stumps", 0, "stump"), REGRESSION_TREE),
         ],
     )
     def test_bad_legacy_stump_rejected(self, path, value):
@@ -568,20 +567,28 @@ class TestMalformedModel:
         model = model_from_dict(d)
         assert model.base_score == 0.0 and len(model.trees) == len(d["stumps"])
         for tree, s in zip(model.trees, d["stumps"], strict=True):
-            stump = tree_from_dict(s["stump"], 12)
-            if stump.is_constant:
+            stump, alpha = s["stump"], s["alpha"]
+            if stump["left_class"] == stump["right_class"]:
                 assert tree.levels == ()
                 assert tree.leaf_ids.tolist() == [0]
-                assert tree.leaf_values.tolist() == [s["alpha"] * stump.left_class]
+                assert tree.leaf_values.tolist() == [alpha * stump["left_class"]]
             else:
-                assert tree.levels == ((stump.feature_index, stump.threshold),)
+                assert tree.levels == ((stump["feature_index"], stump["threshold"]),)
                 assert tree.leaf_ids.tolist() == [0, 1]
-                assert tree.leaf_values.tolist() == [s["alpha"] * stump.left_class, s["alpha"] * stump.right_class]
+                assert tree.leaf_values.tolist() == [alpha * stump["left_class"], alpha * stump["right_class"]]
         assert model.trees[0].depth == 0
+        # each stump of this file splits a numeric column, so a missing cell goes left
         data = synthesize(pcos_default_schema(), 50, 3, 1.5, missing_rate=0.1)
         margins = np.zeros(data.n_rows)
         for s in d["stumps"]:
-            margins = margins + s["alpha"] * predict_stump(tree_from_dict(s["stump"], 12), data.values)
+            stump = s["stump"]
+            if stump["left_class"] == stump["right_class"]:
+                pred = np.full(data.n_rows, stump["left_class"])
+            else:
+                x = data.values[:, stump["feature_index"]]
+                left = np.isnan(x) | (x <= stump["threshold"])
+                pred = np.where(left, stump["left_class"], stump["right_class"])
+            margins = margins + s["alpha"] * pred
         assert raw_scores(model, data).tobytes() == margins.tobytes()
 
     def test_oblivious_trees_load_up_to_max_depth(self):

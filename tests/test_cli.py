@@ -507,6 +507,46 @@ class TestDataErrors:
         assert run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")[0] == 0
 
 
+    @pytest.mark.parametrize("name", ["score", "label"])
+    def test_eval_row_of_several_cells(self, tmp_path, capsys, name):
+        # every cell of a row would be a score or a label, and only the first was read
+        scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+        scores.write_text("score\n0.1,0.9\n0.8,junk\n0.4\n0.7\n" if name == "score" else "score\n0.1\n0.8\n0.4\n0.7\n")
+        truth.write_text("label\n1\n1,1\n0\n1\n" if name == "label" else "label\n1\n0\n0\n1\n")
+        code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")
+        assert_data_error(code, err)
+        bad = scores if name == "score" else truth
+        assert err == f"eval: {bad}: line {2 if name == 'score' else 3} has more than one cell\n"
+        assert not (tmp_path / "ev").exists()
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("the output was not checked before the work")
+
+
+@pytest.mark.parametrize("where", ["missing-parent", "parent-is-a-file", "directory"])
+def test_train_checks_model_out_before_the_fit(tmp_path, capsys, data_csv, monkeypatch, where):
+    if where == "missing-parent":
+        target, reason = tmp_path / "missing" / "m.json", "No such file or directory"
+    elif where == "parent-is-a-file":
+        target, reason = data_csv / "m.json", "Not a directory"
+    else:
+        target, reason = tmp_path / "m-dir", "Is a directory"
+        target.mkdir()
+    monkeypatch.setattr(cli, "fit", _must_not_run)
+    code, _, err = train(capsys, "catboost", data_csv, target, "--preset", "paper")
+    assert (code, err) == (2, f"train: {target}: {reason}\n")
+
+
+def test_compare_creates_out_before_the_fits(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "out"
+    target.write_text("a file\n")
+    monkeypatch.setattr(cli, "run_benchmark", _must_not_run)
+    code, _, err = run(capsys, "compare", "--synthetic", "--preset", "paper", "--out", target)
+    assert (code, err) == (2, f"compare: {target}: File exists\n")
+    assert target.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("where", ["missing-parent", "directory"])
 @pytest.mark.parametrize("flag", ["--model-out", "--scores-out", "synth --out"])
 def test_a_failed_output_write_names_the_given_path(tmp_path, capsys, data_csv, model_file, flag, where):

@@ -156,7 +156,7 @@ def test_a_leaf_of_another_type_is_malformed(tmp_path_factory, algorithm, draw):
 @settings(max_examples=60, deadline=None)
 @given(data=datasets(), weight_seed=st.integers(0, 2**32 - 1))
 def test_stump_error_is_misclassified_weight(data, weight_seed):
-    # NaN goes left on the numeric column and right on the categorical ones
+    # NaN goes left on every column, the categorical ones too
     X = data.values.copy()
     rng = np.random.default_rng(weight_seed)
     X[rng.random(data.n_rows) < 0.2, 2] = np.nan

@@ -1,4 +1,5 @@
 import math
+from collections import namedtuple
 from dataclasses import replace
 
 import numpy as np
@@ -12,25 +13,40 @@ from hypothesis import strategies as st
 from boostlab import tree as tree_module
 from boostlab.boost import _stump_tree
 from boostlab.dataset import BINARY, NUMERIC, categorical
-from boostlab.errors import EmptyData, SchemaMismatch
+from boostlab.errors import EmptyData, MalformedModel, SchemaMismatch
 from boostlab.tree import (
     MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
     Presort,
     RegressionTree,
-    Stump,
     _split_bits,
-    _split_mask,
+    _went_right,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
     predict_stump,
     predict_trees,
+    stump_from_dict,
     tree_from_dict,
     tree_to_dict,
 )
 
 ORIENTATIONS = ((-1, 1), (1, -1))
+
+# A stump as the oracles record it; a constant one is (0, 0.0, c, c).
+Stump = namedtuple("Stump", "feature_index threshold left_class right_class")
+
+
+def stump_record(tree):
+    """fit_stump's tree as an oracle's Stump: its level and its leaves, the
+    classes as ±1.0 (equal to the oracle's ints)."""
+    if tree.depth == 0:
+        (c,) = tree.leaf_values.tolist()
+        assert tree.leaf_ids.tolist() == [0]
+        return Stump(0, 0.0, c, c)
+    ((f, thr),) = tree.levels
+    assert tree.depth == 1 and tree.leaf_ids.tolist() == [0, 1]
+    return Stump(f, thr, *tree.leaf_values.tolist())
 
 
 def node_of(tree, X):
@@ -57,7 +73,7 @@ def oracle_best_stump(X, y, w, kinds=None):
         miss = np.isnan(col)
         if kinds is not None and kinds[f].is_categorical:
             for lvl in np.unique(col[~miss]):
-                left = col == lvl
+                left = (col == lvl) | miss
                 for lc, rc in ORIENTATIONS:
                     err = float(w[np.where(left, y != lc, y != rc)].sum())
                     if err < best_err - 1e-12:
@@ -134,8 +150,7 @@ class TestFitStump:
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([-1, -1, 1, 1])
         stump, err = fit_stump(X, y, np.full(4, 0.25))
-        assert stump.threshold == 2.5
-        assert (stump.left_class, stump.right_class) == (-1, 1)
+        assert stump_record(stump) == (0, 2.5, -1, 1)
         assert err == 0.0
 
     def test_alternating_error_quarter(self):
@@ -145,7 +160,7 @@ class TestFitStump:
         assert err == pytest.approx(0.25)
         # exhaustive scan agrees (ties broken by lowest threshold)
         oracle, oracle_err = oracle_best_stump(X, y, np.full(4, 0.25))
-        assert stump == oracle and err == pytest.approx(oracle_err, abs=1e-12)
+        assert stump_record(stump) == oracle and err == pytest.approx(oracle_err, abs=1e-12)
 
     def test_concentrated_weight(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -153,6 +168,7 @@ class TestFitStump:
         w = np.array([1.0, 0.0, 0.0, 0.0])
         stump, err = fit_stump(X, y, w)
         assert err == 0.0
+        assert (stump.levels, stump.leaf_ids.tolist(), stump.leaf_values.tolist()) == ((), [0], [1.0])
         assert predict_stump(stump, X)[0] == 1
 
     def test_error_never_above_half(self):
@@ -170,6 +186,15 @@ class TestFitStump:
     def test_empty_data(self):
         with pytest.raises(EmptyData):
             fit_stump(np.empty((0, 1)), np.empty(0, int), np.empty(0))
+
+    def test_a_missing_categorical_cell_goes_left(self):
+        # level 0 with the NaN row on the left errs on no row; were the NaN
+        # row on the right, level 0 would err on it and level 1 would win
+        X = np.array([[0.0], [0.0], [1.0], [1.0], [np.nan]])
+        y = np.array([1, 1, -1, -1, 1])
+        stump, err = fit_stump(X, y, np.full(5, 0.2), (categorical(2),))
+        assert (stump_record(stump), err) == ((0, frozenset({0}), 1, -1), 0.0)
+        assert predict_stump(stump, X).tolist() == y.tolist()
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(1)
@@ -189,7 +214,7 @@ class TestFitStump:
             w = np.full(n, 1.0 / n) if trial % 2 else rng.dirichlet(np.ones(n))
             got, got_err = fit_stump(X, y, w, kinds)
             want, want_err = oracle_best_stump(X, y, w, kinds)
-            assert got == want
+            assert stump_record(got) == want
             assert got_err == pytest.approx(want_err, abs=1e-12)
 
 
@@ -288,15 +313,14 @@ class TestRegressionTree:
             if len(set(y)) < 2:
                 continue
             stump, err = fit_stump(X, y, np.full(n, 1.0 / n))
-            if stump.is_constant or err == 0.5:
+            if stump.depth == 0 or err == 0.5:
                 continue
             tree = fit_regression_tree(
                 X, -y.astype(float), np.ones(n), max_depth=1, reg_lambda=0.0
             )
             if err == 0.0:
                 # separable data: both must find a clean split at the same place
-                assert tree.feature[0] == stump.feature_index
-                assert tree.threshold[0] == stump.threshold
+                assert ((tree.feature[0], tree.threshold[0]),) == stump.levels
 
 
     def test_depth_one_gain_matches_oracle(self):
@@ -526,7 +550,7 @@ class TestTieRule:
         tree = fit_regression_tree(X, g, np.ones(6), kinds, max_depth=1, reg_lambda=1.0)
         assert tree.feature[0] == 0
         stump, err = fit_stump(X, np.where(g < 0, 1, -1), np.full(6, 1 / 6), kinds)
-        assert (stump.feature_index, err) == (0, 0.0)
+        assert (stump.levels[0][0], err) == (0, 0.0)
 
     def test_an_exact_tie_within_a_column_takes_the_lower_threshold(self):
         # the rows of 2.0 and 3.0 carry no gradient and no hessian, so the
@@ -537,7 +561,7 @@ class TestTieRule:
         )
         assert (tree.feature[0], tree.threshold[0]) == (0, 1.5)
         stump, err = fit_stump(X, np.array([1, 1, -1, -1]), np.array([0.5, 0.0, 0.0, 0.5]))
-        assert (stump.feature_index, stump.threshold, err) == (0, 1.5, 0.0)
+        assert (stump.levels, err) == (((0, 1.5),), 0.0)
 
     def test_a_column_without_missing_rows_at_a_node_sends_them_left(self):
         # both directions give the same gain there, and left comes first
@@ -552,7 +576,7 @@ class TestTieRule:
         checked = 0
         for i in np.flatnonzero(tree.feature >= 0):
             f = tree.feature[i]
-            goes_left = _split_mask(X[:, f], tree.threshold[i], missing_left=tree.default_left[i])
+            goes_left = ~_went_right(X[:, f], tree.threshold[i], missing_left=tree.default_left[i])
             reach[tree.left[i]], reach[tree.right[i]] = reach[i] & goes_left, reach[i] & ~goes_left
             if not np.isnan(X[reach[i], f]).any():
                 assert nodes[i]["default_direction"] == "left"
@@ -602,7 +626,7 @@ class TestThresholds:
         X = np.array([[lo], [hi], [lo], [hi]])
         y = np.array([-1, 1, -1, 1])
         stump, err = fit_stump(X, y, np.full(4, 0.25))
-        assert lo <= stump.threshold < hi
+        assert lo <= stump.levels[0][1] < hi
         assert err == 0.0
         assert predict_stump(stump, X).tolist() == y.tolist()
 
@@ -621,6 +645,17 @@ class TestThresholds:
         assert tree.predict(X).tolist() == [-1.0, 1.0, -1.0, 1.0]
 
 
+def written_right(col, threshold, missing_left):
+    """Whether each cell goes right, by the written rule: a missing cell goes
+    left only if missing_left; any other cell goes left when its value is in
+    the level set, or is <= the threshold."""
+    levels = isinstance(threshold, frozenset)
+    return [
+        not missing_left if math.isnan(v) else v not in threshold if levels else not v <= threshold
+        for v in col.tolist()
+    ]
+
+
 class TestPredictAndSerialize:
     def test_predict_tree_row_and_matrix(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -629,7 +664,7 @@ class TestPredictAndSerialize:
         assert tree.predict(X[:1]) == pytest.approx([2 / 3])
         assert tree.predict(X) == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
         stump, _ = fit_stump(X, -grads, np.full(4, 0.25))
-        assert predict_stump(stump, X[:1]).tolist() == [1]
+        assert predict_stump(stump, X[:1]).tolist() == [1.0]
         assert predict_stump(stump, X).tolist() == [1, 1, -1, -1]
 
     def test_training_rows_hit_training_leaves(self):
@@ -663,7 +698,7 @@ class TestPredictAndSerialize:
             [rng.normal(size=20).round(1), rng.integers(0, 3, 20).astype(float)]
         )
         # a stump is written as the one-level tree of an AdaBoost round
-        round_tree = _stump_tree(stump, 0.5, X.shape[1])
+        round_tree = _stump_tree(stump, 0.5)
         assert np.array_equal(round_tree.predict(probe), 0.5 * predict_stump(stump, probe))
         for tree in (round_tree, reg, obl):
             back = tree_from_dict(tree_to_dict(tree), X.shape[1])
@@ -675,15 +710,11 @@ class TestPredictAndSerialize:
         "threshold", [-math.inf, -1.0, 0.0, 2.5, math.inf, frozenset(), frozenset({0}), frozenset({1, 3})]
     )
     def test_split_mask_is_the_written_rule(self, threshold, missing_left):
-        # a missing row goes left only if missing_left; any other row goes left
-        # when its value is in the level set, or is <= the threshold
+        # _went_right, the one routing rule, is the negated mask of the rows
+        # that go left
         col = np.array([np.nan, -math.inf, -1.0, 0.0, 1.0, 2.5, 3.0, math.inf, np.nan])
-        levels = isinstance(threshold, frozenset)
-        want = [
-            missing_left if math.isnan(v) else v in threshold if levels else v <= threshold
-            for v in col.tolist()
-        ]
-        assert _split_mask(col, threshold, missing_left=missing_left).tolist() == want
+        want = written_right(col, threshold, missing_left)
+        assert _went_right(col, threshold, missing_left=missing_left).tolist() == want
 
     @pytest.mark.parametrize("missing_left", [True, False])
     @pytest.mark.parametrize("threshold", [-0.0, 0.0, 1.5, -math.inf, math.inf, frozenset({0, 2})])
@@ -693,7 +724,16 @@ class TestPredictAndSerialize:
         col = np.array([np.nan, -0.0, 0.0, -math.inf, math.inf, 1.5, 2.0, *edges])
         bits = _split_bits([(0, threshold, missing_left)], col[None])
         assert bits.dtype == bool and bits.shape == (1, col.size)
-        assert bits[0].tolist() == (~_split_mask(col, threshold, missing_left=missing_left)).tolist()
+        assert bits[0].tolist() == _went_right(col, threshold, missing_left=missing_left).tolist()
+        assert bits[0].tolist() == written_right(col, threshold, missing_left)
+
+    def test_a_stump_is_a_legacy_entry_not_a_tree_kind(self):
+        stump = {"kind": "stump", "feature_index": 0, "threshold": 0.5, "left_class": -1, "right_class": 1}
+        with pytest.raises(MalformedModel, match="unknown tree kind 'stump'"):
+            tree_from_dict({**stump, "n_features": 1}, 1)
+        assert stump_record(stump_from_dict(stump, 1)) == (0, 0.5, -1, 1)
+        with pytest.raises(MalformedModel, match="kind 'oblivious'"):
+            stump_from_dict({**stump, "kind": "oblivious"}, 1)
 
     def test_regression_nodes_in_any_order_load_into_pre_order(self):
         rng = np.random.default_rng(9)
@@ -744,7 +784,7 @@ def per_level_predict(tree, X):
     compared on its own column, and the dense leaf lookup."""
     idx = np.zeros(X.shape[0], dtype=np.int64)
     for f, thr in tree.levels:
-        idx = idx * 2 + (~_split_mask(X[:, f], thr, missing_left=True))
+        idx = idx * 2 + _went_right(X[:, f], thr, missing_left=True)
     leaves = np.zeros(1 << tree.depth)
     leaves[tree.leaf_ids] = tree.leaf_values
     return leaves[idx]
@@ -980,7 +1020,7 @@ class TestSplitKernelMatchesOracle:
         w = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
         got, got_err = fit_stump(X, y, w, kinds)
         want, want_err = oracle.fit_stump(X, y, w, kinds)
-        assert got == want
+        assert stump_record(got) == want
         assert got_err == want_err
 
     @settings(max_examples=60, deadline=None)
@@ -995,7 +1035,8 @@ class TestSplitKernelMatchesOracle:
         )
         y = np.where(g > 0, 1, -1)
         w = np.full(X.shape[0], 1.0 / X.shape[0])
-        assert fit_stump(X, y, w, kinds, presort=presort) == fit_stump(X, y, w, kinds)
+        (a, a_err), (b, b_err) = fit_stump(X, y, w, kinds, presort=presort), fit_stump(X, y, w, kinds)
+        assert (tree_to_dict(a), a_err) == (tree_to_dict(b), b_err)
         numeric = Presort(X)
         for depth in (1, 3):
             a = fit_oblivious_tree(X, g, h, depth=depth, presort=numeric)
