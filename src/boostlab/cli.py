@@ -47,12 +47,12 @@ from .dataset import (
     FeatureSchema,
     SplitSpec,
     SyntheticSpec,
-    csv_reader,
     load_csv,
     load_features_csv,
     load_labels_csv,
     parse_label,
     pcos_default_schema,
+    read_csv_table,
     synthesize,
     write_csv,
 )
@@ -153,13 +153,12 @@ def _read_column(path, name: str, parse) -> np.ndarray:
     header, a row of more than one cell, a cell that parse rejects with
     ValueError, a non-finite value and an empty column are MalformedCsv.
     """
-    try:
-        with csv_reader(path) as reader:
-            if [h.strip() for h in next(reader, [])] != [name]:
-                raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
-            cells = [cell for (cell,) in filter(None, reader)]
-    except ValueError:  # a row of several cells does not unpack into one
-        raise MalformedCsv(f"{path}: line {reader.line_num} has more than one cell") from None
+    header, columns, _, bad = read_csv_table(path, skip_blank=True)
+    if [h.strip() for h in header or ()] != [name]:
+        raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
+    if bad is not None:
+        raise MalformedCsv(f"{path}: line {bad[2]} has more than one cell")
+    (cells,) = columns
     try:
         column = np.asarray([parse(cell) for cell in cells])
     except ValueError:

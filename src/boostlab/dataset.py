@@ -3,19 +3,29 @@
 Feature tables are stored as float64 matrices in schema column order, with NaN
 standing for a missing cell. Missing cells are only legal in numeric columns.
 
-A CSV file is read once, by one reader, and each column's cells are mapped
-to their distinct raw texts: a schema is inferred from those texts, each
-distinct text is stripped and parsed once, and the values are gathered per
-cell in C. Every cell is checked, but values are built only for the columns
-the caller reads: load_labels_csv builds no feature matrix.
+A CSV file is opened once and read by one tokenizer, read_csv_table, which
+the CLI's scores and truth files share. It decodes the whole file, then cuts
+the whole text into cells, before any check: so a file that is not UTF-8
+text is MalformedCsv ("not UTF-8 text") whatever else is wrong with it, a
+wrong header too, and so is a row the csv module cannot read. A text with no
+'"', CR or NUL, no blank line, no line longer than csv.field_size_limit()
+and no row of another width than the header's is split at newlines and
+commas, which gives the rows csv.reader would give; every other text is read
+by csv.reader.
+
+Each column's cells are mapped to their distinct raw texts: a schema is
+inferred from those texts, each distinct text is stripped and parsed once,
+and the values are gathered per cell in C. Every cell is checked, but values
+are built only for the columns the caller reads: load_labels_csv builds no
+feature matrix.
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import functools
 import io
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -259,18 +269,57 @@ def _kind_of(texts) -> FeatureKind:
     return BINARY if ints <= {0, 1} else categorical(max(ints) + 1)
 
 
-@contextlib.contextmanager
-def csv_reader(path):
-    """A csv.reader over a UTF-8 file. A file that is not UTF-8 text, or a row
-    the csv module cannot read (such as an over-long field), is MalformedCsv
-    naming the file."""
+def read_csv_table(path, *, skip_blank: bool = False):
+    """(header, columns, n_rows, bad) of a CSV file, opened once and
+    tokenized whole as the module docstring says: MalformedCsv naming the
+    file if it is not UTF-8 text or the csv module cannot read a row (such
+    as an over-long field).
+
+    header is the first row's cells, None for a file of no rows. columns[j]
+    holds cell j of each later row of the header's width, n_rows of them in
+    file order. bad is None, or (row, cells, line) of the first later row of
+    another width: its row number (the header is row 1), its cell count and
+    the file line it ends on. skip_blank leaves out the later rows of no
+    cells (blank lines) instead.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            yield csv.reader(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedCsv(f"{path}: not UTF-8 text") from None
+    lines = None if '"' in text or "\r" in text or "\0" in text else text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()  # the newline that ends the last line
+    # csv.reader reads a blank line as no cells, and may refuse a long field
+    if lines and "" not in lines and max(map(len, lines)) <= csv.field_size_limit():
+        width = lines[0].count(",") + 1
+        if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
+            # every row has the header's width: column j is every width-th cell
+            del lines
+            flat = text.replace("\n", ",").split(",")
+            if text.endswith("\n"):
+                flat.pop()
+            n_rows = len(flat) // width - 1
+            return flat[:width], [flat[width + j :: width] for j in range(width)], n_rows, None
+    try:
+        rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
         raise MalformedCsv(f"{path}: {exc}") from None
+    if not rows:
+        return None, [], 0, None
+    width = len(rows[0])
+    fits = {width, 0} if skip_blank else {width}
+    bad = None
+    if set(map(len, rows)) - fits:
+        i = next(i for i, row in enumerate(rows) if len(row) not in fits)
+        reader = csv.reader(io.StringIO(text, newline=""))
+        next(itertools.islice(reader, i, None))  # read up to row i again, for its line
+        bad = (i + 1, len(rows[i]), reader.line_num)
+    header, body = rows[0], [row for row in rows[1:] if len(row) == width]
+    del rows  # freed before the columns are cut, to keep the peak memory down
+    flat, n_rows = list(itertools.chain.from_iterable(body)), len(body)
+    del body
+    return header, [flat[j::width] for j in range(width)], n_rows, bad
 
 
 def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
@@ -278,43 +327,38 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
     Without a schema one is inferred with label_column as the label; labels is
     None unless with_labels, values is None unless features (every feature
     cell is checked either way), and infer_only returns (schema, None, None)."""
-    with csv_reader(path) as reader:
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise EmptyDataset(f"{path}: file is empty") from None
-        if len(set(header)) != len(header):
-            raise MalformedCsv(f"{path}: duplicate header columns")
-        if schema is None:
-            if label_column not in header:
-                raise UnknownColumn(f"{path}: no column named {label_column!r}")
-            names = tuple(name for name in header if name != label_column)
-        else:
-            label_column, names = schema.label_column, schema.feature_names
-            expected = set(names) | {label_column}
-            got = set(header) if with_labels else set(header) | {label_column}
-            missing, extra = sorted(expected - got), sorted(got - expected)
-            if missing or extra:
-                parts = [f"missing {missing}"] if missing else []
-                parts += [f"unexpected {extra}"] if extra else []
-                raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
-        rows = list(reader)
+    header, cells, n_rows, bad = read_csv_table(path)
+    if header is None:
+        raise EmptyDataset(f"{path}: file is empty")
+    header = [h.strip() for h in header]
+    if len(set(header)) != len(header):
+        raise MalformedCsv(f"{path}: duplicate header columns")
+    if schema is None:
+        if label_column not in header:
+            raise UnknownColumn(f"{path}: no column named {label_column!r}")
+        names = tuple(name for name in header if name != label_column)
+    else:
+        label_column, names = schema.label_column, schema.feature_names
+        expected = set(names) | {label_column}
+        got = set(header) if with_labels else set(header) | {label_column}
+        missing, extra = sorted(expected - got), sorted(got - expected)
+        if missing or extra:
+            parts = [f"missing {missing}"] if missing else []
+            parts += [f"unexpected {extra}"] if extra else []
+            raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
 
     # A row of the wrong width is left out, and its error loses to any error
     # of an earlier row; the rows before it are numbered from 2 without gaps.
     failures = []  # (row number, place in the row's order of checks, error)
-    if set(map(len, rows)) - {len(header)}:  # the widths in C; the row only when one is wrong
-        i = next(i for i, row in enumerate(rows) if len(row) != len(header))
-        message = f"{path}: row {i + 2} has {len(rows[i])} cells, expected {len(header)}"
-        failures.append((i + 2, -1, MalformedCsv(message)))
-        rows = [row for row in rows if len(row) == len(header)]
+    if bad is not None:
+        row_no, n_cells, _ = bad
+        message = f"{path}: row {row_no} has {n_cells} cells, expected {len(header)}"
+        failures.append((row_no, -1, MalformedCsv(message)))
 
     # Each column as its cells and its distinct raw texts, in first-seen order:
     # inference and parsing see only the texts, and the column's values are
     # gathered from them in C.
-    n_rows = len(rows)
-    cells = dict(zip(header, zip(*rows))) if rows else dict.fromkeys(header, ())
-    del rows
+    cells = dict(zip(header, cells))
     columns = {}
     for name in names + (label_column,) if with_labels else names:
         col = cells.pop(name)
@@ -363,11 +407,15 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     The header must hold the schema's columns in any order. Without a schema
     one is inferred as infer_schema does, with label_column as the label.
     Empty cells and "NA" become missing values; labels must be exactly "0" or
-    "1". A file that is not UTF-8 text, or a row the csv module cannot read,
-    is MalformedCsv (see csv_reader). The header is checked first (an empty file, repeated names, the label
-    or the schema's columns), then each row's cell count, then that there is a
-    data row. Of the rows' defects the earliest row's is raised: within a row
-    the cell count, then the label, then the feature columns in schema order.
+    "1". The whole file is decoded and tokenized first (read_csv_table): a
+    file that is not UTF-8 text, or a row the csv module cannot read, is
+    MalformedCsv before any other check. A text with a '"', CR, NUL, blank
+    line, over-long line or row of another width than the header's is read
+    by csv.reader, any other is split at newlines and commas. The header is checked next (an empty file, repeated
+    names, the label or the schema's columns), then each row's cell count,
+    then that there is a data row. Of the rows' defects the earliest row's is
+    raised: within a row the cell count, then the label, then the feature
+    columns in schema order.
     """
     return Dataset(*_read_csv(path, schema, label_column, with_labels=True))
 

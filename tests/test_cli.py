@@ -12,7 +12,7 @@ import stat
 import pytest
 
 from boostlab import cli
-from boostlab.dataset import pcos_default_schema
+from boostlab.dataset import parse_label, pcos_default_schema
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
 
@@ -120,6 +120,9 @@ class TestSuccess:
         assert {p.name for p in out_dir.iterdir()} == expected
 
     def test_each_data_csv_is_opened_once(self, tmp_path, capsys, data_csv, scores_csv, monkeypatch):
+        # the CRLF copy is read by csv.reader, the file itself by splitting its text
+        crlf = tmp_path / "crlf.csv"
+        crlf.write_bytes(data_csv.read_bytes().replace(b"\n", b"\r\n"))
         opened = []
         real_open = builtins.open
 
@@ -128,16 +131,19 @@ class TestSuccess:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        commands = {
-            "train": ["train", "--algo", "gbm", "--data", data_csv, "--rounds", 2,
-                      "--model-out", tmp_path / "m.json"],
-            "eval": ["eval", "--scores", scores_csv, "--data", data_csv, "--out", tmp_path / "ev"],
-            "compare": ["compare", "--data", data_csv, "--rounds", 2, "--out", tmp_path / "cmp"],
-        }
-        for name, argv in commands.items():
-            opened.clear()
-            assert run(capsys, *argv)[0] == 0, name
-            assert opened.count(str(data_csv)) == 1, name
+        for data in (data_csv, crlf):
+            commands = {
+                "train": ["train", "--algo", "gbm", "--data", data, "--rounds", 2,
+                          "--model-out", tmp_path / "m.json"],
+                "predict": ["predict", "--model", tmp_path / "m.json", "--data", data,
+                            "--scores-out", tmp_path / "s.csv"],
+                "eval": ["eval", "--scores", scores_csv, "--data", data, "--out", tmp_path / "ev"],
+                "compare": ["compare", "--data", data, "--rounds", 2, "--out", tmp_path / "cmp"],
+            }
+            for name, argv in commands.items():
+                opened.clear()
+                assert run(capsys, *argv)[0] == 0, (name, data)
+                assert opened.count(str(data)) == 1, (name, data)
 
     def test_integer_valued_decimals_train(self, tmp_path, capsys):
         path = tmp_path / "d.csv"
@@ -518,6 +524,31 @@ class TestDataErrors:
         bad = scores if name == "score" else truth
         assert err == f"eval: {bad}: line {2 if name == 'score' else 3} has more than one cell\n"
         assert not (tmp_path / "ev").exists()
+
+    @pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank-line", "blank-lines"])
+    def test_eval_reads_a_crlf_copy_alike(self, tmp_path, capsys, blank):
+        # csv.reader reads a CRLF file or one with a blank line; an LF file
+        # without one is split at newlines and commas
+        texts = {
+            "score": f"score\n0.1\n{blank}0.8\n0.4\n{blank}0.7\n",
+            "label": f"label\n1\n{blank}0\n0\n1\n{blank}",
+            "wide": f"score\n0.1\n{blank}0.8,0.2\n0.4\n0.7\n",
+        }
+        outputs = []
+        for ending in ("\n", "\r\n"):
+            paths = {}
+            for name, text in texts.items():
+                paths[name] = tmp_path / f"{name}{len(ending)}.csv"
+                paths[name].write_bytes(text.replace("\n", ending).encode())
+            assert cli._read_column(paths["score"], "score", float).tolist() == [0.1, 0.8, 0.4, 0.7]
+            assert cli._read_column(paths["label"], "label", parse_label).tolist() == [1, 0, 0, 1]
+            out = tmp_path / f"ev{len(ending)}"
+            assert run(capsys, "eval", "--scores", paths["score"], "--truth", paths["label"], "--out", out)[0] == 0
+            outputs.append([(out / f).read_bytes() for f in ("metrics.json", "roc.csv", "pr.csv")])
+            code, _, err = run(capsys, "eval", "--scores", paths["wide"], "--truth", paths["label"], "--out", out)
+            assert_data_error(code, err)
+            assert err == f"eval: {paths['wide']}: line {4 if blank else 3} has more than one cell\n"
+        assert outputs[0] == outputs[1]
 
 
 def _must_not_run(*args, **kwargs):

@@ -16,6 +16,7 @@ from boostlab.dataset import (
     infer_schema,
     load_csv,
     load_features_csv,
+    load_labels_csv,
     pcos_default_schema,
     split,
     synthesize,
@@ -337,6 +338,23 @@ class TestReaderErrors:
         with pytest.raises(MalformedCsv) as info:
             load_as(path, mode)
         assert str(info.value) == message.format(path=path)
+
+    @pytest.mark.parametrize("rows_before", [2, 2000])
+    def test_not_utf_8_wins_over_a_wrong_header(self, tmp_path, rows_before):
+        # the whole file is decoded before the header is checked, so the bad
+        # byte is found wherever it lies, within the first 8 KB or past them
+        path = tmp_path / "d.csv"
+        path.write_bytes(b"age,weight_gain,act,label\n" + b"25,1,2,1\n" * rows_before + b"\xff,0,1,0\n")
+        for read in (
+            lambda: load_csv(path, read_schema()),
+            lambda: load_csv(path, label_column="pcos"),
+            lambda: load_features_csv(path, read_schema()),
+            lambda: load_labels_csv(path),
+            lambda: infer_schema(path, "pcos"),
+        ):
+            with pytest.raises(MalformedCsv) as info:
+                read()
+            assert str(info.value) == f"{path}: not UTF-8 text"
 
 
 class TestSynthesize:

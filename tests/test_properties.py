@@ -1,9 +1,10 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error, AdaBoost scores as stump sums, GBM and XGBoost
 scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
-schema inference, the CSV readers against a row-by-row oracle, the bytes
-of the curve and score writers and fits at extreme params; and that a
-failing property is reported under this repository's pytest settings."""
+schema inference, the CSV tokenizer against the csv module, the CSV readers
+against a row-by-row oracle, the bytes of the curve and score writers and
+fits at extreme params; and that a failing property is reported under this
+repository's pytest settings."""
 
 import csv
 import io
@@ -49,12 +50,13 @@ from boostlab.dataset import (
     load_features_csv,
     load_labels_csv,
     pcos_default_schema,
+    read_csv_table,
     synthesize,
     write_csv,
 )
-from boostlab.errors import BoostlabError, MalformedModel, NonFiniteScores
+from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores
 from boostlab.metrics import CurveSeries, curve_to_csv, roc_curve
-from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
+from boostlab.tree import fit_oblivious_tree, fit_stump, tree_from_dict, tree_to_dict
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -162,15 +164,17 @@ def test_stump_error_is_misclassified_weight(data, weight_seed):
     X[rng.random(data.n_rows) < 0.2, 2] = np.nan
     y = 2 * data.labels - 1
     w = rng.dirichlet(np.ones(data.n_rows))
-    stump, err = fit_stump(X, y, w, SCHEMA.kinds)
-    assert err == pytest.approx(w[predict_stump(stump, X) != y].sum(), abs=1e-12)
+    fitted = np.full(data.n_rows, np.nan)
+    stump, err = fit_stump(X, y, w, SCHEMA.kinds, fitted=fitted)
+    assert err == pytest.approx(w[stump.predict(X) != y].sum(), abs=1e-12)
+    assert fitted.tobytes() == stump.predict(X).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=datasets(), held_out=datasets(), n_rounds=st.integers(0, 20))
 def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds):
     # An AdaBoost round is scored as a one-level oblivious tree; its sum must
-    # be, bit for bit, that of alpha * predict_stump over the fit's stumps, on
+    # be, bit for bit, that of alpha * stump.predict over the fit's stumps, on
     # rows with missing numeric cells and on stumps of categorical columns.
     rounds = []
 
@@ -188,7 +192,7 @@ def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds)
             if eps >= 0.5:  # the fit stops without this stump
                 break
             e = eps0 if eps <= 0.0 else eps
-            margins = margins + 0.5 * math.log((1.0 - e) / e) * predict_stump(stump, rows.values)
+            margins = margins + 0.5 * math.log((1.0 - e) / e) * stump.predict(rows.values)
         assert raw_scores(model, rows).tobytes() == margins.tobytes()
 
 
@@ -358,13 +362,16 @@ def csv_texts(draw):
     order, and a schema with a drawn kind per feature column; then 0-6 rows,
     some short or long. The cells suit the schema, but in one column in four
     every other cell, at random, is any text. A cell may be padded with
-    spaces."""
+    spaces. Some texts end their lines in CRLF, and in some a data cell may
+    be quoted (as "1" or " 2.5"): csv.reader reads those, and the rest are
+    split at newlines and commas."""
     kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY, categorical(3)]), min_size=1, max_size=3))
     schema = FeatureSchema(tuple((f"c{j}", kind) for j, kind in enumerate(kinds)), "pcos")
     header = draw(st.permutations([*schema.feature_names, "pcos"]))
     valid = {name: VALID_TOKENS[kind.kind] for name, kind in schema.columns} | {"pcos": ("0", "1"), "c9": CELL_TOKENS}
     noisy = {name: not draw(st.integers(0, 3)) for name in [*header, "c9"]}
     pad = st.sampled_from(("", "", " "))
+    quoting = draw(st.booleans())
     lines = [",".join(header)]
     for _ in range(draw(st.integers(0, 6))):
         width = len(header) if draw(st.integers(0, 9)) else draw(st.integers(1, len(header) + 1))
@@ -372,9 +379,11 @@ def csv_texts(draw):
         for name in (header + ["c9"])[:width]:
             anything = LABEL_TOKENS if name == "pcos" else CELL_TOKENS
             token = draw(st.sampled_from(anything if noisy[name] and draw(st.booleans()) else valid[name]))
-            row.append(draw(pad) + token + draw(pad))
+            cell = draw(pad) + token + draw(pad)
+            row.append(f'"{cell}"' if quoting and draw(st.booleans()) else cell)
         lines.append(",".join(row))
-    return "\n".join(lines) + "\n", schema
+    ending = draw(st.sampled_from(("\n", "\r\n")))
+    return ending.join(lines) + ending, schema
 
 
 def outcome(read):
@@ -411,6 +420,50 @@ def test_csv_readers_agree_with_a_row_by_row_oracle(tmp_path_factory, drawn):
     for name, (read, reference) in checks.items():
         # NaN != NaN, so the outcomes are compared through their reprs
         assert repr(outcome(read)) == repr(outcome(reference)), (name, text)
+
+
+def csv_module_table(path, skip_blank):
+    """read_csv_table's result, built from the rows csv.reader gives."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows, ends = [], []
+        for row in reader:
+            rows.append(row)
+            ends.append(reader.line_num)
+    if not rows:
+        return None, [], 0, None
+    width = len(rows[0])
+    body = [row for row in rows[1:] if len(row) == width]
+    wrong = [i for i, row in enumerate(rows) if len(row) != width and (row or not skip_blank)]
+    bad = (wrong[0] + 1, len(rows[wrong[0]]), ends[wrong[0]]) if wrong else None
+    return rows[0], [[row[j] for row in body] for j in range(width)], len(body), bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(st.text(alphabet=',\r" \0' + "019az", max_size=8), max_size=6),
+    final_newline=st.booleans(),
+    limit=st.integers(1, 10),
+)
+def test_csv_tokenizer_agrees_with_the_csv_module(tmp_path_factory, lines, final_newline, limit):
+    # blank lines, CR, quotes and NUL go to csv.reader; a low field size limit
+    # sends lines past it there too, where an over-long field is an error
+    path = tmp_path_factory.mktemp("csv") / "t.csv"
+    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode())
+    old = csv.field_size_limit(limit)
+    try:
+        for skip_blank in (False, True):
+            try:
+                want = csv_module_table(path, skip_blank)
+            except csv.Error as exc:
+                want = f"{path}: {exc}"
+            try:
+                got = read_csv_table(path, skip_blank=skip_blank)
+            except MalformedCsv as exc:
+                got = str(exc)
+            assert got == want, (lines, skip_blank)
+    finally:
+        csv.field_size_limit(old)
 
 
 def csv_writer_curve(series, x_name, y_name):
