@@ -56,6 +56,7 @@ from .tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
+    predict_stump,
     predict_trees,
     stump_from_dict,
     tree_from_dict,
@@ -212,14 +213,14 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
     losses: list[float] = []
     eps0 = 1.0 / (2.0 * n)
     presort = Presort(X, kinds)
-    pred = np.empty(n)  # each round's stump classes on the training rows
     for _ in range(params.n_rounds):
-        stump, eps = fit_stump(X, y, w, kinds, presort=presort, fitted=pred)
+        stump, eps = fit_stump(X, y, w, kinds, presort=presort)
         if eps >= 0.5:
             break
         e = eps0 if eps <= 0.0 else eps
         alpha = 0.5 * math.log((1.0 - e) / e)
         trees.append(_stump_tree(stump, alpha))
+        pred = predict_stump(stump, X)
         margins = margins + alpha * pred
         losses.append(float(np.mean(np.exp(-y * margins))))
         if eps <= 0.0:
@@ -413,7 +414,7 @@ def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
     outputs. The sum is the same, in the same tree order, as adding up
     tree.predict, so for GBM and XGBoost the training rows score as the
     boosting loop summed them; for AdaBoost it is the same as adding
-    alpha * stump.predict round by round, since alpha * ±1.0 is exact."""
+    alpha * predict_stump round by round, since alpha * ±1.0 is exact."""
     _check_schema(model, data)
     rate = 1.0 if model.algorithm == "adaboost" else model.params.learning_rate
     Xe = data.values

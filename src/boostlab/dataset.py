@@ -277,7 +277,9 @@ def read_csv_table(path, *, skip_blank: bool = False):
 
     header is the first row's cells, None for a file of no rows. columns[j]
     holds cell j of each later row of the header's width, n_rows of them in
-    file order. bad is None, or (row, cells, line) of the first later row of
+    file order; n_rows is returned because a blank first line is a header of
+    no cells, whose rows (the later blank lines) have no column to count
+    them by. bad is None, or (row, cells, line) of the first later row of
     another width: its row number (the header is row 1), its cell count and
     the file line it ends on. skip_blank leaves out the later rows of no
     cells (blank lines) instead.
@@ -411,9 +413,9 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     file that is not UTF-8 text, or a row the csv module cannot read, is
     MalformedCsv before any other check. A text with a '"', CR, NUL, blank
     line, over-long line or row of another width than the header's is read
-    by csv.reader, any other is split at newlines and commas. The header is checked next (an empty file, repeated
-    names, the label or the schema's columns), then each row's cell count,
-    then that there is a data row. Of the rows' defects the earliest row's is
+    by csv.reader, any other is split at newlines and commas. The header is
+    checked next (an empty file, repeated names, the label or the schema's
+    columns), then each row's cell count, then that there is a data row. Of the rows' defects the earliest row's is
     raised: within a row the cell count, then the label, then the feature
     columns in schema order.
     """

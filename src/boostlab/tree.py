@@ -479,7 +479,6 @@ def fit_stump(
     kinds: tuple[FeatureKind, ...] | None = None,
     *,
     presort: Presort | None = None,
-    fitted: np.ndarray | None = None,
 ) -> tuple[ObliviousTree, float]:
     """Exhaustive greedy stump minimizing weighted 0/1 error over all
     candidates, and its error.
@@ -491,9 +490,7 @@ def fit_stump(
     majority predictor is returned: a tree of no level and one leaf, its
     class. The returned error never exceeds 0.5 because both orientations are
     searched.
-    presort, if given, is Presort(X, kinds). fitted, if given, an array of
-    one float per row, receives each row's class, ±1.0, as stump.predict(X)
-    gives it.
+    presort, if given, is Presort(X, kinds).
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
@@ -504,10 +501,7 @@ def fit_stump(
     w_neg = float(w[y == -1].sum())
 
     def constant():
-        label = 1 if w_pos >= w_neg else -1
-        if fitted is not None:
-            fitted[:] = label
-        return _stump((), (label,), d), min(w_pos, w_neg)
+        return _stump((), (1 if w_pos >= w_neg else -1,), d), min(w_pos, w_neg)
 
     if w_pos == 0.0 or w_neg == 0.0:
         return constant()
@@ -561,15 +555,17 @@ def fit_stump(
         return constant()
     c, oi = best
     level = (int(col[c]), _threshold(presort, col[c], scan.threshold(c)))
-    if fitted is not None:
-        lc, rc = _ORIENTATIONS[oi]
-        fitted[:] = np.where(_went_right(X[:, level[0]], level[1], missing_left=True), rc, lc)
     return _stump((level,), _ORIENTATIONS[oi], d), best_err
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
     """A stump as fit_stump returns it: leaf i holds classes[i] as a float."""
     return ObliviousTree(levels, np.arange(len(classes), dtype=np.int64), np.array(classes, float), n_features)
+
+
+def predict_stump(stump: ObliviousTree, X: np.ndarray) -> np.ndarray:
+    """Each row's class, ±1.0: stump.predict(X)."""
+    return stump.predict(X)
 
 
 def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:

@@ -163,6 +163,12 @@ class TestLoadCsv:
         X = load_features_csv(path, tiny_schema())
         assert X.shape == (2, 2)
 
+    def test_blank_lines_under_a_header_of_no_cells(self, tmp_path):
+        # a blank first line heads no column, so its rows are counted as rows
+        path = tmp_path / "d.csv"
+        path.write_text("\n\n\n")
+        assert load_features_csv(path, FeatureSchema((), "pcos")).shape == (2, 0)
+
 
 class TestInferSchema:
     def test_kinds(self, tmp_path):

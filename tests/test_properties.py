@@ -56,7 +56,7 @@ from boostlab.dataset import (
 )
 from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores
 from boostlab.metrics import CurveSeries, curve_to_csv, roc_curve
-from boostlab.tree import fit_oblivious_tree, fit_stump, tree_from_dict, tree_to_dict
+from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -164,17 +164,15 @@ def test_stump_error_is_misclassified_weight(data, weight_seed):
     X[rng.random(data.n_rows) < 0.2, 2] = np.nan
     y = 2 * data.labels - 1
     w = rng.dirichlet(np.ones(data.n_rows))
-    fitted = np.full(data.n_rows, np.nan)
-    stump, err = fit_stump(X, y, w, SCHEMA.kinds, fitted=fitted)
-    assert err == pytest.approx(w[stump.predict(X) != y].sum(), abs=1e-12)
-    assert fitted.tobytes() == stump.predict(X).tobytes()
+    stump, err = fit_stump(X, y, w, SCHEMA.kinds)
+    assert err == pytest.approx(w[predict_stump(stump, X) != y].sum(), abs=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=datasets(), held_out=datasets(), n_rounds=st.integers(0, 20))
 def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds):
     # An AdaBoost round is scored as a one-level oblivious tree; its sum must
-    # be, bit for bit, that of alpha * stump.predict over the fit's stumps, on
+    # be, bit for bit, that of alpha * predict_stump over the fit's stumps, on
     # rows with missing numeric cells and on stumps of categorical columns.
     rounds = []
 
@@ -192,7 +190,7 @@ def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds)
             if eps >= 0.5:  # the fit stops without this stump
                 break
             e = eps0 if eps <= 0.0 else eps
-            margins = margins + 0.5 * math.log((1.0 - e) / e) * stump.predict(rows.values)
+            margins = margins + 0.5 * math.log((1.0 - e) / e) * predict_stump(stump, rows.values)
         assert raw_scores(model, rows).tobytes() == margins.tobytes()
 
 

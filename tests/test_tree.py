@@ -24,6 +24,7 @@ from boostlab.tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
+    predict_stump,
     predict_trees,
     stump_from_dict,
     tree_from_dict,
@@ -168,7 +169,7 @@ class TestFitStump:
         stump, err = fit_stump(X, y, w)
         assert err == 0.0
         assert (stump.levels, stump.leaf_ids.tolist(), stump.leaf_values.tolist()) == ((), [0], [1.0])
-        assert stump.predict(X)[0] == 1
+        assert predict_stump(stump, X)[0] == 1
 
     def test_error_never_above_half(self):
         rng = np.random.default_rng(0)
@@ -193,7 +194,7 @@ class TestFitStump:
         y = np.array([1, 1, -1, -1, 1])
         stump, err = fit_stump(X, y, np.full(5, 0.2), (categorical(2),))
         assert (stump_record(stump), err) == ((0, frozenset({0}), 1, -1), 0.0)
-        assert stump.predict(X).tolist() == y.tolist()
+        assert predict_stump(stump, X).tolist() == y.tolist()
 
     def test_matches_oracle_random(self):
         rng = np.random.default_rng(1)
@@ -615,22 +616,6 @@ class TestFittedOutputs:
             assert fitted.tobytes() == tree.predict(X).tobytes()
         assert tree.leaf_ids.size == 0 and not np.signbit(fitted).any()
 
-    def test_stump(self):
-        rng = np.random.default_rng(8)
-        X = np.column_stack([rng.normal(size=80).round(1), rng.integers(0, 2, size=80), rng.integers(0, 3, size=80)])
-        X[rng.random((80, 3)) < 0.2] = np.nan  # missing cells go left, the categorical ones too
-        kinds = (NUMERIC, BINARY, categorical(3))
-        columns = set()
-        for target in (X[:, 0] > 0, X[:, 1] == 1, X[:, 2] == 2, np.ones(80, dtype=bool)):
-            y = np.where(target, 1, -1)
-            for seed in range(3):
-                fitted = np.full(80, np.nan)
-                w = np.random.default_rng(seed).dirichlet(np.ones(80))
-                stump, _ = fit_stump(X, y, w, kinds, fitted=fitted)
-                assert fitted.tobytes() == stump.predict(X).tobytes()
-                columns.add(stump.levels[0][0] if stump.levels else None)
-        assert columns == {0, 1, 2, None}  # each column's split, and the constant stump
-
 
 class TestThresholds:
     """A threshold t between consecutive values lo < hi has lo <= t < hi, so
@@ -643,7 +628,7 @@ class TestThresholds:
         stump, err = fit_stump(X, y, np.full(4, 0.25))
         assert lo <= stump.levels[0][1] < hi
         assert err == 0.0
-        assert stump.predict(X).tolist() == y.tolist()
+        assert predict_stump(stump, X).tolist() == y.tolist()
 
     @pytest.mark.parametrize("lo, hi", WIDE_OR_ADJACENT)
     def test_regression_tree(self, lo, hi):
@@ -679,8 +664,8 @@ class TestPredictAndSerialize:
         assert tree.predict(X[:1]) == pytest.approx([2 / 3])
         assert tree.predict(X) == pytest.approx([2 / 3, 2 / 3, -2 / 3, -2 / 3])
         stump, _ = fit_stump(X, -grads, np.full(4, 0.25))
-        assert stump.predict(X[:1]).tolist() == [1.0]
-        assert stump.predict(X).tolist() == [1, 1, -1, -1]
+        assert predict_stump(stump, X[:1]).tolist() == [1.0]
+        assert predict_stump(stump, X).tolist() == [1, 1, -1, -1]
 
     def test_training_rows_hit_training_leaves(self):
         rng = np.random.default_rng(6)
@@ -714,7 +699,7 @@ class TestPredictAndSerialize:
         )
         # a stump is written as the one-level tree of an AdaBoost round
         round_tree = _stump_tree(stump, 0.5)
-        assert np.array_equal(round_tree.predict(probe), 0.5 * stump.predict(probe))
+        assert np.array_equal(round_tree.predict(probe), 0.5 * predict_stump(stump, probe))
         for tree in (round_tree, reg, obl):
             back = tree_from_dict(tree_to_dict(tree), X.shape[1])
             assert tree_to_dict(back) == tree_to_dict(tree)
