@@ -415,9 +415,9 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     line, over-long line or row of another width than the header's is read
     by csv.reader, any other is split at newlines and commas. The header is
     checked next (an empty file, repeated names, the label or the schema's
-    columns), then each row's cell count, then that there is a data row. Of the rows' defects the earliest row's is
-    raised: within a row the cell count, then the label, then the feature
-    columns in schema order.
+    columns), then each row's cell count, then that there is a data row. Of
+    the rows' defects the earliest row's is raised: within a row the cell
+    count, then the label, then the feature columns in schema order.
     """
     return Dataset(*_read_csv(path, schema, label_column, with_labels=True))
 
