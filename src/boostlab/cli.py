@@ -4,7 +4,11 @@ eval --data reads only the labels of the data CSV, but checks every cell of
 it as train would, so a file train rejects is rejected by eval too. eval
 --scores takes scores in [0, 1], as predict writes them: a score cell
 outside [0, 1] is a malformed scores file (exit 2), and so is a row of the
-scores or --truth file with more than one cell.
+scores or --truth file with more than one cell. A plain scores or --truth
+file (as predict writes scores: "%.6f" cells, one per line) is read from
+its bytes, as dataset's module docstring says; that path declines any
+other text, a missing cell and a label other than "0" or "1", and the
+csv-module text path then reads the file with the same result or error.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
@@ -43,6 +47,8 @@ from .boost import (
     save_model,
 )
 from .dataset import (
+    BINARY,
+    NUMERIC,
     Dataset,
     FeatureSchema,
     SplitSpec,
@@ -53,6 +59,7 @@ from .dataset import (
     parse_label,
     pcos_default_schema,
     read_csv_table,
+    read_plain_column,
     synthesize,
     write_csv,
 )
@@ -146,14 +153,22 @@ def _load_schema_arg(args) -> FeatureSchema | None:
             raise MalformedSchema(f"{args.schema}: not a schema: {exc!r}") from None
 
 
-def _read_column(path, name: str, parse) -> np.ndarray:
+def _read_column(path, name: str, parse, kind) -> np.ndarray:
     """The cells of a one-column CSV headed `name`, each converted by parse.
 
-    Blank lines are skipped. A file that is not UTF-8 or not CSV, a wrong
-    header, a row of more than one cell, a cell that parse rejects with
-    ValueError, a non-finite value and an empty column are MalformedCsv.
+    A plain text is read from its bytes as a column of kind with no missing
+    cell (dataset.read_plain_column), which gives what parse gives or
+    declines. Any other text is read by read_csv_table: blank lines are
+    skipped, and a file that is not UTF-8 or not CSV, a wrong header, a row
+    of more than one cell, a cell that parse rejects with ValueError, a
+    non-finite value and an empty column are MalformedCsv.
     """
-    header, columns, _, bad = read_csv_table(path, skip_blank=True)
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    column = read_plain_column(raw, name, kind)
+    if column is not None:
+        return column
+    header, columns, _, bad = read_csv_table(path, skip_blank=True, raw=raw)
     if [h.strip() for h in header or ()] != [name]:
         raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
     if bad is not None:
@@ -193,11 +208,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     _overrides(args)  # checks --threshold
-    scores = _read_column(args.scores, "score", float)
+    scores = _read_column(args.scores, "score", float, NUMERIC)
     if ((scores < 0) | (scores > 1)).any():
         raise MalformedCsv(f"{args.scores}: score cells must lie in [0, 1]")
     if args.truth is not None:
-        truth = _read_column(args.truth, "label", parse_label)
+        truth = _read_column(args.truth, "label", parse_label, BINARY)
     else:
         truth = load_labels_csv(args.data, _load_schema_arg(args), args.label)
     if scores.shape != truth.shape:

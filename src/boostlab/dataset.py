@@ -3,21 +3,33 @@
 Feature tables are stored as float64 matrices in schema column order, with NaN
 standing for a missing cell. Missing cells are only legal in numeric columns.
 
-A CSV file is opened once and read by one tokenizer, read_csv_table, which
-the CLI's scores and truth files share. It decodes the whole file, then cuts
-the whole text into cells, before any check: so a file that is not UTF-8
-text is MalformedCsv ("not UTF-8 text") whatever else is wrong with it, a
-wrong header too, and so is a row the csv module cannot read. A text with no
-'"', CR or NUL, no blank line, no line longer than csv.field_size_limit()
-and no row of another width than the header's is split at newlines and
-commas, which gives the rows csv.reader would give; every other text is read
-by csv.reader.
+A CSV file is opened once. A plain text is read from its bytes in numpy,
+with no Python string per cell: ASCII, ending in a newline, with no '"', CR
+or NUL, no blank line, no line longer than csv.field_size_limit(), a data
+row and every row as wide as the header. One pass over the bytes finds the
+delimiters, and each column the caller reads is parsed from them: a binary,
+categorical or label cell must be one digit, and a numeric cell "", "NA" or
+an optional "-" then 1 to 15 digits with at most one "." (read exactly, see
+_decimals). This byte path gives what the text path gives or declines: on
+any other text, any other cell, a failed kind check or no data row, the
+bytes already read go to the text path, so every error, message and row
+number comes from there. Files that boostlab synth writes hold repr floats
+of 16 or 17 digits, and take the text path.
 
-Each column's cells are mapped to their distinct raw texts: a schema is
-inferred from those texts, each distinct text is stripped and parsed once,
-and the values are gathered per cell in C. Every cell is checked, but values
-are built only for the columns the caller reads: load_labels_csv builds no
-feature matrix.
+The text path is one tokenizer, read_csv_table, which the CLI's scores and
+truth files share. It decodes the whole file, then cuts the whole text into
+cells, before any check: so a file that is not UTF-8 text is MalformedCsv
+("not UTF-8 text") whatever else is wrong with it, a wrong header too, and
+so is a row the csv module cannot read. A text with no '"', CR or NUL, no
+blank line, no line longer than csv.field_size_limit() and no row of
+another width than the header's is split at newlines and commas, which
+gives the rows csv.reader would give; every other text is read by
+csv.reader. Each column's cells are then mapped to their distinct raw
+texts: a schema is inferred from those texts, each distinct text is
+stripped and parsed once, and the values are gathered per cell in C.
+
+Either way every cell is checked, but values are built only for the
+columns the caller reads: load_labels_csv builds no feature matrix.
 """
 
 from __future__ import annotations
@@ -269,11 +281,117 @@ def _kind_of(texts) -> FeatureKind:
     return BINARY if ints <= {0, 1} else categorical(max(ints) + 1)
 
 
-def read_csv_table(path, *, skip_blank: bool = False):
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _plain_table(raw: bytes):
+    """(header, buf, ends) of a plain text (see the module docstring), None
+    for any other: buf is raw as uint8, and ends[i, j] is the offset of the
+    comma or newline that ends cell j of line i."""
+    if not raw.isascii() or not raw.endswith(b"\n") or b'"' in raw or b"\r" in raw or b"\0" in raw:
+        return None
+    buf = np.frombuffer(raw, np.uint8)
+    newline = buf == ord("\n")
+    ends = np.flatnonzero(newline | (buf == ord(",")))
+    n_lines, width = np.count_nonzero(newline), raw.count(b",", 0, raw.index(b"\n")) + 1
+    if n_lines < 2 or ends.size != n_lines * width:
+        return None
+    ends = ends.reshape(n_lines, width)
+    line_ends = ends[:, -1]
+    lengths = np.diff(line_ends, prepend=-1) - 1
+    # the n_lines newlines all end a line of width cells, and none a blank line
+    if not (buf[line_ends] == ord("\n")).all() or lengths.min() < 1 or lengths.max() > csv.field_size_limit():
+        return None
+    return raw[: line_ends[0]].decode("ascii").split(","), buf, ends
+
+
+# 10**k is exact as a double for k <= 22; built from ints, not by pow
+_POW10 = np.array([float(10**k) for k in range(16)])
+
+
+def _decimals(buf, start, end):
+    """(values, whole) of the cells buf[start:end], or None if one is outside
+    the byte path's number grammar: "" or "NA" (NaN), or an optional "-" then
+    1 to 15 digits with at most one "." among them. whole is whether every
+    cell is an integer (no missing cell, no ".").
+
+    The digits are read by Horner's rule into an int64 m < 2**53, one pass
+    per character position, and the value is m / 10**k for the k digits
+    after the dot, negated after the division (so "-0.00" is -0.0). Both
+    operands are exact, so the one rounding is the division's and the value
+    is float(text) (Clinger's fast path).
+    """
+    length = end - start
+    if length.max() > 17:  # a sign, 15 digits and a dot
+        return None
+    first = buf[start]  # the delimiter, for a cell of no bytes
+    m = np.zeros(start.size, np.int64)
+    n_digits, n_dots, n_after = (np.zeros(start.size, np.uint8) for _ in range(3))
+    for p in range(int(length.max())):
+        byte = buf[start + np.minimum(length, p)]  # past a cell's end, its delimiter
+        digit = byte - np.uint8(ord("0"))
+        is_digit = digit < 10
+        m = np.where(is_digit, m * 10 + digit, m)
+        n_digits += is_digit
+        n_after += is_digit & (n_dots > 0)
+        n_dots += byte == ord(".")
+    negative = first == ord("-")
+    missing = (length == 0) | ((length == 2) & (first == ord("N")) & (buf[end - 1] == ord("A")))
+    # every byte of a number is a digit, its one dot or a leading "-"
+    bad = (n_digits + n_dots + negative != length) | (n_dots > 1) | (n_digits == 0) | (n_digits > 15)
+    if (bad & ~missing).any():
+        return None
+    values = m / _POW10[n_after]
+    np.negative(values, out=values, where=negative)
+    values[missing] = np.nan
+    return values, not (missing.any() or n_dots.any())
+
+
+def _plain_column(buf, start, end, kind):
+    """(kind, values) of a column of the cells buf[start:end], its kind
+    inferred by _kind_of when None; None if a cell is outside the byte
+    path's grammar or fails the kind's check. A binary or categorical cell
+    is one digit, a numeric one is read by _decimals."""
+    digits = buf[start] - np.uint8(ord("0"))
+    if (end - start == 1).all() and (digits < 10).all():
+        if kind is None:  # the column's distinct texts are its digits
+            kind = _kind_of(map(str, np.flatnonzero(np.bincount(digits, minlength=10)).tolist()))
+        limit = kind.cardinality or (2 if kind == BINARY else 10)
+        return (kind, digits.astype(np.float64)) if digits.max() < limit else None
+    parsed = _decimals(buf, start, end) if kind in (None, NUMERIC) else None
+    if parsed is None:
+        return None
+    values, whole = parsed
+    # A missing or dotted cell is a text int() rejects, so _kind_of reads the
+    # column as numeric; a column of integers it reads by their values.
+    if kind is None and whole and _kind_of(map(str, np.unique(values).astype(np.int64).tolist())) != NUMERIC:
+        return None  # digits 0-9 written in more than one byte, such as "00"
+    return NUMERIC, values
+
+
+def read_plain_column(raw: bytes, name: str, kind: FeatureKind):
+    """The values of a one-column CSV text headed name (once stripped) that
+    the byte path reads, as a column of kind with no missing cell: float64
+    for NUMERIC, int64 for BINARY. None declines: read_csv_table reads raw."""
+    plain = _plain_table(raw)
+    if plain is None or [h.strip() for h in plain[0]] != [name]:
+        return None
+    _, buf, ends = plain
+    column = _plain_column(buf, ends[:-1, 0] + 1, ends[1:, 0], kind)
+    if column is None or np.isnan(column[1]).any():
+        return None
+    return column[1] if kind == NUMERIC else column[1].astype(np.int64)
+
+
+def read_csv_table(path, *, skip_blank: bool = False, raw: bytes | None = None):
     """(header, columns, n_rows, bad) of a CSV file, opened once and
-    tokenized whole as the module docstring says: MalformedCsv naming the
-    file if it is not UTF-8 text or the csv module cannot read a row (such
-    as an over-long field).
+    tokenized whole by the text path the module docstring describes:
+    MalformedCsv naming the file if it is not UTF-8 text or the csv module
+    cannot read a row (such as an over-long field). raw is the file's bytes
+    if they are already read (as the byte path reads them before it
+    declines); the file is not opened then.
 
     header is the first row's cells, None for a file of no rows. columns[j]
     holds cell j of each later row of the header's width, n_rows of them in
@@ -285,8 +403,7 @@ def read_csv_table(path, *, skip_blank: bool = False):
     cells (blank lines) instead.
     """
     try:
-        with open(path, "rb") as fh:
-            text = fh.read().decode("utf-8")
+        text = (_read_bytes(path) if raw is None else raw).decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedCsv(f"{path}: not UTF-8 text") from None
     lines = None if '"' in text or "\r" in text or "\0" in text else text.split("\n")
@@ -324,30 +441,75 @@ def read_csv_table(path, *, skip_blank: bool = False):
     return header, [flat[j::width] for j in range(width)], n_rows, bad
 
 
-def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
-    """(schema, values, labels) of a CSV read once and checked as load_csv says.
-    Without a schema one is inferred with label_column as the label; labels is
-    None unless with_labels, values is None unless features (every feature
-    cell is checked either way), and infer_only returns (schema, None, None)."""
-    header, cells, n_rows, bad = read_csv_table(path)
-    if header is None:
-        raise EmptyDataset(f"{path}: file is empty")
+def _check_header(path, header, schema, label_column, with_labels):
+    """(header, label_column, names) once the header cells are stripped and
+    checked: names are the feature columns to read, in schema order."""
     header = [h.strip() for h in header]
     if len(set(header)) != len(header):
         raise MalformedCsv(f"{path}: duplicate header columns")
     if schema is None:
         if label_column not in header:
             raise UnknownColumn(f"{path}: no column named {label_column!r}")
-        names = tuple(name for name in header if name != label_column)
-    else:
-        label_column, names = schema.label_column, schema.feature_names
-        expected = set(names) | {label_column}
-        got = set(header) if with_labels else set(header) | {label_column}
-        missing, extra = sorted(expected - got), sorted(got - expected)
-        if missing or extra:
-            parts = [f"missing {missing}"] if missing else []
-            parts += [f"unexpected {extra}"] if extra else []
-            raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
+        return header, label_column, tuple(name for name in header if name != label_column)
+    label_column, names = schema.label_column, schema.feature_names
+    expected = set(names) | {label_column}
+    got = set(header) if with_labels else set(header) | {label_column}
+    missing, extra = sorted(expected - got), sorted(got - expected)
+    if missing or extra:
+        parts = [f"missing {missing}"] if missing else []
+        parts += [f"unexpected {extra}"] if extra else []
+        raise UnknownColumn(f"{path}: header mismatch: " + ", ".join(parts))
+    return header, label_column, names
+
+
+def _read_plain(path, plain, schema, label_column, with_labels, features, infer_only):
+    """_read_csv's result for a plain text, from its bytes; None declines."""
+    header, buf, ends = plain
+    header, label_column, names = _check_header(path, header, schema, label_column, with_labels)
+    place = {name: j for j, name in enumerate(header)}
+
+    def column(name, kind):
+        j = place[name]  # cell j of each data row lies after the delimiter before it
+        return _plain_column(buf, (ends[1:, j - 1] if j else ends[:-1, -1]) + 1, ends[1:, j], kind)
+
+    inferred = {}
+    for name in names if schema is None else ():
+        inferred[name] = column(name, None)
+        if inferred[name] is None:  # the first column outside the grammar ends the read
+            return None
+    if schema is None:
+        schema = FeatureSchema(tuple((name, inferred[name][0]) for name in names), label_column)
+    if infer_only:
+        return schema, None, None
+    labels = column(label_column, BINARY) if with_labels else (BINARY, None)
+    if labels is None:
+        return None
+    values = np.empty((len(ends) - 1, schema.n_features)) if features else None
+    for j, (name, kind) in enumerate(schema.columns):
+        got = inferred.pop(name, None) or column(name, kind)
+        if got is None:
+            return None
+        if features:
+            values[:, j] = got[1]
+    return schema, values, None if labels[1] is None else labels[1].astype(np.int64)
+
+
+def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
+    """(schema, values, labels) of a CSV read once and checked as load_csv says.
+    Without a schema one is inferred with label_column as the label; labels is
+    None unless with_labels, values is None unless features (every feature
+    cell is checked either way), and infer_only returns (schema, None, None)."""
+    raw = _read_bytes(path)
+    plain = _plain_table(raw)
+    if plain is not None:
+        read = _read_plain(path, plain, schema, label_column, with_labels, features, infer_only)
+        if read is not None:
+            return read
+        del plain  # its delimiter offsets, before the text path's cells are built
+    header, cells, n_rows, bad = read_csv_table(path, raw=raw)
+    if header is None:
+        raise EmptyDataset(f"{path}: file is empty")
+    header, label_column, names = _check_header(path, header, schema, label_column, with_labels)
 
     # A row of the wrong width is left out, and its error loses to any error
     # of an earlier row; the rows before it are numbered from 2 without gaps.
@@ -409,15 +571,18 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     The header must hold the schema's columns in any order. Without a schema
     one is inferred as infer_schema does, with label_column as the label.
     Empty cells and "NA" become missing values; labels must be exactly "0" or
-    "1". The whole file is decoded and tokenized first (read_csv_table): a
-    file that is not UTF-8 text, or a row the csv module cannot read, is
-    MalformedCsv before any other check. A text with a '"', CR, NUL, blank
-    line, over-long line or row of another width than the header's is read
-    by csv.reader, any other is split at newlines and commas. The header is
-    checked next (an empty file, repeated names, the label or the schema's
-    columns), then each row's cell count, then that there is a data row. Of
-    the rows' defects the earliest row's is raised: within a row the cell
-    count, then the label, then the feature columns in schema order.
+    "1". A plain text whose cells are in the byte path's grammar (see the
+    module docstring: short decimals, one-digit kind and label cells) is
+    read from its bytes, which gives what the text path gives. Any other is
+    decoded and tokenized first (read_csv_table): a file that is not UTF-8
+    text, or a row the csv module cannot read, is MalformedCsv before any
+    other check. A text with a '"', CR, NUL, blank line, over-long line or
+    row of another width than the header's is read by csv.reader, any other
+    is split at newlines and commas. The header is checked next (an empty
+    file, repeated names, the label or the schema's columns), then each
+    row's cell count, then that there is a data row. Of the rows' defects
+    the earliest row's is raised: within a row the cell count, then the
+    label, then the feature columns in schema order.
     """
     return Dataset(*_read_csv(path, schema, label_column, with_labels=True))
 

@@ -1,9 +1,14 @@
 """A row-by-row reader of the CSV contract that dataset.load_csv documents,
-kept as an oracle for the column-wise reader: every cell is parsed on its own,
-with _parse_cell and parse_label, row by row, and the first defect met is
-raised. Within a row that is the cell count, then the label, then the feature
-columns in schema order. A schema is inferred, as infer_schema says, from the
-distinct stripped cells of the rows that have the header's width."""
+kept as an oracle for both column-wise routes: the byte path, which reads a
+plain text (ASCII, one-digit kind and label cells, numbers of at most 15
+digits) from its bytes in numpy or declines, and the text path, which reads
+every other text, such as the repr floats boostlab synth writes. Every cell
+is parsed here on its own by csv.reader, _parse_cell and parse_label, row by
+row, and the first defect met is raised. Within a row that is the cell
+count, then the label, then the feature columns in schema order. A schema is
+inferred, as infer_schema says, from the distinct stripped cells of the rows
+that have the header's width. read_column is the same oracle for the eval
+command's one-column scores and truth files."""
 
 import csv
 
@@ -80,3 +85,27 @@ def infer(path, label_column) -> FeatureSchema:
         if len(row) != len(header):
             raise MalformedCsv(f"{path}: row {number} has {len(row)} cells, expected {len(header)}")
     return schema
+
+
+def read_column(path, name, parse):
+    """The column cli._read_column reads: the header must be name once
+    stripped, blank rows are skipped, a row of more than one cell is an
+    error at its line, and every cell is converted by parse."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        if [h.strip() for h in next(reader, ())] != [name]:
+            raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
+        cells = []
+        for row in reader:
+            if len(row) > 1:
+                raise MalformedCsv(f"{path}: line {reader.line_num} has more than one cell")
+            cells += row
+    try:
+        column = np.asarray([parse(cell) for cell in cells])
+    except ValueError:
+        raise MalformedCsv(f"{path}: unparsable {name} cell") from None
+    if column.size == 0:
+        raise MalformedCsv(f"{path}: no {name} rows")
+    if not np.isfinite(column).all():
+        raise MalformedCsv(f"{path}: {name} cells must be finite")
+    return column

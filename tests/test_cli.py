@@ -9,10 +9,12 @@ import json
 import os
 import stat
 
+import csv_reader_oracle
 import pytest
 
 from boostlab import cli
-from boostlab.dataset import parse_label, pcos_default_schema
+from boostlab.dataset import BINARY, NUMERIC, parse_label, pcos_default_schema, read_plain_column
+from boostlab.errors import MalformedCsv
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
 
@@ -256,6 +258,21 @@ class TestUsageErrors:
         monkeypatch.setenv("BOOSTLAB_SEED", "-1")
         code, _, err = run(capsys, "compare", "--synthetic", "--out", tmp_path)
         assert_usage_error(code, err, "seed must be non-negative")
+
+
+# eval's scores and truth files, with good cells a and b: the plain one is
+# read from its bytes, every other one by csv text
+COLUMN_FILES = {
+    "plain": "{name}\n{a}\n{b}\n{a}\n",
+    "blank-line": "{name}\n{a}\n\n{b}\n",
+    "padded-cell": "{name}\n {a}\n{b}\n",
+    "quoted-empty-cell": '{name}\n{a}\n""\n',
+    "NA": "{name}\n{a}\nNA\n",
+    "exponent": "{name}\n1e-3\n{b}\n",
+    "two-cells": "{name}\n{a},{b}\n{a}\n",
+    "bad-header": "{name}s\n{a}\n{b}\n",
+    "no-final-newline": "{name}\n{a}\n{b}",
+}
 
 
 def assert_data_error(code, err):
@@ -540,8 +557,8 @@ class TestDataErrors:
             for name, text in texts.items():
                 paths[name] = tmp_path / f"{name}{len(ending)}.csv"
                 paths[name].write_bytes(text.replace("\n", ending).encode())
-            assert cli._read_column(paths["score"], "score", float).tolist() == [0.1, 0.8, 0.4, 0.7]
-            assert cli._read_column(paths["label"], "label", parse_label).tolist() == [1, 0, 0, 1]
+            assert cli._read_column(paths["score"], "score", float, NUMERIC).tolist() == [0.1, 0.8, 0.4, 0.7]
+            assert cli._read_column(paths["label"], "label", parse_label, BINARY).tolist() == [1, 0, 0, 1]
             out = tmp_path / f"ev{len(ending)}"
             assert run(capsys, "eval", "--scores", paths["score"], "--truth", paths["label"], "--out", out)[0] == 0
             outputs.append([(out / f).read_bytes() for f in ("metrics.json", "roc.csv", "pr.csv")])
@@ -549,6 +566,32 @@ class TestDataErrors:
             assert_data_error(code, err)
             assert err == f"eval: {paths['wide']}: line {4 if blank else 3} has more than one cell\n"
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("case", COLUMN_FILES)
+    @pytest.mark.parametrize("name", ["score", "label"])
+    def test_eval_column_files_agree_with_a_row_by_row_oracle(self, tmp_path, capsys, case, name):
+        parse, kind, cells, other = {
+            "score": (float, NUMERIC, ("0.25", "0.5"), ("--truth", "label\n1\n0\n")),
+            "label": (parse_label, BINARY, ("1", "0"), ("--scores", "score\n0.25\n0.5\n")),
+        }[name]
+        path, other_path = tmp_path / "column.csv", tmp_path / "other.csv"
+        path.write_text(COLUMN_FILES[case].format(name=name, a=cells[0], b=cells[1]))
+        other_path.write_text(other[1])
+        assert (read_plain_column(path.read_bytes(), name, kind) is not None) == (case == "plain")
+
+        def outcome(read):
+            try:
+                column = read()
+            except MalformedCsv as exc:
+                return str(exc)
+            return column.dtype, column.tolist()
+
+        want = outcome(lambda: csv_reader_oracle.read_column(path, name, parse))
+        assert outcome(lambda: cli._read_column(path, name, parse, kind)) == want
+        if isinstance(want, str):
+            flag = "--scores" if name == "score" else "--truth"
+            code, _, err = run(capsys, "eval", flag, path, other[0], other_path, "--out", tmp_path / "ev")
+            assert (code, err) == (2, f"eval: {want}\n")
 
 
 def _must_not_run(*args, **kwargs):

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from boostlab import cli, dataset
 from boostlab.dataset import (
     BINARY,
     NUMERIC,
@@ -169,6 +170,65 @@ class TestLoadCsv:
         path.write_text("\n\n\n")
         assert load_features_csv(path, FeatureSchema((), "pcos")).shape == (2, 0)
 
+    @pytest.mark.parametrize("header", ['"age",pcos', "age\r,pcos"], ids=["quoted", "carriage-return"])
+    def test_header_cells_are_read_as_the_csv_module_reads_them(self, tmp_path, header):
+        # csv.reader unquotes a cell, and ends a line at a lone CR
+        path = tmp_path / "d.csv"
+        path.write_bytes(header.encode() + b"\n25,1\n30,0\n")
+        if header.startswith('"'):
+            assert load_csv(path).schema.feature_names == ("age",)
+        else:
+            with pytest.raises(UnknownColumn, match="no column named 'pcos'"):
+                load_csv(path)
+
+    def test_a_blank_line_under_a_header_of_one_cell(self, tmp_path):
+        # the blank line is a row of no cells, not an empty numeric cell
+        path = tmp_path / "d.csv"
+        path.write_text("age\n25.5\n\n30\n")
+        with pytest.raises(MalformedCsv, match="row 3 has 0 cells, expected 1"):
+            load_features_csv(path, FeatureSchema((("age", NUMERIC),), "pcos"))
+
+    def test_plain_files_are_read_from_their_bytes(self, tmp_path, monkeypatch):
+        # a silent decline to the text path would pass every other test, only slower
+        rng = np.random.default_rng(5)
+        lines = ["age,weight,acne,activity,pcos"]
+        for _ in range(300):
+            numbers = ["" if rng.random() < 0.1 else f"{rng.normal(30, 20):.2f}" for _ in range(2)]
+            lines.append(",".join(numbers + [str(rng.integers(k)) for k in (2, 3, 2)]))
+        scores = "score\n" + "".join(f"{s:.6f}\n" for s in rng.random(300))
+        files = {}
+        for name, text in (("data", "\n".join(lines) + "\n"), ("scores", scores)):
+            files[name] = tmp_path / f"{name}.csv", tmp_path / f"{name}-crlf.csv"
+            files[name][0].write_text(text)
+            files[name][1].write_bytes(text.replace("\n", "\r\n").encode())  # read by csv.reader
+        schema = FeatureSchema(
+            (("age", NUMERIC), ("weight", NUMERIC), ("acne", BINARY), ("activity", categorical(3))), "pcos"
+        )
+        reads = {
+            "load_features_csv": ("data", lambda path: load_features_csv(path, schema)),
+            "load_labels_csv, inferred": ("data", lambda path: load_labels_csv(path)),
+            "load_csv, inferred": ("data", lambda path: load_csv(path)),
+            "infer_schema": ("data", lambda path: infer_schema(path, "pcos")),
+            "_read_column": ("scores", lambda path: cli._read_column(path, "score", float, NUMERIC)),
+        }
+
+        def bits(result):  # NaN != NaN, and -0.0 == 0.0
+            if isinstance(result, Dataset):
+                return result.schema, result.values.view(np.int64).tolist(), result.labels.tolist()
+            return result if isinstance(result, FeatureSchema) else (result.dtype, result.view(np.int64).tolist())
+
+        want = {name: bits(read(files[kind][1])) for name, (kind, read) in reads.items()}
+        assert want["load_csv, inferred"][0] == schema
+        assert np.isnan(load_features_csv(files["data"][1], schema)).mean() > 0.05
+
+        def text_path(*args, **kwargs):
+            raise AssertionError("the byte path declined a plain file")
+
+        monkeypatch.setattr(dataset, "read_csv_table", text_path)
+        monkeypatch.setattr(cli, "read_csv_table", text_path)
+        for name, (kind, read) in reads.items():
+            assert bits(read(files[kind][0])) == want[name], name
+
 
 class TestInferSchema:
     def test_kinds(self, tmp_path):
@@ -208,6 +268,14 @@ class TestInferSchema:
         assert infer_schema(path, "pcos").kinds == (NUMERIC,)
         assert load_csv(path, label_column="pcos").values.tolist() == [[0.0], [1.0]]
 
+    def test_integers_written_in_more_than_one_byte(self, tmp_path):
+        # int() reads "00", "01" and "-0", so their column is binary, and
+        # "10" and "-1" make a numeric one
+        path = tmp_path / "d.csv"
+        path.write_text("a,b,pcos\n00,10,1\n01,-1,0\n-0,3,1\n")
+        assert infer_schema(path, "pcos").kinds == (BINARY, NUMERIC)
+        assert load_csv(path, label_column="pcos").values.tolist() == [[0.0, 10.0], [1.0, -1.0], [0.0, 3.0]]
+
     def test_cells_are_not_checked(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x,pcos\n1,2\n0,yes\n")
@@ -224,6 +292,11 @@ SINGLE_DEFECTS = {
         HEADER + "25,1,2,1\n30,0,0\n41,1,1,1\n",
         (MalformedCsv, "{path}: row 3 has 3 cells, expected 4"),
         (MalformedCsv, "{path}: row 3 has 3 cells, expected 4"),
+    ),
+    "widths-that-even-out": (  # as many delimiters as rows of the header's width
+        HEADER + "2,1\n0,0,1,0,1,1\n",
+        (MalformedCsv, "{path}: row 2 has 2 cells, expected 4"),
+        (MalformedCsv, "{path}: row 2 has 2 cells, expected 4"),
     ),
     # a repeated text before the defect: the row is not the text's rank
     "label-2": (
@@ -335,8 +408,12 @@ class TestReaderErrors:
                 b"age,weight_gain,act,pcos\n25,1,2,1\n" + b"1" * 200_000 + b",0,1,0\n",
                 "{path}: field larger than field limit (131072)",
             ),
+            (
+                b"age,weight_gain,act,pcos," + b"x" * 200_000 + b"\n25,1,2,1,0\n",
+                "{path}: field larger than field limit (131072)",
+            ),
         ],
-        ids=["not-utf-8", "field-too-long"],
+        ids=["not-utf-8", "field-too-long", "header-field-too-long"],
     )
     def test_unreadable_file(self, tmp_path, mode, data, message):
         path = tmp_path / "d.csv"

@@ -1,10 +1,11 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error, AdaBoost scores as stump sums, GBM and XGBoost
 scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
-schema inference, the CSV tokenizer against the csv module, the CSV readers
-against a row-by-row oracle, the bytes of the curve and score writers and
-fits at extreme params; and that a failing property is reported under this
-repository's pytest settings."""
+schema inference, the CSV tokenizer against the csv module, the CSV byte
+path's number parser against float(), the CSV readers against a row-by-row
+oracle, the bytes of the curve and score writers and fits at extreme
+params; and that a failing property is reported under this repository's
+pytest settings."""
 
 import csv
 import io
@@ -44,6 +45,7 @@ from boostlab.dataset import (
     NUMERIC,
     Dataset,
     FeatureSchema,
+    _decimals,
     categorical,
     infer_schema,
     load_csv,
@@ -348,9 +350,21 @@ def test_inferring_while_loading_equals_inferring_first(tmp_path_factory, n, see
 
 
 # Cell texts: valid for each kind, then any text, valid or not: unparsable,
-# missing, non-finite or out of range for some kind.
-VALID_TOKENS = {"numeric": ("0", "1", "2.5", "-1", "1e3", "", "NA"), "binary": ("0", "1"), "categorical": ("0", "1", "2")}
-CELL_TOKENS = ("0", "1", "2", "9", "10", "-1", "+1", "0.5", "0.0", "1e3", "x", "", "NA", "inf", "nan", "-inf", "1e999")
+# missing, non-finite or out of range for some kind. EDGE_TOKENS, among the
+# numeric ones too, lie at the edges of the byte path's number grammar: some
+# in it, some just outside it but read by float() (16 or 17 digits), and "-"
+# and "." that no kind reads.
+EDGE_TOKENS = (
+    "-0", "-0.0", "00", "01", ".5", "5.", "-.5", "-", ".", "123456789012345", "1234567890123456", "0.1234567890123456"
+)
+VALID_TOKENS = {
+    "numeric": ("0", "1", "2.5", "-1", "1e3", "", "NA") + EDGE_TOKENS,
+    "binary": ("0", "1"),
+    "categorical": ("0", "1", "2"),
+}
+CELL_TOKENS = (
+    "0", "1", "2", "9", "10", "-1", "+1", "0.5", "0.0", "1e3", "x", "", "NA", "inf", "nan", "-inf", "1e999", *EDGE_TOKENS
+)
 LABEL_TOKENS = ("0", "1", "2", "", "x")
 
 
@@ -418,6 +432,52 @@ def test_csv_readers_agree_with_a_row_by_row_oracle(tmp_path_factory, drawn):
     for name, (read, reference) in checks.items():
         # NaN != NaN, so the outcomes are compared through their reprs
         assert repr(outcome(read)) == repr(outcome(reference)), (name, text)
+
+
+@st.composite
+def decimal_texts(draw, min_digits=1, max_digits=15):
+    """A number written as the byte path's grammar writes one, but with
+    min_digits to max_digits digits (1 to 15 are in the grammar): an
+    optional "-", then digits (leading zeros too) with at most one "."
+    anywhere among them, so also ".5", "5." and "-.5"."""
+    digits = draw(st.text("0123456789", min_size=min_digits, max_size=max_digits))
+    dot = draw(st.none() | st.integers(0, len(digits)))
+    return draw(st.sampled_from(("", "-"))) + (digits if dot is None else digits[:dot] + "." + digits[dot:])
+
+
+def decimals_of(texts):
+    """dataset._decimals on the texts written one after another, each ended by a comma."""
+    buf = np.frombuffer("".join(text + "," for text in texts).encode(), np.uint8)
+    end = np.flatnonzero(buf == ord(","))
+    return _decimals(buf, np.concatenate(([0], end[:-1] + 1)), end)
+
+
+@settings(max_examples=300, deadline=None)
+@given(texts=st.lists(decimal_texts() | st.sampled_from(("", "NA")), min_size=1, max_size=20))
+@example(texts=["-0", "-0.00", "0", "007", "-000.5", ".5", "5.", "-.5", "999999999999999", ".000000000000001"])
+def test_decimal_parser_equals_float_bit_for_bit(texts):
+    values, whole = decimals_of(texts)
+    want = np.array([math.nan if text in ("", "NA") else float(text) for text in texts])
+    assert values.view(np.int64).tolist() == want.view(np.int64).tolist(), texts
+    assert whole == all(text not in ("", "NA") and "." not in text for text in texts)
+
+
+OUTSIDE_THE_GRAMMAR = st.sampled_from(
+    ("-", ".", "-.", "+1", " 1", "1 ", "1e3", "1E-3", "--1", "1-", "1.2.3", "..5", "inf", "nan", "0x1", "N", "NB", "NA ", "1_0")
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    texts=st.lists(decimal_texts() | st.sampled_from(("", "NA")), max_size=5),
+    outside=OUTSIDE_THE_GRAMMAR | decimal_texts(min_digits=16, max_digits=20),
+    at=st.integers(0, 5),
+)
+@example(texts=["1", "NA"], outside="NB", at=1)
+@example(texts=["1"], outside="1234567890123456", at=0)
+def test_decimal_parser_declines_texts_outside_its_grammar(texts, outside, at):
+    texts.insert(at, outside)
+    assert decimals_of(texts) is None, texts
 
 
 def csv_module_table(path, skip_blank):
