@@ -9,6 +9,8 @@ file (as predict writes scores: "%.6f" cells, one per line) is read from
 its bytes, as dataset's module docstring says; that path declines any
 other text, a missing cell and a label other than "0" or "1", and the
 csv-module text path then reads the file with the same result or error.
+predict writes each score, and eval each curve coordinate, as "%.6f"
+would, byte for byte, from the whole array at once (metrics.format_6f).
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
@@ -67,6 +69,7 @@ from .errors import BoostlabError, LengthMismatch, MalformedCsv, MalformedSchema
 from .metrics import (
     MetricScores,
     confusion,
+    format_6f,
     pr_curve,
     pr_to_csv,
     roc_curve,
@@ -201,7 +204,7 @@ def _cmd_predict(args) -> int:
     values = load_features_csv(args.data, model.schema)
     data = Dataset(model.schema, values, np.zeros(values.shape[0], dtype=np.int64))
     scores = predict_scores(model, data)
-    atomic_write_text(args.scores_out, "score\n" + ("%.6f\n" * scores.size) % tuple(scores.tolist()))
+    atomic_write_text(args.scores_out, "score\n" + format_6f(scores))
     print(f"wrote {scores.size} scores -> {args.scores_out}")
     return 0
 

@@ -17,16 +17,13 @@ number comes from there. Files that boostlab synth writes hold repr floats
 of 16 or 17 digits, and take the text path.
 
 The text path is one tokenizer, read_csv_table, which the CLI's scores and
-truth files share. It decodes the whole file, then cuts the whole text into
-cells, before any check: so a file that is not UTF-8 text is MalformedCsv
-("not UTF-8 text") whatever else is wrong with it, a wrong header too, and
-so is a row the csv module cannot read. A text with no '"', CR or NUL, no
-blank line, no line longer than csv.field_size_limit() and no row of
-another width than the header's is split at newlines and commas, which
-gives the rows csv.reader would give; every other text is read by
-csv.reader. Each column's cells are then mapped to their distinct raw
-texts: a schema is inferred from those texts, each distinct text is
-stripped and parsed once, and the values are gathered per cell in C.
+truth files share. It decodes the whole file and reads it with csv.reader
+before any check: so a file that is not UTF-8 text is MalformedCsv ("not
+UTF-8 text") whatever else is wrong with it, a wrong header too, and so is
+a row the csv module cannot read. Each column's cells are then mapped to
+their distinct raw texts: a schema is inferred from those texts, each
+distinct text is stripped and parsed once, and the values are gathered per
+cell in C.
 
 Either way every cell is checked, but values are built only for the
 columns the caller reads: load_labels_csv builds no feature matrix.
@@ -132,14 +129,17 @@ class FeatureSchema:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Immutable feature matrix plus 0/1 labels, validated against a schema."""
+    """Immutable feature matrix plus 0/1 labels, validated against a schema.
+    The matrix is row-major unless it is given column-major, which is kept."""
 
     schema: FeatureSchema
     values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        values = np.ascontiguousarray(np.asarray(self.values, dtype=np.float64))
+        values = np.asarray(self.values, dtype=np.float64)
+        if not values.flags.f_contiguous:  # a column-major matrix is scored without a transposed copy
+            values = np.ascontiguousarray(values)
         labels = np.asarray(self.labels, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError("values must be 2-D")
@@ -386,12 +386,11 @@ def read_plain_column(raw: bytes, name: str, kind: FeatureKind):
 
 
 def read_csv_table(path, *, skip_blank: bool = False, raw: bytes | None = None):
-    """(header, columns, n_rows, bad) of a CSV file, opened once and
-    tokenized whole by the text path the module docstring describes:
-    MalformedCsv naming the file if it is not UTF-8 text or the csv module
-    cannot read a row (such as an over-long field). raw is the file's bytes
-    if they are already read (as the byte path reads them before it
-    declines); the file is not opened then.
+    """(header, columns, n_rows, bad) of a CSV file, opened once, decoded
+    whole and read by csv.reader: MalformedCsv naming the file if it is not
+    UTF-8 text or the csv module cannot read a row (such as an over-long
+    field). raw is the file's bytes if they are already read (as the byte
+    path reads them before it declines); the file is not opened then.
 
     header is the first row's cells, None for a file of no rows. columns[j]
     holds cell j of each later row of the header's width, n_rows of them in
@@ -406,20 +405,6 @@ def read_csv_table(path, *, skip_blank: bool = False, raw: bytes | None = None):
         text = (_read_bytes(path) if raw is None else raw).decode("utf-8")
     except UnicodeDecodeError:
         raise MalformedCsv(f"{path}: not UTF-8 text") from None
-    lines = None if '"' in text or "\r" in text or "\0" in text else text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()  # the newline that ends the last line
-    # csv.reader reads a blank line as no cells, and may refuse a long field
-    if lines and "" not in lines and max(map(len, lines)) <= csv.field_size_limit():
-        width = lines[0].count(",") + 1
-        if set(map(str.count, lines, itertools.repeat(","))) == {width - 1}:
-            # every row has the header's width: column j is every width-th cell
-            del lines
-            flat = text.replace("\n", ",").split(",")
-            if text.endswith("\n"):
-                flat.pop()
-            n_rows = len(flat) // width - 1
-            return flat[:width], [flat[width + j :: width] for j in range(width)], n_rows, None
     try:
         rows = list(csv.reader(io.StringIO(text, newline="")))
     except csv.Error as exc:
@@ -462,7 +447,7 @@ def _check_header(path, header, schema, label_column, with_labels):
     return header, label_column, names
 
 
-def _read_plain(path, plain, schema, label_column, with_labels, features, infer_only):
+def _read_plain(path, plain, schema, label_column, with_labels, features, infer_only, order):
     """_read_csv's result for a plain text, from its bytes; None declines."""
     header, buf, ends = plain
     header, label_column, names = _check_header(path, header, schema, label_column, with_labels)
@@ -484,7 +469,7 @@ def _read_plain(path, plain, schema, label_column, with_labels, features, infer_
     labels = column(label_column, BINARY) if with_labels else (BINARY, None)
     if labels is None:
         return None
-    values = np.empty((len(ends) - 1, schema.n_features)) if features else None
+    values = np.empty((len(ends) - 1, schema.n_features), order=order) if features else None
     for j, (name, kind) in enumerate(schema.columns):
         got = inferred.pop(name, None) or column(name, kind)
         if got is None:
@@ -494,15 +479,16 @@ def _read_plain(path, plain, schema, label_column, with_labels, features, infer_
     return schema, values, None if labels[1] is None else labels[1].astype(np.int64)
 
 
-def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
+def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False, order="C"):
     """(schema, values, labels) of a CSV read once and checked as load_csv says.
     Without a schema one is inferred with label_column as the label; labels is
     None unless with_labels, values is None unless features (every feature
-    cell is checked either way), and infer_only returns (schema, None, None)."""
+    cell is checked either way), and infer_only returns (schema, None, None).
+    order is the matrix's memory layout, "C" or "F"."""
     raw = _read_bytes(path)
     plain = _plain_table(raw)
     if plain is not None:
-        read = _read_plain(path, plain, schema, label_column, with_labels, features, infer_only)
+        read = _read_plain(path, plain, schema, label_column, with_labels, features, infer_only, order)
         if read is not None:
             return read
         del plain  # its delimiter offsets, before the text path's cells are built
@@ -535,7 +521,7 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
             raise failures[0][2]
         return schema, None, None
 
-    values = np.empty((n_rows, schema.n_features)) if features else None
+    values = np.empty((n_rows, schema.n_features), order=order) if features else None
     labels = np.empty(n_rows, dtype=np.int64) if with_labels else None
     checks = []  # (column, parser of one text, error type, message, output), in a row's order
     if with_labels:
@@ -574,11 +560,9 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     "1". A plain text whose cells are in the byte path's grammar (see the
     module docstring: short decimals, one-digit kind and label cells) is
     read from its bytes, which gives what the text path gives. Any other is
-    decoded and tokenized first (read_csv_table): a file that is not UTF-8
-    text, or a row the csv module cannot read, is MalformedCsv before any
-    other check. A text with a '"', CR, NUL, blank line, over-long line or
-    row of another width than the header's is read by csv.reader, any other
-    is split at newlines and commas. The header is checked next (an empty
+    decoded and read by csv.reader first (read_csv_table): a file that is
+    not UTF-8 text, or a row the csv module cannot read, is MalformedCsv
+    before any other check. The header is checked next (an empty
     file, repeated names, the label or the schema's columns), then each
     row's cell count, then that there is a data row. Of the rows' defects
     the earliest row's is raised: within a row the cell count, then the
@@ -606,8 +590,10 @@ def write_csv(path, data: Dataset) -> None:
 
 
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
-    """Parse only the feature columns of a CSV; the label column may be absent."""
-    return _read_csv(path, schema, schema.label_column, with_labels=False)[1]
+    """Parse only the feature columns of a CSV; the label column may be absent.
+    The matrix is column-major (each feature's cells contiguous), as scoring
+    reads it; load_csv's, which the fitters read, is row-major."""
+    return _read_csv(path, schema, schema.label_column, with_labels=False, order="F")[1]
 
 
 def load_labels_csv(path, schema: FeatureSchema | None = None, label_column: str = "pcos") -> np.ndarray:

@@ -13,7 +13,8 @@ import csv_reader_oracle
 import pytest
 
 from boostlab import cli
-from boostlab.dataset import BINARY, NUMERIC, parse_label, pcos_default_schema, read_plain_column
+from boostlab.boost import load_model, predict_scores
+from boostlab.dataset import BINARY, NUMERIC, load_csv, parse_label, pcos_default_schema, read_plain_column
 from boostlab.errors import MalformedCsv
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
@@ -97,6 +98,16 @@ class TestSuccess:
         assert header == "score" and len(rows) == 80
         assert all(0.0 <= float(s) <= 1.0 for s in rows)
 
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_predict_writes_each_score_as_percent_6f(self, tmp_path, capsys, data_csv, algo):
+        model, rows, out = tmp_path / "m.json", tmp_path / "rows.csv", tmp_path / "s.csv"
+        assert train(capsys, algo, data_csv, model, "--rounds", 3)[0] == 0
+        assert run(capsys, "synth", "--n", 1500, "--seed", 5, "--missing-rate", 0.1, "--out", rows)[0] == 0
+        assert run(capsys, "predict", "--model", model, "--data", rows, "--scores-out", out)[0] == 0
+        fitted = load_model(model)
+        scores = predict_scores(fitted, load_csv(rows, fitted.schema))
+        assert out.read_text() == "score\n" + "".join("%.6f\n" % s for s in scores.tolist())
+
     def test_eval_with_data_and_with_truth_agree(self, tmp_path, capsys, data_csv, scores_csv):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
         code, _, _ = run(capsys, "eval", "--scores", scores_csv, "--data", data_csv, "--out", out_a)
@@ -122,7 +133,8 @@ class TestSuccess:
         assert {p.name for p in out_dir.iterdir()} == expected
 
     def test_each_data_csv_is_opened_once(self, tmp_path, capsys, data_csv, scores_csv, monkeypatch):
-        # the CRLF copy is read by csv.reader, the file itself by splitting its text
+        # both are read by csv.reader: the byte path declines the CRLF copy,
+        # and the repr floats that synth writes
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(data_csv.read_bytes().replace(b"\n", b"\r\n"))
         opened = []
@@ -544,8 +556,8 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank-line", "blank-lines"])
     def test_eval_reads_a_crlf_copy_alike(self, tmp_path, capsys, blank):
-        # csv.reader reads a CRLF file or one with a blank line; an LF file
-        # without one is split at newlines and commas
+        # the byte path reads an LF file with no blank line and no wide row;
+        # csv.reader reads the rest
         texts = {
             "score": f"score\n0.1\n{blank}0.8\n0.4\n{blank}0.7\n",
             "label": f"label\n1\n{blank}0\n0\n1\n{blank}",

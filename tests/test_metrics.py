@@ -10,6 +10,7 @@ from boostlab.metrics import (
     MetricScores,
     confusion,
     f_score,
+    format_6f,
     fpr,
     pr_curve,
     precision,
@@ -238,6 +239,44 @@ class TestCurveCsv:
         series = roc_curve([0.9, 0.1], [1, 0])
         assert roc_to_csv(series).splitlines()[0] == "fpr,tpr"
         assert pr_to_csv(pr_curve([0.9, 0.1], [1, 0])).splitlines()[0] == "recall,precision"
+
+
+def assert_renders_as_percent_6f(values):
+    """format_6f(values) is one "%.6f" line per value; a failure names the
+    first rows that differ, not a diff of the whole text."""
+    got = format_6f(values).split("\n")
+    want = ["%.6f" % v for v in np.asarray(values).tolist()] + [""]
+    wrong = [(row, g, w) for row, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert (len(got), wrong[:3]) == (len(want), [])
+
+
+class TestFormat6f:
+    def test_random_unit_floats(self):
+        assert_renders_as_percent_6f(np.random.default_rng(7).random(50_000))
+
+    def test_two_columns_make_one_line_per_row(self):
+        x, y = np.array([0.0, 0.25, 1.0]), np.array([1.0, 2 / 3, 1e-300])
+        assert format_6f(x, y) == "0.000000,1.000000\n0.250000,0.666667\n1.000000,0.000000\n"
+
+    def test_every_half_way_decimal(self):
+        # (k + 0.5) / 1e6 lies within an ulp of a rounding tie for every k
+        assert_renders_as_percent_6f((np.arange(1_000_000) + 0.5) / 1e6)
+
+    @pytest.mark.parametrize("denominator", [128, 1024])
+    def test_exact_binary_ties(self, denominator):
+        # 1/128 is 0.0078125, a tie that "%.6f" rounds to even
+        assert_renders_as_percent_6f(np.arange(denominator + 1) / denominator)
+
+    def test_edge_values(self):
+        assert_renders_as_percent_6f([0.0, 1.0, 5e-7, 0.9999995, 1e-300])
+        assert format_6f(np.array([], dtype=np.float64)) == ""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.0, -1e-9, 1 + 1e-9])
+    def test_rejects_values_outside_the_unit_interval(self, bad):
+        with pytest.raises(ValueError):
+            format_6f([0.5, bad])
+        with pytest.raises(ValueError):
+            format_6f([0.5, 0.5], [bad, 0.5])
 
 
 class TestMetricScores:

@@ -375,8 +375,8 @@ def csv_texts(draw):
     some short or long. The cells suit the schema, but in one column in four
     every other cell, at random, is any text. A cell may be padded with
     spaces. Some texts end their lines in CRLF, and in some a data cell may
-    be quoted (as "1" or " 2.5"): csv.reader reads those, and the rest are
-    split at newlines and commas."""
+    be quoted (as "1" or " 2.5"): the byte path declines those, and
+    csv.reader reads them."""
     kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY, categorical(3)]), min_size=1, max_size=3))
     schema = FeatureSchema(tuple((f"c{j}", kind) for j, kind in enumerate(kinds)), "pcos")
     header = draw(st.permutations([*schema.feature_names, "pcos"]))
@@ -543,7 +543,7 @@ unit_floats = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(0.0, 1.0))
 @example(points=[(v, v) for v in EDGE_VALUES])
 @example(points=[(v, 1.0 - v) for v in EDGE_VALUES])
 def test_curve_csv_bytes_equal_the_csv_writer_rendering(points):
-    series = CurveSeries(tuple(points))
+    series = CurveSeries(*np.array(points, dtype=np.float64).T)
     for names in (("fpr", "tpr"), ("recall", "precision")):
         assert curve_to_csv(series, *names) == csv_writer_curve(series, *names)
 
