@@ -279,28 +279,39 @@ def _plan_encodings(train: Dataset, params: BoostParams) -> tuple[CategoricalEnc
     return tuple(encodings)
 
 
+def _encoded_width(schema: FeatureSchema, encodings: tuple[CategoricalEncoding, ...]) -> int:
+    """The columns of _encode_matrix's output, which the trees read: one-hot
+    columns widen it."""
+    return schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
+
+
 def _encode_matrix(
     values: np.ndarray,
     schema: FeatureSchema,
     encodings: tuple[CategoricalEncoding, ...],
     ordered_codes: dict[int, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Expand categoricals per plan; ordered_codes overrides target-stat columns."""
+    """Expand categoricals per plan; ordered_codes overrides target-stat columns.
+    The matrix is column-major, so predict_trees reads its columns without a
+    transposed copy."""
     by_index = {e.feature_index: e for e in encodings}
-    cols = []
+    out = np.empty((values.shape[0], _encoded_width(schema, encodings)), order="F")
+    k = 0
     for j in range(schema.n_features):
         col = values[:, j]
         enc = by_index.get(j)
         if enc is None:
-            cols.append(col)
+            out[:, k] = col
         elif enc.mode == "onehot":
             for lvl in range(enc.cardinality):
-                cols.append((col == lvl).astype(np.float64))
+                out[:, k + lvl] = col == lvl
+            k += enc.cardinality - 1
         elif ordered_codes is not None:
-            cols.append(ordered_codes[j])
+            out[:, k] = ordered_codes[j]
         else:
-            cols.append(np.asarray(enc.stats)[col.astype(np.int64)])
-    return np.column_stack(cols)
+            out[:, k] = np.asarray(enc.stats)[col.astype(np.int64)]
+        k += 1
+    return out
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow ends in the finite check
@@ -520,9 +531,7 @@ def model_from_dict(d: dict) -> TreeEnsemble:
         )
         if algorithm == "catboost":
             _check_encodings(encodings, schema)
-        # the trees read _encode_matrix's output: one-hot columns widen it
-        width = schema.n_features + sum(e.cardinality - 1 for e in encodings if e.mode == "onehot")
-        trees = [tree_from_dict(t, width, version) for t in d["trees"]]
+        trees = [tree_from_dict(t, _encoded_width(schema, encodings), version) for t in d["trees"]]
         kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
         if not all(isinstance(t, kind) for t in trees):
             raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")

@@ -36,28 +36,39 @@ to every round's fitter, since X does not change between rounds; it takes each
 round's outputs on X from the fitter (fitted=), which knows each row's leaf,
 instead of scoring X again.
 
-Stumps and regression trees score their candidates through one kernel, _scan,
-which returns every candidate of a set of rows with its left sums in one pass:
-stumps call it once on all rows, a regression tree once per node. Each learner
-passes its own per-row statistics (stump: the weight each leaf class
-misclassifies; regression tree: gradient and hessian) and keeps its own
-missing-value rule, gain or error formula and tie rule. A node's rows of
-the sorted columns of several thresholds are its block; a stable partition on
-the chosen split hands each child its block in the same order, so no node
-sorts. Oblivious trees use a bucket-sorted search instead, since a level's
-gain sums over every leaf bucket: each level takes the rows of its swept
-columns in (bucket, value) order from one stable sort of their bucket ids
-(see fit_oblivious_tree).
+Stumps and regression trees score their candidates through one kernel,
+_Node.scan, which returns every candidate of a node's rows with its left sums
+in one pass: stumps scan the root, a regression tree each node it searches.
+Each learner passes its own per-row statistics (stump: the weight each leaf
+class misclassifies; regression tree: gradient and hessian) and keeps its own
+missing-value rule, gain or error formula and tie rule. A node's rows of the
+sorted columns of several thresholds are its block; a stable partition on the
+chosen split hands each child its block in the same order, so no node sorts.
+Oblivious trees use a bucket-sorted search instead, since a level's gain sums
+over every leaf bucket: each level takes the rows of its swept columns in
+(bucket, value) order from one stable sort of their bucket ids (see
+fit_oblivious_tree).
 
-_scan returns its candidates in group order, the order it builds them: the
-swept columns', then the single-threshold columns', then the categorical
-levels. Each column's candidates are contiguous and in enumeration order, so
-the tie rule below needs no sort by column: a regression tree takes the
-greatest gain and, of exact ties, the least column and then the earliest
-candidate and direction (_first_best); a stump visits the columns' blocks in
-column order. _scan computes no midpoint: it keeps each swept candidate's
-place in the block, and the caller computes its winner's threshold alone (a
-single-threshold column's is computed once, in Presort; a level is its own).
+A _Node holds what its scan needs of its rows alone: the rows, the block, the
+candidates and which rows each sum adds. Only the sums depend on the round's
+statistics. The rounds of a fit grow the same nodes again and again, so a
+Presort remembers its nodes (Presort.recall), each keyed by its path from the
+root: the (feature, threshold, default_left, went_right) of each split above
+it. X does not change within a fit, so one path always selects the same rows
+in the same order, and a remembered node sums the same numbers in the same
+order as a new one: no bit of a fit depends on the memo. It holds at most
+MAX_NODE_CACHE_BYTES of arrays and drops the least recently used node first.
+
+_Node.scan returns its candidates in group order, the order the node lists
+them: the swept columns', then the single-threshold columns', then the
+categorical levels. Each column's candidates are contiguous and in
+enumeration order, so the tie rule below needs no sort by column: a regression
+tree takes the greatest gain and, of exact ties, the least column and then the
+earliest candidate and direction (_first_best); a stump visits the columns'
+blocks in column order. A scan computes no midpoint: a node keeps each swept
+candidate's place in the block, and the caller computes its winner's threshold
+alone (a single-threshold column's is computed once, in Presort; a level is
+its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
 outside a node, so fits are bit-for-bit repeatable: sequential cumsums and
@@ -218,6 +229,11 @@ def _leaf_index(right: np.ndarray, path) -> np.ndarray:
 # test) holds at once; it scores the rows in chunks that stay under this.
 MAX_BIT_MATRIX_BYTES = 64 << 20
 
+# The most bytes of arrays a Presort's memo of nodes (Presort.recall) holds; it
+# drops the least recently used node first. The nodes of the paper preset's
+# fits fit whole.
+MAX_NODE_CACHE_BYTES = 2 << 20
+
 
 def _split_bits(tests, XT: np.ndarray) -> np.ndarray:
     """Whether each row went right at each (feature, threshold, missing_left)
@@ -326,6 +342,15 @@ class Presort:
     Every fitter in this module takes a Presort as presort= and builds one
     itself without it; a boosting loop builds one per fit, since X does not
     change between its rounds.
+
+    A Presort also remembers the nodes of the stumps and regression trees
+    fit on it (_Node), each under its path from the root: the (feature,
+    threshold, default_left, went_right) of each split above it. nodes maps
+    each path to its node and the bytes of its arrays, least recently used
+    first, and node_bytes sums those bytes; past MAX_NODE_CACHE_BYTES the
+    least recently used nodes are dropped. A node holds only what its rows
+    decide, and a path always selects the same rows in the same order, so a
+    remembered node gives a fit the same bits as a new one.
     """
 
     def __init__(self, X, kinds: tuple[FeatureKind, ...] | None = None):
@@ -355,6 +380,36 @@ class Presort:
             (j, np.unique(self.values[j, : self.n_observed[j]]), X[:, j].copy())
             for j in np.flatnonzero(self.categorical)
         ]
+        self.nodes: dict[tuple, tuple[_Node, int]] = {}
+        self.node_bytes = 0
+
+    def recall(self, path: tuple, searched: bool = True) -> _Node | None:
+        """The node at path, now the most recently used, or None if it is not
+        remembered or holds only its rows where searched asks for a block."""
+        entry = self.nodes.pop(path, None)
+        if entry is None:
+            return None
+        if searched and entry[0].block is None and entry[0].idx.size >= 2:
+            self.node_bytes -= entry[1]
+            return None
+        self.nodes[path] = entry
+        return entry[0]
+
+    def remember(self, path: tuple, node: _Node) -> _Node:
+        """node, kept as the node at path and counted again, then the least
+        recently used nodes dropped while the memo holds more than
+        MAX_NODE_CACHE_BYTES (node too, if it alone is larger)."""
+        old = self.nodes.pop(path, None)
+        size = node.nbytes()
+        self.node_bytes += size - (0 if old is None else old[1])
+        self.nodes[path] = (node, size)
+        while self.node_bytes > MAX_NODE_CACHE_BYTES:
+            self.node_bytes -= self.nodes.pop(next(iter(self.nodes)))[1]
+        return node
+
+    def root(self) -> _Node:
+        """The node of all rows."""
+        return self.recall(()) or self.remember((), _Node(self, np.arange(self.X.shape[0]), self.block))
 
     @cached_property
     def level_candidates(self) -> _LevelCandidates:
@@ -372,99 +427,131 @@ def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
     return presort
 
 
-@dataclass(frozen=True)
-class _Candidates:
-    """The candidate splits of a set of rows, as _scan returns them, in group
-    order: the swept columns' candidates, then the single-threshold columns',
-    then the categorical levels. Each column's candidates are contiguous and
-    in enumeration order.
+class _Node:
+    """A node of a regression tree or a stump's root: its rows and what its
+    scan needs of them, which the rows alone decide. Only scan's sums depend
+    on the per-row statistics.
 
-    col holds each candidate's column; left, shape (k, candidates), each
-    statistic summed over the rows it sends left; missing, shape (k, columns),
-    each statistic summed over each column's missing rows. A swept candidate
-    lies between values.flat[at] and values.flat[at + 1] of the block, at
-    being its entry in swept_at; fixed holds the others' thresholds (a float,
-    or the level of a categorical column), in order.
+    idx lists the node's rows, ascending. block, their part of presort.block in
+    its order, is None at a node that is not searched (at the depth limit or of
+    one row), which holds its rows alone. A searched node lists its candidates
+    in group order: the swept columns' candidates, then the single-threshold
+    columns', then the categorical levels; each column's candidates are
+    contiguous and in enumeration order. col holds each candidate's column and
+    fixed the thresholds of the candidates that are not swept (a float, or the
+    level of a categorical column), in order. A swept candidate lies between
+    values.flat[at] and values.flat[at + 1] of the block's values, at being its
+    entry in swept_at. single_rows lists the left rows of the single-threshold
+    candidates, one candidate after another, and single_cells each row's
+    candidate among them. sum_rows lists the rows of each sum taken alone, in
+    row order: the rows of each level (n_levels of them), then the missing rows
+    of each column that has any; missing_at gives each candidate the place of
+    its column's missing rows after the levels, or one past them for none.
+
+    stump holds what fit_stump reads of the root besides (see there), once it
+    has fit a stump on it.
     """
 
-    col: np.ndarray
-    left: np.ndarray
-    missing: np.ndarray
-    values: np.ndarray
-    swept_at: np.ndarray
-    fixed: np.ndarray
+    def __init__(self, presort: Presort, idx: np.ndarray, block=None):
+        self.idx, self.block, self.stump = idx, block, None
+        if block is None:
+            return
+        order, values = block
+        m = idx.size
+        missing_col, missing_rows = [], []
+
+        # swept columns: a candidate between each two distinct neighbours of a
+        # block row (False next to NaN), at its flat place in the block
+        between = values[:, :-1] < values[:, 1:]
+        row = np.repeat(np.arange(len(order)), np.count_nonzero(between, axis=1))
+        self.swept_at = np.flatnonzero(between) + row  # a row of between is one shorter
+        n_observed = m - np.count_nonzero(np.isnan(values), axis=1)
+        for r in np.flatnonzero(n_observed < m):
+            missing_col.append(presort.swept[r])
+            missing_rows.append(order[r, n_observed[r] :])
+
+        # single-threshold columns: a candidate where both sides hold a row
+        s = presort.single.size
+        code = np.take(presort.single_code, idx, axis=1)
+        count = np.bincount(code.reshape(-1), minlength=3 * s).reshape(s, 3)
+        offered = np.flatnonzero((count[:, 0] > 0) & (count[:, 1] > 0))
+        # each offered column's left rows in row order, one column after another
+        at = np.flatnonzero(code[offered] == 3 * offered[:, None])
+        self.single_cells = np.repeat(np.arange(offered.size), count[offered, 0])
+        self.single_rows = np.take(idx, at, mode="wrap")  # at is m * cell + the row's place
+        for r in offered[count[offered, 2] > 0]:
+            missing_col.append(presort.single[r])
+            missing_rows.append(idx[code[r] == 3 * r + 2])
+
+        # categorical columns: each level present
+        cat_cols, levels, level_rows = [], [], []
+        for j, column_levels, column in presort.cat_levels:
+            col = column[idx]
+            for v in column_levels:
+                in_level = col == v
+                if in_level.any():
+                    cat_cols.append(j)
+                    levels.append(v)
+                    level_rows.append(idx[in_level])
+            skipped = np.isnan(col)
+            if skipped.any():
+                missing_col.append(j)
+                missing_rows.append(idx[skipped])
+
+        self.col = np.concatenate([presort.swept[row], presort.single[offered], np.array(cat_cols, dtype=np.int64)])
+        self.fixed = np.concatenate([presort.single_threshold[offered], np.array(levels, dtype=np.float64)])
+        self.n_levels = len(level_rows)
+        self.sum_rows = level_rows + missing_rows
+        where = np.full(presort.X.shape[1] + 1, len(missing_rows))  # the column past the last: none
+        where[missing_col] = np.arange(len(missing_rows))
+        self.missing_at = where[self.col]
+
+    def nbytes(self) -> int:
+        """The bytes of the node's arrays, views of other arrays too."""
+        if self.block is None:
+            return self.idx.nbytes
+        arrays = [self.idx, *self.block, self.swept_at, self.single_cells, self.single_rows, self.col, self.fixed]
+        arrays += [self.missing_at, *self.sum_rows]
+        if self.stump is not None:
+            num, numeric_rows, goes_left = self.stump
+            arrays += [num, *(a for _, *rows in numeric_rows for a in rows), *(rows for _, rows in goes_left)]
+        return sum(a.nbytes for a in arrays)
+
+    def scan(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every candidate's sums: left, shape (k, candidates), each of the k
+        per-row statistics in stats, shape (k, n), summed over the rows the
+        candidate sends left, and missing, the same shape, over its column's
+        missing rows (missing rows are in no left sum).
+
+        Each sum adds its numbers in one fixed order, so a fit's bits do not
+        depend on the rows outside a node: a swept column's left sums by one
+        sequential cumsum along each block row, in (value, row) order; a
+        single-threshold column's by one sequential bincount of its left rows,
+        in row order; a level's and the missing rows' by np.sum's pairwise sum
+        in row order, each on its own 1-D array (a 2-D axis sum would round
+        differently).
+        """
+        k = len(stats)
+        swept = np.take(stats, self.block[0], axis=1)
+        n_single = self.fixed.size - self.n_levels
+        sums = np.array([[s[rows].sum() for rows in self.sum_rows] for s in stats]).reshape(k, -1)
+        left = np.concatenate(
+            [
+                np.take(np.cumsum(swept, axis=2).reshape(k, -1), self.swept_at, axis=1),
+                [np.bincount(self.single_cells, weights=s[self.single_rows], minlength=n_single) for s in stats],
+                sums[:, : self.n_levels],
+            ],
+            axis=1,
+        )
+        missing = np.concatenate([sums[:, self.n_levels :], np.zeros((k, 1))], axis=1)
+        return left, np.take(missing, self.missing_at, axis=1)
 
     def threshold(self, c: int):
         """Candidate c's threshold, computed for c alone."""
         if c < self.swept_at.size:
-            at = self.swept_at[c]
-            return _midpoints(self.values.flat[at], self.values.flat[at + 1])
+            at, values = self.swept_at[c], self.block[1]
+            return _midpoints(values.flat[at], values.flat[at + 1])
         return self.fixed[c - self.swept_at.size]
-
-
-def _scan(presort: Presort, idx: np.ndarray, block, stats: np.ndarray) -> _Candidates:
-    """Every candidate split of the rows idx (ascending) and its sums: the
-    split kernel of stumps and regression trees.
-
-    block is those rows' part of presort.block, in its order; stats holds k
-    per-row statistics, shape (k, n). Returns the candidates in group order
-    (see _Candidates) with every candidate's sums but no midpoint: a caller
-    computes only its winner's threshold. Missing rows are in no left
-    sum, and the missing sums are set for every column with a candidate. Each
-    sum adds its numbers in one fixed order, so a fit's bits do not depend on
-    the rows outside a node: a swept column's left sums by one sequential
-    cumsum along each block row, in (value, row) order; a single-threshold
-    column's by one sequential bincount of its left rows, in row order; a
-    level's and the missing rows' by np.sum's pairwise sum in row order, each
-    on its own 1-D array (a 2-D axis sum would round differently).
-    """
-    order, values = block
-    m = idx.size
-    at = np.take(stats, idx, axis=1)
-    lefts = []
-    missing = np.zeros((len(stats), presort.X.shape[1]))
-
-    # swept columns: a candidate between each two distinct neighbours of a
-    # block row (False next to NaN), at its flat place in the block
-    swept = np.take(stats, order, axis=1)
-    between = values[:, :-1] < values[:, 1:]
-    row = np.repeat(np.arange(len(order)), np.count_nonzero(between, axis=1))
-    swept_at = np.flatnonzero(between) + row  # a row of between is one shorter
-    lefts.append(np.take(np.cumsum(swept, axis=2).reshape(len(stats), -1), swept_at, axis=1))
-    n_observed = m - np.count_nonzero(np.isnan(values), axis=1)
-    for r in np.flatnonzero(n_observed < m):
-        missing[:, presort.swept[r]] = [b[r, n_observed[r] :].sum() for b in swept]
-
-    # single-threshold columns: a candidate where both sides hold a row
-    s = presort.single.size
-    code = np.take(presort.single_code, idx, axis=1)
-    flat = code.reshape(-1)  # each bin's rows in row order
-    count = np.bincount(flat, minlength=3 * s).reshape(s, 3)
-    sums = [np.bincount(flat, weights=np.tile(a, s), minlength=3 * s).reshape(s, 3) for a in at]
-    offered = np.flatnonzero((count[:, 0] > 0) & (count[:, 1] > 0))
-    lefts.append(np.array([x[offered, 0] for x in sums]))
-    for r in offered[count[offered, 2] > 0]:
-        skipped = code[r] == 3 * r + 2
-        missing[:, presort.single[r]] = [a[skipped].sum() for a in at]
-
-    # categorical columns: each level present
-    cat_cols, levels = [], []
-    for j, column_levels, column in presort.cat_levels:
-        col = column[idx]
-        for v in column_levels:
-            in_level = col == v
-            if in_level.any():
-                cat_cols.append(j)
-                levels.append(v)
-                lefts.append([[a[in_level].sum()] for a in at])
-        skipped = np.isnan(col)
-        if skipped.any():
-            missing[:, j] = [a[skipped].sum() for a in at]
-
-    col = np.concatenate([presort.swept[row], presort.single[offered], np.array(cat_cols, dtype=np.int64)])
-    left = np.concatenate([np.asarray(x, dtype=np.float64).reshape(len(stats), -1) for x in lefts], axis=1)
-    fixed = np.concatenate([presort.single_threshold[offered], np.array(levels, dtype=np.float64)])
-    return _Candidates(col, left, missing, values, swept_at, fixed)
 
 
 def _threshold(presort: Presort, j: int, threshold: float):
@@ -510,20 +597,21 @@ def fit_stump(
     # stats[missed[c]] is the weight a leaf of class c gets wrong
     missed = {-1: 0, 1: 1}
     stats = np.stack([w * (y != -1), w * (y != 1)])
-    scan = _scan(presort, np.arange(n), presort.block, stats)
-    col, left = scan.col, scan.left
+    node = presort.root()
+    left, _ = node.scan(stats)
+    col = node.col
+    if node.stump is None:
+        node.stump = _stump_rows(presort, node)
+        presort.remember((), node)  # counted with its stump rows
+    num, numeric_rows, goes_left = node.stump
     errs = np.empty((col.size, 2))
-    categorical = presort.categorical[col]
     # Numeric: a right side's error is the column's total over its
     # non-missing rows, summed in (value, row) order, minus the left sum; the
     # missing rows, on the left, add their own sum in row order.
-    num = np.flatnonzero(~categorical)
     total = np.zeros((2, d))
     missing = np.zeros((2, d))  # per orientation
-    for j in np.unique(col[num]):
-        n_obs = presort.n_observed[j]
-        total[:, j] = [s[presort.order[j, :n_obs]].sum() for s in stats]
-        tail = presort.order[j, n_obs:]
+    for j, observed, tail in numeric_rows:
+        total[:, j] = [s[observed].sum() for s in stats]
         missing[:, j] = [w[tail][y[tail] != lc].sum() for lc, _ in _ORIENTATIONS]
     for oi, (lc, rc) in enumerate(_ORIENTATIONS):
         right_mis = total[missed[rc], col[num]] - left[missed[rc], num]
@@ -531,11 +619,9 @@ def fit_stump(
     # Categorical: the level's rows and the missing rows go left. Each error
     # is one sum over the misclassified rows in row order: a total minus the
     # level sums would round differently and move AdaBoost's alphas by an ulp.
-    for c in np.flatnonzero(categorical):
-        cells = X[:, col[c]]
-        goes_left = (cells == scan.threshold(c)) | np.isnan(cells)
+    for c, rows in goes_left:
         for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-            errs[c, oi] = w[np.where(goes_left, y != lc, y != rc)].sum()
+            errs[c, oi] = w[np.where(rows, y != lc, y != rc)].sum()
 
     # Per feature, the first candidate within _TIE_TOL of its least error; it
     # replaces the best so far only if it beats it by more than _TIE_TOL. A
@@ -554,8 +640,26 @@ def fit_stump(
     if best is None:
         return constant()
     c, oi = best
-    level = (int(col[c]), _threshold(presort, col[c], scan.threshold(c)))
+    level = (int(col[c]), _threshold(presort, col[c], node.threshold(c)))
     return _stump((level,), _ORIENTATIONS[oi], d), best_err
+
+
+def _stump_rows(presort: Presort, root: _Node) -> tuple:
+    """What fit_stump reads of the root besides its scan, which the rows alone
+    decide: the numeric candidates, each numeric candidate column's observed
+    rows in (value, row) order and its missing rows, and each categorical
+    candidate's rows that go left (its level's and the missing ones)."""
+    categorical = presort.categorical[root.col]
+    num = np.flatnonzero(~categorical)
+    numeric_rows = []
+    for j in np.unique(root.col[num]):
+        n_obs = presort.n_observed[j]
+        numeric_rows.append((j, presort.order[j, :n_obs], presort.order[j, n_obs:]))
+    goes_left = []
+    for c in np.flatnonzero(categorical):
+        cells = presort.X[:, root.col[c]]
+        goes_left.append((c, (cells == root.threshold(c)) | np.isnan(cells)))
+    return num, numeric_rows, goes_left
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
@@ -590,13 +694,13 @@ def _first_best(gains: np.ndarray, col: np.ndarray) -> int:
     return int(tied[np.argmin(col[tied // 2])])
 
 
-def _node_split(presort: Presort, idx, block, stats, G: float, H: float, min_child_weight, reg_lambda, gamma):
+def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_child_weight, reg_lambda, gamma):
     """The best split of a regression-tree node, as (feature, threshold,
     default_left), or None when no split has a strictly positive gain."""
-    scan = _scan(presort, idx, block, stats)
-    col, left = scan.col, scan.left
+    left, missing = node.scan(stats)
+    col = node.col
     # one column per default direction: missing rows left, then right
-    GL, HL = left[:, :, None] + np.stack([scan.missing[:, col], np.zeros_like(left)], axis=2)
+    GL, HL = left[:, :, None] + np.stack([missing, np.zeros_like(left)], axis=2)
     GR = G - GL
     HR = H - HL
     valid = (HL >= min_child_weight) & (HR >= min_child_weight)
@@ -607,7 +711,30 @@ def _node_split(presort: Presort, idx, block, stats, G: float, H: float, min_chi
     if not (gains > 0).any():
         return None
     c, di = divmod(_first_best(gains, col), 2)
-    return int(col[c]), _threshold(presort, col[c], scan.threshold(c)), di == 0
+    return int(col[c]), _threshold(presort, col[c], node.threshold(c)), di == 0
+
+
+def _children(presort: Presort, node: _Node, split: tuple, paths: list[tuple], searched: bool) -> list[_Node]:
+    """The nodes split sends node's rows to, right then left, at paths: as
+    remembered, or from a stable partition of node's rows and, if searched
+    (the children's depth is searched), of its block."""
+    children = [presort.recall(path, searched) for path in paths]
+    if None not in children:
+        return children
+    f, thr, default_left = split
+    idx, block = node.idx, node.block
+    goes_right = _went_right(presort.X[idx, f], thr, missing_left=default_left)
+    rows = [idx[goes_right], idx[~goes_right]]
+    blocks = [None, None]  # a leaf searches nothing
+    if searched:
+        side = np.empty(presort.X.shape[0], dtype=bool)  # whether each of node's rows goes right
+        side[idx] = goes_right
+        bits = side[block[0]]
+        blocks = [tuple(a[b].reshape(len(a), r.size) for a in block) for b, r in ((bits, rows[0]), (~bits, rows[1]))]
+    return [
+        presort.remember(path, _Node(presort, r, b if r.size >= 2 else None))
+        for path, r, b in zip(paths, rows, blocks)
+    ]
 
 
 def fit_regression_tree(
@@ -633,27 +760,29 @@ def fit_regression_tree(
     given, is Presort(X, kinds). fitted, if given, an array of one float per
     row, receives each row's leaf value: tree.predict(X), read off the fit.
 
-    Each node scores all its candidates at once (_scan) and computes the
+    Each node scores all its candidates at once (_Node.scan) and computes the
     threshold of its winner only. A node's block, its rows of presort.block,
     is split between its children by a stable partition on the chosen split,
-    so no node sorts.
+    so no node sorts. The nodes are remembered in presort (Presort.recall):
+    another fit on it, as the next boosting round, that reaches a node by the
+    same splits finds its rows, block and candidates there.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     if (h < 0).any():
         raise ValueError("hessians must be non-negative")
-    n, d = X.shape
+    d = X.shape[1]
     presort = _presorted(X, kinds, presort)
     stats = np.stack([g, h])
-    side = np.zeros(n, dtype=bool)  # at a split, whether each of its rows goes right
 
     # A work list rather than a recursive closure, which would be a reference
     # cycle keeping the blocks alive until the garbage collector ran. A left
     # child is popped right after its parent, so nodes are appended in
     # pre-order; a right child enters its index in its parent when popped.
     nodes: list[list] = []
-    todo = [(np.arange(n), presort.block, 0, -1)]  # (rows, block, depth, parent of a right child)
+    todo = [((), presort.root(), 0, -1)]  # (path, node, depth, parent of a right child)
     while todo:
-        idx, block, depth, right_of = todo.pop()
+        path, node, depth, right_of = todo.pop()
+        idx = node.idx
         i = len(nodes)
         if right_of >= 0:
             nodes[right_of][_RIGHT] = i
@@ -664,24 +793,15 @@ def fit_regression_tree(
         nodes.append([-1, None, True, -1, -1, value])
         split = None
         if depth < max_depth and idx.size >= 2:
-            split = _node_split(presort, idx, block, stats, G, H, min_child_weight, reg_lambda, gamma)
+            split = _node_split(presort, node, stats, G, H, min_child_weight, reg_lambda, gamma)
         if split is None:
             if fitted is not None:
                 fitted[idx] = value
             continue
-        f, thr, default_left = split
-        nodes[i][:4] = [f, thr, default_left, i + 1]
-        goes_right = _went_right(X[idx, f], thr, missing_left=default_left)
-        blocks = [None, None]  # a leaf searches nothing
-        if depth + 1 < max_depth:
-            side[idx] = goes_right
-            bits = side[block[0]]
-            n_right = int(goes_right.sum())
-            blocks = [
-                tuple(a[b].reshape(len(a), size) for a in block)
-                for b, size in ((bits, n_right), (~bits, idx.size - n_right))
-            ]
-        todo += [(idx[goes_right], blocks[0], depth + 1, i), (idx[~goes_right], blocks[1], depth + 1, -1)]
+        nodes[i][:4] = [*split, i + 1]
+        paths = [path + ((*split, went_right),) for went_right in (True, False)]
+        children = _children(presort, node, split, paths, depth + 1 < max_depth)
+        todo += [(paths[0], children[0], depth + 1, i), (paths[1], children[1], depth + 1, -1)]
     return _regression_tree(nodes, d)
 
 

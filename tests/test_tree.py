@@ -1,6 +1,8 @@
+import json
 import math
 from collections import namedtuple
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import oblivious_search_oracle
@@ -10,9 +12,10 @@ import split_search_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from boostlab import boost as boost_module
 from boostlab import tree as tree_module
-from boostlab.boost import _stump_tree
-from boostlab.dataset import BINARY, NUMERIC, categorical
+from boostlab.boost import _stump_tree, default_params, fit, model_to_dict
+from boostlab.dataset import BINARY, NUMERIC, categorical, pcos_default_schema, synthesize
 from boostlab.errors import EmptyData, MalformedModel, SchemaMismatch
 from boostlab.tree import (
     MAX_OBLIVIOUS_DEPTH,
@@ -1024,25 +1027,69 @@ class TestSplitKernelMatchesOracle:
         assert got_err == want_err
 
     @settings(max_examples=60, deadline=None)
-    @with_edge_inputs()
-    @given(split_inputs())
-    def test_a_given_presort_changes_nothing(self, inputs):
+    @with_edge_inputs([3, 1, 4])
+    @given(split_inputs(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
+    def test_a_given_presort_changes_nothing(self, inputs, depths):
+        """Round after round of drawn statistics and depths, the regression
+        trees and stumps fit on one Presort, which remembers their nodes, have
+        the bytes of fits on a fresh Presort each; so do fits on one Presort
+        whose memo holds nothing (a budget of 0 bytes drops every node)."""
         X, g, h, kinds = inputs
-        presort = Presort(X, kinds)
-        assert_same_tree(
-            fit_regression_tree(X, g, h, kinds, max_depth=3, presort=presort),
-            fit_regression_tree(X, g, h, kinds, max_depth=3),
-        )
-        y = np.where(g > 0, 1, -1)
-        w = np.full(X.shape[0], 1.0 / X.shape[0])
-        (a, a_err), (b, b_err) = fit_stump(X, y, w, kinds, presort=presort), fit_stump(X, y, w, kinds)
-        assert (tree_to_dict(a), a_err) == (tree_to_dict(b), b_err)
+        n = X.shape[0]
+        rng = np.random.default_rng(n)
+        # halved gradients mostly grow the same nodes again, new ones other nodes
+        rounds = [(g, h, depths[0]), (g / 2, h, depths[1]), (rng.normal(size=n), rng.uniform(0.0, 1.0, n), depths[2])]
+        weights = rng.dirichlet(np.ones(n), size=len(rounds))  # the stumps'
+
+        def fits(presort):
+            out = []
+            for (g, h, depth), w in zip(rounds, weights):
+                fitted = np.full(n, np.nan)
+                tree = fit_regression_tree(X, g, h, kinds, max_depth=depth, presort=presort, fitted=fitted)
+                stump, err = fit_stump(X, np.where(g > 0, 1, -1), w, kinds, presort=presort)
+                err = np.float64(err).tobytes()
+                out.append((tree_to_dict(tree), tree.value.tobytes(), fitted.tobytes(), tree_to_dict(stump), err))
+            return out
+
+        want = fits(None)
+        shared = Presort(X, kinds)
+        assert fits(shared) == want
+        assert shared.node_bytes == sum(node.nbytes() for node, _ in shared.nodes.values())
+        with mock.patch.object(tree_module, "MAX_NODE_CACHE_BYTES", 0):
+            empty = Presort(X, kinds)
+            assert fits(empty) == want
+            assert (empty.nodes, empty.node_bytes) == ({}, 0)
         numeric = Presort(X)
         for depth in (1, 3):
             a = fit_oblivious_tree(X, g, h, depth=depth, presort=numeric)
             b = fit_oblivious_tree(X, g, h, depth=depth)
             assert tree_to_dict(a) == tree_to_dict(b)
             assert a.leaf_values.tobytes() == b.leaf_values.tobytes()
+
+    def test_a_gbm_fit_keeps_its_node_memo_within_the_budget(self, monkeypatch):
+        """The nodes of a 4 000-row GBM fit with 10 % missing cells hold more
+        bytes than MAX_NODE_CACHE_BYTES: the memo drops the least recently
+        used ones, stays within the budget and holds fewer nodes than the
+        fit visited, and the model keeps its bytes."""
+        presorts = []
+
+        class Recorded(Presort):
+            def __init__(self, *args):
+                super().__init__(*args)
+                presorts.append(self)
+
+        monkeypatch.setattr(boost_module, "Presort", Recorded)
+        data = synthesize(pcos_default_schema(), 4000, 3, 2.0, missing_rate=0.1)
+        params = replace(default_params("gbm"), n_rounds=20)
+        model = fit("gbm", data, params)
+        with mock.patch.object(tree_module, "MAX_NODE_CACHE_BYTES", 1 << 40):
+            unbounded = fit("gbm", data, params)
+        bounded, whole = presorts
+        assert json.dumps(model_to_dict(model)) == json.dumps(model_to_dict(unbounded))
+        assert whole.node_bytes > tree_module.MAX_NODE_CACHE_BYTES
+        assert 0 < bounded.node_bytes <= tree_module.MAX_NODE_CACHE_BYTES
+        assert bounded.node_bytes == sum(size for _, size in bounded.nodes.values())
+        assert len(bounded.nodes) < sum(tree.feature.size for tree in model.trees)
 
     def test_presort_of_another_matrix_is_rejected(self):
         presort = Presort(np.zeros((3, 2)))
