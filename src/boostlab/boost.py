@@ -9,18 +9,19 @@ one leaf) with their leaves, the classes ±1, scaled by the round's alpha,
 summed unshrunk from base_score 0; the score is sigmoid(2 * sum). All models
 emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
 
-Model files are format v2, JSON, and hold only what prediction reads: the
-params, the schema, base_score, trees and cat_encoding_state (CatBoost's
-encodings, else null). A regression tree stores a value at its leaves only;
-an oblivious tree lists only its non-zero leaves, as leaf_index (ascending)
-and leaf_values, which is also all that ObliviousTree holds in memory. Older
-files load too, and their extra keys are ignored: the leaf gradient and
-hessian sums of v1 files and of earlier v2 GBM and XGBoost files. A v1
-oblivious tree lists every leaf; its zero leaves are dropped on load. An
-AdaBoost file written before its rounds were trees lists stumps, each a
-stump and its alpha; the reader turns each into the tree fit_stump would have
-returned (tree.stump_from_dict) and scales it as a fit does, and ignores that
-file's base_score and cat_encoding_state.
+Model files are format v2, written as compact JSON (no whitespace) and a
+newline, and read in any JSON layout, the indented files written earlier
+included. They hold only what prediction reads: the params, the schema,
+base_score, trees and cat_encoding_state (CatBoost's encodings, else null).
+A regression tree stores a value at its leaves only; an oblivious tree lists
+only its non-zero leaves, as leaf_index (ascending) and leaf_values, which is
+also all that ObliviousTree holds in memory. Older files load too, and their
+extra keys are ignored: the leaf gradient and hessian sums of v1 files and of
+earlier v2 GBM and XGBoost files. A v1 oblivious tree lists every leaf; its
+zero leaves are dropped on load. An AdaBoost file written before its rounds
+were trees lists stumps, each a stump and its alpha; the reader turns each
+into the tree fit_stump would have returned (tree.stump_from_dict) and scales
+it as a fit does, and ignores that file's base_score and cat_encoding_state.
 
 load_model raises MalformedModel for bad JSON, a format_version other than 1
 or 2, a missing key (every params field must be given), a value of the wrong
@@ -544,12 +545,12 @@ def model_from_dict(d: dict) -> TreeEnsemble:
 
 
 def save_model(model: TreeEnsemble, path) -> None:
-    """Write the model as indented JSON, streamed into an atomically renamed
+    """Write the model as compact JSON and a newline to an atomically renamed
     file. A number that is not finite, which load_model would reject, is a
-    ValueError, and the file is not written."""
+    ValueError, raised before any file is opened."""
+    text = json.dumps(model_to_dict(model), separators=(",", ":"), allow_nan=False) + "\n"
     with atomic_open(path) as fh:
-        json.dump(model_to_dict(model), fh, indent=2, allow_nan=False)
-        fh.write("\n")
+        fh.write(text)
 
 
 def load_model(path):

@@ -2,6 +2,7 @@ import json
 import math
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -407,14 +408,17 @@ class TestSerialization:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_a_non_finite_leaf_is_not_saved(self, tmp_path, bad):
-        # load_model would reject the file, so save_model writes none
+        # load_model would reject the file, so save_model opens none, not
+        # even its temp file
         data = synthesize(pcos_default_schema(), 60, 14, 1.5)
         model = fit("gbm", data, replace(default_params("gbm"), n_rounds=2))
         tree = model.trees[-1]
         tree.value[tree.leaves()[0]] = bad
         path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match="JSON compliant"):
-            save_model(model, path)
+        opened = AssertionError("save_model opened a file")
+        with mock.patch("boostlab.boost.atomic_open", side_effect=opened):
+            with pytest.raises(ValueError, match="JSON compliant"):
+                save_model(model, path)
         assert list(tmp_path.iterdir()) == []
 
     def test_bit_identical_refit(self):

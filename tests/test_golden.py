@@ -3,12 +3,15 @@
 The paper digests are the benchmark's own (perfbench/golden.json, seed 42),
 hashed the way perfbench/checks.py hashes them: report.json without its
 timestamp line. The model digests were recorded when each file form was
-pinned: MODEL_SHA256 for the files that train writes today, LEGACY_SHA256 for
-the older files of the same fits, kept in tests/data and still read: the v1
-files, the v2 GBM and XGBoost files written before regression leaves dropped
-their gradient and hessian sums, and the v2 AdaBoost file written before
-AdaBoost rounds were one-level oblivious trees, which lists them as stumps. A
-change to any of them is a change of output and must be deliberate.
+pinned: MODEL_SHA256 for the compact files that train writes today,
+INDENTED_SHA256 for the same content rendered with indent=2 (the form train
+wrote before model files became compact, so the content is unchanged since),
+LEGACY_SHA256 for the older files of the same fits, kept in tests/data and
+still read: the v1 files, the v2 GBM and XGBoost files written before
+regression leaves dropped their gradient and hessian sums, and the v2
+AdaBoost file written before AdaBoost rounds were one-level oblivious trees,
+which lists them as stumps. A change to any of them is a change of output and
+must be deliberate.
 """
 
 import contextlib
@@ -29,6 +32,13 @@ LEGACY_MODELS = Path(__file__).resolve().parent / "data"
 
 MODEL_SHA256 = {
     # AdaBoost's rounds as one-level oblivious trees under "trees"
+    "adaboost": "c156dacfeb2d754ef31cee139f080642c89189cc8dd38d23251db61659a4717d",
+    "gbm": "6354643ac3ca79a8149fb3fae5091be194cef8dbb57defdd1184752c8c64b0f1",
+    "xgboost": "bcc780be569dc57dd7d58d951d6e985eb2cb55d34d464e9b1b08afb6adc52201",
+    "catboost": "cc81ff48bb1ddea7bb68bc34ae15651377dfab2c76b6843dfe04fbf3eac6469b",
+}
+
+INDENTED_SHA256 = {
     "adaboost": "ae64448c39db8e22f990496b4bbd106c1bfe3897cfbe0150cdc98269158b3f29",
     "gbm": "7bd80d9afbd3c84bf1f66784f7ec6ea6c38f7df797c30ef417be02981fb2a24c",
     "xgboost": "b7a889422b8cc57c6c3f94855530405a88a938e6e23fe11202f504b5c1f906d8",
@@ -92,7 +102,10 @@ def train(tmp_path, algo):
 @pytest.mark.parametrize("algo", sorted(MODEL_SHA256))
 def test_train_model_file_is_pinned(tmp_path, algo):
     _, model = train(tmp_path, algo)
-    assert hashlib.sha256(model.read_bytes()).hexdigest() == MODEL_SHA256[algo]
+    raw = model.read_bytes()
+    assert hashlib.sha256(raw).hexdigest() == MODEL_SHA256[algo]
+    indented = json.dumps(json.loads(raw), indent=2, allow_nan=False) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_SHA256[algo]
 
 
 @pytest.mark.parametrize("algo", sorted(MODEL_SHA256))

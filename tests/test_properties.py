@@ -98,7 +98,14 @@ def test_save_load_gives_identical_scores(tmp_path_factory, data, algorithm):
     model = fit(algorithm, data, small_params(algorithm))
     path = tmp_path_factory.mktemp("model") / "model.json"
     save_model(model, path)
-    assert np.array_equal(predict_scores(load_model(path), data), predict_scores(model, data))
+    compact = json.dumps(model_to_dict(model), separators=(",", ":"), allow_nan=False)
+    assert path.read_text(encoding="utf-8") == compact + "\n"
+    scores = predict_scores(model, data)
+    assert np.array_equal(predict_scores(load_model(path), data), scores)
+    # The reader takes any JSON layout, such as the indented files once written.
+    indented = path.with_name("indented.json")
+    indented.write_text(json.dumps(json.loads(compact), indent=2) + "\n", encoding="utf-8")
+    assert np.array_equal(predict_scores(load_model(indented), data), scores)
 
 
 @FEW
