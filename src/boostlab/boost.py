@@ -57,7 +57,6 @@ from .tree import (
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
-    predict_stump,
     predict_trees,
     stump_from_dict,
     tree_from_dict,
@@ -200,7 +199,9 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
     zero-error round gets the capped alpha for eps0 = 1/(2n) and stops early;
     a round at eps >= 0.5 stops without adding a stump. Each round keeps the
     stump's one-level oblivious tree with its leaves scaled by alpha
-    (_stump_tree), summed unshrunk from 0.
+    (_stump_tree), summed unshrunk from 0. A round's classes on the training
+    rows come from fit_stump (fitted=), as the other boosters take their
+    rounds' outputs from their fitters, so X is never scored.
     """
     params = params if params is not None else default_params("adaboost")
     _check_two_classes(train)
@@ -214,14 +215,14 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
     losses: list[float] = []
     eps0 = 1.0 / (2.0 * n)
     presort = Presort(X, kinds)
+    pred = np.empty(n)  # each row's class, ±1.0, under the round's stump
     for _ in range(params.n_rounds):
-        stump, eps = fit_stump(X, y, w, kinds, presort=presort)
+        stump, eps = fit_stump(X, y, w, kinds, presort=presort, fitted=pred)
         if eps >= 0.5:
             break
         e = eps0 if eps <= 0.0 else eps
         alpha = 0.5 * math.log((1.0 - e) / e)
         trees.append(_stump_tree(stump, alpha))
-        pred = predict_stump(stump, X)
         margins = margins + alpha * pred
         losses.append(float(np.mean(np.exp(-y * margins))))
         if eps <= 0.0:
@@ -426,7 +427,8 @@ def raw_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
     outputs. The sum is the same, in the same tree order, as adding up
     tree.predict, so for GBM and XGBoost the training rows score as the
     boosting loop summed them; for AdaBoost it is the same as adding
-    alpha * predict_stump round by round, since alpha * ±1.0 is exact."""
+    alpha times each round's ±1.0 classes, as fit_adaboost does, since
+    alpha * ±1.0 is exact."""
     _check_schema(model, data)
     rate = 1.0 if model.algorithm == "adaboost" else model.params.learning_rate
     Xe = data.values

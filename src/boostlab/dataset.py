@@ -1,7 +1,8 @@
 """Tabular binary-classification data: schemas, CSV I/O, synthesis, stratified splits.
 
-Feature tables are stored as float64 matrices in schema column order, with NaN
-standing for a missing cell. Missing cells are only legal in numeric columns.
+Feature tables are stored as column-major float64 matrices in schema column
+order, with NaN standing for a missing cell: every reader and Dataset give
+that one layout. Missing cells are only legal in numeric columns.
 
 A CSV file is opened once. A plain text is read from its bytes in numpy,
 with no Python string per cell: ASCII, ending in a newline, with no '"', CR
@@ -130,16 +131,16 @@ class FeatureSchema:
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus 0/1 labels, validated against a schema.
-    The matrix is row-major unless it is given column-major, which is kept."""
+    The matrix is column-major, each feature's cells contiguous, as the
+    fitters and the scorer read it by column; a matrix given in another
+    layout is copied into that one."""
 
     schema: FeatureSchema
     values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if not values.flags.f_contiguous:  # a column-major matrix is scored without a transposed copy
-            values = np.ascontiguousarray(values)
+        values = np.asarray(self.values, dtype=np.float64, order="F")
         labels = np.asarray(self.labels, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError("values must be 2-D")
@@ -186,7 +187,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.schema, self.values[idx].copy(), self.labels[idx].copy())
+        return Dataset(self.schema, self.values[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -447,7 +448,7 @@ def _check_header(path, header, schema, label_column, with_labels):
     return header, label_column, names
 
 
-def _read_plain(path, plain, schema, label_column, with_labels, features, infer_only, order):
+def _read_plain(path, plain, schema, label_column, with_labels, features, infer_only):
     """_read_csv's result for a plain text, from its bytes; None declines."""
     header, buf, ends = plain
     header, label_column, names = _check_header(path, header, schema, label_column, with_labels)
@@ -469,7 +470,7 @@ def _read_plain(path, plain, schema, label_column, with_labels, features, infer_
     labels = column(label_column, BINARY) if with_labels else (BINARY, None)
     if labels is None:
         return None
-    values = np.empty((len(ends) - 1, schema.n_features), order=order) if features else None
+    values = np.empty((len(ends) - 1, schema.n_features), order="F") if features else None
     for j, (name, kind) in enumerate(schema.columns):
         got = inferred.pop(name, None) or column(name, kind)
         if got is None:
@@ -479,16 +480,16 @@ def _read_plain(path, plain, schema, label_column, with_labels, features, infer_
     return schema, values, None if labels[1] is None else labels[1].astype(np.int64)
 
 
-def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False, order="C"):
+def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
     """(schema, values, labels) of a CSV read once and checked as load_csv says.
     Without a schema one is inferred with label_column as the label; labels is
     None unless with_labels, values is None unless features (every feature
     cell is checked either way), and infer_only returns (schema, None, None).
-    order is the matrix's memory layout, "C" or "F"."""
+    values is column-major, as a Dataset holds it."""
     raw = _read_bytes(path)
     plain = _plain_table(raw)
     if plain is not None:
-        read = _read_plain(path, plain, schema, label_column, with_labels, features, infer_only, order)
+        read = _read_plain(path, plain, schema, label_column, with_labels, features, infer_only)
         if read is not None:
             return read
         del plain  # its delimiter offsets, before the text path's cells are built
@@ -521,7 +522,7 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
             raise failures[0][2]
         return schema, None, None
 
-    values = np.empty((n_rows, schema.n_features), order=order) if features else None
+    values = np.empty((n_rows, schema.n_features), order="F") if features else None
     labels = np.empty(n_rows, dtype=np.int64) if with_labels else None
     checks = []  # (column, parser of one text, error type, message, output), in a row's order
     if with_labels:
@@ -566,7 +567,8 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     file, repeated names, the label or the schema's columns), then each
     row's cell count, then that there is a data row. Of the rows' defects
     the earliest row's is raised: within a row the cell count, then the
-    label, then the feature columns in schema order.
+    label, then the feature columns in schema order. Either path fills one
+    column-major matrix, the layout of every Dataset.
     """
     return Dataset(*_read_csv(path, schema, label_column, with_labels=True))
 
@@ -591,9 +593,8 @@ def write_csv(path, data: Dataset) -> None:
 
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
     """Parse only the feature columns of a CSV; the label column may be absent.
-    The matrix is column-major (each feature's cells contiguous), as scoring
-    reads it; load_csv's, which the fitters read, is row-major."""
-    return _read_csv(path, schema, schema.label_column, with_labels=False, order="F")[1]
+    The matrix is column-major, as load_csv's (see Dataset)."""
+    return _read_csv(path, schema, schema.label_column, with_labels=False)[1]
 
 
 def load_labels_csv(path, schema: FeatureSchema | None = None, label_column: str = "pcos") -> np.ndarray:
@@ -681,13 +682,11 @@ def synthesize(
             break
     else:
         raise SingleClassDataset("could not draw both classes; signal too extreme")
-    values = np.column_stack(cols)
     if missing_rate > 0.0:
-        for j, (_, kind) in enumerate(schema.columns):
+        for x, (_, kind) in zip(cols, schema.columns):
             if kind.kind == "numeric":
-                mask = rng.random(n) < missing_rate
-                values[mask, j] = np.nan
-    return Dataset(schema, values, labels)
+                x[rng.random(n) < missing_rate] = np.nan
+    return Dataset(schema, np.array(cols).T, labels)
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

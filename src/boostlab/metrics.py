@@ -6,7 +6,7 @@ reports render None as "NA". The positive class is label 1 throughout.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,7 @@ class ConfusionMatrix:
         return self.tp + self.fp + self.tn + self.fn
 
     def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
+        return asdict(self)
 
 
 def _check_binary_pair(pred, truth) -> tuple[np.ndarray, np.ndarray]:
@@ -104,15 +104,7 @@ class MetricScores:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f_score": self.f_score,
-            "specificity": self.specificity,
-            "tpr": self.tpr,
-            "fpr": self.fpr,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True, eq=False)

@@ -31,10 +31,11 @@ routed node by node.
 
 A fit sorts its matrix once (Presort): each column's rows in stable (value,
 row) order with the missing rows last, and the candidate splits each column
-offers over all rows. A boosting loop builds one Presort per fit and passes it
-to every round's fitter, since X does not change between rounds; it takes each
-round's outputs on X from the fitter (fitted=), which knows each row's leaf,
-instead of scoring X again.
+offers over all rows. Every boosting loop, AdaBoost's too, builds one Presort
+per fit and passes it to every round's fitter, since X does not change between
+rounds; it takes each round's outputs on X from the fitter (fitted=), which
+knows each row's leaf or class, instead of scoring X again. The fitters read X
+by column, so it is best column-major, as every Dataset holds it.
 
 Stumps and regression trees score their candidates through one kernel,
 _Node.scan, which returns every candidate of a node's rows with its left sums
@@ -290,9 +291,9 @@ def _went_right(col: np.ndarray, threshold, *, missing_left: bool, out=None) -> 
     A float test is one compare: NaN > thr is False, so x > thr sends a
     missing row left, and not x <= thr sends it right."""
     if isinstance(threshold, frozenset):
-        left = np.isin(col, list(threshold))
-        if missing_left:
-            left |= np.isnan(col)
+        left = np.isnan(col) if missing_left else np.zeros(col.shape, dtype=bool)
+        for v in threshold:  # a compare per level: np.isin costs more for the few levels a set holds
+            left |= col == v
         return np.logical_not(left, out=out)
     if missing_left:
         return np.greater(col, threshold, out=out)
@@ -447,13 +448,10 @@ class _Node:
     row order: the rows of each level (n_levels of them), then the missing rows
     of each column that has any; missing_at gives each candidate the place of
     its column's missing rows after the levels, or one past them for none.
-
-    stump holds what fit_stump reads of the root besides (see there), once it
-    has fit a stump on it.
     """
 
     def __init__(self, presort: Presort, idx: np.ndarray, block=None):
-        self.idx, self.block, self.stump = idx, block, None
+        self.idx, self.block = idx, block
         if block is None:
             return
         order, values = block
@@ -512,9 +510,6 @@ class _Node:
             return self.idx.nbytes
         arrays = [self.idx, *self.block, self.swept_at, self.single_cells, self.single_rows, self.col, self.fixed]
         arrays += [self.missing_at, *self.sum_rows]
-        if self.stump is not None:
-            num, numeric_rows, goes_left = self.stump
-            arrays += [num, *(a for _, *rows in numeric_rows for a in rows), *(rows for _, rows in goes_left)]
         return sum(a.nbytes for a in arrays)
 
     def scan(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -566,6 +561,7 @@ def fit_stump(
     kinds: tuple[FeatureKind, ...] | None = None,
     *,
     presort: Presort | None = None,
+    fitted: np.ndarray | None = None,
 ) -> tuple[ObliviousTree, float]:
     """Exhaustive greedy stump minimizing weighted 0/1 error over all
     candidates, and its error.
@@ -577,60 +573,77 @@ def fit_stump(
     majority predictor is returned: a tree of no level and one leaf, its
     class. The returned error never exceeds 0.5 because both orientations are
     searched.
-    presort, if given, is Presort(X, kinds).
+    presort, if given, is Presort(X, kinds). fitted, if given, an array of one
+    float per row, receives each row's class: predict_stump(stump, X), read
+    off the chosen split.
+
+    The numeric candidates' errors come from the root's scan
+    (Presort.root) and each column's rows of presort.order; a categorical
+    candidate's rows, like fitted's, are routed by _went_right.
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("labels must be -1 or +1")
-    n, d = X.shape
+    d = X.shape[1]
 
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
 
     def constant():
-        return _stump((), (1 if w_pos >= w_neg else -1,), d), min(w_pos, w_neg)
+        c = 1 if w_pos >= w_neg else -1
+        if fitted is not None:
+            fitted[:] = c
+        return _stump((), (c,), d), min(w_pos, w_neg)
 
     if w_pos == 0.0 or w_neg == 0.0:
         return constant()
 
     presort = _presorted(X, kinds, presort)
-    # stats[missed[c]] is the weight a leaf of class c gets wrong
+    # wrong[c] marks the rows a leaf of class c gets wrong, stats[missed[c]]
+    # their weights
+    wrong = {c: y != c for c in (-1, 1)}
     missed = {-1: 0, 1: 1}
-    stats = np.stack([w * (y != -1), w * (y != 1)])
+    stats = np.stack([w * wrong[-1], w * wrong[1]])
     node = presort.root()
     left, _ = node.scan(stats)
     col = node.col
-    if node.stump is None:
-        node.stump = _stump_rows(presort, node)
-        presort.remember((), node)  # counted with its stump rows
-    num, numeric_rows, goes_left = node.stump
+
+    def split(c):  # candidate c's (feature, threshold)
+        return int(col[c]), _threshold(presort, col[c], node.threshold(c))
+
+    categorical = presort.categorical[col]
+    # A column's candidates are contiguous, so each feature is one block of them.
+    starts = np.flatnonzero(np.diff(col, prepend=-1))
+    ends = np.append(starts[1:], col.size)
     errs = np.empty((col.size, 2))
     # Numeric: a right side's error is the column's total over its
     # non-missing rows, summed in (value, row) order, minus the left sum; the
     # missing rows, on the left, add their own sum in row order.
     total = np.zeros((2, d))
     missing = np.zeros((2, d))  # per orientation
-    for j, observed, tail in numeric_rows:
+    for j in col[starts][~categorical[starts]]:
+        n_obs = presort.n_observed[j]
+        observed, tail = presort.order[j, :n_obs], presort.order[j, n_obs:]
         total[:, j] = [s[observed].sum() for s in stats]
-        missing[:, j] = [w[tail][y[tail] != lc].sum() for lc, _ in _ORIENTATIONS]
+        missing[:, j] = [w[tail][wrong[lc][tail]].sum() for lc, _ in _ORIENTATIONS]
+    num = np.flatnonzero(~categorical)
     for oi, (lc, rc) in enumerate(_ORIENTATIONS):
         right_mis = total[missed[rc], col[num]] - left[missed[rc], num]
         errs[num, oi] = left[missed[lc], num] + right_mis + missing[oi, col[num]]
     # Categorical: the level's rows and the missing rows go left. Each error
     # is one sum over the misclassified rows in row order: a total minus the
     # level sums would round differently and move AdaBoost's alphas by an ulp.
-    for c, rows in goes_left:
+    for c in np.flatnonzero(categorical):
+        f, thr = split(c)
+        right = _went_right(presort.X[:, f], thr, missing_left=True)
         for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-            errs[c, oi] = w[np.where(rows, y != lc, y != rc)].sum()
+            errs[c, oi] = w[np.where(right, wrong[rc], wrong[lc])].sum()
 
     # Per feature, the first candidate within _TIE_TOL of its least error; it
-    # replaces the best so far only if it beats it by more than _TIE_TOL. A
-    # column's candidates are contiguous, so the features are its blocks,
-    # visited in column order.
+    # replaces the best so far only if it beats it by more than _TIE_TOL. The
+    # features' blocks are visited in column order.
     best_err = np.inf
     best = None  # (candidate, orientation)
-    starts = np.flatnonzero(np.diff(col, prepend=-1))
-    ends = np.append(starts[1:], col.size)
     for a, b in sorted(zip(starts, ends), key=lambda block: col[block[0]]):
         flat = errs[a:b].reshape(-1)
         k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
@@ -640,26 +653,11 @@ def fit_stump(
     if best is None:
         return constant()
     c, oi = best
-    level = (int(col[c]), _threshold(presort, col[c], node.threshold(c)))
-    return _stump((level,), _ORIENTATIONS[oi], d), best_err
-
-
-def _stump_rows(presort: Presort, root: _Node) -> tuple:
-    """What fit_stump reads of the root besides its scan, which the rows alone
-    decide: the numeric candidates, each numeric candidate column's observed
-    rows in (value, row) order and its missing rows, and each categorical
-    candidate's rows that go left (its level's and the missing ones)."""
-    categorical = presort.categorical[root.col]
-    num = np.flatnonzero(~categorical)
-    numeric_rows = []
-    for j in np.unique(root.col[num]):
-        n_obs = presort.n_observed[j]
-        numeric_rows.append((j, presort.order[j, :n_obs], presort.order[j, n_obs:]))
-    goes_left = []
-    for c in np.flatnonzero(categorical):
-        cells = presort.X[:, root.col[c]]
-        goes_left.append((c, (cells == root.threshold(c)) | np.isnan(cells)))
-    return num, numeric_rows, goes_left
+    f, thr = split(c)
+    lc, rc = _ORIENTATIONS[oi]
+    if fitted is not None:
+        fitted[:] = np.where(_went_right(presort.X[:, f], thr, missing_left=True), rc, lc)
+    return _stump(((f, thr),), (lc, rc), d), best_err
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
@@ -668,7 +666,9 @@ def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> Obliviou
 
 
 def predict_stump(stump: ObliviousTree, X: np.ndarray) -> np.ndarray:
-    """Each row's class, ±1.0: stump.predict(X)."""
+    """Each row's class, ±1.0: stump.predict(X). No fit calls it, since
+    fit_stump's fitted= gives a round's classes; it stays because perfbench
+    times it as its tree.stump.predict layer."""
     return stump.predict(X)
 
 

@@ -89,6 +89,15 @@ class TestDatasetValidation:
         with pytest.raises(ValueError):
             ds.values[0, 0] = 5.0
 
+    def test_every_dataset_is_column_major_and_read_only(self):
+        rows = np.array([[30.0, 1.0], [41.0, 0.0], [np.nan, 1.0]])
+        ds = Dataset(tiny_schema(), rows, np.array([1, 0, 1]))
+        synthetic = synthesize(pcos_default_schema(), 40, 1, 1.0, missing_rate=0.1)
+        for data in (ds, ds.subset([2, 0]), synthetic, synthetic.subset(np.arange(0, 40, 3))):
+            assert data.values.flags.f_contiguous and not data.values.flags.writeable
+        assert np.array_equal(ds.values, rows, equal_nan=True)
+        assert np.array_equal(ds.subset([2, 0]).values, rows[[2, 0]], equal_nan=True)
+
 
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
@@ -212,13 +221,16 @@ class TestLoadCsv:
             "_read_column": ("scores", lambda path: cli._read_column(path, "score", float, NUMERIC)),
         }
 
-        def bits(result):  # NaN != NaN, and -0.0 == 0.0
+        def bits(result):  # NaN != NaN, and -0.0 == 0.0; a matrix is column-major either way
             if isinstance(result, Dataset):
-                return result.schema, result.values.view(np.int64).tolist(), result.labels.tolist()
-            return result if isinstance(result, FeatureSchema) else (result.dtype, result.view(np.int64).tolist())
+                values = result.values
+                return result.schema, values.flags.f_contiguous, values.view(np.int64).tolist(), result.labels.tolist()
+            if isinstance(result, FeatureSchema):
+                return result
+            return result.dtype, result.flags.f_contiguous, result.view(np.int64).tolist()
 
         want = {name: bits(read(files[kind][1])) for name, (kind, read) in reads.items()}
-        assert want["load_csv, inferred"][0] == schema
+        assert want["load_csv, inferred"][:2] == (schema, True) and want["load_features_csv"][1]
         assert np.isnan(load_features_csv(files["data"][1], schema)).mean() > 0.05
 
         def text_path(*args, **kwargs):

@@ -619,6 +619,28 @@ class TestFittedOutputs:
             assert fitted.tobytes() == tree.predict(X).tobytes()
         assert tree.leaf_ids.size == 0 and not np.signbit(fitted).any()
 
+    def test_stump(self):
+        rng = np.random.default_rng(8)
+        X = np.column_stack([rng.normal(size=80).round(1), rng.integers(0, 3, 80)])
+        X[rng.random(80) < 0.2, 0] = np.nan
+        kinds = (NUMERIC, categorical(3))
+        low = np.where(~(X[:, 0] > 0.3), 1, -1)  # a numeric split, missing cells left
+        level = np.where(X[:, 1] == 2, 1, -1)  # a categorical level
+        w = np.full(80, 1 / 80)
+        splits = set()
+        for y in (low, -low, level, -level):
+            fitted = np.full(80, np.nan)
+            stump, err = fit_stump(X, y, w, kinds, fitted=fitted)
+            assert err == pytest.approx(0.0, abs=1e-12)
+            assert fitted.tobytes() == predict_stump(stump, X).tobytes()
+            splits.add((stump.levels[0][0], *stump.leaf_values.tolist()))
+        assert splits == {(0, 1.0, -1.0), (0, -1.0, 1.0), (1, 1.0, -1.0), (1, -1.0, 1.0)}
+        for y in (level, -level):  # one class of zero weight: the constant stump of the other
+            fitted = np.full(80, np.nan)
+            stump, err = fit_stump(X, y, np.where(y > 0, 0.0, 1 / np.sum(y < 0)), kinds, fitted=fitted)
+            assert stump.depth == 0 and fitted.tobytes() == predict_stump(stump, X).tobytes()
+            assert (fitted == -1.0).all()
+
 
 class TestThresholds:
     """A threshold t between consecutive values lo < hi has lo <= t < hi, so
@@ -936,7 +958,8 @@ GRID = (-2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 7.25)
 @st.composite
 def split_inputs(draw):
     """A small matrix of numeric, binary, categorical and constant columns
-    with missing cells and repeated values, and gradient statistics."""
+    with missing cells and repeated values, row- or column-major, and
+    gradient statistics."""
     n = draw(st.integers(1, 30))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     kinds, cols = [], []
@@ -958,6 +981,7 @@ def split_inputs(draw):
     X = np.column_stack(cols) if cols else np.empty((n, 0))
     g = rng.normal(size=n).round(draw(st.sampled_from([1, 8])))
     h = draw(st.sampled_from([np.ones(n), rng.uniform(0.0, 1.0, n), np.zeros(n)]))
+    X = np.asarray(X, order=draw(st.sampled_from("CF")))  # a fit reads either layout alike
     return X, g, h, tuple(kinds)
 
 
