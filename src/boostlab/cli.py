@@ -4,11 +4,10 @@ eval --data reads only the labels of the data CSV, but checks every cell of
 it as train would, so a file train rejects is rejected by eval too. eval
 --scores takes scores in [0, 1], as predict writes them: a score cell
 outside [0, 1] is a malformed scores file (exit 2), and so is a row of the
-scores or --truth file with more than one cell. A plain scores or --truth
-file (as predict writes scores: "%.6f" cells, one per line) is read from
-its bytes, as dataset's module docstring says; that path declines any
-other text, a missing cell and a label other than "0" or "1", and the
-csv-module text path then reads the file with the same result or error.
+scores or --truth file with more than one cell. Every CSV, the scores and
+--truth files too, is read by dataset in one flow: tokenized from its
+bytes or by csv.reader, then each column parsed in numpy or from its texts
+(see dataset's module docstring), with the same result either way.
 predict writes each score, and eval each curve coordinate, as "%.6f"
 would, byte for byte, from the whole array at once (metrics.format_6f).
 
@@ -57,11 +56,9 @@ from .dataset import (
     SyntheticSpec,
     load_csv,
     load_features_csv,
+    load_column_csv,
     load_labels_csv,
-    parse_label,
     pcos_default_schema,
-    read_csv_table,
-    read_plain_column,
     synthesize,
     write_csv,
 )
@@ -156,38 +153,6 @@ def _load_schema_arg(args) -> FeatureSchema | None:
             raise MalformedSchema(f"{args.schema}: not a schema: {exc!r}") from None
 
 
-def _read_column(path, name: str, parse, kind) -> np.ndarray:
-    """The cells of a one-column CSV headed `name`, each converted by parse.
-
-    A plain text is read from its bytes as a column of kind with no missing
-    cell (dataset.read_plain_column), which gives what parse gives or
-    declines. Any other text is read by read_csv_table: blank lines are
-    skipped, and a file that is not UTF-8 or not CSV, a wrong header, a row
-    of more than one cell, a cell that parse rejects with ValueError, a
-    non-finite value and an empty column are MalformedCsv.
-    """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    column = read_plain_column(raw, name, kind)
-    if column is not None:
-        return column
-    header, columns, _, bad = read_csv_table(path, skip_blank=True, raw=raw)
-    if [h.strip() for h in header or ()] != [name]:
-        raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
-    if bad is not None:
-        raise MalformedCsv(f"{path}: line {bad[2]} has more than one cell")
-    (cells,) = columns
-    try:
-        column = np.asarray([parse(cell) for cell in cells])
-    except ValueError:
-        raise MalformedCsv(f"{path}: unparsable {name} cell") from None
-    if column.size == 0:
-        raise MalformedCsv(f"{path}: no {name} rows")
-    if not np.isfinite(column).all():
-        raise MalformedCsv(f"{path}: {name} cells must be finite")
-    return column
-
-
 def _cmd_train(args) -> int:
     overrides = _overrides(args)
     data = load_csv(args.data, _load_schema_arg(args), args.label)
@@ -211,11 +176,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     _overrides(args)  # checks --threshold
-    scores = _read_column(args.scores, "score", float, NUMERIC)
+    scores = load_column_csv(args.scores, "score", NUMERIC)
     if ((scores < 0) | (scores > 1)).any():
         raise MalformedCsv(f"{args.scores}: score cells must lie in [0, 1]")
     if args.truth is not None:
-        truth = _read_column(args.truth, "label", parse_label, BINARY)
+        truth = load_column_csv(args.truth, "label", BINARY)
     else:
         truth = load_labels_csv(args.data, _load_schema_arg(args), args.label)
     if scores.shape != truth.shape:

@@ -4,27 +4,28 @@ Feature tables are stored as column-major float64 matrices in schema column
 order, with NaN standing for a missing cell: every reader and Dataset give
 that one layout. Missing cells are only legal in numeric columns.
 
-A CSV file is opened once. A plain text is read from its bytes in numpy,
-with no Python string per cell: ASCII, ending in a newline, with no '"', CR
-or NUL, no blank line, no line longer than csv.field_size_limit(), a data
-row and every row as wide as the header. One pass over the bytes finds the
-delimiters, and each column the caller reads is parsed from them: a binary,
-categorical or label cell must be one digit, and a numeric cell "", "NA" or
-an optional "-" then 1 to 15 digits with at most one "." (read exactly, see
-_decimals). This byte path gives what the text path gives or declines: on
-any other text, any other cell, a failed kind check or no data row, the
-bytes already read go to the text path, so every error, message and row
-number comes from there. Files that boostlab synth writes hold repr floats
-of 16 or 17 digits, and take the text path.
+Every CSV file is read in one flow: opened once, tokenized once, then
+parsed column by column. A plain text (ASCII, ending in a newline, with no
+'"', CR or NUL, no blank line, no line longer than csv.field_size_limit(),
+a data row and every row as wide as the header) is tokenized from its
+bytes: one numpy pass finds its delimiters, whose offsets give exactly the
+cells csv.reader gives. Any other text is tokenized by read_csv_table,
+which decodes the whole file and reads it with csv.reader before any
+check: so a file that is not UTF-8 text is MalformedCsv ("not UTF-8 text")
+whatever else is wrong with it, a wrong header too, and so is a row the
+csv module cannot read.
 
-The text path is one tokenizer, read_csv_table, which the CLI's scores and
-truth files share. It decodes the whole file and reads it with csv.reader
-before any check: so a file that is not UTF-8 text is MalformedCsv ("not
-UTF-8 text") whatever else is wrong with it, a wrong header too, and so is
-a row the csv module cannot read. Each column's cells are then mapped to
-their distinct raw texts: a schema is inferred from those texts, each
-distinct text is stripped and parsed once, and the values are gathered per
-cell in C.
+Each column the caller reads is then parsed on its own. A column of a plain
+text whose cells fit the byte grammar is parsed from its bytes with no
+Python string per cell: a binary, categorical or label cell must be one
+digit, and a numeric cell "", "NA" or an optional "-" then 1 to 15 digits
+with at most one "." (read exactly, see _decimals). Any other column, such
+as the repr floats of 16 or 17 digits that boostlab synth writes, a padded
+or bad cell, or every column csv.reader tokenized, is parsed from its cell
+texts: its kind is inferred from its distinct stripped texts, each of
+them is parsed once, and the values are gathered per cell in C. A
+column is parsed from its bytes only when every one of its texts would
+parse, so every value, error, message and row number is the text parse's.
 
 Either way every cell is checked, but values are built only for the
 columns the caller reads: load_labels_csv builds no feature matrix.
@@ -41,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import atomic_write_text
 from .errors import (
     DegenerateSchema,
     EmptyDataset,
@@ -133,15 +135,18 @@ class Dataset:
     """Immutable feature matrix plus 0/1 labels, validated against a schema.
     The matrix is column-major, each feature's cells contiguous, as the
     fitters and the scorer read it by column; a matrix given in another
-    layout is copied into that one."""
+    layout is copied into that one. Both arrays are held as read-only views:
+    one given already in its layout and dtype is not copied, so it stays
+    the caller's to write, and such a write shows in the dataset."""
 
     schema: FeatureSchema
     values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64, order="F")
-        labels = np.asarray(self.labels, dtype=np.int64)
+        # read-only views: the caller's own arrays, if uncopied, stay writeable
+        values = np.asarray(self.values, dtype=np.float64, order="F").view()
+        labels = np.asarray(self.labels, dtype=np.int64).view()
         if values.ndim != 2:
             raise ValueError("values must be 2-D")
         n, d = values.shape
@@ -187,7 +192,8 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.schema, self.values[idx], self.labels[idx])
+        # taken along the rows of the transpose: one copy, already column-major
+        return Dataset(self.schema, self.values.T.take(idx, axis=1).T, self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -314,7 +320,7 @@ _POW10 = np.array([float(10**k) for k in range(16)])
 
 def _decimals(buf, start, end):
     """(values, whole) of the cells buf[start:end], or None if one is outside
-    the byte path's number grammar: "" or "NA" (NaN), or an optional "-" then
+    the byte grammar for numbers: "" or "NA" (NaN), or an optional "-" then
     1 to 15 digits with at most one "." among them. whole is whether every
     cell is an integer (no missing cell, no ".").
 
@@ -353,7 +359,7 @@ def _decimals(buf, start, end):
 def _plain_column(buf, start, end, kind):
     """(kind, values) of a column of the cells buf[start:end], its kind
     inferred by _kind_of when None; None if a cell is outside the byte
-    path's grammar or fails the kind's check. A binary or categorical cell
+    grammar or fails the kind's check. A binary or categorical cell
     is one digit, a numeric one is read by _decimals."""
     digits = buf[start] - np.uint8(ord("0"))
     if (end - start == 1).all() and (digits < 10).all():
@@ -372,26 +378,12 @@ def _plain_column(buf, start, end, kind):
     return NUMERIC, values
 
 
-def read_plain_column(raw: bytes, name: str, kind: FeatureKind):
-    """The values of a one-column CSV text headed name (once stripped) that
-    the byte path reads, as a column of kind with no missing cell: float64
-    for NUMERIC, int64 for BINARY. None declines: read_csv_table reads raw."""
-    plain = _plain_table(raw)
-    if plain is None or [h.strip() for h in plain[0]] != [name]:
-        return None
-    _, buf, ends = plain
-    column = _plain_column(buf, ends[:-1, 0] + 1, ends[1:, 0], kind)
-    if column is None or np.isnan(column[1]).any():
-        return None
-    return column[1] if kind == NUMERIC else column[1].astype(np.int64)
-
-
 def read_csv_table(path, *, skip_blank: bool = False, raw: bytes | None = None):
     """(header, columns, n_rows, bad) of a CSV file, opened once, decoded
     whole and read by csv.reader: MalformedCsv naming the file if it is not
     UTF-8 text or the csv module cannot read a row (such as an over-long
-    field). raw is the file's bytes if they are already read (as the byte
-    path reads them before it declines); the file is not opened then.
+    field). raw is the file's bytes if they are already read (as _tokens
+    reads them to try the byte tokenizer first); the file is not opened then.
 
     header is the first row's cells, None for a file of no rows. columns[j]
     holds cell j of each later row of the header's width, n_rows of them in
@@ -448,36 +440,34 @@ def _check_header(path, header, schema, label_column, with_labels):
     return header, label_column, names
 
 
-def _read_plain(path, plain, schema, label_column, with_labels, features, infer_only):
-    """_read_csv's result for a plain text, from its bytes; None declines."""
+def _tokens(path, *, skip_blank: bool = False):
+    """(header, n_rows, bad, column) of a CSV file, opened once and
+    tokenized once: from its bytes when _plain_table accepts it, else by
+    read_csv_table (see it for header, n_rows, bad and skip_blank).
+
+    column(j, kind) is (kind, values) when _plain_column parses column j
+    from the bytes, its kind inferred when None; else (kind, texts), the
+    list of its cells' texts as csv.reader gives them, for the caller to
+    parse. A plain text has no quote, CR or blank line and every row is as
+    wide as the header, so its delimiter offsets give exactly those cells.
+    """
+    raw = _read_bytes(path)
+    plain = _plain_table(raw)
+    if plain is None:
+        header, texts, n_rows, bad = read_csv_table(path, skip_blank=skip_blank, raw=raw)
+        return header, n_rows, bad, lambda j, kind: (kind, texts[j])
     header, buf, ends = plain
-    header, label_column, names = _check_header(path, header, schema, label_column, with_labels)
-    place = {name: j for j, name in enumerate(header)}
 
-    def column(name, kind):
-        j = place[name]  # cell j of each data row lies after the delimiter before it
-        return _plain_column(buf, (ends[1:, j - 1] if j else ends[:-1, -1]) + 1, ends[1:, j], kind)
+    def column(j, kind):
+        # cell j of each data row lies after the delimiter before it
+        start, end = (ends[1:, j - 1] if j else ends[:-1, -1]) + 1, ends[1:, j]
+        parsed = _plain_column(buf, start, end, kind)
+        if parsed is not None:
+            return parsed
+        text = raw.decode("ascii")
+        return kind, list(map(text.__getitem__, map(slice, start.tolist(), end.tolist())))
 
-    inferred = {}
-    for name in names if schema is None else ():
-        inferred[name] = column(name, None)
-        if inferred[name] is None:  # the first column outside the grammar ends the read
-            return None
-    if schema is None:
-        schema = FeatureSchema(tuple((name, inferred[name][0]) for name in names), label_column)
-    if infer_only:
-        return schema, None, None
-    labels = column(label_column, BINARY) if with_labels else (BINARY, None)
-    if labels is None:
-        return None
-    values = np.empty((len(ends) - 1, schema.n_features), order="F") if features else None
-    for j, (name, kind) in enumerate(schema.columns):
-        got = inferred.pop(name, None) or column(name, kind)
-        if got is None:
-            return None
-        if features:
-            values[:, j] = got[1]
-    return schema, values, None if labels[1] is None else labels[1].astype(np.int64)
+    return header, len(ends) - 1, None, column
 
 
 def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
@@ -486,17 +476,11 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
     None unless with_labels, values is None unless features (every feature
     cell is checked either way), and infer_only returns (schema, None, None).
     values is column-major, as a Dataset holds it."""
-    raw = _read_bytes(path)
-    plain = _plain_table(raw)
-    if plain is not None:
-        read = _read_plain(path, plain, schema, label_column, with_labels, features, infer_only)
-        if read is not None:
-            return read
-        del plain  # its delimiter offsets, before the text path's cells are built
-    header, cells, n_rows, bad = read_csv_table(path, raw=raw)
+    header, n_rows, bad, column = _tokens(path)
     if header is None:
         raise EmptyDataset(f"{path}: file is empty")
     header, label_column, names = _check_header(path, header, schema, label_column, with_labels)
+    place = {name: j for j, name in enumerate(header)}
 
     # A row of the wrong width is left out, and its error loses to any error
     # of an earlier row; the rows before it are numbered from 2 without gaps.
@@ -506,16 +490,12 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
         message = f"{path}: row {row_no} has {n_cells} cells, expected {len(header)}"
         failures.append((row_no, -1, MalformedCsv(message)))
 
-    # Each column as its cells and its distinct raw texts, in first-seen order:
-    # inference and parsing see only the texts, and the column's values are
-    # gathered from them in C.
-    cells = dict(zip(header, cells))
-    columns = {}
-    for name in names + (label_column,) if with_labels else names:
-        col = cells.pop(name)
-        columns[name] = col, dict.fromkeys(col)
+    read = {}  # the columns read for inference: values, or cell texts
     if schema is None:
-        kinds = (_kind_of({text.strip() for text in columns[n][1]}) for n in names)
+        kinds = []
+        for name in names:
+            kind, read[name] = column(place[name], None)
+            kinds.append(kind or _kind_of({text.strip() for text in set(read[name])}))
         schema = FeatureSchema(tuple(zip(names, kinds)), label_column)
     if infer_only:
         if failures:
@@ -524,27 +504,33 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
 
     values = np.empty((n_rows, schema.n_features), order="F") if features else None
     labels = np.empty(n_rows, dtype=np.int64) if with_labels else None
-    checks = []  # (column, parser of one text, error type, message, output), in a row's order
+    checks = []  # (column, kind, parser of one text, error type, message, output), in a row's order
     if with_labels:
-        checks.append((label_column, parse_label, LabelNotBinary, "{path}: row {row} {why}", labels))
+        checks.append((label_column, BINARY, parse_label, LabelNotBinary, "{path}: row {row} {why}", labels))
     for j, (name, kind) in enumerate(schema.columns):
         parse = functools.partial(_parse_cell, kind=kind, column=name)
-        checks.append((name, parse, MalformedCsv, "row {row}: {why}", values[:, j] if features else None))
-    for place, (name, parse, error, message, out) in enumerate(checks):
-        col, raw = columns.pop(name)
-        parsed = {}  # value by stripped text
+        checks.append((name, kind, parse, MalformedCsv, "row {row}: {why}", values[:, j] if features else None))
+    for order, (name, kind, parse, error, message, out) in enumerate(checks):
+        cells = read.pop(name) if name in read else column(place[name], kind)[1]
+        if isinstance(cells, np.ndarray):  # parsed from the bytes, every cell valid
+            if out is not None:
+                out[:] = cells
+            continue
+        # The cells' distinct raw texts, in first-seen order: each is stripped
+        # and parsed once, and the column's values are gathered from them in C.
+        distinct, parsed = dict.fromkeys(cells), {}  # parsed: value by stripped text
         try:
-            for text in raw:
+            for text in distinct:
                 key = text.strip()
                 if key not in parsed:
                     parsed[key] = parse(key)
-                raw[text] = parsed[key]
+                distinct[text] = parsed[key]
         except ValueError as exc:
-            row_no = col.index(text) + 2  # the text's first row, the column's earliest failing one
-            failures.append((row_no, place, error(message.format(path=path, row=row_no, why=exc))))
+            row_no = cells.index(text) + 2  # the text's first row, the column's earliest failing one
+            failures.append((row_no, order, error(message.format(path=path, row=row_no, why=exc))))
             continue
         if out is not None:
-            out[:] = np.fromiter(map(raw.__getitem__, col), out.dtype, count=n_rows)
+            out[:] = np.fromiter(map(distinct.__getitem__, cells), out.dtype, count=n_rows)
     if failures:
         raise min(failures, key=lambda f: f[:2])[2]
     if not n_rows:
@@ -558,17 +544,17 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     The header must hold the schema's columns in any order. Without a schema
     one is inferred as infer_schema does, with label_column as the label.
     Empty cells and "NA" become missing values; labels must be exactly "0" or
-    "1". A plain text whose cells are in the byte path's grammar (see the
-    module docstring: short decimals, one-digit kind and label cells) is
-    read from its bytes, which gives what the text path gives. Any other is
-    decoded and read by csv.reader first (read_csv_table): a file that is
-    not UTF-8 text, or a row the csv module cannot read, is MalformedCsv
-    before any other check. The header is checked next (an empty
-    file, repeated names, the label or the schema's columns), then each
-    row's cell count, then that there is a data row. Of the rows' defects
-    the earliest row's is raised: within a row the cell count, then the
-    label, then the feature columns in schema order. Either path fills one
-    column-major matrix, the layout of every Dataset.
+    "1". The file is tokenized from its bytes if it is plain, else by
+    csv.reader, and each column is parsed from its bytes if its cells fit
+    the byte grammar, else from its texts (see the module docstring); every
+    route gives the same result. A file csv.reader tokenizes is decoded
+    first: one that is not UTF-8 text, or a row the csv module cannot read,
+    is MalformedCsv before any other check. The header is checked next (an
+    empty file, repeated names, the label or the schema's columns), then
+    each row's cell count, then that there is a data row. Of the rows'
+    defects the earliest row's is raised: within a row the cell count, then
+    the label, then the feature columns in schema order. The columns fill
+    one column-major matrix, the layout of every Dataset.
     """
     return Dataset(*_read_csv(path, schema, label_column, with_labels=True))
 
@@ -586,8 +572,6 @@ def dataset_to_csv_text(data: Dataset) -> str:
 
 
 def write_csv(path, data: Dataset) -> None:
-    from ._fileio import atomic_write_text
-
     atomic_write_text(path, dataset_to_csv_text(data))
 
 
@@ -605,6 +589,37 @@ def load_labels_csv(path, schema: FeatureSchema | None = None, label_column: str
     only the feature matrix is not built.
     """
     return _read_csv(path, schema, label_column, with_labels=True, features=False)[2]
+
+
+def load_column_csv(path, name: str, kind: FeatureKind) -> np.ndarray:
+    """The cells of a one-column CSV headed name (once stripped), read as
+    every CSV is (see the module docstring) with blank lines skipped: a
+    NUMERIC column is float64 by float(), a BINARY one int64 by parse_label.
+
+    A file that is not UTF-8 text or not CSV, a wrong header, a row of more
+    than one cell, a cell the parser rejects, no data row and a non-finite
+    value are MalformedCsv, in that order.
+    """
+    header, _, bad, column = _tokens(path, skip_blank=True)
+    if [h.strip() for h in header or ()] != [name]:
+        raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
+    if bad is not None:
+        raise MalformedCsv(f"{path}: line {bad[2]} has more than one cell")
+    _, cells = column(0, kind)
+    if isinstance(cells, np.ndarray):  # parsed from the bytes: "" and "NA" are NaN, which float() rejects
+        if np.isnan(cells).any():
+            raise MalformedCsv(f"{path}: unparsable {name} cell")
+        return cells if kind == NUMERIC else cells.astype(np.int64)
+    parse = float if kind == NUMERIC else parse_label
+    try:
+        values = np.asarray([parse(cell) for cell in cells])
+    except ValueError:
+        raise MalformedCsv(f"{path}: unparsable {name} cell") from None
+    if values.size == 0:
+        raise MalformedCsv(f"{path}: no {name} rows")
+    if not np.isfinite(values).all():
+        raise MalformedCsv(f"{path}: {name} cells must be finite")
+    return values
 
 
 def infer_schema(path, label_column: str) -> FeatureSchema:

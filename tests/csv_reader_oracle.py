@@ -1,8 +1,10 @@
 """A row-by-row reader of the CSV contract that dataset.load_csv documents,
-kept as an oracle for both column-wise routes: the byte path, which reads a
-plain text (ASCII, one-digit kind and label cells, numbers of at most 15
-digits) from its bytes in numpy or declines, and the text path, which reads
-every other text, such as the repr floats boostlab synth writes. Every cell
+kept as an oracle for the column-wise reader: it tokenizes a plain text
+(ASCII, LF endings, no quote, no blank line, no short row) from its bytes
+and any other by csv.reader, then parses a column in numpy when its cells
+fit the byte grammar (one-digit kind and label cells, numbers of at most 15
+digits) and from its texts otherwise, such as the repr floats boostlab synth
+writes. Every cell
 is parsed here on its own by csv.reader, _parse_cell and parse_label, row by
 row, and the first defect met is raised. Within a row that is the cell
 count, then the label, then the feature columns in schema order. A schema is
@@ -88,7 +90,7 @@ def infer(path, label_column) -> FeatureSchema:
 
 
 def read_column(path, name, parse):
-    """The column cli._read_column reads: the header must be name once
+    """The column dataset.load_column_csv reads: the header must be name once
     stripped, blank rows are skipped, a row of more than one cell is an
     error at its line, and every cell is converted by parse."""
     with open(path, newline="", encoding="utf-8") as fh:

@@ -12,9 +12,9 @@ import stat
 import csv_reader_oracle
 import pytest
 
-from boostlab import cli
+from boostlab import cli, dataset
 from boostlab.boost import load_model, predict_scores
-from boostlab.dataset import BINARY, NUMERIC, load_csv, parse_label, pcos_default_schema, read_plain_column
+from boostlab.dataset import BINARY, NUMERIC, load_column_csv, load_csv, parse_label, pcos_default_schema
 from boostlab.errors import MalformedCsv
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
@@ -133,8 +133,8 @@ class TestSuccess:
         assert {p.name for p in out_dir.iterdir()} == expected
 
     def test_each_data_csv_is_opened_once(self, tmp_path, capsys, data_csv, scores_csv, monkeypatch):
-        # both are read by csv.reader: the byte path declines the CRLF copy,
-        # and the repr floats that synth writes
+        # csv.reader tokenizes the CRLF copy; the file itself is tokenized from
+        # its bytes, and its repr floats, as synth writes them, parsed as texts
         crlf = tmp_path / "crlf.csv"
         crlf.write_bytes(data_csv.read_bytes().replace(b"\n", b"\r\n"))
         opened = []
@@ -285,6 +285,12 @@ COLUMN_FILES = {
     "bad-header": "{name}s\n{a}\n{b}\n",
     "no-final-newline": "{name}\n{a}\n{b}",
 }
+# ASCII, LF endings, no quote, blank line or row of another width
+PLAIN_COLUMN_FILES = {"plain", "padded-cell", "NA", "exponent", "bad-header"}
+
+
+def _not_tokenized_from_bytes(*args, **kwargs):
+    raise AssertionError("a plain file was tokenized by csv.reader")
 
 
 def assert_data_error(code, err):
@@ -569,8 +575,8 @@ class TestDataErrors:
             for name, text in texts.items():
                 paths[name] = tmp_path / f"{name}{len(ending)}.csv"
                 paths[name].write_bytes(text.replace("\n", ending).encode())
-            assert cli._read_column(paths["score"], "score", float, NUMERIC).tolist() == [0.1, 0.8, 0.4, 0.7]
-            assert cli._read_column(paths["label"], "label", parse_label, BINARY).tolist() == [1, 0, 0, 1]
+            assert load_column_csv(paths["score"], "score", NUMERIC).tolist() == [0.1, 0.8, 0.4, 0.7]
+            assert load_column_csv(paths["label"], "label", BINARY).tolist() == [1, 0, 0, 1]
             out = tmp_path / f"ev{len(ending)}"
             assert run(capsys, "eval", "--scores", paths["score"], "--truth", paths["label"], "--out", out)[0] == 0
             outputs.append([(out / f).read_bytes() for f in ("metrics.json", "roc.csv", "pr.csv")])
@@ -581,7 +587,7 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("case", COLUMN_FILES)
     @pytest.mark.parametrize("name", ["score", "label"])
-    def test_eval_column_files_agree_with_a_row_by_row_oracle(self, tmp_path, capsys, case, name):
+    def test_eval_column_files_agree_with_a_row_by_row_oracle(self, tmp_path, capsys, monkeypatch, case, name):
         parse, kind, cells, other = {
             "score": (float, NUMERIC, ("0.25", "0.5"), ("--truth", "label\n1\n0\n")),
             "label": (parse_label, BINARY, ("1", "0"), ("--scores", "score\n0.25\n0.5\n")),
@@ -589,7 +595,6 @@ class TestDataErrors:
         path, other_path = tmp_path / "column.csv", tmp_path / "other.csv"
         path.write_text(COLUMN_FILES[case].format(name=name, a=cells[0], b=cells[1]))
         other_path.write_text(other[1])
-        assert (read_plain_column(path.read_bytes(), name, kind) is not None) == (case == "plain")
 
         def outcome(read):
             try:
@@ -599,7 +604,9 @@ class TestDataErrors:
             return column.dtype, column.tolist()
 
         want = outcome(lambda: csv_reader_oracle.read_column(path, name, parse))
-        assert outcome(lambda: cli._read_column(path, name, parse, kind)) == want
+        if case in PLAIN_COLUMN_FILES:  # tokenized from the bytes, whatever its cells
+            monkeypatch.setattr(dataset, "read_csv_table", _not_tokenized_from_bytes)
+        assert outcome(lambda: load_column_csv(path, name, kind)) == want
         if isinstance(want, str):
             flag = "--scores" if name == "score" else "--truth"
             code, _, err = run(capsys, "eval", flag, path, other[0], other_path, "--out", tmp_path / "ev")

@@ -1,10 +1,12 @@
 import math
+import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from boostlab import cli, dataset
+from boostlab import dataset
 from boostlab.dataset import (
     BINARY,
     NUMERIC,
@@ -15,6 +17,7 @@ from boostlab.dataset import (
     categorical,
     dataset_to_csv_text,
     infer_schema,
+    load_column_csv,
     load_csv,
     load_features_csv,
     load_labels_csv,
@@ -96,7 +99,29 @@ class TestDatasetValidation:
         for data in (ds, ds.subset([2, 0]), synthetic, synthetic.subset(np.arange(0, 40, 3))):
             assert data.values.flags.f_contiguous and not data.values.flags.writeable
         assert np.array_equal(ds.values, rows, equal_nan=True)
-        assert np.array_equal(ds.subset([2, 0]).values, rows[[2, 0]], equal_nan=True)
+        assert np.array_equal(ds.subset([2, 0]).values.view(np.int64), rows[[2, 0]].view(np.int64))
+
+    def test_subset_copies_the_rows_once(self):
+        data = synthesize(pcos_default_schema(), 4000, 1, 1.0, missing_rate=0.1)
+        idx = np.arange(0, 4000, 2)
+        tracemalloc.start()
+        try:
+            sub = data.subset(idx)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(sub.values.view(np.int64), data.values[idx].view(np.int64))
+        assert peak < 1.5 * sub.values.nbytes  # a second, column-major copy would double it
+
+    def test_the_callers_arrays_stay_writeable(self):
+        # uncopied arrays: already float64 and column-major, int64
+        values, labels = np.asfortranarray(np.ones((3, 2))), np.array([0, 1, 0], dtype=np.int64)
+        ds = Dataset(tiny_schema(), values, labels)
+        assert values.flags.writeable and labels.flags.writeable
+        assert not ds.values.flags.writeable and not ds.labels.flags.writeable
+        assert np.shares_memory(ds.values, values) and np.shares_memory(ds.labels, labels)
+        values[0, 0] = 2.0
+        labels[0] = 1
 
 
 class TestLoadCsv:
@@ -218,28 +243,96 @@ class TestLoadCsv:
             "load_labels_csv, inferred": ("data", lambda path: load_labels_csv(path)),
             "load_csv, inferred": ("data", lambda path: load_csv(path)),
             "infer_schema": ("data", lambda path: infer_schema(path, "pcos")),
-            "_read_column": ("scores", lambda path: cli._read_column(path, "score", float, NUMERIC)),
+            "load_column_csv": ("scores", lambda path: load_column_csv(path, "score", NUMERIC)),
         }
-
-        def bits(result):  # NaN != NaN, and -0.0 == 0.0; a matrix is column-major either way
-            if isinstance(result, Dataset):
-                values = result.values
-                return result.schema, values.flags.f_contiguous, values.view(np.int64).tolist(), result.labels.tolist()
-            if isinstance(result, FeatureSchema):
-                return result
-            return result.dtype, result.flags.f_contiguous, result.view(np.int64).tolist()
-
-        want = {name: bits(read(files[kind][1])) for name, (kind, read) in reads.items()}
+        want = {name: _bits(read(files[kind][1])) for name, (kind, read) in reads.items()}
         assert want["load_csv, inferred"][:2] == (schema, True) and want["load_features_csv"][1]
         assert np.isnan(load_features_csv(files["data"][1], schema)).mean() > 0.05
 
-        def text_path(*args, **kwargs):
-            raise AssertionError("the byte path declined a plain file")
-
-        monkeypatch.setattr(dataset, "read_csv_table", text_path)
-        monkeypatch.setattr(cli, "read_csv_table", text_path)
+        monkeypatch.setattr(dataset, "read_csv_table", _not_tokenized_from_bytes)
+        monkeypatch.setattr(dataset, "_plain_column", _parsed_from_bytes(dataset._plain_column, parsed := []))
         for name, (kind, read) in reads.items():
-            assert bits(read(files[kind][0])) == want[name], name
+            assert _bits(read(files[kind][0])) == want[name], name
+        assert parsed and all(parsed)  # every column was parsed from its bytes
+
+    @pytest.mark.parametrize("variant", ["repr-floats", "padded-cells", "bad-cells"])
+    def test_plain_files_outside_the_byte_grammar_are_tokenized_from_their_bytes(self, tmp_path, monkeypatch, variant):
+        # a column outside the byte grammar is parsed from its cell texts, cut
+        # from the bytes: no whole-file decline to csv.reader
+        data = synthesize(pcos_default_schema(), 200, 3, 2.0, missing_rate=0.1)
+        texts = {
+            "data": dataset_to_csv_text(data),  # repr floats of up to 17 digits, as boostlab synth writes
+            "scores": "score\n" + "".join(f"{s!r}\n" for s in np.random.default_rng(3).random(200).tolist()),
+            "truth": "label\n" + "".join(f"{label}\n" for label in data.labels.tolist()),
+        }
+        if variant == "padded-cells":
+            texts = {name: text.replace(",", " , ").replace("\n", " \n") for name, text in texts.items()}
+        elif variant == "bad-cells":  # in the byte grammar but for the bad cells, one in each file
+            texts = {name: re.sub(r"\d+\.\d+", lambda m: f"{float(m.group()):.2f}", t) for name, t in texts.items()}
+            lines = {name: text.split("\n") for name, text in texts.items()}
+            lines["data"][51] = re.sub(r",[01],", ",x,", lines["data"][51], count=1)  # a binary cell of row 52
+            lines["data"][120] = lines["data"][120][:-1] + "2"  # a later label
+            lines["scores"][30], lines["truth"][40] = "x", "2"
+            texts = {name: "\n".join(lines[name]) for name in texts}
+        files = {}
+        for name, text in texts.items():
+            files[name] = tmp_path / f"{name}.csv", tmp_path / f"{name}-crlf.csv"
+            files[name][0].write_text(text)
+            files[name][1].write_bytes(text.replace("\n", "\r\n").encode())  # tokenized by csv.reader
+        schema = pcos_default_schema()
+        reads = {
+            "load_csv": ("data", lambda path: load_csv(path, schema)),
+            "load_csv, inferred": ("data", lambda path: load_csv(path)),
+            "load_features_csv": ("data", lambda path: load_features_csv(path, schema)),
+            "load_labels_csv, inferred": ("data", lambda path: load_labels_csv(path)),
+            "infer_schema": ("data", lambda path: infer_schema(path, "pcos")),
+            "load_column_csv, scores": ("scores", lambda path: load_column_csv(path, "score", NUMERIC)),
+            "load_column_csv, truth": ("truth", lambda path: load_column_csv(path, "label", BINARY)),
+        }
+
+        def outcome(name, copy):
+            kind, read = reads[name]
+            path = files[kind][copy]
+            try:
+                return "read", _bits(read(path))
+            except (MalformedCsv, LabelNotBinary) as exc:
+                return "raised", type(exc), str(exc).replace(str(path), "{path}")
+
+        want = {name: outcome(name, 1) for name in reads}
+        raised = {name for name, got in want.items() if got[0] == "raised"}
+        assert raised == (set(reads) - {"infer_schema"} if variant == "bad-cells" else set()), want
+        if variant == "bad-cells":
+            message = "row 52: cannot parse 'x' in column 'sudden_weight_gain'"
+            assert want["load_csv"] == want["load_labels_csv, inferred"] == ("raised", MalformedCsv, message)
+        monkeypatch.setattr(dataset, "read_csv_table", _not_tokenized_from_bytes)
+        for name in reads:
+            assert outcome(name, 0) == want[name], name
+
+
+def _bits(result):
+    """A read's result, compared bit for bit (NaN != NaN, and -0.0 == 0.0);
+    a matrix is column-major either way."""
+    if isinstance(result, Dataset):
+        values = result.values
+        return result.schema, values.flags.f_contiguous, values.view(np.int64).tolist(), result.labels.tolist()
+    if isinstance(result, FeatureSchema):
+        return result
+    return result.dtype, result.flags.f_contiguous, result.view(np.int64).tolist()
+
+
+def _not_tokenized_from_bytes(*args, **kwargs):
+    raise AssertionError("a plain file was tokenized by csv.reader")
+
+
+def _parsed_from_bytes(plain_column, parsed):
+    """plain_column, recording in parsed whether each call parsed its cells."""
+
+    def spy(*args):
+        got = plain_column(*args)
+        parsed.append(got is not None)
+        return got
+
+    return spy
 
 
 class TestInferSchema:

@@ -382,8 +382,8 @@ def csv_texts(draw):
     some short or long. The cells suit the schema, but in one column in four
     every other cell, at random, is any text. A cell may be padded with
     spaces. Some texts end their lines in CRLF, and in some a data cell may
-    be quoted (as "1" or " 2.5"): the byte path declines those, and
-    csv.reader reads them."""
+    be quoted (as "1" or " 2.5"): csv.reader tokenizes those, and the
+    others are tokenized from their bytes."""
     kinds = draw(st.lists(st.sampled_from([NUMERIC, BINARY, categorical(3)]), min_size=1, max_size=3))
     schema = FeatureSchema(tuple((f"c{j}", kind) for j, kind in enumerate(kinds)), "pcos")
     header = draw(st.permutations([*schema.feature_names, "pcos"]))
