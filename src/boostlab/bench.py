@@ -3,14 +3,32 @@
 Outputs per run: report.json, table.txt, table.csv, and a ROC + PR curve CSV
 per algorithm (8 curve files). Everything except the report timestamp is
 byte-deterministic for a fixed config.
+
+run_benchmark fits the four boosters on two CPUs where it can: the calling
+process fits CatBoost, the longest fit, while one forked child fits
+AdaBoost, GBM and XGBoost in ALGORITHMS order and sends back their models,
+or the first exception it hit, pickled over a pipe. The caller fits all
+four itself, in ALGORITHMS order, when os.fork or os.sched_getaffinity is
+missing, when the process may run on one CPU only, or when it runs more
+than one thread, since forking a threaded process is unsafe. Scoring,
+metrics and report files then run in the caller in ALGORITHMS order, and
+the first algorithm whose fit or scoring failed raises its error, so the
+error is the one a serial loop would raise, whichever process hit it first.
+The child is reaped before run_benchmark returns or raises; on
+KeyboardInterrupt or SystemExit it is killed first.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,6 +56,10 @@ ALGO_LABELS = {
 PAPER_PRESET_N = 250
 PAPER_PRESET_TEST_ROWS = 48
 PAPER_PRESET_SIGNAL = 2.0
+
+# CatBoost, the longest fit, stays in the caller; a forked child fits the rest.
+CALLER_ALGORITHMS = ("catboost",)
+CHILD_ALGORITHMS = tuple(a for a in ALGORITHMS if a not in CALLER_ALGORITHMS)
 
 
 @dataclass(frozen=True)
@@ -114,21 +136,91 @@ def _load_source(config: BenchmarkConfig) -> Dataset:
     return synthesize(schema, spec.n, config.seed, spec.signal_strength, spec.missing_rate)
 
 
+def _fit_in_order(algorithms, train: Dataset, params: dict[str, BoostParams]) -> dict:
+    """Each algorithm's model, fitted in order, up to the first whose fit
+    raised, which maps to its exception."""
+    outcomes = {}
+    for algo in algorithms:
+        try:
+            outcomes[algo] = fit(algo, train, params[algo])
+        except Exception as exc:  # raised by run_benchmark, in ALGORITHMS order
+            outcomes[algo] = exc
+            break
+    return outcomes
+
+
+def _fit_in_child(write_fd: int, train: Dataset, params: dict[str, BoostParams]) -> NoReturn:
+    """The forked child's whole life: fit CHILD_ALGORITHMS, pickle the
+    outcomes to write_fd, and leave by os._exit, which returns into none of
+    the caller's code and runs no exit handler. The exit code is 0 only once
+    everything is sent. A pickled exception keeps its type and message, not
+    its traceback; a run on one CPU shows that."""
+    code = 1
+    try:
+        outcomes = _fit_in_order(CHILD_ALGORITHMS, train, params)
+        with os.fdopen(write_fd, "wb") as pipe:
+            pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _can_fork() -> bool:
+    """Whether a forked child can fit beside the caller: fork exists, the
+    process may run on two CPUs or more, and it runs no other thread."""
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and threading.active_count() == 1
+    )
+
+
+def _fit_all(train: Dataset, params: dict[str, BoostParams]) -> dict:
+    """The outcomes of _fit_in_order for every algorithm, the child's and the
+    caller's fitted at once when _can_fork(), else all in the caller."""
+    if not _can_fork():
+        return _fit_in_order(ALGORITHMS, train, params)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        _fit_in_child(write_fd, train, params)
+    os.close(write_fd)
+    with os.fdopen(read_fd, "rb") as pipe:
+        try:
+            outcomes = _fit_in_order(CALLER_ALGORITHMS, train, params)
+            payload = pipe.read()
+        except BaseException:  # an interrupt, an exit or a failed read: the child's fits are not wanted
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise ChildProcessError(f"the {', '.join(CHILD_ALGORITHMS)} fit process exited with code {code}")
+    return {**pickle.loads(payload), **outcomes}
+
+
 def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
     """Train the four boosters on one split; optionally write all report files.
 
-    Each test set is scored once: its labels are its scores at or above the
-    model's threshold, as predict_labels would compute them."""
+    The fits run as the module docstring says: CatBoost in this process and
+    the other three in one forked child, or all four here. The models are
+    then scored in ALGORITHMS order, and the first algorithm whose fit or
+    scoring failed raises its error. Each test set is scored once: its
+    labels are its scores at or above the model's threshold, as
+    predict_labels would compute them."""
     data = _load_source(config)
     train, test = split(data, SplitSpec(config.test_fraction, config.seed))
-
+    params = {algo: config.params.get(algo, default_params(algo)) for algo in ALGORITHMS}
+    models = _fit_all(train, params)
     results: dict[str, AlgoResult] = {}
     for algo in ALGORITHMS:
-        params = config.params.get(algo, default_params(algo))
-        model = fit(algo, train, params)
+        model = models[algo]
+        if isinstance(model, Exception):
+            raise model
         train_pred = predict_labels(model, train)
         test_scores = predict_scores(model, test)
-        test_pred = (test_scores >= params.threshold).astype(np.int64)
+        test_pred = (test_scores >= params[algo].threshold).astype(np.int64)
         cm = confusion(test_pred, test.labels)
         roc = roc_curve(test_scores, test.labels)
         results[algo] = AlgoResult(

@@ -28,7 +28,10 @@ or 2, a missing key (every params field must be given), a value of the wrong
 type (a bool is not a number, a float is not an int, a name must be a
 string), a number that is NaN, infinite or beyond the float range, a value
 outside its set (default_direction "left" or "right", stump classes -1 or
-1), a split on a column the model does not have, a tree of the wrong kind
+1), a split on a column the model does not have, a split whose test does
+not fit its column (a list of levels for a categorical column of AdaBoost,
+GBM or XGBoost, else a number; CatBoost's encoded columns all take a
+number), trees or levels that are not lists, a tree of the wrong kind
 for its algorithm (oblivious for AdaBoost and CatBoost, regression for GBM
 and XGBoost), an entry of a legacy stumps list that is not a stump, a bad or
 repeated tree node index, an oblivious tree deeper than 16 levels or whose
@@ -534,10 +537,20 @@ def model_from_dict(d: dict) -> TreeEnsemble:
         )
         if algorithm == "catboost":
             _check_encodings(encodings, schema)
-        trees = [tree_from_dict(t, _encoded_width(schema, encodings), version) for t in d["trees"]]
+        if not isinstance(d["trees"], list):
+            raise MalformedModel("trees must be a list")
+        width = _encoded_width(schema, encodings)
+        trees = [tree_from_dict(t, width, version) for t in d["trees"]]
         kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
         if not all(isinstance(t, kind) for t in trees):
             raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")
+        # CatBoost's trees split its encoded matrix, whose columns are all numbers
+        categorical = [False] * width if encodings else [k.is_categorical for k in schema.kinds]
+        for t in trees:
+            for f, thr, _ in t.tests():
+                if isinstance(thr, frozenset) != categorical[f]:
+                    takes = "a level set" if categorical[f] else "a number"
+                    raise MalformedModel(f"a split on column {f} must test {takes}")
         base = as_number(d["base_score"], "base_score")
         return TreeEnsemble(algorithm, base, trees, schema, params, encodings)
     except KeyError as exc:

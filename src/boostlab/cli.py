@@ -11,6 +11,14 @@ bytes or by csv.reader, then each column parsed in numpy or from its texts
 predict writes each score, and eval each curve coordinate, as "%.6f"
 would, byte for byte, from the whole array at once (metrics.format_6f).
 
+compare fits as bench.run_benchmark does: CatBoost in this process while
+one forked child fits AdaBoost, GBM and XGBoost, or all four in this
+process when os.fork or os.sched_getaffinity is missing, the process may
+run on one CPU only, or another thread runs. The report files are the same
+either way. When fits fail, the error reported is that of the earliest
+failing algorithm in ALGORITHMS order, whichever process hit it, and no
+child outlives the command.
+
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
 rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or

@@ -1015,6 +1015,8 @@ def _threshold_to_json(thr):
 
 def _threshold_from_json(obj):
     if isinstance(obj, dict):
+        if not isinstance(obj["levels"], list):
+            raise MalformedModel("categorical levels must be a list")
         return frozenset(as_index(v, math.inf, "categorical level") for v in obj["levels"])
     return as_number(obj, "threshold")
 

@@ -496,6 +496,18 @@ class TestDataErrors:
         assert f"{algo}: training raw scores are not finite after round 1" in err
         assert not model.exists()
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
+    def test_compare_reports_the_earliest_failing_fit(self, tmp_path, capsys, monkeypatch, cpus):
+        # XGBoost, fitted in the forked child on two CPUs, and CatBoost, fitted
+        # in the caller, both overflow; the first in ALGORITHMS order is reported
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+        argv = ("compare", "--synthetic", "--n", 60, "--rounds", 3, "--learning-rate", "1e308")
+        code, _, err = run(capsys, *argv, "--out", tmp_path / "out")
+        message = "xgboost: training raw scores are not finite after round 2 at learning_rate 1e+308"
+        assert (code, err) == (2, f"compare: {message}\n")
+        with pytest.raises(ChildProcessError):  # no child is left
+            os.waitpid(-1, os.WNOHANG)
+
     def test_catboost_level_gain_that_overflows(self, tmp_path, capsys):
         # zero hessians after round 1 and a subnormal lambda overflow a level's gain
         data, model = tmp_path / "d.csv", tmp_path / "m.json"

@@ -119,9 +119,33 @@ class TestDatasetValidation:
         ds = Dataset(tiny_schema(), values, labels)
         assert values.flags.writeable and labels.flags.writeable
         assert not ds.values.flags.writeable and not ds.labels.flags.writeable
-        assert np.shares_memory(ds.values, values) and np.shares_memory(ds.labels, labels)
         values[0, 0] = 2.0
         labels[0] = 1
+
+    @pytest.mark.parametrize("view", [False, True])
+    def test_a_write_into_the_callers_array_does_not_reach_the_dataset(self, view):
+        # uncopied once: float64, column-major and int64, or a read-only view of such arrays
+        values, labels = np.asfortranarray(np.ones((3, 2))), np.array([0, 1, 0], dtype=np.int64)
+        given_values, given_labels = values, labels
+        if view:
+            given_values, given_labels = values.view(), labels.view()
+            given_values.flags.writeable = given_labels.flags.writeable = False
+        ds = Dataset(tiny_schema(), given_values, given_labels)
+        assert not np.shares_memory(ds.values, values) and not np.shares_memory(ds.labels, labels)
+        values[0, 1] = 5.0  # a binary column
+        labels[0] = 7
+        assert ds.values[0, 1] == 1.0 and ds.labels[0] == 0
+
+    def test_the_loaders_arrays_are_held_uncopied(self, tmp_path):
+        # read-only arrays that view no writeable one
+        data = synthesize(pcos_default_schema(), 40, 1, 1.0)
+        path = tmp_path / "d.csv"
+        write_csv(path, data)
+        for ds in (data, data.subset([3, 1]), load_csv(path)):
+            again = Dataset(ds.schema, ds.values, ds.labels)
+            assert again.values is ds.values and again.labels is ds.labels
+        features = load_features_csv(path, data.schema)
+        assert Dataset(data.schema, features, data.labels).values is features
 
 
 class TestLoadCsv:

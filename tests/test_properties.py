@@ -56,7 +56,7 @@ from boostlab.dataset import (
     synthesize,
     write_csv,
 )
-from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores
+from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores, SchemaMismatch
 from boostlab.metrics import CurveSeries, curve_to_csv, roc_curve
 from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
@@ -162,6 +162,65 @@ def test_a_leaf_of_another_type_is_malformed(tmp_path_factory, algorithm, draw):
     entry[path[-1]] = draw.draw(st.sampled_from(OTHER_TYPES[kind]), label="replacement")
     with pytest.raises(MalformedModel):
         model_from_dict(d)
+
+
+def json_nodes(node, path=()):
+    """(path, value) of every value below the root of a JSON document,
+    containers included, path the keys and indices that lead to it."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*path, key), child
+            yield from json_nodes(child, (*path, key))
+
+
+# A field's value is swapped for one of another JSON type: a container for a
+# scalar or the other container, a number for no finite number of its own
+# type (so an int may become 2.5, a float only NaN or an infinity). A string
+# may become another string too, one that no enumerated field takes.
+SWAPS = [None, True, -1, 2.5, math.nan, math.inf, "", "x", [], {}]
+
+
+def swaps(value):
+    def same_type(swap):
+        if isinstance(value, str):
+            return False
+        if isinstance(value, float):
+            return type(swap) in (int, float) and math.isfinite(swap)
+        return type(swap) is type(value)
+
+    return [swap for swap in SWAPS if not same_type(swap)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(algorithm=st.sampled_from(ALGORITHMS), draw=st.data())
+def test_a_single_field_mutation_is_malformed_or_a_renamed_column(tmp_path_factory, algorithm, draw):
+    # Every field of the dict, containers included: its value swapped, or its
+    # key deleted. A feature column renamed to another string gives a schema
+    # the reader accepts, and scoring the training data raises SchemaMismatch;
+    # the label column renamed changes no score, since scoring reads no label.
+    text, _ = saved_model(tmp_path_factory.getbasetemp(), algorithm)
+    d = json.loads(text)
+    path, value = draw.draw(st.sampled_from(list(json_nodes(d))), label="field")
+    entry = d
+    for key in path[:-1]:
+        entry = entry[key]
+    deletion = [] if isinstance(entry, list) else ["delete"]
+    mutation = draw.draw(st.sampled_from(deletion + [("swap", s) for s in swaps(value)]), label="mutation")
+    if mutation == "delete":
+        del entry[path[-1]]
+    else:
+        entry[path[-1]] = mutation[1]
+    renamed = mutation != "delete" and isinstance(mutation[1], str)
+    data = synthesize(pcos_default_schema(), 60, 32, 1.5, missing_rate=0.1)
+    if renamed and path[:2] == ("schema", "columns") and path[-1] == "name":
+        with pytest.raises(SchemaMismatch):
+            predict_scores(model_from_dict(d), data)
+    elif renamed and path == ("schema", "label_column"):
+        original = model_from_dict(json.loads(text))
+        assert np.array_equal(predict_scores(model_from_dict(d), data), predict_scores(original, data))
+    else:
+        with pytest.raises(MalformedModel):
+            model_from_dict(d)
 
 
 @settings(max_examples=60, deadline=None)
