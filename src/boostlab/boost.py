@@ -79,6 +79,11 @@ def _check_threshold(threshold: float) -> None:
 
 @dataclass(frozen=True)
 class BoostParams:
+    """One booster's hyperparameters, checked on construction. learning_rate
+    must be positive and finite but has no upper bound, as scikit-learn's
+    GradientBoostingClassifier takes any positive rate: a rate so large that
+    the raw scores overflow ends the fit in NonFiniteScores instead."""
+
     n_rounds: int = 100
     learning_rate: float = 0.1
     max_depth: int = 3

@@ -20,16 +20,17 @@ failing algorithm in ALGORITHMS order, whichever process hit it, and no
 child outlives the command.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
-unknown or missing flag, or a value BoostParams, SplitSpec or SyntheticSpec
+unknown or missing flag, a value BoostParams, SplitSpec or SyntheticSpec
 rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
---n 1; 2 data or model error, on one stderr line: a missing file or a
+--n 1, or compare's --n, --signal-strength or --missing-rate without
+--synthetic; 2 data or model error, on one stderr line: a missing file or a
 malformed CSV, --schema or model file, or a fit or model whose raw scores
 are not finite (such as --learning-rate 1e308). Output files are written
 atomically (temp file + rename), so a failing run never leaves a
 half-written file behind; train checks --model-out, and compare creates
---out, before any fit. The BOOSTLAB_SEED environment variable sets the
-seed wherever --seed is not given, and is checked as --seed is:
-BOOSTLAB_SEED=abc or -1 exits 1.
+--out, before any fit, and predict checks --scores-out before it scores.
+The BOOSTLAB_SEED environment variable sets the seed wherever --seed is not
+given, and is checked as --seed is: BOOSTLAB_SEED=abc or -1 exits 1.
 """
 
 from __future__ import annotations
@@ -176,6 +177,8 @@ def _cmd_predict(args) -> int:
     model = load_model(args.model)
     values = load_features_csv(args.data, model.schema)
     data = Dataset(model.schema, values, np.zeros(values.shape[0], dtype=np.int64))
+    del values  # the dataset holds its own copy
+    check_destination(args.scores_out)  # before the scoring, which the write would come after
     scores = predict_scores(model, data)
     atomic_write_text(args.scores_out, "score\n" + format_6f(scores))
     print(f"wrote {scores.size} scores -> {args.scores_out}")
@@ -215,6 +218,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_compare(args) -> int:
     overrides = _overrides(args)
+    if _given(args, SyntheticSpec) and not args.synthetic:
+        args.parser.error("--n, --signal-strength and --missing-rate need --synthetic")
     if args.preset == "paper":
         config = paper_preset_config(overrides["seed"])
     else:

@@ -130,41 +130,23 @@ class FeatureSchema:
         return cls(tuple(cols), d["label_column"])
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    """a made read-only and returned. Used on arrays that their maker hands
-    over and keeps no writeable reference to, so Dataset holds them uncopied."""
-    a.flags.writeable = False
-    return a
-
-
-def _held(a, dtype, order: str) -> np.ndarray:
-    """a as an array of dtype and order that no caller can write through: a
-    itself, or a conversion of it, when a is read-only and views no
-    writeable array, else a copy."""
-    base = a
-    while isinstance(base, np.ndarray) and not base.flags.writeable:
-        base = base.base
-    return (np.asarray if base is None else np.array)(a, dtype=dtype, order=order)
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus 0/1 labels, validated against a schema.
-    The matrix is column-major, each feature's cells contiguous, as the
-    fitters and the scorer read it by column; a matrix given in another
-    layout is copied into that one. Both arrays are held read-only, in
-    memory that no caller can write: an array that is writeable, or a view
-    of one, is copied, so the caller's own stays writeable and a write into
-    it does not reach the dataset. A read-only array that views no writeable
-    one, as the loaders hand over (see _read_only), is held as it is."""
+    The dataset always copies both arrays it is given, the matrix into
+    column-major float64 (each feature's cells contiguous, as the fitters
+    and the scorer read it by column) and the labels into int64. It holds
+    read-only views of the copies, on which numpy refuses to set writeable
+    back, so neither the caller's arrays nor a user of the dataset can
+    write its cells."""
 
     schema: FeatureSchema
     values: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        values = _held(self.values, np.float64, "F")
-        labels = _held(self.labels, np.int64, "K")
+        values = np.array(self.values, dtype=np.float64, order="F")
+        labels = np.array(self.labels, dtype=np.int64)
         if values.ndim != 2:
             raise ValueError("values must be 2-D")
         n, d = values.shape
@@ -193,8 +175,8 @@ class Dataset:
                     raise ValueError(f"categorical column {name!r} has out-of-range level indices")
         values.flags.writeable = False
         labels.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "values", values.view())
+        object.__setattr__(self, "labels", labels.view())
 
     @property
     def n_rows(self) -> int:
@@ -209,9 +191,9 @@ class Dataset:
         return 2 * self.labels - 1
 
     def subset(self, indices) -> "Dataset":
+        """The rows at indices, in that order, as a new Dataset."""
         idx = np.asarray(indices, dtype=np.int64)
-        # taken along the rows of the transpose: one copy, already column-major
-        return Dataset(self.schema, _read_only(self.values.T.take(idx, axis=1)).T, _read_only(self.labels[idx]))
+        return Dataset(self.schema, self.values[idx], self.labels[idx])
 
 
 @dataclass(frozen=True)
@@ -575,7 +557,7 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     one column-major matrix, the layout of every Dataset.
     """
     schema, values, labels = _read_csv(path, schema, label_column, with_labels=True)
-    return Dataset(schema, _read_only(values), _read_only(labels))
+    return Dataset(schema, values, labels)
 
 
 def dataset_to_csv_text(data: Dataset) -> str:
@@ -596,9 +578,9 @@ def write_csv(path, data: Dataset) -> None:
 
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
     """Parse only the feature columns of a CSV; the label column may be absent.
-    The matrix is column-major, as load_csv's, and read-only, so a Dataset
-    holds it uncopied (see Dataset)."""
-    return _read_only(_read_csv(path, schema, schema.label_column, with_labels=False)[1])
+    The matrix is column-major float64, as load_csv's, and the caller's to
+    write: a Dataset made from it holds its own copy."""
+    return _read_csv(path, schema, schema.label_column, with_labels=False)[1]
 
 
 def load_labels_csv(path, schema: FeatureSchema | None = None, label_column: str = "pcos") -> np.ndarray:
@@ -721,7 +703,7 @@ def synthesize(
         for x, (_, kind) in zip(cols, schema.columns):
             if kind.kind == "numeric":
                 x[rng.random(n) < missing_rate] = np.nan
-    return Dataset(schema, _read_only(np.array(cols)).T, _read_only(labels))
+    return Dataset(schema, np.array(cols).T, labels)
 
 
 def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:

@@ -109,10 +109,12 @@ class MetricScores:
 
 @dataclass(frozen=True, eq=False)
 class CurveSeries:
-    """A curve's points in drawing order as two read-only float64 arrays, x
-    and y (fpr and tpr for ROC, recall and precision for a precision-recall
-    curve); auc is set for ROC curves only. eq=False: two series compare by
-    identity, never by an elementwise == of their arrays."""
+    """A curve's points in drawing order as two float64 arrays, x and y (fpr
+    and tpr for ROC, recall and precision for a precision-recall curve); auc
+    is set for ROC curves only. Like Dataset, the series copies both arrays
+    and holds read-only views of the copies, on which numpy refuses to set
+    writeable back. eq=False: two series compare by identity, never by an
+    elementwise == of their arrays."""
 
     x: np.ndarray
     y: np.ndarray
@@ -125,8 +127,8 @@ class CurveSeries:
             raise LengthMismatch(f"length mismatch: {x.shape} x vs {y.shape} y")
         x.flags.writeable = False
         y.flags.writeable = False
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "x", x.view())
+        object.__setattr__(self, "y", y.view())
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:

@@ -252,6 +252,11 @@ class TestUsageErrors:
                 "missing_rate must lie in [0, 1)",
                 id="compare-missing-rate-2",
             ),
+            pytest.param(
+                ("compare", "--data", "d.csv", "--n", 5, "--missing-rate", 0.5),
+                "--n, --signal-strength and --missing-rate need --synthetic",
+                id="compare-synthetic-flags-with-data",
+            ),
         ],
     )
     def test_synthetic_value_out_of_range(self, tmp_path, capsys, argv, message):
@@ -629,18 +634,30 @@ def _must_not_run(*args, **kwargs):
     raise AssertionError("the output was not checked before the work")
 
 
-@pytest.mark.parametrize("where", ["missing-parent", "parent-is-a-file", "directory"])
-def test_train_checks_model_out_before_the_fit(tmp_path, capsys, data_csv, monkeypatch, where):
+@pytest.mark.parametrize(
+    "command, where",
+    [
+        pytest.param(command, where, id=where if command == "train" else f"{command}-{where}")
+        for command in ("train", "predict")
+        for where in ("missing-parent", "parent-is-a-file", "directory")
+    ],
+)
+def test_train_checks_model_out_before_the_fit(tmp_path, capsys, data_csv, model_file, monkeypatch, command, where):
+    # and predict checks --scores-out after reading its inputs, before scoring them
     if where == "missing-parent":
-        target, reason = tmp_path / "missing" / "m.json", "No such file or directory"
+        target, reason = tmp_path / "missing" / "out.json", "No such file or directory"
     elif where == "parent-is-a-file":
-        target, reason = data_csv / "m.json", "Not a directory"
+        target, reason = data_csv / "out.json", "Not a directory"
     else:
-        target, reason = tmp_path / "m-dir", "Is a directory"
+        target, reason = tmp_path / "out-dir", "Is a directory"
         target.mkdir()
-    monkeypatch.setattr(cli, "fit", _must_not_run)
-    code, _, err = train(capsys, "catboost", data_csv, target, "--preset", "paper")
-    assert (code, err) == (2, f"train: {target}: {reason}\n")
+    if command == "train":
+        monkeypatch.setattr(cli, "fit", _must_not_run)
+        code, _, err = train(capsys, "catboost", data_csv, target, "--preset", "paper")
+    else:
+        monkeypatch.setattr(cli, "predict_scores", _must_not_run)
+        code, _, err = run(capsys, "predict", "--model", model_file, "--data", data_csv, "--scores-out", target)
+    assert (code, err) == (2, f"{command}: {target}: {reason}\n")
 
 
 def test_compare_creates_out_before_the_fits(tmp_path, capsys, monkeypatch):

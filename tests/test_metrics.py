@@ -216,6 +216,18 @@ class TestPrCurve:
             pr_curve([0.2, 0.4], [0, 0])
 
 
+@pytest.mark.parametrize("curve", [roc_curve, pr_curve])
+def test_a_curves_arrays_cannot_be_made_writeable(curve):
+    series = curve([0.1, 0.9, 0.4], [0, 1, 1])
+    points = series.points
+    for array in (series.x, series.y):
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+        with pytest.raises(ValueError):
+            array[0] = 5.0
+    assert series.points == points
+
+
 class TestCurveCsv:
     def test_round_trip_six_decimals(self, tmp_path):
         rng = np.random.default_rng(6)
