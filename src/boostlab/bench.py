@@ -1,8 +1,11 @@
 """Benchmark harness: train all four boosters on one shared split and report.
 
-Outputs per run: report.json, table.txt, table.csv, and a ROC + PR curve CSV
-per algorithm (8 curve files). Everything except the report timestamp is
-byte-deterministic for a fixed config.
+Each algorithm's result is its training accuracy and the metrics.evaluate
+Evaluation of its test scores at its params.threshold, the same evaluation
+that eval writes from a scores file. Outputs per run: report.json, table.txt,
+table.csv, and a ROC + PR curve CSV per algorithm (8 curve files).
+Everything except the report timestamp is byte-deterministic for a fixed
+config.
 
 run_benchmark fits the four boosters on two CPUs where it can: the calling
 process fits CatBoost, the longest fit, while one forked child fits
@@ -30,8 +33,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn
 
-import numpy as np
-
 from ._fileio import atomic_write_text
 from .boost import ALGORITHMS, BoostParams, default_params, fit, paper_preset, predict_labels, predict_scores
 from .dataset import (
@@ -44,7 +45,7 @@ from .dataset import (
     split,
     synthesize,
 )
-from .metrics import ConfusionMatrix, CurveSeries, MetricScores, confusion, pr_curve, pr_to_csv, roc_curve, roc_to_csv
+from .metrics import Evaluation, evaluate, pr_to_csv, roc_to_csv
 
 ALGO_LABELS = {
     "adaboost": "AdaBoost",
@@ -95,12 +96,7 @@ def paper_preset_config(seed: int = 42) -> BenchmarkConfig:
 @dataclass
 class AlgoResult:
     train_accuracy: float
-    test_accuracy: float
-    confusion: ConfusionMatrix
-    scores: MetricScores
-    auc: float
-    roc: CurveSeries
-    pr: CurveSeries
+    test: Evaluation
 
 
 @dataclass
@@ -116,13 +112,7 @@ class BenchmarkReport:
         return {
             "metadata": {**meta, "timestamp": self.timestamp},
             "algorithms": {
-                algo: {
-                    "train_accuracy": r.train_accuracy,
-                    "test_accuracy": r.test_accuracy,
-                    "confusion": r.confusion.to_dict(),
-                    "metrics": r.scores.to_dict(),
-                    "auc": r.auc,
-                }
+                algo: {"train_accuracy": r.train_accuracy, "test_accuracy": r.test.scores.accuracy, **r.test.to_dict()}
                 for algo, r in self.results.items()
             },
         }
@@ -206,9 +196,8 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
     The fits run as the module docstring says: CatBoost in this process and
     the other three in one forked child, or all four here. The models are
     then scored in ALGORITHMS order, and the first algorithm whose fit or
-    scoring failed raises its error. Each test set is scored once: its
-    labels are its scores at or above the model's threshold, as
-    predict_labels would compute them."""
+    scoring failed raises its error. The test set is scored once per model
+    and evaluated by metrics.evaluate at the model's threshold."""
     data = _load_source(config)
     train, test = split(data, SplitSpec(config.test_fraction, config.seed))
     params = {algo: config.params.get(algo, default_params(algo)) for algo in ALGORITHMS}
@@ -219,18 +208,9 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
         if isinstance(model, Exception):
             raise model
         train_pred = predict_labels(model, train)
-        test_scores = predict_scores(model, test)
-        test_pred = (test_scores >= params[algo].threshold).astype(np.int64)
-        cm = confusion(test_pred, test.labels)
-        roc = roc_curve(test_scores, test.labels)
         results[algo] = AlgoResult(
             train_accuracy=float((train_pred == train.labels).mean()),
-            test_accuracy=float((test_pred == test.labels).mean()),
-            confusion=cm,
-            scores=MetricScores.from_confusion(cm),
-            auc=roc.auc,
-            roc=roc,
-            pr=pr_curve(test_scores, test.labels),
+            test=evaluate(predict_scores(model, test), test.labels, params[algo].threshold),
         )
 
     report = BenchmarkReport(
@@ -252,8 +232,8 @@ def write_report_files(report: BenchmarkReport, out_dir) -> None:
     atomic_write_text(out / "table.txt", render_table(report))
     atomic_write_text(out / "table.csv", render_table_csv(report))
     for algo, r in report.results.items():
-        atomic_write_text(out / f"roc_{algo}.csv", roc_to_csv(r.roc))
-        atomic_write_text(out / f"pr_{algo}.csv", pr_to_csv(r.pr))
+        atomic_write_text(out / f"roc_{algo}.csv", roc_to_csv(r.test.roc))
+        atomic_write_text(out / f"pr_{algo}.csv", pr_to_csv(r.test.pr))
 
 
 def _fmt(value: float | None, digits: int = 4) -> str:
@@ -264,17 +244,18 @@ def _table_rows(report: BenchmarkReport) -> list[list[str]]:
     header = ["Algorithm", "Train%", "Test%", "FN", "FP", "Precision", "Recall", "F-Score", "AUC"]
     rows = [header]
     for algo, r in report.results.items():
+        t = r.test
         rows.append(
             [
                 ALGO_LABELS[algo],
                 f"{100.0 * r.train_accuracy:.2f}",
-                f"{100.0 * r.test_accuracy:.2f}",
-                str(r.confusion.fn),
-                str(r.confusion.fp),
-                _fmt(r.scores.precision),
-                _fmt(r.scores.recall),
-                _fmt(r.scores.f_score),
-                _fmt(r.auc),
+                f"{100.0 * t.scores.accuracy:.2f}",
+                str(t.confusion.fn),
+                str(t.confusion.fp),
+                _fmt(t.scores.precision),
+                _fmt(t.scores.recall),
+                _fmt(t.scores.f_score),
+                _fmt(t.roc.auc),
             ]
         )
     return rows

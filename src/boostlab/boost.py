@@ -7,7 +7,7 @@ score is sigmoid of the sum. Discrete AdaBoost's rounds are the one-level
 oblivious trees fit_stump returns (a constant stump is a tree of no level and
 one leaf) with their leaves, the classes ±1, scaled by the round's alpha,
 summed unshrunk from base_score 0; the score is sigmoid(2 * sum). All models
-emit per-row scores in [0, 1]; labels are 1 when score >= threshold.
+emit per-row scores in [0, 1], which predict_labels labels by metrics.labels_at.
 
 Model files are format v2, written as compact JSON (no whitespace) and a
 newline, and read in any JSON layout, the indented files written earlier
@@ -53,6 +53,7 @@ from ._fields import as_index, as_number
 from ._fileio import atomic_open
 from .dataset import Dataset, FeatureKind, FeatureSchema
 from .errors import MalformedModel, NonFiniteScores, SchemaMismatch, SingleClassDataset
+from .metrics import check_threshold, labels_at
 from .tree import (
     ObliviousTree,
     Presort,
@@ -69,12 +70,6 @@ from .tree import (
 ALGORITHMS = ("adaboost", "gbm", "xgboost", "catboost")
 
 MODEL_FORMAT_VERSION = 2
-
-
-def _check_threshold(threshold: float) -> None:
-    """A label threshold lies in (0, 1); NaN does not."""
-    if not 0.0 < threshold < 1.0:
-        raise ValueError("threshold must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -112,7 +107,7 @@ class BoostParams:
             raise ValueError("cat_one_hot_max must be >= 1")
         if not 0.0 < self.cat_prior < 1.0:
             raise ValueError("cat_prior must lie in (0, 1)")
-        _check_threshold(self.threshold)
+        check_threshold(self.threshold)
 
 
 _DEPTH_DEFAULTS = {"adaboost": 1, "gbm": 3, "xgboost": 3, "catboost": 6}
@@ -458,11 +453,12 @@ def predict_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
 
 
 def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.ndarray:
-    """Hard 0/1 labels; a score exactly at the threshold maps to 1. A threshold
-    outside (0, 1), or NaN, is a ValueError."""
+    """The labels of the model's scores at the threshold, params.threshold by
+    default, as metrics.labels_at gives them. The threshold is checked before
+    the rows are scored: one outside (0, 1), or NaN, is a ValueError."""
     th = model.params.threshold if threshold is None else threshold
-    _check_threshold(th)
-    return (predict_scores(model, data) >= th).astype(np.int64)
+    check_threshold(th)
+    return labels_at(predict_scores(model, data), th)
 
 
 def model_to_dict(model: TreeEnsemble) -> dict:

@@ -72,15 +72,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import BoostlabError, LengthMismatch, MalformedCsv, MalformedSchema
-from .metrics import (
-    MetricScores,
-    confusion,
-    format_6f,
-    pr_curve,
-    pr_to_csv,
-    roc_curve,
-    roc_to_csv,
-)
+from .metrics import evaluate, format_6f, pr_to_csv, roc_to_csv
 from .tree import MAX_OBLIVIOUS_DEPTH
 
 DEFAULT_SEED = 42
@@ -196,22 +188,13 @@ def _cmd_eval(args) -> int:
         truth = load_labels_csv(args.data, _load_schema_arg(args), args.label)
     if scores.shape != truth.shape:
         raise LengthMismatch(f"length mismatch: {scores.size} scores vs {truth.size} labels")
-    pred = (scores >= args.threshold).astype(np.int64)
-    cm = confusion(pred, truth)
-    roc = roc_curve(scores, truth)
-    pr = pr_curve(scores, truth)
+    result = evaluate(scores, truth, args.threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "n": int(truth.size),
-        "threshold": args.threshold,
-        "confusion": cm.to_dict(),
-        "metrics": MetricScores.from_confusion(cm).to_dict(),
-        "auc": roc.auc,
-    }
+    payload = {"n": int(truth.size), "threshold": args.threshold, **result.to_dict()}
     atomic_write_text(out / "metrics.json", json.dumps(payload, indent=2, allow_nan=False) + "\n")
-    atomic_write_text(out / "roc.csv", roc_to_csv(roc))
-    atomic_write_text(out / "pr.csv", pr_to_csv(pr))
+    atomic_write_text(out / "roc.csv", roc_to_csv(result.roc))
+    atomic_write_text(out / "pr.csv", pr_to_csv(result.pr))
     print(f"wrote metrics.json, roc.csv, pr.csv -> {out}")
     return 0
 
@@ -242,7 +225,7 @@ def _cmd_compare(args) -> int:
     report = run_benchmark(config, args.out)
     print(f"benchmark complete: report.json, table.txt, table.csv, 8 curve CSVs -> {args.out}")
     for algo, r in report.results.items():
-        print(f"  {algo}: test_acc={r.test_accuracy:.4f} auc={r.auc:.4f}")
+        print(f"  {algo}: test_acc={r.test.scores.accuracy:.4f} auc={r.test.roc.auc:.4f}")
     return 0
 
 

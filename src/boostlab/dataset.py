@@ -300,9 +300,10 @@ def _plain_table(raw: bytes):
     if not raw.isascii() or not raw.endswith(b"\n") or b'"' in raw or b"\r" in raw or b"\0" in raw:
         return None
     buf = np.frombuffer(raw, np.uint8)
-    newline = buf == ord("\n")
-    ends = np.flatnonzero(newline | (buf == ord(",")))
-    n_lines, width = np.count_nonzero(newline), raw.count(b",", 0, raw.index(b"\n")) + 1
+    ends = buf == ord("\n")  # the cell ends as a mask, OR-ed in place, then as offsets
+    n_lines, width = np.count_nonzero(ends), raw.count(b",", 0, raw.index(b"\n")) + 1
+    ends |= buf == ord(",")
+    ends = np.flatnonzero(ends)
     if n_lines < 2 or ends.size != n_lines * width:
         return None
     ends = ends.reshape(n_lines, width)

@@ -1,7 +1,12 @@
 """Binary-classification evaluation: confusion matrix, scalar scores, ROC and PR curves.
 
-Zero-denominator metrics return None ("undefined") rather than 0 or an error;
-reports render None as "NA". The positive class is label 1 throughout.
+evaluate(scores, truth, threshold) is the one evaluation of a scores vector
+that compare and eval report: labels_at turns the scores into labels (1
+where a score is at or above the threshold, the one place that rule is
+written), confusion counts them against the truth, and roc_curve and
+pr_curve sweep the scores themselves. Zero-denominator metrics return None
+("undefined") rather than 0 or an error; reports render None as "NA". The
+positive class is label 1 throughout.
 """
 
 from __future__ import annotations
@@ -11,6 +16,17 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import LengthMismatch, NoPositives, SingleClassTruth
+
+
+def check_threshold(threshold: float) -> None:
+    """A label threshold lies in (0, 1); NaN does not."""
+    if not 0.0 < threshold < 1.0:
+        raise ValueError("threshold must lie in (0, 1)")
+
+
+def labels_at(scores, threshold: float) -> np.ndarray:
+    """The scores' int64 labels: 1 where a score is at or above the threshold, else 0."""
+    return (np.asarray(scores) >= threshold).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -180,6 +196,27 @@ def pr_curve(scores, truth) -> CurveSeries:
     rec = cum_tp / P
     prec = cum_tp / (cum_tp + cum_fp)
     return CurveSeries(rec, prec)
+
+
+@dataclass(frozen=True)
+class Evaluation:
+    """A scores vector evaluated against its truth: the confusion matrix and
+    scalar scores of its labels at one threshold, and its ROC and PR curves."""
+
+    confusion: ConfusionMatrix
+    scores: MetricScores
+    roc: CurveSeries
+    pr: CurveSeries
+
+    def to_dict(self) -> dict:
+        return {"confusion": self.confusion.to_dict(), "metrics": self.scores.to_dict(), "auc": self.roc.auc}
+
+
+def evaluate(scores, truth, threshold: float) -> Evaluation:
+    """The Evaluation of the scores against 0/1 truth at the threshold; the
+    errors are those of confusion, roc_curve and pr_curve, in that order."""
+    cm = confusion(labels_at(scores, threshold), truth)
+    return Evaluation(cm, MetricScores.from_confusion(cm), roc_curve(scores, truth), pr_curve(scores, truth))
 
 
 def format_6f(*columns) -> str:

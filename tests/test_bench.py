@@ -7,6 +7,7 @@ import threading
 import time
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from boostlab import bench
@@ -18,17 +19,14 @@ from boostlab.bench import (
     render_table_csv,
     run_benchmark,
 )
-from boostlab.boost import ALGORITHMS, BoostParams, default_params, paper_preset
+from boostlab.boost import ALGORITHMS, BoostParams, default_params, fit, paper_preset, predict_scores
 from boostlab.dataset import SplitSpec, SyntheticSpec, pcos_default_schema, split, synthesize
+from boostlab.metrics import evaluate
 
 
 @pytest.fixture(scope="module")
 def report():
-    config = BenchmarkConfig(
-        synthetic=SyntheticSpec(n=60),
-        params={a: replace(default_params(a), n_rounds=2) for a in ALGORITHMS},
-    )
-    return run_benchmark(config)
+    return run_benchmark(small_config())
 
 
 def test_paper_preset_config_is_250_rows_with_48_test_rows():
@@ -57,7 +55,7 @@ def test_config_rejects(kwargs, message):
 
 def test_tables_print_na_for_an_undefined_score(report):
     gbm = report.results["gbm"]
-    gbm = replace(gbm, scores=replace(gbm.scores, precision=None))
+    gbm = replace(gbm, test=replace(gbm.test, scores=replace(gbm.test.scores, precision=None)))
     report = replace(report, results={**report.results, "gbm": gbm})
     labels = [ALGO_LABELS[a] for a in ALGORITHMS]
     text_rows = render_table(report).splitlines()[2:]  # below the header and its rule
@@ -67,6 +65,24 @@ def test_tables_print_na_for_an_undefined_score(report):
     gbm_row = ALGORITHMS.index("gbm")
     assert csv_rows[gbm_row][5] == "NA"  # the Precision column
     assert text_rows[gbm_row].split()[-4] == "NA"  # Precision, Recall, F-Score, AUC
+
+
+def test_each_result_is_the_evaluation_of_its_test_scores(report):
+    config = small_config()
+    spec = config.synthetic
+    data = synthesize(pcos_default_schema(), spec.n, config.seed, spec.signal_strength, spec.missing_rate)
+    train, test = split(data, SplitSpec(config.test_fraction, config.seed))
+    written = report.to_dict()["algorithms"]
+    for algo, r in report.results.items():
+        params = config.params[algo]
+        expected = evaluate(predict_scores(fit(algo, train, params), test), test.labels, params.threshold)
+        assert r.test.to_dict() == expected.to_dict()
+        assert r.test.roc.points == expected.roc.points and r.test.pr.points == expected.pr.points
+        entry = written[algo]
+        assert list(entry) == ["train_accuracy", "test_accuracy", "confusion", "metrics", "auc"]
+        assert entry["test_accuracy"] == entry["metrics"]["accuracy"]
+        x, y = r.test.roc.x, r.test.roc.y
+        assert entry["auc"] == pytest.approx(float(np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2)), abs=1e-15)
 
 
 def test_run_without_out_dir_writes_no_files(tmp_path, monkeypatch):

@@ -100,6 +100,28 @@ class TestBoostParams:
             BoostParams(cat_prior=0.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: BoostParams(max_depth=0), "max_depth", id="max_depth-0"),
+        pytest.param(lambda: BoostParams(reg_lambda=-1.0), "reg_lambda", id="negative-reg_lambda"),
+        pytest.param(lambda: BoostParams(reg_lambda=math.inf), "reg_lambda", id="infinite-reg_lambda"),
+        pytest.param(lambda: BoostParams(gamma=-0.5), "gamma", id="negative-gamma"),
+        pytest.param(lambda: BoostParams(gamma=math.inf), "gamma", id="infinite-gamma"),
+        pytest.param(lambda: BoostParams(min_child_weight=-1.0), "min_child_weight", id="negative-min_child_weight"),
+        pytest.param(lambda: BoostParams(min_child_weight=math.inf), "min_child_weight", id="infinite-min_child_weight"),
+        pytest.param(lambda: BoostParams(cat_one_hot_max=0), "cat_one_hot_max", id="cat_one_hot_max-0"),
+        pytest.param(lambda: default_params("lightgbm"), "unknown algorithm", id="default_params-unknown"),
+        pytest.param(
+            lambda: fit("lightgbm", numeric_dataset([1, 2], [0, 1])), "unknown algorithm", id="fit-unknown"
+        ),
+    ],
+)
+def test_documented_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestAdaBoost:
     def test_separable_stops_after_one_round(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
@@ -154,6 +176,20 @@ class TestAdaBoost:
         data = numeric_dataset([1, 2, 3], [1, 1, 1])
         with pytest.raises(SingleClassDataset):
             fit_adaboost(data)
+
+    def test_a_round_at_half_error_stops_before_its_stump(self, tmp_path):
+        # XOR over two binary columns: every stump, of either column and
+        # either orientation, errs on half the weight
+        schema = FeatureSchema((("a", BINARY), ("b", BINARY)), "y")
+        data = Dataset(schema, np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float), np.array([0, 1, 1, 0]))
+        model = fit_adaboost(data)
+        assert model.trees == [] and model.train_loss == []
+        assert predict_scores(model, data).tolist() == [0.5] * 4
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+        assert back.trees == [] and model_to_dict(back) == model_to_dict(model)
+        assert predict_scores(back, data).tolist() == [0.5] * 4
 
     def test_scores_use_sigmoid_of_double_margin(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
@@ -619,6 +655,23 @@ class TestMalformedModel:
         edit(d["trees"][0])
         with pytest.raises(MalformedModel):
             model_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "split, message",
+        [
+            # column 11 of the default schema is the categorical activity_level, column 0 the numeric age
+            ({"feature_index": 11, "threshold": 0.5}, "a split on column 11 must test a level set"),
+            ({"feature_index": 0, "threshold": {"levels": [0]}}, "a split on column 0 must test a number"),
+        ],
+    )
+    def test_a_split_whose_test_does_not_fit_its_column_is_named(self, split, message):
+        d = self.model_dict("gbm")
+        node = {**split, "default_direction": "left", "left": 1, "right": 2}
+        d["trees"][0] = {**REGRESSION_TREE, "nodes": [node, {"value": 0.1}, {"value": -0.1}]}
+        with pytest.raises(MalformedModel, match=message):
+            model_from_dict(d)
+        d["trees"][0]["nodes"][0]["threshold"] = {"levels": [0]} if "level set" in message else 0.5
+        model_from_dict(d)  # loads with the test its column takes
 
     def test_missing_key_named(self):
         d = self.model_dict("catboost")

@@ -16,6 +16,7 @@ from boostlab import cli, dataset
 from boostlab.boost import load_model, predict_scores
 from boostlab.dataset import BINARY, NUMERIC, load_column_csv, load_csv, parse_label, pcos_default_schema
 from boostlab.errors import MalformedCsv
+from boostlab.metrics import evaluate, pr_to_csv, roc_to_csv
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
 
@@ -121,6 +122,15 @@ class TestSuccess:
             assert (out_a / name).read_bytes() == (out_b / name).read_bytes()
         metrics = json.loads((out_a / "metrics.json").read_text())
         assert metrics["n"] == 80 and 0.0 <= metrics["auc"] <= 1.0
+
+    def test_eval_writes_the_evaluation_of_its_scores(self, tmp_path, capsys, data_csv, scores_csv):
+        out = tmp_path / "ev"
+        argv = ("eval", "--scores", scores_csv, "--data", data_csv, "--threshold", 0.3, "--out", out)
+        assert run(capsys, *argv)[0] == 0
+        result = evaluate(load_column_csv(scores_csv, "score", NUMERIC), load_csv(data_csv).labels, 0.3)
+        assert json.loads((out / "metrics.json").read_text()) == {"n": 80, "threshold": 0.3, **result.to_dict()}
+        assert (out / "roc.csv").read_text() == roc_to_csv(result.roc)
+        assert (out / "pr.csv").read_text() == pr_to_csv(result.pr)
 
     def test_compare_writes_every_report_file(self, tmp_path, capsys):
         out_dir = tmp_path / "cmp"

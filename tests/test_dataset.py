@@ -75,6 +75,32 @@ class TestSchema:
         assert kinds.count("categorical") == 1
 
 
+CAT_SCHEMA = FeatureSchema((("age", NUMERIC), ("level", categorical(3))), "pcos")
+ONE_ROW = Dataset(tiny_schema(), np.array([[30.0, 1.0]]), np.array([1]))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones(2), [1]), ValueError, "2-D", id="values-1-D"),
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones((0, 2)), []), EmptyDataset, "row", id="no-rows"),
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 3)), [0, 1]), ValueError, "3", id="wrong-width"),
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 2)), [0]), ValueError, "length", id="labels-length"),
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 2)), [0, 2]), ValueError, "0 or 1", id="labels-0/1"),
+        pytest.param(
+            lambda: Dataset(tiny_schema(), np.array([[np.inf, 1.0]]), [1]), ValueError, "non-finite", id="inf-cell"
+        ),
+        pytest.param(lambda: Dataset(CAT_SCHEMA, np.array([[1.0, 3.0]]), [1]), ValueError, "range", id="level-3-of-3"),
+        pytest.param(lambda: FeatureKind("numeric", 3), ValueError, "no cardinality", id="numeric-cardinality"),
+        pytest.param(lambda: SplitSpec(0.2, -1), ValueError, "seed", id="negative-seed"),
+        pytest.param(lambda: split(ONE_ROW, SplitSpec(0.2, 0)), ValueError, "fewer than 2 rows", id="split-one-row"),
+    ],
+)
+def test_documented_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestDatasetValidation:
     def test_binary_cells_checked(self):
         with pytest.raises(ValueError):

@@ -7,11 +7,15 @@ import pytest
 from boostlab.errors import LengthMismatch, NoPositives, SingleClassTruth
 from boostlab.metrics import (
     ConfusionMatrix,
+    CurveSeries,
     MetricScores,
+    check_threshold,
     confusion,
+    evaluate,
     f_score,
     format_6f,
     fpr,
+    labels_at,
     pr_curve,
     precision,
     recall,
@@ -298,3 +302,55 @@ class TestMetricScores:
         assert scores.recall == scores.tpr
         assert scores.fpr == pytest.approx(1 - scores.specificity)
         assert scores.accuracy == pytest.approx(42 / 50)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        pytest.param(lambda: ConfusionMatrix(1, -1, 0, 0), ValueError, "non-negative", id="negative-count"),
+        pytest.param(lambda: confusion([], []), LengthMismatch, "at least one row", id="confusion-empty"),
+        pytest.param(lambda: confusion([0, 2], [0, 1]), ValueError, "0/1", id="confusion-not-0/1"),
+        pytest.param(lambda: CurveSeries([0.0, 1.0], [0.0]), LengthMismatch, "length", id="curve-unequal"),
+        pytest.param(lambda: roc_curve([0.1, 0.2], [1]), LengthMismatch, "length", id="roc-unequal"),
+        pytest.param(lambda: roc_curve([0.1, 0.2], [0, 2]), ValueError, "0/1", id="roc-truth-not-0/1"),
+        pytest.param(lambda: roc_curve([math.nan, 0.2], [0, 1]), ValueError, "finite", id="roc-nan-score"),
+    ],
+)
+def test_documented_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+class TestEvaluate:
+    def test_a_score_at_the_threshold_is_label_1(self):
+        labels = labels_at([0.5, 0.4999999, 0.5000001, 0.0, 1.0], 0.5)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [1, 0, 1, 0, 1]
+
+    def test_is_the_confusion_scores_and_curves_of_the_scores(self):
+        rng = np.random.default_rng(7)
+        scores = rng.random(40).round(2)
+        truth = rng.integers(0, 2, 40)
+        result = evaluate(scores, truth, 0.3)
+        cm = confusion((scores >= 0.3).astype(int), truth)
+        assert result.confusion == cm
+        assert result.scores == MetricScores.from_confusion(cm)
+        roc, pr = roc_curve(scores, truth), pr_curve(scores, truth)
+        assert result.roc.points == roc.points and result.roc.auc == roc.auc
+        assert result.pr.points == pr.points and result.pr.auc is None
+
+    def test_to_dict_gives_confusion_metrics_and_auc_in_order(self):
+        result = evaluate([0.9, 0.2, 0.6, 0.4], [1, 0, 0, 1], 0.5)
+        d = result.to_dict()
+        assert list(d) == ["confusion", "metrics", "auc"]
+        assert d["confusion"] == {"tp": 1, "fp": 1, "tn": 1, "fn": 1}
+        assert d["metrics"] == result.scores.to_dict() and d["metrics"]["accuracy"] == 0.5
+        assert d["auc"] == result.roc.auc == 0.75
+
+    @pytest.mark.parametrize(
+        "scores, truth, error",
+        [([0.2, 0.7], [1], LengthMismatch), ([0.2, 0.7], [1, 1], SingleClassTruth), ([0.2, 0.7], [0, 0], SingleClassTruth)],
+    )
+    def test_errors_are_those_of_its_parts(self, scores, truth, error):
+        with pytest.raises(error):
+            evaluate(scores, truth, 0.5)

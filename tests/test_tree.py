@@ -148,6 +148,25 @@ def kernel_fixture(rng, n):
     return X, g, h, (NUMERIC, BINARY, categorical(3))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: fit_stump(np.ones(3), [1, -1, 1], np.full(3, 1 / 3)), "2-D", id="stump-1-D-X"),
+        pytest.param(lambda: fit_stump(np.ones((2, 1)), [1, 0], [0.5, 0.5]), "-1 or \\+1", id="stump-y-not-signed"),
+        pytest.param(lambda: fit_stump(np.ones((2, 1)), [1, -1], [1.0]), "row count", id="stump-weights-length"),
+        pytest.param(
+            lambda: fit_regression_tree(np.ones((2, 1)), [0.5, -0.5], [1.0, -1.0], max_depth=1),
+            "non-negative",
+            id="tree-negative-hessian",
+        ),
+        pytest.param(lambda: Presort(np.ones(3)), "2-D", id="presort-1-D-X"),
+    ],
+)
+def test_documented_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestFitStump:
     def test_separable(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
