@@ -7,17 +7,23 @@ table.csv, and a ROC + PR curve CSV per algorithm (8 curve files).
 Everything except the report timestamp is byte-deterministic for a fixed
 config.
 
-run_benchmark fits the four boosters on two CPUs where it can: the calling
-process fits CatBoost, the longest fit, while one forked child fits
-AdaBoost, GBM and XGBoost in ALGORITHMS order and sends back their models,
-or the first exception it hit, pickled over a pipe. The caller fits all
-four itself, in ALGORITHMS order, when os.fork or os.sched_getaffinity is
-missing, when the process may run on one CPU only, or when it runs more
-than one thread, since forking a threaded process is unsafe. Scoring,
-metrics and report files then run in the caller in ALGORITHMS order, and
-the first algorithm whose fit or scoring failed raises its error, so the
-error is the one a serial loop would raise, whichever process hit it first.
-The child is reaped before run_benchmark returns or raises; on
+run_benchmark runs four jobs, one per algorithm: the algorithm's fit, its
+training accuracy and its test scores. Where it can, two processes share
+them through a claim queue: one byte per job in a pipe, read one at a time,
+so each job goes to exactly one process. The jobs are claimed in JOB_ORDER,
+longest fit first (greedy longest-processing-time list scheduling). The
+calling process keeps the first job, CatBoost, and one forked child starts
+on the queue at once; each process claims its next job when it is done with
+the last, until the queue is empty, and keeps claiming after a failed job.
+The child sends back each of its jobs' training accuracy and test scores,
+or the exception the job raised, pickled over a second pipe; no model
+crosses it. The caller drains the queue alone when os.fork or
+os.sched_getaffinity is missing, when the process may run on one CPU only,
+or when it runs more than one thread, since forking a threaded process is
+unsafe. Metrics and report files then run in the caller in ALGORITHMS
+order, and the first algorithm whose job failed raises its error, so the
+error is the one a serial loop would raise, whichever process ran it. The
+child is reaped before run_benchmark returns or raises; on
 KeyboardInterrupt or SystemExit it is killed first.
 """
 
@@ -58,9 +64,9 @@ PAPER_PRESET_N = 250
 PAPER_PRESET_TEST_ROWS = 48
 PAPER_PRESET_SIGNAL = 2.0
 
-# CatBoost, the longest fit, stays in the caller; a forked child fits the rest.
-CALLER_ALGORITHMS = ("catboost",)
-CHILD_ALGORITHMS = tuple(a for a in ALGORITHMS if a not in CALLER_ALGORITHMS)
+# The order jobs are claimed in, longest fit first on the paper preset and on
+# default parameters; the caller keeps the first.
+JOB_ORDER = ("catboost", "xgboost", "gbm", "adaboost")
 
 
 @dataclass(frozen=True)
@@ -126,28 +132,42 @@ def _load_source(config: BenchmarkConfig) -> Dataset:
     return synthesize(schema, spec.n, config.seed, spec.signal_strength, spec.missing_rate)
 
 
-def _fit_in_order(algorithms, train: Dataset, params: dict[str, BoostParams]) -> dict:
-    """Each algorithm's model, fitted in order, up to the first whose fit
-    raised, which maps to its exception."""
+def _claimed(claims: int, kept=()):
+    """The algorithms of the kept jobs, then of each job claimed from the
+    claims pipe, one byte (a JOB_ORDER index) at a time, until the pipe is
+    empty and its write end closed. A job is claimed only when the one
+    before it is done."""
+    yield from kept
+    while claim := os.read(claims, 1):
+        yield JOB_ORDER[claim[0]]
+
+
+def _run_jobs(algorithms, train: Dataset, test: Dataset, params: dict[str, BoostParams]) -> dict:
+    """Each algorithm's job outcome: the training accuracy and the test
+    scores of its fitted model, or the exception its fit or scoring raised.
+    A failed job does not stop the loop, so every job runs."""
     outcomes = {}
     for algo in algorithms:
         try:
-            outcomes[algo] = fit(algo, train, params[algo])
+            model = fit(algo, train, params[algo])
+            train_accuracy = float((predict_labels(model, train) == train.labels).mean())
+            outcomes[algo] = train_accuracy, predict_scores(model, test)
         except Exception as exc:  # raised by run_benchmark, in ALGORITHMS order
             outcomes[algo] = exc
-            break
     return outcomes
 
 
-def _fit_in_child(write_fd: int, train: Dataset, params: dict[str, BoostParams]) -> NoReturn:
-    """The forked child's whole life: fit CHILD_ALGORITHMS, pickle the
-    outcomes to write_fd, and leave by os._exit, which returns into none of
-    the caller's code and runs no exit handler. The exit code is 0 only once
-    everything is sent. A pickled exception keeps its type and message, not
-    its traceback; a run on one CPU shows that."""
+def _run_in_child(
+    claims: int, write_fd: int, train: Dataset, test: Dataset, params: dict[str, BoostParams]
+) -> NoReturn:
+    """The forked child's whole life: claim jobs until the queue is empty,
+    pickle their outcomes to write_fd, and leave by os._exit, which returns
+    into none of the caller's code and runs no exit handler. The exit code
+    is 0 only once everything is sent. A pickled exception keeps its type
+    and message, not its traceback; a run on one CPU shows that."""
     code = 1
     try:
-        outcomes = _fit_in_order(CHILD_ALGORITHMS, train, params)
+        outcomes = _run_jobs(_claimed(claims), train, test, params)
         with os.fdopen(write_fd, "wb") as pipe:
             pickle.dump(outcomes, pipe, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -156,8 +176,8 @@ def _fit_in_child(write_fd: int, train: Dataset, params: dict[str, BoostParams])
 
 
 def _can_fork() -> bool:
-    """Whether a forked child can fit beside the caller: fork exists, the
-    process may run on two CPUs or more, and it runs no other thread."""
+    """Whether a forked child can run jobs beside the caller: fork exists,
+    the process may run on two CPUs or more, and it runs no other thread."""
     return (
         hasattr(os, "fork")
         and hasattr(os, "sched_getaffinity")
@@ -166,52 +186,62 @@ def _can_fork() -> bool:
     )
 
 
-def _fit_all(train: Dataset, params: dict[str, BoostParams]) -> dict:
-    """The outcomes of _fit_in_order for every algorithm, the child's and the
-    caller's fitted at once when _can_fork(), else all in the caller."""
-    if not _can_fork():
-        return _fit_in_order(ALGORITHMS, train, params)
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        _fit_in_child(write_fd, train, params)
-    os.close(write_fd)
-    with os.fdopen(read_fd, "rb") as pipe:
-        try:
-            outcomes = _fit_in_order(CALLER_ALGORITHMS, train, params)
-            payload = pipe.read()
-        except BaseException:  # an interrupt, an exit or a failed read: the child's fits are not wanted
-            os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+def _run_all(train: Dataset, test: Dataset, params: dict[str, BoostParams]) -> dict:
+    """Every job's outcome, as _run_jobs gives it. The caller keeps the
+    first job of JOB_ORDER and then claims from the queue, which holds the
+    rest, beside a forked child when _can_fork(), else alone. The queue's
+    write end is closed before the fork: were the child to keep a copy, its
+    last read would never see the end of the pipe."""
+    claims, queue = os.pipe()
+    try:
+        os.write(queue, bytes(range(1, len(JOB_ORDER))))
+    finally:
+        os.close(queue)
+    caller_jobs = _claimed(claims, JOB_ORDER[:1])
+    try:
+        if not _can_fork():
+            return _run_jobs(caller_jobs, train, test, params)
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            _run_in_child(claims, write_fd, train, test, params)
+        os.close(write_fd)
+        with os.fdopen(read_fd, "rb") as pipe:
+            try:
+                outcomes = _run_jobs(caller_jobs, train, test, params)
+                payload = pipe.read()
+            except BaseException:  # an interrupt, an exit or a failed read: the child's jobs are not wanted
+                os.kill(pid, signal.SIGKILL)
+                raise
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    finally:
+        os.close(claims)
     if code != 0:
-        raise ChildProcessError(f"the {', '.join(CHILD_ALGORITHMS)} fit process exited with code {code}")
+        missing = ", ".join(a for a in ALGORITHMS if a not in outcomes)
+        raise ChildProcessError(f"the {missing} fit process exited with code {code}")
     return {**pickle.loads(payload), **outcomes}
 
 
 def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
     """Train the four boosters on one split; optionally write all report files.
 
-    The fits run as the module docstring says: CatBoost in this process and
-    the other three in one forked child, or all four here. The models are
-    then scored in ALGORITHMS order, and the first algorithm whose fit or
-    scoring failed raises its error. The test set is scored once per model
-    and evaluated by metrics.evaluate at the model's threshold."""
+    The four jobs (each a fit, its training accuracy and its test scores)
+    run as the module docstring says: shared by this process and one forked
+    child through a claim queue, or all here. The test scores are then
+    evaluated by metrics.evaluate at each model's threshold in ALGORITHMS
+    order, and the first algorithm whose job failed raises its error."""
     data = _load_source(config)
     train, test = split(data, SplitSpec(config.test_fraction, config.seed))
     params = {algo: config.params.get(algo, default_params(algo)) for algo in ALGORITHMS}
-    models = _fit_all(train, params)
+    outcomes = _run_all(train, test, params)
     results: dict[str, AlgoResult] = {}
     for algo in ALGORITHMS:
-        model = models[algo]
-        if isinstance(model, Exception):
-            raise model
-        train_pred = predict_labels(model, train)
-        results[algo] = AlgoResult(
-            train_accuracy=float((train_pred == train.labels).mean()),
-            test=evaluate(predict_scores(model, test), test.labels, params[algo].threshold),
-        )
+        outcome = outcomes[algo]
+        if isinstance(outcome, Exception):
+            raise outcome
+        train_accuracy, test_scores = outcome
+        results[algo] = AlgoResult(train_accuracy, evaluate(test_scores, test.labels, params[algo].threshold))
 
     report = BenchmarkReport(
         results=results,

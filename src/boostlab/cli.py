@@ -11,12 +11,13 @@ bytes or by csv.reader, then each column parsed in numpy or from its texts
 predict writes each score, and eval each curve coordinate, as "%.6f"
 would, byte for byte, from the whole array at once (metrics.format_6f).
 
-compare fits as bench.run_benchmark does: CatBoost in this process while
-one forked child fits AdaBoost, GBM and XGBoost, or all four in this
-process when os.fork or os.sched_getaffinity is missing, the process may
-run on one CPU only, or another thread runs. The report files are the same
-either way. When fits fail, the error reported is that of the earliest
-failing algorithm in ALGORITHMS order, whichever process hit it, and no
+compare runs its four fit-and-score jobs as bench.run_benchmark does:
+this process and one forked child share them through a claim queue,
+longest fit first, with CatBoost in this process; or this process runs all
+four when os.fork or os.sched_getaffinity is missing, the process may run
+on one CPU only, or another thread runs. The report files are the same
+either way. When jobs fail, the error reported is that of the earliest
+failing algorithm in ALGORITHMS order, whichever process ran it, and no
 child outlives the command.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an

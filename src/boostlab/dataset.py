@@ -138,7 +138,8 @@ class Dataset:
     and the scorer read it by column) and the labels into int64. It holds
     read-only views of the copies, on which numpy refuses to set writeable
     back, so neither the caller's arrays nor a user of the dataset can
-    write its cells."""
+    write its cells. A copy or an unpickled dataset is rebuilt through the
+    constructor (__reduce__), so it is checked and frozen too."""
 
     schema: FeatureSchema
     values: np.ndarray
@@ -177,6 +178,9 @@ class Dataset:
         labels.flags.writeable = False
         object.__setattr__(self, "values", values.view())
         object.__setattr__(self, "labels", labels.view())
+
+    def __reduce__(self):
+        return Dataset, (self.schema, self.values, self.labels)
 
     @property
     def n_rows(self) -> int:

@@ -129,8 +129,9 @@ class CurveSeries:
     and tpr for ROC, recall and precision for a precision-recall curve); auc
     is set for ROC curves only. Like Dataset, the series copies both arrays
     and holds read-only views of the copies, on which numpy refuses to set
-    writeable back. eq=False: two series compare by identity, never by an
-    elementwise == of their arrays."""
+    writeable back; a copy or an unpickled series is rebuilt through the
+    constructor (__reduce__), so it is frozen too. eq=False: two series
+    compare by identity, never by an elementwise == of their arrays."""
 
     x: np.ndarray
     y: np.ndarray
@@ -145,6 +146,9 @@ class CurveSeries:
         y.flags.writeable = False
         object.__setattr__(self, "x", x.view())
         object.__setattr__(self, "y", y.view())
+
+    def __reduce__(self):
+        return CurveSeries, (self.x, self.y, self.auc)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:

@@ -181,6 +181,7 @@ def test_serial_runs_write_what_the_forked_run_writes(tmp_path, monkeypatch, for
         (("catboost",), "catboost"),
         (("adaboost", "xgboost"), "adaboost"),
         (("xgboost", "catboost"), "xgboost"),
+        (("adaboost", "xgboost", "catboost"), "adaboost"),  # the last job claimed: each process claims past its error
     ],
 )
 def test_the_earliest_failing_algorithm_raises(monkeypatch, forks, forked, failing, raised):
@@ -205,15 +206,125 @@ def test_no_child_is_left_after_a_run_or_a_failed_fit(monkeypatch, forks):
     assert_no_child_left()
 
 
-def test_a_child_that_ends_without_its_models_is_an_error(monkeypatch, forks):
+class JobLog:
+    """The (algorithm, pid) of each fit, in the order the fits started, in a
+    file both processes append to by one O_APPEND write per fit."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def record(self, algo):
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, f"{algo} {os.getpid()}\n".encode())
+        finally:
+            os.close(fd)
+
+    def entries(self):
+        return [(algo, int(pid)) for algo, pid in map(str.split, self.path.read_text().splitlines())]
+
+    def wait_for(self, done, timeout=20.0):
+        """Return once done(entries) holds; raise TimeoutError after timeout seconds."""
+        deadline = time.monotonic() + timeout
+        while not done(self.entries()):
+            if time.monotonic() > deadline:
+                raise TimeoutError(f"job log: {self.entries()}")
+            time.sleep(0.005)
+
+
+def logged_fit(log, before=lambda algo, in_caller: None):
+    """bench.fit, but each call is first logged, then runs before(algo, in_caller)."""
+    caller = os.getpid()
+
     def fit(algo, train, params):
-        if algo == "gbm":
-            os._exit(3)
+        log.record(algo)
+        before(algo, os.getpid() == caller)
         return bench_fit(algo, train, params)
 
-    monkeypatch.setattr(bench, "fit", fit)
-    with pytest.raises(ChildProcessError, match="adaboost, gbm, xgboost fit process exited with code 3"):
+    return fit
+
+
+def jobs_by_process(log):
+    """The caller's algorithms and the other processes', each in the order they ran."""
+    mine = [algo for algo, pid in log.entries() if pid == os.getpid()]
+    theirs = [(algo, pid) for algo, pid in log.entries() if pid != os.getpid()]
+    assert len({pid for _, pid in theirs}) <= 1
+    return mine, [algo for algo, _ in theirs]
+
+
+@pytest.mark.parametrize("start", ["forked", "the child claims first", "one CPU"])
+def test_each_job_runs_once_and_the_caller_runs_catboost(tmp_path, monkeypatch, forks, start):
+    forked = start != "one CPU"
+    log = JobLog(tmp_path / "jobs")
+    if not forked:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    elif start == "the child claims first":
+        fork = os.fork
+
+        def fork_then_wait():  # the caller goes on once the child's first job has started
+            pid = fork()
+            if pid:
+                log.wait_for(lambda entries: len(entries) > 0)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork_then_wait)
+    monkeypatch.setattr(bench, "fit", logged_fit(log))
+    report = run_benchmark(small_config())
+    assert list(report.results) == list(ALGORITHMS)
+    assert sorted(bench.JOB_ORDER) == sorted(ALGORITHMS)
+    assert sorted(algo for algo, _ in log.entries()) == sorted(ALGORITHMS)
+    caller, child = jobs_by_process(log)
+    assert caller[0] == "catboost"
+    assert [a for a in bench.JOB_ORDER if a in child] == child  # each process claims in JOB_ORDER
+    assert [a for a in bench.JOB_ORDER if a in caller] == caller
+    if not forked:
+        assert caller == list(bench.JOB_ORDER)
+    assert len(forks) == int(forked)
+    assert_no_child_left()
+
+
+def test_the_child_runs_the_other_jobs_while_the_callers_catboost_fit_is_slow(tmp_path, monkeypatch, forks):
+    log = JobLog(tmp_path / "jobs")
+
+    def before(algo, in_caller):
+        if in_caller:  # catboost, until the child has claimed every other job
+            log.wait_for(lambda entries: sum(pid != os.getpid() for _, pid in entries) == 3)
+
+    monkeypatch.setattr(bench, "fit", logged_fit(log, before))
+    run_benchmark(small_config())
+    assert jobs_by_process(log) == (["catboost"], ["xgboost", "gbm", "adaboost"])
+    assert_no_child_left()
+
+
+def test_the_caller_runs_the_remaining_jobs_while_the_childs_fits_are_slow(tmp_path, monkeypatch, forks):
+    log = JobLog(tmp_path / "jobs")
+
+    def before(algo, in_caller):
+        if not in_caller:  # until every job is claimed
+            log.wait_for(lambda entries: len(entries) == len(ALGORITHMS))
+        elif algo == "catboost":  # until the child has claimed its first job
+            log.wait_for(lambda entries: any(pid != os.getpid() for _, pid in entries))
+
+    monkeypatch.setattr(bench, "fit", logged_fit(log, before))
+    run_benchmark(small_config())
+    assert jobs_by_process(log) == (["catboost", "gbm", "adaboost"], ["xgboost"])
+    assert_no_child_left()
+
+
+def test_a_child_that_ends_without_its_results_is_an_error(tmp_path, monkeypatch, forks):
+    log = JobLog(tmp_path / "jobs")
+
+    def before(algo, in_caller):
+        if not in_caller:  # at the child's first claim
+            os._exit(3)
+        if algo == "catboost":  # until the child has claimed its first job
+            log.wait_for(lambda entries: any(pid != os.getpid() for _, pid in entries))
+
+    monkeypatch.setattr(bench, "fit", logged_fit(log, before))
+    with pytest.raises(ChildProcessError, match="^the xgboost fit process exited with code 3$"):
         run_benchmark(small_config())
+    assert jobs_by_process(log) == (["catboost", "gbm", "adaboost"], ["xgboost"])
     assert_no_child_left()
 
 

@@ -513,8 +513,9 @@ class TestDataErrors:
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}])
     def test_compare_reports_the_earliest_failing_fit(self, tmp_path, capsys, monkeypatch, cpus):
-        # XGBoost, fitted in the forked child on two CPUs, and CatBoost, fitted
-        # in the caller, both overflow; the first in ALGORITHMS order is reported
+        # XGBoost, fitted by whichever process claims it on two CPUs, and
+        # CatBoost, fitted in the caller, both overflow; the first in
+        # ALGORITHMS order is reported
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
         argv = ("compare", "--synthetic", "--n", 60, "--rounds", 3, "--learning-rate", "1e308")
         code, _, err = run(capsys, *argv, "--out", tmp_path / "out")

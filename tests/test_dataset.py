@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import re
 from dataclasses import replace
 
@@ -124,7 +126,8 @@ class TestDatasetValidation:
         path = tmp_path / "d.csv"
         write_csv(path, synthetic)
         loaded = load_csv(path)
-        for data in (ds, ds.subset([2, 0]), synthetic, synthetic.subset(np.arange(0, 40, 3)), loaded):
+        copies = (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds)), copy.deepcopy(loaded))
+        for data in (ds, ds.subset([2, 0]), synthetic, synthetic.subset(np.arange(0, 40, 3)), loaded, *copies):
             assert data.values.flags.f_contiguous and not data.values.flags.writeable
             for array in (data.values, data.labels):
                 with pytest.raises(ValueError):
@@ -132,6 +135,9 @@ class TestDatasetValidation:
         assert np.array_equal(ds.values, rows, equal_nan=True)
         assert np.array_equal(ds.subset([2, 0]).values.view(np.int64), rows[[2, 0]].view(np.int64))
         assert np.array_equal(loaded.values.view(np.int64), synthetic.values.view(np.int64))
+        for data in copies[:3]:
+            assert data.schema == ds.schema and np.array_equal(data.labels, ds.labels)
+            assert np.array_equal(data.values.view(np.int64), ds.values.view(np.int64))
 
     def test_the_callers_arrays_stay_writeable(self):
         # already float64 and column-major, int64

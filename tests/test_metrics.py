@@ -1,5 +1,7 @@
+import copy
 import csv
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -222,14 +224,15 @@ class TestPrCurve:
 
 @pytest.mark.parametrize("curve", [roc_curve, pr_curve])
 def test_a_curves_arrays_cannot_be_made_writeable(curve):
-    series = curve([0.1, 0.9, 0.4], [0, 1, 1])
-    points = series.points
-    for array in (series.x, series.y):
-        with pytest.raises(ValueError):
-            array.flags.writeable = True
-        with pytest.raises(ValueError):
-            array[0] = 5.0
-    assert series.points == points
+    original = curve([0.1, 0.9, 0.4], [0, 1, 1])
+    points = original.points
+    for series in (original, copy.copy(original), copy.deepcopy(original), pickle.loads(pickle.dumps(original))):
+        for array in (series.x, series.y):
+            with pytest.raises(ValueError):
+                array.flags.writeable = True
+            with pytest.raises(ValueError):
+                array[0] = 5.0
+        assert series.points == points and series.auc == original.auc
 
 
 class TestCurveCsv:
