@@ -51,6 +51,7 @@ from .dataset import (
     split,
     synthesize,
 )
+from .errors import SingleClassDataset
 from .metrics import Evaluation, evaluate, pr_to_csv, roc_to_csv
 
 ALGO_LABELS = {
@@ -230,9 +231,14 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
     run as the module docstring says: shared by this process and one forked
     child through a claim queue, or all here. The test scores are then
     evaluated by metrics.evaluate at each model's threshold in ALGORITHMS
-    order, and the first algorithm whose job failed raises its error."""
+    order, and the first algorithm whose job failed raises its error. A
+    split of one class is SingleClassDataset, before any fit."""
     data = _load_source(config)
     train, test = split(data, SplitSpec(config.test_fraction, config.seed))
+    for name, rows in (("train", train), ("test", test)):
+        if (positives := int(rows.labels.sum())) in (0, rows.n_rows):  # no fit: no score could be evaluated
+            counts = f"{rows.n_rows - positives} of class 0 and {positives} of class 1"
+            raise SingleClassDataset(f"the {name} split of {rows.n_rows} rows holds one class: {counts}")
     params = {algo: config.params.get(algo, default_params(algo)) for algo in ALGORITHMS}
     outcomes = _run_all(train, test, params)
     results: dict[str, AlgoResult] = {}

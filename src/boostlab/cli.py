@@ -25,8 +25,9 @@ unknown or missing flag, a value BoostParams, SplitSpec or SyntheticSpec
 rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
 --n 1, or compare's --n, --signal-strength or --missing-rate without
 --synthetic; 2 data or model error, on one stderr line: a missing file or a
-malformed CSV, --schema or model file, or a fit or model whose raw scores
-are not finite (such as --learning-rate 1e308). Output files are written
+malformed CSV, --schema or model file, a compare split of one class (a
+test split without a positive row fails before any fit), or a fit or model
+whose raw scores are not finite (such as --learning-rate 1e308). Output files are written
 atomically (temp file + rename), so a failing run never leaves a
 half-written file behind; train checks --model-out, and compare creates
 --out, before any fit, and predict checks --scores-out before it scores.

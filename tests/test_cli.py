@@ -12,7 +12,7 @@ import stat
 import csv_reader_oracle
 import pytest
 
-from boostlab import cli, dataset
+from boostlab import bench, cli, dataset
 from boostlab.boost import load_model, predict_scores
 from boostlab.dataset import BINARY, NUMERIC, load_column_csv, load_csv, parse_label, pcos_default_schema
 from boostlab.errors import MalformedCsv
@@ -523,6 +523,18 @@ class TestDataErrors:
         assert (code, err) == (2, f"compare: {message}\n")
         with pytest.raises(ChildProcessError):  # no child is left
             os.waitpid(-1, os.WNOHANG)
+
+    def test_compare_rejects_a_split_of_one_class_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        # one positive row in 40: the stratified 8-row test split holds none
+        data = tmp_path / "d.csv"
+        assert run(capsys, "synth", "--n", 40, "--seed", 3, "--out", data)[0] == 0
+        header, *rows = data.read_text().splitlines()
+        rows = [row[: row.rindex(",") + 1] + ("1" if i == 0 else "0") for i, row in enumerate(rows)]
+        data.write_text("\n".join([header, *rows]) + "\n")
+        monkeypatch.setattr(bench, "fit", _must_not_run)
+        code, _, err = run(capsys, "compare", "--data", data, "--out", tmp_path / "out")
+        message = "the test split of 8 rows holds one class: 8 of class 0 and 0 of class 1"
+        assert (code, err) == (2, f"compare: {message}\n")
 
     def test_catboost_level_gain_that_overflows(self, tmp_path, capsys):
         # zero hessians after round 1 and a subnormal lambda overflow a level's gain

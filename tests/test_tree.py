@@ -1097,7 +1097,10 @@ class TestSplitKernelMatchesOracle:
         want = fits(None)
         shared = Presort(X, kinds)
         assert fits(shared) == want
-        assert shared.node_bytes == sum(node.nbytes() for node, _ in shared.nodes.values())
+        assert shared.node_bytes == sum(size for _, size in shared.nodes.values())
+        for node, size in shared.nodes.values():  # every array a node holds counts: none escapes the budget
+            held = [a for v in vars(node).values() for a in (v if isinstance(v, (list, tuple)) else [v])]
+            assert size == node.nbytes() == sum(a.nbytes for a in held if isinstance(a, np.ndarray))
         with mock.patch.object(tree_module, "MAX_NODE_CACHE_BYTES", 0):
             empty = Presort(X, kinds)
             assert fits(empty) == want
@@ -1110,10 +1113,11 @@ class TestSplitKernelMatchesOracle:
             assert a.leaf_values.tobytes() == b.leaf_values.tobytes()
 
     def test_a_gbm_fit_keeps_its_node_memo_within_the_budget(self, monkeypatch):
-        """The nodes of a 4 000-row GBM fit with 10 % missing cells hold more
-        bytes than MAX_NODE_CACHE_BYTES: the memo drops the least recently
-        used ones, stays within the budget and holds fewer nodes than the
-        fit visited, and the model keeps its bytes."""
+        """The nodes of a 30-round, 4 000-row GBM fit with 10 % missing cells
+        hold more bytes than MAX_NODE_CACHE_BYTES (11.0 MB against 8 MB): the
+        memo drops the least recently used ones, stays within the budget and
+        holds fewer nodes than the fit visited, and the model keeps its
+        bytes."""
         presorts = []
 
         class Recorded(Presort):
@@ -1123,7 +1127,7 @@ class TestSplitKernelMatchesOracle:
 
         monkeypatch.setattr(boost_module, "Presort", Recorded)
         data = synthesize(pcos_default_schema(), 4000, 3, 2.0, missing_rate=0.1)
-        params = replace(default_params("gbm"), n_rounds=20)
+        params = replace(default_params("gbm"), n_rounds=30)
         model = fit("gbm", data, params)
         with mock.patch.object(tree_module, "MAX_NODE_CACHE_BYTES", 1 << 40):
             unbounded = fit("gbm", data, params)
@@ -1133,6 +1137,26 @@ class TestSplitKernelMatchesOracle:
         assert 0 < bounded.node_bytes <= tree_module.MAX_NODE_CACHE_BYTES
         assert bounded.node_bytes == sum(size for _, size in bounded.nodes.values())
         assert len(bounded.nodes) < sum(tree.feature.size for tree in model.trees)
+
+    @pytest.mark.parametrize("algo, most", [("gbm", 220), ("xgboost", 310)])
+    def test_a_fit_finds_its_recurring_nodes_in_the_memo(self, monkeypatch, algo, most):
+        """A default-params fit on 4 000 rows with 10 % missing cells searches
+        177 distinct nodes (GBM) or 249 (XGBoost), counted with an unbounded
+        memo. At the default budget it builds 197 or 279 searched nodes, and
+        at most `most`: nodes that grow larger than the budget allows make
+        the memo drop the ones the next rounds revisit (the layout with a
+        values copy in each block built 235 and 371)."""
+        built = []
+
+        class Counted(Presort):
+            def remember(self, path, node):
+                built.append(node.block is not None)
+                return super().remember(path, node)
+
+        monkeypatch.setattr(boost_module, "Presort", Counted)
+        data = synthesize(pcos_default_schema(), 4000, 3, 2.0, missing_rate=0.1)
+        fit(algo, data, default_params(algo))
+        assert sum(built) <= most
 
     def test_presort_of_another_matrix_is_rejected(self):
         presort = Presort(np.zeros((3, 2)))
