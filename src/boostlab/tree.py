@@ -37,18 +37,18 @@ rounds; it takes each round's outputs on X from the fitter (fitted=), which
 knows each row's leaf or class, instead of scoring X again. The fitters read X
 by column, so it is best column-major, as every Dataset holds it.
 
-Stumps and regression trees score their candidates through one kernel,
-_Node.scan, which returns every candidate of a node's rows with its left sums
-in one pass: stumps scan the root, a regression tree each node it searches.
-Each learner passes its own per-row statistics (stump: the weight each leaf
-class misclassifies; regression tree: gradient and hessian) and keeps its own
-missing-value rule, gain or error formula and tie rule. A node's rows of the
-sorted columns of several thresholds are its block; a stable partition on the
-chosen split hands each child its block in the same order, so no node sorts.
-Oblivious trees use a bucket-sorted search instead, since a level's gain sums
-over every leaf bucket: each level takes the rows of its swept columns in
-(bucket, value) order from one stable sort of their bucket ids (see
-fit_oblivious_tree).
+Each tree shape has one split search. A regression tree scores each node
+it searches through one kernel, _Node.scan, which returns every candidate of
+the node's rows with its gradient and hessian sums in one pass. A node's rows
+of the sorted columns of several thresholds are its block; a stable partition
+on the chosen split hands each child its block in the same order, so no node
+sorts. An oblivious tree's search is bucket-sorted instead, since a level's
+gain sums over every leaf bucket: its candidates are listed once per Presort
+(Presort.level_candidates), and each level takes the rows of its swept
+columns in (bucket, value) order from one stable sort of their bucket ids
+(see fit_oblivious_tree). A stump is that search's one level with all rows in
+one bucket, its per-row statistics the weight each leaf class misclassifies,
+and it sums its winner's error once more in a fixed order (see fit_stump).
 
 A _Node holds what its scan needs of its rows alone: the rows, the block, the
 candidates and which rows each sum adds. Only the sums depend on the round's
@@ -67,11 +67,11 @@ them: the swept columns', then the single-threshold columns', then the
 categorical levels. Each column's candidates are contiguous and in
 enumeration order, so the tie rule below needs no sort by column: a regression
 tree takes the greatest gain and, of exact ties, the least column and then the
-earliest candidate and direction (_first_best); a stump visits the columns'
-blocks in column order. A scan computes no midpoint: a node keeps each swept
-candidate's place in the block, and the caller computes its winner's threshold
-alone (a single-threshold column's is computed once, in Presort; a level is
-its own).
+earliest candidate and direction (_first_best). An oblivious level, a stump's
+too, lists its candidates in enumeration order. A scan computes no midpoint:
+a node keeps each swept candidate's place in the block, and the caller
+computes its winner's threshold alone (a single-threshold column's is
+computed once, in Presort; a level is its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
 outside a node, so fits are bit-for-bit repeatable: sequential cumsums and
@@ -313,17 +313,20 @@ def _midpoints(lo, hi):
     return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def _fit_inputs(X, learner: str, names: str, *vectors) -> tuple[np.ndarray, ...]:
-    """X as a float matrix with at least one row, and each per-row vector as a
-    float array of one entry per row."""
+def _fit_inputs(X, learner: str, names: str, values, mass) -> tuple[np.ndarray, ...]:
+    """X as a float matrix with at least one row, and the per-row vectors
+    names calls "<values> and <mass>" as float arrays of one entry per row; a
+    mass (weights or hessians) that is negative or NaN is a ValueError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
     if X.shape[0] == 0:
         raise EmptyData(f"cannot fit a {learner} on zero rows")
-    vectors = tuple(np.asarray(v, dtype=np.float64) for v in vectors)
+    vectors = tuple(np.asarray(v, dtype=np.float64) for v in (values, mass))
     if any(v.shape != (X.shape[0],) for v in vectors):
         raise ValueError(f"{names} must match the row count")
+    if not (vectors[1] >= 0).all():  # NaN too
+        raise ValueError(f"{names.split(' and ')[1]} must be non-negative")
     return (X, *vectors)
 
 
@@ -348,9 +351,9 @@ class Presort:
     itself without it; a boosting loop builds one per fit, since X does not
     change between its rounds.
 
-    A Presort also remembers the nodes of the stumps and regression trees
-    fit on it (_Node), each under its path from the root: the (feature,
-    threshold, default_left, went_right) of each split above it. nodes maps
+    A Presort also remembers the nodes of the regression trees fit on it
+    (_Node), each under its path from the root: the (feature, threshold,
+    default_left, went_right) of each split above it. nodes maps
     each path to its node and the bytes of its arrays, least recently used
     first, and node_bytes sums those bytes; past MAX_NODE_CACHE_BYTES the
     least recently used nodes are dropped. A node holds only what its rows
@@ -413,10 +416,6 @@ class Presort:
             self.node_bytes -= self.nodes.pop(next(iter(self.nodes)))[1]
         return node
 
-    def root(self) -> _Node:
-        """The node of all rows."""
-        return self.recall(()) or self.remember((), _Node(self, np.arange(self.X.shape[0]), self.block))
-
     @cached_property
     def level_candidates(self) -> _LevelCandidates:
         """The candidates of an oblivious level (see _LevelCandidates)."""
@@ -434,9 +433,9 @@ def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
 
 
 class _Node:
-    """A node of a regression tree or a stump's root: its rows and what its
-    scan needs of them, which the rows alone decide. Only scan's sums depend
-    on the per-row statistics.
+    """A node of a regression tree: its rows and what its scan needs of
+    them, which the rows alone decide. Only scan's sums depend on the per-row
+    statistics.
 
     idx lists the node's rows, ascending. block, their part of presort.block in
     its order, is None at a node that is not searched (at the depth limit or of
@@ -548,17 +547,13 @@ class _Node:
         return left, np.take(missing, self.missing_where[self.col], axis=1)
 
     def threshold(self, presort: Presort, c: int):
-        """Candidate c's threshold, computed for c alone."""
+        """Candidate c's threshold as a split test stores it, computed for c alone."""
         if c < self.swept_at.size:
             r, at = divmod(int(self.swept_at[c]), self.idx.size)
             cells, rows = presort.swept_cells[r], self.block[r]
-            return _midpoints(cells[rows[at]], cells[rows[at + 1]])
-        return self.fixed[c - self.swept_at.size]
-
-
-def _threshold(presort: Presort, j: int, threshold: float):
-    """A split test as stumps and trees store it."""
-    return frozenset({int(threshold)}) if presort.categorical[j] else float(threshold)
+            return float(_midpoints(cells[rows[at]], cells[rows[at + 1]]))
+        v = self.fixed[c - self.swept_at.size]
+        return frozenset({int(v)}) if presort.categorical[self.col[c]] else float(v)
 
 
 def fit_stump(
@@ -575,23 +570,23 @@ def fit_stump(
 
     The stump is a one-level ObliviousTree whose leaves are its classes, left
     then right, as ±1.0; a missing cell goes left on every column, as in any
-    oblivious tree. y must be ±1 and weights non-negative summing to 1. If
-    one class carries zero weight, or no column offers a split, the constant
-    majority predictor is returned: a tree of no level and one leaf, its
-    class. The returned error never exceeds 0.5 because both orientations are
-    searched.
+    oblivious tree. y must be ±1 and weights non-negative summing to 1; a
+    negative or NaN weight is a ValueError. If one class carries zero weight,
+    or no column offers a split, the constant majority predictor is returned:
+    a tree of no level and one leaf, its class. The returned error never
+    exceeds 0.5 because both orientations are searched.
     presort, if given, is Presort(X, kinds). fitted, if given, an array of one
     float per row, receives each row's class: predict_stump(stump, X), read
     off the chosen split.
 
-    The numeric candidates' errors come from the root's scan
-    (Presort.root) and each column's rows of presort.order; a categorical
-    candidate's rows, like fitted's, are routed by _went_right.
+    The search is an oblivious level's with all rows in one bucket
+    (Presort.level_candidates). Only the winner's error is summed again, in
+    one fixed order (_stump_error), so AdaBoost's alphas keep their bits.
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("labels must be -1 or +1")
-    d = X.shape[1]
+    n, d = X.shape
 
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
@@ -606,65 +601,53 @@ def fit_stump(
         return constant()
 
     presort = _presorted(X, kinds, presort)
-    # wrong[c] marks the rows a leaf of class c gets wrong, stats[missed[c]]
-    # their weights
-    wrong = {c: y != c for c in (-1, 1)}
-    missed = {-1: 0, 1: 1}
-    stats = np.stack([w * wrong[-1], w * wrong[1]])
-    node = presort.root()
-    left, _ = node.scan(stats)
-    col = node.col
+    cand = presort.level_candidates
+    wrong = {c: y != c for c in (-1, 1)}  # the rows a leaf of class c gets wrong
+    stats = np.stack([w * wrong[-1], w * wrong[1]])  # the weights a -1 and a +1 leaf miss
+    left = np.empty((2, len(cand.features)))  # each candidate's sums over its left rows
+    for s, out in zip(stats, left):
+        out[cand.masked_at] = np.bincount(cand.left_of, weights=s[cand.left_rows], minlength=cand.masked_at.size)
+        if cand.swept_at is not None:
+            out[cand.swept_at] = np.cumsum(s[cand.rows].reshape(-1, n), axis=1).ravel()[cand.reads]
+    total = stats.sum(axis=1)
+    errs = np.stack([left[0] + total[1] - left[1], left[1] + total[0] - left[0]], axis=1)  # per orientation
 
-    def split(c):  # candidate c's (feature, threshold)
-        return int(col[c]), _threshold(presort, col[c], node.threshold(presort, c))
-
-    categorical = presort.categorical[col]
-    # A column's candidates are contiguous, so each feature is one block of them.
-    starts = np.flatnonzero(np.diff(col, prepend=-1))
-    ends = np.append(starts[1:], col.size)
-    errs = np.empty((col.size, 2))
-    # Numeric: a right side's error is the column's total over its
-    # non-missing rows, summed in (value, row) order, minus the left sum; the
-    # missing rows, on the left, add their own sum in row order.
-    total = np.zeros((2, d))
-    missing = np.zeros((2, d))  # per orientation
-    for j in col[starts][~categorical[starts]]:
-        n_obs = presort.n_observed[j]
-        observed, tail = presort.order[j, :n_obs], presort.order[j, n_obs:]
-        total[:, j] = [s[observed].sum() for s in stats]
-        missing[:, j] = [w[tail][wrong[lc][tail]].sum() for lc, _ in _ORIENTATIONS]
-    num = np.flatnonzero(~categorical)
-    for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-        right_mis = total[missed[rc], col[num]] - left[missed[rc], num]
-        errs[num, oi] = left[missed[lc], num] + right_mis + missing[oi, col[num]]
-    # Categorical: the level's rows and the missing rows go left. Each error
-    # is one sum over the misclassified rows in row order: a total minus the
-    # level sums would round differently and move AdaBoost's alphas by an ulp.
-    for c in np.flatnonzero(categorical):
-        f, thr = split(c)
-        right = _went_right(presort.X[:, f], thr, missing_left=True)
-        for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-            errs[c, oi] = w[np.where(right, wrong[rc], wrong[lc])].sum()
-
-    # Per feature, the first candidate within _TIE_TOL of its least error; it
-    # replaces the best so far only if it beats it by more than _TIE_TOL. The
-    # features' blocks are visited in column order.
-    best_err = np.inf
-    best = None  # (candidate, orientation)
-    for a, b in sorted(zip(starts, ends), key=lambda block: col[block[0]]):
+    # Per feature, in column order, the first candidate within _TIE_TOL of
+    # its least error; it replaces the best so far only if it beats it by
+    # more than _TIE_TOL.
+    best_err, best = np.inf, None  # best: (candidate, orientation)
+    for a, b in zip(cand.starts[:-1], cand.starts[1:]):
         flat = errs[a:b].reshape(-1)
         k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
         if flat[k] < best_err - _TIE_TOL:
-            best_err = float(flat[k])
-            best = divmod(2 * a + k, 2)
+            best_err, best = flat[k], divmod(2 * a + k, 2)
     if best is None:
         return constant()
     c, oi = best
-    f, thr = split(c)
+    f, thr = cand.features[c], cand.thresholds[c]
     lc, rc = _ORIENTATIONS[oi]
+    right = _went_right(presort.X[:, f], thr, missing_left=True)
     if fitted is not None:
-        fitted[:] = np.where(_went_right(presort.X[:, f], thr, missing_left=True), rc, lc)
-    return _stump(((f, thr),), (lc, rc), d), best_err
+        fitted[:] = np.where(right, rc, lc)
+    return _stump(((f, thr),), (lc, rc), d), _stump_error(presort, f, right, w, wrong[lc], wrong[rc])
+
+
+def _stump_error(presort: Presort, f: int, right, w, wrong_left, wrong_right) -> float:
+    """The weight a stump on column f misclassifies, where right marks the
+    rows it sends right and wrong_left and wrong_right the rows its left and
+    right class get wrong, summed in one fixed order: for a categorical
+    column one sum over the misclassified rows in row order; otherwise the
+    left rows' misses, a cumsum in (value, row) order, plus the column's
+    observed total of the right class's misses less their left part, plus
+    the missing rows' misses in row order."""
+    if presort.categorical[f]:
+        return float(w[np.where(right, wrong_right, wrong_left)].sum())
+    n_obs = presort.n_observed[f]
+    observed, missing = presort.order[f, :n_obs], presort.order[f, n_obs:]
+    last = n_obs - np.count_nonzero(right[observed]) - 1  # the left rows come first in (value, row) order
+    missed_left, missed_right = w[observed] * wrong_left[observed], w[observed] * wrong_right[observed]
+    error = np.cumsum(missed_left)[last] + (missed_right.sum() - np.cumsum(missed_right)[last])
+    return float(error + w[missing[wrong_left[missing]]].sum())
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
@@ -718,7 +701,7 @@ def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_ch
     if not (gains > 0).any():
         return None
     c, di = divmod(_first_best(gains, col), 2)
-    return int(col[c]), _threshold(presort, col[c], node.threshold(presort, c)), di == 0
+    return int(col[c]), node.threshold(presort, c), di == 0
 
 
 def _children(presort: Presort, node: _Node, split: tuple, paths: list[tuple], searched: bool) -> list[_Node]:
@@ -763,9 +746,10 @@ def fit_regression_tree(
     and a split is kept only when the gain is strictly positive and both
     children reach min_child_weight hessian mass. Missing rows follow the
     default direction that maximizes gain (left on ties). Leaf values are
-    -G/(H+lam). Of equal gains the earliest candidate wins. presort, if
-    given, is Presort(X, kinds). fitted, if given, an array of one float per
-    row, receives each row's leaf value: tree.predict(X), read off the fit.
+    -G/(H+lam). Of equal gains the earliest candidate wins. A negative or
+    NaN hessian is a ValueError. presort, if given, is Presort(X, kinds).
+    fitted, if given, an array of one float per row, receives each row's leaf
+    value: tree.predict(X), read off the fit.
 
     Each node scores all its candidates at once (_Node.scan) and computes the
     threshold of its winner only. A node's block, its rows of presort.block,
@@ -775,8 +759,6 @@ def fit_regression_tree(
     same splits finds its rows, block and candidates there.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
-    if (h < 0).any():
-        raise ValueError("hessians must be non-negative")
     d = X.shape[1]
     presort = _presorted(X, kinds, presort)
     stats = np.stack([g, h])
@@ -786,7 +768,8 @@ def fit_regression_tree(
     # child is popped right after its parent, so nodes are appended in
     # pre-order; a right child enters its index in its parent when popped.
     nodes: list[list] = []
-    todo = [((), presort.root(), 0, -1)]  # (path, node, depth, parent of a right child)
+    root = presort.recall(()) or presort.remember((), _Node(presort, np.arange(X.shape[0]), presort.block))
+    todo = [((), root, 0, -1)]  # (path, node, depth, parent of a right child)
     while todo:
         path, node, depth, right_of = todo.pop()
         idx = node.idx
@@ -816,7 +799,8 @@ class _LevelCandidates:
     """Every candidate split of an oblivious level, in enumeration order, and
     how the search finds their gains; built once per Presort.
 
-    features and thresholds list the candidates. The candidates of
+    features and thresholds list the candidates, and starts the first of
+    each column that offers any, then their count. The candidates of
     categorical and single-threshold columns are masked: masked_at lists their
     places, left_rows the rows each sends left (missing rows included, in row
     order), one candidate after another, and left_of each such row's masked
@@ -854,6 +838,7 @@ class _LevelCandidates:
                 levels = []
             self.features += [f] * len(levels)
             self.thresholds += levels
+        self.starts = np.flatnonzero(np.diff(self.features, prepend=-1, append=presort.X.shape[1]))
         self.masked_at = np.array([c for c, _ in masked], dtype=np.int64)
         self.left_rows = np.concatenate([r for _, r in masked]) if masked else np.empty(0, dtype=np.int64)
         self.left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])
@@ -939,9 +924,10 @@ def fit_oblivious_tree(
     counts, the best gain is not strictly positive or is NaN, or the best
     gain less the tie margin is NaN (an infinite gain and margin), and after
     MAX_OBLIVIOUS_DEPTH levels, so the recorded depth may be shallower than
-    requested, and every level splits a bucket of the rows. fitted, if given,
-    an array of one float per row, receives each row's output: tree.predict(X),
-    read off the fit's final buckets.
+    requested, and every level splits a bucket of the rows. A negative or NaN
+    hessian is a ValueError. fitted, if given, an array of one float per row,
+    receives each row's output: tree.predict(X), read off the fit's final
+    buckets.
 
     The search is bucket-sorted, and its candidates are listed once per
     Presort (_LevelCandidates). For a categorical or single-threshold column,

@@ -156,8 +156,33 @@ def kernel_fixture(rng, n):
         pytest.param(lambda: fit_stump(np.ones((2, 1)), [1, -1], [1.0]), "row count", id="stump-weights-length"),
         pytest.param(
             lambda: fit_regression_tree(np.ones((2, 1)), [0.5, -0.5], [1.0, -1.0], max_depth=1),
-            "non-negative",
+            "hessians must be non-negative",
             id="tree-negative-hessian",
+        ),
+        pytest.param(
+            lambda: fit_regression_tree(np.ones((2, 1)), [0.5, -0.5], [1.0, np.nan], max_depth=1),
+            "hessians must be non-negative",
+            id="tree-nan-hessian",
+        ),
+        pytest.param(
+            lambda: fit_stump(np.arange(4.0)[:, None], [1, -1, 1, -1], [0.5, -0.2, 0.4, 0.3]),
+            "weights must be non-negative",
+            id="stump-negative-weight",
+        ),
+        pytest.param(
+            lambda: fit_stump(np.arange(4.0)[:, None], [1, -1, 1, -1], [0.5, np.nan, 0.2, 0.3]),
+            "weights must be non-negative",
+            id="stump-nan-weight",
+        ),
+        pytest.param(
+            lambda: fit_oblivious_tree(np.arange(4.0)[:, None], [1.0, -1.0, 1.0, -1.0], [1, -3, 1, 1], depth=1),
+            "hessians must be non-negative",
+            id="oblivious-negative-hessian",
+        ),
+        pytest.param(
+            lambda: fit_oblivious_tree(np.arange(4.0)[:, None], [1.0, -1.0, 1.0, -1.0], [1, np.nan, 1, 1], depth=1),
+            "hessians must be non-negative",
+            id="oblivious-nan-hessian",
         ),
         pytest.param(lambda: Presort(np.ones(3)), "2-D", id="presort-1-D-X"),
     ],
@@ -558,10 +583,11 @@ COPY_CASES = {  # kinds and values of columns 0 and 2, whose best splits send th
 
 
 class TestTieRule:
-    """A node's candidates come from _scan in group order (swept columns,
-    single-threshold columns, categorical levels), not in column order; of
-    exactly equal gains or errors the least column and then the lowest
-    threshold still win."""
+    """A regression node's candidates come from _Node.scan in group order
+    (swept columns, single-threshold columns, categorical levels), not in
+    column order, and a stump's from an oblivious level's lists; of exactly
+    equal gains or errors the least column and then the lowest threshold
+    win."""
 
     @pytest.mark.parametrize("case", COPY_CASES)
     def test_an_exact_copy_of_a_column_loses_to_it(self, case):
@@ -1036,7 +1062,8 @@ def assert_same_tree(got, want):
 
 
 class TestSplitKernelMatchesOracle:
-    """The node kernel against the search it replaced (split_search_oracle)."""
+    """The regression-tree node kernel and the stump's level search against
+    the search they replaced (split_search_oracle)."""
 
     @settings(max_examples=300, deadline=None)
     @with_edge_inputs(3, 0.0, 0.0, 1.0)
@@ -1057,6 +1084,15 @@ class TestSplitKernelMatchesOracle:
 
     @settings(max_examples=300, deadline=None)
     @with_edge_inputs(True)
+    @example(  # the search's own sum of the winner's error reads 0.21121613905993786, an ulp off
+        (
+            np.array([[3.0], [-1.0], [-2.5], [0.0], [0.0], [3.0]]),
+            np.array([-0.6, 1.0, -0.3, -0.3, -0.8, 0.5]),
+            np.ones(6),
+            (NUMERIC,),
+        ),
+        False,
+    )
     @given(split_inputs(), st.booleans())
     def test_stump(self, inputs, uniform):
         X, g, _, kinds = inputs
@@ -1069,14 +1105,34 @@ class TestSplitKernelMatchesOracle:
         assert stump_record(got) == want
         assert got_err == want_err
 
+    def test_every_round_of_an_adaboost_fit(self, monkeypatch):
+        """The properties draw uniform or Dirichlet weights, never AdaBoost's
+        own updates: each round of a 100-round fit on 1 500 rows with 30 %
+        missing cells gives the oracle's stump and error bits on its
+        weights."""
+        errors = []
+
+        def checked(X, y, w, kinds, **kwargs):
+            got, got_err = fit_stump(X, y, w, kinds, **kwargs)
+            want, want_err = oracle.fit_stump(X, y, w, kinds)
+            assert stump_record(got) == want
+            assert np.float64(got_err).tobytes() == np.float64(want_err).tobytes()
+            errors.append(got_err)
+            return got, got_err
+
+        monkeypatch.setattr(boost_module, "fit_stump", checked)
+        fit("adaboost", synthesize(pcos_default_schema(), 1500, 3, 1.0, missing_rate=0.3), default_params("adaboost"))
+        assert len(errors) == 100
+
     @settings(max_examples=60, deadline=None)
     @with_edge_inputs([3, 1, 4])
     @given(split_inputs(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
     def test_a_given_presort_changes_nothing(self, inputs, depths):
         """Round after round of drawn statistics and depths, the regression
-        trees and stumps fit on one Presort, which remembers their nodes, have
-        the bytes of fits on a fresh Presort each; so do fits on one Presort
-        whose memo holds nothing (a budget of 0 bytes drops every node)."""
+        trees and stumps fit on one Presort, which remembers the trees' nodes
+        and lists the stumps' candidates once, have the bytes of fits on a
+        fresh Presort each; so do fits on one Presort whose memo holds nothing
+        (a budget of 0 bytes drops every node)."""
         X, g, h, kinds = inputs
         n = X.shape[0]
         rng = np.random.default_rng(n)
