@@ -15,26 +15,21 @@ included. They hold only what prediction reads: the params, the schema,
 base_score, trees and cat_encoding_state (CatBoost's encodings, else null).
 A regression tree stores a value at its leaves only; an oblivious tree lists
 only its non-zero leaves, as leaf_index (ascending) and leaf_values, which is
-also all that ObliviousTree holds in memory. Older files load too, and their
-extra keys are ignored: the leaf gradient and hessian sums of v1 files and of
-earlier v2 GBM and XGBoost files. A v1 oblivious tree lists every leaf; its
-zero leaves are dropped on load. An AdaBoost file written before its rounds
-were trees lists stumps, each a stump and its alpha; the reader turns each
-into the tree fit_stump would have returned (tree.stump_from_dict) and scales
-it as a fit does, and ignores that file's base_score and cat_encoding_state.
+also all that ObliviousTree holds in memory. Other keys are ignored, as the
+leaf gradient and hessian sums of GBM and XGBoost files written before
+regression leaves dropped them.
 
-load_model raises MalformedModel for bad JSON, a format_version other than 1
-or 2, a missing key (every params field must be given), a value of the wrong
+load_model raises MalformedModel for bad JSON, a format_version other than
+2, a missing key (every params field must be given), a value of the wrong
 type (a bool is not a number, a float is not an int, a name must be a
 string), a number that is NaN, infinite or beyond the float range, a value
-outside its set (default_direction "left" or "right", stump classes -1 or
-1), a split on a column the model does not have, a split whose test does
-not fit its column (a list of levels for a categorical column of AdaBoost,
-GBM or XGBoost, else a number; CatBoost's encoded columns all take a
-number), trees or levels that are not lists, a tree of the wrong kind
-for its algorithm (oblivious for AdaBoost and CatBoost, regression for GBM
-and XGBoost), an entry of a legacy stumps list that is not a stump, a bad or
-repeated tree node index, an oblivious tree deeper than 16 levels or whose
+outside its set (default_direction "left" or "right"), a split on a column
+the model does not have, a split whose test does not fit its column (a list
+of levels for a categorical column of AdaBoost, GBM or XGBoost, else a
+number; CatBoost's encoded columns all take a number), trees or levels that
+are not lists, a tree of the wrong kind for its algorithm (oblivious for
+AdaBoost and CatBoost, regression for GBM and XGBoost), a bad or repeated
+tree node index, an oblivious tree deeper than 16 levels or whose
 leaf_index is not strictly increasing ints in [0, 2**depth), one per leaf
 value, or a cat_encoding_state other than CatBoost's one encoding per
 categorical column, or null otherwise.
@@ -62,7 +57,6 @@ from .tree import (
     fit_regression_tree,
     fit_stump,
     predict_trees,
-    stump_from_dict,
     tree_from_dict,
     tree_to_dict,
 )
@@ -512,17 +506,13 @@ def model_from_dict(d: dict) -> TreeEnsemble:
     """Rebuild a model from its dict form; raises MalformedModel on any defect."""
     try:
         version = d["format_version"]
-        if type(version) is not int or version not in (1, MODEL_FORMAT_VERSION):
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise MalformedModel(f"unsupported format_version {version!r}")
         algorithm = d["algorithm"]
         params = _params_from_dict(d["params"])
         schema = FeatureSchema.from_dict(d["schema"])
         if algorithm not in ALGORITHMS:
             raise MalformedModel(f"unknown algorithm {algorithm!r}")
-        if algorithm == "adaboost" and "stumps" in d:  # an older file: its rounds as stumps
-            n = schema.n_features
-            trees = [_stump_tree(stump_from_dict(s["stump"], n), as_number(s["alpha"], "alpha")) for s in d["stumps"]]
-            return TreeEnsemble(algorithm, 0.0, trees, schema, params)
         state = d["cat_encoding_state"]
         if not (isinstance(state, list) if algorithm == "catboost" else state is None):
             takes = "a list" if algorithm == "catboost" else "null"
@@ -541,7 +531,7 @@ def model_from_dict(d: dict) -> TreeEnsemble:
         if not isinstance(d["trees"], list):
             raise MalformedModel("trees must be a list")
         width = _encoded_width(schema, encodings)
-        trees = [tree_from_dict(t, width, version) for t in d["trees"]]
+        trees = [tree_from_dict(t, width) for t in d["trees"]]
         kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
         if not all(isinstance(t, kind) for t in trees):
             raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")

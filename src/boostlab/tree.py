@@ -316,7 +316,7 @@ def _midpoints(lo, hi):
 def _fit_inputs(X, learner: str, names: str, values, mass) -> tuple[np.ndarray, ...]:
     """X as a float matrix with at least one row, and the per-row vectors
     names calls "<values> and <mass>" as float arrays of one entry per row; a
-    mass (weights or hessians) that is negative or NaN is a ValueError."""
+    negative, infinite or NaN mass (weights or hessians) is a ValueError."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise ValueError("X must be 2-D")
@@ -325,8 +325,8 @@ def _fit_inputs(X, learner: str, names: str, values, mass) -> tuple[np.ndarray, 
     vectors = tuple(np.asarray(v, dtype=np.float64) for v in (values, mass))
     if any(v.shape != (X.shape[0],) for v in vectors):
         raise ValueError(f"{names} must match the row count")
-    if not (vectors[1] >= 0).all():  # NaN too
-        raise ValueError(f"{names.split(' and ')[1]} must be non-negative")
+    if not ((vectors[1] >= 0) & (vectors[1] < np.inf)).all():  # NaN too
+        raise ValueError(f"{names.split(' and ')[1]} must be non-negative and finite")
     return (X, *vectors)
 
 
@@ -571,13 +571,13 @@ def fit_stump(
     The stump is a one-level ObliviousTree whose leaves are its classes, left
     then right, as ±1.0; a missing cell goes left on every column, as in any
     oblivious tree. y must be ±1 and weights non-negative summing to 1; a
-    negative or NaN weight is a ValueError. If one class carries zero weight,
-    or no column offers a split, the constant majority predictor is returned:
-    a tree of no level and one leaf, its class. The returned error never
-    exceeds 0.5 because both orientations are searched.
-    presort, if given, is Presort(X, kinds). fitted, if given, an array of one
-    float per row, receives each row's class: predict_stump(stump, X), read
-    off the chosen split.
+    negative, infinite or NaN weight is a ValueError. If one class carries
+    zero weight, or no column offers a split, the constant majority predictor
+    is returned: a tree of no level and one leaf, its class. The returned
+    error never exceeds 0.5 because both orientations are searched. presort,
+    if given, is Presort(X, kinds). fitted, if given, an array of one float
+    per row, receives each row's class: predict_stump(stump, X), read off
+    the chosen split.
 
     The search is an oblivious level's with all rows in one bucket
     (Presort.level_candidates). Only the winner's error is summed again, in
@@ -586,7 +586,7 @@ def fit_stump(
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
         raise ValueError("labels must be -1 or +1")
-    n, d = X.shape
+    d = X.shape[1]
 
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
@@ -607,8 +607,7 @@ def fit_stump(
     left = np.empty((2, len(cand.features)))  # each candidate's sums over its left rows
     for s, out in zip(stats, left):
         out[cand.masked_at] = np.bincount(cand.left_of, weights=s[cand.left_rows], minlength=cand.masked_at.size)
-        if cand.swept_at is not None:
-            out[cand.swept_at] = np.cumsum(s[cand.rows].reshape(-1, n), axis=1).ravel()[cand.reads]
+        out[cand.swept_at] = np.cumsum(s[cand.by_value], axis=1).ravel()[cand.reads]
     total = stats.sum(axis=1)
     errs = np.stack([left[0] + total[1] - left[1], left[1] + total[0] - left[0]], axis=1)  # per orientation
 
@@ -746,10 +745,10 @@ def fit_regression_tree(
     and a split is kept only when the gain is strictly positive and both
     children reach min_child_weight hessian mass. Missing rows follow the
     default direction that maximizes gain (left on ties). Leaf values are
-    -G/(H+lam). Of equal gains the earliest candidate wins. A negative or
-    NaN hessian is a ValueError. presort, if given, is Presort(X, kinds).
-    fitted, if given, an array of one float per row, receives each row's leaf
-    value: tree.predict(X), read off the fit.
+    -G/(H+lam). Of equal gains the earliest candidate wins. A negative,
+    infinite or NaN hessian is a ValueError. presort, if given, is
+    Presort(X, kinds). fitted, if given, an array of one float per row,
+    receives each row's leaf value: tree.predict(X), read off the fit.
 
     Each node scores all its candidates at once (_Node.scan) and computes the
     threshold of its winner only. A node's block, its rows of presort.block,
@@ -804,10 +803,13 @@ class _LevelCandidates:
     categorical and single-threshold columns are masked: masked_at lists their
     places, left_rows the rows each sends left (missing rows included, in row
     order), one candidate after another, and left_of each such row's masked
-    candidate. The columns of several thresholds are swept (_SweptColumns):
+    candidate. The columns of several thresholds are swept, together:
     swept_at lists their candidates, rows each column's rows in value order
-    with the missing rows first, one column after another, and reads the
-    flat position in rows of each candidate's last left row.
+    with the missing rows first, one column after another, so flat position
+    j * n + i names the i-th row of column j, and reads the flat position in
+    rows of each candidate's last left row. by_value is rows as one row per
+    swept column, offset each column's first flat position. Without a swept
+    column these arrays are empty.
     """
 
     def __init__(self, presort: Presort):
@@ -839,52 +841,41 @@ class _LevelCandidates:
             self.features += [f] * len(levels)
             self.thresholds += levels
         self.starts = np.flatnonzero(np.diff(self.features, prepend=-1, append=presort.X.shape[1]))
+        none = [np.empty(0, dtype=np.int64)]
         self.masked_at = np.array([c for c, _ in masked], dtype=np.int64)
-        self.left_rows = np.concatenate([r for _, r in masked]) if masked else np.empty(0, dtype=np.int64)
+        self.left_rows = np.concatenate([r for _, r in masked] + none)
         self.left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])
-        self.swept_at = np.concatenate([c + np.arange(b.size) for c, _, b in swept]) if swept else None
-        self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)]) if swept else None
-        self.rows = np.concatenate([r for _, r, _ in swept]) if swept else None
-
-
-class _SweptColumns:
-    """The columns of several thresholds, searched together.
-
-    order lists each column's rows in value order, missing rows first, one
-    column after another, so flat position j * n + i names the i-th row of
-    column j. A level's search takes those positions in (bucket, value, row)
-    order, one row of at per column (positions): every column holds every
-    row, so bucket b fills the same span of each row of at.
-    """
-
-    def __init__(self, candidates: _LevelCandidates, g: np.ndarray, h: np.ndarray):
-        self.candidates, self.reads, self.order = candidates.swept_at, candidates.reads, candidates.rows
-        self.g, self.h = g[self.order], h[self.order]
-        self.by_value = self.order.reshape(-1, g.size)
-        self.offset = np.arange(0, self.order.size, g.size)[:, None]
+        self.swept_at = np.concatenate([c + np.arange(b.size) for c, _, b in swept] + none)
+        self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)] + none)
+        self.rows = np.concatenate([r for _, r, _ in swept] + none)
+        self.by_value = self.rows.reshape(len(swept), n)
+        self.offset = n * np.arange(len(swept))[:, None]
 
     def positions(self, bucket: np.ndarray) -> np.ndarray:
-        """at for the rows' buckets: one stable sort of each column's bucket
-        ids in value order, so each bucket's rows keep their value order. The
-        ids are uint16 (at most 2**MAX_OBLIVIOUS_DEPTH buckets), which numpy
-        sorts by radix."""
+        """The flat positions of the swept rows in (bucket, value, row) order,
+        one row per column: one stable sort of each column's bucket ids in
+        value order, so each bucket's rows keep their value order. Every
+        column holds every row, so bucket b fills the same span of each row.
+        The ids are uint16 (at most 2**MAX_OBLIVIOUS_DEPTH buckets), which
+        numpy sorts by radix."""
         key = bucket.astype(np.uint16)
         at = np.argsort(key[self.by_value], axis=1, kind="stable")
         at += self.offset
         return at
 
-    def gains(self, at, size, start, Gb, Hb, parent_b, reg_lambda: float):
-        """Gain and "splits a bucket" of each candidate. Moving a bucket's rows
-        left one at a time in value order, each row changes only its bucket's
-        term and its bucket's "is split" flag; put back in value order, the
-        changes' prefix sums at each threshold are the gain and the count of
-        split buckets."""
+    def gains(self, g, h, at, size, start, Gb, Hb, parent_b, reg_lambda: float):
+        """Gain and "splits a bucket" of each swept candidate, where g and h
+        are the rows' statistics at the flat positions of rows and at is
+        positions(bucket). Moving a bucket's rows left one at a time in value
+        order, each row changes only its bucket's term and its bucket's "is
+        split" flag; put back in value order, the changes' prefix sums at
+        each threshold are the gain and the count of split buckets."""
         pos = np.repeat(np.arange(size.size), size)  # the bucket at each position
         end = start + size - 1
         # a bucket's sums up to each position: the running sum minus the sums
         # of the buckets before it
-        GL = self.g[at].cumsum(axis=1) - (Gb.cumsum() - Gb)[pos]
-        HL = self.h[at].cumsum(axis=1) - (Hb.cumsum() - Hb)[pos]
+        GL = g[at].cumsum(axis=1) - (Gb.cumsum() - Gb)[pos]
+        HL = h[at].cumsum(axis=1) - (Hb.cumsum() - Hb)[pos]
         term = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb[pos] - GL, Hb[pos] - HL, reg_lambda)
         change = np.empty_like(term)
         change[:, 1:] = term[:, 1:] - term[:, :-1]
@@ -924,15 +915,15 @@ def fit_oblivious_tree(
     counts, the best gain is not strictly positive or is NaN, or the best
     gain less the tie margin is NaN (an infinite gain and margin), and after
     MAX_OBLIVIOUS_DEPTH levels, so the recorded depth may be shallower than
-    requested, and every level splits a bucket of the rows. A negative or NaN
-    hessian is a ValueError. fitted, if given, an array of one float per row,
-    receives each row's output: tree.predict(X), read off the fit's final
-    buckets.
+    requested, and every level splits a bucket of the rows. A negative,
+    infinite or NaN hessian is a ValueError. fitted, if given, an array of
+    one float per row, receives each row's output: tree.predict(X), read off
+    the fit's final buckets.
 
     The search is bucket-sorted, and its candidates are listed once per
     Presort (_LevelCandidates). For a categorical or single-threshold column,
     one bincount by bucket of each candidate's left rows gives its sums. The
-    columns of several thresholds are swept (_SweptColumns): each level
+    columns of several thresholds are swept (_LevelCandidates.gains): each level
     takes their rows in (bucket, value) order from one stable sort of the
     rows' bucket ids in value order, so no order is carried between levels.
     A bucket is the rank of a row's leaf among the occupied leaves, so the
@@ -944,7 +935,7 @@ def fit_oblivious_tree(
     features, thresholds = candidates.features, candidates.thresholds
     masked_at, left_rows, left_of = candidates.masked_at, candidates.left_rows, candidates.left_of
     left_g, left_h = g[left_rows], h[left_rows]
-    sweep = _SweptColumns(candidates, g, h) if candidates.swept_at is not None else None
+    swept_g, swept_h = g[candidates.rows], h[candidates.rows]
 
     leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
     bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
@@ -968,10 +959,9 @@ def fit_oblivious_tree(
             child = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb - GL, Hb - HL, reg_lambda)
             gains[masked_at] = 0.5 * (child.sum(axis=1) - parent)
             splits[masked_at] = ((CL > 0) & (CL < size)).any(axis=1)
-        if sweep is not None:
-            gains[sweep.candidates], splits[sweep.candidates] = sweep.gains(
-                sweep.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
-            )
+        gains[candidates.swept_at], splits[candidates.swept_at] = candidates.gains(
+            swept_g, swept_h, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
+        )
         if not splits.any():
             break
         best = gains[splits].max()
@@ -1044,12 +1034,12 @@ def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
 
-def tree_from_dict(d: dict, n_features: int, format_version: int = 2) -> RegressionTree | ObliviousTree:
+def tree_from_dict(d: dict, n_features: int) -> RegressionTree | ObliviousTree:
     """Rebuild a tree that reads an n_features-column matrix; a tree that
     records another width or splits outside [0, n_features) is MalformedModel.
     Regression nodes are renumbered into pre-order from node 0, so any layout
     loads; a child index that is not a node, or a node reached twice, is not.
-    An oblivious tree of format_version 1 lists every leaf and no leaf_index.
+    An oblivious tree's leaves are dropped where their value is zero.
     """
     kind = d["kind"]
     if kind not in ("regression", "oblivious"):
@@ -1087,28 +1077,13 @@ def tree_from_dict(d: dict, n_features: int, format_version: int = 2) -> Regress
     )
     if len(levels) > MAX_OBLIVIOUS_DEPTH:
         raise MalformedModel(f"an oblivious tree of {len(levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
-    if format_version == 1:  # every leaf, zeros too (and sums, which are ignored)
-        leaf_ids = np.arange(1 << len(levels), dtype=np.int64)
-    else:
-        index = [as_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
-        leaf_ids = np.array(index, dtype=np.int64)
-        if (leaf_ids[1:] <= leaf_ids[:-1]).any():
-            raise MalformedModel("leaf_index is not strictly increasing")
+    index = [as_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]
+    leaf_ids = np.array(index, dtype=np.int64)
+    if (leaf_ids[1:] <= leaf_ids[:-1]).any():
+        raise MalformedModel("leaf_index is not strictly increasing")
     if leaf_ids.size != len(d["leaf_values"]):
         raise MalformedModel("leaf_index and leaf_values differ in length")
     leaf_values = np.array([as_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
     kept = leaf_values != 0
     return ObliviousTree(levels, leaf_ids[kept], leaf_values[kept], n_features)
 
-
-def stump_from_dict(d: dict, n_features: int) -> ObliviousTree:
-    """A stump of the stumps list of an older AdaBoost file, as fit_stump
-    returns it: one level whose leaves are left_class and right_class, or no
-    level and one leaf when the two classes agree. An entry of another kind
-    is MalformedModel."""
-    if d["kind"] != "stump":
-        raise MalformedModel(f"a stumps entry of kind {d['kind']!r}, not 'stump'")
-    level = (as_index(d["feature_index"], n_features), _threshold_from_json(d["threshold"]))
-    lc = one_of(d["left_class"], (-1, 1), "left_class")
-    rc = one_of(d["right_class"], (-1, 1), "right_class")
-    return _stump((level,), (lc, rc), n_features) if lc != rc else _stump((), (lc,), n_features)

@@ -313,6 +313,14 @@ def assert_data_error(code, err):
     assert len(err.strip().splitlines()) == 1, err
 
 
+def as_stumps(model: dict, index: int) -> dict:
+    """The AdaBoost model with its rounds replaced by one stump on column
+    index, listed under stumps as older files listed them."""
+    stump = {"kind": "stump", "feature_index": index, "threshold": 0.5, "left_class": -1, "right_class": 1}
+    rest = {k: v for k, v in model.items() if k != "trees"}
+    return {**rest, "stumps": [{"stump": stump, "alpha": 0.5}]}
+
+
 def split_on_column(model: dict, index: int) -> dict:
     """The model with its first split node redirected to column index."""
     node = next(n for n in model["trees"][0]["nodes"] if "feature_index" in n)
@@ -453,6 +461,26 @@ class TestDataErrors:
             capsys, "predict", "--model", model, "--data", data_csv, "--scores-out", scores
         )
         assert_data_error(code, err)
+        assert not scores.exists()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda d: {**d, "format_version": 1}, id="format-1"),
+            # AdaBoost files once listed their rounds as stumps; column 11 of
+            # the default schema is the categorical activity_level
+            pytest.param(lambda d: as_stumps(d, 0), id="stumps"),
+            pytest.param(lambda d: as_stumps(d, 11), id="stumps-on-a-categorical-column"),
+        ],
+    )
+    def test_an_older_model_format_is_malformed(self, tmp_path, capsys, data_csv, edit):
+        model = tmp_path / "adaboost.json"
+        assert train(capsys, "adaboost", data_csv, model, "--rounds", 2)[0] == 0
+        model.write_text(json.dumps(edit(json.loads(model.read_text()))))
+        scores = tmp_path / "s.csv"
+        code, _, err = run(capsys, "predict", "--model", model, "--data", data_csv, "--scores-out", scores)
+        assert_data_error(code, err)
+        assert str(model) in err
         assert not scores.exists()
 
     @pytest.mark.parametrize(

@@ -6,12 +6,10 @@ timestamp line. The model digests were recorded when each file form was
 pinned: MODEL_SHA256 for the compact files that train writes today,
 INDENTED_SHA256 for the same content rendered with indent=2 (the form train
 wrote before model files became compact, so the content is unchanged since),
-LEGACY_SHA256 for the older files of the same fits, kept in tests/data and
-still read: the v1 files, the v2 GBM and XGBoost files written before
-regression leaves dropped their gradient and hessian sums, and the v2
-AdaBoost file written before AdaBoost rounds were one-level oblivious trees,
-which lists them as stumps. A change to any of them is a change of output and
-must be deliberate.
+LEGACY_SHA256 for the older files of the same fits kept in tests/data: the
+GBM and XGBoost files written before regression leaves dropped their
+gradient and hessian sums, which the reader ignores. A change to any of them
+is a change of output and must be deliberate.
 """
 
 import contextlib
@@ -20,11 +18,10 @@ import io
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from boostlab import cli
-from boostlab.boost import load_model, raw_scores, save_model
+from boostlab.boost import load_model, save_model
 from boostlab.dataset import pcos_default_schema, synthesize, write_csv
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
@@ -46,12 +43,7 @@ INDENTED_SHA256 = {
 }
 
 LEGACY_SHA256 = {
-    "model_v1_adaboost.json": "2b80d7774c4939756c5cdf29fd222224f13520cae68a465d3aa4e2cec70ce59c",
-    "model_v1_gbm.json": "c6898cf48e9564d56500032f948f97b0633e5a4c1f82b6aba52d09b9e72fdb40",
-    "model_v1_xgboost.json": "c79eaabe6302850d126986606e3b287702d1709b4a484f9e66659d1e5d582a44",
-    "model_v1_catboost.json": "879fb1a2c07ac2c9235c7228c36c7484e3407542fdbdd7d51748f95cbfb45a55",
-    # v2 with leaf sums (GBM, XGBoost) or stumps (AdaBoost)
-    "model_v2_adaboost.json": "e718022c21a755e3f355081b0b184c9da44f5d02cfca8728f931b426034bdfb0",
+    # format 2 with leaf sums
     "model_v2_gbm.json": "4af4068fb50575353c105b00b78d1652ba2081e7dec8bf399e028ea1d7df1928",
     "model_v2_xgboost.json": "53d6401d13f1f2c91c4adb7b36fa005895310a1d8cd08a12914fde13da816a57",
 }
@@ -106,15 +98,6 @@ def test_train_model_file_is_pinned(tmp_path, algo):
     assert hashlib.sha256(raw).hexdigest() == MODEL_SHA256[algo]
     indented = json.dumps(json.loads(raw), indent=2, allow_nan=False) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_SHA256[algo]
-
-
-@pytest.mark.parametrize("algo", sorted(MODEL_SHA256))
-def test_v1_model_file_scores_like_v2(tmp_path, algo):
-    v1 = LEGACY_MODELS / f"model_v1_{algo}.json"
-    assert hashlib.sha256(v1.read_bytes()).hexdigest() == LEGACY_SHA256[v1.name]
-    data, model = train(tmp_path, algo)
-    assert json.loads(model.read_text())["format_version"] == 2
-    assert np.array_equal(raw_scores(load_model(v1), data), raw_scores(load_model(model), data))
 
 
 def test_every_legacy_model_file_is_pinned():

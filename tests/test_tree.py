@@ -29,7 +29,6 @@ from boostlab.tree import (
     fit_stump,
     predict_stump,
     predict_trees,
-    stump_from_dict,
     tree_from_dict,
     tree_to_dict,
 )
@@ -183,6 +182,22 @@ def kernel_fixture(rng, n):
             lambda: fit_oblivious_tree(np.arange(4.0)[:, None], [1.0, -1.0, 1.0, -1.0], [1, np.nan, 1, 1], depth=1),
             "hessians must be non-negative",
             id="oblivious-nan-hessian",
+        ),
+        # an infinite mass would make the sums NaN inside the search
+        pytest.param(
+            lambda: fit_stump(np.arange(4.0)[:, None], [1, -1, 1, -1], [0.5, np.inf, 0.2, 0.3]),
+            "weights must be non-negative and finite",
+            id="stump-inf-weight",
+        ),
+        pytest.param(
+            lambda: fit_regression_tree(np.arange(4.0)[:, None], [1.0, -1.0, 1.0, -1.0], [1, np.inf, 1, 1], max_depth=1),
+            "hessians must be non-negative and finite",
+            id="tree-inf-hessian",
+        ),
+        pytest.param(
+            lambda: fit_oblivious_tree(np.arange(4.0)[:, None], [1.0, -1.0, 1.0, -1.0], [1, np.inf, 1, 1], depth=1),
+            "hessians must be non-negative and finite",
+            id="oblivious-inf-hessian",
         ),
         pytest.param(lambda: Presort(np.ones(3)), "2-D", id="presort-1-D-X"),
     ],
@@ -797,13 +812,10 @@ class TestPredictAndSerialize:
         assert bits[0].tolist() == _went_right(col, threshold, missing_left=missing_left).tolist()
         assert bits[0].tolist() == written_right(col, threshold, missing_left)
 
-    def test_a_stump_is_a_legacy_entry_not_a_tree_kind(self):
+    def test_a_stump_is_not_a_tree_kind(self):
         stump = {"kind": "stump", "feature_index": 0, "threshold": 0.5, "left_class": -1, "right_class": 1}
         with pytest.raises(MalformedModel, match="unknown tree kind 'stump'"):
             tree_from_dict({**stump, "n_features": 1}, 1)
-        assert stump_record(stump_from_dict(stump, 1)) == (0, 0.5, -1, 1)
-        with pytest.raises(MalformedModel, match="kind 'oblivious'"):
-            stump_from_dict({**stump, "kind": "oblivious"}, 1)
 
     def test_regression_nodes_in_any_order_load_into_pre_order(self):
         rng = np.random.default_rng(9)
