@@ -1,13 +1,12 @@
 """Command-line entry point: train / predict / eval / compare / synth.
 
 eval --data reads only the labels of the data CSV, but checks every cell of
-it as train would, so a file train rejects is rejected by eval too. eval
---scores takes scores in [0, 1], as predict writes them: a score cell
-outside [0, 1] is a malformed scores file (exit 2), and so is a row of the
-scores or --truth file with more than one cell. Every CSV, the scores and
---truth files too, is read by dataset in one flow: tokenized from its
-bytes or by csv.reader, then each column parsed in numpy or from its texts
-(see dataset's module docstring), with the same result either way.
+it as train would, so a file train rejects is rejected by eval too. --scores
+and --truth are data files of SCORES_SCHEMA and TRUTH_SCHEMA, read as every
+CSV is (see dataset's module docstring), so their errors are load_csv's and
+name the row; a "label" column in --scores is not read. A score outside
+[0, 1], as predict writes them, or missing ("" or "NA") is a malformed
+scores file (exit 2).
 predict writes each score, and eval each curve coordinate, as "%.6f"
 would, byte for byte, from the whole array at once (metrics.format_6f).
 
@@ -59,7 +58,6 @@ from .boost import (
     save_model,
 )
 from .dataset import (
-    BINARY,
     NUMERIC,
     Dataset,
     FeatureSchema,
@@ -67,7 +65,6 @@ from .dataset import (
     SyntheticSpec,
     load_csv,
     load_features_csv,
-    load_column_csv,
     load_labels_csv,
     pcos_default_schema,
     synthesize,
@@ -78,6 +75,8 @@ from .metrics import evaluate, format_6f, pr_to_csv, roc_to_csv
 from .tree import MAX_OBLIVIOUS_DEPTH
 
 DEFAULT_SEED = 42
+SCORES_SCHEMA = FeatureSchema((("score", NUMERIC),), "label")
+TRUTH_SCHEMA = FeatureSchema((), "label")
 
 
 class _UsageError(Exception):
@@ -181,11 +180,11 @@ def _cmd_predict(args) -> int:
 
 def _cmd_eval(args) -> int:
     _overrides(args)  # checks --threshold
-    scores = load_column_csv(args.scores, "score", NUMERIC)
-    if ((scores < 0) | (scores > 1)).any():
+    scores = load_features_csv(args.scores, SCORES_SCHEMA)[:, 0]
+    if not ((scores >= 0) & (scores <= 1)).all():  # NaN, a missing cell, too
         raise MalformedCsv(f"{args.scores}: score cells must lie in [0, 1]")
     if args.truth is not None:
-        truth = load_column_csv(args.truth, "label", BINARY)
+        truth = load_labels_csv(args.truth, TRUTH_SCHEMA)
     else:
         truth = load_labels_csv(args.data, _load_schema_arg(args), args.label)
     if scores.shape != truth.shape:

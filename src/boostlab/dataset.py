@@ -5,15 +5,15 @@ order, with NaN standing for a missing cell: every reader and Dataset give
 that one layout. Missing cells are only legal in numeric columns.
 
 Every CSV file is read in one flow: opened once, tokenized once, then
-parsed column by column. A plain text (ASCII, ending in a newline, with no
+parsed column by column; a blank line is a row of no cells. A plain text (ASCII, ending in a newline, with no
 '"', CR or NUL, no blank line, no line longer than csv.field_size_limit(),
 a data row and every row as wide as the header) is tokenized from its
 bytes: one numpy pass finds its delimiters, whose offsets give exactly the
 cells csv.reader gives. Any other text is tokenized by read_csv_table,
-which decodes the whole file and reads it with csv.reader before any
-check: so a file that is not UTF-8 text is MalformedCsv ("not UTF-8 text")
-whatever else is wrong with it, a wrong header too, and so is a row the
-csv module cannot read.
+which decodes the whole file (less a UTF-8 byte-order mark) and reads it
+with csv.reader before any check: so a file that is not UTF-8 text is
+MalformedCsv ("not UTF-8 text") whatever else is wrong with it, a wrong
+header too, and so is a row the csv module cannot read.
 
 Each column the caller reads is then parsed on its own. A column of a plain
 text whose cells fit the byte grammar is parsed from its bytes with no
@@ -28,7 +28,8 @@ column is parsed from its bytes only when every one of its texts would
 parse, so every value, error, message and row number is the text parse's.
 
 Either way every cell is checked, but values are built only for the
-columns the caller reads: load_labels_csv builds no feature matrix.
+columns the caller reads: load_labels_csv and infer_schema build no
+feature matrix.
 """
 
 from __future__ import annotations
@@ -383,24 +384,23 @@ def _plain_column(buf, start, end, kind):
     return NUMERIC, values
 
 
-def read_csv_table(path, *, skip_blank: bool = False, raw: bytes | None = None):
+def read_csv_table(path, *, raw: bytes | None = None):
     """(header, columns, n_rows, bad) of a CSV file, opened once, decoded
-    whole and read by csv.reader: MalformedCsv naming the file if it is not
-    UTF-8 text or the csv module cannot read a row (such as an over-long
-    field). raw is the file's bytes if they are already read (as _tokens
-    reads them to try the byte tokenizer first); the file is not opened then.
+    whole as "utf-8-sig" and read by csv.reader: MalformedCsv naming the
+    file if it is not UTF-8 text or the csv module cannot read a row (such
+    as an over-long field). raw is the file's bytes if they are already read
+    (as _tokens reads them to try the byte tokenizer first); the file is not
+    opened then.
 
     header is the first row's cells, None for a file of no rows. columns[j]
     holds cell j of each later row of the header's width, n_rows of them in
     file order; n_rows is returned because a blank first line is a header of
     no cells, whose rows (the later blank lines) have no column to count
-    them by. bad is None, or (row, cells, line) of the first later row of
-    another width: its row number (the header is row 1), its cell count and
-    the file line it ends on. skip_blank leaves out the later rows of no
-    cells (blank lines) instead.
+    them by. bad is None, or (row number, cell count) of the first later
+    row of another width, a blank line too; the header is row 1.
     """
     try:
-        text = (_read_bytes(path) if raw is None else raw).decode("utf-8")
+        text = (_read_bytes(path) if raw is None else raw).decode("utf-8-sig")
     except UnicodeDecodeError:
         raise MalformedCsv(f"{path}: not UTF-8 text") from None
     try:
@@ -410,13 +410,7 @@ def read_csv_table(path, *, skip_blank: bool = False, raw: bytes | None = None):
     if not rows:
         return None, [], 0, None
     width = len(rows[0])
-    fits = {width, 0} if skip_blank else {width}
-    bad = None
-    if set(map(len, rows)) - fits:
-        i = next(i for i, row in enumerate(rows) if len(row) not in fits)
-        reader = csv.reader(io.StringIO(text, newline=""))
-        next(itertools.islice(reader, i, None))  # read up to row i again, for its line
-        bad = (i + 1, len(rows[i]), reader.line_num)
+    bad = next(((i + 1, n) for i, n in enumerate(map(len, rows)) if n != width), None)
     header, body = rows[0], [row for row in rows[1:] if len(row) == width]
     del rows  # freed before the columns are cut, to keep the peak memory down
     flat, n_rows = list(itertools.chain.from_iterable(body)), len(body)
@@ -445,10 +439,10 @@ def _check_header(path, header, schema, label_column, with_labels):
     return header, label_column, names
 
 
-def _tokens(path, *, skip_blank: bool = False):
+def _tokens(path):
     """(header, n_rows, bad, column) of a CSV file, opened once and
     tokenized once: from its bytes when _plain_table accepts it, else by
-    read_csv_table (see it for header, n_rows, bad and skip_blank).
+    read_csv_table (see it for header, n_rows and bad).
 
     column(j, kind) is (kind, values) when _plain_column parses column j
     from the bytes, its kind inferred when None; else (kind, texts), the
@@ -459,7 +453,7 @@ def _tokens(path, *, skip_blank: bool = False):
     raw = _read_bytes(path)
     plain = _plain_table(raw)
     if plain is None:
-        header, texts, n_rows, bad = read_csv_table(path, skip_blank=skip_blank, raw=raw)
+        header, texts, n_rows, bad = read_csv_table(path, raw=raw)
         return header, n_rows, bad, lambda j, kind: (kind, texts[j])
     header, buf, ends = plain
 
@@ -475,12 +469,11 @@ def _tokens(path, *, skip_blank: bool = False):
     return header, len(ends) - 1, None, column
 
 
-def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_only=False):
+def _read_csv(path, schema, label_column, *, with_labels, features=True):
     """(schema, values, labels) of a CSV read once and checked as load_csv says.
     Without a schema one is inferred with label_column as the label; labels is
     None unless with_labels, values is None unless features (every feature
-    cell is checked either way), and infer_only returns (schema, None, None).
-    values is column-major, as a Dataset holds it."""
+    cell is checked either way). values is column-major, as a Dataset holds it."""
     header, n_rows, bad, column = _tokens(path)
     if header is None:
         raise EmptyDataset(f"{path}: file is empty")
@@ -491,7 +484,7 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
     # of an earlier row; the rows before it are numbered from 2 without gaps.
     failures = []  # (row number, place in the row's order of checks, error)
     if bad is not None:
-        row_no, n_cells, _ = bad
+        row_no, n_cells = bad
         message = f"{path}: row {row_no} has {n_cells} cells, expected {len(header)}"
         failures.append((row_no, -1, MalformedCsv(message)))
 
@@ -502,10 +495,6 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True, infer_o
             kind, read[name] = column(place[name], None)
             kinds.append(kind or _kind_of({text.strip() for text in set(read[name])}))
         schema = FeatureSchema(tuple(zip(names, kinds)), label_column)
-    if infer_only:
-        if failures:
-            raise failures[0][2]
-        return schema, None, None
 
     values = np.empty((n_rows, schema.n_features), order="F") if features else None
     labels = np.empty(n_rows, dtype=np.int64) if with_labels else None
@@ -582,8 +571,8 @@ def write_csv(path, data: Dataset) -> None:
 
 
 def load_features_csv(path, schema: FeatureSchema) -> np.ndarray:
-    """Parse only the feature columns of a CSV; the label column may be absent.
-    The matrix is column-major float64, as load_csv's, and the caller's to
+    """Parse only the feature columns of a CSV; the label column may be
+    absent, and is not read when present. The matrix is column-major float64, as load_csv's, and the caller's to
     write: a Dataset made from it holds its own copy."""
     return _read_csv(path, schema, schema.label_column, with_labels=False)[1]
 
@@ -593,40 +582,10 @@ def load_labels_csv(path, schema: FeatureSchema | None = None, label_column: str
 
     Every cell is parsed and checked as load_csv checks it, so a file
     load_csv rejects is rejected here with the same error type and message;
-    only the feature matrix is not built.
+    only the feature matrix is not built. A schema of no feature columns
+    reads a file of the label column alone.
     """
     return _read_csv(path, schema, label_column, with_labels=True, features=False)[2]
-
-
-def load_column_csv(path, name: str, kind: FeatureKind) -> np.ndarray:
-    """The cells of a one-column CSV headed name (once stripped), read as
-    every CSV is (see the module docstring) with blank lines skipped: a
-    NUMERIC column is float64 by float(), a BINARY one int64 by parse_label.
-
-    A file that is not UTF-8 text or not CSV, a wrong header, a row of more
-    than one cell, a cell the parser rejects, no data row and a non-finite
-    value are MalformedCsv, in that order.
-    """
-    header, _, bad, column = _tokens(path, skip_blank=True)
-    if [h.strip() for h in header or ()] != [name]:
-        raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
-    if bad is not None:
-        raise MalformedCsv(f"{path}: line {bad[2]} has more than one cell")
-    _, cells = column(0, kind)
-    if isinstance(cells, np.ndarray):  # parsed from the bytes: "" and "NA" are NaN, which float() rejects
-        if np.isnan(cells).any():
-            raise MalformedCsv(f"{path}: unparsable {name} cell")
-        return cells if kind == NUMERIC else cells.astype(np.int64)
-    parse = float if kind == NUMERIC else parse_label
-    try:
-        values = np.asarray([parse(cell) for cell in cells])
-    except ValueError:
-        raise MalformedCsv(f"{path}: unparsable {name} cell") from None
-    if values.size == 0:
-        raise MalformedCsv(f"{path}: no {name} rows")
-    if not np.isfinite(values).all():
-        raise MalformedCsv(f"{path}: {name} cells must be finite")
-    return values
 
 
 def infer_schema(path, label_column: str) -> FeatureSchema:
@@ -636,12 +595,11 @@ def infer_schema(path, label_column: str) -> FeatureSchema:
     with every value in 0..9 become categorical (cardinality = max + 1);
     anything else, and any column containing missing cells, is numeric. A
     cell counts as an integer only when written as one: a column of "0.0" and
-    "1.0" is numeric. A
-    column's kind depends only on its set of distinct stripped cells. The
-    header and cell counts are checked as load_csv checks them, so a short row
-    raises MalformedCsv; the cells themselves are not checked.
+    "1.0" is numeric. A column's kind depends only on its set of distinct
+    stripped cells. Every cell is checked, so whatever load_csv would raise
+    on the file is raised here; only the feature matrix is not built.
     """
-    return _read_csv(path, None, label_column, with_labels=False, infer_only=True)[0]
+    return _read_csv(path, None, label_column, with_labels=True, features=False)[0]
 
 
 # Logit gain and per-feature weight decay: earlier schema columns carry most of

@@ -9,8 +9,8 @@ is parsed here on its own by csv.reader, _parse_cell and parse_label, row by
 row, and the first defect met is raised. Within a row that is the cell
 count, then the label, then the feature columns in schema order. A schema is
 inferred, as infer_schema says, from the distinct stripped cells of the rows
-that have the header's width. read_column is the same oracle for the eval
-command's one-column scores and truth files."""
+that have the header's width. A leading UTF-8 byte-order mark is not part
+of the header."""
 
 import csv
 
@@ -21,7 +21,7 @@ from boostlab.errors import EmptyDataset, LabelNotBinary, MalformedCsv, UnknownC
 
 
 def _header_and_rows(path):
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lines = list(csv.reader(fh))
     if not lines:
         raise EmptyDataset(f"{path}: file is empty")
@@ -76,38 +76,3 @@ def read(path, schema=None, label_column="pcos", *, with_labels=True):
         raise EmptyDataset(f"{path}: no data rows")
     values = np.array(values, dtype=np.float64).reshape(len(rows), schema.n_features)
     return schema, values, np.array(labels, dtype=np.int64) if with_labels else None
-
-
-def infer(path, label_column) -> FeatureSchema:
-    """The schema infer_schema gives: the header and every row's cell count
-    are checked, the cells are not."""
-    header, rows = _header_and_rows(path)
-    schema = _inferred(path, header, rows, label_column)
-    for number, row in enumerate(rows, start=2):
-        if len(row) != len(header):
-            raise MalformedCsv(f"{path}: row {number} has {len(row)} cells, expected {len(header)}")
-    return schema
-
-
-def read_column(path, name, parse):
-    """The column dataset.load_column_csv reads: the header must be name once
-    stripped, blank rows are skipped, a row of more than one cell is an
-    error at its line, and every cell is converted by parse."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        if [h.strip() for h in next(reader, ())] != [name]:
-            raise MalformedCsv(f"{path}: expected a single-column header {name!r}")
-        cells = []
-        for row in reader:
-            if len(row) > 1:
-                raise MalformedCsv(f"{path}: line {reader.line_num} has more than one cell")
-            cells += row
-    try:
-        column = np.asarray([parse(cell) for cell in cells])
-    except ValueError:
-        raise MalformedCsv(f"{path}: unparsable {name} cell") from None
-    if column.size == 0:
-        raise MalformedCsv(f"{path}: no {name} rows")
-    if not np.isfinite(column).all():
-        raise MalformedCsv(f"{path}: {name} cells must be finite")
-    return column

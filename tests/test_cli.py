@@ -14,8 +14,9 @@ import pytest
 
 from boostlab import bench, cli, dataset
 from boostlab.boost import load_model, predict_scores
-from boostlab.dataset import BINARY, NUMERIC, load_column_csv, load_csv, parse_label, pcos_default_schema
-from boostlab.errors import MalformedCsv
+from boostlab.cli import SCORES_SCHEMA, TRUTH_SCHEMA
+from boostlab.dataset import infer_schema, load_csv, load_features_csv, load_labels_csv, pcos_default_schema
+from boostlab.errors import BoostlabError
 from boostlab.metrics import evaluate, pr_to_csv, roc_to_csv
 
 ALGOS = ("adaboost", "gbm", "xgboost", "catboost")
@@ -127,10 +128,39 @@ class TestSuccess:
         out = tmp_path / "ev"
         argv = ("eval", "--scores", scores_csv, "--data", data_csv, "--threshold", 0.3, "--out", out)
         assert run(capsys, *argv)[0] == 0
-        result = evaluate(load_column_csv(scores_csv, "score", NUMERIC), load_csv(data_csv).labels, 0.3)
+        result = evaluate(load_features_csv(scores_csv, SCORES_SCHEMA)[:, 0], load_csv(data_csv).labels, 0.3)
         assert json.loads((out / "metrics.json").read_text()) == {"n": 80, "threshold": 0.3, **result.to_dict()}
         assert (out / "roc.csv").read_text() == roc_to_csv(result.roc)
         assert (out / "pr.csv").read_text() == pr_to_csv(result.pr)
+
+    def test_a_byte_order_mark_is_not_part_of_the_first_header_cell(self, tmp_path, capsys, data_csv, scores_csv, model_file):
+        # a UTF-8 byte-order mark, as some editors write one, sends a file to
+        # csv.reader, which reads it as the file without the mark
+        truth = tmp_path / "truth.csv"
+        truth.write_text("label\n" + "".join(f"{label}\n" for label in load_csv(data_csv).labels.tolist()))
+        copies = {}
+        for path in (data_csv, scores_csv, truth):
+            copies[path] = tmp_path / f"bom-{path.name}"
+            copies[path].write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        plain, bom = load_csv(data_csv), load_csv(copies[data_csv])
+        assert bom.schema == plain.schema == infer_schema(copies[data_csv], "pcos") == infer_schema(data_csv, "pcos")
+        assert bom.values.tobytes() == plain.values.tobytes() and bom.labels.tolist() == plain.labels.tolist()
+        for algo in ("gbm", "catboost"):
+            models = [tmp_path / f"{algo}-{i}.json" for i in (0, 1)]
+            for data, model in zip((data_csv, copies[data_csv]), models):
+                assert train(capsys, algo, data, model, "--rounds", 2)[0] == 0
+            assert models[0].read_bytes() == models[1].read_bytes()
+        scores = tmp_path / "bom-scores-out.csv"
+        assert run(capsys, "predict", "--model", model_file, "--data", copies[data_csv], "--scores-out", scores)[0] == 0
+        assert scores.read_bytes() == scores_csv.read_bytes()
+        outputs = []
+        for given in ((scores_csv, "--data", data_csv), (scores_csv, "--truth", truth), *(
+            (copies[scores_csv], flag, copies[path]) for flag, path in (("--data", data_csv), ("--truth", truth))
+        )):
+            out = tmp_path / f"ev{len(outputs)}"
+            assert run(capsys, "eval", "--scores", given[0], *given[1:], "--out", out)[0] == 0
+            outputs.append([(out / f).read_bytes() for f in ("metrics.json", "roc.csv", "pr.csv")])
+        assert outputs[1:] == outputs[:1] * 3
 
     def test_compare_writes_every_report_file(self, tmp_path, capsys):
         out_dir = tmp_path / "cmp"
@@ -616,6 +646,29 @@ class TestDataErrors:
         assert run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")[0] == 0
 
 
+    @pytest.mark.parametrize("cell", ["NA", '""', ""], ids=["NA", "quoted-empty", "empty-beside-a-label"])
+    def test_eval_missing_score_cell(self, tmp_path, capsys, cell):
+        # a missing cell is NaN, which lies outside [0, 1]
+        scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+        scores.write_text(f"score,label\n0.1,1\n{cell},0\n" if cell == "" else f"score\n0.1\n{cell}\n")
+        truth.write_text("label\n1\n0\n")
+        code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")
+        assert (code, err) == (2, f"eval: {scores}: score cells must lie in [0, 1]\n")
+        assert not (tmp_path / "ev").exists()
+
+    def test_eval_reads_the_scores_of_a_scores_file_with_a_label_column(self, tmp_path, capsys):
+        # as predict --data reads a data file with its label column
+        truth = tmp_path / "t.csv"
+        truth.write_text("label\n1\n0\n0\n1\n")
+        outputs = []
+        for name, text in (("s", "score\n0.9\n0.2\n0.4\n0.7\n"), ("ls", "label,score\n1,0.9\n0,0.2\n0,0.4\n1,0.7\n")):
+            scores, out = tmp_path / f"{name}.csv", tmp_path / f"{name}-ev"
+            scores.write_text(text)
+            assert run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", out)[0] == 0
+            outputs.append([(out / f).read_bytes() for f in ("metrics.json", "roc.csv", "pr.csv")])
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][0])["auc"] == 1.0
+
     @pytest.mark.parametrize("name", ["score", "label"])
     def test_eval_row_of_several_cells(self, tmp_path, capsys, name):
         # every cell of a row would be a score or a label, and only the first was read
@@ -623,62 +676,86 @@ class TestDataErrors:
         scores.write_text("score\n0.1,0.9\n0.8,junk\n0.4\n0.7\n" if name == "score" else "score\n0.1\n0.8\n0.4\n0.7\n")
         truth.write_text("label\n1\n1,1\n0\n1\n" if name == "label" else "label\n1\n0\n0\n1\n")
         code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")
-        assert_data_error(code, err)
         bad = scores if name == "score" else truth
-        assert err == f"eval: {bad}: line {2 if name == 'score' else 3} has more than one cell\n"
+        assert (code, err) == (2, f"eval: {bad}: row {2 if name == 'score' else 3} has 2 cells, expected 1\n")
         assert not (tmp_path / "ev").exists()
 
     @pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank-line", "blank-lines"])
     def test_eval_reads_a_crlf_copy_alike(self, tmp_path, capsys, blank):
         # the byte path reads an LF file with no blank line and no wide row;
-        # csv.reader reads the rest
+        # csv.reader reads the rest. A blank line is a row of no cells.
         texts = {
             "score": f"score\n0.1\n{blank}0.8\n0.4\n{blank}0.7\n",
             "label": f"label\n1\n{blank}0\n0\n1\n{blank}",
-            "wide": f"score\n0.1\n{blank}0.8,0.2\n0.4\n0.7\n",
+            "wide": "score\n0.1\n0.8,0.2\n0.4\n0.7\n",
         }
+        good_scores = tmp_path / "good.csv"
+        good_scores.write_text("score\n0.1\n0.8\n0.4\n0.7\n")
         outputs = []
         for ending in ("\n", "\r\n"):
             paths = {}
             for name, text in texts.items():
                 paths[name] = tmp_path / f"{name}{len(ending)}.csv"
                 paths[name].write_bytes(text.replace("\n", ending).encode())
-            assert load_column_csv(paths["score"], "score", NUMERIC).tolist() == [0.1, 0.8, 0.4, 0.7]
-            assert load_column_csv(paths["label"], "label", BINARY).tolist() == [1, 0, 0, 1]
             out = tmp_path / f"ev{len(ending)}"
+            if blank:  # row 3 of each file; eval reads --scores first
+                for scores, bad in ((paths["score"], paths["score"]), (good_scores, paths["label"])):
+                    code, _, err = run(capsys, "eval", "--scores", scores, "--truth", paths["label"], "--out", out)
+                    assert (code, err) == (2, f"eval: {bad}: row 3 has 0 cells, expected 1\n")
+                    assert not out.exists()
+                continue
+            assert load_features_csv(paths["score"], SCORES_SCHEMA)[:, 0].tolist() == [0.1, 0.8, 0.4, 0.7]
+            assert load_labels_csv(paths["label"], TRUTH_SCHEMA).tolist() == [1, 0, 0, 1]
             assert run(capsys, "eval", "--scores", paths["score"], "--truth", paths["label"], "--out", out)[0] == 0
             outputs.append([(out / f).read_bytes() for f in ("metrics.json", "roc.csv", "pr.csv")])
             code, _, err = run(capsys, "eval", "--scores", paths["wide"], "--truth", paths["label"], "--out", out)
-            assert_data_error(code, err)
-            assert err == f"eval: {paths['wide']}: line {4 if blank else 3} has more than one cell\n"
-        assert outputs[0] == outputs[1]
+            assert (code, err) == (2, f"eval: {paths['wide']}: row 3 has 2 cells, expected 1\n")
+        assert len(outputs) == (0 if blank else 2) and outputs[:1] == outputs[1:]
 
     @pytest.mark.parametrize("case", COLUMN_FILES)
     @pytest.mark.parametrize("name", ["score", "label"])
     def test_eval_column_files_agree_with_a_row_by_row_oracle(self, tmp_path, capsys, monkeypatch, case, name):
-        parse, kind, cells, other = {
-            "score": (float, NUMERIC, ("0.25", "0.5"), ("--truth", "label\n1\n0\n")),
-            "label": (parse_label, BINARY, ("1", "0"), ("--scores", "score\n0.25\n0.5\n")),
+        # eval reads the scores file as feature column "score" and the truth
+        # file as label column "label", both checked as every data file is
+        read, reference, cells, flags = {
+            "score": (
+                lambda path: load_features_csv(path, SCORES_SCHEMA)[:, 0],
+                lambda path: csv_reader_oracle.read(path, SCORES_SCHEMA, with_labels=False)[1][:, 0],
+                ("0.25", "0.5"),
+                ("--scores", "--truth"),
+            ),
+            "label": (
+                lambda path: load_labels_csv(path, TRUTH_SCHEMA),
+                lambda path: csv_reader_oracle.read(path, TRUTH_SCHEMA)[2],
+                ("1", "0"),
+                ("--truth", "--scores"),
+            ),
         }[name]
-        path, other_path = tmp_path / "column.csv", tmp_path / "other.csv"
+        path, other = tmp_path / "column.csv", tmp_path / "other.csv"
         path.write_text(COLUMN_FILES[case].format(name=name, a=cells[0], b=cells[1]))
-        other_path.write_text(other[1])
 
         def outcome(read):
             try:
-                column = read()
-            except MalformedCsv as exc:
-                return str(exc)
-            return column.dtype, column.tolist()
+                column = read(path)
+            except BoostlabError as exc:
+                return type(exc), str(exc)
+            return column.dtype, repr(column.tolist())  # NaN != NaN, so compared as a repr
 
-        want = outcome(lambda: csv_reader_oracle.read_column(path, name, parse))
+        want = outcome(reference)
         if case in PLAIN_COLUMN_FILES:  # tokenized from the bytes, whatever its cells
             monkeypatch.setattr(dataset, "read_csv_table", _not_tokenized_from_bytes)
-        assert outcome(lambda: load_column_csv(path, name, kind)) == want
-        if isinstance(want, str):
-            flag = "--scores" if name == "score" else "--truth"
-            code, _, err = run(capsys, "eval", flag, path, other[0], other_path, "--out", tmp_path / "ev")
-            assert (code, err) == (2, f"eval: {want}\n")
+        assert outcome(read) == want
+
+        if isinstance(want[0], type):  # an error
+            expected = (2, f"eval: {want[1]}\n")
+        elif "nan" in want[1]:
+            expected = (2, f"eval: {path}: score cells must lie in [0, 1]\n")
+        else:
+            expected = (0, "")
+        n = 2 if expected[0] else reference(path).size  # the other file's rows, of both classes
+        other.write_text("label\n" + "".join(f"{i % 2}\n" for i in range(n)) if name == "score" else "score\n" + "0.5\n" * n)
+        code, _, err = run(capsys, "eval", flags[0], path, flags[1], other, "--out", tmp_path / "ev")
+        assert (code, err) == expected
 
 
 def _must_not_run(*args, **kwargs):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from boostlab import dataset
+from boostlab.cli import SCORES_SCHEMA, TRUTH_SCHEMA
 from boostlab.dataset import (
     BINARY,
     NUMERIC,
@@ -15,10 +16,10 @@ from boostlab.dataset import (
     FeatureKind,
     FeatureSchema,
     SplitSpec,
+    _kind_of,
     categorical,
     dataset_to_csv_text,
     infer_schema,
-    load_column_csv,
     load_csv,
     load_features_csv,
     load_labels_csv,
@@ -285,7 +286,7 @@ class TestLoadCsv:
             "load_labels_csv, inferred": ("data", lambda path: load_labels_csv(path)),
             "load_csv, inferred": ("data", lambda path: load_csv(path)),
             "infer_schema": ("data", lambda path: infer_schema(path, "pcos")),
-            "load_column_csv": ("scores", lambda path: load_column_csv(path, "score", NUMERIC)),
+            "eval's scores": ("scores", lambda path: load_features_csv(path, SCORES_SCHEMA)[:, 0]),
         }
         want = {name: _bits(read(files[kind][1])) for name, (kind, read) in reads.items()}
         assert want["load_csv, inferred"][:2] == (schema, True) and want["load_features_csv"][1]
@@ -328,8 +329,8 @@ class TestLoadCsv:
             "load_features_csv": ("data", lambda path: load_features_csv(path, schema)),
             "load_labels_csv, inferred": ("data", lambda path: load_labels_csv(path)),
             "infer_schema": ("data", lambda path: infer_schema(path, "pcos")),
-            "load_column_csv, scores": ("scores", lambda path: load_column_csv(path, "score", NUMERIC)),
-            "load_column_csv, truth": ("truth", lambda path: load_column_csv(path, "label", BINARY)),
+            "eval's scores": ("scores", lambda path: load_features_csv(path, SCORES_SCHEMA)[:, 0]),
+            "eval's truth": ("truth", lambda path: load_labels_csv(path, TRUTH_SCHEMA)),
         }
 
         def outcome(name, copy):
@@ -342,10 +343,11 @@ class TestLoadCsv:
 
         want = {name: outcome(name, 1) for name in reads}
         raised = {name for name, got in want.items() if got[0] == "raised"}
-        assert raised == (set(reads) - {"infer_schema"} if variant == "bad-cells" else set()), want
+        assert raised == (set(reads) if variant == "bad-cells" else set()), want
         if variant == "bad-cells":
             message = "row 52: cannot parse 'x' in column 'sudden_weight_gain'"
-            assert want["load_csv"] == want["load_labels_csv, inferred"] == ("raised", MalformedCsv, message)
+            assert want["load_csv"] == want["infer_schema"] == ("raised", MalformedCsv, message)
+            assert want["eval's scores"] == ("raised", MalformedCsv, "row 31: cannot parse 'x' in column 'score'")
         monkeypatch.setattr(dataset, "read_csv_table", _not_tokenized_from_bytes)
         for name in reads:
             assert outcome(name, 0) == want[name], name
@@ -398,9 +400,12 @@ class TestInferSchema:
 
     @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e400"])
     def test_non_finite_text_is_numeric(self, tmp_path, cell):
+        # a numeric cell, which the numeric parse then rejects (int() cannot read it)
+        assert _kind_of({"1", cell}) == NUMERIC
         path = tmp_path / "d.csv"
         path.write_text(f"x,pcos\n1,1\n{cell},0\n")
-        assert infer_schema(path, "pcos").kinds == (NUMERIC,)
+        with pytest.raises(MalformedCsv, match="^row 3: non-finite value in column 'x'$"):
+            infer_schema(path, "pcos")
 
     def test_short_row_raises_as_in_load_csv(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -423,12 +428,14 @@ class TestInferSchema:
         assert infer_schema(path, "pcos").kinds == (BINARY, NUMERIC)
         assert load_csv(path, label_column="pcos").values.tolist() == [[0.0, 10.0], [1.0, -1.0], [0.0, 3.0]]
 
-    def test_cells_are_not_checked(self, tmp_path):
+    def test_cells_are_checked_as_load_csv_checks_them(self, tmp_path):
+        # the column infers as binary, and the label cells are checked too
+        assert _kind_of({"1", "0"}) == BINARY
         path = tmp_path / "d.csv"
         path.write_text("x,pcos\n1,2\n0,yes\n")
-        assert infer_schema(path, "pcos").kinds == (BINARY,)
-        with pytest.raises(LabelNotBinary):
-            load_csv(path, label_column="pcos")
+        for read in (lambda: infer_schema(path, "pcos"), lambda: load_csv(path, label_column="pcos")):
+            with pytest.raises(LabelNotBinary, match="row 2 label '2' is not 0/1"):
+                read()
 
 
 HEADER = "age,weight_gain,act,pcos\n"

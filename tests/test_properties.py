@@ -3,9 +3,9 @@ model reading, stump error, AdaBoost scores as stump sums, GBM and XGBoost
 scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
 schema inference, the CSV tokenizer against the csv module, the CSV byte
 path's number parser against float(), the CSV readers against a row-by-row
-oracle, the bytes of the curve and score writers and fits at extreme
-params; and that a failing property is reported under this repository's
-pytest settings."""
+oracle, the bytes of the curve and score writers, eval's read of a scores
+file as predict writes it and fits at extreme params; and that a failing
+property is reported under this repository's pytest settings."""
 
 import csv
 import io
@@ -57,7 +57,7 @@ from boostlab.dataset import (
     write_csv,
 )
 from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores, SchemaMismatch
-from boostlab.metrics import CurveSeries, curve_to_csv, roc_curve
+from boostlab.metrics import CurveSeries, curve_to_csv, format_6f, roc_curve
 from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
 SCHEMA = FeatureSchema(
@@ -493,7 +493,7 @@ def test_csv_readers_agree_with_a_row_by_row_oracle(tmp_path_factory, drawn):
             lambda: load_features_csv(path, schema),
             lambda: oracle.read(path, schema, with_labels=False)[1],
         ),
-        "infer_schema": (lambda: infer_schema(path, "pcos"), lambda: oracle.infer(path, "pcos")),
+        "infer_schema": (lambda: infer_schema(path, "pcos"), lambda: oracle.read(path)[0]),
     }
     for name, (read, reference) in checks.items():
         # NaN != NaN, so the outcomes are compared through their reprs
@@ -546,20 +546,16 @@ def test_decimal_parser_declines_texts_outside_its_grammar(texts, outside, at):
     assert decimals_of(texts) is None, texts
 
 
-def csv_module_table(path, skip_blank):
+def csv_module_table(path):
     """read_csv_table's result, built from the rows csv.reader gives."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        rows, ends = [], []
-        for row in reader:
-            rows.append(row)
-            ends.append(reader.line_num)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        rows = list(csv.reader(fh))
     if not rows:
         return None, [], 0, None
     width = len(rows[0])
     body = [row for row in rows[1:] if len(row) == width]
-    wrong = [i for i, row in enumerate(rows) if len(row) != width and (row or not skip_blank)]
-    bad = (wrong[0] + 1, len(rows[wrong[0]]), ends[wrong[0]]) if wrong else None
+    wrong = [i for i, row in enumerate(rows) if len(row) != width]
+    bad = (wrong[0] + 1, len(rows[wrong[0]])) if wrong else None
     return rows[0], [[row[j] for row in body] for j in range(width)], len(body), bad
 
 
@@ -567,25 +563,26 @@ def csv_module_table(path, skip_blank):
 @given(
     lines=st.lists(st.text(alphabet=',\r" \0' + "019az", max_size=8), max_size=6),
     final_newline=st.booleans(),
+    bom=st.sampled_from(("", "\ufeff")),
     limit=st.integers(1, 10),
 )
-def test_csv_tokenizer_agrees_with_the_csv_module(tmp_path_factory, lines, final_newline, limit):
-    # blank lines, CR, quotes and NUL go to csv.reader; a low field size limit
-    # sends lines past it there too, where an over-long field is an error
+def test_csv_tokenizer_agrees_with_the_csv_module(tmp_path_factory, lines, final_newline, bom, limit):
+    # blank lines, CR, quotes, NUL and a byte-order mark go to csv.reader; a
+    # low field size limit sends lines past it there too, where an over-long
+    # field is an error
     path = tmp_path_factory.mktemp("csv") / "t.csv"
-    path.write_bytes(("\n".join(lines) + ("\n" if final_newline else "")).encode())
+    path.write_bytes((bom + "\n".join(lines) + ("\n" if final_newline else "")).encode())
     old = csv.field_size_limit(limit)
     try:
-        for skip_blank in (False, True):
-            try:
-                want = csv_module_table(path, skip_blank)
-            except csv.Error as exc:
-                want = f"{path}: {exc}"
-            try:
-                got = read_csv_table(path, skip_blank=skip_blank)
-            except MalformedCsv as exc:
-                got = str(exc)
-            assert got == want, (lines, skip_blank)
+        try:
+            want = csv_module_table(path)
+        except csv.Error as exc:
+            want = f"{path}: {exc}"
+        try:
+            got = read_csv_table(path)
+        except MalformedCsv as exc:
+            got = str(exc)
+        assert got == want, lines
     finally:
         csv.field_size_limit(old)
 
@@ -633,6 +630,39 @@ def test_predict_scores_file_bytes(tmp_path_factory, scores):
     with mock.patch.object(cli, "predict_scores", return_value=np.array(scores)), redirect_stdout(io.StringIO()):
         assert cli.main(["predict", "--model", str(model), "--data", str(data), "--scores-out", str(out)]) == 0
     assert out.read_text() == "\n".join(["score"] + [f"{s:.6f}" for s in scores]) + "\n"
+
+
+class _Evaluated(Exception):
+    """Raised in place of metrics.evaluate, once it is given eval's scores."""
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    # drawn from a small pool with 0 and 1 in it, so ties are common
+    scores=st.lists(unit_floats, max_size=8).flatmap(
+        lambda pool: st.lists(st.sampled_from([0.0, 1.0, *pool]), min_size=1, max_size=40)
+    )
+)
+@example(scores=EDGE_VALUES + EDGE_VALUES[::-1])
+def test_eval_reads_a_scores_file_as_predict_writes_it_bit_for_bit(tmp_path_factory, scores):
+    # the LF file is tokenized from its bytes, its CRLF copy by csv.reader
+    folder = tmp_path_factory.mktemp("eval")
+    text = "score\n" + format_6f(np.array(scores))
+    (folder / "truth.csv").write_text("label\n" + "0\n" * len(scores))
+    want = np.array([float("%.6f" % s) for s in scores]).view(np.int64).tolist()
+    for ending in ("\n", "\r\n"):
+        path = folder / f"scores{len(ending)}.csv"
+        path.write_bytes(text.replace("\n", ending).encode())
+        given = []
+
+        def evaluate(scores, truth, threshold):
+            given.append(scores)
+            raise _Evaluated
+
+        argv = ["eval", "--scores", str(path), "--truth", str(folder / "truth.csv"), "--out", str(folder / "ev")]
+        with mock.patch.object(cli, "evaluate", evaluate), pytest.raises(_Evaluated):
+            cli.main(argv)
+        assert given[0].dtype == np.float64 and given[0].view(np.int64).tolist() == want, ending
 
 
 FAILING_PAIR = """
