@@ -155,12 +155,18 @@ _OBLIVIOUS = ("adaboost", "catboost")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) without overflow, as one exp: with e = e^-|z|, 1 / (1 +
+    e) where z >= 0 and e / (1 + e) elsewhere. Each branch is the same float
+    operations as 1 / (1 + exp(-z)) and exp(z) / (1 + exp(z)) taken on its
+    rows apart, so the bits are theirs. -|z| is taken as min(z, -z), which
+    keeps a NaN's sign and payload as exp(z) does."""
     z = np.asarray(z, dtype=np.float64)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    e = np.negative(z, out=np.empty_like(z))  # an array for a 0-d z too
+    np.minimum(z, e, out=e)
+    np.exp(e, out=e)
+    out = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

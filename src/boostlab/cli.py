@@ -4,7 +4,7 @@ eval --data reads only the labels of the data CSV, but checks every cell of
 it as train would, so a file train rejects is rejected by eval too. --scores
 and --truth are data files of SCORES_SCHEMA and TRUTH_SCHEMA, read as every
 CSV is (see dataset's module docstring), so their errors are load_csv's and
-name the row; a "label" column in --scores is not read. A score outside
+name the file and the row; a "label" column in --scores is not read. A score outside
 [0, 1], as predict writes them, or missing ("" or "NA") is a malformed
 scores file (exit 2).
 predict writes each score, and eval each curve coordinate, as "%.6f"

@@ -379,7 +379,7 @@ def _plain_column(buf, start, end, kind):
     values, whole = parsed
     # A missing or dotted cell is a text int() rejects, so _kind_of reads the
     # column as numeric; a column of integers it reads by their values.
-    if kind is None and whole and _kind_of(map(str, np.unique(values).astype(np.int64).tolist())) != NUMERIC:
+    if kind is None and whole and _kind_of(map(str, set(values.astype(np.int64).tolist()))) != NUMERIC:
         return None  # digits 0-9 written in more than one byte, such as "00"
     return NUMERIC, values
 
@@ -503,7 +503,7 @@ def _read_csv(path, schema, label_column, *, with_labels, features=True):
         checks.append((label_column, BINARY, parse_label, LabelNotBinary, "{path}: row {row} {why}", labels))
     for j, (name, kind) in enumerate(schema.columns):
         parse = functools.partial(_parse_cell, kind=kind, column=name)
-        checks.append((name, kind, parse, MalformedCsv, "row {row}: {why}", values[:, j] if features else None))
+        checks.append((name, kind, parse, MalformedCsv, "{path}: row {row}: {why}", values[:, j] if features else None))
     for order, (name, kind, parse, error, message, out) in enumerate(checks):
         cells = read.pop(name) if name in read else column(place[name], kind)[1]
         if isinstance(cells, np.ndarray):  # parsed from the bytes, every cell valid
@@ -547,8 +547,9 @@ def load_csv(path, schema: FeatureSchema | None = None, label_column: str = "pco
     empty file, repeated names, the label or the schema's columns), then
     each row's cell count, then that there is a data row. Of the rows'
     defects the earliest row's is raised: within a row the cell count, then
-    the label, then the feature columns in schema order. The columns fill
-    one column-major matrix, the layout of every Dataset.
+    the label, then the feature columns in schema order. Every error names
+    the file. The columns fill one column-major matrix, the layout of every
+    Dataset.
     """
     schema, values, labels = _read_csv(path, schema, label_column, with_labels=True)
     return Dataset(schema, values, labels)

@@ -74,11 +74,17 @@ computes its winner's threshold alone (a single-threshold column's is
 computed once, in Presort; a level is its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
-outside a node, so fits are bit-for-bit repeatable: sequential cumsums and
-bincounts in a fixed row order, and np.sum's pairwise sum of a 1-D array.
+outside a node, so fits are bit-for-bit repeatable: sequential cumsums,
+bincounts and np.add.at in a fixed row order, and np.sum's pairwise sum of a
+1-D array.
 That pairwise sum is kept on the 1-D array it has always been taken on: a
 reduction along an axis of a 2-D array (at[:, rows].sum(axis=1) for
 a[rows].sum()) groups the additions differently and moves results by an ulp.
+A sequential sum waits for each addition before the next, so the searches
+run such sums side by side without changing their order: the gradient and
+hessian sums as the parts of complex pairs (_pair), and the sums of a bincount
+or np.add.at over rows listed row by row, each row once per sum it is in, not
+sum after sum.
 
 Thresholds lie between consecutive distinct values lo < hi: their midpoint,
 computed without overflow, or lo where the midpoint rounds to hi (_midpoints).
@@ -344,8 +350,10 @@ class Presort:
     swept columns' rows of order, the block of a tree's root, and swept_cells
     their cells, one contiguous row per column. A column of a single
     threshold, such as a binary one, is kept as the side each row takes
-    (single_code). A categorical column offers its levels (cat_levels). A
-    column of one distinct value offers nothing.
+    (single_code). A categorical column offers its levels (cat_levels), each
+    the first of its run of equal values in the column's sorted values, so
+    ascending as np.unique gives them, without np.unique (whose first call
+    imports numpy.ma). A column of one distinct value offers nothing.
 
     Every fitter in this module takes a Presort as presort= and builds one
     itself without it; a boosting loop builds one per fit, since X does not
@@ -379,16 +387,18 @@ class Presort:
         lo = self.values[self.single, 0]  # a single threshold lies above the least value
         hi = np.array([v[v > v[0]][0] for v in self.values[self.single]])
         self.single_threshold = _midpoints(lo, hi)
-        # per single-threshold column r and row: 3 * r, plus 1 above the
-        # threshold or 2 when missing
-        cells = X.T[self.single]
-        self.single_code = 3 * np.arange(self.single.size)[:, None] + np.where(
-            np.isnan(cells), 2, cells > self.single_threshold[:, None]
+        # per row and single-threshold column r: 3 * r, plus 1 above the
+        # threshold or 2 when missing; row-major, so a node takes its rows whole
+        cells = X[:, self.single]
+        self.single_code = np.ascontiguousarray(
+            3 * np.arange(self.single.size) + np.where(np.isnan(cells), 2, cells > self.single_threshold)
         )
-        self.cat_levels = [
-            (j, np.unique(self.values[j, : self.n_observed[j]]), X[:, j].copy())
-            for j in np.flatnonzero(self.categorical)
-        ]
+        self.cat_levels = []
+        for j in np.flatnonzero(self.categorical):
+            observed = self.values[j, : self.n_observed[j]]
+            first = np.ones(observed.size, dtype=bool)  # the first of each run of equal values
+            np.not_equal(observed[1:], observed[:-1], out=first[1:])
+            self.cat_levels.append((j, observed[first], X[:, j].copy()))
         self.nodes: dict[tuple, tuple[_Node, int]] = {}
         self.node_bytes = 0
 
@@ -447,8 +457,9 @@ class _Node:
     level of a categorical column), in order. A swept candidate lies between
     the cells of rows block.flat[at] and block.flat[at + 1] in their column of
     presort.swept_cells, at being its entry in swept_at. single_rows lists the
-    left rows of the single-threshold candidates, one candidate after
-    another, and single_left counts each candidate's. sum_rows lists the rows
+    left rows of the n_single single-threshold candidates row by row, each
+    row once for each candidate it is left of, in candidate order, and
+    single_cell the candidate of each entry. sum_rows lists the rows
     of each sum taken alone, in row order: the rows of each level (n_levels
     of them), then the missing rows of each column that has any;
     missing_where gives each column, and one past the last, the place of its
@@ -464,7 +475,7 @@ class _Node:
 
         # swept columns: a candidate between each two distinct neighbours of a
         # block row (False next to NaN), at its flat place in the block
-        values = np.take_along_axis(presort.swept_cells, block, axis=1)
+        values = np.take(presort.swept_cells, block + presort.X.shape[0] * np.arange(len(block))[:, None])
         between = values[:, :-1] < values[:, 1:]
         row = np.repeat(np.arange(len(block)), np.count_nonzero(between, axis=1))
         self.swept_at = np.flatnonzero(between) + row  # a row of between is one shorter
@@ -475,16 +486,18 @@ class _Node:
 
         # single-threshold columns: a candidate where both sides hold a row
         s = presort.single.size
-        code = np.take(presort.single_code, idx, axis=1)
+        code = presort.single_code[idx]
         count = np.bincount(code.reshape(-1), minlength=3 * s).reshape(s, 3)
         offered = np.flatnonzero((count[:, 0] > 0) & (count[:, 1] > 0))
-        # each offered column's left rows in row order, one column after another
-        at = np.flatnonzero(code[offered] == 3 * offered[:, None])
-        self.single_left = count[offered, 0]
-        self.single_rows = np.take(idx, at, mode="wrap")  # at is m * cell + the row's place
+        self.n_single = n = offered.size
+        # the offered columns' left rows, row by row (see the module docstring)
+        at = np.flatnonzero(code[:, offered] == 3 * offered)  # place * n + candidate
+        place = at // n  # empty for n = 0
+        self.single_rows = idx[place]
+        self.single_cell = (at - place * n).astype(np.min_scalar_type(n))
         for r in offered[count[offered, 2] > 0]:
             missing_col.append(presort.single[r])
-            missing_rows.append(idx[code[r] == 3 * r + 2])
+            missing_rows.append(idx[code[:, r] == 3 * r + 2])
 
         # categorical columns: each level present
         cat_cols, levels, level_rows = [], [], []
@@ -512,38 +525,35 @@ class _Node:
         """The bytes of the node's arrays, views of other arrays too."""
         if self.block is None:
             return self.idx.nbytes
-        arrays = [self.idx, self.block, self.swept_at, self.single_left, self.single_rows, self.col, self.fixed]
+        arrays = [self.idx, self.block, self.swept_at, self.single_cell, self.single_rows, self.col, self.fixed]
         arrays += [self.missing_where, *self.sum_rows]
         return sum(a.nbytes for a in arrays)
 
-    def scan(self, stats: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every candidate's sums: left, shape (k, candidates), each of the k
-        per-row statistics in stats, shape (k, n), summed over the rows the
-        candidate sends left, and missing, the same shape, over its column's
-        missing rows (missing rows are in no left sum).
+    def scan(self, g: np.ndarray, h: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every candidate's gradient and hessian sums: left, shape (2,
+        candidates), over the rows the candidate sends left, and missing, the
+        same shape, over its column's missing rows (missing rows are in no left
+        sum). g and h are the rows' gradients and hessians, and gh the same as
+        _pair(g, h).
 
         Each sum adds its numbers in one fixed order, so a fit's bits do not
         depend on the rows outside a node: a swept column's left sums by one
         sequential cumsum along each block row, in (value, row) order; a
-        single-threshold column's by one sequential bincount of its left rows,
-        in row order; a level's and the missing rows' by np.sum's pairwise sum
-        in row order, each on its own 1-D array (a 2-D axis sum would round
-        differently).
+        single-threshold column's by one sequential np.add.at of its left
+        rows, in row order; a level's and the missing rows' by np.sum's
+        pairwise sum in row order, each on its own 1-D array (a 2-D axis sum
+        would round differently). The cumsum and np.add.at take both
+        statistics as complex pairs, and np.add.at the left rows row by row
+        (see the module docstring).
         """
-        k = len(stats)
-        swept = np.take(stats, self.block, axis=1)
-        n_single = self.single_left.size
-        cells = np.repeat(np.arange(n_single), self.single_left)  # each left row's candidate
-        sums = np.array([[s[rows].sum() for rows in self.sum_rows] for s in stats]).reshape(k, -1)
-        left = np.concatenate(
-            [
-                np.take(np.cumsum(swept, axis=2).reshape(k, -1), self.swept_at, axis=1),
-                [np.bincount(cells, weights=s[self.single_rows], minlength=n_single) for s in stats],
-                sums[:, : self.n_levels],
-            ],
-            axis=1,
-        )
-        missing = np.concatenate([sums[:, self.n_levels :], np.zeros((k, 1))], axis=1)
+        swept = np.take(gh, self.block)
+        swept = np.cumsum(swept, axis=1, out=swept).reshape(-1)[self.swept_at]
+        single = np.zeros(self.n_single, dtype=complex)
+        np.add.at(single, self.single_cell.astype(np.intp), gh[self.single_rows])  # faster on intp
+        both = np.concatenate([swept, single])
+        sums = np.array([[s[rows].sum() for rows in self.sum_rows] for s in (g, h)]).reshape(2, -1)
+        left = np.concatenate([[both.real, both.imag], sums[:, : self.n_levels]], axis=1)
+        missing = np.concatenate([sums[:, self.n_levels :], np.zeros((2, 1))], axis=1)
         return left, np.take(missing, self.missing_where[self.col], axis=1)
 
     def threshold(self, presort: Presort, c: int):
@@ -661,11 +671,30 @@ def predict_stump(stump: ObliviousTree, X: np.ndarray) -> np.ndarray:
     return stump.predict(X)
 
 
+def _pair(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a + b*1j, each part a copy of its array's bits. A cumsum or np.add.at
+    of the pairs adds each part as the float one would, in about the time of
+    one (only a sum of two NaNs may keep the other one's payload)."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = a, b
+    return out
+
+
 def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
-    """G*G / (H + lam) where H + lam > 0, else 0."""
+    """G*G / (H + lam) where H + lam > 0, else 0.
+
+    When every H + lam is positive, G*G is divided by it once, in place: a
+    masked divide (where=) performs the same division at each place it
+    divides, so the bits are the same. At the default lam = 1 that is every
+    call of a fit: a sum of non-negative hessians falls below zero only by
+    rounding, by far less than 1. A zero, negative or NaN H + lam takes the
+    masked divide, with 0 there."""
     denom = H + lam
-    positive = denom > 0
     out = G * G
+    if denom.min(initial=np.inf) > 0:  # NaN is not, nor is a NaN minimum
+        out /= denom
+        return out
+    positive = denom > 0
     np.divide(out, denom, out=out, where=positive)
     out[~positive] = 0.0
     return out
@@ -685,17 +714,24 @@ def _first_best(gains: np.ndarray, col: np.ndarray) -> int:
 
 def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_child_weight, reg_lambda, gamma):
     """The best split of a regression-tree node, as (feature, threshold,
-    default_left), or None when no split has a strictly positive gain."""
-    left, missing = node.scan(stats)
+    default_left), or None when no split has a strictly positive gain. stats
+    are scan's arguments."""
+    left, missing = node.scan(*stats)
     col = node.col
-    # one column per default direction: missing rows left, then right
-    GL, HL = left[:, :, None] + np.stack([missing, np.zeros_like(left)], axis=2)
-    GR = G - GL
-    HR = H - HL
-    valid = (HL >= min_child_weight) & (HR >= min_child_weight)
+    # sums[side, stat, candidate, direction]: the left then the right side's
+    # G and H, one column per default direction (missing rows left, then right)
+    sums = np.empty((2, *left.shape, 2))
+    np.add(left, missing, out=sums[0, :, :, 0])
+    sums[0, :, :, 1] = left
+    np.subtract(np.array([G, H])[:, None, None], sums[0], out=sums[1])
+    valid = (sums[:, 1] >= min_child_weight).all(axis=0)
     denom = H + reg_lambda
     parent = G * G / denom if denom > 0 else 0.0
-    score = 0.5 * (_safe_score(GL, HL, reg_lambda) + _safe_score(GR, HR, reg_lambda) - parent) - gamma
+    both = _safe_score(sums[:, 0], sums[:, 1], reg_lambda)
+    score = np.add(both[0], both[1], out=both[0])
+    score -= parent
+    score *= 0.5
+    score -= gamma
     gains = np.where(valid, score, -np.inf).reshape(-1)  # (candidate, direction) order
     if not (gains > 0).any():
         return None
@@ -760,7 +796,7 @@ def fit_regression_tree(
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     d = X.shape[1]
     presort = _presorted(X, kinds, presort)
-    stats = np.stack([g, h])
+    stats = (g, h, _pair(g, h))
 
     # A work list rather than a recursive closure, which would be a reference
     # cycle keeping the blocks alive until the garbage collector ran. A left
@@ -801,9 +837,10 @@ class _LevelCandidates:
     features and thresholds list the candidates, and starts the first of
     each column that offers any, then their count. The candidates of
     categorical and single-threshold columns are masked: masked_at lists their
-    places, left_rows the rows each sends left (missing rows included, in row
-    order), one candidate after another, and left_of each such row's masked
-    candidate. The columns of several thresholds are swept, together:
+    places, left_rows the rows each sends left (missing rows included) row
+    by row, each row once for each masked candidate it is left of, in
+    candidate order (see the module docstring), and left_of each entry's
+    masked candidate. The columns of several thresholds are swept, together:
     swept_at lists their candidates, rows each column's rows in value order
     with the missing rows first, one column after another, so flat position
     j * n + i names the i-th row of column j, and reads the flat position in
@@ -843,8 +880,10 @@ class _LevelCandidates:
         self.starts = np.flatnonzero(np.diff(self.features, prepend=-1, append=presort.X.shape[1]))
         none = [np.empty(0, dtype=np.int64)]
         self.masked_at = np.array([c for c, _ in masked], dtype=np.int64)
-        self.left_rows = np.concatenate([r for _, r in masked] + none)
-        self.left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])
+        left_rows = np.concatenate([r for _, r in masked] + none)
+        by_row = np.argsort(left_rows, kind="stable")
+        self.left_rows = left_rows[by_row]
+        self.left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])[by_row]
         self.swept_at = np.concatenate([c + np.arange(b.size) for c, _, b in swept] + none)
         self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)] + none)
         self.rows = np.concatenate([r for _, r, _ in swept] + none)
@@ -863,33 +902,43 @@ class _LevelCandidates:
         at += self.offset
         return at
 
-    def gains(self, g, h, at, size, start, Gb, Hb, parent_b, reg_lambda: float):
-        """Gain and "splits a bucket" of each swept candidate, where g and h
-        are the rows' statistics at the flat positions of rows and at is
-        positions(bucket). Moving a bucket's rows left one at a time in value
-        order, each row changes only its bucket's term and its bucket's "is
-        split" flag; put back in value order, the changes' prefix sums at
-        each threshold are the gain and the count of split buckets."""
+    def gains(self, gh, at, size, start, Gb, Hb, parent_b, reg_lambda: float):
+        """Gain and "splits a bucket" of each swept candidate, where gh holds
+        the rows' statistics as g + h*1j (_pair) at the flat positions of rows
+        and at is positions(bucket). Moving a bucket's rows left one at a time
+        in value order, each row changes only its bucket's term and its
+        bucket's "is split" flag; put back in value order, the changes' prefix
+        sums at each threshold are the gain and the count of split buckets.
+        The sums of g and of h, and then the changes and the flag changes,
+        are pairs of one complex cumsum each (see _pair); a count of +1 and
+        -1 is exact in a float."""
         pos = np.repeat(np.arange(size.size), size)  # the bucket at each position
         end = start + size - 1
         # a bucket's sums up to each position: the running sum minus the sums
-        # of the buckets before it
-        GL = g[at].cumsum(axis=1) - (Gb.cumsum() - Gb)[pos]
-        HL = h[at].cumsum(axis=1) - (Hb.cumsum() - Hb)[pos]
-        term = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb[pos] - GL, Hb[pos] - HL, reg_lambda)
-        change = np.empty_like(term)
-        change[:, 1:] = term[:, 1:] - term[:, :-1]
+        # of the buckets before it; then, in the same array, the sums right
+        # of each position
+        Gbh = _pair(Gb, Hb)
+        sums = gh[at]
+        np.cumsum(sums, axis=1, out=sums)
+        sums -= (Gbh.cumsum() - Gbh)[pos]
+        term = _safe_score(sums.real, sums.imag, reg_lambda)
+        np.subtract(Gbh[pos], sums, out=sums)
+        term += _safe_score(sums.real, sums.imag, reg_lambda)
+        change = np.empty_like(term)  # each position's change of its bucket's term
+        np.subtract(term[:, 1:], term[:, :-1], out=change[:, 1:])
         change[:, start] = term[:, start] - parent_b  # from all rows on the right
-        moved = np.empty(at.size)
-        moved[at] = change
-        gains = 0.5 * moved.reshape(at.shape).cumsum(axis=1).ravel()[self.reads]
-        # a bucket is split while its first row is left and its last is not
-        flips = np.zeros(at.size, dtype=np.int32)
+        # in value order: the changes, and +1 where a bucket's first row moves
+        # left and -1 where its last does, so a bucket counts as split from
+        # its first row's threshold to before its last row's
+        moved = np.zeros(at.size, dtype=complex)
+        moved.real[at] = change
         two = size > 1
-        flips[at[:, start[two]]] = 1
-        flips[at[:, end[two]]] = -1
-        splits = flips.reshape(at.shape).cumsum(axis=1, dtype=np.int32).ravel()[self.reads] > 0
-        return gains, splits
+        moved.imag[at[:, start[two]]] = 1.0
+        moved.imag[at[:, end[two]]] = -1.0
+        moved = moved.reshape(at.shape)
+        moved = np.cumsum(moved, axis=1, out=moved).reshape(-1)[self.reads]
+        gains = moved.real * 0.5
+        return gains, moved.imag > 0
 
 
 def fit_oblivious_tree(
@@ -935,7 +984,7 @@ def fit_oblivious_tree(
     features, thresholds = candidates.features, candidates.thresholds
     masked_at, left_rows, left_of = candidates.masked_at, candidates.left_rows, candidates.left_of
     left_g, left_h = g[left_rows], h[left_rows]
-    swept_g, swept_h = g[candidates.rows], h[candidates.rows]
+    swept_gh = _pair(g, h)[candidates.rows]
 
     leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
     bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
@@ -956,19 +1005,22 @@ def fit_oblivious_tree(
                 np.bincount(cell, weights=w, minlength=masked_at.size * B).reshape(-1, B)
                 for w in (left_g, left_h, None)
             )
-            child = _safe_score(GL, HL, reg_lambda) + _safe_score(Gb - GL, Hb - HL, reg_lambda)
-            gains[masked_at] = 0.5 * (child.sum(axis=1) - parent)
+            child = _safe_score(GL, HL, reg_lambda)
+            child += _safe_score(np.subtract(Gb, GL, out=GL), np.subtract(Hb, HL, out=HL), reg_lambda)
+            child = child.sum(axis=1)
+            child -= parent
+            child *= 0.5
+            gains[masked_at] = child
             splits[masked_at] = ((CL > 0) & (CL < size)).any(axis=1)
         gains[candidates.swept_at], splits[candidates.swept_at] = candidates.gains(
-            swept_g, swept_h, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
+            swept_gh, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
         )
-        if not splits.any():
-            break
-        best = gains[splits].max()
+        gains = np.where(splits, gains, -np.inf)  # a candidate that splits no bucket does not count
+        best = gains.max(initial=-np.inf)
         tol = _LEVEL_TIE_TOL * (1.0 + abs(parent))
         if not best > 0 or np.isnan(best - tol):  # NaN: sums past the float range
             break
-        k = int(np.flatnonzero(splits & (gains >= best - tol))[0])
+        k = int(np.argmax(gains >= best - tol))
         f, thr = features[k], thresholds[k]
         levels.append((f, thr))
         right = _went_right(X[:, f], thr, missing_left=True)

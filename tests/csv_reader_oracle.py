@@ -71,7 +71,7 @@ def read(path, schema=None, label_column="pcos", *, with_labels=True):
         try:
             values.append([_parse_cell(cells[name].strip(), kind, name) for name, kind in schema.columns])
         except ValueError as exc:
-            raise MalformedCsv(f"row {number}: {exc}") from None
+            raise MalformedCsv(f"{path}: row {number}: {exc}") from None
     if not rows:
         raise EmptyDataset(f"{path}: no data rows")
     values = np.array(values, dtype=np.float64).reshape(len(rows), schema.n_features)

@@ -499,6 +499,12 @@ class TestMalformedModel:
         with pytest.raises(MalformedModel, match="format_version 99"):
             model_from_dict(d)
 
+    def test_trees_not_a_list_rejected(self):
+        d = self.model_dict("xgboost")
+        d["trees"] = {"0": d["trees"][0]}
+        with pytest.raises(MalformedModel, match="trees must be a list"):
+            model_from_dict(d)
+
     def test_format_1_rejected(self):
         d = self.model_dict("catboost")
         d["format_version"] = 1

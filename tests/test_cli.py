@@ -8,10 +8,14 @@ import builtins
 import json
 import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import csv_reader_oracle
 import pytest
 
+import boostlab
 from boostlab import bench, cli, dataset
 from boostlab.boost import load_model, predict_scores
 from boostlab.cli import SCORES_SCHEMA, TRUTH_SCHEMA
@@ -424,7 +428,7 @@ class TestDataErrors:
         bad.write_text("\n".join([header, *rows]) + "\n")
         schema.write_text(json.dumps(pcos_default_schema().to_dict()))
         flags = ["--schema", schema] if given else []
-        why = "row 7: cannot parse 'x' in column 'age'\n"
+        why = f"{bad}: row 7: cannot parse 'x' in column 'age'\n"
         code, _, err = run(capsys, "eval", "--scores", scores_csv, "--data", bad, "--out", tmp_path / "ev", *flags)
         assert (code, err) == (2, "eval: " + why)
         assert train(capsys, "gbm", bad, tmp_path / "m.json", *flags) == (2, "", "train: " + why)
@@ -680,6 +684,20 @@ class TestDataErrors:
         assert (code, err) == (2, f"eval: {bad}: row {2 if name == 'score' else 3} has 2 cells, expected 1\n")
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("name", ["score", "label"])
+    def test_eval_names_the_file_of_a_bad_cell(self, tmp_path, capsys, name):
+        # the scores and the truth file are read alike, so an error names which one
+        scores, truth = tmp_path / "s.csv", tmp_path / "t.csv"
+        scores.write_text("score\n0.1\nabc\n0.4\n0.7\n" if name == "score" else "score\n0.1\n0.8\n0.4\n0.7\n")
+        truth.write_text("label\n1\n0\nabc\n1\n" if name == "label" else "label\n1\n0\n0\n1\n")
+        code, _, err = run(capsys, "eval", "--scores", scores, "--truth", truth, "--out", tmp_path / "ev")
+        why = {
+            "score": f"{scores}: row 3: cannot parse 'abc' in column 'score'",
+            "label": f"{truth}: row 4 label 'abc' is not 0/1",
+        }
+        assert (code, err) == (2, f"eval: {why[name]}\n")
+        assert not (tmp_path / "ev").exists()
+
     @pytest.mark.parametrize("blank", ["", "\n"], ids=["no-blank-line", "blank-lines"])
     def test_eval_reads_a_crlf_copy_alike(self, tmp_path, capsys, blank):
         # the byte path reads an LF file with no blank line and no wide row;
@@ -820,3 +838,27 @@ def test_a_failed_output_write_names_the_given_path(tmp_path, capsys, data_csv, 
     assert (code, err) == (2, f"{command}: {target}: {reason}\n")
     assert set(os.listdir(tmp_path)) == before
     assert not parent.is_dir() or not [f for f in os.listdir(parent) if f.endswith(".tmp")]
+
+
+FITS_IN_A_FRESH_PROCESS = """
+import sys
+from boostlab import cli
+
+data = sys.argv[1]
+assert cli.main(["compare", "--data", data, "--rounds", "3", "--out", data + "-cmp"]) == 0
+for algo in ("xgboost", "adaboost", "gbm", "catboost"):
+    assert cli.main(["train", "--algo", algo, "--data", data, "--rounds", "3", "--model-out", data + algo]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_fitting_imports_no_numpy_ma(tmp_path, capsys, data_csv):
+    # np.unique's first call imports numpy.ma (about 16 ms and 1.3 MB), so no
+    # fit or schema inference may call it; data_csv has a categorical column
+    assert "activity_level" in data_csv.read_text().splitlines()[0].split(",")
+    src = Path(boostlab.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    argv = [sys.executable, "-c", FITS_IN_A_FRESH_PROCESS, str(data_csv)]
+    done = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"

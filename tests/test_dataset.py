@@ -345,9 +345,9 @@ class TestLoadCsv:
         raised = {name for name, got in want.items() if got[0] == "raised"}
         assert raised == (set(reads) if variant == "bad-cells" else set()), want
         if variant == "bad-cells":
-            message = "row 52: cannot parse 'x' in column 'sudden_weight_gain'"
+            message = "{path}: row 52: cannot parse 'x' in column 'sudden_weight_gain'"
             assert want["load_csv"] == want["infer_schema"] == ("raised", MalformedCsv, message)
-            assert want["eval's scores"] == ("raised", MalformedCsv, "row 31: cannot parse 'x' in column 'score'")
+            assert want["eval's scores"] == ("raised", MalformedCsv, "{path}: row 31: cannot parse 'x' in column 'score'")
         monkeypatch.setattr(dataset, "read_csv_table", _not_tokenized_from_bytes)
         for name in reads:
             assert outcome(name, 0) == want[name], name
@@ -404,7 +404,7 @@ class TestInferSchema:
         assert _kind_of({"1", cell}) == NUMERIC
         path = tmp_path / "d.csv"
         path.write_text(f"x,pcos\n1,1\n{cell},0\n")
-        with pytest.raises(MalformedCsv, match="^row 3: non-finite value in column 'x'$"):
+        with pytest.raises(MalformedCsv, match=f"^{re.escape(str(path))}: row 3: non-finite value in column 'x'$"):
             infer_schema(path, "pcos")
 
     def test_short_row_raises_as_in_load_csv(self, tmp_path):
@@ -460,22 +460,22 @@ SINGLE_DEFECTS = {
     ),
     "empty-binary-cell": (
         HEADER + "25,1,2,1\n30, ,0,0\n",
-        (MalformedCsv, "row 3: missing cell in non-numeric column 'weight_gain'"),
+        (MalformedCsv, "{path}: row 3: missing cell in non-numeric column 'weight_gain'"),
         None,  # weight_gain infers as numeric
     ),
     "unparsable-number": (
         HEADER + "25,1,2,1\n25,0,0,0\n3o,0,1,0\n",
-        (MalformedCsv, "row 4: cannot parse '3o' in column 'age'"),
-        (MalformedCsv, "row 4: cannot parse '3o' in column 'age'"),
+        (MalformedCsv, "{path}: row 4: cannot parse '3o' in column 'age'"),
+        (MalformedCsv, "{path}: row 4: cannot parse '3o' in column 'age'"),
     ),
     "inf": (
         HEADER + "25,1,2,1\ninf,0,0,0\n",
-        (MalformedCsv, "row 3: non-finite value in column 'age'"),
-        (MalformedCsv, "row 3: non-finite value in column 'age'"),
+        (MalformedCsv, "{path}: row 3: non-finite value in column 'age'"),
+        (MalformedCsv, "{path}: row 3: non-finite value in column 'age'"),
     ),
     "level-out-of-range": (
         HEADER + "25,1,2,1\n30,0,3,0\n",
-        (MalformedCsv, "row 3: categorical column 'act' has out-of-range level '3'"),
+        (MalformedCsv, "{path}: row 3: categorical column 'act' has out-of-range level '3'"),
         None,  # act infers as categorical(4)
     ),
     "repeated-header": (
@@ -532,7 +532,7 @@ class TestReaderErrors:
         "text, error, message",
         [
             # the short row is found first but is not the earliest defect
-            (HEADER + "25,1,2,1\n3o,0,0,0\n30,0\n", MalformedCsv, "row 3: cannot parse '3o' in column 'age'"),
+            (HEADER + "25,1,2,1\n3o,0,0,0\n30,0\n", MalformedCsv, "{path}: row 3: cannot parse '3o' in column 'age'"),
             # within one row the label comes before the feature columns
             (HEADER + "3o,1,2,2\n30,0\n", LabelNotBinary, "{path}: row 2 label '2' is not 0/1"),
         ],
@@ -614,6 +614,12 @@ class TestSynthesize:
     def test_degenerate_schema(self):
         with pytest.raises(DegenerateSchema):
             synthesize(FeatureSchema((), "y"), 10, 0, 1.0)
+
+    def test_no_draw_of_both_classes_raises(self):
+        # at seed 0 both rows lie on one side of the column's mean, so at this
+        # signal both label probabilities are the same 0.0 or 1.0
+        with pytest.raises(SingleClassDataset, match="could not draw both classes"):
+            synthesize(FeatureSchema((("x", NUMERIC),), "y"), 2, 0, 1e6)
 
     def test_missing_rate_hits_numeric_only(self):
         ds = synthesize(pcos_default_schema(), 400, 5, 1.0, missing_rate=0.3)

@@ -4,7 +4,9 @@ scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
 schema inference, the CSV tokenizer against the csv module, the CSV byte
 path's number parser against float(), the CSV readers against a row-by-row
 oracle, the bytes of the curve and score writers, eval's read of a scores
-file as predict writes it and fits at extreme params; and that a failing
+file as predict writes it, fits at extreme params, sigmoid and the gain
+score against the formulas they replaced and the sums of complex pairs
+against float sums, bit for bit; and that a failing
 property is reported under this repository's pytest settings."""
 
 import csv
@@ -39,6 +41,7 @@ from boostlab.boost import (
     predict_scores,
     raw_scores,
     save_model,
+    sigmoid,
 )
 from boostlab.dataset import (
     BINARY,
@@ -58,7 +61,7 @@ from boostlab.dataset import (
 )
 from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores, SchemaMismatch
 from boostlab.metrics import CurveSeries, curve_to_csv, format_6f, roc_curve
-from boostlab.tree import fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
+from boostlab.tree import _pair, _safe_score, fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -663,6 +666,112 @@ def test_eval_reads_a_scores_file_as_predict_writes_it_bit_for_bit(tmp_path_fact
         with mock.patch.object(cli, "evaluate", evaluate), pytest.raises(_Evaluated):
             cli.main(argv)
         assert given[0].dtype == np.float64 and given[0].view(np.int64).tolist() == want, ending
+
+
+def two_branch_sigmoid(z):
+    """The logistic function as two masked branches, each on its rows apart."""
+    z = np.asarray(z, dtype=np.float64)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def masked_divide_score(G, H, lam):
+    """G*G / (H + lam) by a masked divide where H + lam > 0, else 0."""
+    denom = H + lam
+    positive = denom > 0
+    out = G * G
+    np.divide(out, denom, out=out, where=positive)
+    out[~positive] = 0.0
+    return out
+
+
+def any_nan():
+    """A NaN of either sign and any payload, quiet or signaling."""
+    return st.builds(
+        lambda sign, quiet, payload: np.array([sign | 0x7FF0 << 48 | quiet | payload], np.uint64).view(np.float64)[0],
+        st.sampled_from((0, 1 << 63)),
+        st.sampled_from((0, 1 << 51)),
+        st.integers(1, (1 << 51) - 1),
+    )
+
+
+EDGE_FLOATS = st.sampled_from((0.0, -0.0, math.inf, -math.inf, 709.8, -709.8, 745.2, -745.2, 1e300, -1e300, 5e-324))
+
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestRoundArithmeticMatchesOracle:
+    """The boosting round's one-exp sigmoid and one-divide gain score keep the
+    bits of the formulas they replaced, NaNs included; the split searches'
+    complex pairs cumsum and np.add.at each part as the float cumsum and
+    bincount do (a NaN sum of NaNs aside, whose payload may differ)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        parts=st.lists(st.tuples(*[st.floats() | any_nan() | EDGE_FLOATS] * 2), max_size=40),
+        rows=st.sampled_from((1, 2)),
+    )
+    def test_pair_sums(self, parts, rows):
+        a = np.array([x for x, _ in parts], dtype=np.float64)
+        b = np.array([y for _, y in parts], dtype=np.float64)
+        bins = np.arange(a.size) % 3  # interleaved, as the node scan lists its left rows
+        at = np.zeros(3, dtype=complex)
+        if a.size % rows == 0:
+            a, b = a.reshape(rows, -1), b.reshape(rows, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf - inf, a signaling NaN
+            pairs = np.cumsum(_pair(a, b), axis=-1)
+            np.add.at(at, bins, _pair(a, b).reshape(-1))
+            for got, want in (
+                (pairs.real, np.cumsum(a, axis=-1)),
+                (pairs.imag, np.cumsum(b, axis=-1)),
+                (at.real, np.bincount(bins, weights=a.reshape(-1), minlength=3)),
+                (at.imag, np.bincount(bins, weights=b.reshape(-1), minlength=3)),
+            ):
+                nan = np.isnan(want)  # the sum of two NaNs may keep either's payload
+                assert np.isnan(got).tolist() == nan.tolist(), (a.tolist(), b.tolist())
+                assert bits(np.where(nan, 0.0, got)) == bits(np.where(nan, 0.0, want)), (a.tolist(), b.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(z=st.lists(st.floats() | any_nan() | EDGE_FLOATS, max_size=40))
+    @example(z=[0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 710.0, -710.0, 800.0, -800.0])
+    def test_sigmoid(self, z):
+        z = np.array(z, dtype=np.float64)
+        with np.errstate(invalid="ignore"):  # a signaling NaN
+            assert bits(sigmoid(z)) == bits(two_branch_sigmoid(z)), z.tolist()
+            assert bits(sigmoid(z.reshape(-1, 1))) == bits(two_branch_sigmoid(z.reshape(-1, 1)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.floats() | any_nan() | EDGE_FLOATS,
+                # a hessian sum: positive, zero, just below zero by rounding, or NaN
+                st.floats(0, 1e6) | st.sampled_from((0.0, -0.0, -1e-17, -2.2e-16, math.nan)) | any_nan(),
+            ),
+            max_size=30,
+        ),
+        lam=st.sampled_from((0.0, 1.0)) | st.floats(0, 10) | st.floats(5e-324, 1e-300),
+        rows=st.sampled_from((1, 2)),
+    )
+    @example(cells=[(1.0, 0.0), (2.0, -1e-17), (3.0, math.nan), (-0.0, 0.0)], lam=0.0, rows=1)
+    @example(cells=[(1.0, 2.0), (-3.0, -1e-17), (math.inf, 1.0)], lam=1.0, rows=1)
+    @example(cells=[(1.0, -2.0), (2.0, 1.0)], lam=1.0, rows=2)
+    def test_safe_score(self, cells, lam, rows):
+        G = np.array([g for g, _ in cells], dtype=np.float64)
+        H = np.array([h for _, h in cells], dtype=np.float64)
+        if G.size % rows == 0:  # a 2-D block as the level and node searches pass
+            G, H = G.reshape(rows, -1), H.reshape(rows, -1)
+        with np.errstate(over="ignore", invalid="ignore"):  # G*G past the float range, inf/inf, a signaling NaN
+            want = bits(masked_divide_score(G, H, lam))
+            assert bits(_safe_score(G, H, lam)) == want, (G.tolist(), H.tolist(), lam)
+            pairs = _pair(G, H)  # the strided parts the level search passes
+            assert bits(_safe_score(pairs.real, pairs.imag, lam)) == want
 
 
 FAILING_PAIR = """

@@ -812,6 +812,10 @@ class TestPredictAndSerialize:
         assert bits[0].tolist() == _went_right(col, threshold, missing_left=missing_left).tolist()
         assert bits[0].tolist() == written_right(col, threshold, missing_left)
 
+    def test_only_a_tree_serializes(self):
+        with pytest.raises(TypeError, match="not a serializable tree"):
+            tree_to_dict({"kind": "oblivious"})
+
     def test_a_stump_is_not_a_tree_kind(self):
         stump = {"kind": "stump", "feature_index": 0, "threshold": 0.5, "left_class": -1, "right_class": 1}
         with pytest.raises(MalformedModel, match="unknown tree kind 'stump'"):
@@ -1116,6 +1120,16 @@ class TestSplitKernelMatchesOracle:
         want, want_err = oracle.fit_stump(X, y, w, kinds)
         assert stump_record(got) == want
         assert got_err == want_err
+
+    def test_more_single_threshold_candidates_than_a_byte_numbers(self):
+        # a node numbers its single-threshold candidates in the least
+        # unsigned type that holds their count: uint16 for these 300
+        rng = np.random.default_rng(5)
+        X = rng.integers(0, 2, size=(40, 300)).astype(float)
+        g, h = rng.normal(size=40), rng.uniform(0.1, 1.0, 40)
+        params = dict(max_depth=3, min_child_weight=0.0, gamma=0.0, reg_lambda=1.0)
+        want = oracle.fit_regression_tree(X, g, h, None, **params)
+        assert_same_tree(fit_regression_tree(X, g, h, **params), want)
 
     def test_every_round_of_an_adaboost_fit(self, monkeypatch):
         """The properties draw uniform or Dirichlet weights, never AdaBoost's
