@@ -47,8 +47,7 @@ gain sums over every leaf bucket: its candidates are listed once per Presort
 (Presort.level_candidates), and each level takes the rows of its swept
 columns in (bucket, value) order from one stable sort of their bucket ids
 (see fit_oblivious_tree). A stump is that search's one level with all rows in
-one bucket, its per-row statistics the weight each leaf class misclassifies,
-and it sums its winner's error once more in a fixed order (see fit_stump).
+one bucket, its per-row statistics the weight each leaf class misclassifies.
 
 A _Node holds what its scan needs of its rows alone: the rows, the block, the
 candidates and which rows each sum adds. Only the sums depend on the round's
@@ -65,13 +64,11 @@ block holds row indices, not values (Presort.swept_cells has those).
 _Node.scan returns its candidates in group order, the order the node lists
 them: the swept columns', then the single-threshold columns', then the
 categorical levels. Each column's candidates are contiguous and in
-enumeration order, so the tie rule below needs no sort by column: a regression
-tree takes the greatest gain and, of exact ties, the least column and then the
-earliest candidate and direction (_first_best). An oblivious level, a stump's
-too, lists its candidates in enumeration order. A scan computes no midpoint:
-a node keeps each swept candidate's place in the block, and the caller
-computes its winner's threshold alone (a single-threshold column's is
-computed once, in Presort; a level is its own).
+enumeration order, so the selection rule below needs no sort by column. An
+oblivious level, a stump's too, lists its candidates in enumeration order.
+A scan computes no midpoint: a node keeps each swept candidate's place in
+the block, and the caller computes its winner's threshold alone (a
+single-threshold column's is computed once, in Presort; a level is its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
 outside a node, so fits are bit-for-bit repeatable: sequential cumsums,
@@ -91,8 +88,14 @@ computed without overflow, or lo where the midpoint rounds to hi (_midpoints).
 So a split routes the rows as its gain or error was scored.
 
 Candidate enumeration order is feature index ascending, then threshold
-ascending, then orientation / default direction, and ties keep the earliest
-candidate, so fits are fully deterministic.
+ascending, then orientation / default direction. Every search selects its
+split by one rule, so fits are fully deterministic: the earliest candidate in
+enumeration order whose score is within tol of the best (_first_best). A
+stump's score is its error, least best, and tol is _TIE_TOL (its weights sum
+to 1). An oblivious level's is its gain, and tol is _TIE_TOL * (1 + |parent
+score|), since the gain sums a rounded term per bucket. A regression node's
+is its gain, and tol is 0, so only exact ties: that tol at regression nodes
+moved the splits of 4 of 11 paper-preset GBM fits.
 """
 
 from __future__ import annotations
@@ -109,15 +112,9 @@ from .errors import EmptyData, MalformedModel, SchemaMismatch
 
 _ORIENTATIONS = ((-1, 1), (1, -1))
 
-# Candidate errors are float sums, so mathematically tied candidates can differ
-# by an ulp depending on summation order; ties within this margin keep the
-# earliest candidate (lowest feature, lowest threshold, first orientation).
-_TIE_TOL = 1e-12
-
-# An oblivious level's gain sums one term per bucket, so its rounding grows
-# with the bucket count; candidates within this fraction of (1 + the parent
-# score) of the best gain tie, and the earliest one wins.
-_LEVEL_TIE_TOL = 1e-9
+# The tie margin of a stump's error and, as a fraction of (1 + the parent
+# score), of an oblivious level's gain (see the module docstring).
+_TIE_TOL = 1e-9
 
 # The most levels an oblivious tree has, as in CatBoost on CPU: a fit stops there
 # and a model file may not exceed it, so a lookup of 2**levels leaves stays small.
@@ -583,15 +580,17 @@ def fit_stump(
     oblivious tree. y must be ±1 and weights non-negative summing to 1; a
     negative, infinite or NaN weight is a ValueError. If one class carries
     zero weight, or no column offers a split, the constant majority predictor
-    is returned: a tree of no level and one leaf, its class. The returned
-    error never exceeds 0.5 because both orientations are searched. presort,
-    if given, is Presort(X, kinds). fitted, if given, an array of one float
-    per row, receives each row's class: predict_stump(stump, X), read off
-    the chosen split.
+    is returned: a tree of no level and one leaf, its class. presort, if
+    given, is Presort(X, kinds). fitted, if given, an array of one float per
+    row, receives each row's class: predict_stump(stump, X), read off the
+    chosen split.
 
     The search is an oblivious level's with all rows in one bucket
-    (Presort.level_candidates). Only the winner's error is summed again, in
-    one fixed order (_stump_error), so AdaBoost's alphas keep their bits.
+    (Presort.level_candidates), and the earliest candidate within _TIE_TOL
+    of the least error wins (see the module docstring). The error returned
+    is the weight the stump misclassifies, one sum over those rows: 0.0 for
+    a stump that errs on no weighted row, never negative, and at most 0.5 +
+    _TIE_TOL, since both orientations are searched.
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not np.isin(y, (-1, 1)).all():
@@ -620,43 +619,15 @@ def fit_stump(
         out[cand.swept_at] = np.cumsum(s[cand.by_value], axis=1).ravel()[cand.reads]
     total = stats.sum(axis=1)
     errs = np.stack([left[0] + total[1] - left[1], left[1] + total[0] - left[0]], axis=1)  # per orientation
-
-    # Per feature, in column order, the first candidate within _TIE_TOL of
-    # its least error; it replaces the best so far only if it beats it by
-    # more than _TIE_TOL.
-    best_err, best = np.inf, None  # best: (candidate, orientation)
-    for a, b in zip(cand.starts[:-1], cand.starts[1:]):
-        flat = errs[a:b].reshape(-1)
-        k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
-        if flat[k] < best_err - _TIE_TOL:
-            best_err, best = flat[k], divmod(2 * a + k, 2)
-    if best is None:
+    if errs.size == 0:
         return constant()
-    c, oi = best
-    f, thr = cand.features[c], cand.thresholds[c]
+    c, oi = _first_best(-errs, cand.features, _TIE_TOL)
+    f, thr = int(cand.features[c]), cand.thresholds[c]
     lc, rc = _ORIENTATIONS[oi]
     right = _went_right(presort.X[:, f], thr, missing_left=True)
     if fitted is not None:
         fitted[:] = np.where(right, rc, lc)
-    return _stump(((f, thr),), (lc, rc), d), _stump_error(presort, f, right, w, wrong[lc], wrong[rc])
-
-
-def _stump_error(presort: Presort, f: int, right, w, wrong_left, wrong_right) -> float:
-    """The weight a stump on column f misclassifies, where right marks the
-    rows it sends right and wrong_left and wrong_right the rows its left and
-    right class get wrong, summed in one fixed order: for a categorical
-    column one sum over the misclassified rows in row order; otherwise the
-    left rows' misses, a cumsum in (value, row) order, plus the column's
-    observed total of the right class's misses less their left part, plus
-    the missing rows' misses in row order."""
-    if presort.categorical[f]:
-        return float(w[np.where(right, wrong_right, wrong_left)].sum())
-    n_obs = presort.n_observed[f]
-    observed, missing = presort.order[f, :n_obs], presort.order[f, n_obs:]
-    last = n_obs - np.count_nonzero(right[observed]) - 1  # the left rows come first in (value, row) order
-    missed_left, missed_right = w[observed] * wrong_left[observed], w[observed] * wrong_right[observed]
-    error = np.cumsum(missed_left)[last] + (missed_right.sum() - np.cumsum(missed_right)[last])
-    return float(error + w[missing[wrong_left[missing]]].sum())
+    return _stump(((f, thr),), (lc, rc), d), float(w[np.where(right, wrong[rc], wrong[lc])].sum())
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
@@ -700,16 +671,17 @@ def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
     return out
 
 
-def _first_best(gains: np.ndarray, col: np.ndarray) -> int:
-    """The flat index into gains, shape (candidates, 2) raveled, that
-    np.argmax picks when the candidates are ranked by column: the greatest
-    gain (or, if any gain is NaN, a NaN), of exact ties the one of the least
-    column, then the earliest flat position. A column's candidates are
-    contiguous and in enumeration order, so this is the earliest in
-    (feature, threshold, direction) order."""
-    best = gains.max()
-    tied = np.flatnonzero(np.isnan(gains) if np.isnan(best) else gains == best)
-    return int(tied[np.argmin(col[tied // 2])])
+def _first_best(scores: np.ndarray, col: np.ndarray, tol: float = 0.0) -> tuple[int, int]:
+    """The (candidate, way) that the selection rule picks from scores, shape
+    (candidates, ways): the earliest in enumeration order whose score is
+    within tol of the greatest, or, if a score is NaN, the earliest NaN. col
+    gives each candidate's column, and each column's candidates are
+    contiguous and in enumeration order, so the earliest is of the least
+    column, then at the least flat position."""
+    flat = scores.reshape(-1)
+    best = flat.max()
+    tied = np.flatnonzero(np.isnan(flat) if np.isnan(best) else flat >= best - tol)
+    return divmod(int(tied[np.argmin(col[tied // scores.shape[1]])]), scores.shape[1])
 
 
 def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_child_weight, reg_lambda, gamma):
@@ -732,10 +704,10 @@ def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_ch
     score -= parent
     score *= 0.5
     score -= gamma
-    gains = np.where(valid, score, -np.inf).reshape(-1)  # (candidate, direction) order
+    gains = np.where(valid, score, -np.inf)  # (candidate, direction)
     if not (gains > 0).any():
         return None
-    c, di = divmod(_first_best(gains, col), 2)
+    c, di = _first_best(gains, col)
     return int(col[c]), node.threshold(presort, c), di == 0
 
 
@@ -781,10 +753,11 @@ def fit_regression_tree(
     and a split is kept only when the gain is strictly positive and both
     children reach min_child_weight hessian mass. Missing rows follow the
     default direction that maximizes gain (left on ties). Leaf values are
-    -G/(H+lam). Of equal gains the earliest candidate wins. A negative,
-    infinite or NaN hessian is a ValueError. presort, if given, is
-    Presort(X, kinds). fitted, if given, an array of one float per row,
-    receives each row's leaf value: tree.predict(X), read off the fit.
+    -G/(H+lam). Of exactly equal gains the earliest candidate wins (the
+    module's selection rule with tol = 0). A negative, infinite or NaN
+    hessian is a ValueError. presort, if given, is Presort(X, kinds).
+    fitted, if given, an array of one float per row, receives each row's
+    leaf value: tree.predict(X), read off the fit.
 
     Each node scores all its candidates at once (_Node.scan) and computes the
     threshold of its winner only. A node's block, its rows of presort.block,
@@ -834,8 +807,7 @@ class _LevelCandidates:
     """Every candidate split of an oblivious level, in enumeration order, and
     how the search finds their gains; built once per Presort.
 
-    features and thresholds list the candidates, and starts the first of
-    each column that offers any, then their count. The candidates of
+    features (int64) and thresholds list the candidates. The candidates of
     categorical and single-threshold columns are masked: masked_at lists their
     places, left_rows the rows each sends left (missing rows included) row
     by row, each row once for each masked candidate it is left of, in
@@ -851,14 +823,14 @@ class _LevelCandidates:
 
     def __init__(self, presort: Presort):
         n = presort.X.shape[0]
-        self.features: list[int] = []
+        features: list[int] = []
         self.thresholds: list[float | frozenset[int]] = []
         masked: list[tuple[int, np.ndarray]] = []
         swept: list[tuple[int, np.ndarray, np.ndarray]] = []
         cat_levels = {j: levels for j, levels, _ in presort.cat_levels}
         for f, col in enumerate(presort.X.T):
             skipped = np.isnan(col)
-            at = len(self.features)
+            at = len(features)
             if f in cat_levels:
                 levels = [frozenset({int(v)}) for v in cat_levels[f]]
                 for i, v in enumerate(cat_levels[f]):
@@ -875,9 +847,9 @@ class _LevelCandidates:
                 swept.append((at, np.concatenate([order[n_obs:], order[:n_obs]]), n - n_obs + end))
             else:
                 levels = []
-            self.features += [f] * len(levels)
+            features += [f] * len(levels)
             self.thresholds += levels
-        self.starts = np.flatnonzero(np.diff(self.features, prepend=-1, append=presort.X.shape[1]))
+        self.features = np.array(features, dtype=np.int64)
         none = [np.empty(0, dtype=np.int64)]
         self.masked_at = np.array([c for c, _ in masked], dtype=np.int64)
         left_rows = np.concatenate([r for _, r in masked] + none)
@@ -958,13 +930,13 @@ def fit_oblivious_tree(
     summed over all current leaf buckets. Missing rows always go left.
     Split rule: a candidate counts only if it splits at least one bucket into
     two non-empty parts, an exact row count with the missing rows on the
-    left. Tie rule: of the candidates that count, the earliest in enumeration
-    order whose gain is within _LEVEL_TIE_TOL * (1 + |parent score|) of the
-    best wins. Stop rule: growth stops at the first level where no candidate
-    counts, the best gain is not strictly positive or is NaN, or the best
-    gain less the tie margin is NaN (an infinite gain and margin), and after
-    MAX_OBLIVIOUS_DEPTH levels, so the recorded depth may be shallower than
-    requested, and every level splits a bucket of the rows. A negative,
+    left. Of the candidates that count, the module's selection rule picks
+    one, with tol = _TIE_TOL * (1 + |parent score|). Stop rule: growth stops
+    at the first level where no candidate counts, the best gain is not
+    strictly positive or is NaN, or the best gain less tol is NaN (an
+    infinite gain and tol), and after MAX_OBLIVIOUS_DEPTH levels, so the
+    recorded depth may be shallower than requested, and every level splits a
+    bucket of the rows. A negative,
     infinite or NaN hessian is a ValueError. fitted, if given, an array of
     one float per row, receives each row's output: tree.predict(X), read off
     the fit's final buckets.
@@ -1017,11 +989,11 @@ def fit_oblivious_tree(
         )
         gains = np.where(splits, gains, -np.inf)  # a candidate that splits no bucket does not count
         best = gains.max(initial=-np.inf)
-        tol = _LEVEL_TIE_TOL * (1.0 + abs(parent))
+        tol = _TIE_TOL * (1.0 + abs(parent))
         if not best > 0 or np.isnan(best - tol):  # NaN: sums past the float range
             break
-        k = int(np.argmax(gains >= best - tol))
-        f, thr = features[k], thresholds[k]
+        k, _ = _first_best(gains[:, None], features, tol)
+        f, thr = int(features[k]), thresholds[k]
         levels.append((f, thr))
         right = _went_right(X[:, f], thr, missing_left=True)
         leaf = leaf * 2 + right

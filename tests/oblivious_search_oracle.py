@@ -7,7 +7,7 @@ the leaves are found by np.unique."""
 import numpy as np
 
 from boostlab.tree import (
-    _LEVEL_TIE_TOL,
+    _TIE_TOL,
     MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
     _fit_inputs,
@@ -141,7 +141,7 @@ def fit_oblivious_tree(X, grads, hessians, kinds=None, *, depth, reg_lambda=0.0,
         if not splits.any():
             break
         best = gains[splits].max()
-        tol = _LEVEL_TIE_TOL * (1.0 + abs(parent))
+        tol = _TIE_TOL * (1.0 + abs(parent))
         if not best > 0 or np.isnan(best - tol):
             break
         k = int(np.flatnonzero(splits & (gains >= best - tol))[0])

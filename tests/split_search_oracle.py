@@ -1,7 +1,9 @@
 """The split search that stumps and regression trees used before the node
 kernel, kept as an oracle: the new fitters must return the same learners bit
 for bit. Each fit sorts every column, and each tree node filters the presorted
-rows of the whole matrix and cumsums its statistics per feature."""
+rows of the whole matrix and cumsums its statistics per feature. A stump is
+the earliest candidate within _TIE_TOL of the least error, over all columns,
+and its error the weight it misclassifies."""
 
 from collections import namedtuple
 
@@ -71,30 +73,26 @@ def fit_stump(X, y, weights, kinds=None):
     missed = {-1: 0, 1: 1}
     stats = np.column_stack([w * (y != -1), w * (y != 1)])
     sorted_rows = _sorted_rows(X, kinds)
-    best_err = np.inf
-    best = None
+    errs, stumps = [], []  # every candidate's, in enumeration order
     for f, thresholds, left in _candidates(X, sorted_rows, np.ones(n, dtype=bool), stats):
-        errs = np.empty((len(thresholds), 2))
+        errs.append(np.empty((len(thresholds), 2)))
+        stumps += [Stump(f, thr, lc, rc) for thr in thresholds for lc, rc in _ORIENTATIONS]
         if sorted_rows[f] is None:
             for ti, level in enumerate(thresholds):
                 in_set = ~_went_right(X[:, f], level, missing_left=True)  # the level's rows and NaN
                 for oi, (lc, rc) in enumerate(_ORIENTATIONS):
-                    errs[ti, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
+                    errs[-1][ti, oi] = w[np.where(in_set, y != lc, y != rc)].sum()
         else:
             order, missing = sorted_rows[f], np.isnan(X[:, f])
             for oi, (lc, rc) in enumerate(_ORIENTATIONS):
                 right_mis = stats[order, missed[rc]].sum() - left[:, missed[rc]]
-                errs[:, oi] = left[:, missed[lc]] + right_mis + w[missing & (y != lc)].sum()
-        flat = errs.reshape(-1)
-        k = int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])
-        if flat[k] < best_err - _TIE_TOL:
-            ti, oi = divmod(k, 2)
-            lc, rc = _ORIENTATIONS[oi]
-            best_err = float(flat[k])
-            best = Stump(f, thresholds[ti], lc, rc)
-    if best is None:
+                errs[-1][:, oi] = left[:, missed[lc]] + right_mis + w[missing & (y != lc)].sum()
+    if not stumps:
         return constant()
-    return best, best_err
+    flat = np.concatenate(errs, axis=None)
+    best = stumps[int(np.flatnonzero(flat <= flat.min() + _TIE_TOL)[0])]
+    right = _went_right(X[:, best.feature_index], best.threshold, missing_left=True)
+    return best, float(w[np.where(right, y != best.right_class, y != best.left_class)].sum())
 
 
 def fit_regression_tree(

@@ -133,6 +133,17 @@ class TestAdaBoost:
         assert alpha_of(model.trees[0]) == pytest.approx(0.5 * math.log((1 - eps0) / eps0))
         assert np.array_equal(predict_labels(model, data), data.labels)
 
+    def test_a_perfect_stump_of_inexact_weights_stops_at_the_capped_alpha(self):
+        # weights of 1/10 do not sum exactly, so an error taken as a total
+        # less a prefix could read an ulp from zero; the weight misclassified
+        # is exactly zero
+        data = numeric_dataset(range(10), [1] * 6 + [0] * 4)
+        model = fit_adaboost(data)
+        assert len(model.trees) == 1
+        eps0 = 1.0 / 20.0
+        assert alpha_of(model.trees[0]) == 0.5 * math.log((1 - eps0) / eps0)
+        assert np.array_equal(predict_labels(model, data), data.labels)
+
     def test_alpha_formula_at_eps_03(self):
         # best first stump errs exactly 3 of 10 rows
         data = numeric_dataset(range(1, 11), [1, 1, 1, 0, 0, 0, 0, 1, 1, 1])

@@ -28,15 +28,16 @@ GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
 LEGACY_MODELS = Path(__file__).resolve().parent / "data"
 
 MODEL_SHA256 = {
-    # AdaBoost's rounds as one-level oblivious trees under "trees"
-    "adaboost": "c156dacfeb2d754ef31cee139f080642c89189cc8dd38d23251db61659a4717d",
+    # AdaBoost's rounds as one-level oblivious trees under "trees", each alpha
+    # from the weight its stump misclassifies
+    "adaboost": "97009b8bf67163fe04b84d98df4d8b930e1cf707636c68cd0bc8359c268ddba6",
     "gbm": "6354643ac3ca79a8149fb3fae5091be194cef8dbb57defdd1184752c8c64b0f1",
     "xgboost": "bcc780be569dc57dd7d58d951d6e985eb2cb55d34d464e9b1b08afb6adc52201",
     "catboost": "cc81ff48bb1ddea7bb68bc34ae15651377dfab2c76b6843dfe04fbf3eac6469b",
 }
 
 INDENTED_SHA256 = {
-    "adaboost": "ae64448c39db8e22f990496b4bbd106c1bfe3897cfbe0150cdc98269158b3f29",
+    "adaboost": "4d598c117159f80e582a020a2109f927359537aa5330ca507af815a73a4f94c6",
     "gbm": "7bd80d9afbd3c84bf1f66784f7ec6ea6c38f7df797c30ef417be02981fb2a24c",
     "xgboost": "b7a889422b8cc57c6c3f94855530405a88a938e6e23fe11202f504b5c1f906d8",
     "catboost": "8de1747b3217991f0c1d99abdbcf9bf02b30b4c60c0b7231c336263db670304f",

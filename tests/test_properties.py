@@ -1,12 +1,13 @@
 """Property tests on small random datasets: persistence, determinism, typed
-model reading, stump error, AdaBoost scores as stump sums, GBM and XGBoost
-scores against a per-node oracle, oblivious levels and leaves, AUC, CSV
-schema inference, the CSV tokenizer against the csv module, the CSV byte
-path's number parser against float(), the CSV readers against a row-by-row
-oracle, the bytes of the curve and score writers, eval's read of a scores
-file as predict writes it, fits at extreme params, sigmoid and the gain
-score against the formulas they replaced and the sums of complex pairs
-against float sums, bit for bit; and that a failing
+model reading, stump error (exactly zero on separable rows), AdaBoost scores
+as stump sums, GBM and XGBoost scores against a per-node oracle, oblivious
+levels and leaves, AUC, CSV schema inference, the CSV tokenizer against the
+csv module, the CSV byte path's number parser against float(), the CSV
+readers against a row-by-row oracle, the bytes of the curve and score
+writers, eval's read of a scores file as predict writes it, the exit codes
+of the commands on input files with edited bytes, fits at extreme params,
+sigmoid and the gain score against the formulas they replaced and the sums
+of complex pairs against float sums, bit for bit; and that a failing
 property is reported under this repository's pytest settings."""
 
 import csv
@@ -15,7 +16,7 @@ import json
 import math
 import subprocess
 import sys
-from contextlib import redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -25,7 +26,7 @@ import csv_reader_oracle
 import numpy as np
 import regression_predict_oracle
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boostlab import cli
@@ -61,7 +62,16 @@ from boostlab.dataset import (
 )
 from boostlab.errors import BoostlabError, MalformedCsv, MalformedModel, NonFiniteScores, SchemaMismatch
 from boostlab.metrics import CurveSeries, curve_to_csv, format_6f, roc_curve
-from boostlab.tree import _pair, _safe_score, fit_oblivious_tree, fit_stump, predict_stump, tree_from_dict, tree_to_dict
+from boostlab.tree import (
+    _TIE_TOL,
+    _pair,
+    _safe_score,
+    fit_oblivious_tree,
+    fit_stump,
+    predict_stump,
+    tree_from_dict,
+    tree_to_dict,
+)
 
 SCHEMA = FeatureSchema(
     (("x", NUMERIC), ("flag", BINARY), ("level", categorical(3)), ("pair", categorical(2))), "y"
@@ -236,7 +246,33 @@ def test_stump_error_is_misclassified_weight(data, weight_seed):
     y = 2 * data.labels - 1
     w = rng.dirichlet(np.ones(data.n_rows))
     stump, err = fit_stump(X, y, w, SCHEMA.kinds)
-    assert err == pytest.approx(w[predict_stump(stump, X) != y].sum(), abs=1e-12)
+    assert err == w[predict_stump(stump, X) != y].sum()  # bit for bit
+    assert 0.0 <= err <= 0.5 + _TIE_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=datasets(),
+    column=st.integers(0, 3),
+    at=st.integers(0, 2**32 - 1),
+    flip=st.booleans(),
+    weight_seed=st.integers(0, 2**32 - 1),
+)
+def test_a_stump_that_separates_the_rows_errs_on_zero_weight(data, column, at, flip, weight_seed):
+    # labels that one test on one column separates, a missing cell on the
+    # left as a stump sends it: the error is exactly zero, although the
+    # weights sum to 1 only up to rounding
+    X = data.values
+    cells = X[:, column]
+    observed = np.unique(cells[~np.isnan(cells)])
+    cut = observed[at % observed.size]
+    left = np.isnan(cells) | ((cells == cut) if SCHEMA.kinds[column].is_categorical else (cells <= cut))
+    assume(left.any() and not left.all())
+    y = np.where(left == flip, 1, -1)
+    w = np.random.default_rng(weight_seed).dirichlet(np.ones(data.n_rows))
+    stump, err = fit_stump(X, y, w, SCHEMA.kinds)
+    assert err == 0.0
+    assert (predict_stump(stump, X) == y).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -666,6 +702,79 @@ def test_eval_reads_a_scores_file_as_predict_writes_it_bit_for_bit(tmp_path_fact
         with mock.patch.object(cli, "evaluate", evaluate), pytest.raises(_Evaluated):
             cli.main(argv)
         assert given[0].dtype == np.float64 and given[0].view(np.int64).tolist() == want, ending
+
+
+# The bytes a byte edit writes: CSV and JSON punctuation, the characters of
+# numbers, NA, NaN and inf, a space, NUL and a byte that is never UTF-8.
+EDIT_BYTES = b',\n\r"0123456789.-eNAinf \x00\xff'
+
+
+@st.composite
+def byte_edits(draw, original: bytes) -> bytes:
+    """original with 1-4 byte edits, each a byte replaced, inserted or deleted."""
+    text = bytearray(original)
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(("replace", "insert", "delete")))
+        at = draw(st.integers(0, len(text) - (edit != "insert")))
+        byte = draw(st.sampled_from(EDIT_BYTES))
+        if edit == "insert":
+            text.insert(at, byte)
+        elif edit == "replace":
+            text[at] = byte
+        else:
+            del text[at]
+    return bytes(text)
+
+
+@cache
+def cli_inputs(tmp_dir):
+    """A 30-row CSV with missing cells, each algorithm's 3-round model of
+    it, and the scores file of one of them, as the commands write them."""
+    folder = tmp_dir / "cli-inputs"
+    folder.mkdir()
+    files = {"data": folder / "data.csv", "scores": folder / "scores.csv"}
+    write_csv(files["data"], synthesize(pcos_default_schema(), 30, 11, 1.5, missing_rate=0.1))
+    with redirect_stdout(io.StringIO()):
+        for algorithm in ALGORITHMS:
+            files[algorithm] = folder / f"{algorithm}.json"
+            argv = ["train", "--algo", algorithm, "--data", files["data"], "--rounds", "3"]
+            assert cli.main([str(a) for a in argv + ["--model-out", files[algorithm]]]) == 0
+        argv = ["predict", "--model", files["gbm"], "--data", files["data"], "--scores-out", files["scores"]]
+        assert cli.main([str(a) for a in argv]) == 0
+    return files
+
+
+def commands_reading(target: str, path: Path, files: dict, out: Path) -> list[list[str]]:
+    """The command lines that read path in place of files[target], writing under out."""
+    if target == "data":
+        train = ["train", "--data", path, "--rounds", "3", "--model-out", out / "m.json"]
+        return [
+            *([*train, "--algo", algorithm] for algorithm in ALGORITHMS),
+            ["predict", "--model", files["xgboost"], "--data", path, "--scores-out", out / "s.csv"],
+            ["eval", "--scores", files["scores"], "--data", path, "--out", out / "eval"],
+            ["compare", "--data", path, "--rounds", "3", "--out", out / "compare"],
+        ]
+    if target == "scores":
+        return [["eval", "--scores", path, "--data", files["data"], "--out", out / "eval"]]
+    return [["predict", "--model", path, "--data", files["data"], "--scores-out", out / "s.csv"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(target=st.sampled_from(("data", "scores", *ALGORITHMS)), draw=st.data())
+def test_byte_edits_to_an_input_file_exit_0_or_2_on_one_line(tmp_path_factory, target, draw):
+    # every command that reads the edited file: a data or model error is
+    # exit 2 and one stderr line, never a traceback or another code
+    files = cli_inputs(tmp_path_factory.getbasetemp())
+    out = tmp_path_factory.mktemp("edited")
+    path = out / files[target].name
+    path.write_bytes(draw.draw(byte_edits(files[target].read_bytes()), label="edited"))
+    for argv in commands_reading(target, path, files, out):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = cli.main([str(a) for a in argv])
+        assert code in (0, 2), argv
+        if code == 2:
+            assert err.getvalue().endswith("\n") and len(err.getvalue().splitlines()) == 1, err.getvalue()
 
 
 def two_branch_sigmoid(z):

@@ -598,11 +598,26 @@ COPY_CASES = {  # kinds and values of columns 0 and 2, whose best splits send th
 
 
 class TestTieRule:
-    """A regression node's candidates come from _Node.scan in group order
-    (swept columns, single-threshold columns, categorical levels), not in
-    column order, and a stump's from an oblivious level's lists; of exactly
-    equal gains or errors the least column and then the lowest threshold
-    win."""
+    """One rule picks every split: the earliest candidate in enumeration
+    order whose score is within a tolerance of the best, _TIE_TOL for a
+    stump's error and _TIE_TOL * (1 + |parent score|) for an oblivious
+    level's gain, and none for a regression node's. A regression node's
+    candidates come from _Node.scan in group order (swept columns,
+    single-threshold columns, categorical levels), not in column order, and
+    a stump's from an oblivious level's lists; of exactly equal gains or
+    errors the least column and then the lowest threshold win."""
+
+    def test_a_near_tie_keeps_the_earliest_column_and_a_regression_node_takes_the_better(self):
+        # columns 0 and 1 are copies that put row 2 with row 1; column 2 puts
+        # it with row 0, which scores better by about eps, far under _TIE_TOL
+        eps = 1e-10
+        X = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [1.0, 1.0, 0.0]])
+        g, h = np.array([-1.0, 1.0, -eps]), np.array([1.0, 1.0, 0.0])
+        assert fit_oblivious_tree(X, g, h, depth=1, reg_lambda=1.0).levels == ((0, 0.5),)
+        assert fit_regression_tree(X, g, h, max_depth=1, reg_lambda=1.0).feature[0] == 2
+        w = np.array([0.5, 0.5 - eps, eps])
+        stump, err = fit_stump(X, np.array([1, -1, 1]), w)
+        assert (stump_record(stump), err) == ((0, 0.5, 1, -1), eps)  # column 2 would err on no row
 
     @pytest.mark.parametrize("case", COPY_CASES)
     def test_an_exact_copy_of_a_column_loses_to_it(self, case):
@@ -1100,7 +1115,7 @@ class TestSplitKernelMatchesOracle:
 
     @settings(max_examples=300, deadline=None)
     @with_edge_inputs(True)
-    @example(  # the search's own sum of the winner's error reads 0.21121613905993786, an ulp off
+    @example(  # the search's own sum of the winner's error is 0.21121613905993786, an ulp off what it misclassifies
         (
             np.array([[3.0], [-1.0], [-2.5], [0.0], [0.0], [3.0]]),
             np.array([-0.6, 1.0, -0.3, -0.3, -0.8, 0.5]),
