@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
@@ -139,7 +139,8 @@ class TreeEnsemble:
     """A model of any of ALGORITHMS: base_score plus a weighted sum of its
     trees' outputs (see raw_scores); the trees read the features through
     cat_encoding_state (CatBoost only). AdaBoost and CatBoost hold oblivious
-    trees, GBM and XGBoost regression trees."""
+    trees, GBM and XGBoost regression trees. It holds what scoring reads, as
+    its model file does, and no per-round training loss."""
 
     algorithm: str
     base_score: float
@@ -147,7 +148,6 @@ class TreeEnsemble:
     schema: FeatureSchema
     params: BoostParams
     cat_encoding_state: tuple[CategoricalEncoding, ...] = ()
-    train_loss: list[float] = field(default_factory=list, repr=False)
 
 
 # The algorithms whose trees are oblivious; the others grow regression trees.
@@ -170,12 +170,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def deviance(labels: np.ndarray, raw_scores: np.ndarray) -> float:
-    """Mean binomial deviance of sigmoid(raw_scores) against 0/1 labels."""
-    signs = np.where(labels == 1, -1.0, 1.0)
-    return float(np.mean(np.logaddexp(0.0, signs * raw_scores)))
-
-
 def _check_two_classes(data: Dataset):
     if data.labels.min() == data.labels.max():
         raise SingleClassDataset("training data contains a single class")
@@ -187,11 +181,11 @@ def _base_score(labels: np.ndarray) -> float:
 
 
 def _stump_tree(stump: ObliviousTree, alpha: float) -> ObliviousTree:
-    """An AdaBoost round: the stump's tree with its leaves, the classes,
-    scaled by alpha. Zero leaves are dropped, as everywhere."""
-    values = alpha * stump.leaf_values
-    kept = values != 0
-    return replace(stump, leaf_ids=stump.leaf_ids[kept], leaf_values=values[kept])
+    """An AdaBoost round: the stump's tree with its leaves, the classes ±1.0,
+    scaled by alpha. No leaf is zero: fit_adaboost keeps a round only at
+    0 <= eps < 0.5, where (1 - e) / e rounds to more than 1 (to 1 + 2**-52
+    at the largest e below 0.5), so alpha is positive."""
+    return replace(stump, leaf_values=alpha * stump.leaf_values)
 
 
 def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsemble:
@@ -204,7 +198,8 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
     stump's one-level oblivious tree with its leaves scaled by alpha
     (_stump_tree), summed unshrunk from 0. A round's classes on the training
     rows come from fit_stump (fitted=), as the other boosters take their
-    rounds' outputs from their fitters, so X is never scored.
+    rounds' outputs from their fitters, so X is never scored. No training
+    loss is kept.
     """
     params = params if params is not None else default_params("adaboost")
     _check_two_classes(train)
@@ -213,9 +208,7 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
     y = train.signed_labels()
     n = train.n_rows
     w = np.full(n, 1.0 / n)
-    margins = np.zeros(n)
     trees: list[ObliviousTree] = []
-    losses: list[float] = []
     eps0 = 1.0 / (2.0 * n)
     presort = Presort(X, kinds)
     pred = np.empty(n)  # each row's class, ±1.0, under the round's stump
@@ -226,13 +219,11 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
         e = eps0 if eps <= 0.0 else eps
         alpha = 0.5 * math.log((1.0 - e) / e)
         trees.append(_stump_tree(stump, alpha))
-        margins = margins + alpha * pred
-        losses.append(float(np.mean(np.exp(-y * margins))))
         if eps <= 0.0:
             break
         w = w * np.exp(-alpha * y * pred)
         w = w / w.sum()
-    return TreeEnsemble("adaboost", 0.0, trees, train.schema, params, (), losses)
+    return TreeEnsemble("adaboost", 0.0, trees, train.schema, params)
 
 
 def ordered_target_stats(
@@ -360,7 +351,6 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     F = np.full(train.n_rows, base)
     fitted = np.empty(train.n_rows)  # each round's tree outputs on the training rows
     trees = []
-    losses: list[float] = []
     for _ in range(params.n_rounds):
         p = sigmoid(F)
         g = p - y
@@ -389,8 +379,7 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
                 f" at learning_rate {params.learning_rate!r}"
             )
         trees.append(tree)
-        losses.append(deviance(train.labels, F))
-    return TreeEnsemble(algorithm, base, trees, train.schema, params, encodings, losses)
+    return TreeEnsemble(algorithm, base, trees, train.schema, params, encodings)
 
 
 # The per-algorithm entry points fit() dispatches through; the benchmark's

@@ -809,16 +809,16 @@ class _LevelCandidates:
 
     features (int64) and thresholds list the candidates. The candidates of
     categorical and single-threshold columns are masked: masked_at lists their
-    places, left_rows the rows each sends left (missing rows included) row
-    by row, each row once for each masked candidate it is left of, in
-    candidate order (see the module docstring), and left_of each entry's
-    masked candidate. The columns of several thresholds are swept, together:
-    swept_at lists their candidates, rows each column's rows in value order
-    with the missing rows first, one column after another, so flat position
-    j * n + i names the i-th row of column j, and reads the flat position in
-    rows of each candidate's last left row. by_value is rows as one row per
-    swept column, offset each column's first flat position. Without a swept
-    column these arrays are empty.
+    places, left_rows the rows each sends left (by _went_right, so missing
+    rows included) row by row, each row once for each masked candidate it is
+    left of, in candidate order (see the module docstring), and left_of each
+    entry's masked candidate. The columns of several thresholds are swept,
+    together: swept_at lists their candidates, rows each column's rows in
+    value order with the missing rows first, one column after another, so
+    flat position j * n + i names the i-th row of column j, and reads the
+    flat position in rows of each candidate's last left row. by_value is rows
+    as one row per swept column, offset each column's first flat position.
+    Without a swept column these arrays are empty.
     """
 
     def __init__(self, presort: Presort):
@@ -829,24 +829,22 @@ class _LevelCandidates:
         swept: list[tuple[int, np.ndarray, np.ndarray]] = []
         cat_levels = {j: levels for j, levels, _ in presort.cat_levels}
         for f, col in enumerate(presort.X.T):
-            skipped = np.isnan(col)
             at = len(features)
-            if f in cat_levels:
-                levels = [frozenset({int(v)}) for v in cat_levels[f]]
-                for i, v in enumerate(cat_levels[f]):
-                    masked.append((at + i, np.flatnonzero((col == v) | skipped)))
-            elif f in presort.single:
-                r = int(np.searchsorted(presort.single, f))
-                levels = [float(presort.single_threshold[r])]
-                masked.append((at, np.flatnonzero((col <= levels[0]) | skipped)))
-            elif f in presort.swept:
+            if f in presort.swept:
                 n_obs = presort.n_observed[f]
                 order, values = presort.order[f], presort.values[f]
                 end = np.flatnonzero(values[:-1] < values[1:])  # False next to NaN
                 levels = _midpoints(values[end], values[end + 1]).tolist()
                 swept.append((at, np.concatenate([order[n_obs:], order[:n_obs]]), n - n_obs + end))
             else:
-                levels = []
+                if f in cat_levels:
+                    levels = [frozenset({int(v)}) for v in cat_levels[f]]
+                elif f in presort.single:
+                    levels = [float(presort.single_threshold[np.searchsorted(presort.single, f)])]
+                else:
+                    levels = []
+                for i, t in enumerate(levels):
+                    masked.append((at + i, np.flatnonzero(~_went_right(col, t, missing_left=True))))
             features += [f] * len(levels)
             self.thresholds += levels
         self.features = np.array(features, dtype=np.int64)

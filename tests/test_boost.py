@@ -12,7 +12,6 @@ from boostlab.boost import (
     TreeEnsemble,
     _fit_ensemble,
     default_params,
-    deviance,
     fit,
     fit_adaboost,
     load_model,
@@ -39,6 +38,7 @@ from boostlab.errors import MalformedModel, SchemaMismatch, SingleClassDataset
 from boostlab.tree import (
     MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
+    fit_oblivious_tree,
     fit_regression_tree,
     tree_to_dict,
 )
@@ -74,6 +74,31 @@ def replay_adaboost_weights(model, data):
             w = w / w.sum()
         out.append((eps, w.copy(), pred))
     return out
+
+
+def deviance(labels, raw):
+    """Mean binomial deviance of sigmoid(raw) against 0/1 labels: the loss
+    whose gradients GBM, XGBoost and CatBoost fit."""
+    signs = np.where(labels == 1, -1.0, 1.0)
+    return float(np.mean(np.logaddexp(0.0, signs * raw)))
+
+
+def exponential_loss(labels, margins):
+    """AdaBoost's loss: the mean of e^(-y * margin), y = ±1."""
+    return float(np.mean(np.exp(-np.where(labels == 1, 1.0, -1.0) * margins)))
+
+
+def prefix_losses(model, data, loss):
+    """loss of the training rows' raw scores under each model prefix, the
+    first k trees for k = 1, 2, ...: one loss per round."""
+    return [
+        loss(data.labels, raw_scores(replace(model, trees=model.trees[:k]), data))
+        for k in range(1, len(model.trees) + 1)
+    ]
+
+
+def assert_non_increasing(losses, tol):
+    assert all(b <= a + tol for a, b in zip(losses, losses[1:]))
 
 
 class TestBoostParams:
@@ -167,8 +192,8 @@ class TestAdaBoost:
     def test_exponential_loss_non_increasing(self):
         data = synthesize(pcos_default_schema(), 120, 5, 1.0)
         model = fit_adaboost(data, replace(default_params("adaboost"), n_rounds=25))
-        losses = model.train_loss
-        assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+        assert len(model.trees) > 1
+        assert_non_increasing(prefix_losses(model, data, exponential_loss), 1e-12)
 
     def test_loss_bound(self):
         # exponential loss <= product of 2*sqrt(eps(1-eps)), with the capped
@@ -180,7 +205,7 @@ class TestAdaBoost:
         for eps, _, _ in replay_adaboost_weights(model, data):
             e = max(eps, eps0)
             bound *= 2.0 * math.sqrt(e * (1.0 - e))
-        assert model.train_loss[-1] <= bound + 1e-10
+        assert exponential_loss(data.labels, raw_scores(model, data)) <= bound + 1e-10
 
     def test_single_class_raises(self):
         data = numeric_dataset([1, 2, 3], [1, 1, 1])
@@ -193,7 +218,7 @@ class TestAdaBoost:
         schema = FeatureSchema((("a", BINARY), ("b", BINARY)), "y")
         data = Dataset(schema, np.array([[0, 0], [0, 1], [1, 0], [1, 1]], float), np.array([0, 1, 1, 0]))
         model = fit_adaboost(data)
-        assert model.trees == [] and model.train_loss == []
+        assert model.trees == []
         assert predict_scores(model, data).tolist() == [0.5] * 4
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -231,8 +256,8 @@ class TestGbm:
     def test_deviance_non_increasing(self):
         data = synthesize(pcos_default_schema(), 150, 8, 1.5)
         model = fit("gbm", data, replace(default_params("gbm"), n_rounds=30))
-        losses = model.train_loss
-        assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+        assert len(model.trees) == 30
+        assert_non_increasing(prefix_losses(model, data, deviance), 1e-9)
 
 
 class TestXgb:
@@ -277,8 +302,8 @@ class TestXgb:
     def test_deviance_non_increasing(self):
         data = synthesize(pcos_default_schema(), 150, 12, 1.5)
         model = fit("xgboost", data, replace(default_params("xgboost"), n_rounds=30))
-        losses = model.train_loss
-        assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+        assert len(model.trees) == 30
+        assert_non_increasing(prefix_losses(model, data, deviance), 1e-9)
 
 
 CAT_SCHEMA = FeatureSchema(
@@ -355,10 +380,29 @@ class TestCatBoost:
         assert model.cat_encoding_state == ()
 
     def test_deviance_non_increasing(self):
+        # the training rows carry ordered target statistics, which scoring
+        # does not use, so the loss is taken of the scores the loop summed:
+        # base_score plus learning_rate times each round's fitted= outputs,
+        # the scores whose gradients the next round fits
         data = cat_dataset(150, 2)
-        model = fit("catboost", data, replace(default_params("catboost"), n_rounds=30))
-        losses = model.train_loss
-        assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+        params = replace(default_params("catboost"), n_rounds=30)
+        rounds = []
+
+        def recording_fit_oblivious_tree(X, g, *args, fitted, **kwargs):
+            tree = fit_oblivious_tree(X, g, *args, fitted=fitted, **kwargs)
+            rounds.append((g.copy(), fitted.copy()))
+            return tree
+
+        with mock.patch("boostlab.boost.fit_oblivious_tree", recording_fit_oblivious_tree):
+            model = fit("catboost", data, params)
+        assert len(rounds) == len(model.trees) == 30
+        F = np.full(data.n_rows, model.base_score)
+        losses = []
+        for g, out in rounds:
+            assert g.tobytes() == (sigmoid(F) - data.labels).tobytes()
+            F = F + params.learning_rate * out
+            losses.append(deviance(data.labels, F))
+        assert_non_increasing(losses, 1e-9)
 
     def test_single_class_raises(self):
         data = numeric_dataset([1, 2], [1, 1])

@@ -1,14 +1,15 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error (exactly zero on separable rows), AdaBoost scores
-as stump sums, GBM and XGBoost scores against a per-node oracle, oblivious
-levels and leaves, AUC, CSV schema inference, the CSV tokenizer against the
-csv module, the CSV byte path's number parser against float(), the CSV
-readers against a row-by-row oracle, the bytes of the curve and score
-writers, eval's read of a scores file as predict writes it, the exit codes
-of the commands on input files with edited bytes, fits at extreme params,
-sigmoid and the gain score against the formulas they replaced and the sums
-of complex pairs against float sums, bit for bit; and that a failing
-property is reported under this repository's pytest settings."""
+as stump sums, GBM and XGBoost scores against a per-node oracle and their
+boosting loop's sums, oblivious levels and leaves, AUC, CSV schema
+inference, the CSV tokenizer against the csv module, the CSV byte path's
+number parser against float(), the CSV readers against a row-by-row oracle,
+the bytes of the curve and score writers, eval's read of a scores file as
+predict writes it, the exit codes of the commands on input files with edited
+bytes, fits at extreme params, sigmoid and the gain score against the
+formulas they replaced and the sums of complex pairs against float sums, bit
+for bit; and that a failing property is reported under this repository's
+pytest settings."""
 
 import csv
 import io
@@ -34,7 +35,6 @@ from boostlab.boost import (
     ALGORITHMS,
     BoostParams,
     default_params,
-    deviance,
     fit,
     load_model,
     model_from_dict,
@@ -67,6 +67,7 @@ from boostlab.tree import (
     _pair,
     _safe_score,
     fit_oblivious_tree,
+    fit_regression_tree,
     fit_stump,
     predict_stump,
     tree_from_dict,
@@ -301,13 +302,37 @@ def test_adaboost_scores_are_its_stumps_alpha_weighted(data, held_out, n_rounds)
         assert raw_scores(model, rows).tobytes() == margins.tobytes()
 
 
-def assert_scores_equal_the_oracle(model, data, held_out, leaf_seed):
-    """raw_scores of model, and of model with a drawn leaf set to -0.0 and a
-    tree of one leaf -0.0 appended, equal the per-node oracle's tree-order sum
-    bit for bit, on the training rows and on held-out rows; and the training
-    rows score as the boosting loop summed them."""
-    if model.trees:
-        assert deviance(data.labels, raw_scores(model, data)) == model.train_loss[-1]
+def fit_regression_ensemble(algorithm, data, params):
+    """The model, and the training rows' raw scores as its boosting loop
+    summed them: base_score plus learning_rate times the outputs each round's
+    fit_regression_tree wrote (fitted=). Each round's gradients must be those
+    of the scores summed before it, bit for bit, so these are the loop's
+    own scores."""
+    rounds = []
+
+    def recording_fit_regression_tree(X, g, *args, fitted, **kwargs):
+        tree = fit_regression_tree(X, g, *args, fitted=fitted, **kwargs)
+        rounds.append((g.copy(), fitted.copy()))
+        return tree
+
+    with mock.patch("boostlab.boost.fit_regression_tree", recording_fit_regression_tree):
+        model = fit(algorithm, data, params)
+    y = data.labels.astype(np.float64)
+    F = np.full(data.n_rows, model.base_score)
+    for g, out in rounds:
+        assert g.tobytes() == (sigmoid(F) - y).tobytes()
+        F = F + params.learning_rate * out
+    return model, F
+
+
+def assert_scores_equal_the_oracle(algorithm, data, held_out, params, leaf_seed):
+    """raw_scores of the fitted model equal, on the training rows, the scores
+    its boosting loop summed; and they equal, with a drawn leaf set to -0.0
+    and a tree of one leaf -0.0 appended too, the per-node oracle's
+    tree-order sum, on the training rows and on held-out rows; all bit for
+    bit. Returns the model."""
+    model, loop_scores = fit_regression_ensemble(algorithm, data, params)
+    assert raw_scores(model, data).tobytes() == loop_scores.tobytes()
     rng = np.random.default_rng(leaf_seed)
     trees = [replace(tree, value=tree.value.copy()) for tree in model.trees]
     if trees:
@@ -317,6 +342,7 @@ def assert_scores_equal_the_oracle(model, data, held_out, leaf_seed):
     for m in (model, replace(model, trees=trees)):
         for rows in (data, held_out):
             assert raw_scores(m, rows).tobytes() == regression_predict_oracle.raw_scores(m, rows).tobytes()
+    return model
 
 
 @settings(max_examples=60, deadline=None)
@@ -334,7 +360,7 @@ def test_regression_scores_equal_the_per_node_oracle(
 ):
     # a gamma of 50 leaves every tree a single leaf
     params = replace(default_params(algorithm), n_rounds=n_rounds, max_depth=max_depth, gamma=gamma)
-    assert_scores_equal_the_oracle(fit(algorithm, data, params), data, held_out, leaf_seed)
+    assert_scores_equal_the_oracle(algorithm, data, held_out, params, leaf_seed)
 
 
 def test_the_oracle_property_meets_every_kind_of_node():
@@ -346,8 +372,7 @@ def test_the_oracle_property_meets_every_kind_of_node():
         for algorithm in ("gbm", "xgboost"):
             for gamma in (0.0, 50.0):
                 params = replace(default_params(algorithm), n_rounds=6, gamma=gamma)
-                model = fit(algorithm, data, params)
-                assert_scores_equal_the_oracle(model, data, held_out, seed)
+                model = assert_scores_equal_the_oracle(algorithm, data, held_out, params, seed)
                 for tree in model.trees:
                     if tree.feature.size == 1:
                         seen.add("one leaf")
