@@ -49,17 +49,18 @@ columns in (bucket, value) order from one stable sort of their bucket ids
 (see fit_oblivious_tree). A stump is that search's one level with all rows in
 one bucket, its per-row statistics the weight each leaf class misclassifies.
 
-A _Node holds what its scan needs of its rows alone: the rows, the block, the
-candidates and which rows each sum adds. Only the sums depend on the round's
-statistics. The rounds of a fit grow the same nodes again and again, so a
-Presort remembers its nodes (Presort.recall), each keyed by its path from the
-root: the (feature, threshold, default_left, went_right) of each split above
-it. X does not change within a fit, so one path always selects the same rows
-in the same order, and a remembered node sums the same numbers in the same
-order as a new one: no bit of a fit depends on the memo. It holds at most
-MAX_NODE_CACHE_BYTES of arrays and drops the least recently used node first.
-Nodes are kept small so that the budget holds the ones a fit revisits: a
-block holds row indices, not values (Presort.swept_cells has those).
+A searched node (_Node) holds what its scan needs of its rows alone: the rows,
+the block, the candidates and which rows each sum adds; a leaf is its rows.
+Only the sums depend on the round's statistics. The rounds of a fit search
+the same nodes again and again, so a Presort remembers them (Presort.recall),
+each keyed by its path from the root: the (feature, threshold, default_left,
+went_right) of each split above it. X does not change within a fit, so one
+path always selects the same rows in the same order, and a remembered node
+sums the same numbers in the same order as a new one: no bit of a fit depends
+on the memo. It holds at most MAX_NODE_CACHE_BYTES of arrays and drops the
+least recently used node first. Nodes are kept small so that the budget holds
+the ones a fit revisits: a block holds row indices, not values
+(Presort.swept_cells has those).
 
 _Node.scan returns its candidates in group order, the order the node lists
 them: the swept columns', then the single-threshold columns', then the
@@ -235,10 +236,10 @@ def _leaf_index(right: np.ndarray, path) -> np.ndarray:
 # test) holds at once; it scores the rows in chunks that stay under this.
 MAX_BIT_MATRIX_BYTES = 64 << 20
 
-# The most bytes of arrays a Presort's memo of nodes (Presort.recall) holds; it
-# drops the least recently used node first. The nodes of the paper preset's
-# fits fit whole; default-params fits on scale's 4 000 training rows rebuild
-# few: GBM 205 searched nodes for 193 distinct ones, XGBoost 347 for 289.
+# The most bytes of arrays a Presort's memo of searched nodes (Presort.recall)
+# holds; it drops the least recently used node first. The nodes of the paper
+# preset's fits fit whole; default-params fits on scale's 4 000 training rows rebuild
+# few: GBM 204 searched nodes for 193 distinct ones, XGBoost 340 for 289.
 MAX_NODE_CACHE_BYTES = 8 << 20
 
 
@@ -356,14 +357,15 @@ class Presort:
     itself without it; a boosting loop builds one per fit, since X does not
     change between its rounds.
 
-    A Presort also remembers the nodes of the regression trees fit on it
-    (_Node), each under its path from the root: the (feature, threshold,
-    default_left, went_right) of each split above it. nodes maps
-    each path to its node and the bytes of its arrays, least recently used
-    first, and node_bytes sums those bytes; past MAX_NODE_CACHE_BYTES the
-    least recently used nodes are dropped. A node holds only what its rows
-    decide, and a path always selects the same rows in the same order, so a
-    remembered node gives a fit the same bits as a new one.
+    A Presort also remembers the searched nodes of the regression trees fit
+    on it (_Node), and no leaf, each under its path from the root: the
+    (feature, threshold, default_left, went_right) of each split above it.
+    nodes maps each path to its node and the bytes of its arrays, least
+    recently used first, and node_bytes sums those bytes; past
+    MAX_NODE_CACHE_BYTES the least recently used nodes are dropped. A node
+    holds only what its rows decide, and a path always selects the same rows
+    in the same order, so a remembered node gives a fit the same bits as a
+    new one.
     """
 
     def __init__(self, X, kinds: tuple[FeatureKind, ...] | None = None):
@@ -371,8 +373,7 @@ class Presort:
         if X.ndim != 2:
             raise ValueError("X must be 2-D")
         n, d = X.shape
-        categorical = [kinds is not None and kinds[j].is_categorical for j in range(d)]
-        self.categorical = np.array(categorical, dtype=bool)
+        self.categorical = _categorical(kinds, d)
         self.order = np.argsort(X.T, axis=1, kind="stable")  # NaN sorts last
         self.values = np.take_along_axis(X.T, self.order, axis=1)
         self.n_observed = n - np.isnan(X).sum(axis=0)
@@ -399,26 +400,20 @@ class Presort:
         self.nodes: dict[tuple, tuple[_Node, int]] = {}
         self.node_bytes = 0
 
-    def recall(self, path: tuple, searched: bool = True) -> _Node | None:
+    def recall(self, path: tuple) -> _Node | None:
         """The node at path, now the most recently used, or None if it is not
-        remembered or holds only its rows where searched asks for a block."""
+        remembered."""
         entry = self.nodes.pop(path, None)
-        if entry is None:
-            return None
-        if searched and entry[0].block is None and entry[0].idx.size >= 2:
-            self.node_bytes -= entry[1]
-            return None
-        self.nodes[path] = entry
-        return entry[0]
+        if entry is not None:
+            self.nodes[path] = entry
+        return None if entry is None else entry[0]
 
     def remember(self, path: tuple, node: _Node) -> _Node:
-        """node, kept as the node at path and counted again, then the least
-        recently used nodes dropped while the memo holds more than
+        """node, kept as the node at path, which recall did not find, then the
+        least recently used nodes dropped while the memo holds more than
         MAX_NODE_CACHE_BYTES (node too, if it alone is larger)."""
-        old = self.nodes.pop(path, None)
-        size = node.nbytes()
-        self.node_bytes += size - (0 if old is None else old[1])
-        self.nodes[path] = (node, size)
+        self.nodes[path] = entry = (node, node.nbytes())
+        self.node_bytes += entry[1]
         while self.node_bytes > MAX_NODE_CACHE_BYTES:
             self.node_bytes -= self.nodes.pop(next(iter(self.nodes)))[1]
         return node
@@ -429,44 +424,48 @@ class Presort:
         return _LevelCandidates(self)
 
 
+def _categorical(kinds, d: int) -> np.ndarray:
+    """Whether each of d columns is categorical by kinds; None is all numeric."""
+    return np.array([kinds is not None and kinds[j].is_categorical for j in range(d)], dtype=bool)
+
+
 def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
-    """presort, or X sorted now; a presort of a matrix of another shape is a
-    ValueError."""
+    """presort, or X sorted now; a presort of a matrix of another shape, or
+    built with other categorical columns than kinds marks, is a ValueError."""
     if presort is None:
         return Presort(X, kinds)
     if presort.X.shape != X.shape:
         raise ValueError(f"presort is of a {presort.X.shape} matrix, X is {X.shape}")
+    if not np.array_equal(presort.categorical, _categorical(kinds, X.shape[1])):
+        raise ValueError("presort was built with other categorical columns than kinds marks")
     return presort
 
 
 class _Node:
-    """A node of a regression tree: its rows and what its scan needs of
-    them, which the rows alone decide. Only scan's sums depend on the per-row
-    statistics.
+    """A searched node of a regression tree: its rows and what its scan
+    needs of them, which the rows alone decide. Only scan's sums depend on the
+    per-row statistics. A leaf is no _Node, only its rows.
 
-    idx lists the node's rows, ascending. block, their part of presort.block in
-    its order, is None at a node that is not searched (at the depth limit or of
-    one row), which holds its rows alone. A searched node lists its candidates
-    in group order: the swept columns' candidates, then the single-threshold
-    columns', then the categorical levels; each column's candidates are
-    contiguous and in enumeration order. col holds each candidate's column and
-    fixed the thresholds of the candidates that are not swept (a float, or the
-    level of a categorical column), in order. A swept candidate lies between
-    the cells of rows block.flat[at] and block.flat[at + 1] in their column of
+    idx lists the node's rows, ascending, and block their part of
+    presort.block in its order. The node lists its candidates in group order:
+    the swept columns' candidates, then the single-threshold columns', then
+    the categorical levels; each column's candidates are contiguous and in
+    enumeration order. col holds each candidate's column and fixed the
+    thresholds of the candidates that are not swept (a float, or the level of
+    a categorical column), in order. A swept candidate lies between the cells
+    of rows block.flat[at] and block.flat[at + 1] in their column of
     presort.swept_cells, at being its entry in swept_at. single_rows lists the
-    left rows of the n_single single-threshold candidates row by row, each
-    row once for each candidate it is left of, in candidate order, and
-    single_cell the candidate of each entry. sum_rows lists the rows
-    of each sum taken alone, in row order: the rows of each level (n_levels
-    of them), then the missing rows of each column that has any;
-    missing_where gives each column, and one past the last, the place of its
-    missing rows after the levels, or one past them for none.
+    left rows of the n_single single-threshold candidates row by row, each row
+    once for each candidate it is left of, in candidate order, and single_cell
+    the candidate of each entry. sum_rows lists the rows of each sum taken
+    alone, in row order: the rows of each level (n_levels of them), then the
+    missing rows of each column that has any; missing_where gives each column,
+    and one past the last, the place of its missing rows after the levels, or
+    one past them for none.
     """
 
-    def __init__(self, presort: Presort, idx: np.ndarray, block=None):
+    def __init__(self, presort: Presort, idx: np.ndarray, block: np.ndarray):
         self.idx, self.block = idx, block
-        if block is None:
-            return
         m = idx.size
         missing_col, missing_rows = [], []
 
@@ -519,12 +518,10 @@ class _Node:
         self.missing_where[missing_col] = np.arange(len(missing_rows))
 
     def nbytes(self) -> int:
-        """The bytes of the node's arrays, views of other arrays too."""
-        if self.block is None:
-            return self.idx.nbytes
-        arrays = [self.idx, self.block, self.swept_at, self.single_cell, self.single_rows, self.col, self.fixed]
-        arrays += [self.missing_where, *self.sum_rows]
-        return sum(a.nbytes for a in arrays)
+        """The bytes of every array the node holds, in its lists too, views of
+        other arrays too."""
+        held = [a for v in vars(self).values() for a in (v if isinstance(v, list) else [v])]
+        return sum(a.nbytes for a in held if isinstance(a, np.ndarray))
 
     def scan(self, g: np.ndarray, h: np.ndarray, gh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Every candidate's gradient and hessian sums: left, shape (2,
@@ -711,27 +708,26 @@ def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_ch
     return int(col[c]), node.threshold(presort, c), di == 0
 
 
-def _children(presort: Presort, node: _Node, split: tuple, paths: list[tuple], searched: bool) -> list[_Node]:
-    """The nodes split sends node's rows to, right then left, at paths: as
-    remembered, or from a stable partition of node's rows and, if searched
-    (the children's depth is searched), of its block."""
-    children = [presort.recall(path, searched) for path in paths]
+def _children(presort: Presort, node: _Node, split: tuple, paths: list[tuple], searched: bool) -> list:
+    """The children split sends node's rows to, right then left, at paths. If
+    searched (the children's depth is searched), a child of two rows or more
+    is a _Node: as remembered, or from a stable partition of node's rows and
+    block, then remembered. A leaf is its rows, and is not remembered."""
+    children = [presort.recall(path) for path in paths] if searched else [None, None]
     if None not in children:
         return children
     f, thr, default_left = split
     idx, block = node.idx, node.block
     goes_right = _went_right(presort.X[idx, f], thr, missing_left=default_left)
     rows = [idx[goes_right], idx[~goes_right]]
-    blocks = [None, None]  # a leaf searches nothing
     if searched:
         side = np.empty(presort.X.shape[0], dtype=bool)  # whether each of node's rows goes right
         side[idx] = goes_right
         bits = side[block]
-        blocks = [block[b].reshape(len(block), r.size) for b, r in ((bits, rows[0]), (~bits, rows[1]))]
-    return [
-        presort.remember(path, _Node(presort, r, b if r.size >= 2 else None))
-        for path, r, b in zip(paths, rows, blocks)
-    ]
+        for k, (path, r, b) in enumerate(zip(paths, rows, (bits, ~bits))):
+            if children[k] is None and r.size >= 2:
+                children[k] = presort.remember(path, _Node(presort, r, block[b].reshape(len(block), r.size)))
+    return [r if child is None else child for child, r in zip(children, rows)]
 
 
 def fit_regression_tree(
@@ -762,9 +758,10 @@ def fit_regression_tree(
     Each node scores all its candidates at once (_Node.scan) and computes the
     threshold of its winner only. A node's block, its rows of presort.block,
     is split between its children by a stable partition on the chosen split,
-    so no node sorts. The nodes are remembered in presort (Presort.recall):
-    another fit on it, as the next boosting round, that reaches a node by the
-    same splits finds its rows, block and candidates there.
+    so no node sorts. The searched nodes are remembered in presort
+    (Presort.recall): another fit on it, as the next boosting round, that
+    reaches a node by the same splits finds its rows, block and candidates
+    there.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     d = X.shape[1]
@@ -776,11 +773,14 @@ def fit_regression_tree(
     # child is popped right after its parent, so nodes are appended in
     # pre-order; a right child enters its index in its parent when popped.
     nodes: list[list] = []
-    root = presort.recall(()) or presort.remember((), _Node(presort, np.arange(X.shape[0]), presort.block))
-    todo = [((), root, 0, -1)]  # (path, node, depth, parent of a right child)
+    root = np.arange(X.shape[0])
+    if max_depth > 0 and root.size >= 2:
+        root = presort.recall(()) or presort.remember((), _Node(presort, root, presort.block))
+    todo = [((), root, 0, -1)]  # (path, searched node or a leaf's rows, depth, parent of a right child)
     while todo:
         path, node, depth, right_of = todo.pop()
-        idx = node.idx
+        leaf = isinstance(node, np.ndarray)
+        idx = node if leaf else node.idx
         i = len(nodes)
         if right_of >= 0:
             nodes[right_of][_RIGHT] = i
@@ -789,9 +789,7 @@ def fit_regression_tree(
         denom = H + reg_lambda
         value = -G / denom if denom > 0 else 0.0
         nodes.append([-1, None, True, -1, -1, value])
-        split = None
-        if depth < max_depth and idx.size >= 2:
-            split = _node_split(presort, node, stats, G, H, min_child_weight, reg_lambda, gamma)
+        split = None if leaf else _node_split(presort, node, stats, G, H, min_child_weight, reg_lambda, gamma)
         if split is None:
             if fitted is not None:
                 fitted[idx] = value

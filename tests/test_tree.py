@@ -56,6 +56,17 @@ def node_of(tree, X):
     return replace(tree, value=np.arange(tree.feature.size, dtype=np.float64)).predict(X).astype(int)
 
 
+def node_paths(tree):
+    """Each node's path, as a Presort keys its nodes: the (feature,
+    threshold, default_left, went_right) of each split above it."""
+    paths = [()] * tree.feature.size
+    for i in np.flatnonzero(tree.feature >= 0):  # pre-order: a parent before its children
+        test = (int(tree.feature[i]), tree.threshold[i], bool(tree.default_left[i]))
+        paths[tree.right[i]] = (*paths[i], (*test, True))
+        paths[tree.left[i]] = (*paths[i], (*test, False))
+    return paths
+
+
 def oracle_best_stump(X, y, w, kinds=None):
     """Exhaustive candidate scan in the documented enumeration order.
 
@@ -1170,10 +1181,13 @@ class TestSplitKernelMatchesOracle:
     @given(split_inputs(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
     def test_a_given_presort_changes_nothing(self, inputs, depths):
         """Round after round of drawn statistics and depths, the regression
-        trees and stumps fit on one Presort, which remembers the trees' nodes
-        and lists the stumps' candidates once, have the bytes of fits on a
-        fresh Presort each; so do fits on one Presort whose memo holds nothing
-        (a budget of 0 bytes drops every node)."""
+        trees and stumps fit on one Presort, which remembers the trees'
+        searched nodes and lists the stumps' candidates once, have the bytes
+        of fits on a fresh Presort each; so do fits on one Presort whose memo
+        holds nothing (a budget of 0 bytes drops every node). Fits of depths 1
+        to 4 on one Presort remember nodes that hold a block and no leaf's
+        path: a leaf at its fit's depth is searched by no earlier fit, and
+        one of one row by none."""
         X, g, h, kinds = inputs
         n = X.shape[0]
         rng = np.random.default_rng(n)
@@ -1198,6 +1212,15 @@ class TestSplitKernelMatchesOracle:
         for node, size in shared.nodes.values():  # every array a node holds counts: none escapes the budget
             held = [a for v in vars(node).values() for a in (v if isinstance(v, (list, tuple)) else [v])]
             assert size == node.nbytes() == sum(a.nbytes for a in held if isinstance(a, np.ndarray))
+        memo = Presort(X, kinds)
+        for depth in range(1, 5):
+            tree = fit_regression_tree(X, g, h, kinds, max_depth=depth, presort=memo)
+            rows = np.bincount(node_of(tree, X), minlength=tree.feature.size)
+            paths = node_paths(tree)
+            leaves = [paths[i] for i in np.flatnonzero(tree.feature < 0) if len(paths[i]) == depth or rows[i] == 1]
+            assert not [path for path in leaves if path in memo.nodes]
+            for node, _ in memo.nodes.values():
+                assert node.idx.size >= 2 and node.block.shape == (memo.swept.size, node.idx.size)
         with mock.patch.object(tree_module, "MAX_NODE_CACHE_BYTES", 0):
             empty = Presort(X, kinds)
             assert fits(empty) == want
@@ -1242,23 +1265,40 @@ class TestSplitKernelMatchesOracle:
         memo. At the default budget it builds 197 or 279 searched nodes, and
         at most `most`: nodes that grow larger than the budget allows make
         the memo drop the ones the next rounds revisit (the layout with a
-        values copy in each block built 235 and 371)."""
+        values copy in each block built 235 and 371). The memo remembers each
+        node it builds, and no leaf."""
         built = []
 
         class Counted(Presort):
             def remember(self, path, node):
-                built.append(node.block is not None)
+                built.append(path)
                 return super().remember(path, node)
 
         monkeypatch.setattr(boost_module, "Presort", Counted)
         data = synthesize(pcos_default_schema(), 4000, 3, 2.0, missing_rate=0.1)
         fit(algo, data, default_params(algo))
-        assert sum(built) <= most
+        assert len(built) <= most
 
     def test_presort_of_another_matrix_is_rejected(self):
         presort = Presort(np.zeros((3, 2)))
         with pytest.raises(ValueError, match="presort"):
             fit_regression_tree(np.zeros((4, 2)), np.zeros(4), np.ones(4), max_depth=2, presort=presort)
+
+    @pytest.mark.parametrize("built_with, fit_with", [(None, (categorical(3), NUMERIC)), ((categorical(3), NUMERIC), None)])
+    @pytest.mark.parametrize("fitter", ["stump", "regression", "oblivious"])
+    def test_presort_built_with_other_kinds_is_rejected(self, fitter, built_with, fit_with):
+        """A presort whose categorical columns are not those of the fit's kinds
+        would split a categorical column as a number, or a number by levels."""
+        X = np.array([[0, 0], [1, 1], [2, 0], [1, 1], [0, 1], [2, 0]], dtype=float)
+        g = np.array([1.0, -1.0, 2.0, -1.0, 1.0, 2.0])
+        presort = Presort(X, built_with)
+        fits = {
+            "stump": lambda: fit_stump(X, np.where(g > 0, 1, -1), np.full(6, 1 / 6), fit_with, presort=presort),
+            "regression": lambda: fit_regression_tree(X, g, np.ones(6), fit_with, max_depth=2, presort=presort),
+            "oblivious": lambda: fit_oblivious_tree(X, g, np.ones(6), fit_with, depth=2, presort=presort),
+        }
+        with pytest.raises(ValueError, match="presort was built with other categorical columns"):
+            fits[fitter]()
 
 
 def wide_inputs():
