@@ -62,13 +62,14 @@ least recently used node first. Nodes are kept small so that the budget holds
 the ones a fit revisits: a block holds row indices, not values
 (Presort.swept_cells has those).
 
-_Node.scan returns its candidates in group order, the order the node lists
-them: the swept columns', then the single-threshold columns', then the
-categorical levels. Each column's candidates are contiguous and in
-enumeration order, so the selection rule below needs no sort by column. An
-oblivious level, a stump's too, lists its candidates in enumeration order.
-A scan computes no midpoint: a node keeps each swept candidate's place in
-the block, and the caller computes its winner's threshold alone (a
+Every search lists its candidates in group order, each group from the
+Presort's own arrays: the swept columns', then the single-threshold
+columns', then the categorical levels. A regression node lists those its
+rows offer (_Node), an oblivious level, a stump's too, those of all rows
+(_LevelCandidates). Each column's candidates are contiguous and in
+enumeration order, so the selection rule below needs no sort by column. A
+scan computes no midpoint: a node keeps each swept candidate's place in the
+block, and the caller computes its winner's threshold alone (a
 single-threshold column's is computed once, in Presort; a level is its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
@@ -425,7 +426,10 @@ class Presort:
 
 
 def _categorical(kinds, d: int) -> np.ndarray:
-    """Whether each of d columns is categorical by kinds; None is all numeric."""
+    """Whether each of d columns is categorical by kinds; None is all numeric,
+    and kinds of another length than d is a ValueError."""
+    if kinds is not None and len(kinds) != d:
+        raise ValueError(f"kinds has {len(kinds)} entries for {d} columns")
     return np.array([kinds is not None and kinds[j].is_categorical for j in range(d)], dtype=bool)
 
 
@@ -583,8 +587,11 @@ def fit_stump(
     chosen split.
 
     The search is an oblivious level's with all rows in one bucket
-    (Presort.level_candidates), and the earliest candidate within _TIE_TOL
-    of the least error wins (see the module docstring). The error returned
+    (Presort.level_candidates): each candidate's left sums of the weights a
+    leaf misclassifies are a cumsum in value order for the swept
+    candidates, then a bincount of the left rows for the masked ones, in
+    group order. The earliest candidate within _TIE_TOL of the least error
+    wins (see the module docstring). The error returned
     is the weight the stump misclassifies, one sum over those rows: 0.0 for
     a stump that errs on no weighted row, never negative, and at most 0.5 +
     _TIE_TOL, since both orientations are searched.
@@ -594,6 +601,7 @@ def fit_stump(
         raise ValueError("labels must be -1 or +1")
     d = X.shape[1]
 
+    presort = _presorted(X, kinds, presort)
     w_pos = float(w[y == 1].sum())
     w_neg = float(w[y == -1].sum())
 
@@ -606,14 +614,13 @@ def fit_stump(
     if w_pos == 0.0 or w_neg == 0.0:
         return constant()
 
-    presort = _presorted(X, kinds, presort)
     cand = presort.level_candidates
     wrong = {c: y != c for c in (-1, 1)}  # the rows a leaf of class c gets wrong
     stats = np.stack([w * wrong[-1], w * wrong[1]])  # the weights a -1 and a +1 leaf miss
-    left = np.empty((2, len(cand.features)))  # each candidate's sums over its left rows
-    for s, out in zip(stats, left):
-        out[cand.masked_at] = np.bincount(cand.left_of, weights=s[cand.left_rows], minlength=cand.masked_at.size)
-        out[cand.swept_at] = np.cumsum(s[cand.by_value], axis=1).ravel()[cand.reads]
+    left = []  # each candidate's sums over its left rows, the swept ones' then the masked ones'
+    for s in stats:
+        masked = np.bincount(cand.left_of, weights=s[cand.left_rows], minlength=cand.n_masked)
+        left.append(np.concatenate([np.cumsum(s[cand.by_value], axis=1).ravel()[cand.reads], masked]))
     total = stats.sum(axis=1)
     errs = np.stack([left[0] + total[1] - left[1], left[1] + total[0] - left[0]], axis=1)  # per orientation
     if errs.size == 0:
@@ -802,61 +809,38 @@ def fit_regression_tree(
 
 
 class _LevelCandidates:
-    """Every candidate split of an oblivious level, in enumeration order, and
-    how the search finds their gains; built once per Presort.
+    """Every candidate split of an oblivious level, in group order (see the
+    module docstring), and how the search finds their gains; built once per
+    Presort.
 
-    features (int64) and thresholds list the candidates. The candidates of
-    categorical and single-threshold columns are masked: masked_at lists their
-    places, left_rows the rows each sends left (by _went_right, so missing
-    rows included) row by row, each row once for each masked candidate it is
-    left of, in candidate order (see the module docstring), and left_of each
-    entry's masked candidate. The columns of several thresholds are swept,
-    together: swept_at lists their candidates, rows each column's rows in
-    value order with the missing rows first, one column after another, so
-    flat position j * n + i names the i-th row of column j, and reads the
-    flat position in rows of each candidate's last left row. by_value is rows
-    as one row per swept column, offset each column's first flat position.
-    Without a swept column these arrays are empty.
+    features (int64) and thresholds list the candidates: the swept columns'
+    first, then the n_masked candidates of the single-threshold columns and
+    the categorical levels. The swept columns are searched together: by_value
+    holds each one's rows in value order with the missing rows first, one row
+    per column, so flat position j * n + i names the i-th row of swept column
+    j; reads lists the flat position of each swept candidate's last left row,
+    and offset each column's first flat position. A masked candidate's sums
+    come from the rows it sends left (by _went_right, so missing rows
+    included): left_rows lists them row by row, each row once for each masked
+    candidate it is left of, in candidate order (see the module docstring),
+    and left_of each entry's masked candidate.
     """
 
     def __init__(self, presort: Presort):
         n = presort.X.shape[0]
-        features: list[int] = []
-        self.thresholds: list[float | frozenset[int]] = []
-        masked: list[tuple[int, np.ndarray]] = []
-        swept: list[tuple[int, np.ndarray, np.ndarray]] = []
-        cat_levels = {j: levels for j, levels, _ in presort.cat_levels}
-        for f, col in enumerate(presort.X.T):
-            at = len(features)
-            if f in presort.swept:
-                n_obs = presort.n_observed[f]
-                order, values = presort.order[f], presort.values[f]
-                end = np.flatnonzero(values[:-1] < values[1:])  # False next to NaN
-                levels = _midpoints(values[end], values[end + 1]).tolist()
-                swept.append((at, np.concatenate([order[n_obs:], order[:n_obs]]), n - n_obs + end))
-            else:
-                if f in cat_levels:
-                    levels = [frozenset({int(v)}) for v in cat_levels[f]]
-                elif f in presort.single:
-                    levels = [float(presort.single_threshold[np.searchsorted(presort.single, f)])]
-                else:
-                    levels = []
-                for i, t in enumerate(levels):
-                    masked.append((at + i, np.flatnonzero(~_went_right(col, t, missing_left=True))))
-            features += [f] * len(levels)
-            self.thresholds += levels
-        self.features = np.array(features, dtype=np.int64)
-        none = [np.empty(0, dtype=np.int64)]
-        self.masked_at = np.array([c for c, _ in masked], dtype=np.int64)
-        left_rows = np.concatenate([r for _, r in masked] + none)
-        by_row = np.argsort(left_rows, kind="stable")
-        self.left_rows = left_rows[by_row]
-        self.left_of = np.repeat(np.arange(len(masked)), [r.size for _, r in masked])[by_row]
-        self.swept_at = np.concatenate([c + np.arange(b.size) for c, _, b in swept] + none)
-        self.reads = np.concatenate([j * n + b for j, (_, _, b) in enumerate(swept)] + none)
-        self.rows = np.concatenate([r for _, r, _ in swept] + none)
-        self.by_value = self.rows.reshape(len(swept), n)
-        self.offset = n * np.arange(len(swept))[:, None]
+        swept, n_observed = presort.swept, presort.n_observed[presort.swept]
+        values = presort.values[swept]
+        r, end = np.nonzero(values[:, :-1] < values[:, 1:])  # False next to NaN
+        rotate = (np.arange(n) + n_observed[:, None]) % n  # the missing rows first
+        self.by_value = np.take_along_axis(presort.order[swept], rotate, axis=1)
+        self.reads = r * n + n - n_observed[r] + end
+        self.offset = n * np.arange(swept.size)[:, None]
+        masked = [(f, t, True) for f, t in zip(presort.single.tolist(), presort.single_threshold.tolist())]
+        masked += [(j, frozenset({int(v)}), True) for j, levels, _ in presort.cat_levels for v in levels.tolist()]
+        self.n_masked = len(masked)
+        self.features = np.concatenate([swept[r], np.array([f for f, _, _ in masked], dtype=np.int64)])
+        self.thresholds = _midpoints(values[r, end], values[r, end + 1]).tolist() + [t for _, t, _ in masked]
+        self.left_rows, self.left_of = np.nonzero(~_split_bits(masked, presort.X.T).T)
 
     def positions(self, bucket: np.ndarray) -> np.ndarray:
         """The flat positions of the swept rows in (bucket, value, row) order,
@@ -872,14 +856,14 @@ class _LevelCandidates:
 
     def gains(self, gh, at, size, start, Gb, Hb, parent_b, reg_lambda: float):
         """Gain and "splits a bucket" of each swept candidate, where gh holds
-        the rows' statistics as g + h*1j (_pair) at the flat positions of rows
-        and at is positions(bucket). Moving a bucket's rows left one at a time
-        in value order, each row changes only its bucket's term and its
-        bucket's "is split" flag; put back in value order, the changes' prefix
-        sums at each threshold are the gain and the count of split buckets.
-        The sums of g and of h, and then the changes and the flag changes,
-        are pairs of one complex cumsum each (see _pair); a count of +1 and
-        -1 is exact in a float."""
+        the rows' statistics as g + h*1j (_pair) at the flat positions of
+        by_value and at is positions(bucket). Moving a bucket's rows left one
+        at a time in value order, each row changes only its bucket's term and
+        its bucket's "is split" flag; put back in value order, the changes'
+        prefix sums at each threshold are the gain and the count of split
+        buckets. The sums of g and of h, and then the changes and the flag
+        changes, are pairs of one complex cumsum each (see _pair); a count of
+        +1 and -1 is exact in a float."""
         pos = np.repeat(np.arange(size.size), size)  # the bucket at each position
         end = start + size - 1
         # a bucket's sums up to each position: the running sum minus the sums
@@ -938,11 +922,13 @@ def fit_oblivious_tree(
     the fit's final buckets.
 
     The search is bucket-sorted, and its candidates are listed once per
-    Presort (_LevelCandidates). For a categorical or single-threshold column,
-    one bincount by bucket of each candidate's left rows gives its sums. The
-    columns of several thresholds are swept (_LevelCandidates.gains): each level
-    takes their rows in (bucket, value) order from one stable sort of the
-    rows' bucket ids in value order, so no order is carried between levels.
+    Presort (_LevelCandidates), in group order: a level's gains are the swept
+    candidates', then the masked ones'. The columns of several thresholds
+    are swept (_LevelCandidates.gains): each level takes their rows in
+    (bucket, value) order from one stable sort of the rows' bucket ids in
+    value order, so no order is carried between levels. For a categorical
+    or single-threshold column, one bincount by bucket of each candidate's
+    left rows gives its sums.
     A bucket is the rank of a row's leaf among the occupied leaves, so the
     leaves' ids are found by placing each row's leaf at its bucket.
     """
@@ -950,9 +936,9 @@ def fit_oblivious_tree(
     n, d = X.shape
     candidates = _presorted(X, kinds, presort).level_candidates
     features, thresholds = candidates.features, candidates.thresholds
-    masked_at, left_rows, left_of = candidates.masked_at, candidates.left_rows, candidates.left_of
+    n_masked, left_rows, left_of = candidates.n_masked, candidates.left_rows, candidates.left_of
     left_g, left_h = g[left_rows], h[left_rows]
-    swept_gh = _pair(g, h)[candidates.rows]
+    swept_gh = _pair(g, h)[candidates.by_value.reshape(-1)]
 
     leaf = np.zeros(n, dtype=np.int64)  # a row's comparison bits so far
     bucket = np.zeros(n, dtype=np.int64)  # the rank of its leaf among the occupied ones
@@ -965,24 +951,21 @@ def fit_oblivious_tree(
         Hb = np.bincount(bucket, weights=h, minlength=B)
         parent_b = _safe_score(Gb, Hb, reg_lambda)
         parent = float(parent_b.sum())
-        gains = np.empty(len(features))
-        splits = np.empty(len(features), dtype=bool)
-        if masked_at.size:
+        gains, splits = candidates.gains(
+            swept_gh, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
+        )
+        if n_masked:
             cell = left_of * B + bucket[left_rows]
             GL, HL, CL = (
-                np.bincount(cell, weights=w, minlength=masked_at.size * B).reshape(-1, B)
-                for w in (left_g, left_h, None)
+                np.bincount(cell, weights=w, minlength=n_masked * B).reshape(-1, B) for w in (left_g, left_h, None)
             )
             child = _safe_score(GL, HL, reg_lambda)
             child += _safe_score(np.subtract(Gb, GL, out=GL), np.subtract(Hb, HL, out=HL), reg_lambda)
             child = child.sum(axis=1)
             child -= parent
             child *= 0.5
-            gains[masked_at] = child
-            splits[masked_at] = ((CL > 0) & (CL < size)).any(axis=1)
-        gains[candidates.swept_at], splits[candidates.swept_at] = candidates.gains(
-            swept_gh, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
-        )
+            gains = np.concatenate([gains, child])
+            splits = np.concatenate([splits, ((CL > 0) & (CL < size)).any(axis=1)])
         gains = np.where(splits, gains, -np.inf)  # a candidate that splits no bucket does not count
         best = gains.max(initial=-np.inf)
         tol = _TIE_TOL * (1.0 + abs(parent))

@@ -211,6 +211,50 @@ def kernel_fixture(rng, n):
             id="oblivious-inf-hessian",
         ),
         pytest.param(lambda: Presort(np.ones(3)), "2-D", id="presort-1-D-X"),
+        # a stump of one class of non-zero weight is constant, and checks its presort all the same
+        pytest.param(
+            lambda: fit_stump(np.zeros((4, 2)), np.ones(4), np.full(4, 0.25), presort=Presort(np.zeros((3, 5)))),
+            r"presort is of a \(3, 5\) matrix, X is \(4, 2\)",
+            id="constant-stump-presort-of-another-matrix",
+        ),
+        pytest.param(
+            lambda: fit_stump(
+                np.zeros((4, 2)), np.ones(4), np.full(4, 0.25), (categorical(2), NUMERIC), presort=Presort(np.zeros((4, 2)))
+            ),
+            "presort was built with other categorical columns",
+            id="constant-stump-presort-of-other-kinds",
+        ),
+        # kinds name each column's kind, no more and no fewer
+        pytest.param(
+            lambda: Presort(np.zeros((4, 2)), (NUMERIC,)), "kinds has 1 entries for 2 columns", id="presort-short-kinds"
+        ),
+        pytest.param(
+            lambda: Presort(np.zeros((4, 2)), (NUMERIC, BINARY, categorical(2))),
+            "kinds has 3 entries for 2 columns",
+            id="presort-long-kinds",
+        ),
+        pytest.param(
+            lambda: fit_stump(np.zeros((4, 2)), np.ones(4), np.full(4, 0.25), (NUMERIC,)),
+            "kinds has 1 entries for 2 columns",
+            id="stump-short-kinds",
+        ),
+        pytest.param(
+            lambda: fit_regression_tree(np.zeros((4, 2)), np.zeros(4), np.ones(4), (NUMERIC,) * 3, max_depth=2),
+            "kinds has 3 entries for 2 columns",
+            id="tree-long-kinds",
+        ),
+        pytest.param(
+            lambda: fit_regression_tree(
+                np.zeros((4, 2)), np.zeros(4), np.ones(4), (NUMERIC,), max_depth=2, presort=Presort(np.zeros((4, 2)))
+            ),
+            "kinds has 1 entries for 2 columns",
+            id="tree-short-kinds-with-a-presort",
+        ),
+        pytest.param(
+            lambda: fit_oblivious_tree(np.zeros((4, 2)), np.zeros(4), np.ones(4), (NUMERIC,), depth=2),
+            "kinds has 1 entries for 2 columns",
+            id="oblivious-short-kinds",
+        ),
     ],
 )
 def test_documented_checks(call, message):
@@ -612,11 +656,12 @@ class TestTieRule:
     """One rule picks every split: the earliest candidate in enumeration
     order whose score is within a tolerance of the best, _TIE_TOL for a
     stump's error and _TIE_TOL * (1 + |parent score|) for an oblivious
-    level's gain, and none for a regression node's. A regression node's
-    candidates come from _Node.scan in group order (swept columns,
-    single-threshold columns, categorical levels), not in column order, and
-    a stump's from an oblivious level's lists; of exactly equal gains or
-    errors the least column and then the lowest threshold win."""
+    level's gain, and none for a regression node's. Every search lists its
+    candidates in group order (swept columns, single-threshold columns,
+    categorical levels), not in column order: a regression node's from
+    _Node.scan, an oblivious level's and a stump's from the level's lists. Of
+    exactly equal gains or errors the least column and then the lowest
+    threshold win."""
 
     def test_a_near_tie_keeps_the_earliest_column_and_a_regression_node_takes_the_better(self):
         # columns 0 and 1 are copies that put row 2 with row 1; column 2 puts
@@ -640,6 +685,7 @@ class TestTieRule:
         assert tree.feature[0] == 0
         stump, err = fit_stump(X, np.where(g < 0, 1, -1), np.full(6, 1 / 6), kinds)
         assert (stump.levels[0][0], err) == (0, 0.0)
+        assert fit_oblivious_tree(X, g, np.ones(6), kinds, depth=1, reg_lambda=1.0).levels[0][0] == 0
 
     def test_an_exact_tie_within_a_column_takes_the_lower_threshold(self):
         # the rows of 2.0 and 3.0 carry no gradient and no hessian, so the
@@ -1105,7 +1151,8 @@ def assert_same_tree(got, want):
 
 class TestSplitKernelMatchesOracle:
     """The regression-tree node kernel and the stump's level search against
-    the search they replaced (split_search_oracle)."""
+    the search they replaced (split_search_oracle), and an oblivious level's
+    candidates against the list it replaced (oblivious_search_oracle)."""
 
     @settings(max_examples=300, deadline=None)
     @with_edge_inputs(3, 0.0, 0.0, 1.0)
@@ -1146,6 +1193,26 @@ class TestSplitKernelMatchesOracle:
         want, want_err = oracle.fit_stump(X, y, w, kinds)
         assert stump_record(got) == want
         assert got_err == want_err
+
+    @settings(max_examples=300, deadline=None)
+    @with_edge_inputs(True)
+    @given(split_inputs(), st.booleans())
+    def test_level_candidates(self, inputs, with_kinds):
+        """An oblivious level lists its candidates in group order, the oracle
+        in enumeration order: sorted by column, each column's candidates kept
+        in their place in its group, every candidate's column and threshold
+        are the oracle's, bit for bit."""
+        X, _, _, kinds = inputs
+        presort = Presort(X, kinds if with_kinds else None)
+        got = presort.level_candidates
+        want = oblivious_search_oracle._LevelCandidates(presort)
+        by_column = np.argsort(got.features, kind="stable").tolist()
+
+        def bits(thresholds):
+            return [(type(t), t if isinstance(t, frozenset) else np.float64(t).tobytes()) for t in thresholds]
+
+        assert got.features[by_column].tolist() == list(want.features)
+        assert bits([got.thresholds[c] for c in by_column]) == bits(want.thresholds)
 
     def test_more_single_threshold_candidates_than_a_byte_numbers(self):
         # a node numbers its single-threshold candidates in the least
