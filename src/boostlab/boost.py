@@ -320,9 +320,12 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     ordered target statistics under one seeded permutation during training
     and by full-training-set statistics at prediction time. GBM and XGBoost
     fit regression trees, with learned missing directions, on the raw values.
-    Each round adds learning_rate times its tree's outputs on the training
-    rows, which the fitter writes as it places the rows in leaves (fitted=):
-    the values tree.predict(X) would give, so the same sum as scoring the
+    The tree grower and the training matrix are chosen before the first
+    round. The permutation is drawn for every CatBoost fit, from the fit's
+    own generator, so a draw no target encoding uses changes nothing. Each
+    round adds learning_rate times its tree's outputs on the training rows,
+    which the fitter writes as it places the rows in leaves (fitted=): the
+    values tree.predict(X) would give, so the same sum as scoring the
     training matrix again. The first round after which a training raw score
     is not finite (a learning rate too large for the float range) raises
     NonFiniteScores.
@@ -330,21 +333,23 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     params = params if params is not None else default_params(algorithm)
     _check_two_classes(train)
     encodings: tuple[CategoricalEncoding, ...] = ()
-    X = train.values
+    X, kinds = train.values, train.schema.kinds
+    grow = partial(
+        fit_regression_tree,
+        max_depth=params.max_depth,
+        min_child_weight=params.min_child_weight,
+        reg_lambda=params.reg_lambda,
+        gamma=params.gamma,
+    )
     if algorithm == "catboost":
         encodings = _plan_encodings(train, params)
-        ordered_codes = None
-        target_features = [e.feature_index for e in encodings if e.mode == "target"]
-        if target_features:
-            permutation = np.random.default_rng(params.seed).permutation(train.n_rows)
-            ordered_codes = {
-                j: ordered_target_stats(
-                    train.values[:, j], train.labels, permutation, params.cat_prior
-                )
-                for j in target_features
-            }
-        X = _encode_matrix(train.values, train.schema, encodings, ordered_codes)
-    kinds = None if algorithm == "catboost" else train.schema.kinds
+        permutation = np.random.default_rng(params.seed).permutation(train.n_rows)
+        ordered_codes = {
+            j: ordered_target_stats(train.values[:, j], train.labels, permutation, params.cat_prior)
+            for j in (e.feature_index for e in encodings if e.mode == "target")
+        }
+        X, kinds = _encode_matrix(train.values, train.schema, encodings, ordered_codes), None
+        grow = partial(fit_oblivious_tree, depth=params.max_depth, reg_lambda=params.reg_lambda)
     presort = Presort(X, kinds)
     y = train.labels.astype(np.float64)
     base = _base_score(train.labels)
@@ -355,23 +360,7 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
         p = sigmoid(F)
         g = p - y
         h = np.ones_like(p) if algorithm == "gbm" else p * (1.0 - p)
-        if algorithm == "catboost":
-            tree = fit_oblivious_tree(
-                X, g, h, depth=params.max_depth, reg_lambda=params.reg_lambda, presort=presort, fitted=fitted
-            )
-        else:
-            tree = fit_regression_tree(
-                X,
-                g,
-                h,
-                kinds,
-                max_depth=params.max_depth,
-                min_child_weight=params.min_child_weight,
-                reg_lambda=params.reg_lambda,
-                gamma=params.gamma,
-                presort=presort,
-                fitted=fitted,
-            )
+        tree = grow(X, g, h, kinds, presort=presort, fitted=fitted)
         F = F + params.learning_rate * fitted
         if not np.isfinite(F).all():
             raise NonFiniteScores(

@@ -688,23 +688,12 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
     class_indices = [np.flatnonzero(labels == c) for c in (0, 1)]
     ideal = [k_total * len(ci) / n for ci in class_indices]
-    counts = [int(math.floor(x)) for x in ideal]
-    remainders = sorted(
-        range(2), key=lambda c: (-(ideal[c] - counts[c]), c)
-    )
-    short = k_total - sum(counts)
-    for c in remainders[:short]:
-        counts[c] += 1
-    for c in (0, 1):
-        counts[c] = min(counts[c], len(class_indices[c]))
+    counts = [math.floor(x) for x in ideal]
+    if sum(counts) < k_total:  # short by one row: to the larger remainder, class 0 on a tie
+        counts[ideal[1] - counts[1] > ideal[0] - counts[0]] += 1
 
     rng = np.random.default_rng(spec.seed)
-    test_idx = []
-    for c in (0, 1):
-        perm = rng.permutation(class_indices[c])
-        test_idx.append(perm[: counts[c]])
-    test_mask = np.zeros(n, dtype=bool)
-    test_mask[np.concatenate(test_idx)] = True
-    test_rows = np.flatnonzero(test_mask)
-    train_rows = np.flatnonzero(~test_mask)
-    return data.subset(train_rows), data.subset(test_rows)
+    test = np.zeros(n, dtype=bool)
+    for ci, k in zip(class_indices, counts):
+        test[rng.permutation(ci)[:k]] = True
+    return data.subset(np.flatnonzero(~test)), data.subset(np.flatnonzero(test))

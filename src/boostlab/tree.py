@@ -15,7 +15,8 @@ function, _went_right.
 A regression tree is a set of parallel per-node arrays in pre-order, the node
 order of the model file: node 0 is the root and a split node precedes its
 children, its left child right after it, and a dump writes the arrays as they
-are.
+are. The fit and the model reader lay the nodes out in one place,
+_preorder_tree.
 
 predict_trees scores a list of trees of either kind: base_score plus
 learning_rate times each tree's output, in tree order. Every tree lists its
@@ -169,13 +170,26 @@ class RegressionTree:
         return predict_trees([self], X, -0.0, 1.0)
 
 
-# A node row as fit_regression_tree and tree_from_dict append it, in
-# RegressionTree's field order.
+# A node row as _preorder_tree appends it, in RegressionTree's field order.
 _NODE_DTYPES = (np.int64, object, bool, np.int64, np.int64, np.float64)
-_RIGHT = 4  # the position of right in a node row
 
 
-def _regression_tree(nodes: list[list], n_features: int) -> RegressionTree:
+def _preorder_tree(root, expand, n_features: int) -> RegressionTree:
+    """The regression tree that expand grows from root, its nodes in
+    pre-order. expand(item) gives a leaf as (value, None) and a split node as
+    (value, (feature, threshold, default_left), right_item, left_item). A work
+    list, not a recursive closure, which would be a reference cycle holding
+    the items (a fit's blocks) alive until the garbage collector ran."""
+    nodes: list[list] = []
+    todo = [(root, -1)]  # (item, parent of a right child); a left child pops right after its parent
+    while todo:
+        item, right_of = todo.pop()
+        i = len(nodes)
+        if right_of >= 0:
+            nodes[right_of][4] = i  # right
+        value, split, *children = expand(item)
+        nodes.append([-1, None, True, -1, -1, value] if split is None else [*split, i + 1, -1, value])
+        todo += zip(children, (i, -1))
     return RegressionTree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), _NODE_DTYPES)), n_features)
 
 
@@ -775,37 +789,28 @@ def fit_regression_tree(
     presort = _presorted(X, kinds, presort)
     stats = (g, h, _pair(g, h))
 
-    # A work list rather than a recursive closure, which would be a reference
-    # cycle keeping the blocks alive until the garbage collector ran. A left
-    # child is popped right after its parent, so nodes are appended in
-    # pre-order; a right child enters its index in its parent when popped.
-    nodes: list[list] = []
     root = np.arange(X.shape[0])
     if max_depth > 0 and root.size >= 2:
         root = presort.recall(()) or presort.remember((), _Node(presort, root, presort.block))
-    todo = [((), root, 0, -1)]  # (path, searched node or a leaf's rows, depth, parent of a right child)
-    while todo:
-        path, node, depth, right_of = todo.pop()
+
+    def expand(item):  # item: (path, searched node or a leaf's rows, depth)
+        path, node, depth = item
         leaf = isinstance(node, np.ndarray)
         idx = node if leaf else node.idx
-        i = len(nodes)
-        if right_of >= 0:
-            nodes[right_of][_RIGHT] = i
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         denom = H + reg_lambda
         value = -G / denom if denom > 0 else 0.0
-        nodes.append([-1, None, True, -1, -1, value])
         split = None if leaf else _node_split(presort, node, stats, G, H, min_child_weight, reg_lambda, gamma)
         if split is None:
             if fitted is not None:
                 fitted[idx] = value
-            continue
-        nodes[i][:4] = [*split, i + 1]
+            return value, None
         paths = [path + ((*split, went_right),) for went_right in (True, False)]
         children = _children(presort, node, split, paths, depth + 1 < max_depth)
-        todo += [(paths[0], children[0], depth + 1, i), (paths[1], children[1], depth + 1, -1)]
-    return _regression_tree(nodes, d)
+        return value, split, (paths[0], children[0], depth + 1), (paths[1], children[1], depth + 1)
+
+    return _preorder_tree(((), root, 0), expand, d)
 
 
 class _LevelCandidates:
@@ -1053,27 +1058,21 @@ def tree_from_dict(d: dict, n_features: int) -> RegressionTree | ObliviousTree:
     if kind == "regression":
         entries = d["nodes"]
         seen: set[int] = set()
-        nodes: list[list] = []
-        todo = [(0, -1)]  # (entry index, parent of a right child), as in the fit
-        while todo:
-            j, right_of = todo.pop()
+
+        def expand(j):
             j = as_index(j, len(entries), "node index")
             if j in seen:
                 raise MalformedModel(f"node {j} is reached twice")
             seen.add(j)
-            i = len(nodes)
-            if right_of >= 0:
-                nodes[right_of][_RIGHT] = i
             entry = entries[j]
             if "value" in entry:  # the gradient and hessian sums of older files are ignored
-                nodes.append([-1, None, True, -1, -1, as_number(entry["value"], "value")])
-            else:
-                f = as_index(entry["feature_index"], n_features)
-                thr = _threshold_from_json(entry["threshold"])
-                direction = one_of(entry["default_direction"], ("left", "right"), "default_direction")
-                nodes.append([f, thr, direction == "left", i + 1, -1, 0.0])
-                todo += [(entry["right"], i), (entry["left"], -1)]
-        return _regression_tree(nodes, n_features)
+                return as_number(entry["value"], "value"), None
+            f = as_index(entry["feature_index"], n_features)
+            thr = _threshold_from_json(entry["threshold"])
+            direction = one_of(entry["default_direction"], ("left", "right"), "default_direction")
+            return 0.0, (f, thr, direction == "left"), entry["right"], entry["left"]
+
+        return _preorder_tree(0, expand, n_features)
     levels = tuple(
         (as_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
         for lv in d["levels"]

@@ -11,10 +11,9 @@ import numpy as np
 
 from boostlab.tree import (
     _ORIENTATIONS,
-    _RIGHT,
     _TIE_TOL,
     _fit_inputs,
-    _regression_tree,
+    _preorder_tree,
     _safe_score,
     _went_right,
 )
@@ -102,19 +101,15 @@ def fit_regression_tree(
     n, d = X.shape
     stats = np.column_stack([g, h])
     sorted_rows = _sorted_rows(X, kinds)
-    nodes = []
-    todo = [(np.arange(n), 0, -1)]
-    while todo:
-        idx, depth, right_of = todo.pop()
-        i = len(nodes)
-        if right_of >= 0:
-            nodes[right_of][_RIGHT] = i
+
+    def expand(item):
+        idx, depth = item
         G = float(g[idx].sum())
         H = float(h[idx].sum())
         denom = H + reg_lambda
-        nodes.append([-1, None, True, -1, -1, -G / denom if denom > 0 else 0.0])
+        value = -G / denom if denom > 0 else 0.0
         if depth >= max_depth or idx.size < 2:
-            continue
+            return value, None
         parent = G * G / denom if denom > 0 else 0.0
         member = np.zeros(n, dtype=bool)
         member[idx] = True
@@ -141,9 +136,9 @@ def fit_regression_tree(
                 best_gain = float(flat[k])
                 best = (f, thresholds[ti], di == 0)
         if best is None:
-            continue
+            return value, None
         f, thr, default_left = best
-        nodes[i][:4] = [f, thr, default_left, i + 1]
         left_mask = ~_went_right(X[idx, f], thr, missing_left=default_left)
-        todo += [(idx[~left_mask], depth + 1, i), (idx[left_mask], depth + 1, -1)]
-    return _regression_tree(nodes, d)
+        return value, best, (idx[~left_mask], depth + 1), (idx[left_mask], depth + 1)
+
+    return _preorder_tree((np.arange(n), 0), expand, d)

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boostlab import dataset
 from boostlab.cli import SCORES_SCHEMA, TRUTH_SCHEMA
@@ -692,6 +694,41 @@ class TestSplit:
                 ideal = frac * (labels == c).sum()
                 got = (test.labels == c).sum()
                 assert abs(got - ideal) <= 1.0 + 1e-9
+
+    @staticmethod
+    def largest_remainder_split(labels, test_fraction, seed):
+        """The train and test rows as split allocated them with a sort of the
+        classes by remainder, a clamp of each count to its class and a mask
+        of the test rows from a concatenation."""
+        n = labels.size
+        k_total = int(math.floor(n * test_fraction + 0.5))
+        k_total = min(max(k_total, 1), n - 1)
+        classes = (0, 1)
+        class_indices = [np.flatnonzero(labels == c) for c in classes]
+        ideal = [k_total * len(ci) / n for ci in class_indices]
+        counts = [int(math.floor(x)) for x in ideal]
+        for c in sorted(classes, key=lambda c: (-(ideal[c] - counts[c]), c))[: k_total - sum(counts)]:
+            counts[c] += 1
+        counts = [min(k, len(ci)) for k, ci in zip(counts, class_indices)]
+        rng = np.random.default_rng(seed)
+        test_mask = np.zeros(n, dtype=bool)
+        test_mask[np.concatenate([rng.permutation(ci)[:k] for ci, k in zip(class_indices, counts)])] = True
+        return np.flatnonzero(~test_mask), np.flatnonzero(test_mask)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.tuples(st.integers(1, 150), st.integers(1, 150)),
+        order_seed=st.integers(0, 2**32 - 1),
+        test_fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_split_keeps_the_rows_of_largest_remainder_allocation(self, sizes, order_seed, test_fraction, seed):
+        labels = np.repeat([0, 1], sizes)
+        np.random.default_rng(order_seed).shuffle(labels)
+        train, test = split(self.make(labels), SplitSpec(test_fraction, seed))
+        want_train, want_test = self.largest_remainder_split(labels, test_fraction, seed)
+        assert train.values[:, 0].tolist() == want_train.tolist()
+        assert test.values[:, 0].tolist() == want_test.tolist()
 
     def test_deterministic(self):
         ds = self.make([0, 1] * 20)

@@ -8,8 +8,10 @@ INDENTED_SHA256 for the same content rendered with indent=2 (the form train
 wrote before model files became compact, so the content is unchanged since),
 LEGACY_SHA256 for the older files of the same fits kept in tests/data: the
 GBM and XGBoost files written before regression leaves dropped their
-gradient and hessian sums, which the reader ignores. A change to any of them
-is a change of output and must be deliberate.
+gradient and hessian sums, which the reader ignores. ONE_HOT_CATBOOST_SHA256
+is the CatBoost file of the same table with its categorical column one-hot,
+a fit that uses no target encoding. A change to any of them is a change of
+output and must be deliberate.
 """
 
 import contextlib
@@ -43,6 +45,9 @@ INDENTED_SHA256 = {
     "catboost": "8de1747b3217991f0c1d99abdbcf9bf02b30b4c60c0b7231c336263db670304f",
 }
 
+# train --algo catboost --cat-one-hot-max 3: the 3-level column is one-hot
+ONE_HOT_CATBOOST_SHA256 = "1efb73cfc559c74fc18a2713ca0756547c80581a36a0fbe369bb9a3134caf477"
+
 LEGACY_SHA256 = {
     # format 2 with leaf sums
     "model_v2_gbm.json": "4af4068fb50575353c105b00b78d1652ba2081e7dec8bf399e028ea1d7df1928",
@@ -73,7 +78,7 @@ def test_compare_paper_preset_matches_golden(tmp_path):
     assert {name: digest(tmp_path / name) for name in expected} == expected
 
 
-def train(tmp_path, algo):
+def train(tmp_path, algo, *options):
     """The training table and the 5-round model file that train writes from it."""
     # 120 rows with 10% missing numeric cells and a 3-level categorical, so
     # XGBoost learns missing directions and CatBoost uses target statistics.
@@ -85,7 +90,7 @@ def train(tmp_path, algo):
         [
             "train", "--algo", algo, "--data", tmp_path / "train.csv",
             "--schema", tmp_path / "schema.json",
-            "--rounds", 5, "--seed", 42, "--model-out", model,
+            "--rounds", 5, "--seed", 42, "--model-out", model, *options,
         ]
     )
     assert code == 0
@@ -99,6 +104,12 @@ def test_train_model_file_is_pinned(tmp_path, algo):
     assert hashlib.sha256(raw).hexdigest() == MODEL_SHA256[algo]
     indented = json.dumps(json.loads(raw), indent=2, allow_nan=False) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == INDENTED_SHA256[algo]
+
+
+def test_one_hot_catboost_model_file_is_pinned(tmp_path):
+    _, model = train(tmp_path, "catboost", "--cat-one-hot-max", 3)
+    assert json.loads(model.read_text())["cat_encoding_state"][0]["mode"] == "onehot"
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == ONE_HOT_CATBOOST_SHA256
 
 
 def test_every_legacy_model_file_is_pinned():

@@ -1,15 +1,15 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error (exactly zero on separable rows), AdaBoost scores
 as stump sums, GBM and XGBoost scores against a per-node oracle and their
-boosting loop's sums, oblivious levels and leaves, AUC, CSV schema
-inference, the CSV tokenizer against the csv module, the CSV byte path's
-number parser against float(), the CSV readers against a row-by-row oracle,
-the bytes of the curve and score writers, eval's read of a scores file as
-predict writes it, the exit codes of the commands on input files with edited
-bytes, fits at extreme params, sigmoid and the gain score against the
-formulas they replaced and the sums of complex pairs against float sums, bit
-for bit; and that a failing property is reported under this repository's
-pytest settings."""
+boosting loop's sums, oblivious levels and leaves, the nodes of reloaded
+regression trees, AUC, CSV schema inference, the CSV tokenizer against the csv
+module, the CSV byte path's number parser against float(), the CSV readers
+against a row-by-row oracle, the bytes of the curve and score writers, eval's
+read of a scores file as predict writes it, the exit codes of the commands on
+input files with edited bytes, fits at extreme params, sigmoid and the gain
+score against the formulas they replaced and the sums of complex pairs against
+float sums, bit for bit; and that a failing property is reported under this
+repository's pytest settings."""
 
 import csv
 import io
@@ -446,6 +446,28 @@ def test_oblivious_tree_loads_as_fitted(data, grad_seed, depth):
     assert back.leaf_ids.dtype == tree.leaf_ids.dtype == np.int64
     assert back.leaf_ids.tobytes() == tree.leaf_ids.tobytes()
     assert back.leaf_values.tobytes() == tree.leaf_values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=datasets(), grad_seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 6))
+def test_regression_tree_loads_as_fitted(data, grad_seed, depth):
+    # the fit and the reader lay the nodes out alike; a model file holds the
+    # values of the leaves only
+    p = np.random.default_rng(grad_seed).uniform(0.05, 0.95, data.n_rows)
+    g, h = p - data.labels, p * (1 - p)
+    tree = fit_regression_tree(data.values, g, h, SCHEMA.kinds, max_depth=depth, reg_lambda=1.0)
+    back = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))), SCHEMA.n_features)
+    for name in ("feature", "default_left", "left", "right"):
+        want, got = getattr(tree, name), getattr(back, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+
+    def bits(thresholds):  # a float threshold bit for bit, a level set as itself
+        return [t if t is None or isinstance(t, frozenset) else float(t).hex() for t in thresholds]
+
+    assert back.threshold.dtype == object and bits(back.threshold) == bits(tree.threshold)
+    leaf = tree.feature < 0
+    assert back.value[leaf].tobytes() == tree.value[leaf].tobytes()
+    assert back.value[~leaf].tobytes() == np.zeros(np.count_nonzero(~leaf)).tobytes()
 
 
 @settings(max_examples=60, deadline=None)
