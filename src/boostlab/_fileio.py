@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import errno
 import os
-import secrets
 from contextlib import contextmanager, suppress
 from pathlib import Path
 
@@ -19,7 +18,8 @@ def atomic_open(path):
     the temp file: a missing parent directory, or a path that is a directory.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    # what secrets.token_hex(8) returns, without importing secrets, which loads hashlib
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         fh = open(tmp, "x", encoding="utf-8", newline="")
     except OSError as exc:

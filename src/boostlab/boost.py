@@ -53,6 +53,10 @@ from .tree import (
     ObliviousTree,
     Presort,
     RegressionTree,
+    _all,
+    _max,
+    _min,
+    _sum,
     fit_oblivious_tree,
     fit_regression_tree,
     fit_stump,
@@ -171,12 +175,12 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
 
 
 def _check_two_classes(data: Dataset):
-    if data.labels.min() == data.labels.max():
+    if _min(data.labels) == _max(data.labels):
         raise SingleClassDataset("training data contains a single class")
 
 
 def _base_score(labels: np.ndarray) -> float:
-    pos = int(labels.sum())
+    pos = int(_sum(labels))
     return math.log(pos / (labels.size - pos))
 
 
@@ -222,7 +226,7 @@ def fit_adaboost(train: Dataset, params: BoostParams | None = None) -> TreeEnsem
         if eps <= 0.0:
             break
         w = w * np.exp(-alpha * y * pred)
-        w = w / w.sum()
+        w = w / _sum(w)
     return TreeEnsemble("adaboost", 0.0, trees, train.schema, params)
 
 
@@ -362,7 +366,7 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
         h = np.ones_like(p) if algorithm == "gbm" else p * (1.0 - p)
         tree = grow(X, g, h, kinds, presort=presort, fitted=fitted)
         F = F + params.learning_rate * fitted
-        if not np.isfinite(F).all():
+        if not _all(np.isfinite(F)):
             raise NonFiniteScores(
                 f"{algorithm}: training raw scores are not finite after round {len(trees) + 1}"
                 f" at learning_rate {params.learning_rate!r}"

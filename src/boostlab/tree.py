@@ -80,6 +80,9 @@ bincounts and np.add.at in a fixed row order, and np.sum's pairwise sum of a
 That pairwise sum is kept on the 1-D array it has always been taken on: a
 reduction along an axis of a 2-D array (at[:, rows].sum(axis=1) for
 a[rows].sum()) groups the additions differently and moves results by an ulp.
+The loops take it, and every other reduction, by the ufunc method (_sum is
+np.add.reduce, the loop ndarray.sum runs): numpy's Python wrappers around the
+C calls would be half the Python calls of a paper-preset CatBoost fit.
 A sequential sum waits for each addition before the next, so the searches
 run such sums side by side without changing their order: the gradient and
 hessian sums as the parts of complex pairs (_pair), and the sums of a bincount
@@ -123,6 +126,15 @@ _TIE_TOL = 1e-9
 # and a model file may not exceed it, so a lookup of 2**levels leaves stays small.
 MAX_OBLIVIOUS_DEPTH = 16
 
+# The C reductions that ndarray.sum/min/max/any/all reach through a Python
+# function of numpy's (_methods.py): the fit loops call them directly, and
+# pass axis=None where the method's default flattens an array of several axes.
+_sum = np.add.reduce
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
+
 
 @dataclass
 class RegressionTree:
@@ -140,7 +152,7 @@ class RegressionTree:
     n_features: int
 
     def leaves(self) -> np.ndarray:
-        return np.flatnonzero(self.feature < 0)
+        return (self.feature < 0).nonzero()[0]
 
     def tests(self) -> list[tuple]:
         """The (feature, threshold, missing_left) test of each split node, in pre-order."""
@@ -152,17 +164,20 @@ class RegressionTree:
         tests(). Each row's leaf is found bottom-up as an integer node code:
         a leaf's code is its index, and the split nodes in reverse pre-order,
         so children before parents, each take per row lo + went_right * (hi -
-        lo) of their children's codes. value is then gathered once. Codes are
-        int32. A tree of one leaf gives its value as a scalar."""
-        code = list(np.arange(self.feature.size, dtype=np.int32))  # a leaf's code is its index
+        lo) of their children's codes, in the narrowest unsigned type that
+        holds every node index (uint8 up to 255 nodes); hi - lo is positive,
+        as a left subtree precedes its right sibling. value is then gathered
+        once, by an intp index. A tree of one leaf gives its value as a scalar."""
+        width = np.min_scalar_type(self.feature.size)
+        code = list(np.arange(self.feature.size, dtype=width))  # a leaf's code is its index
         lo, hi = self.left.tolist(), self.right.tolist()
-        for i, k in zip(reversed(np.flatnonzero(self.feature >= 0).tolist()), reversed(path)):
+        for i, k in zip(reversed((self.feature >= 0).nonzero()[0].tolist()), reversed(path)):
             a, b = code[lo[i]], code[hi[i]]
-            # dtype= keeps the codes wide: numpy 1 would narrow a product with a scalar by its value
-            code[i] = np.multiply(right[k], b - a, dtype=np.int32)
+            # dtype= keeps the codes in width: numpy 1 would type a product with a scalar by its value
+            code[i] = np.multiply(right[k], b - a, dtype=width)
             code[i] += a
             code[lo[i]] = code[hi[i]] = None  # read once; dropped to bound the live arrays
-        return self.value[code[0]]
+        return self.value[code[0].astype(np.intp)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Each row's leaf value, by predict_trees: -0.0 + v and 1.0 * v are v
@@ -344,7 +359,7 @@ def _fit_inputs(X, learner: str, names: str, values, mass) -> tuple[np.ndarray, 
     vectors = tuple(np.asarray(v, dtype=np.float64) for v in (values, mass))
     if any(v.shape != (X.shape[0],) for v in vectors):
         raise ValueError(f"{names} must match the row count")
-    if not ((vectors[1] >= 0) & (vectors[1] < np.inf)).all():  # NaN too
+    if not _all((vectors[1] >= 0) & (vectors[1] < np.inf)):  # NaN too
         raise ValueError(f"{names.split(' and ')[1]} must be non-negative and finite")
     return (X, *vectors)
 
@@ -389,14 +404,14 @@ class Presort:
             raise ValueError("X must be 2-D")
         n, d = X.shape
         self.categorical = _categorical(kinds, d)
-        self.order = np.argsort(X.T, axis=1, kind="stable")  # NaN sorts last
+        self.order = X.T.argsort(axis=1, kind="stable")  # NaN sorts last
         self.values = np.take_along_axis(X.T, self.order, axis=1)
-        self.n_observed = n - np.isnan(X).sum(axis=0)
-        n_thresholds = np.count_nonzero(self.values[:, :-1] < self.values[:, 1:], axis=1)
-        self.swept = np.flatnonzero(~self.categorical & (n_thresholds > 1))
+        self.n_observed = n - _sum(np.isnan(X), axis=0)
+        n_thresholds = _sum(self.values[:, :-1] < self.values[:, 1:], axis=1, dtype=np.intp)
+        self.swept = (~self.categorical & (n_thresholds > 1)).nonzero()[0]
         self.block = self.order[self.swept]
         self.swept_cells = X.T[self.swept]
-        self.single = np.flatnonzero(~self.categorical & (n_thresholds == 1))
+        self.single = (~self.categorical & (n_thresholds == 1)).nonzero()[0]
         lo = self.values[self.single, 0]  # a single threshold lies above the least value
         hi = np.array([v[v > v[0]][0] for v in self.values[self.single]])
         self.single_threshold = _midpoints(lo, hi)
@@ -407,7 +422,7 @@ class Presort:
             3 * np.arange(self.single.size) + np.where(np.isnan(cells), 2, cells > self.single_threshold)
         )
         self.cat_levels = []
-        for j in np.flatnonzero(self.categorical):
+        for j in self.categorical.nonzero()[0]:
             observed = self.values[j, : self.n_observed[j]]
             first = np.ones(observed.size, dtype=bool)  # the first of each run of equal values
             np.not_equal(observed[1:], observed[:-1], out=first[1:])
@@ -454,7 +469,7 @@ def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
         return Presort(X, kinds)
     if presort.X.shape != X.shape:
         raise ValueError(f"presort is of a {presort.X.shape} matrix, X is {X.shape}")
-    if not np.array_equal(presort.categorical, _categorical(kinds, X.shape[1])):
+    if _any(presort.categorical != _categorical(kinds, X.shape[1])):  # both of X's width, checked above
         raise ValueError("presort was built with other categorical columns than kinds marks")
     return presort
 
@@ -489,12 +504,12 @@ class _Node:
 
         # swept columns: a candidate between each two distinct neighbours of a
         # block row (False next to NaN), at its flat place in the block
-        values = np.take(presort.swept_cells, block + presort.X.shape[0] * np.arange(len(block))[:, None])
+        values = presort.swept_cells.take(block + presort.X.shape[0] * np.arange(len(block))[:, None])
         between = values[:, :-1] < values[:, 1:]
-        row = np.repeat(np.arange(len(block)), np.count_nonzero(between, axis=1))
-        self.swept_at = np.flatnonzero(between) + row  # a row of between is one shorter
-        n_observed = m - np.count_nonzero(np.isnan(values), axis=1)
-        for r in np.flatnonzero(n_observed < m):
+        row = np.arange(len(block)).repeat(_sum(between, axis=1, dtype=np.intp))
+        self.swept_at = between.ravel().nonzero()[0] + row  # a row of between is one shorter
+        n_observed = m - _sum(np.isnan(values), axis=1, dtype=np.intp)
+        for r in (n_observed < m).nonzero()[0]:
             missing_col.append(presort.swept[r])
             missing_rows.append(block[r, n_observed[r] :])
 
@@ -502,10 +517,10 @@ class _Node:
         s = presort.single.size
         code = presort.single_code[idx]
         count = np.bincount(code.reshape(-1), minlength=3 * s).reshape(s, 3)
-        offered = np.flatnonzero((count[:, 0] > 0) & (count[:, 1] > 0))
+        offered = ((count[:, 0] > 0) & (count[:, 1] > 0)).nonzero()[0]
         self.n_single = n = offered.size
         # the offered columns' left rows, row by row (see the module docstring)
-        at = np.flatnonzero(code[:, offered] == 3 * offered)  # place * n + candidate
+        at = (code[:, offered] == 3 * offered).ravel().nonzero()[0]  # place * n + candidate
         place = at // n  # empty for n = 0
         self.single_rows = idx[place]
         self.single_cell = (at - place * n).astype(np.min_scalar_type(n))
@@ -519,12 +534,12 @@ class _Node:
             col = column[idx]
             for v in column_levels:
                 in_level = col == v
-                if in_level.any():
+                if _any(in_level):
                     cat_cols.append(j)
                     levels.append(v)
                     level_rows.append(idx[in_level])
             skipped = np.isnan(col)
-            if skipped.any():
+            if _any(skipped):
                 missing_col.append(j)
                 missing_rows.append(idx[skipped])
 
@@ -558,15 +573,15 @@ class _Node:
         statistics as complex pairs, and np.add.at the left rows row by row
         (see the module docstring).
         """
-        swept = np.take(gh, self.block)
-        swept = np.cumsum(swept, axis=1, out=swept).reshape(-1)[self.swept_at]
+        swept = gh.take(self.block)
+        swept = swept.cumsum(axis=1, out=swept).reshape(-1)[self.swept_at]
         single = np.zeros(self.n_single, dtype=complex)
         np.add.at(single, self.single_cell.astype(np.intp), gh[self.single_rows])  # faster on intp
         both = np.concatenate([swept, single])
-        sums = np.array([[s[rows].sum() for rows in self.sum_rows] for s in (g, h)]).reshape(2, -1)
+        sums = np.array([[_sum(s[rows]) for rows in self.sum_rows] for s in (g, h)]).reshape(2, -1)
         left = np.concatenate([[both.real, both.imag], sums[:, : self.n_levels]], axis=1)
         missing = np.concatenate([sums[:, self.n_levels :], np.zeros((2, 1))], axis=1)
-        return left, np.take(missing, self.missing_where[self.col], axis=1)
+        return left, missing.take(self.missing_where[self.col], axis=1)
 
     def threshold(self, presort: Presort, c: int):
         """Candidate c's threshold as a split test stores it, computed for c alone."""
@@ -611,13 +626,13 @@ def fit_stump(
     _TIE_TOL, since both orientations are searched.
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
-    if not np.isin(y, (-1, 1)).all():
+    if not _all((y == -1) | (y == 1)):
         raise ValueError("labels must be -1 or +1")
     d = X.shape[1]
 
     presort = _presorted(X, kinds, presort)
-    w_pos = float(w[y == 1].sum())
-    w_neg = float(w[y == -1].sum())
+    w_pos = float(_sum(w[y == 1]))
+    w_neg = float(_sum(w[y == -1]))
 
     def constant():
         c = 1 if w_pos >= w_neg else -1
@@ -634,8 +649,8 @@ def fit_stump(
     left = []  # each candidate's sums over its left rows, the swept ones' then the masked ones'
     for s in stats:
         masked = np.bincount(cand.left_of, weights=s[cand.left_rows], minlength=cand.n_masked)
-        left.append(np.concatenate([np.cumsum(s[cand.by_value], axis=1).ravel()[cand.reads], masked]))
-    total = stats.sum(axis=1)
+        left.append(np.concatenate([s[cand.by_value].cumsum(axis=1).ravel()[cand.reads], masked]))
+    total = _sum(stats, axis=1)
     errs = np.stack([left[0] + total[1] - left[1], left[1] + total[0] - left[0]], axis=1)  # per orientation
     if errs.size == 0:
         return constant()
@@ -645,7 +660,7 @@ def fit_stump(
     right = _went_right(presort.X[:, f], thr, missing_left=True)
     if fitted is not None:
         fitted[:] = np.where(right, rc, lc)
-    return _stump(((f, thr),), (lc, rc), d), float(w[np.where(right, wrong[rc], wrong[lc])].sum())
+    return _stump(((f, thr),), (lc, rc), d), float(_sum(w[np.where(right, wrong[rc], wrong[lc])]))
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
@@ -680,7 +695,7 @@ def _safe_score(G: np.ndarray, H: np.ndarray, lam: float) -> np.ndarray:
     masked divide, with 0 there."""
     denom = H + lam
     out = G * G
-    if denom.min(initial=np.inf) > 0:  # NaN is not, nor is a NaN minimum
+    if _min(denom, axis=None, initial=np.inf) > 0:  # NaN is not, nor is a NaN minimum
         out /= denom
         return out
     positive = denom > 0
@@ -697,9 +712,9 @@ def _first_best(scores: np.ndarray, col: np.ndarray, tol: float = 0.0) -> tuple[
     contiguous and in enumeration order, so the earliest is of the least
     column, then at the least flat position."""
     flat = scores.reshape(-1)
-    best = flat.max()
-    tied = np.flatnonzero(np.isnan(flat) if np.isnan(best) else flat >= best - tol)
-    return divmod(int(tied[np.argmin(col[tied // scores.shape[1]])]), scores.shape[1])
+    best = _max(flat)
+    tied = (np.isnan(flat) if np.isnan(best) else flat >= best - tol).nonzero()[0]
+    return divmod(int(tied[col[tied // scores.shape[1]].argmin()]), scores.shape[1])
 
 
 def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_child_weight, reg_lambda, gamma):
@@ -714,7 +729,7 @@ def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_ch
     np.add(left, missing, out=sums[0, :, :, 0])
     sums[0, :, :, 1] = left
     np.subtract(np.array([G, H])[:, None, None], sums[0], out=sums[1])
-    valid = (sums[:, 1] >= min_child_weight).all(axis=0)
+    valid = _all(sums[:, 1] >= min_child_weight, axis=0)
     denom = H + reg_lambda
     parent = G * G / denom if denom > 0 else 0.0
     both = _safe_score(sums[:, 0], sums[:, 1], reg_lambda)
@@ -723,7 +738,7 @@ def _node_split(presort: Presort, node: _Node, stats, G: float, H: float, min_ch
     score *= 0.5
     score -= gamma
     gains = np.where(valid, score, -np.inf)  # (candidate, direction)
-    if not (gains > 0).any():
+    if not _any(gains > 0, axis=None):
         return None
     c, di = _first_best(gains, col)
     return int(col[c]), node.threshold(presort, c), di == 0
@@ -797,8 +812,8 @@ def fit_regression_tree(
         path, node, depth = item
         leaf = isinstance(node, np.ndarray)
         idx = node if leaf else node.idx
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
+        G = float(_sum(g[idx]))
+        H = float(_sum(h[idx]))
         denom = H + reg_lambda
         value = -G / denom if denom > 0 else 0.0
         split = None if leaf else _node_split(presort, node, stats, G, H, min_child_weight, reg_lambda, gamma)
@@ -835,7 +850,7 @@ class _LevelCandidates:
         n = presort.X.shape[0]
         swept, n_observed = presort.swept, presort.n_observed[presort.swept]
         values = presort.values[swept]
-        r, end = np.nonzero(values[:, :-1] < values[:, 1:])  # False next to NaN
+        r, end = (values[:, :-1] < values[:, 1:]).nonzero()  # False next to NaN
         rotate = (np.arange(n) + n_observed[:, None]) % n  # the missing rows first
         self.by_value = np.take_along_axis(presort.order[swept], rotate, axis=1)
         self.reads = r * n + n - n_observed[r] + end
@@ -845,7 +860,7 @@ class _LevelCandidates:
         self.n_masked = len(masked)
         self.features = np.concatenate([swept[r], np.array([f for f, _, _ in masked], dtype=np.int64)])
         self.thresholds = _midpoints(values[r, end], values[r, end + 1]).tolist() + [t for _, t, _ in masked]
-        self.left_rows, self.left_of = np.nonzero(~_split_bits(masked, presort.X.T).T)
+        self.left_rows, self.left_of = (~_split_bits(masked, presort.X.T).T).nonzero()
 
     def positions(self, bucket: np.ndarray) -> np.ndarray:
         """The flat positions of the swept rows in (bucket, value, row) order,
@@ -855,7 +870,7 @@ class _LevelCandidates:
         The ids are uint16 (at most 2**MAX_OBLIVIOUS_DEPTH buckets), which
         numpy sorts by radix."""
         key = bucket.astype(np.uint16)
-        at = np.argsort(key[self.by_value], axis=1, kind="stable")
+        at = key[self.by_value].argsort(axis=1, kind="stable")
         at += self.offset
         return at
 
@@ -869,14 +884,14 @@ class _LevelCandidates:
         buckets. The sums of g and of h, and then the changes and the flag
         changes, are pairs of one complex cumsum each (see _pair); a count of
         +1 and -1 is exact in a float."""
-        pos = np.repeat(np.arange(size.size), size)  # the bucket at each position
+        pos = np.arange(size.size).repeat(size)  # the bucket at each position
         end = start + size - 1
         # a bucket's sums up to each position: the running sum minus the sums
         # of the buckets before it; then, in the same array, the sums right
         # of each position
         Gbh = _pair(Gb, Hb)
         sums = gh[at]
-        np.cumsum(sums, axis=1, out=sums)
+        sums.cumsum(axis=1, out=sums)
         sums -= (Gbh.cumsum() - Gbh)[pos]
         term = _safe_score(sums.real, sums.imag, reg_lambda)
         np.subtract(Gbh[pos], sums, out=sums)
@@ -893,7 +908,7 @@ class _LevelCandidates:
         moved.imag[at[:, start[two]]] = 1.0
         moved.imag[at[:, end[two]]] = -1.0
         moved = moved.reshape(at.shape)
-        moved = np.cumsum(moved, axis=1, out=moved).reshape(-1)[self.reads]
+        moved = moved.cumsum(axis=1, out=moved).reshape(-1)[self.reads]
         gains = moved.real * 0.5
         return gains, moved.imag > 0
 
@@ -951,11 +966,11 @@ def fit_oblivious_tree(
     levels: list[tuple[int, float | frozenset[int]]] = []
     for _ in range(min(depth, MAX_OBLIVIOUS_DEPTH)):
         B = size.size
-        start = np.cumsum(size) - size
+        start = size.cumsum() - size
         Gb = np.bincount(bucket, weights=g, minlength=B)
         Hb = np.bincount(bucket, weights=h, minlength=B)
         parent_b = _safe_score(Gb, Hb, reg_lambda)
-        parent = float(parent_b.sum())
+        parent = float(_sum(parent_b))
         gains, splits = candidates.gains(
             swept_gh, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
         )
@@ -966,13 +981,13 @@ def fit_oblivious_tree(
             )
             child = _safe_score(GL, HL, reg_lambda)
             child += _safe_score(np.subtract(Gb, GL, out=GL), np.subtract(Hb, HL, out=HL), reg_lambda)
-            child = child.sum(axis=1)
+            child = _sum(child, axis=1)
             child -= parent
             child *= 0.5
             gains = np.concatenate([gains, child])
-            splits = np.concatenate([splits, ((CL > 0) & (CL < size)).any(axis=1)])
+            splits = np.concatenate([splits, _any((CL > 0) & (CL < size), axis=1)])
         gains = np.where(splits, gains, -np.inf)  # a candidate that splits no bucket does not count
-        best = gains.max(initial=-np.inf)
+        best = _max(gains, initial=-np.inf)
         tol = _TIE_TOL * (1.0 + abs(parent))
         if not best > 0 or np.isnan(best - tol):  # NaN: sums past the float range
             break
@@ -985,7 +1000,7 @@ def fit_oblivious_tree(
         count = np.bincount(split_bucket)
         occupied = count > 0
         size = count[occupied]
-        bucket = (np.cumsum(occupied) - 1)[split_bucket]
+        bucket = (occupied.cumsum() - 1)[split_bucket]
 
     leaf_ids = np.empty(size.size, dtype=np.int64)  # bucket ranks the occupied leaves
     leaf_ids[bucket] = leaf

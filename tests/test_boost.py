@@ -1,5 +1,8 @@
 import json
+import linecache
 import math
+import os
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -8,6 +11,7 @@ import pytest
 
 from boostlab.bench import PAPER_PRESET_N, PAPER_PRESET_SIGNAL
 from boostlab.boost import (
+    ALGORITHMS,
     BoostParams,
     TreeEnsemble,
     _fit_ensemble,
@@ -446,6 +450,41 @@ class TestPredictInterface:
         model = fit("gbm", data, replace(default_params("gbm"), n_rounds=2))
         with pytest.raises(SchemaMismatch):
             predict_scores(model, other)
+
+
+# numpy's Python functions in front of its C reductions and of ndarray methods
+# (in numpy/_core/ since numpy 2, numpy/core/ before)
+NUMPY_WRAPPERS = ("fromnumeric.py", "_methods.py")
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_fit_and_scoring_enter_no_numpy_wrapper(algorithm):
+    """A fit and its scoring call numpy's C reductions and ndarray methods
+    directly, not through numpy's Python wrappers, each a frame per call. A
+    5-round fit (CatBoost at depth 6) on 80 rows with missing cells and a
+    categorical column, and its predict_scores, run under a profiler that
+    names the boostlab line each wrapper frame was entered from. The one
+    line allowed is CatBoost's draw of its permutation: numpy's compiled
+    Generator.permutation calls np.ndim itself."""
+    data = synthesize(pcos_default_schema(), 80, 5, 2.0, missing_rate=0.1)
+    params = replace(default_params(algorithm), n_rounds=5)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call" and os.path.basename(frame.f_code.co_filename) in NUMPY_WRAPPERS:
+            caller = frame.f_back
+            while not caller.f_globals.get("__name__", "").startswith("boostlab."):
+                caller = caller.f_back
+            line = linecache.getline(caller.f_code.co_filename, caller.f_lineno).strip()
+            entered.append(f"{frame.f_code.co_name} from {caller.f_code.co_name}: {line}")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        predict_scores(fit(algorithm, data, params), data)
+    finally:
+        sys.setprofile(previous)
+    assert [e for e in entered if ".permutation(" not in e] == []
 
 
 class TestSerialization:

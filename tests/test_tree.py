@@ -1034,13 +1034,17 @@ def bit_string_predict(tree: ObliviousTree, X: np.ndarray) -> tuple[list[int], n
 
 
 class TestScorerBoundaries:
-    @pytest.mark.parametrize("n_nodes", [32_767, 32_769])  # either side of what 16-bit node codes hold
+    # either side of the node counts that 8-bit and 16-bit unsigned node codes
+    # hold (255 and 65 535), and that a signed 16-bit code would (32 767)
+    @pytest.mark.parametrize("n_nodes", [255, 257, 32_767, 32_769, 65_535, 65_537])
     def test_chain_regression_tree_against_the_per_node_oracle(self, n_nodes):
-        tree = chain_tree((n_nodes - 1) // 2)
+        n_splits = (n_nodes - 1) // 2
+        tree = chain_tree(n_splits)
         assert tree.feature.size == n_nodes
         rng = np.random.default_rng(4)
+        last = n_splits - 1  # the last split's threshold: at most last reaches its left leaf, above the last leaf
         X = np.concatenate(
-            [[-1.0, np.nan, 0.0, -0.0, 1.0, 16_382.0, 16_382.5, 16_383.0, 16_384.0, math.inf, -math.inf],
+            [[-1.0, np.nan, 0.0, -0.0, 1.0, last - 1.0, last - 0.5, last, last + 0.5, math.inf, -math.inf],
              rng.uniform(-2, n_nodes // 2 + 2, 200).round(1)]
         )[:, None]
         got = predict_trees([tree], X, 0.25, 0.5)
