@@ -19,12 +19,12 @@ The child sends back each of its jobs' training accuracy and test scores,
 or the exception the job raised, pickled over a second pipe; no model
 crosses it. The caller drains the queue alone when os.fork or
 os.sched_getaffinity is missing, when the process may run on one CPU only,
-or when it runs more than one thread, since forking a threaded process is
-unsafe. Metrics and report files then run in the caller in ALGORITHMS
-order, and the first algorithm whose job failed raises its error, so the
-error is the one a serial loop would raise, whichever process ran it. The
-child is reaped before run_benchmark returns or raises; on
-KeyboardInterrupt or SystemExit it is killed first.
+when it runs more than one thread, since forking a threaded process is
+unsafe, or when os.fork fails (EAGAIN or ENOMEM). Metrics and report files
+then run in the caller in ALGORITHMS order, and the first algorithm whose
+job failed raises its error, so the error is the one a serial loop would
+raise, whichever process ran it. The child is reaped before run_benchmark
+returns or raises; on KeyboardInterrupt or SystemExit it is killed first.
 """
 
 from __future__ import annotations
@@ -190,9 +190,9 @@ def _can_fork() -> bool:
 def _run_all(train: Dataset, test: Dataset, params: dict[str, BoostParams]) -> dict:
     """Every job's outcome, as _run_jobs gives it. The caller keeps the
     first job of JOB_ORDER and then claims from the queue, which holds the
-    rest, beside a forked child when _can_fork(), else alone. The queue's
-    write end is closed before the fork: were the child to keep a copy, its
-    last read would never see the end of the pipe."""
+    rest, beside a forked child when _can_fork() and os.fork succeeds, else
+    alone. The queue's write end is closed before the fork: were the child
+    to keep a copy, its last read would never see the end of the pipe."""
     claims, queue = os.pipe()
     try:
         os.write(queue, bytes(range(1, len(JOB_ORDER))))
@@ -203,7 +203,12 @@ def _run_all(train: Dataset, test: Dataset, params: dict[str, BoostParams]) -> d
         if not _can_fork():
             return _run_jobs(caller_jobs, train, test, params)
         read_fd, write_fd = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN or ENOMEM: no child, so the caller runs every job
+            os.close(read_fd)
+            os.close(write_fd)
+            return _run_jobs(caller_jobs, train, test, params)
         if pid == 0:
             _run_in_child(claims, write_fd, train, test, params)
         os.close(write_fd)

@@ -45,8 +45,8 @@ from functools import partial
 import numpy as np
 
 from ._fields import as_index, as_number
-from ._fileio import atomic_open
-from .dataset import Dataset, FeatureKind, FeatureSchema
+from ._fileio import atomic_write_text
+from .dataset import NUMERIC, Dataset, FeatureKind, FeatureSchema
 from .errors import MalformedModel, NonFiniteScores, SchemaMismatch, SingleClassDataset
 from .metrics import check_threshold, labels_at
 from .tree import (
@@ -518,18 +518,12 @@ def model_from_dict(d: dict) -> TreeEnsemble:
             _check_encodings(encodings, schema)
         if not isinstance(d["trees"], list):
             raise MalformedModel("trees must be a list")
-        width = _encoded_width(schema, encodings)
-        trees = [tree_from_dict(t, width) for t in d["trees"]]
+        # CatBoost's trees split its encoded matrix, whose columns are all numbers
+        kinds = (NUMERIC,) * _encoded_width(schema, encodings) if encodings else schema.kinds
+        trees = [tree_from_dict(t, kinds) for t in d["trees"]]
         kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
         if not all(isinstance(t, kind) for t in trees):
             raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")
-        # CatBoost's trees split its encoded matrix, whose columns are all numbers
-        categorical = [False] * width if encodings else [k.is_categorical for k in schema.kinds]
-        for t in trees:
-            for f, thr, _ in t.tests():
-                if isinstance(thr, frozenset) != categorical[f]:
-                    takes = "a level set" if categorical[f] else "a number"
-                    raise MalformedModel(f"a split on column {f} must test {takes}")
         base = as_number(d["base_score"], "base_score")
         return TreeEnsemble(algorithm, base, trees, schema, params, encodings)
     except KeyError as exc:
@@ -543,8 +537,7 @@ def save_model(model: TreeEnsemble, path) -> None:
     file. A number that is not finite, which load_model would reject, is a
     ValueError, raised before any file is opened."""
     text = json.dumps(model_to_dict(model), separators=(",", ":"), allow_nan=False) + "\n"
-    with atomic_open(path) as fh:
-        fh.write(text)
+    atomic_write_text(path, text)
 
 
 def load_model(path):

@@ -14,10 +14,10 @@ compare runs its four fit-and-score jobs as bench.run_benchmark does:
 this process and one forked child share them through a claim queue,
 longest fit first, with CatBoost in this process; or this process runs all
 four when os.fork or os.sched_getaffinity is missing, the process may run
-on one CPU only, or another thread runs. The report files are the same
-either way. When jobs fail, the error reported is that of the earliest
-failing algorithm in ALGORITHMS order, whichever process ran it, and no
-child outlives the command.
+on one CPU only, another thread runs, or os.fork fails. The report files
+are the same either way. When jobs fail, the error reported is that of the
+earliest failing algorithm in ALGORITHMS order, whichever process ran it,
+and no child outlives the command.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
 unknown or missing flag, a value BoostParams, SplitSpec or SyntheticSpec

@@ -1019,12 +1019,19 @@ def _threshold_to_json(thr):
     return float(thr)
 
 
-def _threshold_from_json(obj):
-    if isinstance(obj, dict):
-        if not isinstance(obj["levels"], list):
-            raise MalformedModel("categorical levels must be a list")
-        return frozenset(as_index(v, math.inf, "categorical level") for v in obj["levels"])
-    return as_number(obj, "threshold")
+def _split_from_json(entry: dict, kinds: tuple[FeatureKind, ...]) -> tuple:
+    """The column and threshold of a split entry. The column's kind says the
+    test: a level set on a categorical column, a number on any other."""
+    f = as_index(entry["feature_index"], len(kinds))
+    obj = entry["threshold"]
+    if isinstance(obj, dict) != kinds[f].is_categorical:
+        takes = "a level set" if kinds[f].is_categorical else "a number"
+        raise MalformedModel(f"a split on column {f} must test {takes}")
+    if not kinds[f].is_categorical:
+        return f, as_number(obj, "threshold")
+    if not isinstance(obj["levels"], list):
+        raise MalformedModel("categorical levels must be a list")
+    return f, frozenset(as_index(v, math.inf, "categorical level") for v in obj["levels"])
 
 
 def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
@@ -1057,9 +1064,10 @@ def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
     raise TypeError(f"not a serializable tree: {type(tree)!r}")
 
 
-def tree_from_dict(d: dict, n_features: int) -> RegressionTree | ObliviousTree:
-    """Rebuild a tree that reads an n_features-column matrix; a tree that
-    records another width or splits outside [0, n_features) is MalformedModel.
+def tree_from_dict(d: dict, kinds: tuple[FeatureKind, ...]) -> RegressionTree | ObliviousTree:
+    """Rebuild a tree that reads a matrix of columns of these kinds; a tree
+    that records another width, splits outside [0, len(kinds)) or tests a
+    column as another kind (see _split_from_json) is MalformedModel.
     Regression nodes are renumbered into pre-order from node 0, so any layout
     loads; a child index that is not a node, or a node reached twice, is not.
     An oblivious tree's leaves are dropped where their value is zero.
@@ -1067,6 +1075,7 @@ def tree_from_dict(d: dict, n_features: int) -> RegressionTree | ObliviousTree:
     kind = d["kind"]
     if kind not in ("regression", "oblivious"):
         raise MalformedModel(f"unknown tree kind {kind!r}")
+    n_features = len(kinds)
     if as_index(d["n_features"], math.inf, "n_features") != n_features:
         raise MalformedModel(f"{kind} tree reads {d['n_features']!r} columns, not {n_features}")
 
@@ -1082,16 +1091,12 @@ def tree_from_dict(d: dict, n_features: int) -> RegressionTree | ObliviousTree:
             entry = entries[j]
             if "value" in entry:  # the gradient and hessian sums of older files are ignored
                 return as_number(entry["value"], "value"), None
-            f = as_index(entry["feature_index"], n_features)
-            thr = _threshold_from_json(entry["threshold"])
+            f, thr = _split_from_json(entry, kinds)
             direction = one_of(entry["default_direction"], ("left", "right"), "default_direction")
             return 0.0, (f, thr, direction == "left"), entry["right"], entry["left"]
 
         return _preorder_tree(0, expand, n_features)
-    levels = tuple(
-        (as_index(lv["feature_index"], n_features), _threshold_from_json(lv["threshold"]))
-        for lv in d["levels"]
-    )
+    levels = tuple(_split_from_json(lv, kinds) for lv in d["levels"])
     if len(levels) > MAX_OBLIVIOUS_DEPTH:
         raise MalformedModel(f"an oblivious tree of {len(levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
     index = [as_index(i, 1 << len(levels), "leaf_index") for i in d["leaf_index"]]

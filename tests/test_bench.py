@@ -1,6 +1,7 @@
 """bench.py called directly: the paper preset, config validation, the result
 tables and an in-memory run. The CLI tests cover compare end to end."""
 
+import errno
 import json
 import os
 import threading
@@ -146,7 +147,11 @@ def fit_failing(*failing):
     return fit
 
 
-@pytest.mark.parametrize("serial", ["one CPU", "no sched_getaffinity", "no fork", "another thread"])
+def fork_fails():
+    raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("serial", ["one CPU", "no sched_getaffinity", "no fork", "another thread", "fork fails"])
 def test_serial_runs_write_what_the_forked_run_writes(tmp_path, monkeypatch, forks, serial):
     run_benchmark(small_config(), tmp_path / "forked")
     assert len(forks) == 1
@@ -157,6 +162,17 @@ def test_serial_runs_write_what_the_forked_run_writes(tmp_path, monkeypatch, for
         monkeypatch.delattr(os, "sched_getaffinity")
     elif serial == "no fork":
         monkeypatch.delattr(os, "fork")
+    elif serial == "fork fails":
+        monkeypatch.setattr(os, "fork", fork_fails)
+    pipe_fds = []
+    pipe = os.pipe
+
+    def recorded_pipe():
+        fds = pipe()
+        pipe_fds.extend(fds)
+        return fds
+
+    monkeypatch.setattr(os, "pipe", recorded_pipe)
     stop = threading.Event()
     thread = threading.Thread(target=stop.wait) if serial == "another thread" else None
     if thread is not None:
@@ -169,6 +185,9 @@ def test_serial_runs_write_what_the_forked_run_writes(tmp_path, monkeypatch, for
             thread.join(timeout=10)
     assert thread is None or not thread.is_alive()
     assert len(forks) == 1
+    for fd in pipe_fds:  # the serial run leaks no end of its pipes
+        with pytest.raises(OSError, match="Bad file descriptor"):
+            os.fstat(fd)
     assert report_files(tmp_path / "serial") == report_files(tmp_path / "forked")
     assert list(report_files(tmp_path / "forked")["report.json"]["algorithms"]) == list(ALGORITHMS)
 

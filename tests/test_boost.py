@@ -545,7 +545,7 @@ class TestSerialization:
         tree.value[tree.leaves()[0]] = bad
         path = tmp_path / "model.json"
         opened = AssertionError("save_model opened a file")
-        with mock.patch("boostlab.boost.atomic_open", side_effect=opened):
+        with mock.patch("boostlab.boost.atomic_write_text", side_effect=opened):
             with pytest.raises(ValueError, match="JSON compliant"):
                 save_model(model, path)
         assert list(tmp_path.iterdir()) == []
@@ -685,6 +685,8 @@ class TestMalformedModel:
             pytest.param("gbm", ("trees", 0), STUMP, id="gbm-stump"),
             pytest.param("catboost", ("trees", 0), STUMP, id="catboost-stump"),
             pytest.param("adaboost", ("trees", 0), STUMP, id="adaboost-stump"),
+            # CatBoost's trees split its encoded matrix, where column 11 holds numbers
+            ("catboost", ("trees", 0, "levels", 0), {"feature_index": 11, "threshold": {"levels": [0]}}),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):

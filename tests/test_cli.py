@@ -815,12 +815,18 @@ def test_compare_creates_out_before_the_fits(tmp_path, capsys, monkeypatch):
     assert target.read_text() == "a file\n"
 
 
-@pytest.mark.parametrize("where", ["missing-parent", "directory"])
+@pytest.mark.parametrize("where", ["missing-parent", "directory", "."])
 @pytest.mark.parametrize("flag", ["--model-out", "--scores-out", "synth --out"])
-def test_a_failed_output_write_names_the_given_path(tmp_path, capsys, data_csv, model_file, flag, where):
-    # the message names the path given, not the temp file written beside it
+def test_a_failed_output_write_names_the_given_path(
+    tmp_path, capsys, monkeypatch, data_csv, model_file, flag, where
+):
+    # the message names the path given, not the temp file written beside it;
+    # "." is a directory with no final name to put a temp file beside
     if where == "missing-parent":
         target, parent = tmp_path / "missing" / "out.json", tmp_path / "missing"
+    elif where == ".":
+        monkeypatch.chdir(tmp_path)
+        target, parent = ".", tmp_path
     else:
         target, parent = tmp_path / "out-dir", tmp_path
         target.mkdir()

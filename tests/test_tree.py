@@ -858,7 +858,7 @@ class TestPredictAndSerialize:
         round_tree = _stump_tree(stump, 0.5)
         assert np.array_equal(round_tree.predict(probe), 0.5 * predict_stump(stump, probe))
         for tree in (round_tree, reg, obl):
-            back = tree_from_dict(tree_to_dict(tree), X.shape[1])
+            back = tree_from_dict(tree_to_dict(tree), kinds)
             assert tree_to_dict(back) == tree_to_dict(tree)
             assert np.array_equal(back.predict(probe), tree.predict(probe))
 
@@ -891,7 +891,30 @@ class TestPredictAndSerialize:
     def test_a_stump_is_not_a_tree_kind(self):
         stump = {"kind": "stump", "feature_index": 0, "threshold": 0.5, "left_class": -1, "right_class": 1}
         with pytest.raises(MalformedModel, match="unknown tree kind 'stump'"):
-            tree_from_dict({**stump, "n_features": 1}, 1)
+            tree_from_dict({**stump, "n_features": 1}, (NUMERIC,))
+
+    @pytest.mark.parametrize("kind", ["regression", "oblivious"])
+    @pytest.mark.parametrize(
+        "f, threshold, fitting, loaded, takes",
+        [
+            # column 11 of the default schema is the categorical activity_level, column 0 the numeric age
+            (11, 0.5, {"levels": [0]}, frozenset({0}), "a level set"),
+            (0, {"levels": [0]}, 0.5, 0.5, "a number"),
+        ],
+    )
+    def test_a_split_tests_what_its_column_takes(self, kind, f, threshold, fitting, loaded, takes):
+        kinds = pcos_default_schema().kinds
+
+        def tree(threshold):
+            split = {"feature_index": f, "threshold": threshold}
+            if kind == "oblivious":
+                return {"kind": kind, "n_features": 12, "levels": [split], "leaf_index": [0, 1], "leaf_values": [0.1, -0.1]}
+            node = {**split, "default_direction": "left", "left": 1, "right": 2}
+            return {"kind": kind, "n_features": 12, "nodes": [node, {"value": 0.1}, {"value": -0.1}]}
+
+        with pytest.raises(MalformedModel, match=f"^a split on column {f} must test {takes}$"):
+            tree_from_dict(tree(threshold), kinds)
+        assert tree_from_dict(tree(fitting), kinds).tests()[0][:2] == (f, loaded)
 
     def test_regression_nodes_in_any_order_load_into_pre_order(self):
         rng = np.random.default_rng(9)
@@ -906,7 +929,7 @@ class TestPredictAndSerialize:
         for node in shuffled:
             if "left" in node:
                 node["left"], node["right"] = new[node["left"]], new[node["right"]]
-        back = tree_from_dict({**d, "nodes": shuffled}, 3)
+        back = tree_from_dict({**d, "nodes": shuffled}, (NUMERIC,) * 3)
         assert tree_to_dict(back) == d
         assert np.array_equal(back.predict(X), tree.predict(X))
 
@@ -1015,7 +1038,7 @@ def chain_tree(n_splits: int) -> RegressionTree:
                       "left": 2 * i + 1, "right": 2 * i + 2})
         nodes.append({"value": i + 0.5})
     nodes.append({"value": -1.0})
-    return tree_from_dict({"kind": "regression", "n_features": 1, "nodes": nodes}, 1)
+    return tree_from_dict({"kind": "regression", "n_features": 1, "nodes": nodes}, (NUMERIC,))
 
 
 def bit_string_predict(tree: ObliviousTree, X: np.ndarray) -> tuple[list[int], np.ndarray]:
@@ -1077,7 +1100,7 @@ class TestScorerBoundaries:
 
 class TestPredictRegression:
     def test_a_negative_zero_leaf_keeps_its_sign(self):
-        tree = tree_from_dict({"kind": "regression", "n_features": 1, "nodes": [{"value": -0.0}]}, 1)
+        tree = tree_from_dict({"kind": "regression", "n_features": 1, "nodes": [{"value": -0.0}]}, (NUMERIC,))
         assert np.signbit(tree.predict(np.zeros((3, 1)))).all()
         assert predict_trees([], np.zeros((2, 1)), -0.0, 0.1).tobytes() == np.full(2, -0.0).tobytes()
 
