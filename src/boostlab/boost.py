@@ -24,29 +24,34 @@ load_model raises MalformedModel for bad JSON, a format_version other than
 type (a bool is not a number, a float is not an int, a name must be a
 string), a number that is NaN, infinite or beyond the float range, a value
 outside its set (default_direction "left" or "right"), a split on a column
-the model does not have, a split whose test does not fit its column (a list
-of levels for a categorical column of AdaBoost, GBM or XGBoost, else a
-number; CatBoost's encoded columns all take a number), trees or levels that
-are not lists, a tree of the wrong kind for its algorithm (oblivious for
-AdaBoost and CatBoost, regression for GBM and XGBoost), a bad or repeated
-tree node index, an oblivious tree deeper than 16 levels or whose
-leaf_index is not strictly increasing ints in [0, 2**depth), one per leaf
-value, or a cat_encoding_state other than CatBoost's one encoding per
-categorical column, or null otherwise.
+the model does not have, a split whose test does not fit its column (a
+non-empty list of levels, each in [0, cardinality) of its column, for a
+categorical column of AdaBoost, GBM or XGBoost, else a number; CatBoost's
+encoded columns all take a number), trees or levels that are not lists, a
+tree of the wrong kind for its algorithm (oblivious for AdaBoost and
+CatBoost, regression for GBM and XGBoost), a bad or repeated tree node
+index, an oblivious tree deeper than 16 levels or whose leaf_index is not
+strictly increasing ints in [0, 2**depth), one per leaf value, or a
+cat_encoding_state other than null for AdaBoost, GBM and XGBoost, and for
+CatBoost other than the encodings its schema and params plan
+(_plan_encodings), in column order, with one statistic per level for each
+target encoding.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields, replace
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from ._fields import as_index, as_number
 from ._fileio import atomic_write_text
-from .dataset import NUMERIC, Dataset, FeatureKind, FeatureSchema
+from .dataset import NUMERIC, Dataset, FeatureSchema
 from .errors import MalformedModel, NonFiniteScores, SchemaMismatch, SingleClassDataset
 from .metrics import check_threshold, labels_at
 from .tree import (
@@ -65,7 +70,22 @@ from .tree import (
     tree_to_dict,
 )
 
-ALGORITHMS = ("adaboost", "gbm", "xgboost", "catboost")
+
+class _Algorithm(NamedTuple):
+    """What sets one of ALGORITHMS apart from the others."""
+
+    max_depth: int  # its default
+    paper: dict  # the paper preset's changes to its defaults
+    tree: type  # the kind of tree it fits, and its model file holds
+
+
+_ALGORITHM_TABLE = {
+    "adaboost": _Algorithm(1, {}, ObliviousTree),
+    "gbm": _Algorithm(3, {"learning_rate": 0.01}, RegressionTree),
+    "xgboost": _Algorithm(3, {}, RegressionTree),
+    "catboost": _Algorithm(6, {"max_depth": 16}, ObliviousTree),
+}
+ALGORITHMS = tuple(_ALGORITHM_TABLE)
 
 MODEL_FORMAT_VERSION = 2
 
@@ -108,24 +128,16 @@ class BoostParams:
         check_threshold(self.threshold)
 
 
-_DEPTH_DEFAULTS = {"adaboost": 1, "gbm": 3, "xgboost": 3, "catboost": 6}
-
-
 def default_params(algorithm: str) -> BoostParams:
     """Per-algorithm defaults: stump depth for AdaBoost, 3 for GBM/XGB, 6 for CatBoost."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    return BoostParams(max_depth=_DEPTH_DEFAULTS[algorithm])
+    return BoostParams(max_depth=_ALGORITHM_TABLE[algorithm].max_depth)
 
 
 def paper_preset(algorithm: str) -> BoostParams:
     """Benchmark preset: GBM learning rate 0.01, CatBoost depth 16, seed 42."""
-    params = default_params(algorithm)
-    if algorithm == "gbm":
-        params = replace(params, learning_rate=0.01)
-    if algorithm == "catboost":
-        params = replace(params, max_depth=16)
-    return params
+    return replace(default_params(algorithm), **_ALGORITHM_TABLE[algorithm].paper)
 
 
 @dataclass(frozen=True)
@@ -152,10 +164,6 @@ class TreeEnsemble:
     schema: FeatureSchema
     params: BoostParams
     cat_encoding_state: tuple[CategoricalEncoding, ...] = ()
-
-
-# The algorithms whose trees are oblivious; the others grow regression trees.
-_OBLIVIOUS = ("adaboost", "catboost")
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
@@ -253,30 +261,30 @@ def ordered_target_stats(
     return enc
 
 
-def _full_target_stats(
-    levels: np.ndarray, labels: np.ndarray, cardinality: int, prior: float
-) -> np.ndarray:
-    idx = levels.astype(np.int64)
+def _full_target_stats(train: Dataset, j: int, prior: float) -> tuple[float, ...]:
+    """Column j's code per level over every training row: (label-1 count +
+    prior) / (row count + 1)."""
+    idx = train.values[:, j].astype(np.int64)
+    cardinality = train.schema.kinds[j].cardinality
     counts = np.bincount(idx, minlength=cardinality).astype(np.float64)
-    ones = np.bincount(idx, weights=labels.astype(np.float64), minlength=cardinality)
-    return (ones + prior) / (counts + 1.0)
+    ones = np.bincount(idx, weights=train.labels.astype(np.float64), minlength=cardinality)
+    return tuple(float(s) for s in (ones + prior) / (counts + 1.0))
 
 
-def _plan_encodings(train: Dataset, params: BoostParams) -> tuple[CategoricalEncoding, ...]:
-    encodings = []
-    for j, (_, kind) in enumerate(train.schema.columns):
-        if not kind.is_categorical:
-            continue
-        if kind.cardinality <= params.cat_one_hot_max:
-            encodings.append(CategoricalEncoding(j, "onehot", kind.cardinality))
-        else:
-            stats = _full_target_stats(
-                train.values[:, j], train.labels, kind.cardinality, params.cat_prior
-            )
-            encodings.append(
-                CategoricalEncoding(j, "target", kind.cardinality, tuple(float(s) for s in stats))
-            )
-    return tuple(encodings)
+def _plan_encodings(
+    schema: FeatureSchema, params: BoostParams, stats: Callable[[int], tuple[float, ...] | None]
+) -> tuple[CategoricalEncoding, ...]:
+    """Each categorical column's encoding, in column order: one-hot up to
+    params.cat_one_hot_max levels, else target statistics, stats(j) for
+    column j. The fit gives the training set's statistics, the model reader
+    its file's."""
+    return tuple(
+        CategoricalEncoding(j, "onehot", kind.cardinality)
+        if kind.cardinality <= params.cat_one_hot_max
+        else CategoricalEncoding(j, "target", kind.cardinality, stats(j))
+        for j, kind in enumerate(schema.kinds)
+        if kind.is_categorical
+    )
 
 
 def _encoded_width(schema: FeatureSchema, encodings: tuple[CategoricalEncoding, ...]) -> int:
@@ -346,7 +354,7 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
         gamma=params.gamma,
     )
     if algorithm == "catboost":
-        encodings = _plan_encodings(train, params)
+        encodings = _plan_encodings(train.schema, params, partial(_full_target_stats, train, prior=params.cat_prior))
         permutation = np.random.default_rng(params.seed).permutation(train.n_rows)
         ordered_codes = {
             j: ordered_target_stats(train.values[:, j], train.labels, permutation, params.cat_prior)
@@ -457,22 +465,6 @@ def model_to_dict(model: TreeEnsemble) -> dict:
     }
 
 
-def _check_encodings(encodings: tuple[CategoricalEncoding, ...], schema: FeatureSchema) -> None:
-    """Each categorical column has exactly one encoding, of its cardinality; a
-    target encoding carries one statistic per level, a one-hot one none."""
-    kinds = dict(enumerate(schema.kinds))
-    for e in encodings:
-        if (
-            kinds.pop(e.feature_index, None) != FeatureKind("categorical", e.cardinality)
-            or e.mode not in ("onehot", "target")
-            or (e.stats is None) != (e.mode == "onehot")
-            or (e.mode == "target" and len(e.stats) != e.cardinality)
-        ):
-            raise MalformedModel(f"cat_encoding_state: bad entry for column {e.feature_index!r}")
-    if any(kind.is_categorical for kind in kinds.values()):
-        raise MalformedModel("cat_encoding_state: a categorical column has no encoding")
-
-
 def _params_from_dict(entry: dict) -> BoostParams:
     """BoostParams from a model file, which must give every field: an int field
     takes a non-negative int, a float field an int or a float, and a bool is
@@ -515,13 +507,17 @@ def model_from_dict(d: dict) -> TreeEnsemble:
             for e in state or ()
         )
         if algorithm == "catboost":
-            _check_encodings(encodings, schema)
+            stats = {e.feature_index: e.stats for e in encodings}
+            if encodings != _plan_encodings(schema, params, stats.get) or any(
+                len(e.stats or ()) != e.cardinality for e in encodings if e.mode == "target"
+            ):
+                raise MalformedModel("cat_encoding_state: not one encoding per categorical column as params plan it")
         if not isinstance(d["trees"], list):
             raise MalformedModel("trees must be a list")
         # CatBoost's trees split its encoded matrix, whose columns are all numbers
         kinds = (NUMERIC,) * _encoded_width(schema, encodings) if encodings else schema.kinds
         trees = [tree_from_dict(t, kinds) for t in d["trees"]]
-        kind = ObliviousTree if algorithm in _OBLIVIOUS else RegressionTree
+        kind = _ALGORITHM_TABLE[algorithm].tree
         if not all(isinstance(t, kind) for t in trees):
             raise MalformedModel(f"the trees of a {algorithm} model must all be {kind.__name__}s")
         base = as_number(d["base_score"], "base_score")

@@ -1021,7 +1021,8 @@ def _threshold_to_json(thr):
 
 def _split_from_json(entry: dict, kinds: tuple[FeatureKind, ...]) -> tuple:
     """The column and threshold of a split entry. The column's kind says the
-    test: a level set on a categorical column, a number on any other."""
+    test: a non-empty set of the column's levels on a categorical column, a
+    number on any other."""
     f = as_index(entry["feature_index"], len(kinds))
     obj = entry["threshold"]
     if isinstance(obj, dict) != kinds[f].is_categorical:
@@ -1029,9 +1030,9 @@ def _split_from_json(entry: dict, kinds: tuple[FeatureKind, ...]) -> tuple:
         raise MalformedModel(f"a split on column {f} must test {takes}")
     if not kinds[f].is_categorical:
         return f, as_number(obj, "threshold")
-    if not isinstance(obj["levels"], list):
-        raise MalformedModel("categorical levels must be a list")
-    return f, frozenset(as_index(v, math.inf, "categorical level") for v in obj["levels"])
+    if not isinstance(obj["levels"], list) or not obj["levels"]:
+        raise MalformedModel("categorical levels must be a non-empty list")
+    return f, frozenset(as_index(v, kinds[f].cardinality, "categorical level") for v in obj["levels"])
 
 
 def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:

@@ -115,9 +115,25 @@ class TestBoostParams:
         assert default_params("gbm").seed == 42
 
     def test_paper_preset(self):
-        assert paper_preset("gbm").learning_rate == 0.01
-        assert paper_preset("catboost").max_depth == 16
-        assert paper_preset("adaboost").max_depth == 1
+        def params(max_depth, learning_rate=0.1):
+            # every field given, so a changed default of BoostParams shows here
+            return BoostParams(
+                n_rounds=100,
+                learning_rate=learning_rate,
+                max_depth=max_depth,
+                reg_lambda=1.0,
+                gamma=0.0,
+                min_child_weight=1.0,
+                seed=42,
+                cat_one_hot_max=2,
+                cat_prior=0.5,
+                threshold=0.5,
+            )
+
+        defaults = {"adaboost": params(1), "gbm": params(3), "xgboost": params(3), "catboost": params(6)}
+        presets = {"adaboost": params(1), "gbm": params(3, 0.01), "xgboost": params(3), "catboost": params(16)}
+        assert {a: default_params(a) for a in ALGORITHMS} == defaults
+        assert {a: paper_preset(a) for a in ALGORITHMS} == presets
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -687,12 +703,25 @@ class TestMalformedModel:
             pytest.param("adaboost", ("trees", 0), STUMP, id="adaboost-stump"),
             # CatBoost's trees split its encoded matrix, where column 11 holds numbers
             ("catboost", ("trees", 0, "levels", 0), {"feature_index": 11, "threshold": {"levels": [0]}}),
+            # params plan a one-hot encoding of the 3-level column 11, the file holds a target one
+            ("catboost", ("params", "cat_one_hot_max"), 3),
         ],
     )
     def test_bad_entry_rejected(self, algorithm, path, value):
         d = self.model_dict(algorithm)
         _set_path(d, path, value)
         with pytest.raises(MalformedModel):
+            model_from_dict(d)
+
+    @pytest.mark.parametrize("cat_one_hot_max", [2, 5])
+    def test_encodings_out_of_column_order_rejected(self, cat_one_hot_max):
+        # CAT_SCHEMA's categorical columns 0 and 2: target and one-hot at 2, both one-hot at 5
+        params = replace(default_params("catboost"), n_rounds=2, cat_one_hot_max=cat_one_hot_max)
+        d = model_to_dict(fit("catboost", cat_dataset(), params))
+        assert [e["feature_index"] for e in d["cat_encoding_state"]] == [0, 2]
+        assert model_to_dict(model_from_dict(d)) == d
+        d["cat_encoding_state"].reverse()
+        with pytest.raises(MalformedModel, match="as params plan it"):
             model_from_dict(d)
 
     def test_oblivious_trees_load_up_to_max_depth(self):

@@ -893,6 +893,16 @@ class TestPredictAndSerialize:
         with pytest.raises(MalformedModel, match="unknown tree kind 'stump'"):
             tree_from_dict({**stump, "n_features": 1}, (NUMERIC,))
 
+    @staticmethod
+    def one_split_tree(kind, f, threshold):
+        """The dict of a tree of the given kind with one split, on column f, of
+        the 12 columns of the default schema."""
+        split = {"feature_index": f, "threshold": threshold}
+        if kind == "oblivious":
+            return {"kind": kind, "n_features": 12, "levels": [split], "leaf_index": [0, 1], "leaf_values": [0.1, -0.1]}
+        node = {**split, "default_direction": "left", "left": 1, "right": 2}
+        return {"kind": kind, "n_features": 12, "nodes": [node, {"value": 0.1}, {"value": -0.1}]}
+
     @pytest.mark.parametrize("kind", ["regression", "oblivious"])
     @pytest.mark.parametrize(
         "f, threshold, fitting, loaded, takes",
@@ -904,17 +914,27 @@ class TestPredictAndSerialize:
     )
     def test_a_split_tests_what_its_column_takes(self, kind, f, threshold, fitting, loaded, takes):
         kinds = pcos_default_schema().kinds
-
-        def tree(threshold):
-            split = {"feature_index": f, "threshold": threshold}
-            if kind == "oblivious":
-                return {"kind": kind, "n_features": 12, "levels": [split], "leaf_index": [0, 1], "leaf_values": [0.1, -0.1]}
-            node = {**split, "default_direction": "left", "left": 1, "right": 2}
-            return {"kind": kind, "n_features": 12, "nodes": [node, {"value": 0.1}, {"value": -0.1}]}
-
         with pytest.raises(MalformedModel, match=f"^a split on column {f} must test {takes}$"):
-            tree_from_dict(tree(threshold), kinds)
-        assert tree_from_dict(tree(fitting), kinds).tests()[0][:2] == (f, loaded)
+            tree_from_dict(self.one_split_tree(kind, f, threshold), kinds)
+        assert tree_from_dict(self.one_split_tree(kind, f, fitting), kinds).tests()[0][:2] == (f, loaded)
+
+    @pytest.mark.parametrize("kind", ["regression", "oblivious"])
+    @pytest.mark.parametrize(
+        "levels, message",
+        [
+            # column 11 of the default schema is the categorical activity_level, of 3 levels
+            ([7, 99], r"^categorical level 7 is not an int in \[0, 3\)$"),
+            ([0, 3], r"^categorical level 3 is not an int in \[0, 3\)$"),
+            ([], "^categorical levels must be a non-empty list$"),
+        ],
+        ids=["beyond-the-levels", "at-the-cardinality", "empty"],
+    )
+    def test_a_level_set_holds_levels_of_its_column(self, kind, levels, message):
+        kinds = pcos_default_schema().kinds
+        with pytest.raises(MalformedModel, match=message):
+            tree_from_dict(self.one_split_tree(kind, 11, {"levels": levels}), kinds)
+        loaded = tree_from_dict(self.one_split_tree(kind, 11, {"levels": [2, 0]}), kinds)
+        assert loaded.tests()[0][:2] == (11, frozenset({0, 2}))
 
     def test_regression_nodes_in_any_order_load_into_pre_order(self):
         rng = np.random.default_rng(9)
