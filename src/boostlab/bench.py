@@ -63,7 +63,6 @@ ALGO_LABELS = {
 
 PAPER_PRESET_N = 250
 PAPER_PRESET_TEST_ROWS = 48
-PAPER_PRESET_SIGNAL = 2.0
 
 # The order jobs are claimed in, longest fit first on the paper preset and on
 # default parameters; the caller keeps the first.
@@ -93,7 +92,7 @@ class BenchmarkConfig:
 def paper_preset_config(seed: int = 42) -> BenchmarkConfig:
     """Synthetic benchmark preset: n=250 with a 48-row stratified test split."""
     return BenchmarkConfig(
-        synthetic=SyntheticSpec(n=PAPER_PRESET_N, signal_strength=PAPER_PRESET_SIGNAL),
+        synthetic=SyntheticSpec(n=PAPER_PRESET_N),
         test_fraction=PAPER_PRESET_TEST_ROWS / PAPER_PRESET_N,
         seed=seed,
         params={algo: paper_preset(algo) for algo in ALGORITHMS},

@@ -95,7 +95,13 @@ class BoostParams:
     """One booster's hyperparameters, checked on construction. learning_rate
     must be positive and finite but has no upper bound, as scikit-learn's
     GradientBoostingClassifier takes any positive rate: a rate so large that
-    the raw scores overflow ends the fit in NonFiniteScores instead."""
+    the raw scores overflow ends the fit in NonFiniteScores instead.
+
+    A fit ignores the fields it does not read. AdaBoost reads n_rounds (its
+    stumps are one level deep); GBM and XGBoost n_rounds, learning_rate,
+    max_depth, reg_lambda, gamma and min_child_weight; CatBoost n_rounds,
+    learning_rate, max_depth, reg_lambda, seed, cat_one_hot_max and
+    cat_prior. threshold is read only when labelling (predict_labels)."""
 
     n_rounds: int = 100
     learning_rate: float = 0.1
@@ -194,9 +200,7 @@ def _base_score(labels: np.ndarray) -> float:
 
 def _stump_tree(stump: ObliviousTree, alpha: float) -> ObliviousTree:
     """An AdaBoost round: the stump's tree with its leaves, the classes ±1.0,
-    scaled by alpha. No leaf is zero: fit_adaboost keeps a round only at
-    0 <= eps < 0.5, where (1 - e) / e rounds to more than 1 (to 1 + 2**-52
-    at the largest e below 0.5), so alpha is positive."""
+    scaled by alpha."""
     return replace(stump, leaf_values=alpha * stump.leaf_values)
 
 
@@ -442,13 +446,9 @@ def predict_scores(model: TreeEnsemble, data: Dataset) -> np.ndarray:
         return sigmoid(2.0 * raw if model.algorithm == "adaboost" else raw)
 
 
-def predict_labels(model, data: Dataset, threshold: float | None = None) -> np.ndarray:
-    """The labels of the model's scores at the threshold, params.threshold by
-    default, as metrics.labels_at gives them. The threshold is checked before
-    the rows are scored: one outside (0, 1), or NaN, is a ValueError."""
-    th = model.params.threshold if threshold is None else threshold
-    check_threshold(th)
-    return labels_at(predict_scores(model, data), th)
+def predict_labels(model, data: Dataset) -> np.ndarray:
+    """The labels of the model's scores at params.threshold, by metrics.labels_at."""
+    return labels_at(predict_scores(model, data), model.params.threshold)
 
 
 def model_to_dict(model: TreeEnsemble) -> dict:

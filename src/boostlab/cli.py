@@ -93,8 +93,8 @@ class _Parser(argparse.ArgumentParser):
 def _add_param_flags(p: argparse.ArgumentParser):
     # Each dest is the BoostParams field the flag overrides (see _overrides).
     p.add_argument("--rounds", dest="n_rounds", type=int, default=None, help="boosting rounds")
-    p.add_argument("--learning-rate", type=float, default=None)
-    depth_help = f"tree depth; catboost trees stop at {MAX_OBLIVIOUS_DEPTH} levels"
+    p.add_argument("--learning-rate", type=float, default=None, help="each tree's weight (shrinkage); adaboost ignores it")
+    depth_help = f"tree depth; adaboost ignores it (stumps), catboost trees stop at {MAX_OBLIVIOUS_DEPTH} levels"
     p.add_argument("--depth", dest="max_depth", type=int, default=None, help=depth_help)
     p.add_argument("--lambda", dest="reg_lambda", type=float, default=None, help="L2 leaf penalty")
     p.add_argument("--gamma", type=float, default=None, help="minimum split gain")
@@ -235,7 +235,8 @@ def _cmd_synth(args) -> int:
     schema = _load_schema_arg(args)
     if schema is None:
         schema = pcos_default_schema()
-    data = synthesize(schema, args.n, seed, args.signal_strength, args.missing_rate)
+    spec = SyntheticSpec(**_given(args, SyntheticSpec))
+    data = synthesize(schema, spec.n, seed, spec.signal_strength, spec.missing_rate)
     write_csv(args.out, data)
     print(f"wrote {data.n_rows} rows -> {args.out}")
     return 0
@@ -281,8 +282,8 @@ def build_parser() -> _Parser:
     p_synth = sub.add_parser("synth", help="write a synthetic dataset CSV")
     p_synth.add_argument("--n", type=int, required=True)
     p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--signal-strength", type=float, default=2.0)
-    p_synth.add_argument("--missing-rate", type=float, default=0.0)
+    p_synth.add_argument("--signal-strength", type=float, default=None)
+    p_synth.add_argument("--missing-rate", type=float, default=None)
     p_synth.add_argument("--schema", default=None, help="schema JSON file")
     p_synth.add_argument("--out", required=True, help="output CSV path")
 

@@ -675,11 +675,10 @@ def split(data: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
 
     Test size is round(n * test_fraction) clamped to [1, n - 1]; per-class
     counts follow largest-remainder allocation, so each class's test share is
-    within one row of the requested fraction.
+    within one row of the requested fraction. Data of one class, such as one
+    row, is SingleClassDataset.
     """
     n = data.n_rows
-    if n < 2:
-        raise ValueError("cannot split fewer than 2 rows")
     labels = data.labels
     if labels.min() == labels.max():
         raise SingleClassDataset("stratified split needs both classes")

@@ -13,10 +13,10 @@ too, routes them left on every column. Fits and scoring route rows by one
 function, _went_right.
 
 A regression tree is a set of parallel per-node arrays in pre-order, the node
-order of the model file: node 0 is the root and a split node precedes its
-children, its left child right after it, and a dump writes the arrays as they
-are. The fit and the model reader lay the nodes out in one place,
-_preorder_tree.
+order of the model file: node 0 is the root and split node i precedes its
+children, its left child being node i + 1, and a dump writes the arrays as
+they are. A split node's value is 0.0, fitted as loaded. The fit and the
+model reader lay the nodes out in one place, _preorder_tree.
 
 predict_trees scores a list of trees of either kind: base_score plus
 learning_rate times each tree's output, in tree order. Every tree lists its
@@ -139,14 +139,13 @@ _all = np.logical_and.reduce
 @dataclass
 class RegressionTree:
     """Per-node arrays in pre-order (see the module docstring). feature is -1
-    at a leaf; split node i sends a row to left[i] or right[i]. value is the
-    node's -G/(H+lam) over its training rows; prediction reads it at leaves
-    only, and a model file holds only those (split nodes load as 0)."""
+    at a leaf; split node i sends a row to node i + 1 or right[i]. value is a
+    leaf's -G/(H+lam) over its training rows, and 0.0 at a split node, as in
+    its model file, which holds the values of the leaves only."""
 
     feature: np.ndarray
     threshold: np.ndarray  # float or frozenset of levels; None at a leaf
     default_left: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
     n_features: int
@@ -170,13 +169,13 @@ class RegressionTree:
         once, by an intp index. A tree of one leaf gives its value as a scalar."""
         width = np.min_scalar_type(self.feature.size)
         code = list(np.arange(self.feature.size, dtype=width))  # a leaf's code is its index
-        lo, hi = self.left.tolist(), self.right.tolist()
+        hi = self.right.tolist()
         for i, k in zip(reversed((self.feature >= 0).nonzero()[0].tolist()), reversed(path)):
-            a, b = code[lo[i]], code[hi[i]]
+            a, b = code[i + 1], code[hi[i]]
             # dtype= keeps the codes in width: numpy 1 would type a product with a scalar by its value
             code[i] = np.multiply(right[k], b - a, dtype=width)
             code[i] += a
-            code[lo[i]] = code[hi[i]] = None  # read once; dropped to bound the live arrays
+            code[i + 1] = code[hi[i]] = None  # read once; dropped to bound the live arrays
         return self.value[code[0].astype(np.intp)]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -186,24 +185,25 @@ class RegressionTree:
 
 
 # A node row as _preorder_tree appends it, in RegressionTree's field order.
-_NODE_DTYPES = (np.int64, object, bool, np.int64, np.int64, np.float64)
+_NODE_DTYPES = (np.int64, object, bool, np.int64, np.float64)
 
 
 def _preorder_tree(root, expand, n_features: int) -> RegressionTree:
     """The regression tree that expand grows from root, its nodes in
-    pre-order. expand(item) gives a leaf as (value, None) and a split node as
-    (value, (feature, threshold, default_left), right_item, left_item). A work
-    list, not a recursive closure, which would be a reference cycle holding
-    the items (a fit's blocks) alive until the garbage collector ran."""
+    pre-order. expand(item) gives a leaf as (value, ()) and a split node as
+    ((feature, threshold, default_left), (right_item, left_item)); a split
+    node's value is 0.0. A work list, not a recursive closure, which would be
+    a reference cycle holding the items (a fit's blocks) alive until the
+    garbage collector ran."""
     nodes: list[list] = []
     todo = [(root, -1)]  # (item, parent of a right child); a left child pops right after its parent
     while todo:
         item, right_of = todo.pop()
         i = len(nodes)
         if right_of >= 0:
-            nodes[right_of][4] = i  # right
-        value, split, *children = expand(item)
-        nodes.append([-1, None, True, -1, -1, value] if split is None else [*split, i + 1, -1, value])
+            nodes[right_of][3] = i  # right
+        node, children = expand(item)
+        nodes.append([*node, -1, 0.0] if children else [-1, None, True, -1, node])
         todo += zip(children, (i, -1))
     return RegressionTree(*(np.array(c, dtype=t) for c, t in zip(zip(*nodes), _NODE_DTYPES)), n_features)
 
@@ -216,10 +216,10 @@ class ObliviousTree:
     A row's leaf index is the bit string of its per-level comparisons, earlier
     levels in higher bits, with bit 1 meaning "went right". As in a model file,
     only the non-zero leaves are held: leaf_ids (int64, strictly ascending) and
-    their leaf_values. Any other leaf predicts 0. output shifts the leaf index
-    in from the "went right" rows of its levels, as predict_trees evaluates
-    them, and looks up the leaves. A tree has at most MAX_OBLIVIOUS_DEPTH
-    levels.
+    their leaf_values; the tree drops each leaf of value ±0 it is given, and
+    any leaf not held predicts +0.0. output shifts the leaf index in from the
+    "went right" rows of its levels, as predict_trees evaluates them, and
+    looks up the leaves. A tree has at most MAX_OBLIVIOUS_DEPTH levels.
     """
 
     levels: tuple[tuple[int, float | frozenset[int]], ...]
@@ -230,6 +230,8 @@ class ObliviousTree:
     def __post_init__(self):
         if len(self.levels) > MAX_OBLIVIOUS_DEPTH:  # _leaf_index holds that many bits
             raise ValueError(f"an oblivious tree of {len(self.levels)} levels, over {MAX_OBLIVIOUS_DEPTH}")
+        kept = self.leaf_values != 0
+        self.leaf_ids, self.leaf_values = self.leaf_ids[kept], self.leaf_values[kept]
 
     @property
     def depth(self) -> int:
@@ -814,16 +816,16 @@ def fit_regression_tree(
         idx = node if leaf else node.idx
         G = float(_sum(g[idx]))
         H = float(_sum(h[idx]))
-        denom = H + reg_lambda
-        value = -G / denom if denom > 0 else 0.0
         split = None if leaf else _node_split(presort, node, stats, G, H, min_child_weight, reg_lambda, gamma)
         if split is None:
+            denom = H + reg_lambda
+            value = -G / denom if denom > 0 else 0.0
             if fitted is not None:
                 fitted[idx] = value
-            return value, None
+            return value, ()
         paths = [path + ((*split, went_right),) for went_right in (True, False)]
         children = _children(presort, node, split, paths, depth + 1 < max_depth)
-        return value, split, (paths[0], children[0], depth + 1), (paths[1], children[1], depth + 1)
+        return split, ((paths[0], children[0], depth + 1), (paths[1], children[1], depth + 1))
 
     return _preorder_tree(((), root, 0), expand, d)
 
@@ -1007,10 +1009,9 @@ def fit_oblivious_tree(
     denom = np.bincount(bucket, weights=h) + reg_lambda  # each bin sums its rows in row order
     leaf_values = np.zeros(leaf_ids.size)
     np.divide(-np.bincount(bucket, weights=g), denom, out=leaf_values, where=denom > 0)
-    kept = leaf_values != 0
-    if fitted is not None:  # a dropped leaf predicts +0.0, whatever the sign of its zero
-        fitted[:] = np.where(kept, leaf_values, 0.0)[bucket]
-    return ObliviousTree(tuple(levels), leaf_ids[kept], leaf_values[kept], d)
+    if fitted is not None:  # -0.0 + 0.0 is +0.0, which a zero leaf, dropped by the tree, predicts
+        fitted[:] = leaf_values[bucket] + 0.0
+    return ObliviousTree(tuple(levels), leaf_ids, leaf_values, d)
 
 
 def _threshold_to_json(thr):
@@ -1047,7 +1048,7 @@ def tree_to_dict(tree: RegressionTree | ObliviousTree) -> dict:
                     "feature_index": f,
                     "threshold": _threshold_to_json(tree.threshold[i]),
                     "default_direction": "left" if tree.default_left[i] else "right",
-                    "left": int(tree.left[i]),
+                    "left": i + 1,
                     "right": int(tree.right[i]),
                 }
             )
@@ -1071,7 +1072,6 @@ def tree_from_dict(d: dict, kinds: tuple[FeatureKind, ...]) -> RegressionTree | 
     column as another kind (see _split_from_json) is MalformedModel.
     Regression nodes are renumbered into pre-order from node 0, so any layout
     loads; a child index that is not a node, or a node reached twice, is not.
-    An oblivious tree's leaves are dropped where their value is zero.
     """
     kind = d["kind"]
     if kind not in ("regression", "oblivious"):
@@ -1091,10 +1091,10 @@ def tree_from_dict(d: dict, kinds: tuple[FeatureKind, ...]) -> RegressionTree | 
             seen.add(j)
             entry = entries[j]
             if "value" in entry:  # the gradient and hessian sums of older files are ignored
-                return as_number(entry["value"], "value"), None
+                return as_number(entry["value"], "value"), ()
             f, thr = _split_from_json(entry, kinds)
             direction = one_of(entry["default_direction"], ("left", "right"), "default_direction")
-            return 0.0, (f, thr, direction == "left"), entry["right"], entry["left"]
+            return (f, thr, direction == "left"), (entry["right"], entry["left"])
 
         return _preorder_tree(0, expand, n_features)
     levels = tuple(_split_from_json(lv, kinds) for lv in d["levels"])
@@ -1107,6 +1107,5 @@ def tree_from_dict(d: dict, kinds: tuple[FeatureKind, ...]) -> RegressionTree | 
     if leaf_ids.size != len(d["leaf_values"]):
         raise MalformedModel("leaf_index and leaf_values differ in length")
     leaf_values = np.array([as_number(v, "leaf value") for v in d["leaf_values"]], dtype=np.float64)
-    kept = leaf_values != 0
-    return ObliviousTree(levels, leaf_ids[kept], leaf_values[kept], n_features)
+    return ObliviousTree(levels, leaf_ids, leaf_values, n_features)
 

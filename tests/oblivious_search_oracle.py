@@ -157,7 +157,6 @@ def fit_oblivious_tree(X, grads, hessians, kinds=None, *, depth, reg_lambda=0.0,
     denom = np.bincount(bucket, weights=h) + reg_lambda
     leaf_values = np.zeros(leaf_ids.size)
     np.divide(-np.bincount(bucket, weights=g), denom, out=leaf_values, where=denom > 0)
-    kept = leaf_values != 0
-    if fitted is not None:
-        fitted[:] = np.where(kept, leaf_values, 0.0)[bucket]
-    return ObliviousTree(tuple(levels), leaf_ids[kept], leaf_values[kept], d)
+    if fitted is not None:  # a zero leaf, which the tree drops, predicts +0.0
+        fitted[:] = np.where(leaf_values != 0, leaf_values, 0.0)[bucket]
+    return ObliviousTree(tuple(levels), leaf_ids, leaf_values, d)

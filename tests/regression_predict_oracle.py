@@ -15,7 +15,7 @@ def predict(tree, X):
     for i in np.flatnonzero(tree.feature >= 0):
         rows = np.flatnonzero(node == i)
         right = _went_right(X[rows, tree.feature[i]], tree.threshold[i], missing_left=tree.default_left[i])
-        node[rows] = np.where(right, tree.right[i], tree.left[i])
+        node[rows] = np.where(right, tree.right[i], i + 1)
     return tree.value[node]
 
 

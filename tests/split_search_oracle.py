@@ -109,7 +109,7 @@ def fit_regression_tree(
         denom = H + reg_lambda
         value = -G / denom if denom > 0 else 0.0
         if depth >= max_depth or idx.size < 2:
-            return value, None
+            return value, ()
         parent = G * G / denom if denom > 0 else 0.0
         member = np.zeros(n, dtype=bool)
         member[idx] = True
@@ -136,9 +136,9 @@ def fit_regression_tree(
                 best_gain = float(flat[k])
                 best = (f, thresholds[ti], di == 0)
         if best is None:
-            return value, None
+            return value, ()
         f, thr, default_left = best
         left_mask = ~_went_right(X[idx, f], thr, missing_left=default_left)
-        return value, best, (idx[~left_mask], depth + 1), (idx[left_mask], depth + 1)
+        return best, ((idx[~left_mask], depth + 1), (idx[left_mask], depth + 1))
 
     return _preorder_tree((np.arange(n), 0), expand, d)

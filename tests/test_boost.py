@@ -9,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from boostlab.bench import PAPER_PRESET_N, PAPER_PRESET_SIGNAL
+from boostlab.bench import paper_preset_config
 from boostlab.boost import (
     ALGORITHMS,
     BoostParams,
@@ -436,14 +436,15 @@ class TestPredictInterface:
         model = fit_adaboost(data, replace(default_params("adaboost"), n_rounds=0))
         assert predict_scores(model, data) == pytest.approx([0.5] * 4)
         # boundary convention: score exactly at the threshold maps to label 1
-        assert list(predict_labels(model, data, 0.5)) == [1, 1, 1, 1]
+        assert model.params.threshold == 0.5
+        assert list(predict_labels(model, data)) == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("threshold", [7.0, 1.0, 0.0, -0.5, math.nan])
     def test_threshold_outside_unit_interval_rejected(self, threshold):
-        data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
-        model = fit_adaboost(data)
+        # predict_labels labels at the model's params.threshold, which BoostParams checks
+        model = fit_adaboost(numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1]))
         with pytest.raises(ValueError, match=r"threshold must lie in \(0, 1\)"):
-            predict_labels(model, data, threshold)
+            replace(model.params, threshold=threshold)
 
     def test_training_rows_on_correct_side(self):
         data = numeric_dataset([1, 2, 3, 4], [0, 0, 1, 1])
@@ -531,7 +532,8 @@ class TestSerialization:
         assert np.array_equal(raw_scores(load_model(path), data), raw_scores(model, data))
 
     def test_paper_preset_trees_hold_a_leaf_per_row_at_most(self):
-        data = synthesize(pcos_default_schema(), PAPER_PRESET_N, 42, PAPER_PRESET_SIGNAL)
+        spec = paper_preset_config(42).synthetic
+        data = synthesize(pcos_default_schema(), spec.n, 42, spec.signal_strength)
         model = fit("catboost", data, paper_preset("catboost"))
         assert max(tree.depth for tree in model.trees) == 16
         assert all(tree.leaf_ids.size <= data.n_rows for tree in model.trees)

@@ -597,6 +597,11 @@ class TestDataErrors:
         code, _, err = run(capsys, "compare", "--data", data, "--out", tmp_path / "out")
         message = "the test split of 8 rows holds one class: 8 of class 0 and 0 of class 1"
         assert (code, err) == (2, f"compare: {message}\n")
+        # the header and one row: one row is one class
+        one_row = tmp_path / "one.csv"
+        one_row.write_text("\n".join([header, rows[0]]) + "\n")
+        code, _, err = run(capsys, "compare", "--data", one_row, "--out", tmp_path / "out-one")
+        assert (code, err) == (2, "compare: stratified split needs both classes\n")
 
     def test_catboost_level_gain_that_overflows(self, tmp_path, capsys):
         # zero hessians after round 1 and a subnormal lambda overflow a level's gain

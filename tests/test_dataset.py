@@ -98,7 +98,9 @@ ONE_ROW = Dataset(tiny_schema(), np.array([[30.0, 1.0]]), np.array([1]))
         pytest.param(lambda: Dataset(CAT_SCHEMA, np.array([[1.0, 3.0]]), [1]), ValueError, "range", id="level-3-of-3"),
         pytest.param(lambda: FeatureKind("numeric", 3), ValueError, "no cardinality", id="numeric-cardinality"),
         pytest.param(lambda: SplitSpec(0.2, -1), ValueError, "seed", id="negative-seed"),
-        pytest.param(lambda: split(ONE_ROW, SplitSpec(0.2, 0)), ValueError, "fewer than 2 rows", id="split-one-row"),
+        pytest.param(  # one row is one class
+            lambda: split(ONE_ROW, SplitSpec(0.2, 0)), SingleClassDataset, "needs both classes", id="split-one-row"
+        ),
     ],
 )
 def test_documented_checks(call, error, message):

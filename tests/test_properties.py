@@ -1,8 +1,9 @@
 """Property tests on small random datasets: persistence, determinism, typed
 model reading, stump error (exactly zero on separable rows), AdaBoost scores
 as stump sums, GBM and XGBoost scores against a per-node oracle and their
-boosting loop's sums, oblivious levels and leaves, the nodes of reloaded
-regression trees, AUC, CSV schema inference, the CSV tokenizer against the csv
+boosting loop's sums, oblivious levels and leaves, fitted models and trees
+against their reloaded copies field for field, the fields a fit does not
+read, AUC, CSV schema inference, the CSV tokenizer against the csv
 module, the CSV byte path's number parser against float(), the CSV readers
 against a row-by-row oracle, the bytes of the curve and score writers, eval's
 read of a scores file as predict writes it, the exit codes of the commands on
@@ -18,7 +19,7 @@ import math
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from functools import cache
 from pathlib import Path
 from unittest import mock
@@ -445,39 +446,90 @@ def test_every_oblivious_level_splits_a_bucket(data, grad_seed, depth):
         assert any(np.unique(right[bucket == b]).size == 2 for b in np.unique(bucket))
 
 
+def assert_identical(got, want, where="model"):
+    """got is want field for field: a dataclass by its fields, a list or tuple
+    item by item, an array by its dtype and shape, then item by item if it
+    holds objects, else bit for bit, and a float bit for bit."""
+    assert type(got) is type(want), where
+    if is_dataclass(got):
+        for f in fields(got):
+            assert_identical(getattr(got, f.name), getattr(want, f.name), f"{where}.{f.name}")
+    elif isinstance(got, (list, tuple)):
+        assert len(got) == len(want), where
+        for k, (a, b) in enumerate(zip(got, want)):
+            assert_identical(a, b, f"{where}[{k}]")
+    elif isinstance(got, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), where
+        if got.dtype == object:
+            assert_identical(got.tolist(), want.tolist(), where)
+        else:
+            assert got.tobytes() == want.tobytes(), where
+    elif isinstance(got, float):
+        assert got.hex() == want.hex(), where
+    else:
+        assert got == want, where
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=datasets(),
+    fitted=st.sampled_from([(a, {}) for a in ALGORITHMS] + [("catboost", {"cat_one_hot_max": 3})]),
+)
+@example(data=dataset_from(5, 40), fitted=("gbm", {}))
+@example(data=dataset_from(5, 40), fitted=("xgboost", {}))
+def test_a_fitted_model_is_its_loaded_model(data, fitted):
+    # one-hot CatBoost: every categorical column of SCHEMA one-hot encoded
+    algorithm, changes = fitted
+    model = fit(algorithm, data, replace(small_params(algorithm), **changes))
+    assert_identical(model_from_dict(json.loads(json.dumps(model_to_dict(model)))), model)
+
+
+# The BoostParams fields each algorithm's fit reads (see BoostParams), and
+# another valid value of each field
+FIT_READS = {
+    "adaboost": {"n_rounds"},
+    "gbm": {"n_rounds", "learning_rate", "max_depth", "reg_lambda", "gamma", "min_child_weight"},
+    "xgboost": {"n_rounds", "learning_rate", "max_depth", "reg_lambda", "gamma", "min_child_weight"},
+    "catboost": {"n_rounds", "learning_rate", "max_depth", "reg_lambda", "seed", "cat_one_hot_max", "cat_prior"},
+}
+OTHER_VALUES = {
+    "n_rounds": 2, "learning_rate": 0.3, "max_depth": 2, "reg_lambda": 0.5, "gamma": 0.25,
+    "min_child_weight": 0.5, "seed": 7, "cat_one_hot_max": 3, "cat_prior": 0.25, "threshold": 0.3,
+}
+
+
+@pytest.mark.parametrize(
+    "algorithm, name",
+    [(a, name) for a in ALGORITHMS for name in OTHER_VALUES if name not in FIT_READS[a]],
+)
+def test_a_field_the_fit_does_not_read_changes_no_tree(algorithm, name):
+    data = dataset_from(5, 40)
+    params = small_params(algorithm)
+    assert getattr(params, name) != OTHER_VALUES[name]
+    want = fit(algorithm, data, params)
+    got = fit(algorithm, data, replace(params, **{name: OTHER_VALUES[name]}))
+    assert_identical(
+        (got.base_score, got.cat_encoding_state, got.trees), (want.base_score, want.cat_encoding_state, want.trees)
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=datasets(), grad_seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 10))
 def test_oblivious_tree_loads_as_fitted(data, grad_seed, depth):
     p = np.random.default_rng(grad_seed).uniform(0.05, 0.95, data.n_rows)
     g, h = p - data.labels, p * (1 - p)
     tree = fit_oblivious_tree(data.values, g, h, SCHEMA.kinds, depth=depth, reg_lambda=1.0)
-    back = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))), SCHEMA.kinds)
-    assert back.levels == tree.levels
-    assert back.leaf_ids.dtype == tree.leaf_ids.dtype == np.int64
-    assert back.leaf_ids.tobytes() == tree.leaf_ids.tobytes()
-    assert back.leaf_values.tobytes() == tree.leaf_values.tobytes()
+    assert_identical(tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))), SCHEMA.kinds), tree)
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=datasets(), grad_seed=st.integers(0, 2**32 - 1), depth=st.integers(0, 6))
 def test_regression_tree_loads_as_fitted(data, grad_seed, depth):
-    # the fit and the reader lay the nodes out alike; a model file holds the
-    # values of the leaves only
+    # the fit and the reader lay the nodes out alike, a split node's value 0.0
     p = np.random.default_rng(grad_seed).uniform(0.05, 0.95, data.n_rows)
     g, h = p - data.labels, p * (1 - p)
     tree = fit_regression_tree(data.values, g, h, SCHEMA.kinds, max_depth=depth, reg_lambda=1.0)
-    back = tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))), SCHEMA.kinds)
-    for name in ("feature", "default_left", "left", "right"):
-        want, got = getattr(tree, name), getattr(back, name)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-
-    def bits(thresholds):  # a float threshold bit for bit, a level set as itself
-        return [t if t is None or isinstance(t, frozenset) else float(t).hex() for t in thresholds]
-
-    assert back.threshold.dtype == object and bits(back.threshold) == bits(tree.threshold)
-    leaf = tree.feature < 0
-    assert back.value[leaf].tobytes() == tree.value[leaf].tobytes()
-    assert back.value[~leaf].tobytes() == np.zeros(np.count_nonzero(~leaf)).tobytes()
+    assert_identical(tree_from_dict(json.loads(json.dumps(tree_to_dict(tree))), SCHEMA.kinds), tree)
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,7 +63,7 @@ def node_paths(tree):
     for i in np.flatnonzero(tree.feature >= 0):  # pre-order: a parent before its children
         test = (int(tree.feature[i]), tree.threshold[i], bool(tree.default_left[i]))
         paths[tree.right[i]] = (*paths[i], (*test, True))
-        paths[tree.left[i]] = (*paths[i], (*test, False))
+        paths[i + 1] = (*paths[i], (*test, False))
     return paths
 
 
@@ -352,9 +352,9 @@ class TestRegressionTree:
         )
         assert tree.feature[0] == 0
         assert tree.threshold[0] == 2.5
-        assert tree.value[tree.left[0]] == pytest.approx(2.0 / 3.0)
+        assert tree.value[1] == pytest.approx(2.0 / 3.0)
         assert tree.value[tree.right[0]] == pytest.approx(-2.0 / 3.0)
-        assert grads[node_of(tree, X) == tree.left[0]].sum() == -2.0
+        assert grads[node_of(tree, X) == 1].sum() == -2.0
 
     def test_gamma_prunes_root(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
@@ -380,7 +380,7 @@ class TestRegressionTree:
         tree = fit_regression_tree(X, grads, np.ones(64), max_depth=2, reg_lambda=1.0)
         depth = np.zeros(tree.feature.size, dtype=int)
         for i in np.flatnonzero(tree.feature >= 0):  # a parent precedes its children
-            depth[[tree.left[i], tree.right[i]]] = depth[i] + 1
+            depth[[i + 1, tree.right[i]]] = depth[i] + 1
         assert depth.max() <= 2
 
     def test_missing_takes_learned_direction(self):
@@ -470,7 +470,7 @@ class TestObliviousTree:
         reg = fit_regression_tree(X, grads, np.ones(4), max_depth=1, reg_lambda=1.0)
         obl = fit_oblivious_tree(X, grads, np.ones(4), depth=1, reg_lambda=1.0)
         assert obl.levels == ((0, 2.5),)
-        assert obl.leaf_values[0] == pytest.approx(reg.value[reg.left[0]])
+        assert obl.leaf_values[0] == pytest.approx(reg.value[1])
         assert obl.leaf_values[1] == pytest.approx(reg.value[reg.right[0]])
 
     def xor_fixture(self):
@@ -712,7 +712,7 @@ class TestTieRule:
         for i in np.flatnonzero(tree.feature >= 0):
             f = tree.feature[i]
             goes_left = ~_went_right(X[:, f], tree.threshold[i], missing_left=tree.default_left[i])
-            reach[tree.left[i]], reach[tree.right[i]] = reach[i] & goes_left, reach[i] & ~goes_left
+            reach[i + 1], reach[tree.right[i]] = reach[i] & goes_left, reach[i] & ~goes_left
             if not np.isnan(X[reach[i], f]).any():
                 assert nodes[i]["default_direction"] == "left"
                 checked += 1
@@ -1193,7 +1193,7 @@ def with_edge_inputs(*rest):
 
 def assert_same_tree(got, want):
     assert tree_to_dict(got) == tree_to_dict(want)
-    assert got.value.tobytes() == want.value.tobytes()  # split nodes' values too
+    assert got.value.tobytes() == want.value.tobytes()  # a -0.0 leaf keeps its sign
 
 
 class TestSplitKernelMatchesOracle:
