@@ -47,9 +47,7 @@ from .dataset import (
     SplitSpec,
     SyntheticSpec,
     load_csv,
-    pcos_default_schema,
     split,
-    synthesize,
 )
 from .errors import SingleClassDataset
 from .metrics import Evaluation, evaluate, pr_to_csv, roc_to_csv
@@ -127,9 +125,7 @@ class BenchmarkReport:
 def _load_source(config: BenchmarkConfig) -> Dataset:
     if config.csv_path is not None:
         return load_csv(config.csv_path, config.schema, config.label_column)
-    schema = config.schema if config.schema is not None else pcos_default_schema()
-    spec = config.synthetic
-    return synthesize(schema, spec.n, config.seed, spec.signal_strength, spec.missing_rate)
+    return config.synthetic.draw(config.seed, config.schema)
 
 
 def _claimed(claims: int, kept=()):

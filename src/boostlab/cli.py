@@ -66,8 +66,6 @@ from .dataset import (
     load_csv,
     load_features_csv,
     load_labels_csv,
-    pcos_default_schema,
-    synthesize,
     write_csv,
 )
 from .errors import BoostlabError, LengthMismatch, MalformedCsv, MalformedSchema
@@ -233,10 +231,7 @@ def _cmd_compare(args) -> int:
 def _cmd_synth(args) -> int:
     seed = _overrides(args)["seed"]
     schema = _load_schema_arg(args)
-    if schema is None:
-        schema = pcos_default_schema()
-    spec = SyntheticSpec(**_given(args, SyntheticSpec))
-    data = synthesize(schema, spec.n, seed, spec.signal_strength, spec.missing_rate)
+    data = SyntheticSpec(**_given(args, SyntheticSpec)).draw(seed, schema)
     write_csv(args.out, data)
     print(f"wrote {data.n_rows} rows -> {args.out}")
     return 0

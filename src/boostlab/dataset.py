@@ -231,6 +231,12 @@ class SyntheticSpec:
         if not 0.0 <= self.missing_rate < 1.0:
             raise ValueError("missing_rate must lie in [0, 1)")
 
+    def draw(self, seed: int, schema: FeatureSchema | None = None) -> Dataset:
+        """synthesize's draw of these parameters at seed, of schema or, for
+        None, pcos_default_schema()."""
+        schema = pcos_default_schema() if schema is None else schema
+        return synthesize(schema, self.n, seed, self.signal_strength, self.missing_rate)
+
 
 def pcos_default_schema() -> FeatureSchema:
     """Default 12-feature PCOS-screening-style schema (2 numeric, 9 binary, 1 categorical)."""

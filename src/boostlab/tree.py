@@ -3,7 +3,8 @@ second-order split gain, and oblivious (symmetric) trees. A stump is fit as a
 one-level oblivious tree whose leaves are its classes.
 
 Split tests are "value <= threshold goes left" for numeric and binary columns
-(thresholds are midpoints between consecutive distinct values) and "level in
+(thresholds are midpoints between consecutive distinct values, or between
+quantile bins in a column of more than MAX_BINS distinct values) and "level in
 set goes left" for categorical columns (single-level sets only; levels not in
 the set, including levels unseen in training, go right).
 
@@ -61,7 +62,7 @@ sums the same numbers in the same order as a new one: no bit of a fit depends
 on the memo. It holds at most MAX_NODE_CACHE_BYTES of arrays and drops the
 least recently used node first. Nodes are kept small so that the budget holds
 the ones a fit revisits: a block holds row indices, not values
-(Presort.swept_cells has those).
+(Presort.swept_keys has their split keys, X their values).
 
 Every search lists its candidates in group order, each group from the
 Presort's own arrays: the swept columns', then the single-threshold
@@ -69,9 +70,15 @@ columns', then the categorical levels. A regression node lists those its
 rows offer (_Node), an oblivious level, a stump's too, those of all rows
 (_LevelCandidates). Each column's candidates are contiguous and in
 enumeration order, so the selection rule below needs no sort by column. A
-scan computes no midpoint: a node keeps each swept candidate's place in the
-block, and the caller computes its winner's threshold alone (a
-single-threshold column's is computed once, in Presort; a level is its own).
+swept column offers a candidate between two neighbouring rows of its value
+order whose split keys differ (Presort): every pair of distinct values in a
+column of at most MAX_BINS distinct observed values, else only the pairs that
+straddle two of its MAX_BINS equal-frequency bins, so a search over any number
+of rows weighs at most MAX_BINS - 1 thresholds of the column (XGBoost's
+approximate split finding; CatBoost's border quantization). A scan computes
+no midpoint: a node keeps each swept candidate's place in the block, and the
+caller computes its winner's threshold alone (a single-threshold column's is
+computed once, in Presort; a level is its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
 outside a node, so fits are bit-for-bit repeatable: sequential cumsums,
@@ -89,9 +96,11 @@ hessian sums as the parts of complex pairs (_pair), and the sums of a bincount
 or np.add.at over rows listed row by row, each row once per sum it is in, not
 sum after sum.
 
-Thresholds lie between consecutive distinct values lo < hi: their midpoint,
-computed without overflow, or lo where the midpoint rounds to hi (_midpoints).
-So a split routes the rows as its gain or error was scored.
+Thresholds lie between the values lo < hi of two neighbouring rows, in a
+binned column the last of one bin and the first of the next that the rows
+hold: their midpoint, computed without overflow, or lo where the midpoint
+rounds to hi (_midpoints). So a split routes the rows as its gain or error
+was scored, and every sum keeps its order, bins or not.
 
 Candidate enumeration order is feature index ascending, then threshold
 ascending, then orientation / default direction. Every search selects its
@@ -271,8 +280,12 @@ MAX_BIT_MATRIX_BYTES = 64 << 20
 # The most bytes of arrays a Presort's memo of searched nodes (Presort.recall)
 # holds; it drops the least recently used node first. The nodes of the paper
 # preset's fits fit whole; default-params fits on scale's 4 000 training rows rebuild
-# few: GBM 204 searched nodes for 193 distinct ones, XGBoost 340 for 289.
+# few: GBM 171 searched nodes for 169 distinct ones, XGBoost 309 for 275.
 MAX_NODE_CACHE_BYTES = 8 << 20
+
+# The most distinct values a swept column offers its thresholds between; a
+# column of more is searched between its equal-frequency bins (see Presort).
+MAX_BINS = 256
 
 
 def _split_bits(tests, XT: np.ndarray) -> np.ndarray:
@@ -377,13 +390,19 @@ class Presort:
 
     The columns fall in three groups by the candidates they offer over all
     rows. A numeric column of several thresholds is swept: block holds the
-    swept columns' rows of order, the block of a tree's root, and swept_cells
-    their cells, one contiguous row per column. A column of a single
-    threshold, such as a binary one, is kept as the side each row takes
-    (single_code). A categorical column offers its levels (cat_levels), each
-    the first of its run of equal values in the column's sorted values, so
-    ascending as np.unique gives them, without np.unique (whose first call
-    imports numpy.ma). A column of one distinct value offers nothing.
+    swept columns' rows of order, the block of a tree's root, and swept_keys
+    their split keys, one contiguous row per column, in row order. A row's
+    key is its cell, in a column of at most MAX_BINS distinct observed values;
+    in a column of more, its equal-frequency bin, the observed cells below
+    the cell times MAX_BINS over the observed cells, rounded down; NaN for a
+    missing cell. Keys ascend with the values, so a block's rows are in key
+    order too, and a search offers a swept threshold only between two rows
+    whose keys differ. A column of a single threshold, such as a binary one,
+    is kept as the side each row takes (single_code). A categorical column
+    offers its levels (cat_levels), each the first of its run of equal values
+    in the column's sorted values, so ascending as np.unique gives them,
+    without np.unique (whose first call imports numpy.ma). A column of one
+    distinct value offers nothing.
 
     Every fitter in this module takes a Presort as presort= and builds one
     itself without it; a boosting loop builds one per fit, since X does not
@@ -412,7 +431,11 @@ class Presort:
         n_thresholds = _sum(self.values[:, :-1] < self.values[:, 1:], axis=1, dtype=np.intp)
         self.swept = (~self.categorical & (n_thresholds > 1)).nonzero()[0]
         self.block = self.order[self.swept]
-        self.swept_cells = X.T[self.swept]
+        self.swept_keys = X.T[self.swept]
+        for r in (n_thresholds[self.swept] >= MAX_BINS).nonzero()[0]:  # more than MAX_BINS values
+            m = self.n_observed[self.swept[r]]
+            observed = self.values[self.swept[r], :m]
+            self.swept_keys[r, self.block[r, :m]] = observed.searchsorted(observed) * MAX_BINS // m
         self.single = (~self.categorical & (n_thresholds == 1)).nonzero()[0]
         lo = self.values[self.single, 0]  # a single threshold lies above the least value
         hi = np.array([v[v > v[0]][0] for v in self.values[self.single]])
@@ -488,15 +511,15 @@ class _Node:
     enumeration order. col holds each candidate's column and fixed the
     thresholds of the candidates that are not swept (a float, or the level of
     a categorical column), in order. A swept candidate lies between the cells
-    of rows block.flat[at] and block.flat[at + 1] in their column of
-    presort.swept_cells, at being its entry in swept_at. single_rows lists the
-    left rows of the n_single single-threshold candidates row by row, each row
-    once for each candidate it is left of, in candidate order, and single_cell
-    the candidate of each entry. sum_rows lists the rows of each sum taken
-    alone, in row order: the rows of each level (n_levels of them), then the
-    missing rows of each column that has any; missing_where gives each column,
-    and one past the last, the place of its missing rows after the levels, or
-    one past them for none.
+    of rows block.flat[at] and block.flat[at + 1] in their column, whose keys
+    (presort.swept_keys) differ, at being its entry in swept_at. single_rows
+    lists the left rows of the n_single single-threshold candidates row by
+    row, each row once for each candidate it is left of, in candidate order,
+    and single_cell the candidate of each entry. sum_rows lists the rows of
+    each sum taken alone, in row order: the rows of each level (n_levels of
+    them), then the missing rows of each column that has any; missing_where
+    gives each column, and one past the last, the place of its missing rows
+    after the levels, or one past them for none.
     """
 
     def __init__(self, presort: Presort, idx: np.ndarray, block: np.ndarray):
@@ -504,13 +527,13 @@ class _Node:
         m = idx.size
         missing_col, missing_rows = [], []
 
-        # swept columns: a candidate between each two distinct neighbours of a
-        # block row (False next to NaN), at its flat place in the block
-        values = presort.swept_cells.take(block + presort.X.shape[0] * np.arange(len(block))[:, None])
-        between = values[:, :-1] < values[:, 1:]
+        # swept columns: a candidate between each two neighbours of a block row
+        # whose keys differ (False next to NaN), at its flat place in the block
+        keys = presort.swept_keys.take(block + presort.X.shape[0] * np.arange(len(block))[:, None])
+        between = keys[:, :-1] < keys[:, 1:]
         row = np.arange(len(block)).repeat(_sum(between, axis=1, dtype=np.intp))
         self.swept_at = between.ravel().nonzero()[0] + row  # a row of between is one shorter
-        n_observed = m - _sum(np.isnan(values), axis=1, dtype=np.intp)
+        n_observed = m - _sum(np.isnan(keys), axis=1, dtype=np.intp)
         for r in (n_observed < m).nonzero()[0]:
             missing_col.append(presort.swept[r])
             missing_rows.append(block[r, n_observed[r] :])
@@ -589,7 +612,7 @@ class _Node:
         """Candidate c's threshold as a split test stores it, computed for c alone."""
         if c < self.swept_at.size:
             r, at = divmod(int(self.swept_at[c]), self.idx.size)
-            cells, rows = presort.swept_cells[r], self.block[r]
+            cells, rows = presort.X[:, presort.swept[r]], self.block[r]
             return float(_midpoints(cells[rows[at]], cells[rows[at + 1]]))
         v = self.fixed[c - self.swept_at.size]
         return frozenset({int(v)}) if presort.categorical[self.col[c]] else float(v)
@@ -837,22 +860,25 @@ class _LevelCandidates:
 
     features (int64) and thresholds list the candidates: the swept columns'
     first, then the n_masked candidates of the single-threshold columns and
-    the categorical levels. The swept columns are searched together: by_value
-    holds each one's rows in value order with the missing rows first, one row
-    per column, so flat position j * n + i names the i-th row of swept column
-    j; reads lists the flat position of each swept candidate's last left row,
-    and offset each column's first flat position. A masked candidate's sums
-    come from the rows it sends left (by _went_right, so missing rows
-    included): left_rows lists them row by row, each row once for each masked
-    candidate it is left of, in candidate order (see the module docstring),
-    and left_of each entry's masked candidate.
+    the categorical levels. A swept candidate lies between two neighbouring
+    rows of its column's value order whose keys (Presort.swept_keys) differ,
+    at the midpoint of their values. The swept columns are searched together:
+    by_value holds each one's rows in value order with the missing rows
+    first, one row per column, so flat position j * n + i names the i-th row
+    of swept column j; reads lists the flat position of each swept
+    candidate's last left row, and offset each column's first flat position.
+    A masked candidate's sums come from the rows it sends left (by
+    _went_right, so missing rows included): left_rows lists them row by row,
+    each row once for each masked candidate it is left of, in candidate order
+    (see the module docstring), and left_of each entry's masked candidate.
     """
 
     def __init__(self, presort: Presort):
         n = presort.X.shape[0]
         swept, n_observed = presort.swept, presort.n_observed[presort.swept]
         values = presort.values[swept]
-        r, end = (values[:, :-1] < values[:, 1:]).nonzero()  # False next to NaN
+        keys = np.take_along_axis(presort.swept_keys, presort.block, axis=1)  # in value order
+        r, end = (keys[:, :-1] < keys[:, 1:]).nonzero()  # False next to NaN
         rotate = (np.arange(n) + n_observed[:, None]) % n  # the missing rows first
         self.by_value = np.take_along_axis(presort.order[swept], rotate, axis=1)
         self.reads = r * n + n - n_observed[r] + end

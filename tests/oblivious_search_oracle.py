@@ -2,7 +2,9 @@
 ids, kept as an oracle: fit_oblivious_tree must return the same tree, leaf
 values and fitted outputs bit for bit. The swept columns' rows are kept in
 (bucket, value) order by a stable partition on each chosen level's bit, and
-the leaves are found by np.unique."""
+the leaves are found by np.unique. A swept column offers a threshold where
+the split keys of two neighbouring sorted rows differ, as in
+split_search_oracle."""
 
 import numpy as np
 
@@ -15,6 +17,8 @@ from boostlab.tree import (
     _presorted,
     _went_right,
 )
+
+from split_search_oracle import split_keys
 
 
 def _safe_score(G, H, lam):
@@ -49,7 +53,8 @@ class _LevelCandidates:
             elif f in presort.swept:
                 n_obs = presort.n_observed[f]
                 order, values = presort.order[f], presort.values[f]
-                end = np.flatnonzero(values[:-1] < values[1:])
+                keys = split_keys(col)[order]
+                end = np.flatnonzero(keys[:-1] < keys[1:])
                 levels = _midpoints(values[end], values[end + 1]).tolist()
                 swept.append((at, np.concatenate([order[n_obs:], order[:n_obs]]), n - n_obs + end))
             else:

@@ -3,7 +3,12 @@ kernel, kept as an oracle: the new fitters must return the same learners bit
 for bit. Each fit sorts every column, and each tree node filters the presorted
 rows of the whole matrix and cumsums its statistics per feature. A stump is
 the earliest candidate within _TIE_TOL of the least error, over all columns,
-and its error the weight it misclassifies."""
+and its error the weight it misclassifies.
+
+A numeric column offers a threshold between two neighbouring sorted rows whose
+split keys differ (split_keys): the values themselves in a column of at most
+MAX_BINS distinct observed values, else their equal-frequency bins, counted
+here cell by cell."""
 
 from collections import namedtuple
 
@@ -11,6 +16,7 @@ import numpy as np
 
 from boostlab.tree import (
     _ORIENTATIONS,
+    MAX_BINS,
     _TIE_TOL,
     _fit_inputs,
     _preorder_tree,
@@ -22,8 +28,20 @@ from boostlab.tree import (
 Stump = namedtuple("Stump", "feature_index threshold left_class right_class")
 
 
-def _boundaries(sorted_values):
-    change = np.flatnonzero(sorted_values[1:] > sorted_values[:-1])
+def split_keys(column):
+    """Each cell's split key: its value, when the column holds at most MAX_BINS
+    distinct observed values; otherwise the observed cells below the value
+    times MAX_BINS over the observed cells, rounded down. A missing cell's is
+    NaN."""
+    observed = column[~np.isnan(column)]
+    if np.unique(observed).size <= MAX_BINS:
+        return column
+    below = (observed < column[:, None]).sum(axis=1)
+    return np.where(np.isnan(column), np.nan, below * MAX_BINS // observed.size)
+
+
+def _boundaries(sorted_values, sorted_keys):
+    change = np.flatnonzero(sorted_keys[1:] > sorted_keys[:-1])
     return change + 1, (sorted_values[change] + sorted_values[change + 1]) / 2.0
 
 
@@ -41,7 +59,7 @@ def _candidates(X, sorted_rows, member, stats):
     for f, order in enumerate(sorted_rows):
         if order is not None:
             rows = order[member[order]]
-            prefix, thresholds = _boundaries(X[rows, f])
+            prefix, thresholds = _boundaries(X[rows, f], split_keys(X[:, f])[rows])
             if thresholds.size:
                 left = stats[rows]
                 np.cumsum(left, axis=0, out=left)

@@ -18,10 +18,13 @@ from boostlab.boost import _stump_tree, default_params, fit, model_to_dict
 from boostlab.dataset import BINARY, NUMERIC, categorical, pcos_default_schema, synthesize
 from boostlab.errors import EmptyData, MalformedModel, SchemaMismatch
 from boostlab.tree import (
+    MAX_BINS,
     MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
     Presort,
     RegressionTree,
+    _midpoints,
+    _Node,
     _split_bits,
     _went_right,
     fit_oblivious_tree,
@@ -1348,10 +1351,10 @@ class TestSplitKernelMatchesOracle:
 
     def test_a_gbm_fit_keeps_its_node_memo_within_the_budget(self, monkeypatch):
         """The nodes of a 30-round, 4 000-row GBM fit with 10 % missing cells
-        hold more bytes than MAX_NODE_CACHE_BYTES (11.0 MB against 8 MB): the
-        memo drops the least recently used ones, stays within the budget and
-        holds fewer nodes than the fit visited, and the model keeps its
-        bytes."""
+        hold 6.4 MB, more than a budget of 4 MB: the memo drops the least
+        recently used ones, stays within the budget and holds fewer nodes
+        than the fit visited, and the model keeps its bytes."""
+        monkeypatch.setattr(tree_module, "MAX_NODE_CACHE_BYTES", 4 << 20)
         presorts = []
 
         class Recorded(Presort):
@@ -1375,12 +1378,13 @@ class TestSplitKernelMatchesOracle:
     @pytest.mark.parametrize("algo, most", [("gbm", 220), ("xgboost", 310)])
     def test_a_fit_finds_its_recurring_nodes_in_the_memo(self, monkeypatch, algo, most):
         """A default-params fit on 4 000 rows with 10 % missing cells searches
-        177 distinct nodes (GBM) or 249 (XGBoost), counted with an unbounded
-        memo. At the default budget it builds 197 or 279 searched nodes, and
+        177 distinct nodes (GBM) or 245 (XGBoost), counted with an unbounded
+        memo. At the default budget it builds 177 or 257 searched nodes, and
         at most `most`: nodes that grow larger than the budget allows make
         the memo drop the ones the next rounds revisit (the layout with a
-        values copy in each block built 235 and 371). The memo remembers each
-        node it builds, and no leaf."""
+        values copy in each block built 235 and 371, and the nodes offering
+        every midpoint of a column of more than MAX_BINS values 197 and 279).
+        The memo remembers each node it builds, and no leaf."""
         built = []
 
         class Counted(Presort):
@@ -1413,6 +1417,72 @@ class TestSplitKernelMatchesOracle:
         }
         with pytest.raises(ValueError, match="presort was built with other categorical columns"):
             fits[fitter]()
+
+
+def numeric_column(rng, n: int, observed: int, distinct: int, alpha: float) -> np.ndarray:
+    """n cells in random order, observed of them not missing, holding exactly
+    distinct values: each once, and the other observed cells repeating them
+    with Dirichlet(alpha) frequencies (a small alpha, heavy ties)."""
+    pool = rng.permutation(distinct) * 0.25 - 40.0
+    repeats = rng.choice(pool, observed - distinct, p=rng.dirichlet(np.full(distinct, alpha)))
+    return rng.permutation(np.concatenate([pool, repeats, np.full(n - observed, np.nan)]))
+
+
+@st.composite
+def binned_inputs(draw):
+    """200-600 rows of a binary column and two numeric ones, each numeric
+    column with missing cells or none, and from 3 distinct observed values to
+    as many as it has observed cells, so at most MAX_BINS or more, with ties."""
+    n = draw(st.integers(200, 600))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = [rng.integers(0, 2, n).astype(float)]
+    for _ in range(2):
+        observed = n - int(n * draw(st.sampled_from([0.0, 0.1, 0.5])))
+        binned = draw(st.booleans()) and observed > MAX_BINS
+        distinct = draw(st.integers(MAX_BINS + 1, observed) if binned else st.integers(3, min(observed, MAX_BINS)))
+        cols.append(numeric_column(rng, n, observed, distinct, draw(st.sampled_from([0.05, 1.0, 50.0]))))
+    return np.column_stack(cols)
+
+
+def boundary_inputs(distinct: int) -> np.ndarray:
+    """500 rows whose two numeric columns hold exactly distinct observed
+    values, the second with 150 missing cells."""
+    rng = np.random.default_rng(distinct)
+    cols = [numeric_column(rng, 500, observed, distinct, 1.0) for observed in (500, 350)]
+    return np.column_stack([rng.integers(0, 2, 500).astype(float), *cols])
+
+
+class TestQuantileCandidates:
+    @settings(max_examples=100, deadline=None)
+    @example(boundary_inputs(MAX_BINS))
+    @example(boundary_inputs(MAX_BINS + 1))
+    @given(binned_inputs())
+    def test_a_column_offers_every_midpoint_or_each_bin_boundary(self, X):
+        """At a tree's root (_Node) and at an oblivious level
+        (_LevelCandidates), a column of at most MAX_BINS distinct observed
+        values offers a threshold between every two neighbouring distinct
+        values. A column of more offers at most MAX_BINS - 1, one between
+        each two neighbouring distinct values of different equal-frequency
+        bins, and none within a bin. A value's bin is counted here directly:
+        the observed cells below it times MAX_BINS over the observed cells,
+        rounded down."""
+        presort = Presort(X)
+        root = _Node(presort, np.arange(X.shape[0]), presort.block)
+        level = presort.level_candidates
+        for f in (1, 2):
+            observed = X[~np.isnan(X[:, f]), f]
+            distinct = np.unique(observed)
+            at_root = [root.threshold(presort, c) for c in np.flatnonzero(root.col == f)]
+            at_level = [t for j, t in zip(level.features.tolist(), level.thresholds) if j == f]
+            assert np.array(at_root).tobytes() == np.array(at_level).tobytes()
+            if distinct.size <= MAX_BINS:
+                assert at_root == _midpoints(distinct[:-1], distinct[1:]).tolist()
+                continue
+            bins = (observed < distinct[:, None]).sum(axis=1) * MAX_BINS // observed.size
+            assert len(at_root) <= MAX_BINS - 1
+            assert len(at_root) == np.count_nonzero(bins[1:] != bins[:-1])
+            for t in at_root:
+                assert bins[distinct <= t].max() < bins[distinct > t].min()
 
 
 def wide_inputs():
