@@ -45,40 +45,44 @@ the node's rows with its gradient and hessian sums in one pass. A node's rows
 of the sorted columns of several thresholds are its block; a stable partition
 on the chosen split hands each child its block in the same order, so no node
 sorts. An oblivious tree's search is bucket-sorted instead, since a level's
-gain sums over every leaf bucket: its candidates are listed once per Presort
-(Presort.level_candidates), and each level takes the rows of its swept
-columns in (bucket, value) order from one stable sort of their bucket ids
-(see fit_oblivious_tree). A stump is that search's one level with all rows in
-one bucket, its per-row statistics the weight each leaf class misclassifies.
+gain sums over every leaf bucket: its candidates are the root's, and how it
+sums them is set up once per Presort (Presort.level_candidates); each level
+takes the rows of its swept columns in (bucket, value) order from one stable
+sort of their bucket ids (see fit_oblivious_tree). A stump is that search's
+one level with all rows in one bucket, its per-row statistics the weight each
+leaf class misclassifies.
 
 A searched node (_Node) holds what its scan needs of its rows alone: the rows,
 the block, the candidates and which rows each sum adds; a leaf is its rows.
 Only the sums depend on the round's statistics. The rounds of a fit search
-the same nodes again and again, so a Presort remembers them (Presort.recall),
-each keyed by its path from the root: the (feature, threshold, default_left,
-went_right) of each split above it. X does not change within a fit, so one
-path always selects the same rows in the same order, and a remembered node
-sums the same numbers in the same order as a new one: no bit of a fit depends
-on the memo. It holds at most MAX_NODE_CACHE_BYTES of arrays and drops the
-least recently used node first. Nodes are kept small so that the budget holds
-the ones a fit revisits: a block holds row indices, not values
-(Presort.swept_keys has their split keys, X their values).
+the same nodes again and again. The root, the node of all rows, is built
+once and held by the Presort (Presort.root); the nodes below it a Presort
+remembers (Presort.recall), each keyed by its path from the root: the
+(feature, threshold, default_left, went_right) of each split above it. X does
+not change within a fit, so one path always selects the same rows in the same
+order, and a held or remembered node sums the same numbers in the same order
+as a new one: no bit of a fit depends on the memo. It holds at most
+MAX_NODE_CACHE_BYTES of arrays and drops the least recently used node first.
+Nodes are kept small so that the budget holds the ones a fit revisits: a
+block holds row indices, not values (Presort.swept_keys has their split keys,
+X their values).
 
 Every search lists its candidates in group order, each group from the
 Presort's own arrays: the swept columns', then the single-threshold
 columns', then the categorical levels. A regression node lists those its
-rows offer (_Node), an oblivious level, a stump's too, those of all rows
-(_LevelCandidates). Each column's candidates are contiguous and in
+rows offer (_Node); an oblivious level, a stump's too, weighs those of all
+rows, which the root lists. Each column's candidates are contiguous and in
 enumeration order, so the selection rule below needs no sort by column. A
 swept column offers a candidate between two neighbouring rows of its value
 order whose split keys differ (Presort): every pair of distinct values in a
 column of at most MAX_BINS distinct observed values, else only the pairs that
 straddle two of its MAX_BINS equal-frequency bins, so a search over any number
 of rows weighs at most MAX_BINS - 1 thresholds of the column (XGBoost's
-approximate split finding; CatBoost's border quantization). A scan computes
-no midpoint: a node keeps each swept candidate's place in the block, and the
-caller computes its winner's threshold alone (a single-threshold column's is
-computed once, in Presort; a level is its own).
+approximate split finding; CatBoost's border quantization). No search
+computes a midpoint but its winner's: a node keeps each swept candidate's
+place in the block, and every search, an oblivious level's and a stump's
+through the root, computes its winner's threshold alone (_Node.threshold; a
+single-threshold column's is computed once, in Presort; a level is its own).
 
 Every sum a fit takes adds its numbers in one fixed order, whatever the rows
 outside a node, so fits are bit-for-bit repeatable: sequential cumsums,
@@ -99,7 +103,7 @@ sum after sum.
 Thresholds lie between the values lo < hi of two neighbouring rows, in a
 binned column the last of one bin and the first of the next that the rows
 hold: their midpoint, computed without overflow, or lo where the midpoint
-rounds to hi (_midpoints). So a split routes the rows as its gain or error
+rounds to hi (_midpoint). So a split routes the rows as its gain or error
 was scored, and every sum keeps its order, bins or not.
 
 Candidate enumeration order is feature index ascending, then threshold
@@ -277,10 +281,11 @@ def _leaf_index(right: np.ndarray, path) -> np.ndarray:
 # test) holds at once; it scores the rows in chunks that stay under this.
 MAX_BIT_MATRIX_BYTES = 64 << 20
 
-# The most bytes of arrays a Presort's memo of searched nodes (Presort.recall)
-# holds; it drops the least recently used node first. The nodes of the paper
-# preset's fits fit whole; default-params fits on scale's 4 000 training rows rebuild
-# few: GBM 171 searched nodes for 169 distinct ones, XGBoost 309 for 275.
+# The most bytes of arrays a Presort's memo of searched nodes below the root
+# (Presort.recall) holds; it drops the least recently used node first. The
+# nodes of the paper preset's fits fit whole; default-params fits on scale's
+# 4 000 training rows rebuild few: GBM 170 searched nodes for 168 distinct
+# ones, XGBoost 303 for 274.
 MAX_NODE_CACHE_BYTES = 8 << 20
 
 # The most distinct values a swept column offers its thresholds between; a
@@ -353,13 +358,14 @@ def _went_right(col: np.ndarray, threshold, *, missing_left: bool, out=None) -> 
     return np.logical_not(out, out=out)
 
 
-def _midpoints(lo, hi):
-    """Thresholds between consecutive distinct values lo < hi: the midpoint,
-    computed without overflow (for normal values lo/2 + hi/2 has the bits of
-    (lo + hi)/2), or lo where it does not lie in [lo, hi), as between two
-    adjacent floats. So a threshold sends lo left and hi right."""
+def _midpoint(lo: float, hi: float) -> float:
+    """The threshold between consecutive distinct values lo < hi: their
+    midpoint, computed without overflow (for normal values lo/2 + hi/2 has the
+    bits of (lo + hi)/2), or lo where it does not lie in [lo, hi), as between
+    two adjacent floats. So a threshold sends lo left and hi right. One pair
+    of scalars, since every search computes its winner's threshold alone."""
     mid = lo / 2 + hi / 2
-    return np.where((lo <= mid) & (mid < hi), mid, lo)
+    return mid if lo <= mid < hi else lo
 
 
 def _fit_inputs(X, learner: str, names: str, values, mass) -> tuple[np.ndarray, ...]:
@@ -408,15 +414,17 @@ class Presort:
     itself without it; a boosting loop builds one per fit, since X does not
     change between its rounds.
 
-    A Presort also remembers the searched nodes of the regression trees fit
-    on it (_Node), and no leaf, each under its path from the root: the
-    (feature, threshold, default_left, went_right) of each split above it.
-    nodes maps each path to its node and the bytes of its arrays, least
-    recently used first, and node_bytes sums those bytes; past
-    MAX_NODE_CACHE_BYTES the least recently used nodes are dropped. A node
-    holds only what its rows decide, and a path always selects the same rows
-    in the same order, so a remembered node gives a fit the same bits as a
-    new one.
+    root is the searched node of all rows (_Node), built once and held
+    outside the memo: a regression tree's root, and the candidates an
+    oblivious level and a stump weigh, with their thresholds. A Presort also
+    remembers the searched nodes below the root of the regression trees fit
+    on it, and no leaf, each under its path from the root: the (feature,
+    threshold, default_left, went_right) of each split above it. nodes maps
+    each path to its node and the bytes of its arrays, least recently used
+    first, and node_bytes sums those bytes; past MAX_NODE_CACHE_BYTES the
+    least recently used nodes are dropped. A node holds only what its rows
+    decide, and a path always selects the same rows in the same order, so a
+    held or remembered node gives a fit the same bits as a new one.
     """
 
     def __init__(self, X, kinds: tuple[FeatureKind, ...] | None = None):
@@ -437,9 +445,8 @@ class Presort:
             observed = self.values[self.swept[r], :m]
             self.swept_keys[r, self.block[r, :m]] = observed.searchsorted(observed) * MAX_BINS // m
         self.single = (~self.categorical & (n_thresholds == 1)).nonzero()[0]
-        lo = self.values[self.single, 0]  # a single threshold lies above the least value
-        hi = np.array([v[v > v[0]][0] for v in self.values[self.single]])
-        self.single_threshold = _midpoints(lo, hi)
+        # a single threshold lies between the least value and the next
+        self.single_threshold = np.array([_midpoint(v[0], v[v > v[0]][0]) for v in self.values[self.single]])
         # per row and single-threshold column r: 3 * r, plus 1 above the
         # threshold or 2 when missing; row-major, so a node takes its rows whole
         cells = X[:, self.single]
@@ -474,8 +481,14 @@ class Presort:
         return node
 
     @cached_property
+    def root(self) -> _Node:
+        """The searched node of all rows, built on first use and held
+        outside the memo (see the class docstring)."""
+        return _Node(self, np.arange(self.X.shape[0]), self.block)
+
+    @cached_property
     def level_candidates(self) -> _LevelCandidates:
-        """The candidates of an oblivious level (see _LevelCandidates)."""
+        """How an oblivious level sums the root's candidates (see _LevelCandidates)."""
         return _LevelCandidates(self)
 
 
@@ -502,7 +515,8 @@ def _presorted(X: np.ndarray, kinds, presort: Presort | None) -> Presort:
 class _Node:
     """A searched node of a regression tree: its rows and what its scan
     needs of them, which the rows alone decide. Only scan's sums depend on the
-    per-row statistics. A leaf is no _Node, only its rows.
+    per-row statistics. A leaf is no _Node, only its rows. The node of all
+    rows, Presort.root, lists the candidates of every search.
 
     idx lists the node's rows, ascending, and block their part of
     presort.block in its order. The node lists its candidates in group order:
@@ -613,7 +627,7 @@ class _Node:
         if c < self.swept_at.size:
             r, at = divmod(int(self.swept_at[c]), self.idx.size)
             cells, rows = presort.X[:, presort.swept[r]], self.block[r]
-            return float(_midpoints(cells[rows[at]], cells[rows[at + 1]]))
+            return float(_midpoint(cells[rows[at]], cells[rows[at + 1]]))
         v = self.fixed[c - self.swept_at.size]
         return frozenset({int(v)}) if presort.categorical[self.col[c]] else float(v)
 
@@ -645,10 +659,11 @@ def fit_stump(
     leaf misclassifies are a cumsum in value order for the swept
     candidates, then a bincount of the left rows for the masked ones, in
     group order. The earliest candidate within _TIE_TOL of the least error
-    wins (see the module docstring). The error returned
-    is the weight the stump misclassifies, one sum over those rows: 0.0 for
-    a stump that errs on no weighted row, never negative, and at most 0.5 +
-    _TIE_TOL, since both orientations are searched.
+    wins (see the module docstring), and its threshold is the root's
+    (Presort.root). The error returned is the weight the stump
+    misclassifies, one sum over those rows: 0.0 for a stump that errs on no
+    weighted row, never negative, and at most 0.5 + _TIE_TOL, since both
+    orientations are searched.
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not _all((y == -1) | (y == 1)):
@@ -680,7 +695,7 @@ def fit_stump(
     if errs.size == 0:
         return constant()
     c, oi = _first_best(-errs, cand.features, _TIE_TOL)
-    f, thr = int(cand.features[c]), cand.thresholds[c]
+    f, thr = int(cand.features[c]), presort.root.threshold(presort, c)
     lc, rc = _ORIENTATIONS[oi]
     right = _went_right(presort.X[:, f], thr, missing_left=True)
     if fitted is not None:
@@ -819,19 +834,18 @@ def fit_regression_tree(
     Each node scores all its candidates at once (_Node.scan) and computes the
     threshold of its winner only. A node's block, its rows of presort.block,
     is split between its children by a stable partition on the chosen split,
-    so no node sorts. The searched nodes are remembered in presort
-    (Presort.recall): another fit on it, as the next boosting round, that
-    reaches a node by the same splits finds its rows, block and candidates
-    there.
+    so no node sorts. The root is presort's own (Presort.root), and the
+    searched nodes below it are remembered in presort (Presort.recall):
+    another fit on it, as the next boosting round, starts from the same root
+    and, reaching a node by the same splits, finds its rows, block and
+    candidates there.
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     d = X.shape[1]
     presort = _presorted(X, kinds, presort)
     stats = (g, h, _pair(g, h))
 
-    root = np.arange(X.shape[0])
-    if max_depth > 0 and root.size >= 2:
-        root = presort.recall(()) or presort.remember((), _Node(presort, root, presort.block))
+    root = presort.root if max_depth > 0 and X.shape[0] >= 2 else np.arange(X.shape[0])
 
     def expand(item):  # item: (path, searched node or a leaf's rows, depth)
         path, node, depth = item
@@ -854,19 +868,19 @@ def fit_regression_tree(
 
 
 class _LevelCandidates:
-    """Every candidate split of an oblivious level, in group order (see the
-    module docstring), and how the search finds their gains; built once per
-    Presort.
+    """How an oblivious level finds the gains of the candidates of
+    Presort.root, in its group order (see the module docstring); built once
+    per Presort.
 
-    features (int64) and thresholds list the candidates: the swept columns'
-    first, then the n_masked candidates of the single-threshold columns and
-    the categorical levels. A swept candidate lies between two neighbouring
-    rows of its column's value order whose keys (Presort.swept_keys) differ,
-    at the midpoint of their values. The swept columns are searched together:
-    by_value holds each one's rows in value order with the missing rows
-    first, one row per column, so flat position j * n + i names the i-th row
-    of swept column j; reads lists the flat position of each swept
-    candidate's last left row, and offset each column's first flat position.
+    features (int64), the root's col, gives each candidate's column: the
+    swept columns' first, then the n_masked candidates of the
+    single-threshold columns and the categorical levels. Candidate c's
+    threshold is the root's (_Node.threshold), computed for a winner alone.
+    The swept columns are searched together: by_value holds each one's rows
+    in value order with the missing rows first, one row per column, so flat
+    position j * n + i names the i-th row of swept column j; reads lists the
+    flat position of each swept candidate's last left row, and offset each
+    column's first flat position.
     A masked candidate's sums come from the rows it sends left (by
     _went_right, so missing rows included): left_rows lists them row by row,
     each row once for each masked candidate it is left of, in candidate order
@@ -874,20 +888,16 @@ class _LevelCandidates:
     """
 
     def __init__(self, presort: Presort):
-        n = presort.X.shape[0]
-        swept, n_observed = presort.swept, presort.n_observed[presort.swept]
-        values = presort.values[swept]
-        keys = np.take_along_axis(presort.swept_keys, presort.block, axis=1)  # in value order
-        r, end = (keys[:, :-1] < keys[:, 1:]).nonzero()  # False next to NaN
-        rotate = (np.arange(n) + n_observed[:, None]) % n  # the missing rows first
-        self.by_value = np.take_along_axis(presort.order[swept], rotate, axis=1)
-        self.reads = r * n + n - n_observed[r] + end
-        self.offset = n * np.arange(swept.size)[:, None]
-        masked = [(f, t, True) for f, t in zip(presort.single.tolist(), presort.single_threshold.tolist())]
-        masked += [(j, frozenset({int(v)}), True) for j, levels, _ in presort.cat_levels for v in levels.tolist()]
+        n, root = presort.X.shape[0], presort.root
+        missing = n - presort.n_observed[presort.swept]
+        rotate = (np.arange(n) - missing[:, None]) % n  # the missing rows first
+        self.by_value = np.take_along_axis(presort.block, rotate, axis=1)
+        self.reads = root.swept_at + missing[root.swept_at // n]  # swept_at is row * n + place in value order
+        self.offset = n * np.arange(presort.swept.size)[:, None]
+        self.features = root.col
+        k = root.swept_at.size  # the masked candidates follow the swept ones
+        masked = [(int(root.col[c]), root.threshold(presort, c), True) for c in range(k, root.col.size)]
         self.n_masked = len(masked)
-        self.features = np.concatenate([swept[r], np.array([f for f, _, _ in masked], dtype=np.int64)])
-        self.thresholds = _midpoints(values[r, end], values[r, end + 1]).tolist() + [t for _, t, _ in masked]
         self.left_rows, self.left_of = (~_split_bits(masked, presort.X.T).T).nonzero()
 
     def positions(self, bucket: np.ndarray) -> np.ndarray:
@@ -969,9 +979,10 @@ def fit_oblivious_tree(
     one float per row, receives each row's output: tree.predict(X), read off
     the fit's final buckets.
 
-    The search is bucket-sorted, and its candidates are listed once per
-    Presort (_LevelCandidates), in group order: a level's gains are the swept
-    candidates', then the masked ones'. The columns of several thresholds
+    The search is bucket-sorted, and its candidates are the root's
+    (Presort.root), in group order, summed as _LevelCandidates sets up once
+    per Presort: a level's gains are the swept candidates', then the masked
+    ones'. The columns of several thresholds
     are swept (_LevelCandidates.gains): each level takes their rows in
     (bucket, value) order from one stable sort of the rows' bucket ids in
     value order, so no order is carried between levels. For a categorical
@@ -982,8 +993,9 @@ def fit_oblivious_tree(
     """
     X, g, h = _fit_inputs(X, "tree", "grads and hessians", grads, hessians)
     n, d = X.shape
-    candidates = _presorted(X, kinds, presort).level_candidates
-    features, thresholds = candidates.features, candidates.thresholds
+    presort = _presorted(X, kinds, presort)
+    candidates = presort.level_candidates
+    features = candidates.features
     n_masked, left_rows, left_of = candidates.n_masked, candidates.left_rows, candidates.left_of
     left_g, left_h = g[left_rows], h[left_rows]
     swept_gh = _pair(g, h)[candidates.by_value.reshape(-1)]
@@ -1020,7 +1032,7 @@ def fit_oblivious_tree(
         if not best > 0 or np.isnan(best - tol):  # NaN: sums past the float range
             break
         k, _ = _first_best(gains[:, None], features, tol)
-        f, thr = int(features[k]), thresholds[k]
+        f, thr = int(features[k]), presort.root.threshold(presort, k)
         levels.append((f, thr))
         right = _went_right(X[:, f], thr, missing_left=True)
         leaf = leaf * 2 + right

@@ -13,7 +13,7 @@ from boostlab.tree import (
     MAX_OBLIVIOUS_DEPTH,
     ObliviousTree,
     _fit_inputs,
-    _midpoints,
+    _midpoint,
     _presorted,
     _went_right,
 )
@@ -55,7 +55,7 @@ class _LevelCandidates:
                 order, values = presort.order[f], presort.values[f]
                 keys = split_keys(col)[order]
                 end = np.flatnonzero(keys[:-1] < keys[1:])
-                levels = _midpoints(values[end], values[end + 1]).tolist()
+                levels = [_midpoint(lo, hi) for lo, hi in zip(values[end].tolist(), values[end + 1].tolist())]
                 swept.append((at, np.concatenate([order[n_obs:], order[:n_obs]]), n - n_obs + end))
             else:
                 levels = []

@@ -23,7 +23,7 @@ from boostlab.tree import (
     ObliviousTree,
     Presort,
     RegressionTree,
-    _midpoints,
+    _midpoint,
     _Node,
     _split_bits,
     _went_right,
@@ -1248,21 +1248,23 @@ class TestSplitKernelMatchesOracle:
     @with_edge_inputs(True)
     @given(split_inputs(), st.booleans())
     def test_level_candidates(self, inputs, with_kinds):
-        """An oblivious level lists its candidates in group order, the oracle
-        in enumeration order: sorted by column, each column's candidates kept
-        in their place in its group, every candidate's column and threshold
-        are the oracle's, bit for bit."""
+        """An oblivious level lists the candidates of the Presort's root, in
+        group order, the oracle in enumeration order: sorted by column, each
+        column's candidates kept in their place in its group, every
+        candidate's column and threshold (the root's) are the oracle's, bit
+        for bit."""
         X, _, _, kinds = inputs
         presort = Presort(X, kinds if with_kinds else None)
         got = presort.level_candidates
         want = oblivious_search_oracle._LevelCandidates(presort)
+        assert got.features.tolist() == presort.root.col.tolist()
         by_column = np.argsort(got.features, kind="stable").tolist()
 
         def bits(thresholds):
             return [(type(t), t if isinstance(t, frozenset) else np.float64(t).tobytes()) for t in thresholds]
 
         assert got.features[by_column].tolist() == list(want.features)
-        assert bits([got.thresholds[c] for c in by_column]) == bits(want.thresholds)
+        assert bits([presort.root.threshold(presort, c) for c in by_column]) == bits(want.thresholds)
 
     def test_more_single_threshold_candidates_than_a_byte_numbers(self):
         # a node numbers its single-threshold candidates in the least
@@ -1298,13 +1300,14 @@ class TestSplitKernelMatchesOracle:
     @given(split_inputs(), st.lists(st.integers(1, 4), min_size=3, max_size=3))
     def test_a_given_presort_changes_nothing(self, inputs, depths):
         """Round after round of drawn statistics and depths, the regression
-        trees and stumps fit on one Presort, which remembers the trees'
-        searched nodes and lists the stumps' candidates once, have the bytes
-        of fits on a fresh Presort each; so do fits on one Presort whose memo
-        holds nothing (a budget of 0 bytes drops every node). Fits of depths 1
-        to 4 on one Presort remember nodes that hold a block and no leaf's
-        path: a leaf at its fit's depth is searched by no earlier fit, and
-        one of one row by none."""
+        trees, oblivious trees and stumps fit on one Presort, which holds the
+        root all three searches list their candidates from, remembers the
+        regression trees' searched nodes and lists the level candidates once,
+        have the bytes of fits on a fresh Presort each; so do fits on one
+        Presort whose memo holds nothing (a budget of 0 bytes drops every
+        node). Fits of depths 1 to 4 on one Presort remember nodes that hold
+        a block and no leaf's path: a leaf at its fit's depth is searched by
+        no earlier fit, and one of one row by none."""
         X, g, h, kinds = inputs
         n = X.shape[0]
         rng = np.random.default_rng(n)
@@ -1315,11 +1318,14 @@ class TestSplitKernelMatchesOracle:
         def fits(presort):
             out = []
             for (g, h, depth), w in zip(rounds, weights):
-                fitted = np.full(n, np.nan)
+                fitted, level_fitted = np.full((2, n), np.nan)
                 tree = fit_regression_tree(X, g, h, kinds, max_depth=depth, presort=presort, fitted=fitted)
+                oblivious = fit_oblivious_tree(X, g, h, kinds, depth=depth, presort=presort, fitted=level_fitted)
                 stump, err = fit_stump(X, np.where(g > 0, 1, -1), w, kinds, presort=presort)
                 err = np.float64(err).tobytes()
-                out.append((tree_to_dict(tree), tree.value.tobytes(), fitted.tobytes(), tree_to_dict(stump), err))
+                out.append((tree_to_dict(tree), tree.value.tobytes(), fitted.tobytes()))
+                out.append((tree_to_dict(oblivious), oblivious.leaf_values.tobytes(), level_fitted.tobytes()))
+                out.append((tree_to_dict(stump), err))
             return out
 
         want = fits(None)
@@ -1378,13 +1384,14 @@ class TestSplitKernelMatchesOracle:
     @pytest.mark.parametrize("algo, most", [("gbm", 220), ("xgboost", 310)])
     def test_a_fit_finds_its_recurring_nodes_in_the_memo(self, monkeypatch, algo, most):
         """A default-params fit on 4 000 rows with 10 % missing cells searches
-        177 distinct nodes (GBM) or 245 (XGBoost), counted with an unbounded
-        memo. At the default budget it builds 177 or 257 searched nodes, and
-        at most `most`: nodes that grow larger than the budget allows make
-        the memo drop the ones the next rounds revisit (the layout with a
-        values copy in each block built 235 and 371, and the nodes offering
-        every midpoint of a column of more than MAX_BINS values 197 and 279).
-        The memo remembers each node it builds, and no leaf."""
+        176 distinct nodes below the root (GBM) or 244 (XGBoost), counted
+        with an unbounded memo. At the default budget it builds 176 or 256 of
+        them, and at most `most`: nodes that grow larger than the budget
+        allows make the memo drop the ones the next rounds revisit (counted
+        with the root, which the memo held then, the layout with a values
+        copy in each block built 235 and 371, and the nodes offering every
+        midpoint of a column of more than MAX_BINS values 197 and 279). The
+        memo remembers each node below the root it builds, and no leaf."""
         built = []
 
         class Counted(Presort):
@@ -1396,6 +1403,38 @@ class TestSplitKernelMatchesOracle:
         data = synthesize(pcos_default_schema(), 4000, 3, 2.0, missing_rate=0.1)
         fit(algo, data, default_params(algo))
         assert len(built) <= most
+
+    @pytest.mark.parametrize("budget", [0, tree_module.MAX_NODE_CACHE_BYTES])
+    @pytest.mark.parametrize("algo", ["gbm", "xgboost"])
+    def test_a_fit_builds_its_root_once(self, monkeypatch, algo, budget):
+        """A 3-round fit on 300 rows builds the node of all rows once, as its
+        Presort's root, also when the memo holds nothing: the memo has no
+        entry for the path () and its bytes are those of the nodes it holds,
+        each of fewer rows."""
+        monkeypatch.setattr(tree_module, "MAX_NODE_CACHE_BYTES", budget)
+        n = 300
+        roots, presorts = [], []
+
+        class Counted(_Node):
+            def __init__(self, presort, idx, block):
+                super().__init__(presort, idx, block)
+                if idx.size == n:
+                    roots.append(self)
+
+        class Recorded(Presort):
+            def __init__(self, *args):
+                super().__init__(*args)
+                presorts.append(self)
+
+        monkeypatch.setattr(tree_module, "_Node", Counted)
+        monkeypatch.setattr(boost_module, "Presort", Recorded)
+        data = synthesize(pcos_default_schema(), n, 3, 2.0, missing_rate=0.1)
+        model = fit(algo, data, replace(default_params(algo), n_rounds=3))
+        (presort,) = presorts
+        assert len(model.trees) == 3 and len(roots) == 1 and presort.root is roots[0]
+        assert () not in presort.nodes
+        assert presort.node_bytes == sum(size for _, size in presort.nodes.values()) <= budget
+        assert all(node.idx.size < n for node, _ in presort.nodes.values())
 
     def test_presort_of_another_matrix_is_rejected(self):
         presort = Presort(np.zeros((3, 2)))
@@ -1458,25 +1497,23 @@ class TestQuantileCandidates:
     @example(boundary_inputs(MAX_BINS + 1))
     @given(binned_inputs())
     def test_a_column_offers_every_midpoint_or_each_bin_boundary(self, X):
-        """At a tree's root (_Node) and at an oblivious level
-        (_LevelCandidates), a column of at most MAX_BINS distinct observed
-        values offers a threshold between every two neighbouring distinct
-        values. A column of more offers at most MAX_BINS - 1, one between
-        each two neighbouring distinct values of different equal-frequency
-        bins, and none within a bin. A value's bin is counted here directly:
-        the observed cells below it times MAX_BINS over the observed cells,
-        rounded down."""
+        """At a tree's root (Presort.root), whose candidates an oblivious
+        level (_LevelCandidates) lists too, a column of at most MAX_BINS
+        distinct observed values offers a threshold between every two
+        neighbouring distinct values. A column of more offers at most
+        MAX_BINS - 1, one between each two neighbouring distinct values of
+        different equal-frequency bins, and none within a bin. A value's bin
+        is counted here directly: the observed cells below it times MAX_BINS
+        over the observed cells, rounded down."""
         presort = Presort(X)
-        root = _Node(presort, np.arange(X.shape[0]), presort.block)
-        level = presort.level_candidates
+        root = presort.root
+        assert presort.level_candidates.features.tolist() == root.col.tolist()
         for f in (1, 2):
             observed = X[~np.isnan(X[:, f]), f]
             distinct = np.unique(observed)
             at_root = [root.threshold(presort, c) for c in np.flatnonzero(root.col == f)]
-            at_level = [t for j, t in zip(level.features.tolist(), level.thresholds) if j == f]
-            assert np.array(at_root).tobytes() == np.array(at_level).tobytes()
             if distinct.size <= MAX_BINS:
-                assert at_root == _midpoints(distinct[:-1], distinct[1:]).tolist()
+                assert at_root == [_midpoint(lo, hi) for lo, hi in zip(distinct[:-1].tolist(), distinct[1:].tolist())]
                 continue
             bins = (observed < distinct[:, None]).sum(axis=1) * MAX_BINS // observed.size
             assert len(at_root) <= MAX_BINS - 1
