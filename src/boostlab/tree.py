@@ -49,8 +49,8 @@ gain sums over every leaf bucket: its candidates are the root's, and how it
 sums them is set up once per Presort (Presort.level_candidates); each level
 takes the rows of its swept columns in (bucket, value) order from one stable
 sort of their bucket ids (see fit_oblivious_tree). A stump is that search's
-one level with all rows in one bucket, its per-row statistics the weight each
-leaf class misclassifies.
+one level with all rows in one bucket, its per-row statistic the signed
+weight w * y.
 
 A searched node (_Node) holds what its scan needs of its rows alone: the rows,
 the block, the candidates and which rows each sum adds; a leaf is its rows.
@@ -655,15 +655,16 @@ def fit_stump(
     chosen split.
 
     The search is an oblivious level's with all rows in one bucket
-    (Presort.level_candidates): each candidate's left sums of the weights a
-    leaf misclassifies are a cumsum in value order for the swept
-    candidates, then a bincount of the left rows for the masked ones, in
-    group order. The earliest candidate within _TIE_TOL of the least error
-    wins (see the module docstring), and its threshold is the root's
-    (Presort.root). The error returned is the weight the stump
-    misclassifies, one sum over those rows: 0.0 for a stump that errs on no
-    weighted row, never negative, and at most 0.5 + _TIE_TOL, since both
-    orientations are searched.
+    (Presort.level_candidates): each candidate's left sum of the signed
+    weights w * y is a cumsum in value order for the swept candidates, then
+    a bincount of the left rows for the masked ones, in group order. With -1
+    left and +1 right the error is the -1 class's weight plus that sum, and
+    with +1 left and -1 right the +1 class's weight minus it. The earliest
+    candidate within _TIE_TOL of the least error wins (see the module
+    docstring), and its threshold is the root's (Presort.root). The error
+    returned is the weight the stump misclassifies, one sum over those rows:
+    0.0 for a stump that errs on no weighted row, never negative, and at
+    most 0.5 + _TIE_TOL, since both orientations are searched.
     """
     X, y, w = _fit_inputs(X, "stump", "y and weights", y, weights)
     if not _all((y == -1) | (y == 1)):
@@ -673,34 +674,21 @@ def fit_stump(
     presort = _presorted(X, kinds, presort)
     w_pos = float(_sum(w[y == 1]))
     w_neg = float(_sum(w[y == -1]))
-
-    def constant():
-        c = 1 if w_pos >= w_neg else -1
-        if fitted is not None:
-            fitted[:] = c
-        return _stump((), (c,), d), min(w_pos, w_neg)
-
-    if w_pos == 0.0 or w_neg == 0.0:
-        return constant()
-
-    cand = presort.level_candidates
-    wrong = {c: y != c for c in (-1, 1)}  # the rows a leaf of class c gets wrong
-    stats = np.stack([w * wrong[-1], w * wrong[1]])  # the weights a -1 and a +1 leaf miss
-    left = []  # each candidate's sums over its left rows, the swept ones' then the masked ones'
-    for s in stats:
+    levels, classes = (), (1 if w_pos >= w_neg else -1,)  # the constant majority predictor
+    right = False  # which rows go right: none, for a stump of no level
+    if w_pos > 0.0 and w_neg > 0.0 and (col := presort.root.col).size:  # one class: no root is built
+        cand = presort.level_candidates
+        s = w * y  # the signed weight: its left sum is the left +1 weight less the left -1 weight
         masked = np.bincount(cand.left_of, weights=s[cand.left_rows], minlength=cand.n_masked)
-        left.append(np.concatenate([s[cand.by_value].cumsum(axis=1).ravel()[cand.reads], masked]))
-    total = _sum(stats, axis=1)
-    errs = np.stack([left[0] + total[1] - left[1], left[1] + total[0] - left[0]], axis=1)  # per orientation
-    if errs.size == 0:
-        return constant()
-    c, oi = _first_best(-errs, cand.features, _TIE_TOL)
-    f, thr = int(cand.features[c]), presort.root.threshold(presort, c)
-    lc, rc = _ORIENTATIONS[oi]
-    right = _went_right(presort.X[:, f], thr, missing_left=True)
+        left = np.concatenate([s[cand.by_value].cumsum(axis=1).ravel()[cand.reads], masked])
+        c, oi = _first_best(-np.stack([w_neg + left, w_pos - left], axis=1), col, _TIE_TOL)
+        f, thr = int(col[c]), presort.root.threshold(presort, c)
+        levels, classes = ((f, thr),), _ORIENTATIONS[oi]
+        right = _went_right(presort.X[:, f], thr, missing_left=True)
+    pred = np.where(right, classes[-1], classes[0])
     if fitted is not None:
-        fitted[:] = np.where(right, rc, lc)
-    return _stump(((f, thr),), (lc, rc), d), float(_sum(w[np.where(right, wrong[rc], wrong[lc])]))
+        fitted[:] = pred
+    return _stump(levels, classes, d), float(_sum(w[pred != y]))
 
 
 def _stump(levels: tuple, classes: tuple[int, ...], n_features: int) -> ObliviousTree:
@@ -872,7 +860,7 @@ class _LevelCandidates:
     Presort.root, in its group order (see the module docstring); built once
     per Presort.
 
-    features (int64), the root's col, gives each candidate's column: the
+    The candidates are the root's: its col gives each one's column, the
     swept columns' first, then the n_masked candidates of the
     single-threshold columns and the categorical levels. Candidate c's
     threshold is the root's (_Node.threshold), computed for a winner alone.
@@ -894,7 +882,6 @@ class _LevelCandidates:
         self.by_value = np.take_along_axis(presort.block, rotate, axis=1)
         self.reads = root.swept_at + missing[root.swept_at // n]  # swept_at is row * n + place in value order
         self.offset = n * np.arange(presort.swept.size)[:, None]
-        self.features = root.col
         k = root.swept_at.size  # the masked candidates follow the swept ones
         masked = [(int(root.col[c]), root.threshold(presort, c), True) for c in range(k, root.col.size)]
         self.n_masked = len(masked)
@@ -995,7 +982,7 @@ def fit_oblivious_tree(
     n, d = X.shape
     presort = _presorted(X, kinds, presort)
     candidates = presort.level_candidates
-    features = candidates.features
+    features = presort.root.col
     n_masked, left_rows, left_of = candidates.n_masked, candidates.left_rows, candidates.left_of
     left_g, left_h = g[left_rows], h[left_rows]
     swept_gh = _pair(g, h)[candidates.by_value.reshape(-1)]
@@ -1014,7 +1001,7 @@ def fit_oblivious_tree(
         gains, splits = candidates.gains(
             swept_gh, candidates.positions(bucket), size, start, Gb, Hb, parent_b, reg_lambda
         )
-        if n_masked:
+        if n_masked:  # a bincount of no rows is int64, which _safe_score cannot divide in place
             cell = left_of * B + bucket[left_rows]
             GL, HL, CL = (
                 np.bincount(cell, weights=w, minlength=n_masked * B).reshape(-1, B) for w in (left_g, left_h, None)

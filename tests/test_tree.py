@@ -11,6 +11,7 @@ import regression_predict_oracle
 import split_search_oracle as oracle
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_properties import datasets
 
 from boostlab import boost as boost_module
 from boostlab import tree as tree_module
@@ -290,6 +291,14 @@ class TestFitStump:
         assert err == 0.0
         assert (stump.levels, stump.leaf_ids.tolist(), stump.leaf_values.tolist()) == ((), [0], [1.0])
         assert predict_stump(stump, X)[0] == 1
+
+    def test_one_weighted_class_builds_no_root(self):
+        # the constant stump weighs no candidate, so the Presort's root stays unbuilt
+        X = np.array([[1.0], [2.0], [3.0], [4.0]])
+        presort = Presort(X)
+        stump, err = fit_stump(X, np.array([-1, -1, 1, 1]), np.array([0.5, 0.5, 0.0, 0.0]), presort=presort)
+        assert (stump_record(stump), err) == ((0, 0.0, -1, -1), 0.0)
+        assert "root" not in vars(presort)
 
     def test_error_never_above_half(self):
         rng = np.random.default_rng(0)
@@ -1244,6 +1253,28 @@ class TestSplitKernelMatchesOracle:
         assert stump_record(got) == want
         assert got_err == want_err
 
+    @settings(max_examples=60, deadline=None)
+    @given(datasets(), st.integers(1, 20))
+    def test_adaboost_round_stumps(self, data, n_rounds):
+        """Each AdaBoost round's stump and error are the oracle's at that
+        round's own weights, bit for bit: after a few rounds they hold exact
+        ties and mass concentrated on a few rows, on rows with missing numeric
+        cells and a categorical column."""
+        rounds = []
+
+        def recording_fit_stump(X, y, w, kinds, **kwargs):
+            got = fit_stump(X, y, w, kinds, **kwargs)
+            rounds.append((X, y, w.copy(), kinds, got))
+            return got
+
+        with mock.patch.object(boost_module, "fit_stump", recording_fit_stump):
+            fit("adaboost", data, replace(default_params("adaboost"), n_rounds=n_rounds))
+        assert rounds
+        for X, y, w, kinds, (got, got_err) in rounds:
+            want, want_err = oracle.fit_stump(X, y, w, kinds)
+            assert stump_record(got) == want
+            assert got_err == want_err
+
     @settings(max_examples=300, deadline=None)
     @with_edge_inputs(True)
     @given(split_inputs(), st.booleans())
@@ -1257,13 +1288,14 @@ class TestSplitKernelMatchesOracle:
         presort = Presort(X, kinds if with_kinds else None)
         got = presort.level_candidates
         want = oblivious_search_oracle._LevelCandidates(presort)
-        assert got.features.tolist() == presort.root.col.tolist()
-        by_column = np.argsort(got.features, kind="stable").tolist()
+        col = presort.root.col
+        assert got.reads.size + got.n_masked == col.size  # the level sums every candidate of the root
+        by_column = np.argsort(col, kind="stable").tolist()
 
         def bits(thresholds):
             return [(type(t), t if isinstance(t, frozenset) else np.float64(t).tobytes()) for t in thresholds]
 
-        assert got.features[by_column].tolist() == list(want.features)
+        assert col[by_column].tolist() == list(want.features)
         assert bits([presort.root.threshold(presort, c) for c in by_column]) == bits(want.thresholds)
 
     def test_more_single_threshold_candidates_than_a_byte_numbers(self):
@@ -1507,7 +1539,6 @@ class TestQuantileCandidates:
         over the observed cells, rounded down."""
         presort = Presort(X)
         root = presort.root
-        assert presort.level_candidates.features.tolist() == root.col.tolist()
         for f in (1, 2):
             observed = X[~np.isnan(X[:, f]), f]
             distinct = np.unique(observed)
