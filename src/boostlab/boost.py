@@ -249,19 +249,20 @@ def ordered_target_stats(
 
     Row i's code for level v is (label-1 count among earlier-in-permutation
     rows with level v + prior) / (count of such rows + 1), so a row's own
-    label never enters its own code.
+    label never enters its own code. The counts are taken at once: a stable
+    argsort of the permuted levels lists each level's rows in permutation
+    order, a row's count is its place in its level's run (searchsorted finds
+    where the run starts), and its label-1 count is the running count of
+    label-1 rows before it less that count where its run starts. levels is a
+    categorical column, its levels non-negative integers and never NaN as
+    Dataset guarantees, labels are 0/1, and permutation orders the rows.
     """
-    n = len(levels)
-    enc = np.empty(n)
-    count: dict[int, int] = {}
-    ones: dict[int, int] = {}
-    for r in permutation:
-        lvl = int(levels[r])
-        c = count.get(lvl, 0)
-        enc[r] = (ones.get(lvl, 0) + prior) / (c + 1.0)
-        count[lvl] = c + 1
-        if labels[r] == 1:
-            ones[lvl] = ones.get(lvl, 0) + 1
+    rows = permutation[levels[permutation].argsort(kind="stable")]
+    level, one = levels[rows], labels[rows] == 1
+    start = level.searchsorted(level)  # where each row's level run starts
+    ones = one.cumsum() - one  # label-1 rows before each row, of any level
+    enc = np.empty(len(rows))
+    enc[rows] = (ones - ones[start] + prior) / (np.arange(len(rows)) - start + 1.0)
     return enc
 
 
@@ -301,11 +302,13 @@ def _encode_matrix(
     values: np.ndarray,
     schema: FeatureSchema,
     encodings: tuple[CategoricalEncoding, ...],
-    ordered_codes: dict[int, np.ndarray] | None = None,
+    ordered: tuple[np.ndarray, np.ndarray, float] | None = None,
 ) -> np.ndarray:
-    """Expand categoricals per plan; ordered_codes overrides target-stat columns.
-    The matrix is column-major, so predict_trees reads its columns without a
-    transposed copy."""
+    """Expand categoricals per plan: a one-hot column group by one compare
+    with its levels, a target-stat column by its encoding's statistics or,
+    when ordered = (labels, permutation, prior) is given, as in training, by
+    ordered_target_stats(column, *ordered). The matrix is column-major, so
+    predict_trees reads its columns without a transposed copy."""
     by_index = {e.feature_index: e for e in encodings}
     out = np.empty((values.shape[0], _encoded_width(schema, encodings)), order="F")
     k = 0
@@ -315,11 +318,10 @@ def _encode_matrix(
         if enc is None:
             out[:, k] = col
         elif enc.mode == "onehot":
-            for lvl in range(enc.cardinality):
-                out[:, k + lvl] = col == lvl
+            out[:, k : k + enc.cardinality] = col[:, None] == np.arange(enc.cardinality)
             k += enc.cardinality - 1
-        elif ordered_codes is not None:
-            out[:, k] = ordered_codes[j]
+        elif ordered is not None:
+            out[:, k] = ordered_target_stats(col, *ordered)
         else:
             out[:, k] = np.asarray(enc.stats)[col.astype(np.int64)]
         k += 1
@@ -360,11 +362,8 @@ def _fit_ensemble(algorithm: str, train: Dataset, params: BoostParams | None) ->
     if algorithm == "catboost":
         encodings = _plan_encodings(train.schema, params, partial(_full_target_stats, train, prior=params.cat_prior))
         permutation = np.random.default_rng(params.seed).permutation(train.n_rows)
-        ordered_codes = {
-            j: ordered_target_stats(train.values[:, j], train.labels, permutation, params.cat_prior)
-            for j in (e.feature_index for e in encodings if e.mode == "target")
-        }
-        X, kinds = _encode_matrix(train.values, train.schema, encodings, ordered_codes), None
+        ordered = (train.labels, permutation, params.cat_prior)
+        X, kinds = _encode_matrix(train.values, train.schema, encodings, ordered), None
         grow = partial(fit_oblivious_tree, depth=params.max_depth, reg_lambda=params.reg_lambda)
     presort = Presort(X, kinds)
     y = train.labels.astype(np.float64)

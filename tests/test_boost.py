@@ -349,7 +349,7 @@ class TestOrderedTargetStats:
         labels = np.array([1, 0, 1])
         perm = np.array([2, 0, 1])
         enc = ordered_target_stats(levels, labels, perm, 0.5)
-        assert enc[2] == pytest.approx(0.5 / 1.0)
+        assert enc[2] == 0.5 / 1.0
 
     def test_two_prior_rows_hand_value(self):
         # row seen after two earlier rows of its level with labels {1, 0}
@@ -357,7 +357,16 @@ class TestOrderedTargetStats:
         labels = np.array([1, 0, 0])
         perm = np.array([0, 1, 2])
         enc = ordered_target_stats(levels, labels, perm, 0.5)
-        assert enc[2] == pytest.approx((1 + 0.5) / (2 + 1))
+        assert enc[2] == (1 + 0.5) / (2 + 1)
+
+    def test_interleaved_levels_hand_values(self):
+        # permutation order: row 4 (level 0, label 1), row 1 (level 1, label 0),
+        # row 0 (level 0, label 1), row 3 (level 1, label 1), row 2 (level 0)
+        levels = np.array([0.0, 1.0, 0.0, 1.0, 0.0])
+        labels = np.array([1, 0, 0, 1, 1])
+        perm = np.array([4, 1, 0, 3, 2])
+        enc = ordered_target_stats(levels, labels, perm, 0.5)
+        assert enc.tolist() == [(1 + 0.5) / 2, 0.5 / 1, (2 + 0.5) / 3, (0 + 0.5) / 2, 0.5 / 1]
 
     def test_leakage_free(self):
         rng = np.random.default_rng(1)

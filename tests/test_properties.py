@@ -7,10 +7,10 @@ read, AUC, CSV schema inference, the CSV tokenizer against the csv
 module, the CSV byte path's number parser against float(), the CSV readers
 against a row-by-row oracle, the bytes of the curve and score writers, eval's
 read of a scores file as predict writes it, the exit codes of the commands on
-input files with edited bytes, fits at extreme params, sigmoid and the gain
-score against the formulas they replaced and the sums of complex pairs against
-float sums, bit for bit; and that a failing property is reported under this
-repository's pytest settings."""
+input files with edited bytes, fits at extreme params, sigmoid, the gain
+score and CatBoost's ordered target statistics against the formulas they
+replaced and the sums of complex pairs against float sums, bit for bit; and
+that a failing property is reported under this repository's pytest settings."""
 
 import csv
 import io
@@ -40,6 +40,7 @@ from boostlab.boost import (
     load_model,
     model_from_dict,
     model_to_dict,
+    ordered_target_stats,
     predict_scores,
     raw_scores,
     save_model,
@@ -907,6 +908,22 @@ def masked_divide_score(G, H, lam):
     return out
 
 
+def per_row_ordered_target_stats(levels, labels, permutation, prior):
+    """CatBoost's ordered target statistics by a loop over the rows in
+    permutation order, counting each level's rows and label-1 rows so far."""
+    enc = np.empty(len(levels))
+    count: dict[int, int] = {}
+    ones: dict[int, int] = {}
+    for r in permutation:
+        lvl = int(levels[r])
+        c = count.get(lvl, 0)
+        enc[r] = (ones.get(lvl, 0) + prior) / (c + 1.0)
+        count[lvl] = c + 1
+        if labels[r] == 1:
+            ones[lvl] = ones.get(lvl, 0) + 1
+    return enc
+
+
 def any_nan():
     """A NaN of either sign and any payload, quiet or signaling."""
     return st.builds(
@@ -928,7 +945,8 @@ class TestRoundArithmeticMatchesOracle:
     """The boosting round's one-exp sigmoid and one-divide gain score keep the
     bits of the formulas they replaced, NaNs included; the split searches'
     complex pairs cumsum and np.add.at each part as the float cumsum and
-    bincount do (a NaN sum of NaNs aside, whose payload may differ)."""
+    bincount do (a NaN sum of NaNs aside, whose payload may differ); CatBoost's
+    ordered target statistics, counted by sorting, keep the per-row loop's."""
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -990,6 +1008,24 @@ class TestRoundArithmeticMatchesOracle:
             assert bits(_safe_score(G, H, lam)) == want, (G.tolist(), H.tolist(), lam)
             pairs = _pair(G, H)  # the strided parts the level search passes
             assert bits(_safe_score(pairs.real, pairs.imag, lam)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        cells=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 1)), min_size=1, max_size=400),
+        cardinality=st.integers(1, 6),
+        shuffle=st.integers(0, 2**32 - 1),
+        prior=st.sampled_from((0.5,)) | st.floats(0, 1, exclude_min=True, exclude_max=True),
+    )
+    @example(cells=[(0, 1), (0, 0), (0, 1), (0, 0), (0, 0)], cardinality=1, shuffle=0, prior=0.5)  # one level
+    @example(cells=[(0, 1), (1, 1), (0, 1), (2, 1), (1, 1)], cardinality=4, shuffle=1, prior=0.3)  # every label 1
+    @example(cells=[(3, 0)], cardinality=6, shuffle=0, prior=0.5)  # one row
+    def test_ordered_target_stats(self, cells, cardinality, shuffle, prior):
+        # a categorical column's levels in [0, cardinality), some never drawn
+        levels = np.array([lvl % cardinality for lvl, _ in cells], dtype=np.float64)
+        labels = np.array([label for _, label in cells], dtype=np.int64)
+        permutation = np.random.default_rng(shuffle).permutation(len(cells))
+        want = bits(per_row_ordered_target_stats(levels, labels, permutation, prior))
+        assert bits(ordered_target_stats(levels, labels, permutation, prior)) == want, (cells, cardinality, prior)
 
 
 FAILING_PAIR = """
