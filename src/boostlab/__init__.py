@@ -1,6 +1,6 @@
 """boostlab: boosting ensembles and binary-classification metrics from scratch."""
 
-from .bench import BenchmarkConfig, BenchmarkReport, paper_preset_config, run_benchmark
+from .bench import BenchmarkReport, run_benchmark
 from .boost import (
     ALGORITHMS,
     BoostParams,

@@ -1,11 +1,13 @@
 """Benchmark harness: train all four boosters on one shared split and report.
 
-Each algorithm's result is its training accuracy and the metrics.evaluate
-Evaluation of its test scores at its params.threshold, the same evaluation
-that eval writes from a scores file. Outputs per run: report.json, table.txt,
-table.csv, and a ROC + PR curve CSV per algorithm (8 curve files).
-Everything except the report timestamp is byte-deterministic for a fixed
-config.
+run_benchmark takes the rows, the split and one BoostParams per algorithm;
+it reads no file and draws no data, so one loaded table can be split and
+benchmarked any number of times. Each algorithm's result is its training
+accuracy and the metrics.evaluate Evaluation of its test scores at its
+params.threshold, the same evaluation that eval writes from a scores file.
+Outputs per run: report.json, table.txt, table.csv, and a ROC + PR curve CSV
+per algorithm (8 curve files). Everything except the report timestamp is
+byte-deterministic for fixed rows, split and params.
 
 run_benchmark runs four jobs, one per algorithm: the algorithm's fit, its
 training accuracy and its test scores. Where it can, two processes share
@@ -34,21 +36,14 @@ import os
 import pickle
 import signal
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import NoReturn
 
 from ._fileio import atomic_write_text
-from .boost import ALGORITHMS, BoostParams, default_params, fit, paper_preset, predict_labels, predict_scores
-from .dataset import (
-    Dataset,
-    FeatureSchema,
-    SplitSpec,
-    SyntheticSpec,
-    load_csv,
-    split,
-)
+from .boost import ALGORITHMS, BoostParams, fit, predict_labels, predict_scores
+from .dataset import Dataset, SplitSpec, split
 from .errors import SingleClassDataset
 from .metrics import Evaluation, evaluate, pr_to_csv, roc_to_csv
 
@@ -59,42 +54,9 @@ ALGO_LABELS = {
     "catboost": "CatBoost",
 }
 
-PAPER_PRESET_N = 250
-PAPER_PRESET_TEST_ROWS = 48
-
 # The order jobs are claimed in, longest fit first on the paper preset and on
 # default parameters; the caller keeps the first.
 JOB_ORDER = ("catboost", "xgboost", "gbm", "adaboost")
-
-
-@dataclass(frozen=True)
-class BenchmarkConfig:
-    """Exactly one of csv_path / synthetic must be set."""
-
-    csv_path: str | None = None
-    synthetic: SyntheticSpec | None = None
-    schema: FeatureSchema | None = None
-    label_column: str = "pcos"
-    test_fraction: float = 0.2
-    seed: int = 42
-    params: dict[str, BoostParams] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.csv_path is None) == (self.synthetic is None):
-            raise ValueError("exactly one data source (csv_path or synthetic) must be set")
-        for algo in self.params:
-            if algo not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {algo!r} in params")
-
-
-def paper_preset_config(seed: int = 42) -> BenchmarkConfig:
-    """Synthetic benchmark preset: n=250 with a 48-row stratified test split."""
-    return BenchmarkConfig(
-        synthetic=SyntheticSpec(n=PAPER_PRESET_N),
-        test_fraction=PAPER_PRESET_TEST_ROWS / PAPER_PRESET_N,
-        seed=seed,
-        params={algo: paper_preset(algo) for algo in ALGORITHMS},
-    )
 
 
 @dataclass
@@ -120,12 +82,6 @@ class BenchmarkReport:
                 for algo, r in self.results.items()
             },
         }
-
-
-def _load_source(config: BenchmarkConfig) -> Dataset:
-    if config.csv_path is not None:
-        return load_csv(config.csv_path, config.schema, config.label_column)
-    return config.synthetic.draw(config.seed, config.schema)
 
 
 def _claimed(claims: int, kept=()):
@@ -224,22 +180,28 @@ def _run_all(train: Dataset, test: Dataset, params: dict[str, BoostParams]) -> d
     return {**pickle.loads(payload), **outcomes}
 
 
-def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
-    """Train the four boosters on one split; optionally write all report files.
+def run_benchmark(
+    data: Dataset, spec: SplitSpec, params: dict[str, BoostParams], out_dir=None
+) -> BenchmarkReport:
+    """Split data by spec, train the four boosters on its training rows and
+    evaluate them on its test rows; optionally write all report files.
 
+    params holds each algorithm's BoostParams, keyed by exactly the names in
+    ALGORITHMS: a missing or unknown key is a ValueError, before the split.
     The four jobs (each a fit, its training accuracy and its test scores)
     run as the module docstring says: shared by this process and one forked
     child through a claim queue, or all here. The test scores are then
     evaluated by metrics.evaluate at each model's threshold in ALGORITHMS
     order, and the first algorithm whose job failed raises its error. A
-    split of one class is SingleClassDataset, before any fit."""
-    data = _load_source(config)
-    train, test = split(data, SplitSpec(config.test_fraction, config.seed))
+    split of one class is SingleClassDataset, before any fit. The report's
+    seed is spec.seed."""
+    if set(params) != set(ALGORITHMS):
+        raise ValueError(f"params must have exactly the keys {list(ALGORITHMS)}, not {sorted(params)}")
+    train, test = split(data, spec)
     for name, rows in (("train", train), ("test", test)):
         if (positives := int(rows.labels.sum())) in (0, rows.n_rows):  # no fit: no score could be evaluated
             counts = f"{rows.n_rows - positives} of class 0 and {positives} of class 1"
             raise SingleClassDataset(f"the {name} split of {rows.n_rows} rows holds one class: {counts}")
-    params = {algo: config.params.get(algo, default_params(algo)) for algo in ALGORITHMS}
     outcomes = _run_all(train, test, params)
     results: dict[str, AlgoResult] = {}
     for algo in ALGORITHMS:
@@ -251,7 +213,7 @@ def run_benchmark(config: BenchmarkConfig, out_dir=None) -> BenchmarkReport:
 
     report = BenchmarkReport(
         results=results,
-        seed=config.seed,
+        seed=spec.seed,
         n_train=train.n_rows,
         n_test=test.n_rows,
         timestamp=datetime.now(timezone.utc).isoformat(),

@@ -10,7 +10,13 @@ scores file (exit 2).
 predict writes each score, and eval each curve coordinate, as "%.6f"
 would, byte for byte, from the whole array at once (metrics.format_6f).
 
-compare runs its four fit-and-score jobs as bench.run_benchmark does:
+compare reads its rows from --data, or with --synthetic draws them by
+SyntheticSpec at the seed (500 rows unless --n is given), and hands them,
+one SplitSpec and the four algorithms' params to bench.run_benchmark.
+--preset paper sets the paper's experiment: 250 synthetic rows, a 48-row
+stratified test split (--test-fraction 48/250) and each algorithm's
+boost.paper_preset params; --n, --test-fraction and the param flags
+override it. compare runs its four fit-and-score jobs as run_benchmark does:
 this process and one forked child share them through a claim queue,
 longest fit first, with CatBoost in this process; or this process runs all
 four when os.fork or os.sched_getaffinity is missing, the process may run
@@ -46,7 +52,7 @@ from pathlib import Path
 import numpy as np
 
 from ._fileio import atomic_write_text, check_destination
-from .bench import BenchmarkConfig, paper_preset_config, run_benchmark
+from .bench import run_benchmark
 from .boost import (
     ALGORITHMS,
     BoostParams,
@@ -73,6 +79,8 @@ from .metrics import evaluate, format_6f, pr_to_csv, roc_to_csv
 from .tree import MAX_OBLIVIOUS_DEPTH
 
 DEFAULT_SEED = 42
+PAPER_PRESET_N = 250
+PAPER_PRESET_TEST_ROWS = 48
 SCORES_SCHEMA = FeatureSchema((("score", NUMERIC),), "label")
 TRUTH_SCHEMA = FeatureSchema((), "label")
 
@@ -202,26 +210,18 @@ def _cmd_compare(args) -> int:
     overrides = _overrides(args)
     if _given(args, SyntheticSpec) and not args.synthetic:
         args.parser.error("--n, --signal-strength and --missing-rate need --synthetic")
-    if args.preset == "paper":
-        config = paper_preset_config(overrides["seed"])
+    schema = _load_schema_arg(args)
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # a file there ends the run before the data and the fits
+    paper, seed = args.preset == "paper", overrides["seed"]
+    if args.synthetic:
+        n = PAPER_PRESET_N if paper else 500
+        data = SyntheticSpec(**{"n": n, **_given(args, SyntheticSpec)}).draw(seed, schema)
     else:
-        config = BenchmarkConfig(
-            synthetic=SyntheticSpec(n=500),
-            params={algo: default_params(algo) for algo in ALGORITHMS},
-        )
-    synthetic = replace(config.synthetic, **_given(args, SyntheticSpec))
-    config = replace(
-        config,
-        csv_path=None if args.synthetic else args.data,
-        synthetic=synthetic if args.synthetic else None,
-        schema=_load_schema_arg(args),
-        label_column=args.label,
-        test_fraction=config.test_fraction if args.test_fraction is None else args.test_fraction,
-        seed=overrides["seed"],
-        params={algo: replace(p, **overrides) for algo, p in config.params.items()},
-    )
-    Path(args.out).mkdir(parents=True, exist_ok=True)  # a file there ends the run before the fits
-    report = run_benchmark(config, args.out)
+        data = load_csv(args.data, schema, args.label)
+    test_fraction = PAPER_PRESET_TEST_ROWS / PAPER_PRESET_N if paper else 0.2
+    spec = SplitSpec(test_fraction if args.test_fraction is None else args.test_fraction, seed)
+    base = paper_preset if paper else default_params
+    report = run_benchmark(data, spec, {algo: replace(base(algo), **overrides) for algo in ALGORITHMS}, args.out)
     print(f"benchmark complete: report.json, table.txt, table.csv, 8 curve CSVs -> {args.out}")
     for algo, r in report.results.items():
         print(f"  {algo}: test_acc={r.test.scores.accuracy:.4f} auc={r.test.roc.auc:.4f}")

@@ -390,13 +390,12 @@ def _plain_column(buf, start, end, kind):
     return NUMERIC, values
 
 
-def read_csv_table(path, *, raw: bytes | None = None):
-    """(header, columns, n_rows, bad) of a CSV file, opened once, decoded
-    whole as "utf-8-sig" and read by csv.reader: MalformedCsv naming the
-    file if it is not UTF-8 text or the csv module cannot read a row (such
-    as an over-long field). raw is the file's bytes if they are already read
-    (as _tokens reads them to try the byte tokenizer first); the file is not
-    opened then.
+def read_csv_table(path, *, raw: bytes):
+    """(header, columns, n_rows, bad) of the CSV file at path whose bytes are
+    raw, decoded whole as "utf-8-sig" and read by csv.reader: MalformedCsv
+    naming the file if it is not UTF-8 text or the csv module cannot read a
+    row (such as an over-long field). The file is not opened: _tokens reads
+    its bytes once, to try the byte tokenizer first.
 
     header is the first row's cells, None for a file of no rows. columns[j]
     holds cell j of each later row of the header's width, n_rows of them in
@@ -406,7 +405,7 @@ def read_csv_table(path, *, raw: bytes | None = None):
     row of another width, a blank line too; the header is row 1.
     """
     try:
-        text = (_read_bytes(path) if raw is None else raw).decode("utf-8-sig")
+        text = raw.decode("utf-8-sig")
     except UnicodeDecodeError:
         raise MalformedCsv(f"{path}: not UTF-8 text") from None
     try:

@@ -1,5 +1,5 @@
-"""bench.py called directly: the paper preset, config validation, the result
-tables and an in-memory run. The CLI tests cover compare end to end."""
+"""bench.py called directly: the params-key check, the result tables and an
+in-memory run. The CLI tests cover compare end to end, the paper preset too."""
 
 import errno
 import json
@@ -12,46 +12,31 @@ import numpy as np
 import pytest
 
 from boostlab import bench
-from boostlab.bench import (
-    ALGO_LABELS,
-    BenchmarkConfig,
-    paper_preset_config,
-    render_table,
-    render_table_csv,
-    run_benchmark,
-)
-from boostlab.boost import ALGORITHMS, BoostParams, default_params, fit, paper_preset, predict_scores
-from boostlab.dataset import SplitSpec, SyntheticSpec, pcos_default_schema, split, synthesize
+from boostlab.bench import ALGO_LABELS, render_table, render_table_csv, run_benchmark
+from boostlab.boost import ALGORITHMS, BoostParams, default_params, fit, predict_scores
+from boostlab.dataset import SplitSpec, SyntheticSpec, split
 from boostlab.metrics import evaluate
 
 
 @pytest.fixture(scope="module")
 def report():
-    return run_benchmark(small_config())
+    return run_benchmark(*small_config())
 
 
-def test_paper_preset_config_is_250_rows_with_48_test_rows():
-    config = paper_preset_config(seed=7)
-    assert config.synthetic.n == 250
-    assert config.seed == 7
-    assert config.params == {a: paper_preset(a) for a in ALGORITHMS}
-    spec = config.synthetic
-    data = synthesize(pcos_default_schema(), spec.n, config.seed, spec.signal_strength)
-    _, test = split(data, SplitSpec(config.test_fraction, config.seed))
-    assert test.n_rows == 48
+def must_not_fit(*args, **kwargs):
+    raise AssertionError("a booster was fitted")
 
 
-@pytest.mark.parametrize(
-    "kwargs, message",
-    [
-        ({}, "exactly one data source"),
-        ({"csv_path": "data.csv", "synthetic": SyntheticSpec(n=60)}, "exactly one data source"),
-        ({"synthetic": SyntheticSpec(n=60), "params": {"lightgbm": BoostParams()}}, "unknown algorithm"),
-    ],
-)
-def test_config_rejects(kwargs, message):
-    with pytest.raises(ValueError, match=message):
-        BenchmarkConfig(**kwargs)
+@pytest.mark.parametrize("edit", ["unknown-key", "missing-key"])
+def test_params_must_have_exactly_the_algorithms_as_keys(monkeypatch, edit):
+    data, spec, params = small_config()
+    if edit == "unknown-key":
+        params["lightgbm"] = BoostParams()
+    else:
+        del params["gbm"]
+    monkeypatch.setattr(bench, "fit", must_not_fit)
+    with pytest.raises(ValueError, match="^params must have exactly the keys"):
+        run_benchmark(data, spec, params)
 
 
 def test_tables_print_na_for_an_undefined_score(report):
@@ -69,13 +54,11 @@ def test_tables_print_na_for_an_undefined_score(report):
 
 
 def test_each_result_is_the_evaluation_of_its_test_scores(report):
-    config = small_config()
-    spec = config.synthetic
-    data = synthesize(pcos_default_schema(), spec.n, config.seed, spec.signal_strength, spec.missing_rate)
-    train, test = split(data, SplitSpec(config.test_fraction, config.seed))
+    data, spec, all_params = small_config()
+    train, test = split(data, spec)
     written = report.to_dict()["algorithms"]
     for algo, r in report.results.items():
-        params = config.params[algo]
+        params = all_params[algo]
         expected = evaluate(predict_scores(fit(algo, train, params), test), test.labels, params.threshold)
         assert r.test.to_dict() == expected.to_dict()
         assert r.test.roc.points == expected.roc.points and r.test.pr.points == expected.pr.points
@@ -88,20 +71,16 @@ def test_each_result_is_the_evaluation_of_its_test_scores(report):
 
 def test_run_without_out_dir_writes_no_files(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    config = BenchmarkConfig(
-        synthetic=SyntheticSpec(n=40),
-        params={a: replace(default_params(a), n_rounds=1) for a in ALGORITHMS},
-    )
-    report = run_benchmark(config)
+    params = {a: replace(default_params(a), n_rounds=1) for a in ALGORITHMS}
+    report = run_benchmark(SyntheticSpec(n=40).draw(42), SplitSpec(0.2, 42), params)
     assert list(report.results) == list(ALGORITHMS)
     assert list(tmp_path.iterdir()) == []
 
 
 def small_config():
-    return BenchmarkConfig(
-        synthetic=SyntheticSpec(n=60),
-        params={a: replace(default_params(a), n_rounds=2) for a in ALGORITHMS},
-    )
+    """The rows, the split and the params of a small run."""
+    params = {a: replace(default_params(a), n_rounds=2) for a in ALGORITHMS}
+    return SyntheticSpec(n=60).draw(42), SplitSpec(0.2, 42), params
 
 
 def report_files(out_dir):
@@ -153,7 +132,7 @@ def fork_fails():
 
 @pytest.mark.parametrize("serial", ["one CPU", "no sched_getaffinity", "no fork", "another thread", "fork fails"])
 def test_serial_runs_write_what_the_forked_run_writes(tmp_path, monkeypatch, forks, serial):
-    run_benchmark(small_config(), tmp_path / "forked")
+    run_benchmark(*small_config(), tmp_path / "forked")
     assert len(forks) == 1
     assert_no_child_left()
     if serial == "one CPU":
@@ -178,7 +157,7 @@ def test_serial_runs_write_what_the_forked_run_writes(tmp_path, monkeypatch, for
     if thread is not None:
         thread.start()
     try:
-        run_benchmark(small_config(), tmp_path / "serial")
+        run_benchmark(*small_config(), tmp_path / "serial")
     finally:
         stop.set()
         if thread is not None:
@@ -209,18 +188,18 @@ def test_the_earliest_failing_algorithm_raises(monkeypatch, forks, forked, faili
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     monkeypatch.setattr(bench, "fit", fit_failing(*failing))
     with pytest.raises(ValueError) as excinfo:
-        run_benchmark(small_config())
+        run_benchmark(*small_config())
     assert str(excinfo.value) == raised
     assert len(forks) == int(forked)
     assert_no_child_left()
 
 
 def test_no_child_is_left_after_a_run_or_a_failed_fit(monkeypatch, forks):
-    run_benchmark(small_config())
+    run_benchmark(*small_config())
     assert_no_child_left()
     monkeypatch.setattr(bench, "fit", fit_failing("gbm"))
     with pytest.raises(ValueError, match="gbm"):
-        run_benchmark(small_config())
+        run_benchmark(*small_config())
     assert len(forks) == 2
     assert_no_child_left()
 
@@ -289,7 +268,7 @@ def test_each_job_runs_once_and_the_caller_runs_catboost(tmp_path, monkeypatch, 
 
         monkeypatch.setattr(os, "fork", fork_then_wait)
     monkeypatch.setattr(bench, "fit", logged_fit(log))
-    report = run_benchmark(small_config())
+    report = run_benchmark(*small_config())
     assert list(report.results) == list(ALGORITHMS)
     assert sorted(bench.JOB_ORDER) == sorted(ALGORITHMS)
     assert sorted(algo for algo, _ in log.entries()) == sorted(ALGORITHMS)
@@ -311,7 +290,7 @@ def test_the_child_runs_the_other_jobs_while_the_callers_catboost_fit_is_slow(tm
             log.wait_for(lambda entries: sum(pid != os.getpid() for _, pid in entries) == 3)
 
     monkeypatch.setattr(bench, "fit", logged_fit(log, before))
-    run_benchmark(small_config())
+    run_benchmark(*small_config())
     assert jobs_by_process(log) == (["catboost"], ["xgboost", "gbm", "adaboost"])
     assert_no_child_left()
 
@@ -326,7 +305,7 @@ def test_the_caller_runs_the_remaining_jobs_while_the_childs_fits_are_slow(tmp_p
             log.wait_for(lambda entries: any(pid != os.getpid() for _, pid in entries))
 
     monkeypatch.setattr(bench, "fit", logged_fit(log, before))
-    run_benchmark(small_config())
+    run_benchmark(*small_config())
     assert jobs_by_process(log) == (["catboost", "gbm", "adaboost"], ["xgboost"])
     assert_no_child_left()
 
@@ -342,7 +321,7 @@ def test_a_child_that_ends_without_its_results_is_an_error(tmp_path, monkeypatch
 
     monkeypatch.setattr(bench, "fit", logged_fit(log, before))
     with pytest.raises(ChildProcessError, match="^the xgboost fit process exited with code 3$"):
-        run_benchmark(small_config())
+        run_benchmark(*small_config())
     assert jobs_by_process(log) == (["catboost", "gbm", "adaboost"], ["xgboost"])
     assert_no_child_left()
 
@@ -357,6 +336,6 @@ def test_an_interrupt_kills_the_child_before_reaping_it(monkeypatch, forks, exc)
     monkeypatch.setattr(bench, "fit", fit)
     started = time.monotonic()
     with pytest.raises(exc):
-        run_benchmark(small_config())
+        run_benchmark(*small_config())
     assert time.monotonic() - started < 20
     assert_no_child_left()

@@ -9,7 +9,6 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from boostlab.bench import paper_preset_config
 from boostlab.boost import (
     ALGORITHMS,
     BoostParams,
@@ -34,6 +33,7 @@ from boostlab.dataset import (
     NUMERIC,
     Dataset,
     FeatureSchema,
+    SyntheticSpec,
     categorical,
     pcos_default_schema,
     synthesize,
@@ -541,8 +541,7 @@ class TestSerialization:
         assert np.array_equal(raw_scores(load_model(path), data), raw_scores(model, data))
 
     def test_paper_preset_trees_hold_a_leaf_per_row_at_most(self):
-        spec = paper_preset_config(42).synthetic
-        data = synthesize(pcos_default_schema(), spec.n, 42, spec.signal_strength)
+        data = SyntheticSpec(n=250).draw(42)
         model = fit("catboost", data, paper_preset("catboost"))
         assert max(tree.depth for tree in model.trees) == 16
         assert all(tree.leaf_ids.size <= data.n_rows for tree in model.trees)

@@ -176,6 +176,28 @@ class TestSuccess:
         expected = {"report.json", "table.txt", "table.csv"} | curves
         assert {p.name for p in out_dir.iterdir()} == expected
 
+    def test_paper_preset_is_250_rows_with_48_test_rows(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert run(capsys, "compare", "--synthetic", "--preset", "paper", "--rounds", 1, "--seed", 7, "--out", out)[0] == 0
+        meta = json.loads((out / "report.json").read_text())["metadata"]
+        assert (meta["n_train"], meta["n_test"], meta["seed"]) == (202, 48, 7)
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    def test_compare_data_and_synthetic_agree(self, tmp_path, capsys, seed):
+        # the synthetic rows written by synth, read back by compare --data
+        data = tmp_path / "paper.csv"
+        assert run(capsys, "synth", "--n", 250, "--seed", seed, "--out", data)[0] == 0
+        files = []
+        for source in (("--data", data), ("--synthetic",)):
+            out = tmp_path / source[0].lstrip("-")
+            assert run(capsys, "compare", *source, "--preset", "paper", "--seed", seed, "--out", out)[0] == 0
+            texts = {p.name: p.read_bytes() for p in out.iterdir()}
+            report = texts["report.json"].splitlines()
+            texts["report.json"] = [line for line in report if not line.lstrip().startswith(b'"timestamp"')]
+            assert len(texts["report.json"]) == len(report) - 1
+            files.append(texts)
+        assert len(files[0]) == 11 and files[0] == files[1]
+
     def test_each_data_csv_is_opened_once(self, tmp_path, capsys, data_csv, scores_csv, monkeypatch):
         # csv.reader tokenizes the CRLF copy; the file itself is tokenized from
         # its bytes, and its repr floats, as synth writes them, parsed as texts
@@ -307,6 +329,14 @@ class TestUsageErrors:
         out = tmp_path / "out"
         code, _, err = run(capsys, *argv, "--out", out)
         assert_usage_error(code, err, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", [("--synthetic", "--data", "d.csv"), ()], ids=["both", "neither"])
+    def test_compare_takes_exactly_one_data_source(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(cli, "run_benchmark", _must_not_run)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "compare", *source, "--out", out)
+        assert_usage_error(code, err, "--synthetic")
         assert not out.exists()
 
     def test_env_seed_not_an_integer(self, tmp_path, capsys, monkeypatch):
@@ -812,12 +842,14 @@ def test_train_checks_model_out_before_the_fit(tmp_path, capsys, data_csv, model
 
 
 def test_compare_creates_out_before_the_fits(tmp_path, capsys, monkeypatch):
+    # and before it reads its data: the missing --data file is never opened
     target = tmp_path / "out"
     target.write_text("a file\n")
     monkeypatch.setattr(cli, "run_benchmark", _must_not_run)
-    code, _, err = run(capsys, "compare", "--synthetic", "--preset", "paper", "--out", target)
-    assert (code, err) == (2, f"compare: {target}: File exists\n")
-    assert target.read_text() == "a file\n"
+    for source in (("--synthetic",), ("--data", tmp_path / "missing.csv")):
+        code, _, err = run(capsys, "compare", *source, "--preset", "paper", "--out", target)
+        assert (code, err) == (2, f"compare: {target}: File exists\n")
+        assert target.read_text() == "a file\n"
 
 
 @pytest.mark.parametrize("where", ["missing-parent", "directory", "."])
