@@ -35,7 +35,9 @@ strictly increasing ints in [0, 2**depth), one per leaf value, or a
 cat_encoding_state other than null for AdaBoost, GBM and XGBoost, and for
 CatBoost other than the encodings its schema and params plan
 (_plan_encodings), in column order, with one statistic per level for each
-target encoding.
+target encoding. A params value of the wrong type or out of its range is
+rejected by BoostParams itself, the one check of every params field, and
+reported as any other bad value is.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ import numpy as np
 
 from ._fields import as_index, as_number
 from ._fileio import atomic_write_text
-from .dataset import NUMERIC, Dataset, FeatureSchema
+from .dataset import NUMERIC, Dataset, FeatureSchema, typed_fields
 from .errors import MalformedModel, NonFiniteScores, SchemaMismatch, SingleClassDataset
 from .metrics import check_threshold, labels_at
 from .tree import (
@@ -92,10 +94,14 @@ MODEL_FORMAT_VERSION = 2
 
 @dataclass(frozen=True)
 class BoostParams:
-    """One booster's hyperparameters, checked on construction. learning_rate
-    must be positive and finite but has no upper bound, as scikit-learn's
-    GradientBoostingClassifier takes any positive rate: a rate so large that
-    the raw scores overflow ends the fit in NonFiniteScores instead.
+    """One booster's hyperparameters, checked on construction. n_rounds,
+    max_depth, seed and cat_one_hot_max take an int (a numpy integer too,
+    stored as int), the other fields any real number (stored as float); a
+    bool is neither, and any other type is a ValueError naming the field
+    (dataset.typed_fields). learning_rate must be positive and finite but has
+    no upper bound, as scikit-learn's GradientBoostingClassifier takes any
+    positive rate: a rate so large that the raw scores overflow ends the fit
+    in NonFiniteScores instead.
 
     A fit ignores the fields it does not read. AdaBoost reads n_rounds (its
     stumps are one level deep); GBM and XGBoost n_rounds, learning_rate,
@@ -115,6 +121,7 @@ class BoostParams:
     threshold: float = 0.5
 
     def __post_init__(self):
+        typed_fields(self)
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be >= 0")
         if not self.learning_rate > 0 or not math.isfinite(self.learning_rate):
@@ -122,8 +129,7 @@ class BoostParams:
         if self.max_depth < 1:
             raise ValueError("max_depth must be >= 1")
         for name in ("reg_lambda", "gamma", "min_child_weight"):
-            v = getattr(self, name)
-            if v < 0 or not math.isfinite(v):
+            if not 0 <= getattr(self, name) < math.inf:  # NaN too
                 raise ValueError(f"{name} must be >= 0 and finite")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
@@ -465,20 +471,12 @@ def model_to_dict(model: TreeEnsemble) -> dict:
 
 
 def _params_from_dict(entry: dict) -> BoostParams:
-    """BoostParams from a model file, which must give every field: an int field
-    takes a non-negative int, a float field an int or a float, and a bool is
-    neither."""
-    types = {f.name: f.type for f in fields(BoostParams)}
-    if entry.keys() != types.keys():  # a default would change the model's scores silently
-        raise MalformedModel(f"params: missing or unknown {sorted(types.keys() ^ entry.keys())}")
-    checked = {}
-    for name, value in entry.items():
-        what = f"params.{name}"
-        if types[name] == "int":
-            checked[name] = as_index(value, math.inf, what)
-        else:
-            checked[name] = as_number(value, what)
-    return BoostParams(**checked)
+    """BoostParams from a model file, which must give every field; BoostParams
+    checks each value."""
+    names = {f.name for f in fields(BoostParams)}
+    if entry.keys() != names:  # a default would change the model's scores silently
+        raise MalformedModel(f"params: missing or unknown {sorted(names ^ entry.keys())}")
+    return BoostParams(**entry)
 
 
 def model_from_dict(d: dict) -> TreeEnsemble:

@@ -26,10 +26,15 @@ earliest failing algorithm in ALGORITHMS order, whichever process ran it,
 and no child outlives the command.
 
 Exit codes: 0 success (and --help); 1 usage error, with a usage line: an
-unknown or missing flag, a value BoostParams, SplitSpec or SyntheticSpec
-rejects, such as --seed -1, --rounds -1, --test-fraction 2, --threshold 7 or
---n 1, or compare's --n, --signal-strength or --missing-rate without
---synthetic; 2 data or model error, on one stderr line: a missing file or a
+unknown or missing flag; a flag value that the constructor of a value the
+command builds rejects, such as --seed -1 or --rounds -1 (BoostParams),
+--test-fraction 2 (SplitSpec), --n 1 (SyntheticSpec) or eval's --threshold
+7 (metrics.check_threshold), so the usage errors are those constructors'
+own; synth's --seed -1; or compare's --n, --signal-strength or
+--missing-rate without --synthetic. Each command builds its values before
+it reads any file: train its BoostParams, compare the four algorithms'
+BoostParams, its SplitSpec and its SyntheticSpec, synth its SyntheticSpec.
+2 data or model error, on one stderr line: a missing file or a
 malformed CSV, --schema or model file, a compare split of one class (a
 test split without a positive row fails before any fit), or a fit or model
 whose raw scores are not finite (such as --learning-rate 1e308). Output files are written
@@ -75,7 +80,7 @@ from .dataset import (
     write_csv,
 )
 from .errors import BoostlabError, LengthMismatch, MalformedCsv, MalformedSchema
-from .metrics import evaluate, format_6f, pr_to_csv, roc_to_csv
+from .metrics import check_threshold, evaluate, format_6f, pr_to_csv, roc_to_csv
 from .tree import MAX_OBLIVIOUS_DEPTH
 
 DEFAULT_SEED = 42
@@ -97,7 +102,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_param_flags(p: argparse.ArgumentParser):
-    # Each dest is the BoostParams field the flag overrides (see _overrides).
+    # Each dest is the BoostParams field the flag overrides (see _given).
     p.add_argument("--rounds", dest="n_rounds", type=int, default=None, help="boosting rounds")
     p.add_argument("--learning-rate", type=float, default=None, help="each tree's weight (shrinkage); adaboost ignores it")
     depth_help = f"tree depth; adaboost ignores it (stumps), catboost trees stop at {MAX_OBLIVIOUS_DEPTH} levels"
@@ -118,30 +123,31 @@ def _given(args, cls) -> dict:
     return {name: value for name, value in given.items() if value is not None}
 
 
-def _overrides(args) -> dict:
-    """The BoostParams fields the command line sets, checked at the boundary.
-
-    The seed, for commands that take one, is --seed, else BOOSTLAB_SEED, else
-    42. Every value must pass BoostParams' own checks, --test-fraction
-    SplitSpec's, and --n, --signal-strength and --missing-rate SyntheticSpec's;
-    a value that fails is a usage error (exit 1).
-    """
-    overrides = _given(args, BoostParams)
-    if hasattr(args, "seed") and args.seed is None:
-        env = os.environ.get("BOOSTLAB_SEED", str(DEFAULT_SEED))
-        try:
-            overrides["seed"] = int(env)
-        except ValueError:
-            args.parser.error(f"BOOSTLAB_SEED: invalid int value: {env!r}")
+def _built(args, make, *given, **named):
+    """make(*given, **named), a value's constructor or a check; the ValueError
+    it raises is a usage error (exit 1)."""
     try:
-        BoostParams(**overrides)
-        if getattr(args, "test_fraction", None) is not None:
-            SplitSpec(args.test_fraction, 0)
-        # the given synthetic fields, over a valid row count when --n is not given
-        SyntheticSpec(**{"n": 2, **_given(args, SyntheticSpec)})
+        return make(*given, **named)
     except ValueError as exc:
         args.parser.error(str(exc))
-    return overrides
+
+
+def _seed(args) -> int:
+    """--seed, else BOOSTLAB_SEED, else 42; a BOOSTLAB_SEED that is not an
+    int is a usage error. The BoostParams and SplitSpec built from the seed
+    check its range; synth, which builds neither, checks it itself."""
+    env = os.environ.get("BOOSTLAB_SEED", str(DEFAULT_SEED))
+    try:
+        return int(env) if args.seed is None else args.seed
+    except ValueError:
+        args.parser.error(f"BOOSTLAB_SEED: invalid int value: {env!r}")
+
+
+def _params(args, algorithm: str, seed: int) -> BoostParams:
+    """algorithm's params, its paper preset under --preset paper, with the
+    BoostParams fields the command line sets and seed."""
+    base = paper_preset(algorithm) if args.preset == "paper" else default_params(algorithm)
+    return _built(args, replace, base, **{**_given(args, BoostParams), "seed": seed})
 
 
 def _add_data_flags(p: argparse.ArgumentParser):
@@ -162,11 +168,10 @@ def _load_schema_arg(args) -> FeatureSchema | None:
 
 
 def _cmd_train(args) -> int:
-    overrides = _overrides(args)
+    params = _params(args, args.algo, _seed(args))
     data = load_csv(args.data, _load_schema_arg(args), args.label)
-    base = paper_preset(args.algo) if args.preset == "paper" else default_params(args.algo)
     check_destination(args.model_out)  # before the fit, which the write would come after
-    model = fit(args.algo, data, replace(base, **overrides))
+    model = fit(args.algo, data, params)
     save_model(model, args.model_out)
     print(f"trained {args.algo} on {data.n_rows} rows -> {args.model_out}")
     return 0
@@ -185,7 +190,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _overrides(args)  # checks --threshold
+    _built(args, check_threshold, args.threshold)
     scores = load_features_csv(args.scores, SCORES_SCHEMA)[:, 0]
     if not ((scores >= 0) & (scores <= 1)).all():  # NaN, a missing cell, too
         raise MalformedCsv(f"{args.scores}: score cells must lie in [0, 1]")
@@ -207,21 +212,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    overrides = _overrides(args)
-    if _given(args, SyntheticSpec) and not args.synthetic:
+    paper, seed = args.preset == "paper", _seed(args)
+    params = {algo: _params(args, algo, seed) for algo in ALGORITHMS}
+    test_fraction = PAPER_PRESET_TEST_ROWS / PAPER_PRESET_N if paper else 0.2
+    spec = _built(args, SplitSpec, test_fraction if args.test_fraction is None else args.test_fraction, seed)
+    flags = _given(args, SyntheticSpec)
+    synthetic = _built(args, SyntheticSpec, **{"n": PAPER_PRESET_N if paper else 500, **flags})
+    if flags and not args.synthetic:
         args.parser.error("--n, --signal-strength and --missing-rate need --synthetic")
     schema = _load_schema_arg(args)
     Path(args.out).mkdir(parents=True, exist_ok=True)  # a file there ends the run before the data and the fits
-    paper, seed = args.preset == "paper", overrides["seed"]
-    if args.synthetic:
-        n = PAPER_PRESET_N if paper else 500
-        data = SyntheticSpec(**{"n": n, **_given(args, SyntheticSpec)}).draw(seed, schema)
-    else:
-        data = load_csv(args.data, schema, args.label)
-    test_fraction = PAPER_PRESET_TEST_ROWS / PAPER_PRESET_N if paper else 0.2
-    spec = SplitSpec(test_fraction if args.test_fraction is None else args.test_fraction, seed)
-    base = paper_preset if paper else default_params
-    report = run_benchmark(data, spec, {algo: replace(base(algo), **overrides) for algo in ALGORITHMS}, args.out)
+    data = synthetic.draw(seed, schema) if args.synthetic else load_csv(args.data, schema, args.label)
+    report = run_benchmark(data, spec, params, args.out)
     print(f"benchmark complete: report.json, table.txt, table.csv, 8 curve CSVs -> {args.out}")
     for algo, r in report.results.items():
         print(f"  {algo}: test_acc={r.test.scores.accuracy:.4f} auc={r.test.roc.auc:.4f}")
@@ -229,9 +231,11 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seed = _overrides(args)["seed"]
-    schema = _load_schema_arg(args)
-    data = SyntheticSpec(**_given(args, SyntheticSpec)).draw(seed, schema)
+    seed = _seed(args)
+    if seed < 0:  # no value synth builds holds the seed
+        args.parser.error("seed must be non-negative")
+    spec = _built(args, SyntheticSpec, **_given(args, SyntheticSpec))
+    data = spec.draw(seed, _load_schema_arg(args))
     write_csv(args.out, data)
     print(f"wrote {data.n_rows} rows -> {args.out}")
     return 0

@@ -39,7 +39,8 @@ import functools
 import io
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,6 +57,22 @@ from .errors import (
 MISSING_TOKENS = ("", "NA")
 
 _LABEL_RESAMPLE_TRIES = 100
+
+
+def typed_fields(value) -> None:
+    """Check each field of the frozen dataclass value, every one annotated int
+    or float, and store it as that type: an int field takes an integer, a
+    numpy integer too, and a float field any real number; a bool is neither.
+    Any other value, and an int beyond the float range for a float field, is
+    a ValueError naming the field."""
+    for f in fields(value):
+        given, is_int = getattr(value, f.name), f.type == "int"
+        if isinstance(given, bool) or not isinstance(given, Integral if is_int else Real):
+            raise ValueError(f"{f.name} must be {'an int' if is_int else 'a real number'}, not {given!r}")
+        try:
+            object.__setattr__(value, f.name, int(given) if is_int else float(given))
+        except OverflowError:
+            raise ValueError(f"{f.name} {given!r} is beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -99,6 +116,8 @@ class FeatureSchema:
         names = self.feature_names
         if not all(isinstance(name, str) for name in (*names, self.label_column)):
             raise ValueError("column names and the label column must be strings")
+        if not all(isinstance(kind, FeatureKind) for kind in self.kinds):
+            raise ValueError("columns must pair each name with a FeatureKind")
         if len(set(names)) != len(names):
             raise ValueError("duplicate feature column names")
         if self.label_column in names:
@@ -148,7 +167,7 @@ class Dataset:
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64, order="F")
-        labels = np.array(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if values.ndim != 2:
             raise ValueError("values must be 2-D")
         n, d = values.shape
@@ -158,8 +177,9 @@ class Dataset:
             raise ValueError(f"expected {self.schema.n_features} feature columns, got {d}")
         if labels.shape != (n,):
             raise ValueError("labels length must equal row count")
-        if not np.isin(labels, (0, 1)).all():
+        if not np.isin(labels, (0, 1)).all():  # before the cast, which would truncate 0.5 and 1.7
             raise ValueError("labels must be 0 or 1")
+        labels = labels.astype(np.int64)  # a copy
         for j, (name, kind) in enumerate(self.schema.columns):
             col = values[:, j]
             missing = np.isnan(col)
@@ -203,12 +223,14 @@ class Dataset:
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Stratified train/test split parameters."""
+    """Stratified train/test split parameters: test_fraction a real number,
+    seed an int (see typed_fields)."""
 
     test_fraction: float
     seed: int
 
     def __post_init__(self):
+        typed_fields(self)
         if not 0.0 < self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in (0, 1)")
         if self.seed < 0:
@@ -217,13 +239,15 @@ class SplitSpec:
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Synthetic dataset parameters (see synthesize)."""
+    """Synthetic dataset parameters (see synthesize): n an int, the others
+    real numbers (see typed_fields)."""
 
     n: int
     signal_strength: float = 2.0
     missing_rate: float = 0.0
 
     def __post_init__(self):
+        typed_fields(self)
         if self.n < 2:
             raise ValueError("n must be >= 2")
         if not self.signal_strength >= 0:  # NaN too

@@ -155,6 +155,12 @@ class TestBoostParams:
         pytest.param(lambda: BoostParams(min_child_weight=-1.0), "min_child_weight", id="negative-min_child_weight"),
         pytest.param(lambda: BoostParams(min_child_weight=math.inf), "min_child_weight", id="infinite-min_child_weight"),
         pytest.param(lambda: BoostParams(cat_one_hot_max=0), "cat_one_hot_max", id="cat_one_hot_max-0"),
+        # a value of the wrong type: a float is not an int, a bool is neither, a string no number
+        pytest.param(lambda: BoostParams(max_depth=2.5), "max_depth must be an int", id="float-max_depth"),
+        pytest.param(lambda: BoostParams(n_rounds=True), "n_rounds must be an int", id="bool-n_rounds"),
+        pytest.param(lambda: BoostParams(learning_rate="0.1"), "learning_rate must be a real", id="str-learning_rate"),
+        pytest.param(lambda: BoostParams(gamma=False), "gamma must be a real", id="bool-gamma"),
+        pytest.param(lambda: BoostParams(reg_lambda=10**400), "reg_lambda .* beyond the float range", id="huge-lambda"),
         pytest.param(lambda: default_params("lightgbm"), "unknown algorithm", id="default_params-unknown"),
         pytest.param(
             lambda: fit("lightgbm", numeric_dataset([1, 2], [0, 1])), "unknown algorithm", id="fit-unknown"

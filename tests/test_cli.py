@@ -841,6 +841,40 @@ def test_train_checks_model_out_before_the_fit(tmp_path, capsys, data_csv, model
     assert (code, err) == (2, f"{command}: {target}: {reason}\n")
 
 
+def _boundary_case(argv, flag, value, message):
+    return pytest.param(argv, (flag, value), message, id=f"{argv[0]}{flag}={value}")
+
+
+# each command with a missing input file, "{missing}", and its output "{out}"
+TRAIN_MISSING = ("train", "--algo", "catboost", "--data", "{missing}", "--model-out", "{out}")
+EVAL_MISSING = ("eval", "--scores", "{missing}", "--truth", "{missing}", "--out", "{out}")
+COMPARE_MISSING = ("compare", "--data", "{missing}", "--out", "{out}")
+SYNTHETIC_MISSING = ("compare", "--synthetic", "--schema", "{missing}", "--out", "{out}")
+SYNTH_MISSING = ("synth", "--n", 30, "--schema", "{missing}", "--out", "{out}")
+
+
+@pytest.mark.parametrize(
+    "argv, bad, message",
+    [
+        _boundary_case(TRAIN_MISSING, "--rounds", -1, "n_rounds must be >= 0"),
+        _boundary_case(TRAIN_MISSING, "--seed", -1, "seed must be non-negative"),
+        _boundary_case(EVAL_MISSING, "--threshold", 7, "threshold must lie in (0, 1)"),
+        _boundary_case(COMPARE_MISSING, "--rounds", -1, "n_rounds must be >= 0"),
+        _boundary_case(COMPARE_MISSING, "--seed", -1, "seed must be non-negative"),
+        _boundary_case(COMPARE_MISSING, "--test-fraction", 2, "test_fraction must lie in (0, 1)"),
+        _boundary_case(SYNTHETIC_MISSING, "--n", 1, "n must be >= 2"),
+        _boundary_case(SYNTH_MISSING, "--seed", -1, "seed must be non-negative"),
+        _boundary_case(SYNTH_MISSING, "--missing-rate", 1, "missing_rate must lie in [0, 1)"),
+    ],
+)
+def test_each_command_builds_its_values_before_it_reads_a_file(tmp_path, capsys, argv, bad, message):
+    # a bad value beside a missing input file is a usage error, not the missing file's exit 2
+    missing, out = tmp_path / "missing.csv", tmp_path / "out"
+    code, _, err = run(capsys, *(str(a).format(missing=missing, out=out) for a in argv), *bad)
+    assert_usage_error(code, err, message)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_compare_creates_out_before_the_fits(tmp_path, capsys, monkeypatch):
     # and before it reads its data: the missing --data file is never opened
     target = tmp_path / "out"

@@ -18,6 +18,7 @@ from boostlab.dataset import (
     FeatureKind,
     FeatureSchema,
     SplitSpec,
+    SyntheticSpec,
     _kind_of,
     categorical,
     dataset_to_csv_text,
@@ -92,12 +93,27 @@ ONE_ROW = Dataset(tiny_schema(), np.array([[30.0, 1.0]]), np.array([1]))
         pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 3)), [0, 1]), ValueError, "3", id="wrong-width"),
         pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 2)), [0]), ValueError, "length", id="labels-length"),
         pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 2)), [0, 2]), ValueError, "0 or 1", id="labels-0/1"),
+        # a label is checked before the int64 cast, which would truncate it
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 2)), [0.5, 1]), ValueError, "0 or 1", id="label-0.5"),
+        pytest.param(lambda: Dataset(tiny_schema(), np.ones((2, 2)), [0, 1.7]), ValueError, "0 or 1", id="label-1.7"),
+        pytest.param(
+            lambda: Dataset(tiny_schema(), np.ones((2, 2)), [np.nan, 1]), ValueError, "0 or 1", id="label-nan"
+        ),
         pytest.param(
             lambda: Dataset(tiny_schema(), np.array([[np.inf, 1.0]]), [1]), ValueError, "non-finite", id="inf-cell"
         ),
         pytest.param(lambda: Dataset(CAT_SCHEMA, np.array([[1.0, 3.0]]), [1]), ValueError, "range", id="level-3-of-3"),
         pytest.param(lambda: FeatureKind("numeric", 3), ValueError, "no cardinality", id="numeric-cardinality"),
         pytest.param(lambda: SplitSpec(0.2, -1), ValueError, "seed", id="negative-seed"),
+        # a value of the wrong type is rejected when built, naming its field
+        pytest.param(lambda: SplitSpec(0.2, 1.5), ValueError, "seed", id="float-seed"),
+        pytest.param(lambda: SplitSpec(0.2, True), ValueError, "seed", id="bool-seed"),
+        pytest.param(lambda: SplitSpec("0.2", 1), ValueError, "test_fraction", id="str-test_fraction"),
+        pytest.param(lambda: SyntheticSpec(n=2.5), ValueError, "n must be an int", id="float-n"),
+        pytest.param(lambda: SyntheticSpec(n=30, missing_rate=None), ValueError, "missing_rate", id="none-missing_rate"),
+        pytest.param(
+            lambda: FeatureSchema((("a", "numeric"),), "y"), ValueError, "columns", id="kind-not-a-FeatureKind"
+        ),
         pytest.param(  # one row is one class
             lambda: split(ONE_ROW, SplitSpec(0.2, 0)), SingleClassDataset, "needs both classes", id="split-one-row"
         ),
@@ -118,6 +134,18 @@ class TestDatasetValidation:
             Dataset(tiny_schema(), np.array([[30.0, np.nan]]), np.array([1]))
         ds = Dataset(tiny_schema(), np.array([[np.nan, 1.0]]), np.array([1]))
         assert math.isnan(ds.values[0, 0])
+
+    @pytest.mark.parametrize("labels", [[0, 1], [False, True], [0.0, 1.0], np.array([0, 1], dtype=np.uint8)])
+    def test_labels_of_0_and_1_of_any_type_are_kept(self, labels):
+        ds = Dataset(tiny_schema(), np.ones((2, 2)), labels)
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+
+    def test_numpy_numbers_are_stored_as_python_numbers(self):
+        spec = SplitSpec(np.float32(0.25), np.int64(3))
+        synthetic = SyntheticSpec(np.int32(30), 1, np.float64(0.5))
+        assert (spec, synthetic) == (SplitSpec(0.25, 3), SyntheticSpec(30, 1.0, 0.5))
+        types = [type(v) for v in (spec.test_fraction, spec.seed, synthetic.n, synthetic.signal_strength)]
+        assert types == [float, int, int, float]
 
     def test_immutable(self):
         ds = Dataset(tiny_schema(), np.array([[30.0, 1.0]]), np.array([1]))

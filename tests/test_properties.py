@@ -485,6 +485,58 @@ def test_a_fitted_model_is_its_loaded_model(data, fitted):
     assert_identical(model_from_dict(json.loads(json.dumps(model_to_dict(model)))), model)
 
 
+NUMPY_INTS = st.sampled_from((np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint32))
+
+
+def numpy_ints(low, high):
+    """An integer in [low, high] as one of several numpy integer types."""
+    return st.tuples(NUMPY_INTS, st.integers(low, high)).map(lambda t: t[0](t[1]))
+
+
+def ints_or_floats(low, high):
+    """A number in [low, high]: a Python int, a float or a numpy float32."""
+    return st.integers(low, high) | st.floats(low, high) | st.floats(low, high).map(np.float32)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n_rounds=numpy_ints(2, 2),
+    learning_rate=ints_or_floats(1, 2) | st.floats(0.01, 1.0),
+    max_depth=numpy_ints(1, 3),
+    reg_lambda=ints_or_floats(0, 3),
+    gamma=ints_or_floats(0, 1),
+    min_child_weight=ints_or_floats(0, 2),
+    seed=numpy_ints(0, 127),
+    cat_one_hot_max=numpy_ints(1, 4),
+    cat_prior=st.floats(0.05, 0.95) | st.floats(0.05, 0.95).map(np.float32),
+    threshold=st.floats(0.05, 0.95),
+)
+# an int learning_rate saved as 1 and re-saved as 1.0; a numpy int n_rounds
+# trained, then failed to save
+@example(
+    n_rounds=np.int64(2), learning_rate=1, max_depth=np.int64(2), reg_lambda=1, gamma=0, min_child_weight=1,
+    seed=np.int64(42), cat_one_hot_max=np.int64(2), cat_prior=0.5, threshold=0.5,
+)
+def test_params_of_any_number_type_round_trip_through_a_model_file(tmp_path_factory, **drawn):
+    # an int field stores a numpy integer as int, a float field an int or a
+    # numpy float as float, so the saved file loads to the params fitted and
+    # saves again to the same bytes
+    params = BoostParams(**drawn)
+    assert {f.name: type(getattr(params, f.name)) for f in fields(params)} == {
+        f.name: {"int": int, "float": float}[f.type] for f in fields(params)
+    }
+    data = dataset_from(5, 30)
+    tmp = tmp_path_factory.mktemp("params")
+    for algorithm in ALGORITHMS:
+        model = fit(algorithm, data, params)
+        path, again = tmp / f"{algorithm}.json", tmp / f"{algorithm}-again.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert_identical(loaded.params, model.params, f"{algorithm}.params")
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+
 # The BoostParams fields each algorithm's fit reads (see BoostParams), and
 # another valid value of each field
 FIT_READS = {
